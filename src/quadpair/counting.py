@@ -30,7 +30,7 @@ import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
 from .modarith import r2
-from .quadforms import QuadraticForm, QuadricPair
+from .quadforms import QuadraticForm, QuadricPair, grid_blocks
 
 __all__ = [
     "BoxSpec",
@@ -40,9 +40,6 @@ __all__ = [
     "enumerate_zeros",
     "s_of_b_rows",
 ]
-
-_CHUNK = 2_000_000
-
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -73,44 +70,14 @@ def _box_axis(T: int) -> np.ndarray:
     return np.arange(-T, T + 1, dtype=np.int64)
 
 
-def _box_blocks(k: int, T: int, prefix: np.ndarray | None = None):
-    """The box [-T, T]^k in deterministic chunks, optionally with fixed
-    leading coordinates prepended."""
-    side = 2 * T + 1
-    free = k
-    while side**free > _CHUNK and free > 1:
-        free -= 1
-    axis = _box_axis(T)
-    idx = np.arange(side**free, dtype=np.int64)
-    tail = np.stack([axis[(idx // side**j) % side] for j in range(free)], axis=1)
-    lead = k - free
-    plen = 0 if prefix is None else len(prefix)
-    if lead == 0:
-        block = np.empty((len(tail), plen + k), dtype=np.int64)
-        if plen:
-            block[:, :plen] = prefix
-        block[:, plen:] = tail
-        yield block
-        return
-    hidx = np.arange(side**lead, dtype=np.int64)
-    heads = np.stack([axis[(hidx // side**j) % side] for j in range(lead)], axis=1)
-    for head in heads:
-        block = np.empty((len(tail), plen + k), dtype=np.int64)
-        if plen:
-            block[:, :plen] = prefix
-        block[:, plen : plen + lead] = head
-        block[:, plen + lead :] = tail
-        yield block
-
-
 def _scan_slab(args) -> np.ndarray:
     """Zeros of Q2 in one slab x_1 = fixed of the box (worker-safe)."""
     M, x1, T = args
     Q2 = QuadraticForm.from_matrix([list(r) for r in M])
     n = Q2.n
-    prefix = np.array([x1], dtype=np.int64)
     found = []
-    for block in _box_blocks(n - 1, T, prefix=prefix):
+    for rest in grid_blocks(_box_axis(T), n - 1):
+        block = np.insert(rest, 0, x1, axis=1)
         vals = Q2.eval_batch(block)
         hit = block[vals == 0]
         if len(hit):
@@ -155,7 +122,7 @@ def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
     if method == "mitm":
         check_guard("enumerate_zeros", side**h + side ** (n - h), guard)
         QL = _block_form(Q2.M, range(h))
-        XL = np.vstack(list(_box_blocks(h, T)))
+        XL = np.vstack(list(grid_blocks(_box_axis(T), h)))
         valL = QL.eval_batch(XL)
         order = np.argsort(valL, kind="stable")
         XL = XL[order]
@@ -165,7 +132,7 @@ def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
             valR = np.zeros(1, dtype=np.int64)
         else:
             QR = _block_form(Q2.M, range(h, n))
-            XR = np.vstack(list(_box_blocks(n - h, T)))
+            XR = np.vstack(list(grid_blocks(_box_axis(T), n - h)))
             valR = QR.eval_batch(XR)
         lo = np.searchsorted(valL, -valR, side="left")
         hi = np.searchsorted(valL, -valR, side="right")

@@ -41,12 +41,7 @@ from .counting import S_of_B, WeightFunction
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .modarith import chi4, is_prime
 from .padic import count_congruence_pair, count_congruence_pair_primitive
-from .quadforms import (
-    QuadricPair,
-    _iter_grid_chunks,
-    _pencil_rank_ok_mod_p,
-    residue_grid,
-)
+from .quadforms import QuadricPair, _pencil_rank_ok_mod_p, grid_blocks, residue_blocks
 
 __all__ = [
     "DensityReport",
@@ -159,7 +154,7 @@ def _local_data_uncached(pair: QuadricPair, p: int,
     smooth = True
     inv_table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)],
                          dtype=np.int64)
-    for _, block in _iter_grid_chunks(n, p, max_rows=2_000_000):
+    for block in residue_blocks(p, n):
         nonzero = (block != 0).any(axis=1)
         q2 = pair.Q2.eval_batch(block)
         zero2 = (q2 % p == 0) & nonzero
@@ -336,17 +331,7 @@ def _sigma2_fraction(pair: QuadricPair, k: int) -> Fraction:
     n = pair.n
     q = 2**k
     count = 0
-    free = n
-    while q**free > 2_000_000 and free > 1:
-        free -= 1
-    tail = residue_grid(q, free)
-    lead = n - free
-    heads = residue_grid(q, lead) if lead else np.zeros((1, 0), dtype=np.int64)
-    for head in heads:
-        block = np.empty((len(tail), n), dtype=np.int64)
-        if lead:
-            block[:, :lead] = head
-        block[:, lead:] = tail
+    for block in residue_blocks(q, n):
         good1 = pair.Q1.eval_batch_mod(block % 4, 4) == 1
         good2 = pair.Q2.eval_batch_mod(block, q) == 0
         count += int((good1 & good2).sum())
@@ -395,30 +380,6 @@ def _bump_1d(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarra
     return np.where(t < 1.0 - 1e-15, np.exp(-1.0 / (1.0 - safe)), 0.0)
 
 
-def _transverse_chunks(center: np.ndarray, rho: float, G: int,
-                       max_rows: int = 1_000_000):
-    """Midpoint-rule grid on the transverse box, in bounded chunks."""
-    d = len(center)
-    h = 2.0 * rho / G
-    axis = -rho + h * (np.arange(G) + 0.5)
-    free = d
-    while G**free > max_rows and free > 1:
-        free -= 1
-    idx = np.arange(G**free, dtype=np.int64)
-    tail = np.stack([axis[(idx // G**j) % G] for j in range(free)], axis=1)
-    lead = d - free
-    if lead == 0:
-        yield center[None, :] + tail, h**d
-        return
-    hidx = np.arange(G**lead, dtype=np.int64)
-    heads = np.stack([axis[(hidx // G**j) % G] for j in range(lead)], axis=1)
-    for head in heads:
-        pts = np.empty((len(tail), d), dtype=float)
-        pts[:, :lead] = center[:lead] + head
-        pts[:, lead:] = center[lead:] + tail
-        yield pts, h**d
-
-
 def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
     """One transverse resolution: slab values for every epsilon plus the
     coarea estimate, integrating exactly in the distinguished coordinate."""
@@ -432,9 +393,13 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
     c1 = x0[axis]
     rho = W.rho
 
+    # midpoint rule on the transverse box of half-width rho about x0[rest]
+    h = 2.0 * rho / G
+    cell = h ** len(rest)
     slab_tot = [0.0 for _ in eps_list]
     co_tot = 0.0
-    for yk, cell in _transverse_chunks(x0[rest], rho, G):
+    for yk in grid_blocks(-rho + h * (np.arange(G) + 0.5), len(rest)):
+        yk += x0[rest]
         # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
         b = 2.0 * yk @ M2[axis, rest]
         c = np.einsum("ij,jk,ik->i", yk, M2[np.ix_(rest, rest)], yk)
@@ -518,7 +483,7 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> float:
     return float(coef[0])
 
 
-def tau_infinity(Q2, W: WeightFunction, method: str = "both",
+def tau_infinity(Q2, W: WeightFunction,
                  guard: int = DEFAULT_GUARD) -> TauInfinity:
     """Archimedean density of {Q2 = 0} weighted by W, two ways.
 
@@ -530,8 +495,6 @@ def tau_infinity(Q2, W: WeightFunction, method: str = "both",
     on a transverse grid whose resolution doubles until the estimates
     move by less than 1%.
     """
-    if method not in ("slab", "coarea", "both"):
-        raise ValueError(f"unknown method {method!r}")
     if W.n != Q2.n:
         raise ValueError("weight dimension mismatch")
     x0 = np.array(W.x0, dtype=float)
@@ -566,10 +529,7 @@ def tau_infinity(Q2, W: WeightFunction, method: str = "both",
                 break
         prev = (slab, coarea)
         G *= 2
-    result = TauInfinity(slab, coarea, tuple(slabs), eps_list, G)
-    if method == "both":
-        return result
-    return result
+    return TauInfinity(slab, coarea, tuple(slabs), eps_list, G)
 
 
 def sigma_infinity(Q2, W: WeightFunction, guard: int = DEFAULT_GUARD) -> float:

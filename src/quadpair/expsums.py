@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .lincong import bareiss_det
+from .lincong import bareiss_det, solve_mod_p
 from .modarith import (
     SumValue,
     divisors,
@@ -47,7 +47,7 @@ from .modarith import (
     sum_tol,
 )
 from .padic import count_divisibility, count_divisibility_primitive, residue_zeros_mod_p
-from .quadforms import QuadraticForm, QuadricPair, dual_form, residue_grid
+from .quadforms import QuadraticForm, QuadricPair, dual_form, residue_blocks
 
 __all__ = [
     "D_d",
@@ -65,28 +65,8 @@ __all__ = [
     "rho_star",
 ]
 
-_CHUNK = 2_000_000
-
-
 def _units(q: int) -> list[int]:
     return [a for a in range(q) if math.gcd(a, q) == 1]  # q = 1 gives [0]
-
-
-def _grid_blocks(n: int, q: int):
-    """F_q^n in deterministic chunks."""
-    free = n
-    while q**free > _CHUNK and free > 1:
-        free -= 1
-    tail = residue_grid(q, free)
-    lead = n - free
-    if lead == 0:
-        yield tail
-        return
-    for head in residue_grid(q, lead):
-        block = np.empty((len(tail), n), dtype=np.int64)
-        block[:, :lead] = head
-        block[:, lead:] = tail
-        yield block
 
 
 def _phases(q: int) -> np.ndarray:
@@ -121,7 +101,7 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
     nm = len(m_list)
     hists = np.zeros((nm, dq * dq), dtype=np.int64)
     survivors = 0
-    for block in _grid_blocks(n, dq):
+    for block in residue_blocks(dq, n):
         mask = pair.Q1.eval_batch_mod(block, d) == 0
         mask &= pair.Q2.eval_batch_mod(block, d) == 0
         sub = block[mask]
@@ -268,7 +248,7 @@ def S_two_power(pair: QuadricPair, a_vec, ell: int, sign: int, m,
     base = np.array([(sign * v) % 4 for v in a_vec], dtype=np.int64)
     total = 0j
     terms = 0
-    for block in _grid_blocks(n, 2**ell):
+    for block in residue_blocks(2**ell, n):
         k = base[None, :] + 4 * block
         q2 = pair.Q2.eval_batch_mod(k, mod)
         for a in units:
@@ -300,7 +280,7 @@ def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,
     mred = np.array([v % mod for v in m], dtype=np.int64)
     total = 0j
     terms = 0
-    for block in _grid_blocks(n, dq):
+    for block in residue_blocks(dq, n):
         k = base[None, :] + 4 * block
         mask = pair.Q1.eval_batch_mod(k, d) == 0
         mask &= pair.Q2.eval_batch_mod(k, d) == 0
@@ -348,7 +328,7 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
     check_guard("D_d", d**n, guard)
     mred = np.array([v % d for v in m], dtype=np.int64)
     hist = np.zeros(d, dtype=np.int64)
-    for block in _grid_blocks(n, d):
+    for block in residue_blocks(d, n):
         mask = pair.Q1.eval_batch_mod(block, d) == 0
         mask &= pair.Q2.eval_batch_mod(block, d) == 0
         sub = block[mask]
@@ -356,47 +336,6 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
             hist += np.bincount((sub @ mred) % d, minlength=d)
     z = (hist * _phases(d)).sum()
     return SumValue(z.real, z.imag, sum_tol(max(int(hist.sum()), 1)))
-
-
-def _solve_mod_p(rows, rhs, p: int):
-    """Solve the small linear system rows . t = rhs over F_p.
-
-    Returns (particular, kernel_basis) or None if inconsistent.
-    """
-    m = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] % p:
-            return None
-    part = [0] * ncols
-    for i, c in enumerate(pivots):
-        part[c] = m[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [0] * ncols
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-m[i][c]) % p
-        basis.append(vec)
-    return part, basis
 
 
 def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
@@ -418,7 +357,7 @@ def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
         a2 = pair.Q2.eval(x0)
         g1 = pair.Q1.gradient(x0)
         g2 = pair.Q2.gradient(x0)
-        sol = _solve_mod_p([g1, g2], [-(a1 // p), -(a2 // p)], p)
+        sol = solve_mod_p([g1, g2], [-(a1 // p), -(a2 // p)], p)
         if sol is None:
             continue
         t0, basis = sol
@@ -503,21 +442,13 @@ def partial_sum_Q(Q2: QuadraticForm, x: float, m, M: int,
     adjoint value vanishes) so that every surviving q admits the closed
     form.
     """
-    if dual is None:
-        dual = dual_form(Q2)
-    N = _Q_series_modulus(Q2, m, dual)
-    if M % N != 0:
-        raise ValueError(f"modulus {M} must be a multiple of N = {N}")
-    total = SumValue.exact(1.0, tol=1e-15)  # q = 1 term
-    for q in range(2, int(x) + 1):
-        if math.gcd(q, M) == 1:
-            total = total + Q_q_explicit(Q2, q, m, dual=dual)
-    return total
+    return partial_sum_Q_series(Q2, [x], m, M, dual=dual)[-1]
 
 
 def partial_sum_Q_series(Q2: QuadraticForm, x_values, m, M: int,
                          dual: QuadraticForm | None = None) -> list[SumValue]:
-    """Cumulative partial sums at each x in increasing x_values."""
+    """Cumulative partial sums at each x in increasing x_values (the q = 1
+    term included); see partial_sum_Q."""
     if dual is None:
         dual = dual_form(Q2)
     N = _Q_series_modulus(Q2, m, dual)
@@ -545,7 +476,7 @@ def full_quadratic_sum(Q: QuadraticForm, q: int, m,
     check_guard("full_quadratic_sum", q**n, guard)
     mred = np.array([v % q for v in m], dtype=np.int64)
     hist = np.zeros(q, dtype=np.int64)
-    for block in _grid_blocks(n, q):
+    for block in residue_blocks(q, n):
         v = (Q.eval_batch_mod(block, q) + block @ mred) % q
         hist += np.bincount(v, minlength=q)
     z = (hist * _phases(q)).sum()

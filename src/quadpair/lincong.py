@@ -1,4 +1,5 @@
-"""Integer matrix normal forms and exact counting for linear congruences.
+"""Integer matrix normal forms, exact counting for linear congruences, and
+Gaussian elimination over F_p.
 
 The central object is K_q(M; a) = #{x mod q : M x = a (mod q)}, computed
 per prime power through the Smith normal form: if A M B = diag(d_1, ...)
@@ -24,6 +25,7 @@ __all__ = [
     "rank_rational",
     "smith",
     "smith_bound",
+    "solve_mod_p",
 ]
 
 IntMatrix = list[list[int]]
@@ -40,7 +42,8 @@ def identity_matrix(n: int) -> IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
+    if len(a[0]) != inner:
+        raise ValueError("inner dimensions differ")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
@@ -102,6 +105,48 @@ def rank_rational(matrix: IntMatrix) -> int:
         if rank == rows:
             break
     return rank
+
+
+def solve_mod_p(rows: IntMatrix, rhs: list[int], p: int):
+    """Solve rows . t = rhs over F_p (p prime) by Gauss-Jordan elimination.
+
+    Returns (particular, kernel_basis), every solution being the particular
+    one plus an F_p-combination of the basis vectors, or None if the system
+    is inconsistent.  With rhs = 0 the rank is ncols - len(kernel_basis).
+    """
+    ncols = len(rows[0])
+    m = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [(v * inv) % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    part = [0] * ncols
+    for i, c in enumerate(pivots):
+        part[c] = m[i][ncols]
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        vec = [0] * ncols
+        vec[c] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = (-m[i][c]) % p
+        basis.append(vec)
+    return part, basis
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "PrimePower",
@@ -389,8 +388,3 @@ def r2_chi_divisor_sum(M: int) -> int:
                 total += chi4(M // d)
         d += 1
     return 4 * total
-
-
-def exact_sigma_fraction(num: int, den: int) -> Fraction:
-    """Tiny convenience used by the density code paths."""
-    return Fraction(num, den)

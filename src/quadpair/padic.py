@@ -1,7 +1,7 @@
 """Exact counts of x mod p^R with p^r1 | Q1(x) and p^r2 | Q2(x).
 
 Direct enumeration costs p^(Rn) and dies quickly (already at p=7, R=3,
-n=5).  Instead we fix digits одного at a time: writing x = x0 + p^j t with
+n=5).  Instead we fix digits one at a time: writing x = x0 + p^j t with
 x0 known mod p^j,
 
     Q(x0 + p^j t) = Q(x0) + p^j * (2 M x0) . t + p^(2j) Q(t),
@@ -26,7 +26,7 @@ import numpy as np
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import count_lincong
 from .modarith import factorize, is_prime
-from .quadforms import QuadricPair, residue_grid
+from .quadforms import QuadricPair, residue_blocks, residue_grid
 
 __all__ = [
     "count_congruence_pair",
@@ -152,6 +152,21 @@ def count_congruence_pair_primitive(pair: QuadricPair, p: int, R: int,
     return full - inner
 
 
+def _crt_product(count_prime_power, pair: QuadricPair, d1: int, d2: int,
+                 guard: int) -> int:
+    """Product over p | d1 d2 of count_prime_power(pair, p, R, r1, r2)
+    with p^r1 || d1, p^r2 || d2 and R = max(r1, r2)."""
+    if d1 < 1 or d2 < 1:
+        raise ValueError("moduli must be positive")
+    f1, f2 = factorize(d1), factorize(d2)
+    total = 1
+    for p in sorted(set(f1) | set(f2)):
+        r1 = f1.get(p, 0)
+        r2 = f2.get(p, 0)
+        total *= count_prime_power(pair, p, max(r1, r2), r1, r2, guard=guard)
+    return total
+
+
 def count_divisibility(pair: QuadricPair, d1: int, d2: int,
                        guard: int = DEFAULT_GUARD) -> int:
     """#{x mod lcm-free modulus d : d1 | Q1(x), d2 | Q2(x)} for d = max tower.
@@ -159,48 +174,26 @@ def count_divisibility(pair: QuadricPair, d1: int, d2: int,
     Only prime-power-compatible (d1, d2 powers of the same primes) input is
     supported through the CRT product; the common use is d1 = d2 = d.
     """
-    if d1 < 1 or d2 < 1:
-        raise ValueError("moduli must be positive")
-    f1, f2 = factorize(d1), factorize(d2)
-    total = 1
-    for p in sorted(set(f1) | set(f2)):
-        r1 = f1.get(p, 0)
-        r2 = f2.get(p, 0)
-        R = max(r1, r2)
-        total *= count_congruence_pair(pair, p, R, r1, r2, guard=guard)
-    return total
+    return _crt_product(count_congruence_pair, pair, d1, d2, guard)
 
 
 def count_divisibility_primitive(pair: QuadricPair, d1: int, d2: int,
                                  guard: int = DEFAULT_GUARD) -> int:
-    if d1 < 1 or d2 < 1:
-        raise ValueError("moduli must be positive")
-    f1, f2 = factorize(d1), factorize(d2)
-    total = 1
-    for p in sorted(set(f1) | set(f2)):
-        r1 = f1.get(p, 0)
-        r2 = f2.get(p, 0)
-        R = max(r1, r2)
-        total *= count_congruence_pair_primitive(pair, p, R, r1, r2, guard=guard)
-    return total
+    """As count_divisibility but restricted to x not == 0 mod p at every
+    p | d1 d2, prime by prime."""
+    return _crt_product(count_congruence_pair_primitive, pair, d1, d2, guard)
 
 
-def residue_zeros_mod_p(pair: QuadricPair, p: int, require_q1: bool = True,
-                        require_q2: bool = True,
+def residue_zeros_mod_p(pair: QuadricPair, p: int,
                         guard: int = 10**8) -> np.ndarray:
-    """All x mod p with the requested forms vanishing, as an (N, n) array
-    in grid order (deterministic)."""
+    """All common zeros x mod p of Q1 and Q2, as an (N, n) array in grid
+    order (deterministic)."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     check_guard("residue_zeros_mod_p", p**pair.n, guard)
-    from .quadforms import _iter_grid_chunks  # shared chunking
-
     blocks = []
-    for _, block in _iter_grid_chunks(pair.n, p):
-        mask = np.ones(len(block), dtype=bool)
-        if require_q1:
-            mask &= pair.Q1.eval_batch_mod(block, p) == 0
-        if require_q2:
-            mask &= pair.Q2.eval_batch_mod(block, p) == 0
+    for block in residue_blocks(p, pair.n):
+        mask = pair.Q1.eval_batch_mod(block, p) == 0
+        mask &= pair.Q2.eval_batch_mod(block, p) == 0
         blocks.append(block[mask])
     return np.concatenate(blocks, axis=0)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .guard import check_guard
-from .lincong import bareiss_det
+from .lincong import bareiss_det, solve_mod_p
 from .modarith import factorize, is_prime
 
 __all__ = [
@@ -140,7 +140,8 @@ class QuadraticForm:
         """Q(x) mod q for every row of X (values already in [0, q))."""
         # int64 overflow bound: entries of X @ M are < n q^2, times q and
         # summed over n again stays far below 2^63 for the q used here
-        assert self.n * q**3 * self.n < 2**62, "modulus too large for int64 path"
+        if self.n * q**3 * self.n >= 2**62:
+            raise ValueError("modulus too large for int64 path")
         Mq = self.matrix_mod(q)
         return ((X @ Mq % q) * X).sum(axis=1) % q
 
@@ -148,8 +149,8 @@ class QuadraticForm:
         """Exact Q(x) for every integer row of X (int64)."""
         bound = int(np.abs(X).max(initial=0))
         top = max(abs(v) for row in self.M for v in row)
-        assert self.n * self.n * top * bound * bound < 2**62, \
-            "points too large for int64 path"
+        if self.n * self.n * top * bound * bound >= 2**62:
+            raise ValueError("points too large for int64 path")
         M = np.array(self.M, dtype=np.int64)
         return ((X @ M) * X).sum(axis=1)
 
@@ -159,10 +160,61 @@ class QuadraticForm:
         return np.einsum("...i,ij,...j->...", x, M, x)
 
 
+# --------------------------------------------------------------------------
+# grids
+# --------------------------------------------------------------------------
+
+#: most rows a grid_blocks block holds; a block spans at least one whole
+#: axis, so an axis longer than this gives longer blocks
+_BLOCK_ROWS = 2_000_000
+
+
+def _tuples(axis: np.ndarray, k: int) -> np.ndarray:
+    """Every k-tuple over axis, one per row, column 0 varying fastest."""
+    side = len(axis)
+    out = np.empty((side,) * k + (k,), dtype=axis.dtype)
+    for j in range(k):
+        # column j runs along index axis k-1-j of the C-ordered array
+        shape = [1] * k
+        shape[k - 1 - j] = side
+        out[..., j] = axis.reshape(shape)
+    return out.reshape(side**k, k)
+
+
 def residue_grid(q: int, k: int) -> np.ndarray:
     """All vectors of (Z/q)^k as an array of shape (q^k, k)."""
-    idx = np.arange(q**k, dtype=np.int64)
-    return np.stack([(idx // q**j) % q for j in range(k)], axis=1)
+    return _tuples(np.arange(q, dtype=np.int64), k)
+
+
+def grid_blocks(axis: np.ndarray, k: int):
+    """Every k-tuple over the values of axis, in blocks of at most
+    _BLOCK_ROWS rows.
+
+    Each block fixes its leading "head" columns and runs the trailing "tail"
+    columns over all their tuples; heads and tails are both ordered as in
+    residue_grid (column 0 fastest).  The split depends only on len(axis)
+    and k, so the rows come in the same order for every caller.  Each block
+    is a fresh array the caller may modify.
+    """
+    side = len(axis)
+    free = k
+    while side**free > _BLOCK_ROWS and free > 1:
+        free -= 1
+    lead = k - free
+    tail = _tuples(axis, free)
+    if lead == 0:
+        yield tail
+        return
+    for head in _tuples(axis, lead):
+        block = np.empty((len(tail), k), dtype=axis.dtype)
+        block[:, :lead] = head
+        block[:, lead:] = tail
+        yield block
+
+
+def residue_blocks(q: int, k: int):
+    """(Z/q)^k as grid_blocks over the residues 0..q-1."""
+    return grid_blocks(np.arange(q, dtype=np.int64), k)
 
 
 # --------------------------------------------------------------------------
@@ -333,30 +385,8 @@ class QuadricPair:
 
 
 def _rank_mod_p(rows, p: int) -> int:
-    m = [[v % p for v in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+    _, kernel = solve_mod_p(rows, [0] * len(rows), p)
+    return len(rows[0]) - len(kernel)
 
 
 def _common_zero_mask(pair: QuadricPair, X: np.ndarray, p: int) -> np.ndarray:
@@ -365,31 +395,13 @@ def _common_zero_mask(pair: QuadricPair, X: np.ndarray, p: int) -> np.ndarray:
     return (v1 == 0) & (v2 == 0)
 
 
-def _iter_grid_chunks(n: int, p: int, max_rows: int = 4_000_000):
-    """Yield (prefix, grid) covering F_p^n; grid has the trailing coords."""
-    free = n
-    lead = 0
-    while p**free > max_rows:
-        free -= 1
-        lead += 1
-    tail = residue_grid(p, free)
-    if lead == 0:
-        yield (), tail
-        return
-    for head in residue_grid(p, lead):
-        block = np.empty((len(tail), n), dtype=np.int64)
-        block[:, :lead] = head
-        block[:, lead:] = tail
-        yield tuple(int(v) for v in head), block
-
-
 def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:
     """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}."""
     if not is_prime(p):
         raise ValueError("p must be prime")
     check_guard("count_cone_points_mod_p", p**pair.n, 10**8)
     total = 0
-    for _, block in _iter_grid_chunks(pair.n, p):
+    for block in residue_blocks(p, pair.n):
         total += int(_common_zero_mask(pair, block, p).sum())
     return total
 
@@ -397,7 +409,7 @@ def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:
     """Every nonzero common zero of Q1, Q2 mod p has Jacobian rank 2."""
     n = pair.n
-    for _, block in _iter_grid_chunks(n, p):
+    for block in residue_blocks(p, n):
         mask = _common_zero_mask(pair, block, p)
         for x in block[mask]:
             if not x.any():
@@ -462,7 +474,7 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int) -> bool:
         raise ValueError("m must be nonzero mod p")
     check_guard("is_Vm_singular_mod_p", p**pair.n, 10**8)
     mvec = np.array([v % p for v in m], dtype=np.int64)
-    for _, block in _iter_grid_chunks(pair.n, p):
+    for block in residue_blocks(p, pair.n):
         mask = _common_zero_mask(pair, block, p) & ((block @ mvec) % p == 0)
         for x in block[mask]:
             if not x.any():

@@ -11,6 +11,7 @@ from quadpair.lincong import (
     rank_rational,
     smith,
     smith_bound,
+    solve_mod_p,
 )
 from quadpair.modarith import PrimePower
 from quadpair.quadforms import residue_grid
@@ -92,3 +93,47 @@ def test_count_lincong_edges():
     # more rows than unknowns
     assert count_lincong([[1], [2]], [1, 2], 5) == 1
     assert count_lincong([[1], [2]], [1, 3], 5) == 0
+
+
+def _span(part, basis, p):
+    """Every part + sum c_i basis_i over F_p, as a set of tuples."""
+    pts = {tuple(part)}
+    for vec in basis:
+        pts = {tuple((x + c * v) % p for x, v in zip(pt, vec))
+               for pt in pts for c in range(p)}
+    return pts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solve_mod_p_vs_enumeration(p):
+    rng = random.Random(p)
+    for trial in range(30):
+        n = rng.randrange(1, 5)
+        nrows = (2, 3, n)[trial % 3]
+        rows = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(nrows)]
+        if trial % 2 and nrows > 1:
+            # a dependent row makes inconsistent right-hand sides likely
+            rows[-1] = [(rng.randrange(p) * a) for a in rows[0]]
+        rhs = [rng.randrange(-p, 2 * p) for _ in range(nrows)]
+        grid = residue_grid(p, n)
+        M = np.array(rows, dtype=np.int64)
+        solutions = {tuple(map(int, t))
+                     for t in grid[((grid @ M.T - np.array(rhs)) % p == 0).all(axis=1)]}
+        kernel = int(((grid @ M.T) % p == 0).all(axis=1).sum())
+
+        got = solve_mod_p(rows, rhs, p)
+        if not solutions:
+            assert got is None
+        else:
+            part, basis = got
+            assert len(solutions) == p ** len(basis)
+            assert _span(part, basis, p) == solutions
+        _, zero_basis = solve_mod_p(rows, [0] * nrows, p)
+        rank = n - len(zero_basis)
+        assert kernel == p ** (n - rank)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[3, 4]])

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -13,7 +12,6 @@ from quadpair.modarith import (
     e_q,
     eps,
     eps_power,
-    exact_sigma_fraction,
     factorize,
     gauss_chi,
     is_prime,
@@ -162,7 +160,3 @@ def test_sumvalue_algebra():
         SumValue(2.5, 0.0, 1e-8).as_integer()
     assert SumValue(1e-9, -1e-9, 1e-8).is_zero()
     assert not SumValue(1.0, 0.0, 1e-8).is_zero()
-
-
-def test_exact_sigma_fraction():
-    assert exact_sigma_fraction(6, 4) == Fraction(3, 2)

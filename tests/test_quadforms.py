@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
 
+from quadpair import quadforms
+from quadpair.counting import enumerate_zeros
 from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -9,9 +13,11 @@ from quadpair.quadforms import (
     certified_good_primes,
     count_cone_points_mod_p,
     dual_form,
+    grid_blocks,
     is_Vm_singular_mod_p,
     parse_pair_text,
     pencil_det_poly,
+    residue_blocks,
     residue_grid,
     save_pair,
 )
@@ -39,6 +45,55 @@ def test_eval_batch_agrees_with_eval():
         assert Q.eval([int(t) for t in row]) == int(v)
     modvals = Q.eval_batch_mod(X % 7, 7)
     assert ((vals - modvals) % 7 == 0).all()
+
+
+def test_int64_paths_reject_overflow():
+    Q = toy_pair_3().Q2
+    with pytest.raises(ValueError, match="points too large"):
+        Q.eval_batch(np.array([[2**30, 0, 0]], dtype=np.int64))
+    with pytest.raises(ValueError, match="modulus too large"):
+        Q.eval_batch_mod(np.zeros((1, 3), dtype=np.int64), 2**20)
+
+
+def test_grid_blocks_unchunked_is_the_full_grid():
+    (block,) = residue_blocks(5, 3)
+    assert np.array_equal(block, residue_grid(5, 3))
+    (empty,) = residue_blocks(5, 0)
+    assert empty.shape == (1, 0)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 30])
+def test_grid_blocks_chunked_order(monkeypatch, budget):
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    for axis, k in ((np.arange(3, dtype=np.int64), 4),
+                    (np.arange(-2, 3, dtype=np.int64), 3),
+                    (np.linspace(-1.0, 1.0, 4), 3)):
+        side = len(axis)
+        blocks = list(grid_blocks(axis, k))
+        assert len(blocks) > 1
+        assert all(len(b) <= max(budget, side) for b in blocks)
+        # one block per head; heads (leading columns) outermost, tails
+        # inside, column 0 of each varying fastest: the full grid with its
+        # columns rotated by the number of head columns
+        lead = round(math.log(len(blocks), side))
+        assert len(blocks) == side**lead
+        rows = np.concatenate(blocks)
+        full = axis[residue_grid(side, k)]
+        assert np.array_equal(rows, np.roll(full, lead, axis=1))
+        assert rows.dtype == axis.dtype
+
+
+def test_chunking_changes_no_count(monkeypatch):
+    pair = toy_pair_3()
+    coupled = QuadraticForm.from_matrix([[1, 1, 1], [1, 2, 1], [1, 1, -1]])
+    before = ([count_cone_points_mod_p(pair, p) for p in (5, 7)],
+              enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6))
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 7)
+    after = ([count_cone_points_mod_p(pair, p) for p in (5, 7)],
+             enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6))
+    assert before[0] == after[0]
+    assert np.array_equal(before[1], after[1])
+    assert np.array_equal(before[2], after[2])
 
 
 def test_pencil_roots_of_shipped_pair_distinct():
