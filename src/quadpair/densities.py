@@ -23,6 +23,18 @@ convergence certificate.  The raw truncation exactly as displayed above is
 kept alongside for diagnostics (`sigma_p_truncated`); it approaches the
 same limit but never equals it at finite k.
 
+The depth-1 and depth-2 primitive counts come from one of two routes.  At a
+good prime (p odd, disc_P != 0, p prime to det2 * disc_P) the pencil
+det(b1 M1 + b2 M2) has distinct roots mod p, which certifies a smooth
+intersection (Reid's criterion; `certified_good` needs no sweep).  There
+the depth-1 counts are Gauss sums over the p + 1 points of the pencil,
+each fixed by the rank and a nonsingular minor mod p, and Hensel lifting
+gives depth 2: O(p n^3) work.  At every other prime, and for any pair with
+disc_P == 0, a sweep of the p^n residues counts both depths and checks
+smoothness point by point.  sigma_2 counts the classes x0 mod 2^j,
+j ~ k/2, and sizes the fiber over each by one linear congruence, so depth
+k costs 2^(jn) rather than 2^(kn).
+
 The dimension must be at least 3: at n = 2 the stratum ratio p^{2-n}
 reaches 1 and the defining limit itself diverges.
 """
@@ -39,9 +51,16 @@ import numpy as np
 
 from .counting import S_of_B, WeightFunction
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
-from .modarith import chi4, is_prime
+from .lincong import bareiss_det, solve_mod_p
+from .modarith import chi4, is_prime, jacobi
 from .padic import count_congruence_pair, count_congruence_pair_primitive
-from .quadforms import QuadricPair, _pencil_rank_ok_mod_p, grid_blocks, residue_blocks
+from .quadforms import (
+    QuadricPair,
+    _pencil_rank_ok_mod_p,
+    _pencil_roots_distinct_mod_p,
+    grid_blocks,
+    residue_blocks,
+)
 
 __all__ = [
     "DensityReport",
@@ -133,8 +152,7 @@ def Ntilde(pair: QuadricPair, p: int, k: int, e: int,
 
 @dataclass(frozen=True)
 class _LocalData:
-    """Primitive counts at depths 1 and 2 plus the smoothness certificate,
-    all gathered in a single sweep of the grid mod p."""
+    """Primitive counts at depths 1 and 2 plus the smoothness certificate."""
 
     p: int
     star1: tuple[int, int]        # Ntilde*_1(0), Ntilde*_1(1)
@@ -142,8 +160,100 @@ class _LocalData:
     smooth: bool
 
 
-def _local_data_uncached(pair: QuadricPair, p: int,
-                         guard: int = DEFAULT_GUARD) -> _LocalData:
+def _local_cost(pair: QuadricPair, p: int) -> int:
+    """Guard estimate of _local_data: p + 1 pencil points of O(n^3) each
+    on the closed-form route, the p^n residues on the sweep route."""
+    if _pencil_roots_distinct_mod_p(pair, p):
+        return (p + 1) * pair.n**3
+    return p**pair.n
+
+
+def _nondegenerate_part(m, p: int) -> tuple[int, int]:
+    """(r, det') for an integer symmetric matrix m over F_p: its rank r and
+    the determinant of a principal r x r minor that is nonsingular mod p.
+
+    The minor on the pivot columns of m is one: those columns span the
+    column space, and for a symmetric matrix that makes the minor on them
+    nonsingular.
+    """
+    n = len(m)
+    _, kernel = solve_mod_p(m, [0] * n, p)
+    # the pivot columns are those at which no kernel vector ends
+    ends = {max(i for i, v in enumerate(vec) if v) for vec in kernel}
+    keep = [i for i in range(n) if i not in ends]
+    dprime = bareiss_det([[m[i][j] for j in keep] for i in keep])
+    if dprime % p == 0:
+        raise ArithmeticError("pivot minor is singular mod p")
+    return len(keep), dprime
+
+
+def _line_gauss_sum(n: int, r: int, dprime: int, p: int) -> int:
+    """sum over lambda in F_p^* of G(lambda M), G(M) = sum_x e_p(x^T M x),
+    for an n x n symmetric M of rank r mod p with nondegenerate part of
+    determinant dprime (see _nondegenerate_part).
+
+    G(lambda M) is p^(n - r) times r one-variable Gauss sums, which gives
+    the integer (p - 1) p^(n - r) p^(r/2) ((-1)^(r/2) dprime | p) for even
+    r and 0 for odd r (the Legendre symbol of lambda sums to zero).
+    """
+    if r % 2:
+        return 0
+    h = r // 2
+    return (p - 1) * p ** (n - r + h) * jacobi((-1) ** h * dprime, p)
+
+
+def _pencil_zero_counts(pair: QuadricPair, p: int) -> tuple[int, int]:
+    """(#{x mod p : Q2(x) = 0}, #{x mod p : Q1(x) = Q2(x) = 0}), x = 0
+    included, for odd p, by Gauss sums.
+
+    The counts are (p^n + S(M2)) / p and (p^n + sum S(a M1 + b M2)) / p^2
+    with S the line sum of _line_gauss_sum and [a : b] running over the
+    p + 1 points of P^1(F_p).  The pencil polynomial gives the determinant
+    at each point; only its roots mod p need an elimination.
+    """
+    n = pair.n
+    M1, M2 = pair.Q1.M, pair.Q2.M
+    pn = p**n
+    if pair.det2 % p:
+        s2 = _line_gauss_sum(n, n, pair.det2, p)
+    else:
+        s2 = _line_gauss_sum(n, *_nondegenerate_part(M2, p), p)
+    if (pn + s2) % p:
+        raise ArithmeticError("Gauss-sum count of Q2 is not an integer")
+    total = pn + s2  # s2 is the term of the point [0 : 1]
+    coeffs = pair.pencil_poly[::-1]  # c_n, ..., c_0
+    for t in range(p):
+        det = 0
+        for c in coeffs:  # P(1, t) = sum_k c_k t^k
+            det = (det * t + c) % p
+        if det:
+            total += _line_gauss_sum(n, n, det, p)
+        else:
+            m = [[M1[i][j] + t * M2[i][j] for j in range(n)] for i in range(n)]
+            total += _line_gauss_sum(n, *_nondegenerate_part(m, p), p)
+    if total % (p * p):
+        raise ArithmeticError("Gauss-sum count of the pair is not an integer")
+    return (pn + s2) // p, total // (p * p)
+
+
+def _local_data_pencil(pair: QuadricPair, p: int) -> _LocalData:
+    """_LocalData with no sweep, at a prime where the pencil has distinct
+    roots (_pencil_roots_distinct_mod_p) and so the intersection is smooth.
+
+    Every primitive zero of Q2 mod p has a nonzero gradient and lifts to
+    p^(n-1) zeros mod p^2; every primitive common zero has independent
+    gradients and lifts to p^(n-2) common zeros mod p^2.
+    """
+    n = pair.n
+    n2, n12 = _pencil_zero_counts(pair, p)
+    s0, s1 = n2 - 1, n12 - 1
+    return _LocalData(p, (s0, s1), (p ** (n - 1) * s0, p ** (n - 1) * s1,
+                                    p ** (n - 2) * s1), True)
+
+
+def _local_data_sweep(pair: QuadricPair, p: int,
+                      guard: int = DEFAULT_GUARD) -> _LocalData:
+    """_LocalData at any odd prime, from a single sweep of the grid mod p."""
     n = pair.n
     check_guard("sigma_p", p**n, guard)
     M1 = np.array(pair.Q1.M, dtype=np.int64)
@@ -214,7 +324,9 @@ def _local_data_uncached(pair: QuadricPair, p: int,
 
 @lru_cache(maxsize=None)
 def _local_data(pair: QuadricPair, p: int) -> _LocalData:
-    return _local_data_uncached(pair, p)
+    if _pencil_roots_distinct_mod_p(pair, p):
+        return _local_data_pencil(pair, p)
+    return _local_data_sweep(pair, p)
 
 
 def _primitive_counts(pair: QuadricPair, p: int, k: int,
@@ -223,7 +335,7 @@ def _primitive_counts(pair: QuadricPair, p: int, k: int,
     if k <= 2:
         # guard before the cache lookup so the outcome does not depend on
         # what happens to be cached already
-        check_guard("sigma_p", p**pair.n, guard)
+        check_guard("sigma_p", _local_cost(pair, p), guard)
         data = _local_data(pair, p)
         return list(data.star1) if k == 1 else list(data.star2)
     return [count_congruence_pair_primitive(pair, p, k, e, k, guard=guard)
@@ -305,9 +417,16 @@ def sigma_p_truncated(pair: QuadricPair, p: int, k: int,
 
 def certified_good(pair: QuadricPair, p: int) -> bool:
     """True when p is odd, prime to the pair's discriminant data, and the
-    intersection is smooth with good pencil rank mod p (checked afresh)."""
+    intersection is smooth with good pencil rank mod p.
+
+    With disc_P != 0 the first two conditions imply the third (Reid's
+    criterion); with disc_P == 0 smoothness and pencil rank are checked
+    afresh by sweeps over F_p.
+    """
     if not is_prime(p) or p == 2 or p in pair.bad_primes:
         return False
+    if _pencil_roots_distinct_mod_p(pair, p):
+        return True
     return _local_data(pair, p).smooth and _pencil_rank_ok_mod_p(pair, p)
 
 
@@ -328,13 +447,30 @@ class Sigma2:
 
 
 def _sigma2_fraction(pair: QuadricPair, k: int) -> Fraction:
+    """2^(1 - k(n-1)) #{x mod 2^k : Q1(x) = 1 mod 4, 2^k | Q2(x)}, with x
+    taken as its representative in [0, 2^k).
+
+    Writes x = x0 + 2^j t with x0 mod 2^j and j = min(k, max(2, ceil(k/2))).
+    Then Q1(x) = Q1(x0) mod 4, and since 2j >= k,
+    Q2(x) = Q2(x0) + 2^(j+1) (M2 x0).t mod 2^k.  So, with
+    m = max(k - j - 1, 0), each x0 with 2^(k-m) | Q2(x0) contributes the
+    t mod 2^(k-j) solving one linear congruence mod 2^m, which number
+    2^((k-j-m) n + m(n-1)) g when g = gcd(M2 x0, 2^m) divides its
+    right-hand side.  Only the 2^(jn) classes x0 are enumerated.
+    """
     n = pair.n
-    q = 2**k
+    j = min(k, max(2, (k + 1) // 2))
+    m = max(k - j - 1, 0)
+    mod = 2**m
+    M2 = np.array(pair.Q2.M, dtype=np.int64)
     count = 0
-    for block in residue_blocks(q, n):
-        good1 = pair.Q1.eval_batch_mod(block % 4, 4) == 1
-        good2 = pair.Q2.eval_batch_mod(block, q) == 0
-        count += int((good1 & good2).sum())
+    for x0 in residue_blocks(2**j, n):
+        q2 = pair.Q2.eval_batch(x0)
+        live = (pair.Q1.eval_batch_mod(x0 % 4, 4) == 1) & (q2 % 2 ** (k - m) == 0)
+        g = np.gcd.reduce((x0[live] @ M2) % mod, axis=1, initial=mod)
+        rhs = (-(q2[live] // 2 ** (k - m))) % mod
+        count += int(g[rhs % g == 0].sum())
+    count *= 2 ** ((k - j - m) * n + m * (n - 1))
     return Fraction(2 * count, 2 ** (k * (n - 1)))
 
 

@@ -350,7 +350,7 @@ def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
     Z1 = residue_zeros_mod_p(pair, p)
     mred = [v % p2 for v in m]
     total = 0j
-    points = 0
+    npts = 0  # common zeros mod p^2: the unit terms the sum collapses
     for row in Z1:
         x0 = [int(v) for v in row]
         a1 = pair.Q1.eval(x0)
@@ -361,15 +361,13 @@ def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
         if sol is None:
             continue
         t0, basis = sol
+        fiber = p ** len(basis)
+        npts += fiber
         if any(sum(mi * bi for mi, bi in zip(mred, vec)) % p for vec in basis):
             continue  # the fiber's character sum cancels
-        fiber = p ** len(basis)
         phase = e_q(sum(mi * x for mi, x in zip(mred, x0))
                     + p * sum(mi * t for mi, t in zip(mred, t0)), p2)
         total += fiber * phase
-        points += fiber
-    # tolerance reflects the full collapsed sum of unit terms
-    npts = count_divisibility(pair, p2, p2)
     return SumValue(total.real, total.imag, sum_tol(max(npts, 1)))
 
 

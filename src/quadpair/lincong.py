@@ -113,6 +113,9 @@ def solve_mod_p(rows: IntMatrix, rhs: list[int], p: int):
     Returns (particular, kernel_basis), every solution being the particular
     one plus an F_p-combination of the basis vectors, or None if the system
     is inconsistent.  With rhs = 0 the rank is ncols - len(kernel_basis).
+    There is one basis vector per non-pivot column: it is 1 there and 0 at
+    every later column, so the pivot columns are those at which no basis
+    vector ends.
     """
     ncols = len(rows[0])
     m = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]

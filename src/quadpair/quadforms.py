@@ -6,12 +6,15 @@ derived data: the binary pencil form P(b1, b2) = det(b1 M1 + b2 M2), the
 discriminant of P, the dual form Q2* with matrix adjugate(M2), and a
 divisor-based set of bad primes.
 
-"Bad" primes: exact elimination-theoretic discriminants of the pair are
-out of scope, so bad_primes(pair, p_max) returns a *verified superset* --
-divisors of 2 * det2 * disc_P joined with every p <= p_max at which a
-brute-force mod-p check fails (smooth codimension-2 intersection, or
-rank(b1 M1 + b2 M2) >= n-1 on all of P^1(F_p)).  Claims conditioned on a
-good prime are only ever tested at primes this function certifies.
+"Bad" primes: bad_primes(pair, p_max) returns a *verified superset* of the
+primes of bad reduction.  When disc_P != 0 it is the divisors of
+2 * det2 * disc_P: at any other odd p the pencil det(b1 M1 + b2 M2) has
+distinct roots mod p, so the intersection is smooth of codimension 2 and
+rank(b1 M1 + b2 M2) >= n-1 on all of P^1(F_p) (Reid's criterion).  When
+disc_P == 0 the divisors of 2 * det2 are joined with every p <= p_max at
+which a brute-force mod-p check of those two facts fails.  Claims
+conditioned on a good prime are only ever tested at primes this function
+certifies.
 """
 
 from __future__ import annotations
@@ -434,18 +437,31 @@ def _pencil_rank_ok_mod_p(pair: QuadricPair, p: int) -> bool:
     return True
 
 
+def _pencil_roots_distinct_mod_p(pair: QuadricPair, p: int) -> bool:
+    """p odd, disc_P != 0 and p prime to det2 * disc_P.
+
+    Then det(b1 M1 + b2 M2) has distinct roots mod p, so every nonzero
+    common zero of Q1, Q2 mod p has independent gradients and every point
+    of the pencil has rank >= n-1 (Reid's criterion): the two facts the
+    brute-force checks above test.
+    """
+    return pair.disc_P != 0 and p % 2 == 1 and p not in pair.bad_primes
+
+
 def bad_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
-    """Divisor-based bad primes joined with brute-force failures p <= p_max.
+    """Divisor-based bad primes, joined with brute-force failures p <= p_max
+    when disc_P == 0.
 
     The result is a superset of the primes of bad reduction among p <= p_max;
-    primes <= p_max that are absent are certified good by enumeration.
+    primes <= p_max that are absent are certified good, by Reid's criterion
+    when disc_P != 0 and by enumeration otherwise.
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     bad = set(pair.bad_primes)
     p = 3
     while p <= p_max:
-        if is_prime(p) and p not in bad:
+        if is_prime(p) and p not in bad and not _pencil_roots_distinct_mod_p(pair, p):
             if not _pencil_rank_ok_mod_p(pair, p) or not _smooth_intersection_mod_p(pair, p):
                 bad.add(p)
         p += 2
@@ -453,7 +469,7 @@ def bad_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
 
 
 def certified_good_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
-    """Odd primes p <= p_max passing every brute-force goodness check."""
+    """Odd primes p <= p_max that bad_primes certifies good."""
     bad = set(bad_primes(pair, p_max))
     return tuple(
         p for p in range(3, p_max + 1) if is_prime(p) and p not in bad

@@ -21,7 +21,8 @@ from quadpair.expsums import (
 )
 from quadpair.guard import ResourceGuardError
 from quadpair.lincong import count_lincong
-from quadpair.modarith import chi4, e_q
+from quadpair.modarith import chi4, e_q, sum_tol
+from quadpair.padic import count_divisibility
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import QuadraticForm, QuadricPair, dual_form
 
@@ -259,6 +260,15 @@ def test_layered_D_p2_matches_direct():
             fast = D_p2_layered(pair, p, m)
             slow = D_d(pair, p * p, m, method="direct")
             assert fast.close_to(slow), (p, m)
+
+
+def test_layered_D_p2_tolerance_counts_its_own_fibers():
+    # the fibers D_p2_layered walks are exactly the common zeros mod p^2
+    pair = shipped_pair()
+    for p, npts in ((5, 15125), (7, 148519), (11, 1492051)):
+        assert count_divisibility(pair, p * p, p * p) == npts
+        val = D_p2_layered(pair, p, [1, 2, 3, 4, 5])
+        assert val.tol == sum_tol(npts), p
 
 
 def test_quadratic_sum_bound_all_instances():

@@ -131,6 +131,16 @@ def test_solve_mod_p_vs_enumeration(p):
         _, zero_basis = solve_mod_p(rows, [0] * nrows, p)
         rank = n - len(zero_basis)
         assert kernel == p ** (n - rank)
+        # each basis vector is 1 at the column where it ends, and the
+        # columns where none ends are independent
+        ends = [max(i for i, v in enumerate(vec) if v) for vec in zero_basis]
+        assert len(set(ends)) == len(ends)
+        assert all(vec[e] == 1 for vec, e in zip(zero_basis, ends))
+        pivots = [c for c in range(n) if c not in ends]
+        if pivots:
+            _, sub_basis = solve_mod_p([[r[c] for c in pivots] for r in rows],
+                                       [0] * nrows, p)
+            assert not sub_basis
 
 
 def test_mat_mul_rejects_mismatched_shapes():

@@ -10,6 +10,7 @@ from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
+    bad_primes,
     certified_good_primes,
     count_cone_points_mod_p,
     dual_form,
@@ -135,6 +136,37 @@ def test_certified_good_primes_shipped():
     assert certified_good_primes(ship, 23) == (11, 13, 17, 19, 23)
     for p in (2, 3, 5):
         assert p in ship.bad_primes
+
+
+def test_bad_primes_trusts_distinct_pencil_roots(monkeypatch):
+    pairs = (shipped_pair(), toy_pair_3(), QuadricPair.build(
+        QuadraticForm.from_matrix([[0, 1, 0], [1, 2, 1], [0, 1, -1]]),
+        QuadraticForm.from_matrix([[1, 0, 2], [0, -3, 0], [2, 0, 1]])))
+    # the brute-force checks, kept as oracles, agree at every other prime
+    for pair in pairs:
+        assert pair.disc_P != 0
+        for p in range(3, 24):
+            if quadforms.is_prime(p) and p not in pair.bad_primes:
+                assert quadforms._pencil_rank_ok_mod_p(pair, p), p
+                assert quadforms._smooth_intersection_mod_p(pair, p), p
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("brute-force check ran with disc_P != 0")
+
+    monkeypatch.setattr(quadforms, "_pencil_rank_ok_mod_p", no_sweep)
+    monkeypatch.setattr(quadforms, "_smooth_intersection_mod_p", no_sweep)
+    for pair in pairs:
+        assert bad_primes(pair, 1000) == pair.bad_primes
+
+
+def test_bad_primes_sweeps_a_singular_pair():
+    # a repeated pencil root, and the singular common zero (1, 1, 0) mod every p
+    pair = QuadricPair.build(
+        QuadraticForm.diagonal([1, -1, 1]), QuadraticForm.diagonal([1, -1, 2])
+    )
+    assert pair.disc_P == 0 and pair.bad_primes == (2,)
+    assert bad_primes(pair, 13) == (2, 3, 5, 7, 11, 13)
+    assert certified_good_primes(pair, 13) == ()
 
 
 def test_cone_points_mod_p_vs_brute():
