@@ -1,9 +1,10 @@
 """Counting lattice points on a quadric, bare and weighted.
 
 The counting layer enumerates integer zeros of Q2 in a box (meet-in-the-
-middle when the coordinates split into uncoupled halves, a straight scan
-otherwise), counts zeros of the pair to a modulus d (N_d), and forms the
-weighted sum S(B) whose growth the whole package is about.  The n=2 toy
+middle when the coordinates split into uncoupled halves, otherwise a scan
+that solves for the last coordinate), counts zeros of the pair to a
+modulus d (N_d), and forms the weighted sum S(B), over the box around the
+weight's support, whose growth the whole package is about.  The n=2 toy
 pair keeps every number here small enough to check by hand.
 
 Run:  python3 demos/lattice_counts.py

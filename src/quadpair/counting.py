@@ -8,16 +8,23 @@ The headline quantity is
 where r2 counts representations as a sum of two squares and W is a smooth
 bump supported on a ball on which Q1 is positive.  Everything here is an
 exact integer enumeration followed by a float weight accumulation in a
-fixed order.
+fixed order.  S(B) enumerates only the weight's support box
+(WeightFunction.support_box), the integer box around B times the support
+ball, not a cube about the origin.
 
-Zeros of Q2 in a max-norm box are enumerated by meet-in-the-middle on the
-first ceil(n/2) coordinates whenever the form has no cross terms between
-the two coordinate blocks (always true for diagonal forms): the partial
-values of the leading block are sorted once, then the complementary block
-is scanned and joined by binary search.  Coupled forms fall back to a
-guarded full box scan, chunked over leading-coordinate slabs so it can be
-spread over worker processes; results merge by concatenation and one
-canonical sort, so the output is independent of the schedule.
+Zeros of Q2 in a box lo_i <= x_i <= hi_i are listed in lexicographic
+order.  When the form has no cross terms between the first ceil(n/2)
+coordinates and the rest (always true for diagonal forms) they come from
+a meet-in-the-middle join: both halves of the coordinates are listed in
+lexicographic order, the right half is stable-sorted by its partial value
+of Q2, and each left row is joined by binary search to the right rows
+completing it to a zero, which leaves the output already in order.
+Coupled forms are scanned over the first n - 1 coordinates with the last
+one solved for: Q2 = a x_n^2 + b(x') x_n + c(x'), whose integer roots
+come from an exact integer square root of b^2 - 4ac.  The scan is chunked
+over slabs x_1 = const so it can be spread over worker processes; results
+merge by concatenation and one canonical sort, so the output is
+independent of the schedule.
 """
 
 from __future__ import annotations
@@ -43,16 +50,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """A max-norm box |x| <= B, optionally intersected with a residue class.
+    """An integer box, optionally intersected with a residue class.
 
-    congruence, when present, is (q, r) restricting to x = r mod q.
+    BoxSpec(B) is the max-norm box |x| <= B; BoxSpec(lo=..., hi=...) is
+    the box lo_i <= x_i <= hi_i.  congruence, when present, is (q, r)
+    restricting to x = r mod q.
     """
 
-    B: float
+    B: float | None = None
     congruence: tuple[int, tuple[int, ...]] | None = None
+    lo: tuple[int, ...] | None = None
+    hi: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.B >= 1:
+        if self.B is None:
+            if self.lo is None or self.hi is None or len(self.lo) != len(self.hi):
+                raise ValueError("a box needs B, or lo and hi of one length")
+            if any(a > b for a, b in zip(self.lo, self.hi)):
+                raise ValueError("box bounds need lo_i <= hi_i")
+        elif self.lo is not None or self.hi is not None:
+            raise ValueError("give B or lo and hi, not both")
+        elif not self.B >= 1:
             raise ValueError("box half-width must be at least 1")
         if self.congruence is not None:
             q, res = self.congruence
@@ -65,21 +83,82 @@ class BoxSpec:
     def bound(self) -> int:
         return int(math.floor(self.B + 1e-12))
 
+    def bounds(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lo, hi), one bound per coordinate of Z^n."""
+        if self.B is not None:
+            return (-self.bound,) * n, (self.bound,) * n
+        if len(self.lo) != n:
+            raise ValueError(f"box has {len(self.lo)} coordinates, form has n={n}")
+        return tuple(self.lo), tuple(self.hi)
 
-def _box_axis(T: int) -> np.ndarray:
-    return np.arange(-T, T + 1, dtype=np.int64)
+
+def _axes(lo, hi) -> list[np.ndarray]:
+    return [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+
+
+def _check_solve_fits(M, bound: int) -> None:
+    """Raise unless b^2 - 4ac of _solve_last fits int64 for |x| <= bound."""
+    n = len(M)
+    b_max = 2 * sum(abs(row[-1]) for row in M[:-1]) * bound
+    c_max = (n - 1) ** 2 * max(abs(v) for row in M for v in row) * bound**2
+    if b_max * b_max + 4 * abs(M[-1][-1]) * c_max >= 2**62:
+        raise ValueError("points too large for int64 path")
+
+
+def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Every zero (x', x_n) of the form M with x' a row of X and
+    lo <= x_n <= hi, from Q = a x_n^2 + b(x') x_n + c(x')."""
+    n = len(M)
+    a = M[-1][-1]
+    col = [row[-1] for row in M[:-1]]
+    if n > 1:
+        c = QuadraticForm.from_matrix([row[:-1] for row in M[:-1]]).eval_batch(X)
+        b = 2 * (X @ np.array(col, dtype=np.int64))
+    else:
+        b = c = np.zeros(len(X), dtype=np.int64)
+    if a == 0:
+        # b x_n + c = 0: one root where b != 0, the whole axis where b = c = 0
+        idx = np.flatnonzero(b != 0)
+        idx = idx[c[idx] % b[idx] == 0]
+        rows, roots = [idx], [-c[idx] // b[idx]]
+        flat = np.flatnonzero((b == 0) & (c == 0))
+        rows.append(np.repeat(flat, hi - lo + 1))
+        roots.append(np.tile(np.arange(lo, hi + 1, dtype=np.int64), len(flat)))
+    else:
+        disc = b * b - 4 * a * c
+        idx = np.flatnonzero(disc >= 0)
+        d = disc[idx]
+        # integer square root: a float estimate, corrected by one either
+        # way (IEEE sqrt already gives the root of a perfect square exactly)
+        s = np.floor(np.sqrt(d.astype(float))).astype(np.int64)
+        s -= s * s > d
+        s += (s + 1) * (s + 1) <= d
+        keep = s * s == d
+        idx, s = idx[keep], s[keep]
+        rows, roots = [], []
+        for sign in (-1, 1):
+            if sign == 1:  # a double root is listed once
+                idx, s = idx[s > 0], s[s > 0]
+            num = -b[idx] + sign * s
+            ok = num % (2 * a) == 0
+            rows.append(idx[ok])
+            roots.append(num[ok] // (2 * a))
+    rows, roots = np.concatenate(rows), np.concatenate(roots)
+    inside = (roots >= lo) & (roots <= hi)
+    return np.hstack([X[rows[inside]], roots[inside, None]])
 
 
 def _scan_slab(args) -> np.ndarray:
-    """Zeros of Q2 in one slab x_1 = fixed of the box (worker-safe)."""
-    M, x1, T = args
-    Q2 = QuadraticForm.from_matrix([list(r) for r in M])
-    n = Q2.n
+    """Zeros of Q2 whose leading coordinates are `head` (worker-safe): the
+    middle coordinates run over their ranges, the last one is solved for."""
+    M, head, lo, hi = args
+    n = len(M)
     found = []
-    for rest in grid_blocks(_box_axis(T), n - 1):
-        block = np.insert(rest, 0, x1, axis=1)
-        vals = Q2.eval_batch(block)
-        hit = block[vals == 0]
+    for mid in grid_blocks(_axes(lo[len(head):n - 1], hi[len(head):n - 1])):
+        X = np.empty((len(mid), n - 1), dtype=np.int64)
+        X[:, :len(head)] = head
+        X[:, len(head):] = mid
+        hit = _solve_last(M, X, lo[-1], hi[-1])
         if len(hit):
             found.append(hit)
     if not found:
@@ -98,20 +177,51 @@ def _block_form(M, idx) -> QuadraticForm:
     return QuadraticForm.from_matrix([[M[i][j] for j in idx] for i in idx])
 
 
+def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
+    """Zeros in lexicographic order by the join of the two halves."""
+    n = Q2.n
+    h = (n + 1) // 2
+    if n - h == 0:
+        XR = np.zeros((1, 0), dtype=np.int64)
+        valR = np.zeros(1, dtype=np.int64)
+    else:
+        XR = np.vstack(list(grid_blocks(_axes(lo[h:], hi[h:]), lex=True)))
+        valR = _block_form(Q2.M, range(h, n)).eval_batch(XR)
+        order = np.argsort(valR, kind="stable")
+        XR, valR = XR[order], valR[order]
+    QL = _block_form(Q2.M, range(h))
+    parts = []
+    total = 0
+    for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
+        target = -QL.eval_batch(XL)
+        first = np.searchsorted(valR, target, side="left")
+        counts = np.searchsorted(valR, target, side="right") - first
+        found = int(counts.sum())
+        total += found
+        check_guard("enumerate_zeros", total, guard)
+        # expand the join without a Python loop: left row i meets the
+        # counts[i] right rows from first[i] on
+        offsets = np.arange(found) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts.append(np.hstack([np.repeat(XL, counts, axis=0),
+                                XR[np.repeat(first, counts) + offsets]]))
+    return np.vstack(parts)
+
+
 def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
                     guard: int = DEFAULT_GUARD, workers: int = 1) -> np.ndarray:
-    """All x in Z^n with max-norm |x| <= B and Q2(x) = 0, as a
-    lexicographically sorted (N, n) int64 array."""
-    congruence = None
-    if isinstance(B, BoxSpec):
-        congruence = B.congruence
-        T = B.bound
-    else:
+    """All x in Z^n with Q2(x) = 0 in the box B, as a lexicographically
+    sorted (N, n) int64 array.
+
+    B is a BoxSpec or a half-width T >= 0 for the box |x| <= T.
+    """
+    n = Q2.n
+    if not isinstance(B, BoxSpec):
         if B < 0:
             raise ValueError("box half-width must be non-negative")
         T = int(math.floor(B + 1e-12))
-    n = Q2.n
-    side = 2 * T + 1
+        B = BoxSpec(lo=(-T,) * n, hi=(T,) * n)
+    lo, hi = B.bounds(n)
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
     h = (n + 1) // 2
     coupled = any(Q2.M[i][j] for i in range(h) for j in range(h, n))
     if method == "auto":
@@ -120,47 +230,29 @@ def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
         raise ValueError("meet-in-the-middle needs uncoupled coordinate blocks")
 
     if method == "mitm":
-        check_guard("enumerate_zeros", side**h + side ** (n - h), guard)
-        QL = _block_form(Q2.M, range(h))
-        XL = np.vstack(list(grid_blocks(_box_axis(T), h)))
-        valL = QL.eval_batch(XL)
-        order = np.argsort(valL, kind="stable")
-        XL = XL[order]
-        valL = valL[order]
-        if n - h == 0:
-            XR = np.zeros((1, 0), dtype=np.int64)
-            valR = np.zeros(1, dtype=np.int64)
-        else:
-            QR = _block_form(Q2.M, range(h, n))
-            XR = np.vstack(list(grid_blocks(_box_axis(T), n - h)))
-            valR = QR.eval_batch(XR)
-        lo = np.searchsorted(valL, -valR, side="left")
-        hi = np.searchsorted(valL, -valR, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        check_guard("enumerate_zeros", total, guard)
-        # expand the join without a Python loop
-        rep = np.repeat(np.arange(len(valR)), counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        left_rows = XL[np.repeat(lo, counts) + offsets]
-        zeros = np.hstack([left_rows, XR[rep]])
+        check_guard("enumerate_zeros",
+                    math.prod(widths[:h]) + math.prod(widths[h:]), guard)
+        zeros = _mitm(Q2, lo, hi, guard)
     elif method == "scan":
-        check_guard("enumerate_zeros", side**n, guard)
-        slabs = [(Q2.M, int(x1), T) for x1 in _box_axis(T)]
-        if workers > 1 and len(slabs) > 1:
+        check_guard("enumerate_zeros", math.prod(widths[:-1]), guard)
+        _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
+        heads = ((x1,) for x1 in range(lo[0], hi[0] + 1)) if n > 1 else [()]
+        slabs = ((Q2.M, head, lo, hi) for head in heads)
+        if workers > 1 and n > 1 and widths[0] > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(_scan_slab, slabs))
         else:
             parts = [_scan_slab(s) for s in slabs]
-        zeros = np.vstack(parts) if parts else np.empty((0, n), dtype=np.int64)
+        check_guard("enumerate_zeros", sum(len(p) for p in parts), guard)
+        zeros = _canonical(np.vstack(parts))
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if congruence is not None:
-        q, res = congruence
+    if B.congruence is not None:
+        q, res = B.congruence
         keep = (zeros % q == np.array(res, dtype=np.int64)).all(axis=1)
         zeros = zeros[keep]
-    return _canonical(zeros)
+    return zeros
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD,
@@ -224,6 +316,13 @@ class WeightFunction:
 
     def __call__(self, x) -> float:
         return float(self.eval_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+    def support_box(self, B: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integer bounds (lo, hi) of a box holding every x with
+        W(x / B) > 0: B (x0_i -+ rho) rounded outwards, widened by one."""
+        lo = tuple(math.floor(B * (c - self.rho)) - 1 for c in self.x0)
+        hi = tuple(math.ceil(B * (c + self.rho)) + 1 for c in self.x0)
+        return lo, hi
 
     def support_grid(self) -> np.ndarray:
         """Deterministic sample of the support ball (shells of directions)."""
@@ -336,16 +435,17 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
            guard: int = DEFAULT_GUARD, workers: int = 1) -> float:
     """S(B) = sum over Q2(x) = 0, Q1(x) odd of r2(Q1(x)) W(x / B).
 
-    Points with Q1(x) <= 0 contribute nothing (they are not sums of two
-    squares).  The reduction runs in canonical point order.
+    Only the weight's support box is enumerated.  Points with Q1(x) <= 0
+    contribute nothing (they are not sums of two squares).  The reduction
+    runs in canonical point order.
     """
     if B <= 0:
         raise ValueError("B must be positive")
     if W.n != pair.n:
         raise ValueError("weight dimension mismatch")
-    reach = max(abs(v) for v in W.x0) + W.rho
-    bound = int(math.floor(B * reach + 1e-9)) + 1
-    zeros = enumerate_zeros(pair.Q2, bound, guard=guard, workers=workers)
+    lo, hi = W.support_box(B)
+    zeros = enumerate_zeros(pair.Q2, BoxSpec(lo=lo, hi=hi), guard=guard,
+                            workers=workers)
     if not len(zeros):
         return 0.0
     q1 = pair.Q1.eval_batch(zeros)

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import S_of_B, WeightFunction
+from .counting import WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det, solve_mod_p
 from .modarith import chi4, is_prime, jacobi
@@ -446,6 +446,16 @@ class Sigma2:
         return float(self.fraction)
 
 
+def _sigma2_lift_depth(k: int) -> int:
+    """The depth j of the classes x0 mod 2^j _sigma2_fraction enumerates."""
+    return min(k, max(2, (k + 1) // 2))
+
+
+def _sigma2_cost(n: int, k_max: int) -> int:
+    """Classes sigma_2(k_max) enumerates: depths k_max - 1 and k_max."""
+    return sum(2 ** (_sigma2_lift_depth(k) * n) for k in (k_max - 1, k_max))
+
+
 def _sigma2_fraction(pair: QuadricPair, k: int) -> Fraction:
     """2^(1 - k(n-1)) #{x mod 2^k : Q1(x) = 1 mod 4, 2^k | Q2(x)}, with x
     taken as its representative in [0, 2^k).
@@ -459,7 +469,7 @@ def _sigma2_fraction(pair: QuadricPair, k: int) -> Fraction:
     right-hand side.  Only the 2^(jn) classes x0 are enumerated.
     """
     n = pair.n
-    j = min(k, max(2, (k + 1) // 2))
+    j = _sigma2_lift_depth(k)
     m = max(k - j - 1, 0)
     mod = 2**m
     M2 = np.array(pair.Q2.M, dtype=np.int64)
@@ -480,7 +490,7 @@ def sigma_2(pair: QuadricPair, k_max: int = 5,
     depths equal as exact rationals)."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    check_guard("sigma_2", 2 ** (k_max * pair.n), guard)
+    check_guard("sigma_2", _sigma2_cost(pair.n, k_max), guard)
     prev = _sigma2_fraction(pair, k_max - 1)
     last = _sigma2_fraction(pair, k_max)
     return Sigma2(k_max, last, prev == last)
@@ -730,7 +740,7 @@ def singular_constant(pair: QuadricPair, W: WeightFunction, p_max: int = 50,
     sigma_inf = math.pi * tau.slab
 
     k2 = k_max
-    while k2 > 2 and 2 ** (k2 * pair.n) > guard:
+    while k2 > 2 and _sigma2_cost(pair.n, k2) > guard:
         k2 -= 1
     s2 = sigma_2(pair, k_max=k2, guard=guard)
 
@@ -778,10 +788,7 @@ def experiment(pair: QuadricPair, W: WeightFunction, B_values, p_max: int = 50,
     ladder; the ratio column should drift toward 1."""
     report = singular_constant(pair, W, p_max=p_max, k_max=k_max, guard=guard)
     c = report.c_truncated
-    rows = []
-    for B in B_values:
-        s = S_of_B(pair, W, B, guard=guard, workers=workers)
-        over = s / float(B) ** (pair.n - 2)
-        ratio = over / c if c != 0 else math.nan
-        rows.append((float(B), s, over, c, ratio))
-    return ExperimentResult(report, tuple(rows))
+    rows = tuple((B, s, over, c, over / c if c != 0 else math.nan)
+                 for B, s, over in s_of_b_rows(pair, W, B_values, guard=guard,
+                                               workers=workers))
+    return ExperimentResult(report, rows)

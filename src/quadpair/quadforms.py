@@ -19,6 +19,7 @@ certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,44 +173,52 @@ class QuadraticForm:
 _BLOCK_ROWS = 2_000_000
 
 
-def _tuples(axis: np.ndarray, k: int) -> np.ndarray:
-    """Every k-tuple over axis, one per row, column 0 varying fastest."""
-    side = len(axis)
-    out = np.empty((side,) * k + (k,), dtype=axis.dtype)
-    for j in range(k):
-        # column j runs along index axis k-1-j of the C-ordered array
+def _tuples(axes, lex: bool = False) -> np.ndarray:
+    """Every tuple with column j drawn from axes[j], one per row, column 0
+    varying fastest; with lex, column 0 varies slowest (lexicographic
+    order when every axis is increasing)."""
+    k = len(axes)
+    dims = [len(a) for a in axes]
+    dtype = np.result_type(*axes) if k else np.int64
+    order = list(range(k)) if lex else list(range(k - 1, -1, -1))
+    # column j runs along index axis order.index(j) of the C-ordered array
+    out = np.empty([dims[j] for j in order] + [k], dtype=dtype)
+    for pos, j in enumerate(order):
         shape = [1] * k
-        shape[k - 1 - j] = side
-        out[..., j] = axis.reshape(shape)
-    return out.reshape(side**k, k)
+        shape[pos] = dims[j]
+        out[..., j] = np.asarray(axes[j]).reshape(shape)
+    return out.reshape(math.prod(dims), k)
 
 
 def residue_grid(q: int, k: int) -> np.ndarray:
     """All vectors of (Z/q)^k as an array of shape (q^k, k)."""
-    return _tuples(np.arange(q, dtype=np.int64), k)
+    return _tuples([np.arange(q, dtype=np.int64)] * k)
 
 
-def grid_blocks(axis: np.ndarray, k: int):
-    """Every k-tuple over the values of axis, in blocks of at most
-    _BLOCK_ROWS rows.
+def grid_blocks(axes, k: int | None = None, *, lex: bool = False):
+    """Every tuple over the axes, in blocks of at most _BLOCK_ROWS rows.
 
-    Each block fixes its leading "head" columns and runs the trailing "tail"
-    columns over all their tuples; heads and tails are both ordered as in
-    residue_grid (column 0 fastest).  The split depends only on len(axis)
-    and k, so the rows come in the same order for every caller.  Each block
-    is a fresh array the caller may modify.
+    axes holds one 1-D array per column; grid_blocks(axis, k) is the k-fold
+    power of one axis.  Each block fixes its leading "head" columns and
+    runs the trailing "tail" columns over all their tuples; heads and
+    tails are both ordered as in residue_grid (column 0 fastest), or, with
+    lex, lexicographically, so that the blocks in turn list the whole
+    product in lexicographic order.  The split depends only on the axis
+    lengths, so the rows come in the same order for every caller.  Each
+    block is a fresh array the caller may modify.
     """
-    side = len(axis)
-    free = k
-    while side**free > _BLOCK_ROWS and free > 1:
-        free -= 1
-    lead = k - free
-    tail = _tuples(axis, free)
+    if k is not None:
+        axes = [axes] * k
+    dims = [len(a) for a in axes]
+    lead = 0
+    while math.prod(dims[lead:]) > _BLOCK_ROWS and len(axes) - lead > 1:
+        lead += 1
+    tail = _tuples(axes[lead:], lex)
     if lead == 0:
         yield tail
         return
-    for head in _tuples(axis, lead):
-        block = np.empty((len(tail), k), dtype=axis.dtype)
+    for head in _tuples(axes[:lead], lex):
+        block = np.empty((len(tail), len(axes)), dtype=np.result_type(*axes))
         block[:, :lead] = head
         block[:, lead:] = tail
         yield block

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from quadpair.counting import (
     s_of_b_rows,
 )
 from quadpair.guard import ResourceGuardError
+from quadpair.modarith import r2
 from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
-from quadpair.quadforms import QuadraticForm, QuadricPair, residue_grid
+from quadpair.quadforms import QuadraticForm, QuadricPair, grid_blocks, residue_grid
 
 
 def brute_zeros(Q2, B, congruence=None):
@@ -26,6 +29,69 @@ def brute_zeros(Q2, B, congruence=None):
         mask &= ((grid - np.array(res)) % q == 0).all(axis=1)
     pts = grid[mask]
     return sorted(map(tuple, pts))
+
+
+def brute_box_zeros(Q2, lo, hi, congruence=None):
+    """Zeros of Q2 with lo_i <= x_i <= hi_i, point by point."""
+    pts = []
+    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if Q2.eval(x) != 0:
+            continue
+        if congruence is not None and any((v - r) % congruence[0]
+                                          for v, r in zip(x, congruence[1])):
+            continue
+        pts.append(x)
+    return pts
+
+
+def signed_move(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm, [rng.choice((1, -1)) for _ in range(n)]
+
+
+def move_form(F, move):
+    """The form F' with F'(y) = F(x) for y_i = s_i x_perm(i)."""
+    perm, signs = move
+    n = len(perm)
+    return QuadraticForm.from_matrix(
+        [[signs[i] * signs[j] * F.M[perm[i]][perm[j]] for j in range(n)]
+         for i in range(n)])
+
+
+def move_weight(W, move):
+    perm, signs = move
+    return WeightFunction(tuple(s * W.x0[i] for i, s in zip(perm, signs)), W.rho)
+
+
+def full_slab_scan(Q2, T):
+    """The box |x| <= T scanned slab by slab, Q2 evaluated on every row."""
+    n = Q2.n
+    axis = np.arange(-T, T + 1, dtype=np.int64)
+    found = []
+    for x1 in axis:
+        for rest in grid_blocks(axis, n - 1):
+            block = np.insert(rest, 0, x1, axis=1)
+            found.append(block[Q2.eval_batch(block) == 0])
+    rows = np.vstack(found)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def S_of_B_cube(pair, W, B):
+    """S(B) enumerating the cube |x| <= B (max |x0_i| + rho) + 1 instead of
+    the weight's support box, with the same weight reduction."""
+    reach = max(abs(v) for v in W.x0) + W.rho
+    zeros = enumerate_zeros(pair.Q2, int(math.floor(B * reach + 1e-9)) + 1)
+    q1 = pair.Q1.eval_batch(zeros)
+    keep = (q1 > 0) & (q1 % 2 == 1)
+    pts, vals = zeros[keep], q1[keep]
+    w = W.eval_batch(pts / B)
+    live = w > 0
+    if not live.any():
+        return 0.0
+    uniq, inverse = np.unique(vals[live], return_inverse=True)
+    r2_table = np.array([r2(int(v)) for v in uniq], dtype=float)
+    return float(np.dot(r2_table[inverse], w[live]))
 
 
 def test_hyperbola_thirteen_points():
@@ -152,6 +218,9 @@ def test_S_of_B_doubling_on_shipped():
     s16 = S_of_B(ship, W, 16)
     assert s8 > 0 and s16 > 0
     assert abs(s16 / s8 / 2 ** (ship.n - 2) - 1) <= 0.35
+    s20 = S_of_B(ship, W, 20)
+    s40 = S_of_B(ship, W, 40)
+    assert abs(s40 / s20 / 2 ** (ship.n - 2) - 1) <= 0.35
 
 
 def test_S_of_B_relabeling_invariance():
@@ -188,3 +257,148 @@ def test_box_spec_validation():
     assert spec.bound == 5
     with pytest.raises(ValueError):
         BoxSpec(5, congruence=(4, (7, 0)))
+    spec = BoxSpec(lo=(-1, 2), hi=(3, 2))
+    assert spec.bounds(2) == ((-1, 2), (3, 2))
+    assert BoxSpec(4).bounds(3) == ((-4, -4, -4), (4, 4, 4))
+    with pytest.raises(ValueError):
+        spec.bounds(3)
+    for bad in ({"lo": (0, 1), "hi": (1, 0)}, {"lo": (0,), "hi": (1, 1)},
+                {"lo": (0,)}, {"B": 3, "lo": (0,), "hi": (1,)}):
+        with pytest.raises(ValueError):
+            BoxSpec(**bad)
+
+
+# --------------------------------------------------------------------------
+# per-coordinate boxes, the lexicographic join and the solved scan
+# --------------------------------------------------------------------------
+
+BOX_FORMS = [
+    QuadraticForm.diagonal([0]),
+    QuadraticForm.diagonal([3]),
+    QuadraticForm.diagonal([1, -4]),
+    QuadraticForm.diagonal([1, 3, -4]),
+    QuadraticForm.diagonal([2, 3, -4]),
+    QuadraticForm.diagonal([1, 2, 3, -4, -5]),
+]
+
+
+@pytest.mark.parametrize("Q", BOX_FORMS, ids=lambda Q: f"n{Q.n}-{Q.diagonal_entries()}")
+def test_per_coordinate_boxes_against_brute_force(Q):
+    rng = random.Random(f"boxes:{Q.M}")
+    n = Q.n
+    width = 6 if n == 5 else 11
+    for _ in range(4):
+        lo = [rng.randint(-width, 2) for _ in range(n)]
+        hi = [a + rng.randint(0, width) for a in lo]
+        for congruence in (None, (3, tuple(rng.randrange(3) for _ in range(n)))):
+            spec = BoxSpec(lo=tuple(lo), hi=tuple(hi), congruence=congruence)
+            want = brute_box_zeros(Q, lo, hi, congruence)
+            for method in ("mitm", "scan"):
+                got = enumerate_zeros(Q, spec, method=method)
+                assert got.dtype == np.int64 and got.shape[1] == n
+                assert [tuple(p) for p in got] == want, (method, lo, hi, congruence)
+
+
+COUPLED = [
+    # a > 0, a < 0: the last coordinate solves a quadratic
+    QuadraticForm.from_matrix([[1, 1], [1, -2]]),
+    QuadraticForm.from_matrix([[1, 1, 1], [1, 2, 1], [1, 1, 3]]),
+    QuadraticForm.from_matrix([[1, 1, 1], [1, 2, 1], [1, 1, -1]]),
+    QuadraticForm.from_matrix([[-3, 2, 1], [2, 1, 0], [1, 0, -2]]),
+    # a = 0: linear in the last coordinate; b = c = 0 where x1 = 0
+    QuadraticForm.from_matrix([[0, 1], [1, 0]]),
+    QuadraticForm.from_matrix([[1, 1, 1], [1, -1, 0], [1, 0, 0]]),
+    QuadraticForm.from_matrix([[2, 0, 3], [0, -1, 1], [3, 1, 0]]),
+    QuadraticForm.from_matrix([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("Q", COUPLED, ids=lambda Q: str(Q.M))
+def test_solved_scan_against_brute_force(Q):
+    rng = random.Random(f"coupled:{Q.M}")
+    n = Q.n
+    width = 7 if n == 4 else 12
+    boxes = [([-width // 2] * n, [width // 2] * n)]
+    for _ in range(3):
+        lo = [rng.randint(-width, 1) for _ in range(n)]
+        boxes.append((lo, [a + rng.randint(0, width) for a in lo]))
+    for lo, hi in boxes:
+        for congruence in (None, (2, tuple(rng.randrange(2) for _ in range(n)))):
+            spec = BoxSpec(lo=tuple(lo), hi=tuple(hi), congruence=congruence)
+            got = [tuple(p) for p in enumerate_zeros(Q, spec)]
+            assert got == brute_box_zeros(Q, lo, hi, congruence), (lo, hi, congruence)
+
+
+COUPLED_N4 = [[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, -1, 1], [1, 1, 1, -2]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solved_scan_against_full_slab_scan(seed):
+    rng = random.Random(f"scan:{seed}")
+    base = QuadraticForm.from_matrix(COUPLED_N4)
+    Q = move_form(base, signed_move(rng, 4))
+    for T in (3, 9):
+        got = enumerate_zeros(Q, T, workers=2 if T == 3 else 1)
+        assert np.array_equal(got, full_slab_scan(Q, T)), T
+
+
+def test_solved_scan_roots_past_float_precision():
+    # Q = 2 x1 x2 + x2^2 has the zeros x2 = 0 and x2 = -2 x1, and
+    # b^2 - 4ac = 4 x1^2 passes 2^53, where sqrt of the float rounds
+    Q = QuadraticForm.from_matrix([[0, 1], [1, 1]])
+    x1 = 2**27 - 61
+    got = enumerate_zeros(Q, BoxSpec(lo=(x1, -2**28), hi=(x1 + 50, 2**28)))
+    want = sorted([(t, -2 * t) for t in range(x1, x1 + 51)]
+                  + [(t, 0) for t in range(x1, x1 + 51)])
+    assert [tuple(p) for p in got] == want
+
+
+def test_solved_scan_int64_check():
+    # one slab of one row, but b^2 - 4ac reaches 2^63 on its last axis
+    Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)), method="scan")
+
+
+def test_support_box_holds_the_support():
+    W = WeightFunction((1.5, -0.25, 0.0), 0.75)
+    for B in (1.0, 7.5, 16.0, 40.0):
+        lo, hi = W.support_box(B)
+        for i in range(W.n):
+            # the extreme points of the support ball along axis i, scaled
+            # by B and rounded outwards, lie in the box ...
+            for side in (-1, 1):
+                x = np.array(W.x0)
+                x[i] += side * W.rho
+                assert lo[i] <= math.floor(B * x[i]) and math.ceil(B * x[i]) <= hi[i]
+            # ... which is at most one unit wider than rounding outwards
+            assert lo[i] >= B * (W.x0[i] - W.rho) - 2
+            assert hi[i] <= B * (W.x0[i] + W.rho) + 2
+
+
+def test_S_of_B_guard_charges_the_support_box():
+    # the cube |x| <= 74 costs 3.3e6 rows at B = 16, the support box 2e5
+    ship = shipped_pair()
+    W = WeightFunction.default_for_pair(ship)
+    assert S_of_B(ship, W, 16, guard=10**6) == S_of_B(ship, W, 16)
+
+
+CUBE_CASES = {
+    "shipped": lambda: (shipped_pair(), None),
+    "toy2": lambda: (toy_pair_2(), WeightFunction((1.0, 0.0), 0.3)),
+    "toy3": lambda: (toy_pair_3(), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUBE_CASES))
+def test_S_of_B_matches_cube_route(name):
+    pair, W = CUBE_CASES[name]()
+    if W is None:
+        W = WeightFunction.default_for_pair(pair)
+    rng = random.Random(f"cube:{name}")
+    moves = [(list(range(pair.n)), [1] * pair.n), signed_move(rng, pair.n)]
+    for move in moves:
+        moved = QuadricPair.build(move_form(pair.Q1, move), move_form(pair.Q2, move))
+        Wm = move_weight(W, move)
+        for B in (7.5, 8, 12, 16):
+            assert S_of_B(moved, Wm, B) == S_of_B_cube(moved, Wm, B), (move, B)

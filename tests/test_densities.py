@@ -131,10 +131,15 @@ def test_sigma_2_shipped_depth_profile():
     assert _sigma2_fraction(ship, 4) == Fraction(1, 4)
     s = sigma_2(ship, k_max=4)
     assert s.fraction == Fraction(1, 4) and s.stabilized
-    # the count jumps once more at depth 5 (verified out-of-band to persist
-    # at depth 6); k_max = 5 reports the new value with stabilized = False
+    # the count jumps once more at depth 5 and holds at depth 6; k_max = 5
+    # reports the new value with stabilized = False, k_max = 6 certifies it
+    s = sigma_2(ship, k_max=5)
+    assert s.fraction == Fraction(5, 16) and not s.stabilized
+    s = sigma_2(ship, k_max=6, guard=DEFAULT_GUARD)
+    assert s.k_used == 6 and s.fraction == Fraction(5, 16) and s.stabilized
+    # the guard charges the 2^15 classes x0 mod 8 at each of depths 5 and 6
     with pytest.raises(ResourceGuardError):
-        sigma_2(ship, k_max=6, guard=10**9)
+        sigma_2(ship, k_max=6, guard=2 * 2**15 - 1)
 
 
 def test_tau_infinity_toy_oracle():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import sympy
 
 from quadpair import quadforms
-from quadpair.counting import enumerate_zeros
+from quadpair.counting import BoxSpec, enumerate_zeros
 from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -84,17 +85,41 @@ def test_grid_blocks_chunked_order(monkeypatch, budget):
         assert rows.dtype == axis.dtype
 
 
+@pytest.mark.parametrize("budget", [1, 10, 30, 10**6])
+def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    axes = [np.arange(-2, 1, dtype=np.int64), np.arange(4, 6, dtype=np.int64),
+            np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
+    product = list(itertools.product(*axes))
+    lex = np.concatenate(list(grid_blocks(axes, lex=True)))
+    assert [tuple(r) for r in lex] == product
+    # without lex the unchunked block runs column 0 fastest
+    rows = np.concatenate(list(grid_blocks(axes)))
+    assert sorted(map(tuple, rows)) == product
+    if budget >= len(product):
+        assert [tuple(r) for r in rows] == sorted(product, key=lambda r: r[::-1])
+    # one axis repeated k times is the old call
+    same = list(grid_blocks([axes[2]] * 3))
+    old = list(grid_blocks(axes[2], 3))
+    assert all(np.array_equal(a, b) for a, b in zip(same, old)) and len(same) == len(old)
+
+
 def test_chunking_changes_no_count(monkeypatch):
     pair = toy_pair_3()
     coupled = QuadraticForm.from_matrix([[1, 1, 1], [1, 2, 1], [1, 1, -1]])
-    before = ([count_cone_points_mod_p(pair, p) for p in (5, 7)],
-              enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6))
+    box = BoxSpec(lo=(-3, -5, 0, -4, -2), hi=(5, 2, 6, 3, 4))
+
+    def run():
+        return ([count_cone_points_mod_p(pair, p) for p in (5, 7)],
+                enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6),
+                enumerate_zeros(shipped_pair().Q2, box))
+
+    before = run()
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 7)
-    after = ([count_cone_points_mod_p(pair, p) for p in (5, 7)],
-             enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6))
+    after = run()
     assert before[0] == after[0]
-    assert np.array_equal(before[1], after[1])
-    assert np.array_equal(before[2], after[2])
+    for a, b in zip(before[1:], after[1:]):
+        assert np.array_equal(a, b)
 
 
 def test_pencil_roots_of_shipped_pair_distinct():
