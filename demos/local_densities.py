@@ -41,15 +41,14 @@ def main() -> None:
           f"{s3.k_used}, converged={s3.converged}")
 
     print("\n== the prime 2 ==")
-    for k in (2, 3, 5):
+    for k in (2, 3, 5, 6):
         s2 = sigma_2(ship, k_max=k)
         frac = s2.fraction
         print(f"k={k}: sigma_2 ~ {frac.numerator}/{frac.denominator} "
               f"(stabilized={s2.stabilized})")
     print("the flag compares the last two depths only, so the shallow "
-          "truncations look settled until the jump at depth 5; 5/16 is "
-          "the true value, but confirming it needs the depth-6 sweep "
-          "(2^30 residues), which the default guard refuses")
+          "truncations look settled until the jump at depth 5; depth 6 "
+          "repeats 5/16 and confirms it")
 
     print("\n== the real factor, two independent estimators ==")
     W = WeightFunction.default_for_pair(ship)

@@ -30,10 +30,9 @@ intersection (Reid's criterion; `certified_good` needs no sweep).  There
 the depth-1 counts are Gauss sums over the p + 1 points of the pencil,
 each fixed by the rank and a nonsingular minor mod p, and Hensel lifting
 gives depth 2: O(p n^3) work.  At every other prime, and for any pair with
-disc_P == 0, a sweep of the p^n residues counts both depths and checks
-smoothness point by point.  sigma_2 counts the classes x0 mod 2^j,
-j ~ k/2, and sizes the fiber over each by one linear congruence, so depth
-k costs 2^(jn) rather than 2^(kn).
+disc_P == 0, a sweep of the p^n residues counts both depths.  sigma_2
+counts the classes x0 mod 2^j, j ~ k/2, and sizes the fiber over each by
+one linear congruence, so depth k costs 2^(jn) rather than 2^(kn).
 
 The dimension must be at least 3: at n = 2 the stratum ratio p^{2-n}
 reaches 1 and the defining limit itself diverges.
@@ -56,7 +55,7 @@ from .modarith import chi4, is_prime, jacobi
 from .padic import count_congruence_pair, count_congruence_pair_primitive
 from .quadforms import (
     QuadricPair,
-    _pencil_rank_ok_mod_p,
+    _good_reduction_mod_p,
     _pencil_roots_distinct_mod_p,
     grid_blocks,
     residue_blocks,
@@ -152,12 +151,11 @@ def Ntilde(pair: QuadricPair, p: int, k: int, e: int,
 
 @dataclass(frozen=True)
 class _LocalData:
-    """Primitive counts at depths 1 and 2 plus the smoothness certificate."""
+    """Primitive counts at depths 1 and 2."""
 
     p: int
     star1: tuple[int, int]        # Ntilde*_1(0), Ntilde*_1(1)
     star2: tuple[int, int, int]   # Ntilde*_2(0), Ntilde*_2(1), Ntilde*_2(2)
-    smooth: bool
 
 
 def _local_cost(pair: QuadricPair, p: int) -> int:
@@ -248,7 +246,7 @@ def _local_data_pencil(pair: QuadricPair, p: int) -> _LocalData:
     n2, n12 = _pencil_zero_counts(pair, p)
     s0, s1 = n2 - 1, n12 - 1
     return _LocalData(p, (s0, s1), (p ** (n - 1) * s0, p ** (n - 1) * s1,
-                                    p ** (n - 2) * s1), True)
+                                    p ** (n - 2) * s1))
 
 
 def _local_data_sweep(pair: QuadricPair, p: int,
@@ -261,7 +259,6 @@ def _local_data_sweep(pair: QuadricPair, p: int,
     p2 = p * p
     s1_0 = s1_1 = 0
     s2_0 = s2_1 = s2_2 = 0
-    smooth = True
     inv_table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)],
                          dtype=np.int64)
     for block in residue_blocks(p, n):
@@ -316,10 +313,7 @@ def _local_data_sweep(pair: QuadricPair, p: int,
                     lam = (P2[rows, lead] * inv_table[P1[rows, lead]]) % p
                     ok = (lam * b1[live][par] - b2[live][par]) % p == 0
                     s2_2 += p ** (n - 1) * int(ok.sum())
-                    smooth = False  # a common zero with dependent gradients
-            if (both0 | only1 | only2).any():
-                smooth = False
-    return _LocalData(p, (s1_0, s1_1), (s2_0, s2_1, s2_2), smooth)
+    return _LocalData(p, (s1_0, s1_1), (s2_0, s2_1, s2_2))
 
 
 @lru_cache(maxsize=None)
@@ -420,14 +414,12 @@ def certified_good(pair: QuadricPair, p: int) -> bool:
     intersection is smooth with good pencil rank mod p.
 
     With disc_P != 0 the first two conditions imply the third (Reid's
-    criterion); with disc_P == 0 smoothness and pencil rank are checked
-    afresh by sweeps over F_p.
+    criterion); with disc_P == 0 pencil rank and smoothness are checked by
+    brute force over F_p.  The certificate is the one bad_primes uses.
     """
     if not is_prime(p) or p == 2 or p in pair.bad_primes:
         return False
-    if _pencil_roots_distinct_mod_p(pair, p):
-        return True
-    return _local_data(pair, p).smooth and _pencil_rank_ok_mod_p(pair, p)
+    return _good_reduction_mod_p(pair, p)
 
 
 # --------------------------------------------------------------------------

@@ -1,29 +1,30 @@
-"""Integer matrix normal forms, exact counting for linear congruences, and
-Gaussian elimination over F_p.
+"""Exact counting for linear congruences, and elimination over Q, F_p and
+Z/p^r.
 
-The central object is K_q(M; a) = #{x mod q : M x = a (mod q)}, computed
-per prime power through the Smith normal form: if A M B = diag(d_1, ...)
-with A, B unimodular, then M x = a (mod p^r) transforms to the decoupled
-system d_i y_i = (A a)_i whose solution counts multiply.
+The central object is K_q(M; a) = #{x mod q : M x = a (mod q)}.  It is
+multiplicative in q, and each prime-power factor p^r is counted by one
+elimination over Z/p^r.  Take a pivot p^v u (u a unit) of least p-adic
+valuation among the remaining entries; row operations, applied to a as
+well, clear the rest of its column, and a change of variables (which
+leaves the count alone) would clear the rest of its row.  What is left of
+the pivot's row is p^v u y = b: p^v values of y when p^v | b, none
+otherwise.  Rows that end all zero mod p^r need a zero right-hand side,
+and each column without a pivot is a free variable.  The pivot valuations
+are min(v_p(d_i), r) for the invariant factors d_i of M, so smith_bound
+reads delta_p off the same elimination.  Every entry stays in [0, p^r).
 
-All arithmetic is over Python integers (no overflow); rank over the
-rationals uses fraction-free (Bareiss) elimination so no floating point
-ever touches the invariant-factor bookkeeping.
+Determinant and rank over the rationals use fraction-free (Bareiss)
+elimination over Python integers, so no floating point is involved.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .modarith import PrimePower, factorize
 
 __all__ = [
-    "SmithDecomposition",
     "bareiss_det",
     "count_lincong",
     "rank_rational",
-    "smith",
     "smith_bound",
     "solve_mod_p",
 ]
@@ -34,24 +35,6 @@ IntMatrix = list[list[int]]
 # --------------------------------------------------------------------------
 # small exact helpers shared across the package
 # --------------------------------------------------------------------------
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != inner:
-        raise ValueError("inner dimensions differ")
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def bareiss_det(matrix: IntMatrix) -> int:
@@ -153,171 +136,67 @@ def solve_mod_p(rows: IntMatrix, rhs: list[int], p: int):
 
 
 # --------------------------------------------------------------------------
-# Smith normal form
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """A M B = diag(d) with A, B unimodular and d_1 | d_2 | ..."""
-
-    A: tuple[tuple[int, ...], ...]
-    B: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
-
-    def diagonal_matrix(self) -> IntMatrix:
-        rows, cols = len(self.A), len(self.B)
-        out = [[0] * cols for _ in range(rows)]
-        for i, di in enumerate(self.d):
-            out[i][i] = di
-        return out
-
-
-def _swap_rows(m: IntMatrix, a: IntMatrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(m: IntMatrix, b: IntMatrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-    for row in b:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m: IntMatrix, a: IntMatrix, src: int, dst: int, c: int) -> None:
-    m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-    a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-
-
-def _add_col(m: IntMatrix, b: IntMatrix, src: int, dst: int, c: int) -> None:
-    for row in m:
-        row[dst] += c * row[src]
-    for row in b:
-        row[dst] += c * row[src]
-
-
-def smith(matrix: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with accumulated unimodular transforms.
-
-    Pivots are chosen by least absolute value in the working submatrix,
-    which keeps intermediate entries small at this scale.
-    """
-    if not matrix or not matrix[0]:
-        raise ValueError("matrix must be non-empty")
-    m = [list(map(int, row)) for row in matrix]
-    rows, cols = len(m), len(m[0])
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
-    a = identity_matrix(rows)
-    b = identity_matrix(cols)
-
-    t = 0
-    while t < min(rows, cols):
-        # locate the nonzero entry of least |value| in the submatrix
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        _swap_rows(m, a, t, best[0])
-        _swap_cols(m, b, t, best[1])
-
-        # clear row and column t; restart whenever a remainder appears,
-        # since the new remainder is strictly smaller than the pivot
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q, r = divmod(m[i][t], m[t][t])
-                    _add_row(m, a, t, i, -q)
-                    if r != 0:
-                        _swap_rows(m, a, t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q, r = divmod(m[t][j], m[t][t])
-                    _add_col(m, b, t, j, -q)
-                    if r != 0:
-                        _swap_cols(m, b, t, j)
-                        dirty = True
-
-        # enforce divisibility of the remaining submatrix by the pivot
-        pivot = m[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(m, a, offender, t, 1)
-            continue  # redo position t with the enlarged row
-        t += 1
-
-    # normalize signs on the diagonal
-    for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            for j in range(cols):
-                m[i][j] = -m[i][j]
-            for j in range(rows):
-                a[i][j] = -a[i][j]
-
-    d = tuple(m[i][i] for i in range(min(rows, cols)))
-    return SmithDecomposition(
-        A=tuple(tuple(row) for row in a),
-        B=tuple(tuple(row) for row in b),
-        d=d,
-    )
-
-
-# --------------------------------------------------------------------------
 # counting solutions of M x = a (mod q)
 # --------------------------------------------------------------------------
 
 
-def _count_prime_power(snf: SmithDecomposition, rows: int, cols: int,
-                       a_vec: list[int], pr: int) -> int:
-    """Solution count mod a prime power from a precomputed Smith form."""
-    rhs = mat_vec([list(r) for r in snf.A], a_vec)
-    count = 1
-    for i in range(rows):
-        di = snf.d[i] if i < len(snf.d) else 0
-        g = math.gcd(di, pr)  # gcd(0, pr) = pr
-        if g == 0:
-            g = pr
-        if rhs[i] % g != 0:
-            return 0
-        if i < cols:
-            count *= g
-    # columns beyond the number of equations are free
-    for _ in range(rows, cols):
-        count *= pr
-    return count
+def _valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _pivot_valuations(matrix: IntMatrix, rhs: list[int], p: int,
+                      r: int) -> list[int] | None:
+    """Eliminate M x = rhs over Z/p^r; the valuations of the pivots in the
+    order taken (non-decreasing), or None when there is no solution."""
+    q = p**r
+    m = [[x % q for x in row] for row in matrix]
+    b = [x % q for x in rhs]
+    valuations = []
+    while True:
+        entries = [(_valuation(x, p), i, j)
+                   for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        if not entries:
+            return None if any(b) else valuations
+        v, i, j = min(entries)
+        row, bi = m.pop(i), b.pop(i)
+        pv = p**v
+        if bi % pv:
+            return None
+        inv = pow(row[j] // pv, -1, q)
+        for k, other in enumerate(m):
+            c = other[j] // pv * inv % q
+            if c:
+                m[k] = [(x - c * y) % q for x, y in zip(other, row)]
+                b[k] = (b[k] - c * bi) % q
+        valuations.append(v)
 
 
 def count_lincong(matrix: IntMatrix, a_vec: list[int], q: int) -> int:
     """K_q(M; a) = #{x mod q : M x = a (mod q)}, exactly.
 
-    Multiplicative in q; each prime-power factor is counted through the
-    Smith decomposition of M.
+    Multiplicative in q; each prime-power factor p^r is
+    prod p^(v_i) * p^(r * #free columns) over the pivots of one
+    elimination mod p^r, or 0 if that elimination finds no solution.
     """
     if q < 1:
         raise ValueError("modulus must be positive")
-    if q == 1:
-        return 1
-    rows, cols = len(matrix), len(matrix[0])
-    if len(a_vec) != rows:
+    if not matrix or not matrix[0]:
+        raise ValueError("matrix must be non-empty")
+    cols = len(matrix[0])
+    if any(len(row) != cols for row in matrix):
+        raise ValueError("ragged matrix")
+    if len(a_vec) != len(matrix):
         raise ValueError("right-hand side length mismatch")
-    snf = smith(matrix)
     total = 1
     for p, r in factorize(q).items():
-        total *= _count_prime_power(snf, rows, cols, list(a_vec), p**r)
+        valuations = _pivot_valuations(matrix, a_vec, p, r)
+        if valuations is None:
+            return 0
+        total *= p ** (sum(valuations) + r * (cols - len(valuations)))
     return total
 
 
@@ -325,16 +204,13 @@ def smith_bound(matrix: IntMatrix, q: PrimePower) -> int:
     """min(p^{n r}, p^{(n - rho) r + delta_p}) with rho the rational rank
     and delta_p the p-adic order of the product of nonzero invariant factors.
 
-    An upper bound for K_{p^r}(M; a) uniform in a.
+    An upper bound for K_{p^r}(M; a) uniform in a.  delta_p is the sum of
+    the pivot valuations mod p^(rho r + 1); a missing pivot means
+    delta_p > rho r, and the bound is p^{n r}.
     """
     n = len(matrix[0])
     rho = rank_rational(matrix)
-    snf = smith(matrix)
-    delta = 0
-    prod = 1
-    for di in snf.d[:rho]:
-        prod *= di
-    while prod % q.p == 0:
-        delta += 1
-        prod //= q.p
-    return min(q.p ** (n * q.r), q.p ** ((n - rho) * q.r + delta))
+    valuations = _pivot_valuations(matrix, [0] * len(matrix), q.p, rho * q.r + 1)
+    if len(valuations) < rho:
+        return q.p ** (n * q.r)
+    return min(q.p ** (n * q.r), q.p ** ((n - rho) * q.r + sum(valuations)))

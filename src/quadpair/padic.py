@@ -169,10 +169,11 @@ def _crt_product(count_prime_power, pair: QuadricPair, d1: int, d2: int,
 
 def count_divisibility(pair: QuadricPair, d1: int, d2: int,
                        guard: int = DEFAULT_GUARD) -> int:
-    """#{x mod lcm-free modulus d : d1 | Q1(x), d2 | Q2(x)} for d = max tower.
+    """#{x mod lcm(d1, d2) : d1 | Q1(x), d2 | Q2(x)}, exactly, for any
+    positive d1, d2.
 
-    Only prime-power-compatible (d1, d2 powers of the same primes) input is
-    supported through the CRT product; the common use is d1 = d2 = d.
+    By the CRT the count is the product over p | d1 d2 of the count mod
+    p^max(r1, r2), with p^r1 || d1 and p^r2 || d2.
     """
     return _crt_product(count_congruence_pair, pair, d1, d2, guard)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .guard import check_guard
+from .guard import DEFAULT_GUARD, check_guard
 from .lincong import bareiss_det, solve_mod_p
 from .modarith import factorize, is_prime
 
@@ -457,22 +457,37 @@ def _pencil_roots_distinct_mod_p(pair: QuadricPair, p: int) -> bool:
     return pair.disc_P != 0 and p % 2 == 1 and p not in pair.bad_primes
 
 
+def _good_reduction_mod_p(pair: QuadricPair, p: int) -> bool:
+    """Pencil rank >= n-1 on P^1(F_p) and a smooth intersection mod p (p an
+    odd prime).
+
+    By Reid's criterion when the pencil has distinct roots mod p;
+    otherwise by the brute-force checks, the cheap pencil rank first and
+    then the sweep of the p^n residues under DEFAULT_GUARD.
+    """
+    if _pencil_roots_distinct_mod_p(pair, p):
+        return True
+    if not _pencil_rank_ok_mod_p(pair, p):
+        return False
+    check_guard("smooth_intersection_mod_p", p**pair.n, DEFAULT_GUARD)
+    return _smooth_intersection_mod_p(pair, p)
+
+
 def bad_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
     """Divisor-based bad primes, joined with brute-force failures p <= p_max
     when disc_P == 0.
 
     The result is a superset of the primes of bad reduction among p <= p_max;
-    primes <= p_max that are absent are certified good, by Reid's criterion
-    when disc_P != 0 and by enumeration otherwise.
+    primes <= p_max that are absent are certified good by
+    _good_reduction_mod_p.
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     bad = set(pair.bad_primes)
     p = 3
     while p <= p_max:
-        if is_prime(p) and p not in bad and not _pencil_roots_distinct_mod_p(pair, p):
-            if not _pencil_rank_ok_mod_p(pair, p) or not _smooth_intersection_mod_p(pair, p):
-                bad.add(p)
+        if is_prime(p) and p not in bad and not _good_reduction_mod_p(pair, p):
+            bad.add(p)
         p += 2
     return tuple(sorted(bad))
 

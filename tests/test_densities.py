@@ -307,10 +307,35 @@ def test_good_primes_do_not_sweep(monkeypatch):
         raise AssertionError("sweep ran at a good prime")
 
     monkeypatch.setattr(densities, "_local_data_sweep", no_sweep)
-    monkeypatch.setattr(densities, "_pencil_rank_ok_mod_p", no_sweep)
+    monkeypatch.setattr(quadforms, "_pencil_rank_ok_mod_p", no_sweep)
+    monkeypatch.setattr(quadforms, "_smooth_intersection_mod_p", no_sweep)
     for p in (11, 13, 101):
         assert certified_good(pair, p)
         assert sigma_p(pair, p).converged
+
+
+SINGULAR_PAIRS = {
+    # det(b1 M1 + b2 M2) = -(b1 + b2)^2 (b1 + 2 b2); rank 1 at b1 = -b2
+    "repeated_root": lambda: QuadricPair.build(
+        QuadraticForm.diagonal([1, -1, 1]), QuadraticForm.diagonal([1, -1, 2])),
+    # det(b1 M1 + b2 M2) = -b2^2 (b1 + 2 b2); rank 2 everywhere, singular
+    # common zero (0, 1, 0)
+    "good_pencil_rank": lambda: QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
+        QuadraticForm.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 2]])),
+    # rank 1 at b2 = 0; no nonzero common zero when p = 3 mod 4
+    "low_pencil_rank": lambda: QuadricPair.build(
+        QuadraticForm.diagonal([1, 0, 0]), QuadraticForm.diagonal([1, 1, 1])),
+}
+
+
+@pytest.mark.parametrize("name", ["shipped", "toy_n3", "seeded_n4",
+                                  *SINGULAR_PAIRS])
+def test_certified_good_agrees_with_bad_primes(name):
+    pair = {**ORACLE_PAIRS, **SINGULAR_PAIRS}[name]()
+    good = quadforms.certified_good_primes(pair, 23)
+    for p in range(2, 24):
+        assert certified_good(pair, p) == (p in good), (name, p)
 
 
 def test_sigma_p_at_101_fits_default_guard():

@@ -1,15 +1,16 @@
+import math
 import random
 
 import numpy as np
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from quadpair.lincong import (
+    _pivot_valuations,
     bareiss_det,
     count_lincong,
-    mat_mul,
     rank_rational,
-    smith,
     smith_bound,
     solve_mod_p,
 )
@@ -43,22 +44,66 @@ def test_rank_rational():
         assert rank_rational(M) == sympy.Matrix(M).rank()
 
 
-def test_smith_decomposition_properties():
+def _invariant_factors(M):
+    snf = smith_normal_form(sympy.Matrix(M), domain=sympy.ZZ)
+    return [abs(int(snf[i, i])) for i in range(min(len(M), len(M[0])))]
+
+
+def _valuation_capped(d, p, r):
+    """min(v_p(d), r), with v_p(0) = infinity."""
+    return min(sympy.multiplicity(p, d), r) if d else r
+
+
+def test_pivot_valuations_match_sympy_smith():
     rng = random.Random(5)
-    for _ in range(50):
-        r, c = rng.randrange(1, 4), rng.randrange(1, 4)
-        M = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
-        snf = smith(M)
-        assert abs(bareiss_det([list(r) for r in snf.A])) == 1
-        assert abs(bareiss_det([list(r) for r in snf.B])) == 1
-        # A M B = diag(d), with the divisibility chain d1 | d2 | ...
-        D = mat_mul(mat_mul([list(r) for r in snf.A], M), [list(r) for r in snf.B])
-        for i in range(r):
-            for j in range(c):
-                assert D[i][j] == (snf.d[i] if i == j and i < len(snf.d) else 0)
-        ds = [d for d in snf.d if d != 0]
-        for a, b in zip(ds, ds[1:]):
-            assert b % a == 0
+    for trial in range(80):
+        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+        M = [[rng.randrange(-30, 31) for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 0:
+            M[rng.randrange(rows)] = [0] * cols
+        if trial % 4 == 1 and rows > 1:
+            M[-1] = [2 * x - 3 * y for x, y in zip(M[0], M[-2])]
+        d = _invariant_factors(M)
+        for p in (2, 3, 5):
+            for r in (1, 2, 4):
+                got = _pivot_valuations(M, [0] * rows, p, r)
+                # invariant factors divisible by p^r leave no pivot
+                got = got + [r] * (len(d) - len(got))
+                assert got == [_valuation_capped(di, p, r) for di in d], (M, p, r)
+
+
+def _sympy_count(M, q):
+    """#{x mod q : M x = a} for a in the image of M, from the invariant factors."""
+    count = q ** max(len(M[0]) - len(M), 0)
+    for d in _invariant_factors(M):
+        count *= math.gcd(d, q)
+    return count
+
+
+@pytest.mark.parametrize("cols", [4, 5])
+def test_count_lincong_matches_sympy_mod_1024(cols):
+    # the 3 x 4 and 3 x 5 shapes on which an integer Smith form's entries
+    # grow past thousands of bits
+    rng = random.Random(cols)
+    q = 1024
+    for _ in range(40):
+        M = [[rng.randrange(q) for _ in range(cols)] for _ in range(3)]
+        x = [rng.randrange(q) for _ in range(cols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) % q for row in M]
+        assert count_lincong(M, rhs, q) == _sympy_count(M, q), M
+        rho = sympy.Matrix(M).rank()
+        delta = sum(sympy.multiplicity(2, d) for d in _invariant_factors(M)[:rho])
+        assert smith_bound(M, PrimePower.of(q)) == min(2 ** (10 * cols),
+                                                       2 ** (10 * (cols - rho) + delta))
+
+
+def test_smith_bound_past_the_pivot_depth():
+    # with rho = 2 and r = 3, delta_p is read mod 2^7: an invariant factor
+    # 2^7 leaves no pivot there, and delta_p = 7 > rho r gives p^(n r)
+    assert smith_bound([[1, 0], [0, 2**7]], PrimePower.of(8)) == 8**2
+    assert smith_bound([[1, 0], [0, 2**5]], PrimePower.of(8)) == 2**5
+    assert smith_bound([[4]], PrimePower.of(2)) == 2
+    assert smith_bound([[0, 0]], PrimePower.of(9)) == 9**2
 
 
 def test_count_lincong_vs_brute_and_bound():
@@ -88,8 +133,10 @@ def test_count_lincong_edges():
     assert count_lincong([[0, 0]], [0], 9) == 81
     assert count_lincong([[0, 0]], [3], 9) == 0
     assert count_lincong([[1]], [5], 1) == 1
-    with pytest.raises(ValueError):
-        count_lincong([[1]], [0], 0)
+    for matrix, rhs, q in (([[1]], [0], 0), ([], [], 5), ([[]], [0], 5),
+                           ([[1, 2], [3]], [0, 0], 5), ([[1, 2]], [0, 0], 5)):
+        with pytest.raises(ValueError):
+            count_lincong(matrix, rhs, q)
     # more rows than unknowns
     assert count_lincong([[1], [2]], [1, 2], 5) == 1
     assert count_lincong([[1], [2]], [1, 3], 5) == 0
@@ -142,8 +189,3 @@ def test_solve_mod_p_vs_enumeration(p):
                                        [0] * nrows, p)
             assert not sub_basis
 
-
-def test_mat_mul_rejects_mismatched_shapes():
-    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
-    with pytest.raises(ValueError):
-        mat_mul([[1, 2]], [[3, 4]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,15 @@ def test_count_divisibility_wrappers():
         ).sum()
     )
     assert count_divisibility(pair, 2, 3) == want
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 5), (9, 2), (4, 6), (5, 25)])
+def test_count_divisibility_counts_mod_lcm(d1, d2):
+    pair = toy_pair_3()
+    grid = residue_grid(math.lcm(d1, d2), pair.n)
+    want = int(((pair.Q1.eval_batch_mod(grid, d1) == 0)
+                & (pair.Q2.eval_batch_mod(grid, d2) == 0)).sum())
+    assert count_divisibility(pair, d1, d2) == want
 
 
 def test_residue_zeros_mod_p():

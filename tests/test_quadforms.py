@@ -7,6 +7,7 @@ import sympy
 
 from quadpair import quadforms
 from quadpair.counting import BoxSpec, enumerate_zeros
+from quadpair.guard import ResourceGuardError
 from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -192,6 +193,32 @@ def test_bad_primes_sweeps_a_singular_pair():
     assert pair.disc_P == 0 and pair.bad_primes == (2,)
     assert bad_primes(pair, 13) == (2, 3, 5, 7, 11, 13)
     assert certified_good_primes(pair, 13) == ()
+
+
+def test_bad_primes_guards_its_sweep(monkeypatch):
+    # det(b1 M1 + b2 M2) = -b2^2 (b1 + 2 b2) has a repeated root but rank 2
+    # at both roots, so only the sweep finds the singular zero (0, 1, 0)
+    pair = QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),
+        QuadraticForm.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 2]]))
+    assert pair.disc_P == 0 and pair.bad_primes == (2,)
+    for p in (3, 5, 7, 11, 13):
+        assert quadforms._pencil_rank_ok_mod_p(pair, p), p
+    assert bad_primes(pair, 13) == (2, 3, 5, 7, 11, 13)
+    monkeypatch.setattr(quadforms, "DEFAULT_GUARD", 100)  # 5^3 > 100
+    with pytest.raises(ResourceGuardError):
+        bad_primes(pair, 13)
+
+
+def test_bad_primes_checks_pencil_rank():
+    # b1 M1 + b2 M2 has rank 1 at b2 = 0; for p = 3 mod 4 the only common
+    # zero is 0, so the sweep alone would find nothing singular
+    pair = QuadricPair.build(QuadraticForm.diagonal([1, 0, 0]),
+                             QuadraticForm.diagonal([1, 1, 1]))
+    assert pair.disc_P == 0 and pair.bad_primes == (2,)
+    for p in (3, 7, 11):
+        assert quadforms._smooth_intersection_mod_p(pair, p), p
+    assert bad_primes(pair, 13) == (2, 3, 5, 7, 11, 13)
 
 
 def test_cone_points_mod_p_vs_brute():
