@@ -3,7 +3,8 @@
 The constant multiplying B^(n-2) factors as sigma_inf * sigma_2 * prod_p
 sigma_p.  Each odd prime contributes a p-adic solution density that, at
 certified-good primes, stabilizes after depth 1 (an exact-rational Hensel
-certificate).  The prime 2 carries the Q1 = 1 mod 4 constraint and is
+certificate).  At the other primes the counts come from Gauss sums over
+the pencil of the two forms mod p^k, deepened until two depths agree.  The prime 2 carries the Q1 = 1 mod 4 constraint and is
 truncated with an explicit stabilization flag.  The real factor is
 estimated twice — a shrinking slab around the quadric and a coarea surface
 integral — and the two must agree.
@@ -14,6 +15,7 @@ Run:  python3 demos/local_densities.py
 from quadpair import (
     WeightFunction,
     certified_good_primes,
+    demo_pair_7,
     shipped_pair,
     sigma_2,
     sigma_p,
@@ -39,6 +41,15 @@ def main() -> None:
     s3 = sigma_p(toy_pair_3(), 5, k_max=4)
     print(f"n=3 toy, p=5: sigma_5 = {float(s3.fraction):.6f} after depth "
           f"{s3.k_used}, converged={s3.converged}")
+
+    print("\n== the n=7 pair: every odd prime up to 23 divides its "
+          "discriminant data ==")
+    demo = demo_pair_7()
+    for p in (3, 5, 7, 11, 13):
+        s = sigma_p(demo, p, k_max=5)
+        frac = s.fraction
+        print(f"sigma_{p} = {frac.numerator}/{frac.denominator} "
+              f"(depth {s.k_used}, converged={s.converged})")
 
     print("\n== the prime 2 ==")
     for k in (2, 3, 5, 6):

@@ -23,16 +23,20 @@ convergence certificate.  The raw truncation exactly as displayed above is
 kept alongside for diagnostics (`sigma_p_truncated`); it approaches the
 same limit but never equals it at finite k.
 
-The depth-1 and depth-2 primitive counts come from one of two routes.  At a
-good prime (p odd, disc_P != 0, p prime to det2 * disc_P) the pencil
-det(b1 M1 + b2 M2) has distinct roots mod p, which certifies a smooth
-intersection (Reid's criterion; `certified_good` needs no sweep).  There
-the depth-1 counts are Gauss sums over the p + 1 points of the pencil,
-each fixed by the rank and a nonsingular minor mod p, and Hensel lifting
-gives depth 2: O(p n^3) work.  At every other prime, and for any pair with
-disc_P == 0, a sweep of the p^n residues counts both depths.  sigma_2
-counts the classes x0 mod 2^j, j ~ k/2, and sizes the fiber over each by
-one linear congruence, so depth k costs 2^(jn) rather than 2^(kn).
+The counts at every odd prime and depth come from one identity: the
+number of x mod p^R with p^r1 | Q1(x) and p^r2 | Q2(x) is p^-(r1+r2)
+times the sum of the Gauss sums G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2)
+over a mod p^r1 and b mod p^r2.  Each G is read off a Jordan
+decomposition mod p^R (`lincong.jordan_gauss_sum`), or off the pencil
+polynomial where det(b1 M1 + b2 M2) is a unit mod p, and (a, b) runs over
+the orbits of unit scaling, O(p^max(r1, r2)) of them: O(p^k n^3) work at
+depth k, with no sweep of residues.  At a good prime (p odd,
+disc_P != 0, p prime to det2 * disc_P) the pencil has distinct roots mod
+p, which certifies a smooth intersection (Reid's criterion;
+`certified_good` needs no sweep), and Hensel lifting gives depth 2 from
+depth 1.  sigma_2 counts the classes x0 mod 2^j, j ~ k/2, and sizes the
+fiber over each by one linear congruence, so depth k costs 2^(jn) rather
+than 2^(kn).
 
 The dimension must be at least 3: at n = 2 the stratum ratio p^{2-n}
 reaches 1 and the defining limit itself diverges.
@@ -44,15 +48,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .counting import WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
-from .lincong import bareiss_det, solve_mod_p
-from .modarith import chi4, is_prime, jacobi
-from .padic import count_congruence_pair, count_congruence_pair_primitive
+from .lincong import jordan_gauss_sum
+from .modarith import chi4, is_prime
+from .padic import count_congruence_pair
 from .quadforms import (
     QuadricPair,
     _good_reduction_mod_p,
@@ -149,191 +152,93 @@ def Ntilde(pair: QuadricPair, p: int, k: int, e: int,
     return count_congruence_pair(pair, p, k, e, k, guard=guard)
 
 
-@dataclass(frozen=True)
-class _LocalData:
-    """Primitive counts at depths 1 and 2."""
+def _orbits(p: int, r1: int, r2: int):
+    """The orbits of the units lambda acting on (a, b) in Z/p^r1 x Z/p^r2,
+    all but that of (0, 0), as (a, b, c): arrays of representatives whose
+    orbits have (p - 1) p^(c - 1) elements each.
 
-    p: int
-    star1: tuple[int, int]        # Ntilde*_1(0), Ntilde*_1(1)
-    star2: tuple[int, int, int]   # Ntilde*_2(0), Ntilde*_2(1), Ntilde*_2(2)
-
-
-def _local_cost(pair: QuadricPair, p: int) -> int:
-    """Guard estimate of _local_data: p + 1 pencil points of O(n^3) each
-    on the closed-form route, the p^n residues on the sweep route."""
-    if _pencil_roots_distinct_mod_p(pair, p):
-        return (p + 1) * pair.n**3
-    return p**pair.n
-
-
-def _nondegenerate_part(m, p: int) -> tuple[int, int]:
-    """(r, det') for an integer symmetric matrix m over F_p: its rank r and
-    the determinant of a principal r x r minor that is nonsingular mod p.
-
-    The minor on the pivot columns of m is one: those columns span the
-    column space, and for a symmetric matrix that makes the minor on them
-    nonsingular.
+    c = max(r1 - v(a), r2 - v(b)), ties going to a.  Scaling makes the
+    entry that attains c a power of p, and leaves the other free up to
+    the bound on its valuation that c sets.
     """
-    n = len(m)
-    _, kernel = solve_mod_p(m, [0] * n, p)
-    # the pivot columns are those at which no kernel vector ends
-    ends = {max(i for i, v in enumerate(vec) if v) for vec in kernel}
-    keep = [i for i in range(n) if i not in ends]
-    dprime = bareiss_det([[m[i][j] for j in keep] for i in keep])
-    if dprime % p == 0:
-        raise ArithmeticError("pivot minor is singular mod p")
-    return len(keep), dprime
+    for va in range(r1):
+        c = r1 - va
+        yield np.array([p**va]), np.arange(0, p**r2, p ** max(r2 - c, 0)), c
+    for vb in range(r2):
+        c = r2 - vb
+        yield np.arange(0, p**r1, p ** max(r1 - c + 1, 0)), np.array([p**vb]), c
 
 
-def _line_gauss_sum(n: int, r: int, dprime: int, p: int) -> int:
-    """sum over lambda in F_p^* of G(lambda M), G(M) = sum_x e_p(x^T M x),
-    for an n x n symmetric M of rank r mod p with nondegenerate part of
-    determinant dprime (see _nondegenerate_part).
-
-    G(lambda M) is p^(n - r) times r one-variable Gauss sums, which gives
-    the integer (p - 1) p^(n - r) p^(r/2) ((-1)^(r/2) dprime | p) for even
-    r and 0 for odd r (the Legendre symbol of lambda sums to zero).
-    """
-    if r % 2:
-        return 0
-    h = r // 2
-    return (p - 1) * p ** (n - r + h) * jacobi((-1) ** h * dprime, p)
+def _orbit_count(p: int, r1: int, r2: int) -> int:
+    """The representatives _gauss_count visits: (0, 0) and _orbits'."""
+    return (1 + sum(p ** min(r1 - va, r2) for va in range(r1))
+            + sum(p ** min(r2 - vb - 1, r1) for vb in range(r2)))
 
 
-def _pencil_zero_counts(pair: QuadricPair, p: int) -> tuple[int, int]:
-    """(#{x mod p : Q2(x) = 0}, #{x mod p : Q1(x) = Q2(x) = 0}), x = 0
-    included, for odd p, by Gauss sums.
+def _gauss_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int) -> int:
+    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, p odd, r1 and r2 <= R, as
 
-    The counts are (p^n + S(M2)) / p and (p^n + sum S(a M1 + b M2)) / p^2
-    with S the line sum of _line_gauss_sum and [a : b] running over the
-    p + 1 points of P^1(F_p).  The pencil polynomial gives the determinant
-    at each point; only its roots mod p need an elimination.
+        p^-(r1+r2) sum_{a mod p^r1, b mod p^r2}
+            G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2)
+
+    with G_{p^R}(M) = sum_{x mod p^R} e(x^T M x / p^R).  G(lambda M) for a
+    unit lambda is (lambda/p)^t G(M), so each orbit of (a, b) under unit
+    scaling adds its size times jordan_gauss_sum at its representative.
+    Where the pencil polynomial puts det(A M1 + B M2) among the units mod
+    p, every Jordan block is a unit: G is p^(nR/2) for even R, p^(nR/2)
+    ((-1)^(n/2) det / p) for odd R and even n, and sums to 0 over the
+    orbit for odd R and n.  Only the other representatives are eliminated.
     """
     n = pair.n
-    M1, M2 = pair.Q1.M, pair.Q2.M
-    pn = p**n
-    if pair.det2 % p:
-        s2 = _line_gauss_sum(n, n, pair.det2, p)
-    else:
-        s2 = _line_gauss_sum(n, *_nondegenerate_part(M2, p), p)
-    if (pn + s2) % p:
-        raise ArithmeticError("Gauss-sum count of Q2 is not an integer")
-    total = pn + s2  # s2 is the term of the point [0 : 1]
-    coeffs = pair.pencil_poly[::-1]  # c_n, ..., c_0
-    for t in range(p):
-        det = 0
-        for c in coeffs:  # P(1, t) = sum_k c_k t^k
-            det = (det * t + c) % p
-        if det:
-            total += _line_gauss_sum(n, n, det, p)
+    rows = list(zip(pair.Q1.M, pair.Q2.M))
+    legendre = np.full(p, -1, dtype=np.int64)
+    legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    legendre[0] = 0
+    total = p ** (n * R)  # (a, b) = (0, 0)
+    for a, b, c in _orbits(p, r1, r2):
+        A, B = np.broadcast_arrays(a * p ** (R - r1), b * p ** (R - r2))
+        det, Bk = 0, 1
+        for coeff in pair.pencil_poly:  # det = P(A, B) mod p, by Horner
+            det = (det * (A % p) + coeff % p * Bk) % p
+            Bk = Bk * (B % p) % p
+        unit = det != 0
+        if R % 2 == 0:
+            s = p ** (n * R // 2) * int(unit.sum())
+        elif n % 2 == 0:
+            s = p ** (n * R // 2) * int(legendre[(-1) ** (n // 2) * det[unit] % p].sum())
         else:
-            m = [[M1[i][j] + t * M2[i][j] for j in range(n)] for i in range(n)]
-            total += _line_gauss_sum(n, *_nondegenerate_part(m, p), p)
-    if total % (p * p):
-        raise ArithmeticError("Gauss-sum count of the pair is not an integer")
-    return (pn + s2) // p, total // (p * p)
-
-
-def _local_data_pencil(pair: QuadricPair, p: int) -> _LocalData:
-    """_LocalData with no sweep, at a prime where the pencil has distinct
-    roots (_pencil_roots_distinct_mod_p) and so the intersection is smooth.
-
-    Every primitive zero of Q2 mod p has a nonzero gradient and lifts to
-    p^(n-1) zeros mod p^2; every primitive common zero has independent
-    gradients and lifts to p^(n-2) common zeros mod p^2.
-    """
-    n = pair.n
-    n2, n12 = _pencil_zero_counts(pair, p)
-    s0, s1 = n2 - 1, n12 - 1
-    return _LocalData(p, (s0, s1), (p ** (n - 1) * s0, p ** (n - 1) * s1,
-                                    p ** (n - 2) * s1))
-
-
-def _local_data_sweep(pair: QuadricPair, p: int,
-                      guard: int = DEFAULT_GUARD) -> _LocalData:
-    """_LocalData at any odd prime, from a single sweep of the grid mod p."""
-    n = pair.n
-    check_guard("sigma_p", p**n, guard)
-    M1 = np.array(pair.Q1.M, dtype=np.int64)
-    M2 = np.array(pair.Q2.M, dtype=np.int64)
-    p2 = p * p
-    s1_0 = s1_1 = 0
-    s2_0 = s2_1 = s2_2 = 0
-    inv_table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)],
-                         dtype=np.int64)
-    for block in residue_blocks(p, n):
-        nonzero = (block != 0).any(axis=1)
-        q2 = pair.Q2.eval_batch(block)
-        zero2 = (q2 % p == 0) & nonzero
-        if not zero2.any():
-            continue
-        X = block[zero2]
-        v1 = pair.Q1.eval_batch(X)
-        v2 = q2[zero2]
-        s1_0 += len(X)
-        div1 = v1 % p == 0
-        s1_1 += int(div1.sum())
-
-        G1 = (2 * (X @ M1)) % p
-        G2 = (2 * (X @ M2)) % p
-        g2nz = (G2 != 0).any(axis=1)
-        deep2 = v2 % p2 == 0
-        # depth-2 fibers for p^2 | Q2 alone: a non-degenerate gradient row
-        # gives p^{n-1} lifts, a vanishing one gives p^n iff p^2 | Q2(x0)
-        s2_0 += p ** (n - 1) * int(g2nz.sum())
-        s2_0 += p**n * int((~g2nz & deep2).sum())
-        s2_1 += p ** (n - 1) * int((g2nz & div1).sum())
-        s2_1 += p**n * int((~g2nz & div1 & deep2).sum())
-
-        # depth-2 with p^2 | Q1 as well: solve the 2 x n system
-        sel = div1
-        if sel.any():
-            A1, A2 = G1[sel], G2[sel]
-            b1 = (-(v1[sel] // p)) % p
-            b2 = (-(v2[sel] // p)) % p
-            z1 = (A1 == 0).all(axis=1)
-            z2 = (A2 == 0).all(axis=1)
-            both0 = z1 & z2
-            s2_2 += p**n * int((both0 & (b1 == 0) & (b2 == 0)).sum())
-            only1 = z1 & ~z2
-            s2_2 += p ** (n - 1) * int((only1 & (b1 == 0)).sum())
-            only2 = ~z1 & z2
-            s2_2 += p ** (n - 1) * int((only2 & (b2 == 0)).sum())
-            live = ~z1 & ~z2
-            if live.any():
-                R1, R2 = A1[live], A2[live]
-                cross = (R1[:, :, None] * R2[:, None, :]
-                         - R1[:, None, :] * R2[:, :, None]) % p
-                par = (cross == 0).all(axis=(1, 2))
-                s2_2 += p ** (n - 2) * int((~par).sum())
-                if par.any():
-                    P1, P2 = R1[par], R2[par]
-                    lead = np.argmax(P1 != 0, axis=1)
-                    rows = np.arange(len(P1))
-                    lam = (P2[rows, lead] * inv_table[P1[rows, lead]]) % p
-                    ok = (lam * b1[live][par] - b2[live][par]) % p == 0
-                    s2_2 += p ** (n - 1) * int(ok.sum())
-    return _LocalData(p, (s1_0, s1_1), (s2_0, s2_1, s2_2))
-
-
-@lru_cache(maxsize=None)
-def _local_data(pair: QuadricPair, p: int) -> _LocalData:
-    if _pencil_roots_distinct_mod_p(pair, p):
-        return _local_data_pencil(pair, p)
-    return _local_data_sweep(pair, p)
+            s = 0
+        for x, y in zip(A[~unit].tolist(), B[~unit].tolist()):
+            s += jordan_gauss_sum([[x * u + y * v for u, v in zip(*row)]
+                                   for row in rows], p, R)
+        total += (p - 1) * p ** (c - 1) * s
+    count, rem = divmod(total, p ** (r1 + r2))
+    if rem:
+        raise ArithmeticError("Gauss-sum count is not an integer")
+    return count
 
 
 def _primitive_counts(pair: QuadricPair, p: int, k: int,
                       guard: int = DEFAULT_GUARD) -> list[int]:
-    """[Ntilde*_k(0), ..., Ntilde*_k(k)] (primitive x only)."""
-    if k <= 2:
-        # guard before the cache lookup so the outcome does not depend on
-        # what happens to be cached already
-        check_guard("sigma_p", _local_cost(pair, p), guard)
-        data = _local_data(pair, p)
-        return list(data.star1) if k == 1 else list(data.star2)
-    return [count_congruence_pair_primitive(pair, p, k, e, k, guard=guard)
-            for e in range(k + 1)]
+    """[Ntilde*_k(0), ..., Ntilde*_k(k)] (primitive x only).
+
+    Imprimitive x = p y biject onto y mod p^(k-1) with both divisibility
+    targets lowered by 2.  At depth 2 where the pencil has distinct roots
+    mod p the intersection is smooth: every primitive zero of Q2 mod p
+    lifts to p^(n-1) zeros mod p^2, every primitive common zero to
+    p^(n-2) common zeros, so depth 2 follows from depth 1.
+    """
+    n = pair.n
+    if k == 2 and _pencil_roots_distinct_mod_p(pair, p):
+        s0, s1 = _primitive_counts(pair, p, 1, guard=guard)
+        return [p ** (n - 1) * s0, p ** (n - 1) * s1, p ** (n - 2) * s1]
+    full = [(k, e, k) for e in range(k + 1)]
+    inner = [(k - 1, max(e - 2, 0), max(k - 2, 0)) for e in range(k + 1)]
+    targets = set(full + inner)
+    check_guard("sigma_p", n**3 * sum(_orbit_count(p, r1, r2)
+                                      for _, r1, r2 in targets), guard)
+    counts = {t: _gauss_count(pair, p, *t) for t in targets}
+    return [counts[f] - counts[i] for f, i in zip(full, inner)]
 
 
 def _stabilized_sigma(pair: QuadricPair, p: int, k: int,

@@ -46,8 +46,14 @@ from .modarith import (
     ramanujan,
     sum_tol,
 )
-from .padic import count_divisibility, count_divisibility_primitive, residue_zeros_mod_p
-from .quadforms import QuadraticForm, QuadricPair, dual_form, residue_blocks
+from .padic import count_divisibility, count_divisibility_primitive
+from .quadforms import (
+    QuadraticForm,
+    QuadricPair,
+    dual_form,
+    residue_blocks,
+    residue_zeros_mod_p,
+)
 
 __all__ = [
     "D_d",
@@ -232,7 +238,8 @@ def Q_q_explicit(Q2: QuadraticForm, q: int, m, dual: QuadraticForm | None = None
 def S_two_power(pair: QuadricPair, a_vec, ell: int, sign: int, m,
                 guard: int = DEFAULT_GUARD) -> SumValue:
     """S^{sign}_{1,2^ell}(m): units a mod 2^ell, k mod 2^{2+ell} with
-    k = sign * a_vec mod 4, summing e_{2^{2+ell}}(4 a Q2(k) + m.k)."""
+    k = sign * a_vec mod 4, summing e_{2^{2+ell}}(4 a Q2(k) + m.k): the
+    sum T_{1,2^ell}(m) taken at sign * a_vec."""
     n = pair.n
     if len(a_vec) != n or len(m) != n:
         raise ValueError("dimension mismatch")
@@ -242,21 +249,7 @@ def S_two_power(pair: QuadricPair, a_vec, ell: int, sign: int, m,
         raise ValueError("ell must be non-negative")
     if pair.Q1.eval(a_vec) % 4 != 1:
         raise ValueError("require Q1(a_vec) = 1 mod 4")
-    mod = 2 ** (2 + ell)
-    units = _units(2**ell)
-    check_guard("S_two_power", len(units) * (2**ell) ** n, guard)
-    base = np.array([(sign * v) % 4 for v in a_vec], dtype=np.int64)
-    total = 0j
-    terms = 0
-    for block in residue_blocks(2**ell, n):
-        k = base[None, :] + 4 * block
-        q2 = pair.Q2.eval_batch_mod(k, mod)
-        for a in units:
-            v = (4 * a * q2 + k @ np.array([x % mod for x in m], dtype=np.int64)) % mod
-            ang = 2.0 * math.pi * v / mod
-            total += np.cos(ang).sum() + 1j * np.sin(ang).sum()
-            terms += len(k)
-    return SumValue(total.real, total.imag, sum_tol(max(terms, 1)))
+    return T_dq(pair, [sign * v for v in a_vec], 1, 2**ell, m, guard)
 
 
 def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,

@@ -12,6 +12,9 @@ otherwise.  Rows that end all zero mod p^r need a zero right-hand side,
 and each column without a pivot is a free variable.  The pivot valuations
 are min(v_p(d_i), r) for the invariant factors d_i of M, so smith_bound
 reads delta_p off the same elimination.  Every entry stays in [0, p^r).
+The symmetric version of that elimination (jordan_gauss_sum) clears a
+pivot's row and column together, which diagonalises a quadratic form mod
+p^r (p odd) and gives its Gauss sum.
 
 Determinant and rank over the rationals use fraction-free (Bareiss)
 elimination over Python integers, so no floating point is involved.
@@ -19,11 +22,12 @@ elimination over Python integers, so no floating point is involved.
 
 from __future__ import annotations
 
-from .modarith import PrimePower, factorize
+from .modarith import PrimePower, factorize, jacobi
 
 __all__ = [
     "bareiss_det",
     "count_lincong",
+    "jordan_gauss_sum",
     "rank_rational",
     "smith_bound",
     "solve_mod_p",
@@ -173,6 +177,58 @@ def _pivot_valuations(matrix: IntMatrix, rhs: list[int], p: int,
                 m[k] = [(x - c * y) % q for x, y in zip(other, row)]
                 b[k] = (b[k] - c * bi) % q
         valuations.append(v)
+
+
+def jordan_gauss_sum(matrix: IntMatrix, p: int, r: int) -> int:
+    """G_{p^r}(M) = sum over x mod p^r of e(x^T M x / p^r), M integer
+    symmetric and p odd, when that is an integer; 0 otherwise.
+
+    The symmetric twin of _pivot_valuations diagonalises M mod p^r as
+    diag(u_i p^(v_i)): pivot on an entry of least valuation, preferring
+    the diagonal (if only an off-diagonal entry m_ij attains it, e_i <-
+    e_i + e_j first puts 2 m_ij, of the same valuation, on the diagonal),
+    and clear its row and column together.  G is then a product of
+    one-variable Gauss sums: a block with v >= r gives p^r, any other
+    p^(v + floor((r - v)/2)), times (u/p) eps_p sqrt(p) when r - v is odd.
+    With t such blocks and t even that is the integer p^(t/2) times
+    ((-1)^(t/2) prod u_i / p).  For odd t, G(lambda M) = (lambda/p) G(M),
+    so the sum of G over the unit multiples of M is 0, which is returned.
+    """
+    q = p**r
+    m = [[x % q for x in row] for row in matrix]
+    exponent = odd = 0
+    units = 1
+    while True:
+        entries = [(_valuation(x, p), i != j, i, j)
+                   for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        if not entries:
+            break
+        v, off, i, j = min(entries)
+        if off:  # e_i <- e_i + e_j
+            m[i] = [(x + y) % q for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] = (row[i] + row[j]) % q
+        pv = p**v
+        row = m.pop(i)
+        u = row.pop(i) // pv
+        for other in m:
+            del other[i]
+        exponent += v + (r - v) // 2
+        if (r - v) % 2:
+            odd += 1
+            units = units * u % p
+        # e_k <- e_k - (w_k / u) e_i, w = row / p^v, clears row and column
+        # i and turns m_kl into m_kl - p^v w_k w_l / u
+        w = [x // pv for x in row]
+        c_unit = pow(u, -1, q) * pv
+        for k, other in enumerate(m):
+            c = w[k] * c_unit % q
+            if c:
+                m[k] = [(x - c * y) % q for x, y in zip(other, w)]
+    exponent += r * len(m)
+    if odd % 2:
+        return 0
+    return p ** (exponent + odd // 2) * jacobi((-1) ** (odd // 2) * units, p)
 
 
 def count_lincong(matrix: IntMatrix, a_vec: list[int], q: int) -> int:

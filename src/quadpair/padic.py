@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
+from .guard import DEFAULT_GUARD, ResourceGuardError
 from .lincong import count_lincong
 from .modarith import factorize, is_prime
-from .quadforms import QuadricPair, residue_blocks, residue_grid
+from .quadforms import QuadricPair, residue_grid, residue_zeros_mod_p
 
 __all__ = [
     "count_congruence_pair",
@@ -183,18 +183,3 @@ def count_divisibility_primitive(pair: QuadricPair, d1: int, d2: int,
     """As count_divisibility but restricted to x not == 0 mod p at every
     p | d1 d2, prime by prime."""
     return _crt_product(count_congruence_pair_primitive, pair, d1, d2, guard)
-
-
-def residue_zeros_mod_p(pair: QuadricPair, p: int,
-                        guard: int = 10**8) -> np.ndarray:
-    """All common zeros x mod p of Q1 and Q2, as an (N, n) array in grid
-    order (deterministic)."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    check_guard("residue_zeros_mod_p", p**pair.n, guard)
-    blocks = []
-    for block in residue_blocks(p, pair.n):
-        mask = pair.Q1.eval_batch_mod(block, p) == 0
-        mask &= pair.Q2.eval_batch_mod(block, p) == 0
-        blocks.append(block[mask])
-    return np.concatenate(blocks, axis=0)

@@ -41,6 +41,7 @@ __all__ = [
     "load_pair",
     "parse_pair_text",
     "pencil_det_poly",
+    "residue_zeros_mod_p",
     "save_pair",
 ]
 
@@ -401,34 +402,31 @@ def _rank_mod_p(rows, p: int) -> int:
     return len(rows[0]) - len(kernel)
 
 
-def _common_zero_mask(pair: QuadricPair, X: np.ndarray, p: int) -> np.ndarray:
-    v1 = pair.Q1.eval_batch_mod(X, p)
-    v2 = pair.Q2.eval_batch_mod(X, p)
-    return (v1 == 0) & (v2 == 0)
+def residue_zeros_mod_p(pair: QuadricPair, p: int,
+                        guard: int = 10**8) -> np.ndarray:
+    """All common zeros x mod p of Q1 and Q2, x = 0 included, as an (N, n)
+    array in grid order (deterministic)."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    check_guard("residue_zeros_mod_p", p**pair.n, guard)
+    blocks = []
+    for block in residue_blocks(p, pair.n):
+        mask = pair.Q1.eval_batch_mod(block, p) == 0
+        mask &= pair.Q2.eval_batch_mod(block, p) == 0
+        blocks.append(block[mask])
+    return np.concatenate(blocks, axis=0)
 
 
 def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:
     """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    check_guard("count_cone_points_mod_p", p**pair.n, 10**8)
-    total = 0
-    for block in residue_blocks(p, pair.n):
-        total += int(_common_zero_mask(pair, block, p).sum())
-    return total
+    return len(residue_zeros_mod_p(pair, p, guard=10**8))
 
 
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:
     """Every nonzero common zero of Q1, Q2 mod p has Jacobian rank 2."""
-    n = pair.n
-    for block in residue_blocks(p, n):
-        mask = _common_zero_mask(pair, block, p)
-        for x in block[mask]:
-            if not x.any():
-                continue
-            jac = [pair.Q1.gradient(x), pair.Q2.gradient(x)]
-            if _rank_mod_p(jac, p) < 2:
-                return False
+    for x in residue_zeros_mod_p(pair, p, guard=DEFAULT_GUARD):
+        if x.any() and _rank_mod_p([pair.Q1.gradient(x), pair.Q2.gradient(x)], p) < 2:
+            return False
     return True
 
 
@@ -467,10 +465,7 @@ def _good_reduction_mod_p(pair: QuadricPair, p: int) -> bool:
     """
     if _pencil_roots_distinct_mod_p(pair, p):
         return True
-    if not _pencil_rank_ok_mod_p(pair, p):
-        return False
-    check_guard("smooth_intersection_mod_p", p**pair.n, DEFAULT_GUARD)
-    return _smooth_intersection_mod_p(pair, p)
+    return _pencil_rank_ok_mod_p(pair, p) and _smooth_intersection_mod_p(pair, p)
 
 
 def bad_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
@@ -512,16 +507,14 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int) -> bool:
         raise ValueError("dimension mismatch")
     if all(v % p == 0 for v in m):
         raise ValueError("m must be nonzero mod p")
-    check_guard("is_Vm_singular_mod_p", p**pair.n, 10**8)
     mvec = np.array([v % p for v in m], dtype=np.int64)
-    for block in residue_blocks(p, pair.n):
-        mask = _common_zero_mask(pair, block, p) & ((block @ mvec) % p == 0)
-        for x in block[mask]:
-            if not x.any():
-                continue
-            jac = [pair.Q1.gradient(x), pair.Q2.gradient(x), [int(v) for v in mvec]]
-            if _rank_mod_p(jac, p) < 3:
-                return True
+    zeros = residue_zeros_mod_p(pair, p, guard=10**8)
+    for x in zeros[(zeros @ mvec) % p == 0]:
+        if not x.any():
+            continue
+        jac = [pair.Q1.gradient(x), pair.Q2.gradient(x), [int(v) for v in mvec]]
+        if _rank_mod_p(jac, p) < 3:
+            return True
     return False
 
 

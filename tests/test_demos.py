@@ -19,3 +19,4 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
     if demo.name == "local_densities.py":
         assert "k=6: sigma_2 ~ 5/16 (stabilized=True)" in result.stdout
+        assert "sigma_7 = 2752/2801 (depth 3, converged=True)" in result.stdout

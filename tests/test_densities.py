@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quadpair.counting import WeightFunction
-from quadpair import densities, quadforms
+from quadpair import densities, padic, quadforms
 from quadpair.densities import (
     ExperimentResult,
     Ntilde,
@@ -23,7 +23,9 @@ from quadpair.densities import (
 )
 from quadpair.densities import _sigma2_fraction  # depth probe used below
 from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
+from quadpair.lincong import jordan_gauss_sum
 from quadpair.modarith import is_prime
+from quadpair.padic import count_congruence_pair, count_congruence_pair_primitive
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -240,10 +242,22 @@ def _sigma2_sweep(pair, k):
     return Fraction(2 * count, 2 ** (k * (n - 1)))
 
 
+def _gauss_sums_by_enumeration(m, p, R):
+    """[G_{p^R}(lambda M) for lambda = 1, ..., p - 1], summed over the grid
+    as floats (one histogram of x^T M x mod p^R serves every lambda)."""
+    q = p**R
+    grid = residue_grid(q, len(m))
+    M = np.array(m, dtype=np.int64)
+    hist = np.bincount((((grid @ M) % q) * grid).sum(axis=1) % q, minlength=q)
+    v = np.arange(q)
+    return [complex((hist * np.exp(2j * np.pi * lam * v / q)).sum())
+            for lam in range(1, p)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_single_form_gauss_sum_vs_enumeration(p):
     # low-rank forms B^T D B, some with zero diagonal entries, so that the
-    # pivot minor is not the leading one
+    # pivot is not the leading entry or lies off the diagonal
     rng = random.Random(p)
     for trial in range(25):
         n = rng.randrange(1, 5)
@@ -254,14 +268,19 @@ def test_single_form_gauss_sum_vs_enumeration(p):
              for i in range(n)]
         if trial % 3 == 0:
             m[0][0] = 0
-        grid = residue_grid(p, n)
-        M = np.array(m, dtype=np.int64)
-        kernel = int(((grid @ M) % p == 0).all(axis=1).sum())
-        zeros = int((((grid @ M) * grid).sum(axis=1) % p == 0).sum())
-        r, dprime = densities._nondegenerate_part(m, p)
-        assert p ** (n - r) == kernel, m
-        assert dprime % p != 0, m
-        assert p * zeros == p**n + densities._line_gauss_sum(n, r, dprime, p), m
+        for R in (1, 2):
+            if p ** (R * n) > 10**6:
+                continue
+            got = jordan_gauss_sum(m, p, R)
+            sums = _gauss_sums_by_enumeration(m, p, R)
+            scale = p ** (R * n)
+            # the sum over the unit multiples is (p - 1) G when G is an
+            # integer and 0 otherwise, which is what jordan_gauss_sum returns
+            assert abs(sum(sums) - (p - 1) * got) < 1e-6 * scale, (m, R)
+            if got:
+                assert abs(sums[0] - got) < 1e-6 * scale, (m, R)
+            else:
+                assert abs(sums[0].real) > 0.5 or abs(sums[0].imag) > 0.5, (m, R)
 
 
 def _zero_counts_sweep(pair, p):
@@ -279,7 +298,8 @@ def _zero_counts_sweep(pair, p):
 def test_pencil_counts_match_sweeps(name):
     pair = ORACLE_PAIRS[name]()
     for p in _odd_primes(3, 13):
-        counts = densities._pencil_zero_counts(pair, p)
+        counts = (densities._gauss_count(pair, p, 1, 0, 1),
+                  densities._gauss_count(pair, p, 1, 1, 1))
         assert counts == _zero_counts_sweep(pair, p), (name, p)
         if p**pair.n <= 10**7:  # the package's own sweep, where it is cheap
             assert counts[1] == count_cone_points_mod_p(pair, p), (name, p)
@@ -294,8 +314,17 @@ def test_hensel_local_data_matches_sweep(name):
             if quadforms._pencil_roots_distinct_mod_p(pair, p)]
     assert good
     for p in good:
-        assert (densities._local_data_pencil(pair, p)
-                == densities._local_data_sweep(pair, p)), (name, p)
+        # depth 2 lifted by Hensel against the Gauss-sum count at depth 2,
+        # and both depths against digit lifting where that is quick
+        hensel = densities._primitive_counts(pair, p, 2)
+        inner = densities._gauss_count(pair, p, 1, 0, 0)
+        assert hensel == [densities._gauss_count(pair, p, 2, e, 2) - inner
+                          for e in range(3)], (name, p)
+        if p**pair.n <= 10**6:
+            for k, got in ((1, densities._primitive_counts(pair, p, 1)),
+                           (2, hensel)):
+                assert got == [count_congruence_pair_primitive(pair, p, k, e, k)
+                               for e in range(k + 1)], (name, p, k)
 
 
 def test_good_primes_do_not_sweep(monkeypatch):
@@ -306,12 +335,21 @@ def test_good_primes_do_not_sweep(monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sweep ran at a good prime")
 
-    monkeypatch.setattr(densities, "_local_data_sweep", no_sweep)
+    monkeypatch.setattr(quadforms, "residue_zeros_mod_p", no_sweep)
     monkeypatch.setattr(quadforms, "_pencil_rank_ok_mod_p", no_sweep)
     monkeypatch.setattr(quadforms, "_smooth_intersection_mod_p", no_sweep)
+    monkeypatch.setattr(densities, "count_congruence_pair", no_sweep)
+    eliminations = []
+    jordan = densities.jordan_gauss_sum
+    monkeypatch.setattr(densities, "jordan_gauss_sum",
+                        lambda *args: eliminations.append(args) or jordan(*args))
     for p in (11, 13, 101):
         assert certified_good(pair, p)
+        del eliminations[:]
         assert sigma_p(pair, p).converged
+        # the pencil polynomial gives G except at its at most n roots mod p,
+        # once for each of depths 1 and 2
+        assert len(eliminations) <= 2 * pair.n, p
 
 
 SINGULAR_PAIRS = {
@@ -361,25 +399,17 @@ def test_sigma2_fraction_matches_sweep(name, k_max):
         assert _sigma2_fraction(pair, k) == _sigma2_sweep(pair, k), (name, k)
 
 
-def test_singular_pair_keeps_the_sweep(monkeypatch):
+def test_singular_pair_skips_hensel():
     # det(b1 M1 + b2 M2) = -(b1 + b2)^2 (b1 + 2 b2): a repeated root, and
     # (1, 1, 0) is a singular common zero mod every p
     pair = QuadricPair.build(
         QuadraticForm.diagonal([1, -1, 1]), QuadraticForm.diagonal([1, -1, 2])
     )
     assert pair.disc_P == 0 and pair.bad_primes == (2,)
-
-    def no_closed_form(*args, **kwargs):
-        raise AssertionError("closed form ran on a singular pair")
-
-    primes = (3, 11, 13)
-    with monkeypatch.context() as mp:
-        mp.setattr(densities, "_local_data_pencil", no_closed_form)
-        got = {p: sigma_p(pair, p) for p in primes}
-        for p in primes:
-            assert not certified_good(pair, p)
     differs = False
-    for p in primes:
+    for p in (3, 11, 13):
+        assert not certified_good(pair, p)
+        assert not quadforms._pencil_roots_distinct_mod_p(pair, p)
         # depth-2 primitive counts straight from the definition
         q = p * p
         grid = residue_grid(q, 3)
@@ -387,11 +417,119 @@ def test_singular_pair_keeps_the_sweep(monkeypatch):
         v1 = pair.Q1.eval_batch_mod(grid, q)
         v2 = pair.Q2.eval_batch_mod(grid, q)
         deep2 = v2 == 0
-        star2 = tuple(int((deep2 & (v1 % p**e == 0)).sum()) for e in range(3))
-        sweep = densities._local_data(pair, p)
-        assert sweep.star2 == star2, p
+        star2 = [int((deep2 & (v1 % p**e == 0)).sum()) for e in range(3)]
+        assert densities._primitive_counts(pair, p, 2) == star2, p
+        got = sigma_p(pair, p)
         want = densities._stabilized_sigma(pair, p, 2)
-        assert got[p].k_used == 2 and got[p].fraction == want, p
-        differs |= densities._local_data_pencil(pair, p).star2 != star2
+        assert got.k_used == 2 and got.fraction == want, p
+        s0, s1 = densities._primitive_counts(pair, p, 1)
+        differs |= [p**2 * s0, p**2 * s1, p * s1] != star2
     # Hensel lifting would have been wrong here
     assert differs
+
+
+# --------------------------------------------------------------------------
+# the Gauss-sum count at every odd prime
+# --------------------------------------------------------------------------
+
+
+# (R, r1, r2) up to depth 3, as deep as count_congruence_pair, the
+# digit-lifting oracle, goes in a few seconds per pair; the depth-1 counts
+# past that are checked against the sweep in test_pencil_counts_match_sweeps
+def _gauss_count_cases(pair, p):
+    size = p**pair.n
+    depth = 3 if size <= 2 * 10**4 else 2 if size <= 10**5 else 1 if size <= 10**6 else 0
+    return [(R, r1, r2) for R in range(1, depth + 1)
+            for r1 in range(R + 1) for r2 in range(R + 1)]
+
+
+@pytest.mark.parametrize("name", [*sorted(ORACLE_PAIRS), *SINGULAR_PAIRS, "toy_n2"])
+def test_gauss_count_matches_count_congruence_pair(name):
+    # toy_n2 has n = 2 mod 4, where (-1/p)^(n/2) enters the unit blocks
+    pair = {**ORACLE_PAIRS, **SINGULAR_PAIRS, "toy_n2": toy_pair_2}[name]()
+    for p in _odd_primes(3, 13):
+        for R, r1, r2 in _gauss_count_cases(pair, p):
+            assert (densities._gauss_count(pair, p, R, r1, r2)
+                    == count_congruence_pair(pair, p, R, r1, r2)), (name, p, R, r1, r2)
+
+
+def test_orbits_partition_the_pairs():
+    for p in (3, 5):
+        for r1 in range(4):
+            for r2 in range(4):
+                orbits = list(densities._orbits(p, r1, r2))
+                sizes = [(p - 1) * p ** (c - 1) * max(len(a), len(b))
+                         for a, b, c in orbits]
+                assert 1 + sum(sizes) == p ** (r1 + r2), (p, r1, r2)
+                reps = 1 + sum(max(len(a), len(b)) for a, b, _ in orbits)
+                assert densities._orbit_count(p, r1, r2) == reps
+                # every (a, b) lies in the orbit of exactly one representative
+                if p ** (r1 + r2) <= 625:
+                    seen = set()
+                    for a, b, c in orbits:
+                        for x, y in zip(*np.broadcast_arrays(a, b)):
+                            orbit = {(lam * int(x) % p**r1, lam * int(y) % p**r2)
+                                     for lam in range(1, p ** max(r1, r2))
+                                     if lam % p}
+                            assert len(orbit) == (p - 1) * p ** (c - 1)
+                            assert not orbit & seen
+                            seen |= orbit
+                    assert len(seen) + 1 == p ** (r1 + r2)
+
+
+DEMO_N7_SIGMA = {
+    3: Fraction(400, 363),
+    5: Fraction(15152964, 15249025),
+    7: Fraction(2752, 2801),
+    11: Fraction(15984, 16105),
+    13: Fraction(12377575420, 12445491253),
+    17: Fraction(134361861268, 133874406377),
+    19: Fraction(137884, 137561),
+    23: Fraction(293136, 292561),
+}
+
+
+def test_demo_n7_bad_primes_converge():
+    # every odd prime up to 23 divides det2 * disc_P of the n = 7 pair
+    pair = demo_pair_7()
+    for p in _odd_primes(3, 23):
+        s = sigma_p(pair, p, k_max=5, guard=DEFAULT_GUARD)
+        assert s.converged and s.fraction == DEMO_N7_SIGMA[p], p
+
+
+def test_guard_estimate_covers_eliminations(monkeypatch):
+    calls = []  # [estimate, eliminations run after it]
+    check, jordan = densities.check_guard, densities.jordan_gauss_sum
+
+    def record_check(op, estimate, guard):
+        calls.append([estimate, 0])
+        return check(op, estimate, guard)
+
+    def record_jordan(*args):
+        calls[-1][1] += 1
+        return jordan(*args)
+
+    monkeypatch.setattr(densities, "check_guard", record_check)
+    monkeypatch.setattr(densities, "jordan_gauss_sum", record_jordan)
+    for pair, primes in ((shipped_pair(), (3, 5, 7, 11)),
+                         (demo_pair_7(), (3, 7, 13)),
+                         (SINGULAR_PAIRS["good_pencil_rank"](), (3, 5))):
+        for p in primes:
+            del calls[:]
+            sigma_p(pair, p, k_max=4)
+            assert calls and sum(c[1] for c in calls) > 0, p
+            for estimate, eliminations in calls:
+                assert estimate >= pair.n**3 * eliminations, (p, calls)
+
+
+def test_sigma_p_never_calls_count_congruence_pair(monkeypatch):
+    def no_digit_lifting(*args, **kwargs):
+        raise AssertionError("sigma_p called count_congruence_pair")
+
+    monkeypatch.setattr(densities, "count_congruence_pair", no_digit_lifting)
+    monkeypatch.setattr(padic, "count_congruence_pair", no_digit_lifting)
+    for pair, primes in ((shipped_pair(), (3, 5, 7, 11)),
+                         (demo_pair_7(), (3, 5)),
+                         (SINGULAR_PAIRS["repeated_root"](), (3, 5))):
+        for p in primes:
+            sigma_p(pair, p, k_max=4)
