@@ -55,7 +55,6 @@ from .counting import WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import jordan_gauss_sum
 from .modarith import chi4, is_prime
-from .padic import count_congruence_pair
 from .quadforms import (
     QuadricPair,
     _good_reduction_mod_p,
@@ -149,7 +148,8 @@ def Ntilde(pair: QuadricPair, p: int, k: int, e: int,
         raise ValueError("need 0 <= e <= k")
     if k == 0:
         return 1
-    return count_congruence_pair(pair, p, k, e, k, guard=guard)
+    check_guard("Ntilde", pair.n**3 * _orbit_count(p, e, k), guard)
+    return _gauss_count(pair, p, k, e, k)
 
 
 def _orbits(p: int, r1: int, r2: int):
@@ -223,15 +223,9 @@ def _primitive_counts(pair: QuadricPair, p: int, k: int,
     """[Ntilde*_k(0), ..., Ntilde*_k(k)] (primitive x only).
 
     Imprimitive x = p y biject onto y mod p^(k-1) with both divisibility
-    targets lowered by 2.  At depth 2 where the pencil has distinct roots
-    mod p the intersection is smooth: every primitive zero of Q2 mod p
-    lifts to p^(n-1) zeros mod p^2, every primitive common zero to
-    p^(n-2) common zeros, so depth 2 follows from depth 1.
+    targets lowered by 2.
     """
     n = pair.n
-    if k == 2 and _pencil_roots_distinct_mod_p(pair, p):
-        s0, s1 = _primitive_counts(pair, p, 1, guard=guard)
-        return [p ** (n - 1) * s0, p ** (n - 1) * s1, p ** (n - 2) * s1]
     full = [(k, e, k) for e in range(k + 1)]
     inner = [(k - 1, max(e - 2, 0), max(k - 2, 0)) for e in range(k + 1)]
     targets = set(full + inner)
@@ -241,19 +235,31 @@ def _primitive_counts(pair: QuadricPair, p: int, k: int,
     return [counts[f] - counts[i] for f, i in zip(full, inner)]
 
 
-def _stabilized_sigma(pair: QuadricPair, p: int, k: int,
-                      guard: int = DEFAULT_GUARD) -> Fraction:
-    """The depth-k stabilized evaluation of sigma_p (exact rational).
+def _hensel_lift(n: int, p: int, star1: list[int]) -> list[int]:
+    """The depth-2 primitive counts from the depth-1 ones [s0, s1], where
+    the pencil has distinct roots mod p.
 
-    Primitive counts at depth k are taken as computed; divisibility by Q1
+    The intersection is then smooth: every primitive zero of Q2 mod p
+    lifts to p^(n-1) zeros mod p^2, every primitive common zero to
+    p^(n-2) common zeros.
+    """
+    s0, s1 = star1
+    return [p ** (n - 1) * s0, p ** (n - 1) * s1, p ** (n - 2) * s1]
+
+
+def _stabilized_sigma(pair: QuadricPair, p: int, star: list[int]) -> Fraction:
+    """The stabilized evaluation of sigma_p (exact rational) from the
+    primitive counts star = [Ntilde*_k(0), ..., Ntilde*_k(k)].
+
+    Primitive counts at depth k are taken as given; divisibility by Q1
     beyond depth k is charged the generic factor 1/p per extra power, and
     the strata x = p^a y contribute a geometric series in p^{2-n}.  When
     the depth-k counts already follow the generic lifting law (smooth
     case) this equals the limit exactly.
     """
     n = pair.n
+    k = len(star) - 1
     chi = chi4(p)
-    star = _primitive_counts(pair, p, k, guard=guard)
     scale = p ** (k * (n - 1))
     head = sum(chi**e * star[e] for e in range(k))
     lstar = Fraction(head, scale) + Fraction(chi**k * star[k] * p, scale * (p - chi))
@@ -289,12 +295,16 @@ def sigma_p(pair: QuadricPair, p: int, k_max: int = 2,
     prev: Fraction | None = None
     k_done = 0
     for k in range(1, k_max + 1):
-        try:
-            val = _stabilized_sigma(pair, p, k, guard=guard)
-        except ResourceGuardError:
-            if prev is None:
-                raise
-            break
+        if k == 2 and _pencil_roots_distinct_mod_p(pair, p):
+            star = _hensel_lift(pair.n, p, star)
+        else:
+            try:
+                star = _primitive_counts(pair, p, k, guard=guard)
+            except ResourceGuardError:
+                if prev is None:
+                    raise
+                break
+        val = _stabilized_sigma(pair, p, star)
         if prev is not None and val == prev:
             return SigmaP(p, k, val, True)
         prev, k_done = val, k
@@ -630,16 +640,15 @@ def _odd_primes_upto(x: int) -> list[int]:
 def singular_constant(pair: QuadricPair, W: WeightFunction, p_max: int = 50,
                       k_max: int = 5, guard: int = DEFAULT_GUARD) -> DensityReport:
     """c_truncated = sigma_inf * sigma_2 * prod_{2 < p <= p_max} sigma_p,
-    with per-prime convergence certificates and a heuristic tail size."""
+    with per-prime convergence certificates and a heuristic tail size.
+
+    sigma_2 is taken at k_max itself: a guard trip there raises
+    ResourceGuardError rather than lowering the depth."""
     if pair.n < 3:
         raise ValueError("densities require n >= 3")
     tau = tau_infinity(pair.Q2, W, guard=guard)
     sigma_inf = math.pi * tau.slab
-
-    k2 = k_max
-    while k2 > 2 and _sigma2_cost(pair.n, k2) > guard:
-        k2 -= 1
-    s2 = sigma_2(pair, k_max=k2, guard=guard)
+    s2 = sigma_2(pair, k_max=k_max, guard=guard)
 
     primes = []
     for p in _odd_primes_upto(p_max):

@@ -19,10 +19,10 @@ SumValue.  Two genuinely independent paths exist for S_{d,q} (unit sum vs
 Ramanujan reduction) and the suites require agreement.
 
 For d = p^2 at realistic n, direct enumeration mod p^2 is impossible; the
-layered evaluators parametrize the solution set by digit lifting (exact
-linear algebra mod p) and collapse each affine fiber's character sum in
-closed form.  These are cross-checked against direct enumeration at small
-n in the tests.
+layered evaluators parametrize the solution set by digit lifting over the
+common zeros mod p and collapse each affine fiber's character sum in
+closed form (for D_{p^2}, through its dual sum over F_p^2).  These are
+cross-checked against direct enumeration at small n in the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .lincong import bareiss_det, solve_mod_p
+from .lincong import bareiss_det
 from .modarith import (
     SumValue,
     divisors,
@@ -333,34 +333,56 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
 
 def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
     """D_{p^2}(m) via digit lifting: solutions mod p^2 are x0 + p t with x0
-    a common zero mod p and t solving the 2-row linear system given by the
-    gradients; each affine fiber's character sum collapses in closed form.
+    a common zero mod p and t mod p solving G t = -a, where G holds the
+    gradients of Q1, Q2 at x0 and a = (Q1(x0), Q2(x0)) / p, both mod p.
+
+    Each fiber's character sum is read off its dual: writing the condition
+    G t = -a as an average of e_p(lambda.(G t + a)) over lambda in F_p^2,
+
+        sum_{G t = -a} e_p(m.t) = p^(n-2) sum_{lambda G = -m} e_p(lambda.a).
+
+    At m = 0 that makes the fiber p^(n-2) K with K = #{lambda G = 0}, and
+    empty exactly when some lambda G = 0 has lambda.a != 0.  Otherwise
+    lambda.a = -lambda.G t0 = m.t0 is the same c at every lambda G = -m,
+    so the sum is the fiber size times e_p(c), or 0 when no lambda solves
+    lambda G = -m.  One scan of the p^2 pairs lambda, vectorised over the
+    zeros, finds K, emptiness and c for every x0 at once.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     n = pair.n
     p2 = p * p
     Z1 = residue_zeros_mod_p(pair, p)
-    mred = [v % p2 for v in m]
+    mred = np.array([v % p2 for v in m], dtype=np.int64)
+    mneg = -mred % p
+    g1 = 2 * (Z1 @ np.array(pair.Q1.M, dtype=np.int64)) % p
+    g2 = 2 * (Z1 @ np.array(pair.Q2.M, dtype=np.int64)) % p
+    a1 = pair.Q1.eval_batch(Z1) // p % p
+    a2 = pair.Q2.eval_batch(Z1) // p % p
+    kernel = np.zeros(len(Z1), dtype=np.int64)
+    empty = np.zeros(len(Z1), dtype=bool)
+    live = np.zeros(len(Z1), dtype=bool)
+    c = np.zeros(len(Z1), dtype=np.int64)
+    for l1 in range(p):
+        for l2 in range(p):
+            lg = (l1 * g1 + l2 * g2) % p
+            la = (l1 * a1 + l2 * a2) % p
+            zero = (lg == 0).all(axis=1)
+            kernel += zero
+            empty |= zero & (la != 0)
+            hit = (lg == mneg).all(axis=1)
+            live |= hit
+            c[hit] = la[hit]
+    mx0 = (Z1 @ mred).tolist()
     total = 0j
     npts = 0  # common zeros mod p^2: the unit terms the sum collapses
-    for row in Z1:
-        x0 = [int(v) for v in row]
-        a1 = pair.Q1.eval(x0)
-        a2 = pair.Q2.eval(x0)
-        g1 = pair.Q1.gradient(x0)
-        g2 = pair.Q2.gradient(x0)
-        sol = solve_mod_p([g1, g2], [-(a1 // p), -(a2 // p)], p)
-        if sol is None:
+    for i in range(len(Z1)):
+        if empty[i]:
             continue
-        t0, basis = sol
-        fiber = p ** len(basis)
+        fiber = p ** (n - 2) * int(kernel[i])
         npts += fiber
-        if any(sum(mi * bi for mi, bi in zip(mred, vec)) % p for vec in basis):
-            continue  # the fiber's character sum cancels
-        phase = e_q(sum(mi * x for mi, x in zip(mred, x0))
-                    + p * sum(mi * t for mi, t in zip(mred, t0)), p2)
-        total += fiber * phase
+        if live[i]:
+            total += fiber * e_q(mx0[i] + p * int(c[i]), p2)
     return SumValue(total.real, total.imag, sum_tol(max(npts, 1)))
 
 

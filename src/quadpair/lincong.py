@@ -1,4 +1,4 @@
-"""Exact counting for linear congruences, and elimination over Q, F_p and
+"""Exact counting for linear congruences, and elimination over Q and
 Z/p^r.
 
 The central object is K_q(M; a) = #{x mod q : M x = a (mod q)}.  It is
@@ -11,7 +11,8 @@ the pivot's row is p^v u y = b: p^v values of y when p^v | b, none
 otherwise.  Rows that end all zero mod p^r need a zero right-hand side,
 and each column without a pivot is a free variable.  The pivot valuations
 are min(v_p(d_i), r) for the invariant factors d_i of M, so smith_bound
-reads delta_p off the same elimination.  Every entry stays in [0, p^r).
+reads delta_p off the same elimination, and the rank over F_p is its
+number of pivots at r = 1 (rank_mod_p).  Every entry stays in [0, p^r).
 The symmetric version of that elimination (jordan_gauss_sum) clears a
 pivot's row and column together, which diagonalises a quadratic form mod
 p^r (p odd) and gives its Gauss sum.
@@ -28,9 +29,9 @@ __all__ = [
     "bareiss_det",
     "count_lincong",
     "jordan_gauss_sum",
+    "rank_mod_p",
     "rank_rational",
     "smith_bound",
-    "solve_mod_p",
 ]
 
 IntMatrix = list[list[int]]
@@ -94,51 +95,6 @@ def rank_rational(matrix: IntMatrix) -> int:
     return rank
 
 
-def solve_mod_p(rows: IntMatrix, rhs: list[int], p: int):
-    """Solve rows . t = rhs over F_p (p prime) by Gauss-Jordan elimination.
-
-    Returns (particular, kernel_basis), every solution being the particular
-    one plus an F_p-combination of the basis vectors, or None if the system
-    is inconsistent.  With rhs = 0 the rank is ncols - len(kernel_basis).
-    There is one basis vector per non-pivot column: it is 1 there and 0 at
-    every later column, so the pivot columns are those at which no basis
-    vector ends.
-    """
-    ncols = len(rows[0])
-    m = [[v % p for v in row] + [b % p] for row, b in zip(rows, rhs)]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    part = [0] * ncols
-    for i, c in enumerate(pivots):
-        part[c] = m[i][ncols]
-    basis = []
-    for c in range(ncols):
-        if c in pivots:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-m[i][c]) % p
-        basis.append(vec)
-    return part, basis
-
-
 # --------------------------------------------------------------------------
 # counting solutions of M x = a (mod q)
 # --------------------------------------------------------------------------
@@ -177,6 +133,11 @@ def _pivot_valuations(matrix: IntMatrix, rhs: list[int], p: int,
                 m[k] = [(x - c * y) % q for x, y in zip(other, row)]
                 b[k] = (b[k] - c * bi) % q
         valuations.append(v)
+
+
+def rank_mod_p(rows: IntMatrix, p: int) -> int:
+    """Rank over F_p (p prime): the pivots of the elimination mod p^1."""
+    return len(_pivot_valuations(rows, [0] * len(rows), p, 1))
 
 
 def jordan_gauss_sum(matrix: IntMatrix, p: int, r: int) -> int:

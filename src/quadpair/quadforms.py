@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .lincong import bareiss_det, solve_mod_p
+from .lincong import bareiss_det, rank_mod_p
 from .modarith import factorize, is_prime
 
 __all__ = [
@@ -397,11 +397,6 @@ class QuadricPair:
 # --------------------------------------------------------------------------
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    _, kernel = solve_mod_p(rows, [0] * len(rows), p)
-    return len(rows[0]) - len(kernel)
-
-
 def residue_zeros_mod_p(pair: QuadricPair, p: int,
                         guard: int = 10**8) -> np.ndarray:
     """All common zeros x mod p of Q1 and Q2, x = 0 included, as an (N, n)
@@ -425,7 +420,7 @@ def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:
     """Every nonzero common zero of Q1, Q2 mod p has Jacobian rank 2."""
     for x in residue_zeros_mod_p(pair, p, guard=DEFAULT_GUARD):
-        if x.any() and _rank_mod_p([pair.Q1.gradient(x), pair.Q2.gradient(x)], p) < 2:
+        if x.any() and rank_mod_p([pair.Q1.gradient(x), pair.Q2.gradient(x)], p) < 2:
             return False
     return True
 
@@ -439,7 +434,7 @@ def _pencil_rank_ok_mod_p(pair: QuadricPair, p: int) -> bool:
             [b1 * pair.Q1.M[i][j] + b2 * pair.Q2.M[i][j] for j in range(n)]
             for i in range(n)
         ]
-        if _rank_mod_p(m, p) < n - 1:
+        if rank_mod_p(m, p) < n - 1:
             return False
     return True
 
@@ -513,7 +508,7 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int) -> bool:
         if not x.any():
             continue
         jac = [pair.Q1.gradient(x), pair.Q2.gradient(x), [int(v) for v in mvec]]
-        if _rank_mod_p(jac, p) < 3:
+        if rank_mod_p(jac, p) < 3:
             return True
     return False
 

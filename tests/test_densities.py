@@ -144,6 +144,20 @@ def test_sigma_2_shipped_depth_profile():
         sigma_2(ship, k_max=6, guard=2 * 2**15 - 1)
 
 
+def test_singular_constant_raises_when_sigma_2_trips_the_guard():
+    # the guard admits tau_infinity and sigma_p but not sigma_2 at k_max = 9;
+    # the constant is refused rather than taken at a shallower 2-adic depth
+    pair = toy_pair_3()
+    W = WeightFunction.default_for_pair(pair)
+    guard = 10**4
+    assert densities._sigma2_cost(pair.n, 8) <= guard < densities._sigma2_cost(pair.n, 9)
+    tau_infinity(pair.Q2, W, guard=guard)
+    assert sigma_p(pair, 3, k_max=9, guard=guard).converged
+    with pytest.raises(ResourceGuardError) as err:
+        singular_constant(pair, W, p_max=3, k_max=9, guard=guard)
+    assert err.value.operation == "sigma_2"
+
+
 def test_tau_infinity_toy_oracle():
     toy = toy_pair_2()
     W = WeightFunction((1.0, 0.0), 0.3)
@@ -314,15 +328,17 @@ def test_hensel_local_data_matches_sweep(name):
             if quadforms._pencil_roots_distinct_mod_p(pair, p)]
     assert good
     for p in good:
-        # depth 2 lifted by Hensel against the Gauss-sum count at depth 2,
-        # and both depths against digit lifting where that is quick
-        hensel = densities._primitive_counts(pair, p, 2)
+        # depth 2 lifted by Hensel from depth 1 against the Gauss-sum count
+        # at depth 2, and both depths against digit lifting where that is
+        # quick
+        depth1 = densities._primitive_counts(pair, p, 1)
+        hensel = densities._hensel_lift(pair.n, p, depth1)
+        assert hensel == densities._primitive_counts(pair, p, 2), (name, p)
         inner = densities._gauss_count(pair, p, 1, 0, 0)
         assert hensel == [densities._gauss_count(pair, p, 2, e, 2) - inner
                           for e in range(3)], (name, p)
         if p**pair.n <= 10**6:
-            for k, got in ((1, densities._primitive_counts(pair, p, 1)),
-                           (2, hensel)):
+            for k, got in ((1, depth1), (2, hensel)):
                 assert got == [count_congruence_pair_primitive(pair, p, k, e, k)
                                for e in range(k + 1)], (name, p, k)
 
@@ -338,7 +354,8 @@ def test_good_primes_do_not_sweep(monkeypatch):
     monkeypatch.setattr(quadforms, "residue_zeros_mod_p", no_sweep)
     monkeypatch.setattr(quadforms, "_pencil_rank_ok_mod_p", no_sweep)
     monkeypatch.setattr(quadforms, "_smooth_intersection_mod_p", no_sweep)
-    monkeypatch.setattr(densities, "count_congruence_pair", no_sweep)
+    monkeypatch.setattr(padic, "count_congruence_pair", no_sweep)
+    assert not hasattr(densities, "count_congruence_pair")
     eliminations = []
     jordan = densities.jordan_gauss_sum
     monkeypatch.setattr(densities, "jordan_gauss_sum",
@@ -347,9 +364,9 @@ def test_good_primes_do_not_sweep(monkeypatch):
         assert certified_good(pair, p)
         del eliminations[:]
         assert sigma_p(pair, p).converged
-        # the pencil polynomial gives G except at its at most n roots mod p,
-        # once for each of depths 1 and 2
-        assert len(eliminations) <= 2 * pair.n, p
+        # the pencil polynomial gives G except at its at most n roots mod p;
+        # depth 1 is counted once and depth 2 lifted from it
+        assert len(eliminations) <= pair.n, p
 
 
 SINGULAR_PAIRS = {
@@ -420,10 +437,10 @@ def test_singular_pair_skips_hensel():
         star2 = [int((deep2 & (v1 % p**e == 0)).sum()) for e in range(3)]
         assert densities._primitive_counts(pair, p, 2) == star2, p
         got = sigma_p(pair, p)
-        want = densities._stabilized_sigma(pair, p, 2)
+        want = densities._stabilized_sigma(pair, p, star2)
         assert got.k_used == 2 and got.fraction == want, p
-        s0, s1 = densities._primitive_counts(pair, p, 1)
-        differs |= [p**2 * s0, p**2 * s1, p * s1] != star2
+        differs |= densities._hensel_lift(
+            pair.n, p, densities._primitive_counts(pair, p, 1)) != star2
     # Hensel lifting would have been wrong here
     assert differs
 
@@ -526,10 +543,23 @@ def test_sigma_p_never_calls_count_congruence_pair(monkeypatch):
     def no_digit_lifting(*args, **kwargs):
         raise AssertionError("sigma_p called count_congruence_pair")
 
-    monkeypatch.setattr(densities, "count_congruence_pair", no_digit_lifting)
     monkeypatch.setattr(padic, "count_congruence_pair", no_digit_lifting)
+    assert not hasattr(densities, "count_congruence_pair")
     for pair, primes in ((shipped_pair(), (3, 5, 7, 11)),
                          (demo_pair_7(), (3, 5)),
                          (SINGULAR_PAIRS["repeated_root"](), (3, 5))):
         for p in primes:
             sigma_p(pair, p, k_max=4)
+
+
+def test_sigma_p_truncated_reaches_demo_n7(monkeypatch):
+    # Ntilde is one Gauss-sum count, so the raw truncation at depth 3 on the
+    # n = 7 pair needs no digit lifting (which gives the same fraction in
+    # about two minutes); it approaches the limit from below
+    def no_digit_lifting(*args, **kwargs):
+        raise AssertionError("Ntilde called count_congruence_pair")
+
+    monkeypatch.setattr(padic, "count_congruence_pair", no_digit_lifting)
+    trunc = sigma_p_truncated(demo_pair_7(), 7, 3, guard=DEFAULT_GUARD)
+    assert trunc == Fraction(39628800, 40353607)
+    assert 0 < DEMO_N7_SIGMA[7] - trunc < Fraction(1, 1000)

@@ -20,11 +20,11 @@ from quadpair.expsums import (
     rho_star,
 )
 from quadpair.guard import ResourceGuardError
-from quadpair.lincong import count_lincong
+from quadpair.lincong import count_lincong, rank_mod_p
 from quadpair.modarith import chi4, e_q, sum_tol
 from quadpair.padic import count_divisibility
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
-from quadpair.quadforms import QuadraticForm, QuadricPair, dual_form
+from quadpair.quadforms import QuadraticForm, QuadricPair, dual_form, residue_zeros_mod_p
 
 
 def pair_n3_unit_det():
@@ -260,6 +260,40 @@ def test_layered_D_p2_matches_direct():
             fast = D_p2_layered(pair, p, m)
             slow = D_d(pair, p * p, m, method="direct")
             assert fast.close_to(slow), (p, m)
+
+
+# pair, nonzero common zeros mod 5 with an empty fiber mod 25, and m
+LAYERED_AT_5 = {
+    # eight zeros of rank-1 gradient mod 5 that lift to no zero mod 25
+    "toy_n3": (toy_pair_3, 8, ([0, 0, 0], [5, 10, 20], [1, 2, 3])),
+    "shipped": (shipped_pair, 8, ([0] * 5, [5, 10, 20, 0, 15], [4, 3, 1, 0, 0])),
+    # coupled forms, m on the dual variety mod 5: the phase m.t0 of each
+    # fiber matters here, while the symmetries of diagonal pairs cancel it
+    "coupled_n4": (lambda: QuadricPair.build(
+        QuadraticForm.from_matrix([[3, -2, -3, 0], [-2, -3, 3, 0],
+                                   [-3, 3, 0, 1], [0, 0, 1, 3]]),
+        QuadraticForm.from_matrix([[3, -3, 2, 0], [-3, -1, 2, 3],
+                                   [2, 2, -2, 1], [0, 3, 1, -3]])),
+        0, ([0] * 4, [7, 16, 19, 24], [5, 14, 1, 14])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED_AT_5))
+def test_layered_D_p2_matches_direct_at_5(name):
+    make, want_empty, m_list = LAYERED_AT_5[name]
+    pair = make()
+    p = 5
+    empty = 0
+    for x in residue_zeros_mod_p(pair, p):
+        grads = [pair.Q1.gradient(x), pair.Q2.gradient(x)]
+        if x.any() and rank_mod_p(grads, p) < 2:
+            a = [-(pair.Q1.eval(x) // p), -(pair.Q2.eval(x) // p)]
+            empty += count_lincong(grads, a, p) == 0
+    assert empty == want_empty
+    for m in m_list:
+        fast = D_p2_layered(pair, p, m)
+        slow = D_d(pair, p * p, m, method="direct")
+        assert fast.close_to(slow), (m, fast, slow)
 
 
 def test_layered_D_p2_tolerance_counts_its_own_fibers():

@@ -10,9 +10,9 @@ from quadpair.lincong import (
     _pivot_valuations,
     bareiss_det,
     count_lincong,
+    rank_mod_p,
     rank_rational,
     smith_bound,
-    solve_mod_p,
 )
 from quadpair.modarith import PrimePower
 from quadpair.quadforms import residue_grid
@@ -142,50 +142,19 @@ def test_count_lincong_edges():
     assert count_lincong([[1], [2]], [1, 3], 5) == 0
 
 
-def _span(part, basis, p):
-    """Every part + sum c_i basis_i over F_p, as a set of tuples."""
-    pts = {tuple(part)}
-    for vec in basis:
-        pts = {tuple((x + c * v) % p for x, v in zip(pt, vec))
-               for pt in pts for c in range(p)}
-    return pts
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_solve_mod_p_vs_enumeration(p):
+def test_rank_mod_p_vs_enumeration(p):
     rng = random.Random(p)
     for trial in range(30):
         n = rng.randrange(1, 5)
         nrows = (2, 3, n)[trial % 3]
         rows = [[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(nrows)]
         if trial % 2 and nrows > 1:
-            # a dependent row makes inconsistent right-hand sides likely
+            # a row dependent on the first
             rows[-1] = [(rng.randrange(p) * a) for a in rows[0]]
-        rhs = [rng.randrange(-p, 2 * p) for _ in range(nrows)]
         grid = residue_grid(p, n)
-        M = np.array(rows, dtype=np.int64)
-        solutions = {tuple(map(int, t))
-                     for t in grid[((grid @ M.T - np.array(rhs)) % p == 0).all(axis=1)]}
-        kernel = int(((grid @ M.T) % p == 0).all(axis=1).sum())
-
-        got = solve_mod_p(rows, rhs, p)
-        if not solutions:
-            assert got is None
-        else:
-            part, basis = got
-            assert len(solutions) == p ** len(basis)
-            assert _span(part, basis, p) == solutions
-        _, zero_basis = solve_mod_p(rows, [0] * nrows, p)
-        rank = n - len(zero_basis)
-        assert kernel == p ** (n - rank)
-        # each basis vector is 1 at the column where it ends, and the
-        # columns where none ends are independent
-        ends = [max(i for i, v in enumerate(vec) if v) for vec in zero_basis]
-        assert len(set(ends)) == len(ends)
-        assert all(vec[e] == 1 for vec, e in zip(zero_basis, ends))
-        pivots = [c for c in range(n) if c not in ends]
-        if pivots:
-            _, sub_basis = solve_mod_p([[r[c] for c in pivots] for r in rows],
-                                       [0] * nrows, p)
-            assert not sub_basis
+        kernel = int(((grid @ np.array(rows, dtype=np.int64).T) % p == 0).all(axis=1).sum())
+        rank = rank_mod_p(rows, p)
+        assert kernel == p ** (n - rank), (rows, rank)
+        assert rank == rank_mod_p([list(col) for col in zip(*rows)], p)
 
