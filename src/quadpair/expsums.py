@@ -108,9 +108,7 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
     hists = np.zeros((nm, dq * dq), dtype=np.int64)
     survivors = 0
     for block in residue_blocks(dq, n):
-        mask = pair.Q1.eval_batch_mod(block, d) == 0
-        mask &= pair.Q2.eval_batch_mod(block, d) == 0
-        sub = block[mask]
+        sub = block if d == 1 else block[pair.zero_mask_mod(block, d)]
         if not len(sub):
             continue
         survivors += len(sub)
@@ -275,9 +273,7 @@ def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,
     terms = 0
     for block in residue_blocks(dq, n):
         k = base[None, :] + 4 * block
-        mask = pair.Q1.eval_batch_mod(k, d) == 0
-        mask &= pair.Q2.eval_batch_mod(k, d) == 0
-        sub = k[mask]
+        sub = k if d == 1 else k[pair.zero_mask_mod(k, d)]
         if not len(sub):
             continue
         q2 = pair.Q2.eval_batch_mod(sub, dq)
@@ -322,9 +318,7 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
     mred = np.array([v % d for v in m], dtype=np.int64)
     hist = np.zeros(d, dtype=np.int64)
     for block in residue_blocks(d, n):
-        mask = pair.Q1.eval_batch_mod(block, d) == 0
-        mask &= pair.Q2.eval_batch_mod(block, d) == 0
-        sub = block[mask]
+        sub = block[pair.zero_mask_mod(block, d)]
         if len(sub):
             hist += np.bincount((sub @ mred) % d, minlength=d)
     z = (hist * _phases(d)).sum()

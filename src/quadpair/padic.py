@@ -26,14 +26,13 @@ import numpy as np
 from .guard import DEFAULT_GUARD, ResourceGuardError
 from .lincong import count_lincong
 from .modarith import factorize, is_prime
-from .quadforms import QuadricPair, residue_grid, residue_zeros_mod_p
+from .quadforms import QuadricPair, residue_grid
 
 __all__ = [
     "count_congruence_pair",
     "count_congruence_pair_primitive",
     "count_divisibility",
     "count_divisibility_primitive",
-    "residue_zeros_mod_p",
 ]
 
 

@@ -196,6 +196,14 @@ def residue_grid(q: int, k: int) -> np.ndarray:
     return _tuples([np.arange(q, dtype=np.int64)] * k)
 
 
+def _head_columns(dims) -> int:
+    """Leading columns grid_blocks fixes per block, for axes of these lengths."""
+    lead = 0
+    while math.prod(dims[lead:]) > _BLOCK_ROWS and len(dims) - lead > 1:
+        lead += 1
+    return lead
+
+
 def grid_blocks(axes, k: int | None = None, *, lex: bool = False):
     """Every tuple over the axes, in blocks of at most _BLOCK_ROWS rows.
 
@@ -210,10 +218,7 @@ def grid_blocks(axes, k: int | None = None, *, lex: bool = False):
     """
     if k is not None:
         axes = [axes] * k
-    dims = [len(a) for a in axes]
-    lead = 0
-    while math.prod(dims[lead:]) > _BLOCK_ROWS and len(axes) - lead > 1:
-        lead += 1
+    lead = _head_columns([len(a) for a in axes])
     tail = _tuples(axes[lead:], lex)
     if lead == 0:
         yield tail
@@ -391,25 +396,85 @@ class QuadricPair:
         """Q2*(m) for an integer vector m."""
         return self.dual2.eval(m)
 
+    def zero_mask_mod(self, X: np.ndarray, d: int) -> np.ndarray:
+        """Mask of the rows x of X with d | Q1(x) and d | Q2(x)."""
+        mask = self.Q1.eval_batch_mod(X, d) == 0
+        mask &= self.Q2.eval_batch_mod(X, d) == 0
+        return mask
+
 
 # --------------------------------------------------------------------------
 # mod-p geometry
 # --------------------------------------------------------------------------
 
 
+def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a^(p-2) mod p for every entry: the inverse of each unit a mod p."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+def _prefix_coeffs(M: np.ndarray, X: np.ndarray, p: int):
+    """(A, B) with x^T M x = A + B t + M[n-1][n-1] t^2 mod p at x = (x', t),
+    one entry per prefix x' in the rows of X."""
+    A = ((X @ M[:-1, :-1] % p) * X).sum(axis=1) % p
+    B = 2 * (X @ M[:-1, -1]) % p
+    return A, B
+
+
+def _zeros_among(pair: QuadricPair, X: np.ndarray, t: np.ndarray,
+                 p: int) -> np.ndarray:
+    """The rows (X[i], t[i]) that are common zeros of Q1 and Q2 mod p."""
+    Y = np.column_stack([X, t])
+    return Y[pair.zero_mask_mod(Y, p)]
+
+
 def residue_zeros_mod_p(pair: QuadricPair, p: int,
                         guard: int = 10**8) -> np.ndarray:
     """All common zeros x mod p of Q1 and Q2, x = 0 included, as an (N, n)
-    array in grid order (deterministic)."""
+    int64 array in the order the sweep residue_blocks(p, n) lists them.
+
+    Only the prefixes x' in F_p^(n-1) are swept.  At each,
+    Q_i(x', t) = A_i + B_i t + c_i t^2 with c_i = M_i[n-1][n-1], and
+    L t + C = c2 Q1 - c1 Q2 (Q1 itself when c1 = c2 = 0 mod p) has no t^2
+    term: L != 0 leaves the one candidate t = -C / L, kept when both forms
+    vanish there; L = 0 != C leaves none; L = C = 0 leaves all p values of
+    t to try.  The rows are then sorted into the sweep's order, so a caller
+    summing over them adds the same terms in the same order as before.
+
+    The guard is charged p^n: the work when every prefix has L = C = 0, as
+    when Q2 is a multiple of Q1 mod p.
+    """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    check_guard("residue_zeros_mod_p", p**pair.n, guard)
-    blocks = []
-    for block in residue_blocks(p, pair.n):
-        mask = pair.Q1.eval_batch_mod(block, p) == 0
-        mask &= pair.Q2.eval_batch_mod(block, p) == 0
-        blocks.append(block[mask])
-    return np.concatenate(blocks, axis=0)
+    n = pair.n
+    check_guard("residue_zeros_mod_p", p**n, guard)
+    M1, M2 = pair.Q1.matrix_mod(p), pair.Q2.matrix_mod(p)
+    c1, c2 = int(M1[-1, -1]), int(M2[-1, -1])
+    w1, w2 = (1, 0) if c1 == c2 == 0 else (c2, p - c1)
+    found = []
+    for X in residue_blocks(p, n - 1):
+        A1, B1 = _prefix_coeffs(M1, X, p)
+        A2, B2 = _prefix_coeffs(M2, X, p)
+        L = (w1 * B1 + w2 * B2) % p
+        C = (w1 * A1 + w2 * A2) % p
+        solo = L != 0
+        t = -C[solo] * _inverse_mod_p(L[solo], p) % p
+        found.append(_zeros_among(pair, X[solo], t, p))
+        free = X[(L == 0) & (C == 0)]
+        if len(free):
+            for v in range(p):
+                found.append(_zeros_among(pair, free, np.full(len(free), v), p))
+    Z = np.concatenate(found, axis=0)
+    # residue_blocks lists column 0 fastest, the head columns outermost
+    lead = _head_columns([p] * n)
+    return Z[np.lexsort(np.roll(Z, -lead, axis=1).T)]
 
 
 def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:

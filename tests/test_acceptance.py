@@ -24,6 +24,7 @@ from quadpair.densities import (
     two_squares_count,
 )
 from quadpair.expsums import (
+    D_d,
     D_p2_layered,
     M_mixed,
     Q_q_explicit,
@@ -248,9 +249,28 @@ def test_criterion_05_vanishing():
                 violations += 1
             done += 1
             m_samples += 1
+
+    # on a diagonal pair the fiber phases m.t0 cancel; on this coupled pair,
+    # at m on the dual variety mod 5, they decide the value
+    coupled = QuadricPair.build(
+        QuadraticForm.from_matrix([[3, -2, -3, 0], [-2, -3, 3, 0],
+                                   [-3, 3, 0, 1], [0, 0, 1, 3]]),
+        QuadraticForm.from_matrix([[3, -3, 2, 0], [-3, -1, 2, 3],
+                                   [2, 2, -2, 1], [0, 3, 1, -3]]))
+    rng = random.Random("acceptance:5:phase")
+    phase_ms = [[0] * 4]
+    while len(phase_ms) < 5:
+        mv = [rng.randrange(25) for _ in range(4)]
+        if any(v % 5 for v in mv) and is_Vm_singular_mod_p(coupled, mv, 5):
+            phase_ms.append(mv)
+    for mv in phase_ms:
+        val = D_p2_layered(coupled, 5, mv)
+        if not val.close_to(D_d(coupled, 25, mv, method="direct")):
+            violations += 1
     ok = d_samples >= 50 and m_samples >= 30 and violations == 0
     _report(5, "prime-square and mixed-term vanishing",
-            ok, f"D_samples={d_samples} M_samples={m_samples} violations={violations}")
+            ok, f"D_samples={d_samples} M_samples={m_samples} "
+                f"phase_samples={len(phase_ms)} violations={violations}")
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,10 +10,16 @@ from quadpair.padic import (
     count_congruence_pair_primitive,
     count_divisibility,
     count_divisibility_primitive,
+)
+from quadpair import quadforms
+from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
+from quadpair.quadforms import (
+    QuadraticForm,
+    QuadricPair,
+    residue_blocks,
+    residue_grid,
     residue_zeros_mod_p,
 )
-from quadpair.pairs import toy_pair_2, toy_pair_3
-from quadpair.quadforms import residue_grid
 
 
 def brute_pair_count(pair, p, R, r1, r2):
@@ -82,17 +89,71 @@ def test_count_divisibility_counts_mod_lcm(d1, d2):
     assert count_divisibility(pair, d1, d2) == want
 
 
-def test_residue_zeros_mod_p():
-    pair = toy_pair_3()
-    p = 5
-    pts = residue_zeros_mod_p(pair, p)
-    grid = residue_grid(p, pair.n)
+def _random_coupled_pair(rng, n):
+    while True:
+        mats = []
+        for _ in range(2):
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    M[i][j] = M[j][i] = rng.randrange(-4, 5)
+            mats.append(M)
+        try:
+            return QuadricPair.build(*map(QuadraticForm.from_matrix, mats))
+        except ValueError:  # singular M2
+            continue
+
+
+def _zero_sweep_cases():
+    for make in (shipped_pair, toy_pair_2, toy_pair_3, demo_pair_7):
+        for p in (2, 3, 5):
+            yield make(), p
+    rng = random.Random(8)
+    for n in (3, 4):
+        for p in (2, 3, 5, 7):
+            for _ in range(3):
+                yield _random_coupled_pair(rng, n), p
+    # no t^2 term in either form mod 5: the prefix solve uses Q1 alone
+    M1 = [[1, 2, 0], [2, -1, 1], [0, 1, 5]]
+    M2 = [[3, 0, 1], [0, 2, -1], [1, -1, -10]]
+    yield QuadricPair.build(QuadraticForm.from_matrix(M1),
+                            QuadraticForm.from_matrix(M2)), 5
+    # Q2 = 2 Q1 mod 5: every prefix leaves all p values of t to try
+    M1 = [[1, 1, 0, 2], [1, -2, 1, 0], [0, 1, 3, 1], [2, 0, 1, -1]]
+    M2 = [[2 * v + (5 if i == j else 0) for j, v in enumerate(row)]
+          for i, row in enumerate(M1)]
+    yield QuadricPair.build(QuadraticForm.from_matrix(M1),
+                            QuadraticForm.from_matrix(M2)), 5
+
+
+def _full_sweep(pair, p, grid):
     mask = (pair.Q1.eval_batch_mod(grid, p) == 0) & (
         pair.Q2.eval_batch_mod(grid, p) == 0
     )
-    want = grid[mask]
-    got = np.array(sorted(map(tuple, pts)))
-    assert (got == np.array(sorted(map(tuple, want)))).all()
+    return grid[mask]
+
+
+def test_residue_zeros_mod_p():
+    # the same rows in the same order as the mask over all p^n residues
+    cases = 0
+    for pair, p in _zero_sweep_cases():
+        want = _full_sweep(pair, p, residue_grid(p, pair.n))
+        got = residue_zeros_mod_p(pair, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (pair, p)
+        cases += 1
+    assert cases == 38
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_residue_zeros_mod_p_in_chunked_sweep_order(monkeypatch, budget):
+    # a chunked sweep lists its head columns outermost; the zeros follow it
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    rng = random.Random(budget)
+    for pair, p in ((toy_pair_3(), 5), (_random_coupled_pair(rng, 4), 3),
+                    (_random_coupled_pair(rng, 3), 7)):
+        blocks = [_full_sweep(pair, p, b) for b in residue_blocks(p, pair.n)]
+        assert len(blocks) > 1
+        assert np.array_equal(residue_zeros_mod_p(pair, p), np.concatenate(blocks))
 
 
 def test_guard_raises():
