@@ -274,7 +274,7 @@ def _suite_vanishing(seed: int, guard: int) -> list[_Check]:
             mv = [rng.randrange(p) for _ in range(pair.n)]
             if (2 * pair.det2 * pair.dual2_at(mv)) % p == 0:
                 continue
-            val = M_mixed(pair, p, 1, 1, mv)
+            val = M_mixed(pair, p, 1, 1, mv, guard=guard)
             worst = max(worst, abs(val.value) / val.tol)
             done += 1
             trials += 1

@@ -288,6 +288,22 @@ def _sphere_dirs(n: int, spread: int = 2) -> np.ndarray:
     return dirs[np.sort(keep)]
 
 
+def _shell_points(x0, rho: float, dirs: np.ndarray) -> np.ndarray:
+    """x0 and the shells x0 + f rho dirs, f = 1/4, 1/2, 3/4, 1."""
+    c = np.array(x0, dtype=float)
+    shells = [c[None, :]]
+    for frac in (0.25, 0.5, 0.75, 1.0):
+        shells.append(c[None, :] + frac * rho * dirs)
+    return np.vstack(shells)
+
+
+def _min_q1_and_grad(Q1: QuadraticForm, pts: np.ndarray) -> tuple[float, float]:
+    """(min Q1, min |grad Q1|) over the rows of pts."""
+    vals = Q1.eval_float(pts)
+    grads = 2.0 * pts @ np.array(Q1.M, dtype=float)
+    return float(vals.min()), float(np.sqrt((grads**2).sum(axis=1)).min())
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """Smooth bump W(x) = exp(-1 / (1 - t)) with t = |x - x0|^2 / rho^2,
@@ -326,27 +342,11 @@ class WeightFunction:
 
     def support_grid(self) -> np.ndarray:
         """Deterministic sample of the support ball (shells of directions)."""
-        dirs = _sphere_dirs(self.n)
-        c = np.array(self.x0, dtype=float)
-        shells = [c[None, :]]
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            shells.append(c[None, :] + frac * self.rho * dirs)
-        return np.vstack(shells)
+        return _shell_points(self.x0, self.rho, _sphere_dirs(self.n))
 
     def support_stats(self, Q1: QuadraticForm) -> tuple[float, float]:
         """(min Q1, min |grad Q1|) over the sampled support."""
-        pts = self.support_grid()
-        vals = Q1.eval_float(pts)
-        grads = 2.0 * pts @ np.array(Q1.M, dtype=float)
-        return float(vals.min()), float(np.sqrt((grads**2).sum(axis=1)).min())
-
-    def check_support(self, Q1: QuadraticForm) -> None:
-        """Numerically verify Q1 > 0 and grad Q1 != 0 on the support."""
-        min_q1, min_grad = self.support_stats(Q1)
-        if min_q1 <= 0:
-            raise ValueError(f"Q1 is not positive on the support (min {min_q1:g})")
-        if min_grad <= 0:
-            raise ValueError("grad Q1 vanishes on the support")
+        return _min_q1_and_grad(Q1, self.support_grid())
 
     @classmethod
     def default_for_pair(cls, pair: QuadricPair, scale: float = 6.0) -> "WeightFunction":
@@ -418,10 +418,9 @@ class WeightFunction:
         target = scale * scale * best_score / 2.0
         rho = 0.5 * scale
         while rho > 1e-3 * scale:
-            W = cls(x0, rho)
-            min_q1, min_grad = W.support_stats(pair.Q1)
+            min_q1, min_grad = _min_q1_and_grad(pair.Q1, _shell_points(x0, rho, dirs))
             if min_q1 > target and min_grad > 0:
-                return W
+                return cls(x0, rho)
             rho *= 0.95
         raise ValueError("no admissible support radius found")
 

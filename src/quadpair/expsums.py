@@ -23,6 +23,10 @@ layered evaluators parametrize the solution set by digit lifting over the
 common zeros mod p and collapse each affine fiber's character sum in
 closed form (for D_{p^2}, through its dual sum over F_p^2).  These are
 cross-checked against direct enumeration at small n in the tests.
+
+With method='auto', S_dq, D_d and M_mixed pick their route from the input
+alone (see each docstring); the guard never picks a route, so never moves
+a value: it only raises ResourceGuardError over the route's charge.
 """
 
 from __future__ import annotations
@@ -103,6 +107,18 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
     units = _units(q)
     check_guard("S_dq", dq**n * len(units), guard)
 
+    ph = _phases(dq)
+    if method == "direct":
+        # A[u] = sum over units a of e_dq(a u)
+        weight = np.zeros(dq, dtype=complex)
+        for a in units:
+            weight += ph[(a * np.arange(dq)) % dq]
+    elif method == "ramanujan":
+        weight = np.array([ramanujan(q, (u // d) % q) if u % d == 0 else 0
+                           for u in range(dq)], dtype=float)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+
     mvecs = np.array([[v % dq for v in m] for m in m_list], dtype=np.int64).T
     nm = len(m_list)
     hists = np.zeros((nm, dq * dq), dtype=np.int64)
@@ -118,41 +134,26 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
         for i in range(nm):
             hists[i] += np.bincount(base + V[:, i], minlength=dq * dq)
 
-    ph = _phases(dq)
-    out = []
     if method == "direct":
-        # A[u] = sum over units a of e_dq(a u)
-        A = np.zeros(dq, dtype=complex)
-        for a in units:
-            A += ph[(a * np.arange(dq)) % dq]
         tol = sum_tol(len(units) * max(survivors, 1))
-        for i in range(nm):
-            H = hists[i].reshape(dq, dq)
-            inner = H @ ph
-            z = (A * inner).sum()
-            out.append(SumValue(z.real, z.imag, tol))
-    elif method == "ramanujan":
-        cq = np.array([ramanujan(q, (u // d) % q) if u % d == 0 else 0
-                       for u in range(dq)], dtype=float)
-        phi_q = len(units)
-        tol = sum_tol(max(survivors, 1), max(phi_q, 1))
-        for i in range(nm):
-            H = hists[i].reshape(dq, dq)
-            inner = H @ ph
-            z = (cq * inner).sum()
-            out.append(SumValue(z.real, z.imag, tol))
     else:
-        raise ValueError(f"unknown method {method!r}")
+        tol = sum_tol(max(survivors, 1), max(len(units), 1))
+    out = []
+    for i in range(nm):
+        z = (weight * (hists[i].reshape(dq, dq) @ ph)).sum()
+        out.append(SumValue(z.real, z.imag, tol))
     return out
 
 
-def _S_1q_factorized(pair: QuadricPair, q: int, m) -> SumValue:
+def _S_1q_factorized(pair: QuadricPair, q: int, m, guard: int) -> SumValue:
     """d = 1, diagonal Q2: the k-sum splits into n one-dimensional sums."""
     if not pair.Q2.is_diagonal():
         raise ValueError("factorized path requires diagonal Q2")
+    units = _units(q)
+    check_guard("S_dq factorized", pair.n * q * len(units), guard)
     coeffs = pair.Q2.diagonal_entries()
     total = SumValue.exact(0.0)
-    for a in _units(q):
+    for a in units:
         prod = SumValue.exact(1.0)
         for ci, mi in zip(coeffs, m):
             s = one_d_quad_sum_direct(q, a * ci, mi)
@@ -163,18 +164,22 @@ def _S_1q_factorized(pair: QuadricPair, q: int, m) -> SumValue:
 
 def S_dq(pair: QuadricPair, d: int, q: int, m, method: str = "auto",
          guard: int = DEFAULT_GUARD) -> SumValue:
-    """S_{d,q}(m); see module docstring for the definition."""
-    if method == "factorized" or (
-        method == "auto"
-        and d == 1
-        and pair.Q2.is_diagonal()
-        and (d * q) ** pair.n * len(_units(q)) > guard
-    ):
+    """S_{d,q}(m); see module docstring for the definition.
+
+    method 'auto' is 'factorized' iff d = 1 and Q2 is diagonal, else
+    'direct'.  The guard only raises, charged n q phi(q) terms by the
+    factorized route and (dq)^n phi(q) by the sweeps of S_dq_many.
+    """
+    if d < 1 or q < 1:
+        raise ValueError("d and q must be positive")
+    if len(m) != pair.n:
+        raise ValueError("m has wrong length")
+    if method == "auto":
+        method = "factorized" if d == 1 and pair.Q2.is_diagonal() else "direct"
+    if method == "factorized":
         if d != 1:
             raise ValueError("factorized path requires d = 1")
-        return _S_1q_factorized(pair, q, m)
-    if method == "auto":
-        method = "direct"
+        return _S_1q_factorized(pair, q, m, guard)
     return S_dq_many(pair, d, q, [m], method=method, guard=guard)[0]
 
 
@@ -293,36 +298,28 @@ def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,
 
 def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
         guard: int = DEFAULT_GUARD) -> SumValue:
-    """D_d(m) = S_{d,1}(m) = sum over k mod d with d | Q_i(k) of e_d(m.k)."""
+    """D_d(m) = S_{d,1}(m) = sum over k mod d with d | Q_i(k) of e_d(m.k).
+
+    method 'auto' is 'layered' (D_p2_layered) iff d = p^2, p prime, else
+    'direct' (S_dq_many).  The guard only raises, charged p^n or d^n.
+    """
     if d < 1:
         raise ValueError("d must be positive")
     n = pair.n
     if len(m) != n:
         raise ValueError("m has wrong length")
-    feasible = d**n <= guard
+    f = factorize(d)
     if method == "auto":
-        if feasible:
-            method = "direct"
-        else:
-            f = factorize(d)
-            if len(f) == 1 and list(f.values()) == [2]:
-                method = "layered"
-            else:
-                check_guard("D_d", d**n, guard)
-    if method == "layered":
-        (p, r), = factorize(d).items()
-        if r != 2:
-            raise ValueError("layered evaluation implemented for d = p^2 only")
-        return D_p2_layered(pair, p, m)
-    check_guard("D_d", d**n, guard)
-    mred = np.array([v % d for v in m], dtype=np.int64)
-    hist = np.zeros(d, dtype=np.int64)
-    for block in residue_blocks(d, n):
-        sub = block[pair.zero_mask_mod(block, d)]
-        if len(sub):
-            hist += np.bincount((sub @ mred) % d, minlength=d)
-    z = (hist * _phases(d)).sum()
-    return SumValue(z.real, z.imag, sum_tol(max(int(hist.sum()), 1)))
+        method = "layered" if list(f.values()) == [2] else "direct"
+    if method == "direct":
+        return S_dq_many(pair, d, 1, [m], method="direct", guard=guard)[0]
+    if method != "layered":
+        raise ValueError(f"unknown method {method!r}")
+    if list(f.values()) != [2]:
+        raise ValueError("layered evaluation implemented for d = p^2 only")
+    (p, _), = f.items()
+    check_guard("D_p2_layered", p**n, guard)
+    return D_p2_layered(pair, p, m)
 
 
 def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
@@ -392,27 +389,32 @@ def rho_star(pair: QuadricPair, d: int, guard: int = DEFAULT_GUARD) -> int:
 
 def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
             method: str = "auto", guard: int = DEFAULT_GUARD) -> SumValue:
-    """M_{p^r, p^ell}(m) = S_{p^r, p^ell}(m)."""
+    """M_{p^r, p^ell}(m) = S_{p^r, p^ell}(m).
+
+    method 'auto' is 'layered' iff r = ell = 1, else 'direct' (S_dq).  The
+    guard only raises, charged p^n by the layered route's zero search.
+    """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if r < 1 or ell < 1:
         raise ValueError("need r, ell >= 1")
-    n = pair.n
-    cost = (p ** (r + ell)) ** n * (p**ell - p ** (ell - 1))
     if method == "auto":
-        method = "direct" if cost <= guard else ("layered" if r == ell == 1 else "direct")
+        method = "layered" if r == ell == 1 else "direct"
     if method == "direct":
         return S_dq(pair, p**r, p**ell, m, method="direct", guard=guard)
     if method != "layered":
         raise ValueError(f"unknown method {method!r}")
     if not (r == ell == 1):
         raise ValueError("layered evaluation implemented for r = ell = 1 only")
+    n = pair.n
+    if len(m) != n:
+        raise ValueError("m has wrong length")
     # k = x0 + p t with x0 a common zero mod p and t free; the t-sum kills
     # every (a, x0) with a grad Q2(x0) + m != 0 mod p
     p2 = p * p
-    Z1 = residue_zeros_mod_p(pair, p)
+    Z1 = residue_zeros_mod_p(pair, p, guard)
     G2 = 2 * (Z1 @ np.array(pair.Q2.M, dtype=np.int64))
-    q2vals = ((Z1 @ np.array(pair.Q2.M, dtype=np.int64)) * Z1).sum(axis=1)
+    q2vals = pair.Q2.eval_batch(Z1)
     mx = Z1 @ np.array([v % p2 for v in m], dtype=np.int64)
     mvec = np.array([v % p for v in m], dtype=np.int64)
     total = 0j

@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-def _exact_eval(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return ((X @ M) * X).sum(axis=1)
-
-
 def _exact_grad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return 2 * (X @ M)
 
@@ -72,8 +68,8 @@ def count_congruence_pair(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
     stack = [(np.zeros((1, n), dtype=np.int64), 0)]
     while stack:
         XB, j = stack.pop()
-        a1 = _exact_eval(M1, XB)
-        a2 = _exact_eval(M2, XB)
+        a1 = pair.Q1.eval_batch(XB)
+        a2 = pair.Q2.eval_batch(XB)
         pj = p**j
         survive = np.ones(len(XB), dtype=bool)
         active = []

@@ -436,7 +436,7 @@ def _zeros_among(pair: QuadricPair, X: np.ndarray, t: np.ndarray,
 
 
 def residue_zeros_mod_p(pair: QuadricPair, p: int,
-                        guard: int = 10**8) -> np.ndarray:
+                        guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All common zeros x mod p of Q1 and Q2, x = 0 included, as an (N, n)
     int64 array in the order the sweep residue_blocks(p, n) lists them.
 
@@ -479,7 +479,7 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
 
 def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:
     """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}."""
-    return len(residue_zeros_mod_p(pair, p, guard=10**8))
+    return len(residue_zeros_mod_p(pair, p))
 
 
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:
@@ -568,7 +568,7 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int) -> bool:
     if all(v % p == 0 for v in m):
         raise ValueError("m must be nonzero mod p")
     mvec = np.array([v % p for v in m], dtype=np.int64)
-    zeros = residue_zeros_mod_p(pair, p, guard=10**8)
+    zeros = residue_zeros_mod_p(pair, p)
     for x in zeros[(zeros @ mvec) % p == 0]:
         if not x.any():
             continue

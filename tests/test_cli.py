@@ -133,3 +133,21 @@ def test_replot_rejects_foreign_csv(tmp_path, capsys):
     code, _, err = run(capsys, "experiment", "--replot", str(stray))
     assert code == 2
     assert "expected header" in err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("verify_all_seed5.txt",
+     ("verify", "--suite", "all", "--seed", "5", "--workers", "1")),
+    ("experiment_shipped.json",
+     ("experiment", "--pair", str(PAIRS / "shipped_n5.pair"), "--B", "8,12,16,20",
+      "--p-max", "31", "--k-max", "5", "--format", "json")),
+])
+def test_report_matches_golden_bytes(capsys, golden, argv):
+    # regenerate a golden file only for an intended change of the report:
+    # python -m quadpair.cli <argv> > tests/golden/<file>
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -194,8 +194,7 @@ def test_experiment_result_csv_shape():
 
 
 def test_guard_paths():
-    # a pair no other test touches, so the local-data cache cannot
-    # already hold the answer the guard is supposed to forbid computing
+    # sigma_p at a prime the guard cannot afford must raise, not truncate
     pair = QuadricPair.build(
         QuadraticForm.diagonal([1, 1, 2]), QuadraticForm.diagonal([1, 5, -7])
     )

@@ -216,6 +216,20 @@ def test_M_mixed_equals_S_dq():
         a = M_mixed(pair, p, r, ell, m)
         b = S_dq(pair, p**r, p**ell, m, method="direct")
         assert a.close_to(b), (p, r, ell)
+    # the layered route against the defining sum; on the coupled pair the
+    # phase m.x0 of the lifted zeros does not cancel by symmetry
+    nonzero = 0
+    for make in (toy_pair_2, toy_pair_3, LAYERED_AT_5["coupled_n4"][0]):
+        pair = make()
+        for p in (2, 3, 5, 7):
+            ms = [[0] * pair.n] + [[rng.randrange(p * p) for _ in range(pair.n)]
+                                   for _ in range(3)]
+            for m in ms:
+                fast = M_mixed(pair, p, 1, 1, m, method="layered")
+                slow = M_mixed(pair, p, 1, 1, m, method="direct")
+                assert fast.close_to(slow), (pair.n, p, m, fast, slow)
+                nonzero += not slow.is_zero()
+    assert nonzero
 
 
 def test_M_mixed_vanishing_generic_m():
@@ -400,3 +414,29 @@ def test_argument_checks_and_guard():
         S_dq_many(pair, 1, 2, [[0, 0]])  # m too short
     with pytest.raises(ResourceGuardError):
         S_dq(pair, 97, 89, [0, 0, 0], method="direct")
+    # toy_n3 has diagonal Q2, so d = 1 takes the factorized route
+    for method in ("auto", "factorized"):
+        with pytest.raises(ValueError):
+            S_dq(pair, 1, 7, [1, 2], method=method)
+    with pytest.raises(ValueError):
+        M_mixed(pair, 5, 1, 1, [1, 2], method="layered")
+    with pytest.raises(ValueError):
+        D_d(pair, 12, [0, 0, 0], method="layered")  # 12 is not a prime square
+
+
+def test_guard_does_not_change_the_value():
+    pair = toy_pair_3()
+    m = (1, 2, 3)
+    routes = {  # each auto route and the charge its guard sees
+        "S_dq factorized": (lambda g: S_dq(pair, 1, 7, m, guard=g), 3 * 7 * 6),
+        "D_d layered": (lambda g: D_d(pair, 25, m, guard=g), 5**3),
+        "M_mixed layered": (lambda g: M_mixed(pair, 5, 1, 1, m, guard=g), 5**3),
+    }
+    for name, (call, charge) in routes.items():
+        small, large = call(10**3), call(10**9)
+        assert (small.re, small.im, small.tol) == (large.re, large.im, large.tol), name
+        call(charge)
+        with pytest.raises(ResourceGuardError):
+            call(charge - 1)
+    assert D_d(pair, 25, m).close_to(D_d(pair, 25, m, method="direct"))
+    assert S_dq(pair, 1, 7, m).close_to(S_dq(pair, 1, 7, m, method="direct"))
