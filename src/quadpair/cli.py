@@ -13,7 +13,7 @@ Three subcommands share the pair-file parsing and resource-guard plumbing:
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 resource guard.  All numeric output uses 12 significant digits; reports
-are deterministic for a fixed seed and worker count.
+are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -257,9 +257,9 @@ def _suite_vanishing(seed: int, guard: int) -> list[_Check]:
         done = 0
         while done < 5:
             mv = [rng.randrange(p) for _ in range(pair.n)]
-            if all(v == 0 for v in mv) or is_Vm_singular_mod_p(pair, mv, p):
+            if all(v == 0 for v in mv) or is_Vm_singular_mod_p(pair, mv, p, guard=guard):
                 continue
-            val = D_p2_layered(pair, p, mv)
+            val = D_p2_layered(pair, p, mv, guard=guard)
             worst = max(worst, abs(val.value) / val.tol)
             done += 1
             trials += 1
@@ -420,7 +420,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payload = {
             "suite": args.suite,
             "seed": args.seed,
-            "workers": args.workers,
             "checks": [
                 {"suite": c.suite, "tag": c.tag, "pass": c.ok, "detail": c.detail}
                 for c in checks
@@ -431,7 +430,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"verify suite={args.suite} seed={args.seed} workers={args.workers}")
+        print(f"verify suite={args.suite} seed={args.seed}")
         for c in checks:
             print(f"[{c.suite}] {c.tag} {c.detail} "
                   f"{'PASS' if c.ok else 'FAIL'}")
@@ -471,7 +470,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     W = WeightFunction.default_for_pair(pair)
     result = experiment(pair, W, args.B, p_max=args.p_max, k_max=args.k_max,
-                        guard=args.guard, workers=args.workers)
+                        guard=args.guard)
     csv_text = result.to_csv()
     json_text = result.report.to_json() + "\n"
     if args.format == "json":
@@ -523,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--pair", default=None, metavar="FILE",
                    help="optional extra pair for the densities suite")
     common(p)
@@ -534,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=_csv_ints, default=None, metavar="CSVINTS")
     p.add_argument("--p-max", type=int, default=50, dest="p_max")
     p.add_argument("--k-max", type=int, default=5, dest="k_max")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write the CSV here and the density report JSON "
                         "alongside (<FILE> with a .density.json suffix)")

@@ -21,16 +21,14 @@ of Q2, and each left row is joined by binary search to the right rows
 completing it to a zero, which leaves the output already in order.
 Coupled forms are scanned over the first n - 1 coordinates with the last
 one solved for: Q2 = a x_n^2 + b(x') x_n + c(x'), whose integer roots
-come from an exact integer square root of b^2 - 4ac.  The scan is chunked
-over slabs x_1 = const so it can be spread over worker processes; results
-merge by concatenation and one canonical sort, so the output is
-independent of the schedule.
+come from an exact integer square root of b^2 - 4ac.  The scan runs one
+slab x_1 = const at a time, which keeps each solve small; the slabs merge
+by concatenation and one canonical sort.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,43 +48,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoxSpec:
-    """An integer box, optionally intersected with a residue class.
+    """The integer box lo_i <= x_i <= hi_i."""
 
-    BoxSpec(B) is the max-norm box |x| <= B; BoxSpec(lo=..., hi=...) is
-    the box lo_i <= x_i <= hi_i.  congruence, when present, is (q, r)
-    restricting to x = r mod q.
-    """
-
-    B: float | None = None
-    congruence: tuple[int, tuple[int, ...]] | None = None
-    lo: tuple[int, ...] | None = None
-    hi: tuple[int, ...] | None = None
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.B is None:
-            if self.lo is None or self.hi is None or len(self.lo) != len(self.hi):
-                raise ValueError("a box needs B, or lo and hi of one length")
-            if any(a > b for a, b in zip(self.lo, self.hi)):
-                raise ValueError("box bounds need lo_i <= hi_i")
-        elif self.lo is not None or self.hi is not None:
-            raise ValueError("give B or lo and hi, not both")
-        elif not self.B >= 1:
-            raise ValueError("box half-width must be at least 1")
-        if self.congruence is not None:
-            q, res = self.congruence
-            if q < 1:
-                raise ValueError("congruence modulus must be positive")
-            if any(not 0 <= v < q for v in res):
-                raise ValueError("residues must lie in [0, q)")
-
-    @property
-    def bound(self) -> int:
-        return int(math.floor(self.B + 1e-12))
+        if len(self.lo) != len(self.hi):
+            raise ValueError("box bounds lo and hi need one length")
+        if any(a > b for a, b in zip(self.lo, self.hi)):
+            raise ValueError("box bounds need lo_i <= hi_i")
 
     def bounds(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(lo, hi), one bound per coordinate of Z^n."""
-        if self.B is not None:
-            return (-self.bound,) * n, (self.bound,) * n
         if len(self.lo) != n:
             raise ValueError(f"box has {len(self.lo)} coordinates, form has n={n}")
         return tuple(self.lo), tuple(self.hi)
@@ -148,10 +122,9 @@ def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.hstack([X[rows[inside]], roots[inside, None]])
 
 
-def _scan_slab(args) -> np.ndarray:
-    """Zeros of Q2 whose leading coordinates are `head` (worker-safe): the
+def _scan_slab(M, head, lo, hi) -> np.ndarray:
+    """Zeros of the form M whose leading coordinates are `head`: the
     middle coordinates run over their ranges, the last one is solved for."""
-    M, head, lo, hi = args
     n = len(M)
     found = []
     for mid in grid_blocks(_axes(lo[len(head):n - 1], hi[len(head):n - 1])):
@@ -208,11 +181,13 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
 
 
 def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
-                    guard: int = DEFAULT_GUARD, workers: int = 1) -> np.ndarray:
+                    guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All x in Z^n with Q2(x) = 0 in the box B, as a lexicographically
     sorted (N, n) int64 array.
 
-    B is a BoxSpec or a half-width T >= 0 for the box |x| <= T.
+    B is a BoxSpec(lo, hi) or a half-width T >= 0 for the box |x| <= T.
+    method is 'mitm', 'scan' or 'auto' (mitm unless the leading ceil(n/2)
+    coordinates are coupled to the rest).
     """
     n = Q2.n
     if not isinstance(B, BoxSpec):
@@ -237,33 +212,23 @@ def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
         check_guard("enumerate_zeros", math.prod(widths[:-1]), guard)
         _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
         heads = ((x1,) for x1 in range(lo[0], hi[0] + 1)) if n > 1 else [()]
-        slabs = ((Q2.M, head, lo, hi) for head in heads)
-        if workers > 1 and n > 1 and widths[0] > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_scan_slab, slabs))
-        else:
-            parts = [_scan_slab(s) for s in slabs]
+        parts = [_scan_slab(Q2.M, head, lo, hi) for head in heads]
         check_guard("enumerate_zeros", sum(len(p) for p in parts), guard)
         zeros = _canonical(np.vstack(parts))
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    if B.congruence is not None:
-        q, res = B.congruence
-        keep = (zeros % q == np.array(res, dtype=np.int64)).all(axis=1)
-        zeros = zeros[keep]
     return zeros
 
 
-def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD,
-        workers: int = 1) -> int:
-    """#{ |x| <= B : d | Q1(x), Q2(x) = 0 }.
+def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
+    """#{ x in the box B : d | Q1(x), Q2(x) = 0 }, B a BoxSpec or a
+    half-width as in enumerate_zeros.
 
     Monotone in d: N_e(B) <= N_d(B) whenever d | e.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    zeros = enumerate_zeros(pair.Q2, B, guard=guard, workers=workers)
+    zeros = enumerate_zeros(pair.Q2, B, guard=guard)
     if d == 1:
         return len(zeros)
     q1 = pair.Q1.eval_batch(zeros)
@@ -343,10 +308,6 @@ class WeightFunction:
     def support_grid(self) -> np.ndarray:
         """Deterministic sample of the support ball (shells of directions)."""
         return _shell_points(self.x0, self.rho, _sphere_dirs(self.n))
-
-    def support_stats(self, Q1: QuadraticForm) -> tuple[float, float]:
-        """(min Q1, min |grad Q1|) over the sampled support."""
-        return _min_q1_and_grad(Q1, self.support_grid())
 
     @classmethod
     def default_for_pair(cls, pair: QuadricPair, scale: float = 6.0) -> "WeightFunction":
@@ -431,7 +392,7 @@ class WeightFunction:
 
 
 def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
-           guard: int = DEFAULT_GUARD, workers: int = 1) -> float:
+           guard: int = DEFAULT_GUARD) -> float:
     """S(B) = sum over Q2(x) = 0, Q1(x) odd of r2(Q1(x)) W(x / B).
 
     Only the weight's support box is enumerated.  Points with Q1(x) <= 0
@@ -443,30 +404,23 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
     if W.n != pair.n:
         raise ValueError("weight dimension mismatch")
     lo, hi = W.support_box(B)
-    zeros = enumerate_zeros(pair.Q2, BoxSpec(lo=lo, hi=hi), guard=guard,
-                            workers=workers)
-    if not len(zeros):
-        return 0.0
+    zeros = enumerate_zeros(pair.Q2, BoxSpec(lo, hi), guard=guard)
     q1 = pair.Q1.eval_batch(zeros)
     keep = (q1 > 0) & (q1 % 2 == 1)
     pts = zeros[keep]
-    if not len(pts):
-        return 0.0
     w = W.eval_batch(pts / B)
     live = w > 0
-    pts, w, vals = pts[live], w[live], q1[keep][live]
-    if not len(pts):
-        return 0.0
+    w, vals = w[live], q1[keep][live]
     uniq, inverse = np.unique(vals, return_inverse=True)
     r2_table = np.array([r2(int(v)) for v in uniq], dtype=float)
     return float(np.dot(r2_table[inverse], w))
 
 
 def s_of_b_rows(pair: QuadricPair, W: WeightFunction, B_values, *,
-                guard: int = DEFAULT_GUARD, workers: int = 1) -> list[tuple]:
+                guard: int = DEFAULT_GUARD) -> list[tuple]:
     """Rows (B, S(B), S(B) / B^{n-2}) for export."""
     rows = []
     for B in B_values:
-        s = S_of_B(pair, W, B, guard=guard, workers=workers)
+        s = S_of_B(pair, W, B, guard=guard)
         rows.append((float(B), s, s / float(B) ** (pair.n - 2)))
     return rows

@@ -688,13 +688,11 @@ class ExperimentResult:
 
 
 def experiment(pair: QuadricPair, W: WeightFunction, B_values, p_max: int = 50,
-               k_max: int = 5, guard: int = DEFAULT_GUARD,
-               workers: int = 1) -> ExperimentResult:
+               k_max: int = 5, guard: int = DEFAULT_GUARD) -> ExperimentResult:
     """Compare S(B) / B^{n-2} against the truncated constant over a B
     ladder; the ratio column should drift toward 1."""
     report = singular_constant(pair, W, p_max=p_max, k_max=k_max, guard=guard)
     c = report.c_truncated
     rows = tuple((B, s, over, c, over / c if c != 0 else math.nan)
-                 for B, s, over in s_of_b_rows(pair, W, B_values, guard=guard,
-                                               workers=workers))
+                 for B, s, over in s_of_b_rows(pair, W, B_values, guard=guard))
     return ExperimentResult(report, rows)

@@ -39,7 +39,6 @@ from .guard import DEFAULT_GUARD, check_guard
 from .lincong import bareiss_det
 from .modarith import (
     SumValue,
-    divisors,
     e_q,
     eps_power,
     factorize,
@@ -301,7 +300,8 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
     """D_d(m) = S_{d,1}(m) = sum over k mod d with d | Q_i(k) of e_d(m.k).
 
     method 'auto' is 'layered' (D_p2_layered) iff d = p^2, p prime, else
-    'direct' (S_dq_many).  The guard only raises, charged p^n or d^n.
+    'direct' (S_dq_many).  The guard only raises, charged p^n (by the
+    common-zero search mod p) or d^n.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -318,11 +318,11 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
     if list(f.values()) != [2]:
         raise ValueError("layered evaluation implemented for d = p^2 only")
     (p, _), = f.items()
-    check_guard("D_p2_layered", p**n, guard)
-    return D_p2_layered(pair, p, m)
+    return D_p2_layered(pair, p, m, guard=guard)
 
 
-def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
+def D_p2_layered(pair: QuadricPair, p: int, m,
+                 guard: int = DEFAULT_GUARD) -> SumValue:
     """D_{p^2}(m) via digit lifting: solutions mod p^2 are x0 + p t with x0
     a common zero mod p and t mod p solving G t = -a, where G holds the
     gradients of Q1, Q2 at x0 and a = (Q1(x0), Q2(x0)) / p, both mod p.
@@ -337,13 +337,14 @@ def D_p2_layered(pair: QuadricPair, p: int, m) -> SumValue:
     lambda.a = -lambda.G t0 = m.t0 is the same c at every lambda G = -m,
     so the sum is the fiber size times e_p(c), or 0 when no lambda solves
     lambda G = -m.  One scan of the p^2 pairs lambda, vectorised over the
-    zeros, finds K, emptiness and c for every x0 at once.
+    zeros, finds K, emptiness and c for every x0 at once.  The guard is
+    charged p^n by residue_zeros_mod_p.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     n = pair.n
     p2 = p * p
-    Z1 = residue_zeros_mod_p(pair, p)
+    Z1 = residue_zeros_mod_p(pair, p, guard=guard)
     mred = np.array([v % p2 for v in m], dtype=np.int64)
     mneg = -mred % p
     g1 = 2 * (Z1 @ np.array(pair.Q1.M, dtype=np.int64)) % p

@@ -477,9 +477,11 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     return Z[np.lexsort(np.roll(Z, -lead, axis=1).T)]
 
 
-def count_cone_points_mod_p(pair: QuadricPair, p: int) -> int:
-    """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}."""
-    return len(residue_zeros_mod_p(pair, p))
+def count_cone_points_mod_p(pair: QuadricPair, p: int,
+                            guard: int = DEFAULT_GUARD) -> int:
+    """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}; the guard as in
+    residue_zeros_mod_p."""
+    return len(residue_zeros_mod_p(pair, p, guard=guard))
 
 
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:
@@ -555,11 +557,13 @@ def certified_good_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
     )
 
 
-def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int) -> bool:
+def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int,
+                         guard: int = DEFAULT_GUARD) -> bool:
     """True iff some x != 0 in F_p^n has Q1(x) = Q2(x) = m.x = 0 and the
     3 x n Jacobian (grad Q1; grad Q2; m) of rank < 3 mod p.
 
-    Computable stand-in for "p divides the dual-variety value at m".
+    Computable stand-in for "p divides the dual-variety value at m".  The
+    guard is charged as in residue_zeros_mod_p.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -568,7 +572,7 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int) -> bool:
     if all(v % p == 0 for v in m):
         raise ValueError("m must be nonzero mod p")
     mvec = np.array([v % p for v in m], dtype=np.int64)
-    zeros = residue_zeros_mod_p(pair, p)
+    zeros = residue_zeros_mod_p(pair, p, guard=guard)
     for x in zeros[(zeros @ mvec) % p == 0]:
         if not x.any():
             continue

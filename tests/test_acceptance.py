@@ -455,7 +455,7 @@ def test_criterion_10_end_to_end():
 
 def test_criterion_11_determinism():
     cmd = [sys.executable, "-m", "quadpair.cli", "verify", "--suite", "all",
-           "--seed", "5", "--workers", "1"]
+           "--seed", "5"]
     first = subprocess.run(cmd, capture_output=True, timeout=300)
     second = subprocess.run(cmd, capture_output=True, timeout=300)
     ok = (first.returncode == 0 and second.returncode == 0

@@ -70,6 +70,17 @@ def test_empty_csv_list_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--workers", "1"),
+    ("experiment", "--pair", TOY3, "--B", "4", "--workers", "2"),
+])
+def test_workers_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_experiment_missing_B(capsys):
     code, _, err = run(capsys, "experiment", "--pair", TOY3)
     assert code == 2
@@ -79,7 +90,7 @@ def test_experiment_missing_B(capsys):
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gauss", "--seed", "7")
     assert code == 0
-    assert out.startswith("verify suite=gauss seed=7 workers=1")
+    assert out.startswith("verify suite=gauss seed=7\n")
     assert "result: PASS" in out
     assert out.count("PASS") >= 3  # one per check plus the verdict line
 
@@ -140,7 +151,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("golden, argv", [
     ("verify_all_seed5.txt",
-     ("verify", "--suite", "all", "--seed", "5", "--workers", "1")),
+     ("verify", "--suite", "all", "--seed", "5")),
     ("experiment_shipped.json",
      ("experiment", "--pair", str(PAIRS / "shipped_n5.pair"), "--B", "8,12,16,20",
       "--p-max", "31", "--k-max", "5", "--format", "json")),

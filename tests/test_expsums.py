@@ -430,6 +430,7 @@ def test_guard_does_not_change_the_value():
     routes = {  # each auto route and the charge its guard sees
         "S_dq factorized": (lambda g: S_dq(pair, 1, 7, m, guard=g), 3 * 7 * 6),
         "D_d layered": (lambda g: D_d(pair, 25, m, guard=g), 5**3),
+        "D_p2_layered": (lambda g: D_p2_layered(pair, 5, m, guard=g), 5**3),
         "M_mixed layered": (lambda g: M_mixed(pair, 5, 1, 1, m, guard=g), 5**3),
     }
     for name, (call, charge) in routes.items():

@@ -241,6 +241,25 @@ def test_Vm_singular_predicate():
     assert not is_Vm_singular_mod_p(ship, (9, 10, 7, 3, 7), 11)
 
 
+def test_mod_p_searches_take_the_callers_guard():
+    # p^3 = 1.03e9 passes the default guard; the caller's larger one admits it
+    pair = toy_pair_3()
+    p, m = 1009, (1, 2, 3)
+    with pytest.raises(ResourceGuardError):
+        count_cone_points_mod_p(pair, p)
+    with pytest.raises(ResourceGuardError):
+        is_Vm_singular_mod_p(pair, m, p)
+    # x^2 + y^2 + z^2 = x^2 + 3y^2 - 4z^2 = 0 forces x != 0 off the origin;
+    # at x = 1 it is y^2 = -5/7, z^2 = -2/7
+    inv7 = pow(7, -1, p)
+    ys = [y for y in range(p) if (y * y + 5 * inv7) % p == 0]
+    zs = [z for z in range(p) if (z * z + 2 * inv7) % p == 0]
+    assert count_cone_points_mod_p(pair, p, guard=10**10) == 1 + (p - 1) * len(ys) * len(zs)
+    on_plane = [(y, z) for y in ys for z in zs if (m[0] + m[1] * y + m[2] * z) % p == 0]
+    assert not on_plane and ys and zs
+    assert not is_Vm_singular_mod_p(pair, m, p, guard=10**10)
+
+
 def test_pair_text_roundtrip(tmp_path):
     ship = shipped_pair()
     path = tmp_path / "pair.txt"
