@@ -24,6 +24,13 @@ one solved for: Q2 = a x_n^2 + b(x') x_n + c(x'), whose integer roots
 come from an exact integer square root of b^2 - 4ac.  The scan runs one
 slab x_1 = const at a time, which keeps each solve small; the slabs merge
 by concatenation and one canonical sort.
+
+N_d(B) = #{x in the box : Q2(x) = 0, d | Q1(x)} lists no zero when
+neither Q1 nor Q2 couples the two halves: each half becomes a histogram
+of the key (Q2 on the half, Q1 on the half mod d), and N_d is the sum of
+the products of the counts of matching keys.  A coupled pair falls back
+to listing the zeros and filtering them by d | Q1.  S(B) reads r2 off one
+table up to the largest Q1 it meets.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .modarith import r2
 from .quadforms import QuadraticForm, QuadricPair, grid_blocks
 
 __all__ = [
@@ -146,8 +152,8 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
     return rows[order]
 
 
-def _block_form(M, idx) -> QuadraticForm:
-    return QuadraticForm.from_matrix([[M[i][j] for j in idx] for i in idx])
+def _block_form(M, idx, sign: int = 1) -> QuadraticForm:
+    return QuadraticForm.from_matrix([[sign * M[i][j] for j in idx] for i in idx])
 
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
@@ -180,6 +186,22 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
     return np.vstack(parts)
 
 
+def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lo, hi) of B, a BoxSpec or a half-width T >= 0 for |x| <= T."""
+    if not isinstance(B, BoxSpec):
+        if B < 0:
+            raise ValueError("box half-width must be non-negative")
+        T = int(math.floor(B + 1e-12))
+        B = BoxSpec(lo=(-T,) * n, hi=(T,) * n)
+    return B.bounds(n)
+
+
+def _couples(M, h: int) -> bool:
+    """True when the form M has a cross term between the first h
+    coordinates and the rest."""
+    return any(M[i][j] for i in range(h) for j in range(h, len(M)))
+
+
 def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
                     guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All x in Z^n with Q2(x) = 0 in the box B, as a lexicographically
@@ -190,15 +212,10 @@ def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
     coordinates are coupled to the rest).
     """
     n = Q2.n
-    if not isinstance(B, BoxSpec):
-        if B < 0:
-            raise ValueError("box half-width must be non-negative")
-        T = int(math.floor(B + 1e-12))
-        B = BoxSpec(lo=(-T,) * n, hi=(T,) * n)
-    lo, hi = B.bounds(n)
+    lo, hi = _bounds(B, n)
     widths = [b - a + 1 for a, b in zip(lo, hi)]
     h = (n + 1) // 2
-    coupled = any(Q2.M[i][j] for i in range(h) for j in range(h, n))
+    coupled = _couples(Q2.M, h)
     if method == "auto":
         method = "scan" if coupled else "mitm"
     if method == "mitm" and coupled:
@@ -220,19 +237,82 @@ def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
     return zeros
 
 
-def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
-    """#{ x in the box B : d | Q1(x), Q2(x) = 0 }, B a BoxSpec or a
-    half-width as in enumerate_zeros.
+def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
+    """Raise unless every key Q2_half d + (Q1_half mod d) of _half_keys
+    fits int64 on the box, for both halves."""
+    for side in (range(h), range(h, Q2.n)):
+        bound = max(max(abs(lo[i]), abs(hi[i])) for i in side)
+        top = sum(abs(c) for i, _, c in Q2.terms() if i in side) * bound**2
+        if (top + 1) * d > 2**63:
+            raise ValueError("N_d key too large for int64 path")
 
-    Monotone in d: N_e(B) <= N_d(B) whenever d | e.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
+
+def _half_keys(pair: QuadricPair, side, X: np.ndarray, d: int,
+               sign: int) -> np.ndarray:
+    """sign Q2(x) d + (sign Q1(x) mod d) for the rows x of X, both forms
+    restricted to the coordinates in side."""
+    key = _block_form(pair.Q2.M, side, sign).eval_batch(X)
+    key *= d
+    if d > 1:
+        r = _block_form(pair.Q1.M, side, sign).eval_batch(X)
+        r %= d
+        key += r
+    return key
+
+
+def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
+    """N_d by histograms of the two halves: a left row x_L and a right row
+    x_R make a counted zero iff Q2(x_R) = -Q2(x_L) and
+    Q1(x_R) = -Q1(x_L) mod d, that is iff the right key of x_R equals the
+    left key (signs flipped) of x_L."""
+    n = pair.n
+    h = (n + 1) // 2  # h < n: a pair has n >= 2
+    keys = [_half_keys(pair, range(h, n), X, d, 1)
+            for X in grid_blocks(_axes(lo[h:], hi[h:]), lex=True)]
+    keys_R, count_R = np.unique(np.concatenate(keys), return_counts=True)
+    total = 0
+    for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
+        keys_L, count_L = np.unique(_half_keys(pair, range(h), XL, d, -1),
+                                    return_counts=True)
+        at = np.minimum(np.searchsorted(keys_R, keys_L), len(keys_R) - 1)
+        hit = keys_R[at] == keys_L
+        total += int(np.dot(count_L[hit], count_R[at[hit]]))
+    return total
+
+
+def _N_d_enumerated(pair: QuadricPair, d: int, B, guard: int) -> int:
+    """N_d by listing the zeros of Q2 in the box and testing d | Q1."""
     zeros = enumerate_zeros(pair.Q2, B, guard=guard)
     if d == 1:
         return len(zeros)
     q1 = pair.Q1.eval_batch(zeros)
     return int((q1 % d == 0).sum())
+
+
+def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
+    """#{ x in the box B : d | Q1(x), Q2(x) = 0 }, B a BoxSpec or a
+    half-width as in enumerate_zeros.
+
+    When neither form couples the first ceil(n/2) coordinates to the rest,
+    no zero is listed: each half of the box is reduced to a histogram of
+    its key (Q2 on the half, Q1 on the half mod d), and N_d is the sum of
+    count_L(k) count_R(-k) over the matching keys.  The guard is charged
+    the two half-box sizes, the rows the histograms read.  A coupled pair
+    has its zeros listed by enumerate_zeros and filtered by d | Q1.
+
+    Monotone in d: N_e(B) <= N_d(B) whenever d | e.
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    n = pair.n
+    lo, hi = _bounds(B, n)
+    h = (n + 1) // 2
+    if _couples(pair.Q1.M, h) or _couples(pair.Q2.M, h):
+        return _N_d_enumerated(pair, d, BoxSpec(lo, hi), guard)
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    check_guard("N_d", math.prod(widths[:h]) + math.prod(widths[h:]), guard)
+    _check_key_fits(pair.Q2, lo, hi, h, d)
+    return _N_d_join(pair, d, lo, hi)
 
 
 # --------------------------------------------------------------------------
@@ -391,13 +471,29 @@ class WeightFunction:
 # --------------------------------------------------------------------------
 
 
+def _r2_table(top: int, guard: int) -> np.ndarray:
+    """r2(M) for 0 <= M <= top as floats: one bincount of u^2 + v^2 over
+    the quarter disc u, v >= 0, each pair weighted by its (+-u, +-v) fold
+    (entry 0 is 1, the origin).  The guard is charged the
+    (isqrt(top) + 1)^2 pairs of the square holding the disc."""
+    s = math.isqrt(top)
+    check_guard("S_of_B r2 table", (s + 1) ** 2, guard)
+    u = np.arange(s + 1, dtype=np.int64)
+    fold = np.where(u == 0, 1.0, 2.0)
+    norms = (u[:, None] ** 2 + u[None, :] ** 2).ravel()
+    weights = (fold[:, None] * fold[None, :]).ravel()
+    inside = norms <= top
+    return np.bincount(norms[inside], weights=weights[inside], minlength=top + 1)
+
+
 def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
            guard: int = DEFAULT_GUARD) -> float:
     """S(B) = sum over Q2(x) = 0, Q1(x) odd of r2(Q1(x)) W(x / B).
 
     Only the weight's support box is enumerated.  Points with Q1(x) <= 0
-    contribute nothing (they are not sums of two squares).  The reduction
-    runs in canonical point order.
+    contribute nothing (they are not sums of two squares).  r2 is read off
+    one table up to the largest Q1 met, whose size is charged to the
+    guard.  The reduction runs in canonical point order.
     """
     if B <= 0:
         raise ValueError("B must be positive")
@@ -411,9 +507,7 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
     w = W.eval_batch(pts / B)
     live = w > 0
     w, vals = w[live], q1[keep][live]
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    r2_table = np.array([r2(int(v)) for v in uniq], dtype=float)
-    return float(np.dot(r2_table[inverse], w))
+    return float(np.dot(_r2_table(int(vals.max(initial=0)), guard)[vals], w))
 
 
 def s_of_b_rows(pair: QuadricPair, W: WeightFunction, B_values, *,

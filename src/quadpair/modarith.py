@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,8 +79,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: factorize tries division by every 6k +- 1 below this bound before rho
+_TRIAL_BOUND = 1000
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale moduli only)."""
+    """Prime factorization, primes ascending.
+
+    Trial division below _TRIAL_BOUND, then Brent's variant of Pollard's
+    rho splits what is left, with is_prime deciding when a factor is
+    prime (deterministic below 3.1e23, a strong probable-prime test to
+    twelve bases above).
+    """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -88,15 +99,49 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f < _TRIAL_BOUND and f * f <= n:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            g = _brent_rho(m)
+            rest += [g, m // g]
+    return dict(sorted(out.items()))
+
+
+def _brent_rho(n: int) -> int:
+    """A factor 1 < g < n of the odd composite n, by Brent's cycle search
+    on x -> x^2 + c mod n (c = 1, 2, ... until one splits n), with the
+    differences multiplied together in batches of 128 before each gcd."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def mobius(n: int) -> int:

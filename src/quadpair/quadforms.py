@@ -141,23 +141,46 @@ class QuadraticForm:
     def matrix_mod(self, q: int) -> np.ndarray:
         return np.array([[v % q for v in row] for row in self.M], dtype=np.int64)
 
+    def terms(self) -> list[tuple[int, int, int]]:
+        """(i, j, c_ij) for the nonzero coefficients of Q = sum_{i <= j}
+        c_ij x_i x_j: c_ii = M_ii and c_ij = 2 M_ij for i < j."""
+        return [(i, j, self.M[i][j] * (1 if i == j else 2))
+                for i in range(self.n) for j in range(i, self.n) if self.M[i][j]]
+
+    def _sum_terms(self, X, terms, what: str) -> np.ndarray:
+        """sum of c x_i x_j over the terms (i, j, c), one entry per integer
+        row of X, after checking that no product or partial sum leaves
+        int64: each is at most sum |c| bound^2, bound = max |x_i|."""
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"points of shape {X.shape}, form has n={self.n}")
+        if X.dtype.kind not in "iu":
+            raise ValueError("points must be integers")
+        X = X.astype(np.int64, copy=False)
+        bound = max(int(X.max(initial=0)), -int(X.min(initial=0)))
+        if sum(abs(c) for _, _, c in terms) * bound * bound > 2**63 - 1:
+            raise ValueError(f"{what} too large for int64 path")
+        cols = X.T
+        out = None
+        for i, j, c in terms:
+            term = cols[i] * cols[j]
+            if c != 1:
+                term *= c
+            if out is None:
+                out = term
+            else:
+                out += term
+        return np.zeros(len(X), dtype=np.int64) if out is None else out
+
     def eval_batch_mod(self, X: np.ndarray, q: int) -> np.ndarray:
-        """Q(x) mod q for every row of X (values already in [0, q))."""
-        # int64 overflow bound: entries of X @ M are < n q^2, times q and
-        # summed over n again stays far below 2^63 for the q used here
-        if self.n * q**3 * self.n >= 2**62:
-            raise ValueError("modulus too large for int64 path")
-        Mq = self.matrix_mod(q)
-        return ((X @ Mq % q) * X).sum(axis=1) % q
+        """Q(x) mod q for every integer row of X, from the coefficients
+        reduced mod q (so the int64 check is on sum (c_ij mod q) bound^2)."""
+        terms = [(i, j, c % q) for i, j, c in self.terms() if c % q]
+        return self._sum_terms(X, terms, "modulus") % q
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact Q(x) for every integer row of X (int64)."""
-        bound = int(np.abs(X).max(initial=0))
-        top = max(abs(v) for row in self.M for v in row)
-        if self.n * self.n * top * bound * bound >= 2**62:
-            raise ValueError("points too large for int64 path")
-        M = np.array(self.M, dtype=np.int64)
-        return ((X @ M) * X).sum(axis=1)
+        return self._sum_terms(X, self.terms(), "points")
 
     def eval_float(self, x: np.ndarray) -> np.ndarray:
         """Q at real points; x shape (..., n)."""

@@ -2,10 +2,12 @@ import dataclasses
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quadpair import counting
 from quadpair.counting import (
     BoxSpec,
     N_d,
@@ -15,9 +17,17 @@ from quadpair.counting import (
     s_of_b_rows,
 )
 from quadpair.guard import ResourceGuardError
-from quadpair.modarith import r2
+from quadpair.modarith import r2, r2_chi_divisor_sum
 from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
-from quadpair.quadforms import QuadraticForm, QuadricPair, grid_blocks, residue_grid
+from quadpair.quadforms import (
+    QuadraticForm,
+    QuadricPair,
+    grid_blocks,
+    load_pair,
+    residue_grid,
+)
+
+PAIRS_DIR = Path(__file__).resolve().parent.parent / "pairs"
 
 
 def brute_zeros(Q2, B):
@@ -152,6 +162,92 @@ def test_N_d_growth_bound():
                 continue
             ratio = N_d(ship, d, B) * d ** (1 / n) / B ** (n - 2)
             assert ratio <= fitted * 1.05, (B, d, ratio, fitted)
+
+
+ND_DIVISORS = (1, 2, 3, 4, 8, 9)
+
+
+def test_N_d_join_matches_enumeration_on_shipped(monkeypatch):
+    ship = shipped_pair()
+    rng = random.Random("N_d join")
+    moves = [(list(range(5)), [1] * 5)] + [signed_move(rng, 5) for _ in range(3)]
+    boxes = [12, BoxSpec(lo=(-3, 0, -7, 2, -5), hi=(8, 4, 1, 9, 6))]
+    want = {}
+    for move in moves:
+        moved = QuadricPair.build(move_form(ship.Q1, move), move_form(ship.Q2, move))
+        for k, box in enumerate(boxes):
+            for d in ND_DIVISORS:
+                got = N_d(moved, d, box)
+                assert got == counting._N_d_enumerated(moved, d, box, 10**9), (move, box, d)
+                if k == 0:  # the cube is invariant under the moves
+                    assert want.setdefault(d, got) == got
+    # the join lists no zero
+    monkeypatch.setattr(counting, "enumerate_zeros", None)
+    assert N_d(ship, 3, 12) == want[3]
+
+
+@pytest.mark.parametrize("name", ["toy_n2", "toy_n3", "demo_n7"])
+def test_N_d_join_matches_enumeration_on_pair_files(name):
+    pair = load_pair(PAIRS_DIR / f"{name}.pair")
+    box = 3 if pair.n == 7 else 9
+    for d in ND_DIVISORS:
+        assert N_d(pair, d, box) == counting._N_d_enumerated(pair, d, box, 10**9), d
+
+
+def test_N_d_coupled_Q1_takes_the_enumeration_route(monkeypatch):
+    # Q2 diagonal, so enumerate_zeros joins; Q1 couples x1 to x3 and x4
+    pair = QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 0, 1, 2], [0, 1, 0, 0], [1, 0, 1, 0],
+                                   [2, 0, 0, 3]]),
+        QuadraticForm.diagonal([1, 2, -3, -5]))
+    want = {d: counting._N_d_enumerated(pair, d, 8, 10**9) for d in ND_DIVISORS}
+    assert want[1] > want[2] > 0
+    monkeypatch.setattr(counting, "_N_d_join", None)
+    assert {d: N_d(pair, d, 8) for d in ND_DIVISORS} == want
+
+
+def test_N_d_key_int64_edge():
+    # x1^2 - x2^2 on the box b-1 <= x_i <= b: zeros (b-1, b-1) and (b, b),
+    # where Q1 = 2 x^2; each half's key is Q2_half d + r with |Q2_half| <= b^2
+    pair = QuadricPair.build(QuadraticForm.diagonal([1, 1]),
+                             QuadraticForm.diagonal([1, -1]))
+    b, d = 2**29 + 15, 31  # 31 | b
+    assert (b * b + 1) * d <= 2**63 < (b * b + 1) * (d + 1)
+    box = BoxSpec(lo=(b - 1, b - 1), hi=(b, b))
+    assert N_d(pair, d, box) == 1 == counting._N_d_enumerated(pair, d, box, 10**9)
+    assert N_d(pair, 2, box) == 2
+    with pytest.raises(ValueError, match="int64"):
+        N_d(pair, d + 1, box)
+    # the largest bound c with (c^2 + 1) d <= 2^63
+    c = math.isqrt(2**63 // d - 1)
+    assert (c * c + 1) * d <= 2**63 < ((c + 1) ** 2 + 1) * d
+    box = BoxSpec(lo=(c - 1, c - 1), hi=(c, c))
+    assert N_d(pair, d, box) == counting._N_d_enumerated(pair, d, box, 10**9)
+    with pytest.raises(ValueError, match="int64"):
+        N_d(pair, d, BoxSpec(lo=(c, c), hi=(c + 1, c + 1)))
+
+
+def test_N_d_guard_refuses_before_allocating(monkeypatch):
+    # (2 * 10^4 + 1)^3 + (2 * 10^4 + 1)^2 rows: refused before any grid
+    monkeypatch.setattr(counting, "grid_blocks", None)
+    monkeypatch.setattr(counting, "_half_keys", None)
+    with pytest.raises(ResourceGuardError, match="N_d"):
+        N_d(shipped_pair(), 3, 10**4)
+    monkeypatch.undo()
+    assert N_d(shipped_pair(), 3, 4, guard=9**3 + 9**2) == N_d(shipped_pair(), 3, 4)
+    with pytest.raises(ResourceGuardError):
+        N_d(shipped_pair(), 3, 4, guard=9**3 + 9**2 - 1)
+
+
+def test_r2_table_matches_r2():
+    table = counting._r2_table(3000, 10**9)
+    assert table.dtype == float and len(table) == 3001 and table[0] == 1
+    assert all(table[m] == r2(m) == r2_chi_divisor_sum(m) for m in range(1, 3001))
+    assert counting._r2_table(0, 1).tolist() == [1.0]
+    # isqrt(3000) = 54: the square holding the quarter disc has 55^2 pairs
+    assert counting._r2_table(3000, 55**2)[2997] == r2(2997)
+    with pytest.raises(ResourceGuardError):
+        counting._r2_table(3000, 55**2 - 1)
 
 
 def test_weight_function_profile():

@@ -43,6 +43,38 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+def trial_factorize(n):
+    """The factorization by trial division alone."""
+    out, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    # two primes past the trial bound, near 1e5 and 1e6, split by rho
+    cases = [sympy.nextprime(10**5) * sympy.nextprime(10**5 + 500),
+             sympy.nextprime(10**6) ** 2, 1009 * 1013 * 1019,
+             2**5 * 997 * 1009**2 * sympy.nextprime(10**5)]
+    for n in list(range(1, 5000)) + cases:
+        assert factorize(n) == trial_factorize(n), n
+        assert list(factorize(n)) == sorted(factorize(n))
+
+
+def test_factorize_products_of_primes_near_1e12():
+    # trial division would need 3e11 divisions for each of these
+    p = sympy.nextprime(10**12)
+    q = sympy.nextprime(p + 10**6)
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert factorize(p * p) == {p: 2}
+    assert factorize(6 * p * q) == {2: 1, 3: 1, p: 1, q: 1}
+
+
 def test_divisors_sorted_complete():
     for n in (1, 12, 49, 360):
         ds = divisors(n)

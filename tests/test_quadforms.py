@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -51,11 +53,51 @@ def test_eval_batch_agrees_with_eval():
 
 
 def test_int64_paths_reject_overflow():
-    Q = toy_pair_3().Q2
+    # terms x^2 + 4xy - 3y^2: sum |c_ij| = 8, so points up to 2^30 - 1 fit
+    Q = QuadraticForm.from_matrix([[1, 2], [2, -3]])
+    b = 2**30 - 1
+    X = np.array([[b, b], [b, -b], [-b, 0]], dtype=np.int64)
+    assert Q.eval_batch(X).tolist() == [Q.eval(x) for x in X.tolist()] == [
+        2 * b * b, -6 * b * b, b * b]
+    # int32 rows are widened before any product
+    assert Q.eval_batch(X.astype(np.int32)).tolist() == [2 * b * b, -6 * b * b, b * b]
     with pytest.raises(ValueError, match="points too large"):
-        Q.eval_batch(np.array([[2**30, 0, 0]], dtype=np.int64))
+        Q.eval_batch(X + 1)
+    with pytest.raises(ValueError, match="points too large"):
+        Q.eval_batch(-X - 1)  # past the bound on the negative side only
+    # x^2 + 3y^2 - 4z^2 mod q has the coefficients 1, 3, q - 4, which sum
+    # to q: rows with |x_i| <= bound fit while q bound^2 < 2^63
+    Q = toy_pair_3().Q2
+    q = 2**21
+    X = np.array([[q - 1, q - 2, q - 3], [q - 1, 0, 1], [1 - q, 5, 1 - q]],
+                 dtype=np.int64)
+    assert Q.eval_batch_mod(X, q).tolist() == [Q.eval(x) % q for x in X.tolist()]
     with pytest.raises(ValueError, match="modulus too large"):
-        Q.eval_batch_mod(np.zeros((1, 3), dtype=np.int64), 2**20)
+        Q.eval_batch_mod(X + 1, q)
+    # a term whose coefficient vanishes mod q is not summed: 4 = 0 mod 4
+    assert Q.eval_batch_mod(X % 4, 4).tolist() == [Q.eval(x) % 4 for x in (X % 4).tolist()]
+
+
+def test_eval_batch_matches_eval_on_dense_forms():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for _ in range(4):
+            A = rng.integers(-9, 10, size=(n, n))
+            Q = QuadraticForm.from_matrix((A + A.T).tolist())
+            X = rng.integers(-50, 51, size=(200, n))
+            want = [Q.eval(x) for x in X.tolist()]
+            assert Q.eval_batch(X).tolist() == want
+            assert Q.eval_batch(X.astype(np.int32)).tolist() == want
+            for q in (2, 7, 12, 1024):
+                assert Q.eval_batch_mod(X % q, q).tolist() == [v % q for v in want]
+                assert Q.eval_batch_mod(X, q).tolist() == [v % q for v in want]
+    Q = toy_pair_3().Q2
+    for bad in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64),
+                np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            Q.eval_batch(bad)
+        with pytest.raises(ValueError):
+            Q.eval_batch_mod(bad, 5)
 
 
 def test_grid_blocks_unchunked_is_the_full_grid():
@@ -293,6 +335,31 @@ def test_pair_text_poly_field():
 def test_pair_text_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_pair_text(text)
+
+
+def test_random_n5_pairs_build_quickly():
+    # |disc_P| of these pairs runs from 1e25 to 5e30, with prime factors up
+    # to 4.9e26; trial division alone did not finish four of them in 20 s
+    rng = random.Random(3)
+
+    def sym():
+        M = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                M[i][j] = M[j][i] = rng.randint(-4, 4)
+        return QuadraticForm.from_matrix(M)
+
+    start = time.perf_counter()
+    pairs = [QuadricPair.build(sym(), sym()) for _ in range(6)]
+    assert time.perf_counter() - start < 5.0
+    for pair in pairs:
+        assert all(sympy.isprime(p) for p in pair.bad_primes)
+        for v in (pair.det2, pair.disc_P):
+            rest = abs(v)
+            for p in pair.bad_primes:
+                while rest % p == 0:
+                    rest //= p
+            assert rest == 1, (v, pair.bad_primes)
 
 
 def test_build_rejects_mismatched_sizes():
