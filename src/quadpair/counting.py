@@ -31,6 +31,22 @@ of the key (Q2 on the half, Q1 on the half mod d), and N_d is the sum of
 the products of the counts of matching keys.  A coupled pair falls back
 to listing the zeros and filtering them by d | Q1.  S(B) reads r2 off one
 table up to the largest Q1 it meets.
+
+The default weight (WeightFunction.default_for_pair) is found by array
+passes over a fixed grid of unit directions.  Its candidates are the grid
+directions on the cone Q2 = 0 with Q1 > 0, then the roots t in (0, 1) of
+Q2(u + t (w - u)) = a t^2 + b t + c for every pair of a direction u with
+Q2 > 0 and a direction w with Q2 < 0 (the 50 of each sign with the
+largest Q1), all pairs solved in one broadcast.  All candidates take
+their Newton steps towards the cone together.  The center is the first
+candidate whose Q1 / |x|^2 beats every earlier one by more than 1e-12;
+many candidates tie, so the order (cone directions, then u outer, w
+inner, the root -s before +s) picks the center.  The winner's polish is
+replayed on its own, with the one-point products, so the center keeps
+the bits of a point-by-point search.  The radius is tested on the shells
+x0 + s d, s = f rho, f = 1/4 .. 1, through
+Q1(x0 + s d) = Q1(x0) + 2 s d.M1 x0 + s^2 Q1(d): two numbers per
+direction, computed once.
 """
 
 from __future__ import annotations
@@ -296,9 +312,11 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     When neither form couples the first ceil(n/2) coordinates to the rest,
     no zero is listed: each half of the box is reduced to a histogram of
     its key (Q2 on the half, Q1 on the half mod d), and N_d is the sum of
-    count_L(k) count_R(-k) over the matching keys.  The guard is charged
-    the two half-box sizes, the rows the histograms read.  A coupled pair
-    has its zeros listed by enumerate_zeros and filtered by d | Q1.
+    count_L(k) count_R(-k) over the matching keys.  A d beyond the
+    largest |Q1| on the box, R, counts as R + 1: either way d | Q1 iff
+    Q1 = 0.  The guard is charged the two half-box sizes, the rows the
+    histograms read.  A coupled pair has its zeros listed by
+    enumerate_zeros and filtered by d | Q1.
 
     Monotone in d: N_e(B) <= N_d(B) whenever d | e.
     """
@@ -311,6 +329,9 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
         return _N_d_enumerated(pair, d, BoxSpec(lo, hi), guard)
     widths = [b - a + 1 for a, b in zip(lo, hi)]
     check_guard("N_d", math.prod(widths[:h]) + math.prod(widths[h:]), guard)
+    # |Q1| <= R on the box, so every d > R counts the zeros with Q1 = 0
+    R = sum(abs(c) for _, _, c in pair.Q1.terms()) * max(map(abs, lo + hi)) ** 2
+    d = min(d, R + 1)
     _check_key_fits(pair.Q2, lo, hi, h, d)
     return _N_d_join(pair, d, lo, hi)
 
@@ -320,17 +341,22 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
 # --------------------------------------------------------------------------
 
 
-def _sphere_dirs(n: int, spread: int = 2) -> np.ndarray:
-    """Deterministic set of unit directions: normalized nonzero integer
-    vectors with entries in [-spread, spread], deduplicated."""
-    side = 2 * spread + 1
-    idx = np.arange(side**n, dtype=np.int64)
-    grid = np.stack([(idx // side**j) % side - spread for j in range(n)], axis=1)
+def _sphere_dirs(n: int) -> np.ndarray:
+    """Deterministic set of unit directions: the nonzero integer vectors
+    with entries in [-2, 2], normalized, in grid order, each direction once.
+
+    Two such vectors share a direction only as w and 2w with w in
+    {-1, 0, 1}^n; the grid lists 2w after w iff the last nonzero entry of
+    w is positive, and the earlier of the two is kept."""
+    idx = np.arange(5**n, dtype=np.int64)
+    grid = np.stack([(idx // 5**j) % 5 - 2 for j in range(n)], axis=1)
     grid = grid[(grid != 0).any(axis=1)]
+    last = grid[np.arange(len(grid)), n - 1 - np.argmax(grid[:, ::-1] != 0, axis=1)]
+    doubled = (np.abs(grid) != 1).all(axis=1) & (last > 0)
+    halved = (np.abs(grid) <= 1).all(axis=1) & (last < 0)
+    grid = grid[~(doubled | halved)]
     norms = np.sqrt((grid.astype(float) ** 2).sum(axis=1))
-    dirs = grid / norms[:, None]
-    _, keep = np.unique(np.round(dirs, 12), axis=0, return_index=True)
-    return dirs[np.sort(keep)]
+    return grid / norms[:, None]
 
 
 def _shell_points(x0, rho: float, dirs: np.ndarray) -> np.ndarray:
@@ -342,11 +368,45 @@ def _shell_points(x0, rho: float, dirs: np.ndarray) -> np.ndarray:
     return np.vstack(shells)
 
 
-def _min_q1_and_grad(Q1: QuadraticForm, pts: np.ndarray) -> tuple[float, float]:
-    """(min Q1, min |grad Q1|) over the rows of pts."""
-    vals = Q1.eval_float(pts)
-    grads = 2.0 * pts @ np.array(Q1.M, dtype=float)
-    return float(vals.min()), float(np.sqrt((grads**2).sum(axis=1)).min())
+def _cone_candidates(q2: np.ndarray, q1: np.ndarray, dirs: np.ndarray,
+                     M2: np.ndarray) -> np.ndarray:
+    """Starting points on or near the cone Q2 = 0, in search order: the
+    directions on the cone with Q1 > 0, then the roots of Q2 on the
+    segments u -> w joining the 50 directions with Q2 > 0 (outer) and the
+    50 with Q2 < 0 (inner) of largest Q1, the root -s before +s."""
+    cone = np.flatnonzero((np.abs(q2) < 1e-12) & (q1 > 1e-9))
+    pos = np.flatnonzero(q2 > 1e-12)
+    neg = np.flatnonzero(q2 < -1e-12)
+    pos = pos[np.argsort(-q1[pos], kind="stable")][:50]
+    neg = neg[np.argsort(-q1[neg], kind="stable")][:50]
+    # Q2(u + t dvec) = a t^2 + b t + c, each coefficient from a stack of
+    # (1, n) @ (n, n) products, the products one segment alone would take
+    u = dirs[pos][:, None, None, :]
+    dvec = dirs[neg][None, :, None, :] - u
+    a = (dvec @ M2 @ dvec.swapaxes(-1, -2))[..., 0, 0]
+    b = 2.0 * (u @ M2 @ dvec.swapaxes(-1, -2))[..., 0, 0]
+    c = np.broadcast_to(q2[pos][:, None], a.shape)
+    flat = np.abs(a) < 1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(b * b - 4 * a * c)  # nan where there is no real root
+        t = np.stack([(-b - s) / (2 * a), (-b + s) / (2 * a)], axis=-1)
+        t[flat, 0] = np.where(np.abs(b[flat]) > 1e-15, -c[flat] / b[flat], np.nan)
+    t[flat, 1] = np.nan
+    inside = (0.0 < t) & (t < 1.0)
+    return np.vstack([dirs[cone], (u + t[..., None] * dvec)[inside]])
+
+
+def _polish(Q2: QuadraticForm, M2: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Five Newton steps along grad Q2 from every row of Y; a row stops at
+    the first step where |grad Q2|^2 < 1e-20."""
+    Y = Y.copy()
+    live = np.ones(len(Y), dtype=bool)
+    for _ in range(5):
+        g = 2.0 * Y @ M2
+        gg = (g * g).sum(axis=1)
+        live &= ~(gg < 1e-20)
+        Y[live] -= (Q2.eval_float(Y[live]) / gg[live])[:, None] * g[live]
+    return Y
 
 
 @dataclass(frozen=True)
@@ -393,75 +453,57 @@ class WeightFunction:
     def default_for_pair(cls, pair: QuadricPair, scale: float = 6.0) -> "WeightFunction":
         """Center on the real cone Q2 = 0 where Q1 > 0; see module notes.
 
-        x0 is found by a coarse direction grid plus exact root-solving of
-        Q2 along segments joining opposite-sign directions, polished by a
-        few Newton steps, then set to `scale` times the unit direction
+        x0 is `scale` times the unit point of largest Q1 on the cone
         (larger scale means more lattice points inside the scaled support,
         hence less counting noise at a given B).  rho starts at |x0| / 2
-        and shrinks geometrically until the sampled ball satisfies
-        Q1 > Q1(x0) / 2 and grad Q1 != 0.
+        and shrinks by 0.95 until Q1 > Q1(x0) / 2 on the shells
+        x0 + f rho d; grad Q1 vanishes nowhere there, since
+        x . grad Q1(x) = 2 Q1(x) > 0.
         """
         if not scale > 0:
             raise ValueError("scale must be positive")
-        n = pair.n
-        dirs = _sphere_dirs(n)
+        dirs = _sphere_dirs(pair.n)
         q2 = pair.Q2.eval_float(dirs)
         q1 = pair.Q1.eval_float(dirs)
         M2 = np.array(pair.Q2.M, dtype=float)
 
-        candidates = []
-        on_cone = np.abs(q2) < 1e-12
-        for i in np.flatnonzero(on_cone & (q1 > 1e-9)):
-            candidates.append(dirs[i])
-        pos = np.flatnonzero(q2 > 1e-12)
-        neg = np.flatnonzero(q2 < -1e-12)
-        pos = pos[np.argsort(-q1[pos], kind="stable")][:50]
-        neg = neg[np.argsort(-q1[neg], kind="stable")][:50]
-        for i in pos:
-            u = dirs[i]
-            for j in neg:
-                w = dirs[j]
-                dvec = w - u
-                a = float(dvec @ M2 @ dvec)
-                b = 2.0 * float(u @ M2 @ dvec)
-                c = float(q2[i])
-                if abs(a) < 1e-15:
-                    roots = [-c / b] if abs(b) > 1e-15 else []
-                else:
-                    disc = b * b - 4 * a * c
-                    if disc < 0:
-                        continue
-                    s = math.sqrt(disc)
-                    roots = [(-b - s) / (2 * a), (-b + s) / (2 * a)]
-                for t in roots:
-                    if 0.0 < t < 1.0:
-                        candidates.append(u + t * dvec)
-
-        best, best_score = None, -math.inf
-        for x in candidates:
-            y = np.array(x, dtype=float)
-            for _ in range(5):  # Newton polish along grad Q2
-                g = 2.0 * M2 @ y
-                gg = float(g @ g)
-                if gg < 1e-20:
-                    break
-                y = y - float(pair.Q2.eval_float(y)) / gg * g
-            nrm = float(np.sqrt(y @ y))
-            if nrm < 1e-9 or abs(float(pair.Q2.eval_float(y))) > 1e-9 * nrm * nrm:
-                continue
-            score = float(pair.Q1.eval_float(y)) / (nrm * nrm)
-            if score > best_score + 1e-12:
-                best, best_score = y / nrm, score
-        if best is None or best_score <= 0:
+        start = _cone_candidates(q2, q1, dirs, M2)
+        Y = _polish(pair.Q2, M2, start)
+        nrm = np.sqrt((Y * Y).sum(axis=1))
+        score = pair.Q1.eval_float(Y) / (nrm * nrm)
+        score[(nrm < 1e-9) | (np.abs(pair.Q2.eval_float(Y)) > 1e-9 * nrm * nrm)] = -np.inf
+        # a candidate can only pass `score > best + 1e-12` if it beats
+        # every earlier one, so the first-wins scan visits the records only
+        before = np.fmax.accumulate(np.concatenate([[-np.inf], score[:-1]]))
+        win, best_score = None, -math.inf
+        for k in np.flatnonzero(score > before):
+            if score[k] > best_score + 1e-12:
+                win, best_score = k, score[k]
+        if win is None or best_score <= 0:
             raise ValueError("no point with Q1 > 0 found on the cone Q2 = 0")
+        # the winner's polish again, with the products one point takes: the
+        # batch rounds differently, and x0 and its score keep these bits
+        y = start[win]
+        for _ in range(5):
+            g = 2.0 * M2 @ y
+            gg = float(g @ g)
+            if gg < 1e-20:
+                break
+            y = y - float(pair.Q2.eval_float(y)) / gg * g
+        nrm = float(np.sqrt(y @ y))
+        best_score = float(pair.Q1.eval_float(y)) / (nrm * nrm)
+        x0 = scale * (y / nrm)
 
-        x0 = tuple(float(scale * v) for v in best)
+        # Q1(x0 + s d) = Q1(x0) + 2 s d.M1 x0 + s^2 Q1(d), with s = f rho
+        q1_x0 = float(pair.Q1.eval_float(x0))
+        lin = 2.0 * (dirs @ (np.array(pair.Q1.M, dtype=float) @ x0))
         target = scale * scale * best_score / 2.0
+        fracs = np.array([[0.25], [0.5], [0.75], [1.0]])
         rho = 0.5 * scale
         while rho > 1e-3 * scale:
-            min_q1, min_grad = _min_q1_and_grad(pair.Q1, _shell_points(x0, rho, dirs))
-            if min_q1 > target and min_grad > 0:
-                return cls(x0, rho)
+            s = fracs * rho
+            if min(q1_x0, float((q1_x0 + s * lin + s * s * q1).min())) > target:
+                return cls(tuple(float(v) for v in x0), rho)
             rho *= 0.95
         raise ValueError("no admissible support radius found")
 

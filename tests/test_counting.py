@@ -227,6 +227,15 @@ def test_N_d_key_int64_edge():
         N_d(pair, d, BoxSpec(lo=(c, c), hi=(c + 1, c + 1)))
 
 
+def test_N_d_large_d_counts_Q1_zero():
+    # Q1 = sum x_i^2, so |Q1| <= 5 * 40^2 = 8000 on the box: a larger d
+    # divides Q1 only at Q1 = 0, the origin
+    ship = shipped_pair()
+    for d in (8000, 8001, 2**50, 10**18):
+        assert N_d(ship, d, 40) == counting._N_d_enumerated(ship, d, 40, 10**9), d
+    assert N_d(ship, 2**50, 40) == N_d(ship, 10**18, 40) == 1
+
+
 def test_N_d_guard_refuses_before_allocating(monkeypatch):
     # (2 * 10^4 + 1)^3 + (2 * 10^4 + 1)^2 rows: refused before any grid
     monkeypatch.setattr(counting, "grid_blocks", None)
@@ -260,8 +269,163 @@ def test_weight_function_profile():
     )
 
 
+def sphere_dirs_by_rounding(n):
+    """The directions of _sphere_dirs, deduplicated by rounding the unit
+    vectors to 12 places and keeping each one's first grid position."""
+    idx = np.arange(5**n, dtype=np.int64)
+    grid = np.stack([(idx // 5**j) % 5 - 2 for j in range(n)], axis=1)
+    grid = grid[(grid != 0).any(axis=1)]
+    norms = np.sqrt((grid.astype(float) ** 2).sum(axis=1))
+    dirs = grid / norms[:, None]
+    _, keep = np.unique(np.round(dirs, 12), axis=0, return_index=True)
+    return dirs[np.sort(keep)]
+
+
+def weight_point_by_point(pair, scale=6.0):
+    """default_for_pair one point at a time: a double loop over the
+    segments, a Newton polish per candidate, and every shell point
+    resampled for each rho."""
+    dirs = sphere_dirs_by_rounding(pair.n)
+    q2 = pair.Q2.eval_float(dirs)
+    q1 = pair.Q1.eval_float(dirs)
+    M2 = np.array(pair.Q2.M, dtype=float)
+    M1 = np.array(pair.Q1.M, dtype=float)
+
+    candidates = []
+    for i in np.flatnonzero((np.abs(q2) < 1e-12) & (q1 > 1e-9)):
+        candidates.append(dirs[i])
+    pos = np.flatnonzero(q2 > 1e-12)
+    neg = np.flatnonzero(q2 < -1e-12)
+    pos = pos[np.argsort(-q1[pos], kind="stable")][:50]
+    neg = neg[np.argsort(-q1[neg], kind="stable")][:50]
+    for i in pos:
+        u = dirs[i]
+        for j in neg:
+            dvec = dirs[j] - u
+            a = float(dvec @ M2 @ dvec)
+            b = 2.0 * float(u @ M2 @ dvec)
+            c = float(q2[i])
+            if abs(a) < 1e-15:
+                roots = [-c / b] if abs(b) > 1e-15 else []
+            else:
+                disc = b * b - 4 * a * c
+                if disc < 0:
+                    continue
+                s = math.sqrt(disc)
+                roots = [(-b - s) / (2 * a), (-b + s) / (2 * a)]
+            for t in roots:
+                if 0.0 < t < 1.0:
+                    candidates.append(u + t * dvec)
+
+    best, best_score = None, -math.inf
+    for x in candidates:
+        y = np.array(x, dtype=float)
+        for _ in range(5):
+            g = 2.0 * M2 @ y
+            gg = float(g @ g)
+            if gg < 1e-20:
+                break
+            y = y - float(pair.Q2.eval_float(y)) / gg * g
+        nrm = float(np.sqrt(y @ y))
+        if nrm < 1e-9 or abs(float(pair.Q2.eval_float(y))) > 1e-9 * nrm * nrm:
+            continue
+        score = float(pair.Q1.eval_float(y)) / (nrm * nrm)
+        if score > best_score + 1e-12:
+            best, best_score = y / nrm, score
+    if best is None or best_score <= 0:
+        raise ValueError("no point with Q1 > 0 found on the cone Q2 = 0")
+
+    x0 = tuple(float(scale * v) for v in best)
+    target = scale * scale * best_score / 2.0
+    rho = 0.5 * scale
+    while rho > 1e-3 * scale:
+        pts = counting._shell_points(x0, rho, dirs)
+        grads = 2.0 * pts @ M1
+        if (pair.Q1.eval_float(pts).min() > target
+                and np.sqrt((grads**2).sum(axis=1)).min() > 0):
+            return WeightFunction(x0, rho)
+        rho *= 0.95
+    raise ValueError("no admissible support radius found")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sphere_dirs_match_rounding_dedup(n):
+    dirs = counting._sphere_dirs(n)
+    assert np.array_equal(dirs, sphere_dirs_by_rounding(n))
+    # 5^n - 1 nonzero vectors, of which 3^n - 1 repeat a direction as 2w
+    assert len(dirs) == 5**n - 3**n
+
+
+def _moved_shipped(seed):
+    move = signed_move(random.Random(f"weight:{seed}"), 5)
+    ship = shipped_pair()
+    return QuadricPair.build(move_form(ship.Q1, move), move_form(ship.Q2, move))
+
+
+WEIGHT_CASES = {
+    **{name: (lambda name=name: (load_pair(PAIRS_DIR / f"{name}.pair"), 6.0))
+       for name in ("shipped_n5", "demo_n7", "toy_n3", "toy_n2")},
+    **{f"shipped_moved{k}": (lambda k=k: (_moved_shipped(k), 6.0)) for k in range(6)},
+    "shipped_scale3": lambda: (shipped_pair(), 3.0),
+    "toy_n3_scale3": lambda: (toy_pair_3(), 3.0),
+    # x^2 + y^2 = 3 (z^2 + w^2) has no rational zero but 0, so no grid
+    # direction lies on the cone and a segment root wins
+    "no_cone_direction_n3": lambda: (
+        QuadricPair.build(QuadraticForm.diagonal([1, 2, 1]),
+                          QuadraticForm.diagonal([1, 1, -3])), 6.0),
+    "no_cone_direction_n4": lambda: (
+        QuadricPair.build(QuadraticForm.diagonal([2, 1, 1, 3]),
+                          QuadraticForm.diagonal([1, 1, -3, -3])), 6.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_CASES))
+def test_default_weight_matches_point_by_point_search(name):
+    pair, scale = WEIGHT_CASES[name]()
+    W = WeightFunction.default_for_pair(pair, scale)
+    want = weight_point_by_point(pair, scale)
+    assert W == want
+
+
+def random_coupled_pair(seed):
+    """A pair of random symmetric integer forms, n = 3, 4 or 5, entries in
+    [-3, 3]: cross terms everywhere, so the products' rounding shows."""
+    rng = random.Random(f"coupled-weight:{seed}")
+    n = rng.choice([3, 4, 5])
+
+    def form():
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = rng.randint(-3, 3)
+        return QuadraticForm.from_matrix(M)
+
+    return QuadricPair.build(form(), form())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_default_weight_matches_point_by_point_on_coupled_pairs(seed):
+    # seeds 13 and 17 move x0 unless the winner's polish is replayed alone
+    pair = random_coupled_pair(seed)
+    assert WeightFunction.default_for_pair(pair) == weight_point_by_point(pair)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_default_weight_refuses_definite_Q2(sign):
+    # Q2 definite: no direction on the cone and one sign class empty, so
+    # the segment batch has a zero-length axis
+    pair = QuadricPair.build(QuadraticForm.diagonal([1, 1, 1]),
+                             QuadraticForm.diagonal([sign, 2 * sign, sign]))
+    q2 = pair.Q2.eval_float(counting._sphere_dirs(3))
+    assert (sign * q2 > 0).all()
+    for search in (WeightFunction.default_for_pair, weight_point_by_point):
+        with pytest.raises(ValueError, match="no point with Q1 > 0 found on the cone"):
+            search(pair)
+
+
 def test_default_weight_sits_on_cone():
-    for pair in (shipped_pair(), toy_pair_3()):
+    for pair in (shipped_pair(), toy_pair_3(), toy_pair_2(),
+                 load_pair(PAIRS_DIR / "demo_n7.pair")):
         W = WeightFunction.default_for_pair(pair)
         x0 = np.array(W.x0)
         norm = float(np.linalg.norm(x0))
