@@ -359,15 +359,6 @@ def _sphere_dirs(n: int) -> np.ndarray:
     return grid / norms[:, None]
 
 
-def _shell_points(x0, rho: float, dirs: np.ndarray) -> np.ndarray:
-    """x0 and the shells x0 + f rho dirs, f = 1/4, 1/2, 3/4, 1."""
-    c = np.array(x0, dtype=float)
-    shells = [c[None, :]]
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        shells.append(c[None, :] + frac * rho * dirs)
-    return np.vstack(shells)
-
-
 def _cone_candidates(q2: np.ndarray, q1: np.ndarray, dirs: np.ndarray,
                      M2: np.ndarray) -> np.ndarray:
     """Starting points on or near the cone Q2 = 0, in search order: the
@@ -444,10 +435,6 @@ class WeightFunction:
         lo = tuple(math.floor(B * (c - self.rho)) - 1 for c in self.x0)
         hi = tuple(math.ceil(B * (c + self.rho)) + 1 for c in self.x0)
         return lo, hi
-
-    def support_grid(self) -> np.ndarray:
-        """Deterministic sample of the support ball (shells of directions)."""
-        return _shell_points(self.x0, self.rho, _sphere_dirs(self.n))
 
     @classmethod
     def default_for_pair(cls, pair: QuadricPair, scale: float = 6.0) -> "WeightFunction":

@@ -23,20 +23,14 @@ convergence certificate.  The raw truncation exactly as displayed above is
 kept alongside for diagnostics (`sigma_p_truncated`); it approaches the
 same limit but never equals it at finite k.
 
-The counts at every odd prime and depth come from one identity: the
-number of x mod p^R with p^r1 | Q1(x) and p^r2 | Q2(x) is p^-(r1+r2)
-times the sum of the Gauss sums G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2)
-over a mod p^r1 and b mod p^r2.  Each G is read off a Jordan
-decomposition mod p^R (`lincong.jordan_gauss_sum`), or off the pencil
-polynomial where det(b1 M1 + b2 M2) is a unit mod p, and (a, b) runs over
-the orbits of unit scaling, O(p^max(r1, r2)) of them: O(p^k n^3) work at
-depth k, with no sweep of residues.  At a good prime (p odd,
-disc_P != 0, p prime to det2 * disc_P) the pencil has distinct roots mod
-p, which certifies a smooth intersection (Reid's criterion;
-`certified_good` needs no sweep), and Hensel lifting gives depth 2 from
-depth 1.  sigma_2 counts the classes x0 mod 2^j, j ~ k/2, and sizes the
-fiber over each by one linear congruence, so depth k costs 2^(jn) rather
-than 2^(kn).
+The counts at every odd prime and depth are the Gauss-sum counts of
+`padic`, O(p^k n^3) work at depth k with no sweep of residues.  At a good
+prime (p odd, disc_P != 0, p prime to det2 * disc_P) the pencil has
+distinct roots mod p, which certifies a smooth intersection (Reid's
+criterion; `certified_good` needs no sweep), and Hensel lifting gives
+depth 2 from depth 1.  sigma_2 counts the classes x0 mod 2^j, j ~ k/2,
+and sizes the fiber over each by one linear congruence, so depth k costs
+2^(jn) rather than 2^(kn).
 
 The dimension must be at least 3: at n = 2 the stratum ratio p^{2-n}
 reaches 1 and the defining limit itself diverges.
@@ -53,12 +47,13 @@ import numpy as np
 
 from .counting import WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
-from .lincong import jordan_gauss_sum
+from .lincong import bareiss_det
 from .modarith import chi4, is_prime
+from .padic import _gauss_count, _orbit_count, count_congruence_pair
 from .quadforms import (
     QuadricPair,
-    _good_reduction_mod_p,
     _pencil_roots_distinct_mod_p,
+    certified_good,
     grid_blocks,
     residue_blocks,
 )
@@ -70,6 +65,7 @@ __all__ = [
     "Sigma2",
     "SigmaP",
     "TauInfinity",
+    "certified_good",
     "experiment",
     "sigma_2",
     "sigma_infinity",
@@ -146,76 +142,7 @@ def Ntilde(pair: QuadricPair, p: int, k: int, e: int,
         raise ValueError("p must be an odd prime")
     if k < 0 or not 0 <= e <= max(k, 0):
         raise ValueError("need 0 <= e <= k")
-    if k == 0:
-        return 1
-    check_guard("Ntilde", pair.n**3 * _orbit_count(p, e, k), guard)
-    return _gauss_count(pair, p, k, e, k)
-
-
-def _orbits(p: int, r1: int, r2: int):
-    """The orbits of the units lambda acting on (a, b) in Z/p^r1 x Z/p^r2,
-    all but that of (0, 0), as (a, b, c): arrays of representatives whose
-    orbits have (p - 1) p^(c - 1) elements each.
-
-    c = max(r1 - v(a), r2 - v(b)), ties going to a.  Scaling makes the
-    entry that attains c a power of p, and leaves the other free up to
-    the bound on its valuation that c sets.
-    """
-    for va in range(r1):
-        c = r1 - va
-        yield np.array([p**va]), np.arange(0, p**r2, p ** max(r2 - c, 0)), c
-    for vb in range(r2):
-        c = r2 - vb
-        yield np.arange(0, p**r1, p ** max(r1 - c + 1, 0)), np.array([p**vb]), c
-
-
-def _orbit_count(p: int, r1: int, r2: int) -> int:
-    """The representatives _gauss_count visits: (0, 0) and _orbits'."""
-    return (1 + sum(p ** min(r1 - va, r2) for va in range(r1))
-            + sum(p ** min(r2 - vb - 1, r1) for vb in range(r2)))
-
-
-def _gauss_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int) -> int:
-    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, p odd, r1 and r2 <= R, as
-
-        p^-(r1+r2) sum_{a mod p^r1, b mod p^r2}
-            G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2)
-
-    with G_{p^R}(M) = sum_{x mod p^R} e(x^T M x / p^R).  G(lambda M) for a
-    unit lambda is (lambda/p)^t G(M), so each orbit of (a, b) under unit
-    scaling adds its size times jordan_gauss_sum at its representative.
-    Where the pencil polynomial puts det(A M1 + B M2) among the units mod
-    p, every Jordan block is a unit: G is p^(nR/2) for even R, p^(nR/2)
-    ((-1)^(n/2) det / p) for odd R and even n, and sums to 0 over the
-    orbit for odd R and n.  Only the other representatives are eliminated.
-    """
-    n = pair.n
-    rows = list(zip(pair.Q1.M, pair.Q2.M))
-    legendre = np.full(p, -1, dtype=np.int64)
-    legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
-    legendre[0] = 0
-    total = p ** (n * R)  # (a, b) = (0, 0)
-    for a, b, c in _orbits(p, r1, r2):
-        A, B = np.broadcast_arrays(a * p ** (R - r1), b * p ** (R - r2))
-        det, Bk = 0, 1
-        for coeff in pair.pencil_poly:  # det = P(A, B) mod p, by Horner
-            det = (det * (A % p) + coeff % p * Bk) % p
-            Bk = Bk * (B % p) % p
-        unit = det != 0
-        if R % 2 == 0:
-            s = p ** (n * R // 2) * int(unit.sum())
-        elif n % 2 == 0:
-            s = p ** (n * R // 2) * int(legendre[(-1) ** (n // 2) * det[unit] % p].sum())
-        else:
-            s = 0
-        for x, y in zip(A[~unit].tolist(), B[~unit].tolist()):
-            s += jordan_gauss_sum([[x * u + y * v for u, v in zip(*row)]
-                                   for row in rows], p, R)
-        total += (p - 1) * p ** (c - 1) * s
-    count, rem = divmod(total, p ** (r1 + r2))
-    if rem:
-        raise ArithmeticError("Gauss-sum count is not an integer")
-    return count
+    return count_congruence_pair(pair, p, k, e, k, guard=guard)
 
 
 def _primitive_counts(pair: QuadricPair, p: int, k: int,
@@ -322,19 +249,6 @@ def sigma_p_truncated(pair: QuadricPair, p: int, k: int,
     chi = chi4(p)
     total = sum(chi**e * Ntilde(pair, p, k, e, guard=guard) for e in range(k + 1))
     return (1 - Fraction(chi, p)) * Fraction(total, p ** (k * (pair.n - 1)))
-
-
-def certified_good(pair: QuadricPair, p: int) -> bool:
-    """True when p is odd, prime to the pair's discriminant data, and the
-    intersection is smooth with good pencil rank mod p.
-
-    With disc_P != 0 the first two conditions imply the third (Reid's
-    criterion); with disc_P == 0 pencil rank and smoothness are checked by
-    brute force over F_p.  The certificate is the one bad_primes uses.
-    """
-    if not is_prime(p) or p == 2 or p in pair.bad_primes:
-        return False
-    return _good_reduction_mod_p(pair, p)
 
 
 # --------------------------------------------------------------------------
@@ -546,27 +460,21 @@ def tau_infinity(Q2, W: WeightFunction,
     integrates W / |grad-component| over the zero set directly.  Both
     resolve the distinguished coordinate exactly (quadratic root solving)
     on a transverse grid whose resolution doubles until the estimates
-    move by less than 1%.
+    move by less than 1%.  A singular Q2, or a support ball holding the
+    origin (the only critical point of a non-singular Q2), is refused.
     """
     if W.n != Q2.n:
         raise ValueError("weight dimension mismatch")
+    # grad Q2 = 2 M2 x vanishes only at x = 0 when M2 is nonsingular, so
+    # the support is free of critical points iff it misses the origin
+    if bareiss_det([list(r) for r in Q2.M]) == 0:
+        raise ValueError("Q2 must be non-singular")
     x0 = np.array(W.x0, dtype=float)
-    M2f = np.array(Q2.M, dtype=float)
-    grad0 = 2.0 * M2f @ x0
-    gnorm = float(np.sqrt(grad0 @ grad0))
-    if gnorm < 1e-12:
-        raise ValueError("grad Q2 vanishes at the weight center")
-    scale = W.rho * gnorm
+    if float(np.sqrt(x0 @ x0)) <= W.rho:
+        raise ValueError("the weight's support contains the cone's vertex")
+    grad0 = 2.0 * np.array(Q2.M, dtype=float) @ x0
+    scale = W.rho * float(np.sqrt(grad0 @ grad0))
     eps_list = tuple(f * scale for f in (0.2, 0.1, 0.05, 0.025))
-
-    # reject weights whose support meets {Q2 = 0} at a critical point
-    pts = W.support_grid()
-    vals = Q2.eval_float(pts)
-    near = np.abs(vals) < 0.2 * scale
-    if near.any():
-        gn = np.sqrt(((2.0 * pts[near] @ M2f) ** 2).sum(axis=1))
-        if float(gn.min()) < 1e-8 * gnorm:
-            raise ValueError("grad Q2 vanishes on the support near Q2 = 0")
 
     G = 12
     prev = None

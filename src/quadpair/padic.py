@@ -1,8 +1,20 @@
 """Exact counts of x mod p^R with p^r1 | Q1(x) and p^r2 | Q2(x).
 
-Direct enumeration costs p^(Rn) and dies quickly (already at p=7, R=3,
-n=5).  Instead we fix digits one at a time: writing x = x0 + p^j t with
-x0 known mod p^j,
+This is the one place that decides how such a count is computed; sigma_p
+(through Ntilde), rho and rho* all read it from here.  The input picks the
+route.
+
+At odd p the count is one identity: p^-(r1+r2) times the sum of the Gauss
+sums G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2) over a mod p^r1 and
+b mod p^r2.  Each G is read off a Jordan decomposition mod p^R
+(`lincong.jordan_gauss_sum`), or off the pencil polynomial where
+det(b1 M1 + b2 M2) is a unit mod p, and (a, b) runs over the orbits of
+unit scaling, O(p^max(r1, r2)) of them: O(p^R n^3) work, with no sweep of
+residues.
+
+At p = 2 the digits are fixed one at a time (`_lift_count`, also the
+oracle the tests hold the identity to at odd p): writing x = x0 + p^j t
+with x0 known mod p^j,
 
     Q(x0 + p^j t) = Q(x0) + p^j * (2 M x0) . t + p^(2j) Q(t),
 
@@ -10,21 +22,18 @@ so once j is deep enough the condition on t is linear (exact, handled by
 count_lincong) or, when the active gradient rows are independent mod p,
 Hensel lifting gives a closed-form fiber count p^(n(R-j) - sum(s_i - j)).
 Only branches with degenerate gradients and still-active quadratic terms
-enumerate another digit.  Level classification is vectorized, so the cost
-is roughly (number of degenerate branches) * p^n per level instead of
-p^(Rn).
+enumerate another digit, so the cost is roughly (number of degenerate
+branches) * p^n per level instead of p^(Rn).
 
-Everything here is exact integer arithmetic; results are cross-checked
-against brute-force enumeration in the test suite wherever that is
-feasible.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .guard import DEFAULT_GUARD, ResourceGuardError
-from .lincong import count_lincong
+from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
+from .lincong import count_lincong, jordan_gauss_sum
 from .modarith import factorize, is_prime
 from .quadforms import QuadricPair, residue_grid
 
@@ -36,6 +45,88 @@ __all__ = [
 ]
 
 
+def count_congruence_pair(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
+                          guard: int = DEFAULT_GUARD) -> int:
+    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, exactly: the Gauss-sum
+    identity at odd p, digit lifting at p = 2."""
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if R < 0 or not (0 <= r1 <= R) or not (0 <= r2 <= R):
+        raise ValueError("need 0 <= r1, r2 <= R")
+    if R == 0:
+        return 1
+    if p == 2:
+        return _lift_count(pair, p, R, r1, r2, guard)
+    check_guard("count_congruence_pair", pair.n**3 * _orbit_count(p, r1, r2), guard)
+    return _gauss_count(pair, p, R, r1, r2)
+
+
+def _orbits(p: int, r1: int, r2: int):
+    """The orbits of the units lambda acting on (a, b) in Z/p^r1 x Z/p^r2,
+    all but that of (0, 0), as (a, b, c): arrays of representatives whose
+    orbits have (p - 1) p^(c - 1) elements each.
+
+    c = max(r1 - v(a), r2 - v(b)), ties going to a.  Scaling makes the
+    entry that attains c a power of p, and leaves the other free up to
+    the bound on its valuation that c sets.
+    """
+    for va in range(r1):
+        c = r1 - va
+        yield np.array([p**va]), np.arange(0, p**r2, p ** max(r2 - c, 0)), c
+    for vb in range(r2):
+        c = r2 - vb
+        yield np.arange(0, p**r1, p ** max(r1 - c + 1, 0)), np.array([p**vb]), c
+
+
+def _orbit_count(p: int, r1: int, r2: int) -> int:
+    """The representatives _gauss_count visits: (0, 0) and _orbits'."""
+    return (1 + sum(p ** min(r1 - va, r2) for va in range(r1))
+            + sum(p ** min(r2 - vb - 1, r1) for vb in range(r2)))
+
+
+def _gauss_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int) -> int:
+    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, p odd, r1 and r2 <= R, as
+
+        p^-(r1+r2) sum_{a mod p^r1, b mod p^r2}
+            G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2)
+
+    with G_{p^R}(M) = sum_{x mod p^R} e(x^T M x / p^R).  G(lambda M) for a
+    unit lambda is (lambda/p)^t G(M), so each orbit of (a, b) under unit
+    scaling adds its size times jordan_gauss_sum at its representative.
+    Where the pencil polynomial puts det(A M1 + B M2) among the units mod
+    p, every Jordan block is a unit: G is p^(nR/2) for even R, p^(nR/2)
+    ((-1)^(n/2) det / p) for odd R and even n, and sums to 0 over the
+    orbit for odd R and n.  Only the other representatives are eliminated.
+    """
+    n = pair.n
+    rows = list(zip(pair.Q1.M, pair.Q2.M))
+    legendre = np.full(p, -1, dtype=np.int64)
+    legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+    legendre[0] = 0
+    total = p ** (n * R)  # (a, b) = (0, 0)
+    for a, b, c in _orbits(p, r1, r2):
+        A, B = np.broadcast_arrays(a * p ** (R - r1), b * p ** (R - r2))
+        det, Bk = 0, 1
+        for coeff in pair.pencil_poly:  # det = P(A, B) mod p, by Horner
+            det = (det * (A % p) + coeff % p * Bk) % p
+            Bk = Bk * (B % p) % p
+        unit = det != 0
+        if R % 2 == 0:
+            s = p ** (n * R // 2) * int(unit.sum())
+        elif n % 2 == 0:
+            s = p ** (n * R // 2) * int(legendre[(-1) ** (n // 2) * det[unit] % p].sum())
+        else:
+            s = 0
+        for x, y in zip(A[~unit].tolist(), B[~unit].tolist()):
+            s += jordan_gauss_sum([[x * u + y * v for u, v in zip(*row)]
+                                   for row in rows], p, R)
+        total += (p - 1) * p ** (c - 1) * s
+    count, rem = divmod(total, p ** (r1 + r2))
+    if rem:
+        raise ArithmeticError("Gauss-sum count is not an integer")
+    return count
+
+
 def _exact_grad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return 2 * (X @ M)
 
@@ -43,15 +134,9 @@ def _exact_grad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 _CHUNK_ROWS = 500_000
 
 
-def count_congruence_pair(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
-                          guard: int = DEFAULT_GUARD) -> int:
-    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, exactly."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if R < 0 or not (0 <= r1 <= R) or not (0 <= r2 <= R):
-        raise ValueError("need 0 <= r1, r2 <= R")
-    if R == 0:
-        return 1
+def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
+                guard: int = DEFAULT_GUARD) -> int:
+    """count_congruence_pair by digit lifting, at any prime p."""
     n = pair.n
     maxM = max(max(abs(v) for v in row) for form in (pair.Q1, pair.Q2) for row in form.M)
     if 4 * n * n * max(maxM, 1) * p ** (2 * R) >= 2**62:

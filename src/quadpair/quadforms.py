@@ -12,9 +12,9 @@ primes of bad reduction.  When disc_P != 0 it is the divisors of
 distinct roots mod p, so the intersection is smooth of codimension 2 and
 rank(b1 M1 + b2 M2) >= n-1 on all of P^1(F_p) (Reid's criterion).  When
 disc_P == 0 the divisors of 2 * det2 are joined with every p <= p_max at
-which a brute-force mod-p check of those two facts fails.  Claims
-conditioned on a good prime are only ever tested at primes this function
-certifies.
+which a brute-force mod-p check of those two facts fails; certified_good
+is that certificate at one prime.  Claims conditioned on a good prime are
+only ever tested at primes it certifies.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "QuadricPair",
     "bad_primes",
     "binary_disc",
+    "certified_good",
     "certified_good_primes",
     "count_cone_points_mod_p",
     "dual_form",
@@ -540,44 +541,38 @@ def _pencil_roots_distinct_mod_p(pair: QuadricPair, p: int) -> bool:
     return pair.disc_P != 0 and p % 2 == 1 and p not in pair.bad_primes
 
 
-def _good_reduction_mod_p(pair: QuadricPair, p: int) -> bool:
-    """Pencil rank >= n-1 on P^1(F_p) and a smooth intersection mod p (p an
-    odd prime).
+def certified_good(pair: QuadricPair, p: int) -> bool:
+    """True when p is an odd prime outside pair.bad_primes with pencil
+    rank >= n-1 on P^1(F_p) and a smooth intersection mod p.
 
     By Reid's criterion when the pencil has distinct roots mod p;
     otherwise by the brute-force checks, the cheap pencil rank first and
     then the sweep of the p^n residues under DEFAULT_GUARD.
     """
+    if not is_prime(p) or p == 2 or p in pair.bad_primes:
+        return False
     if _pencil_roots_distinct_mod_p(pair, p):
         return True
     return _pencil_rank_ok_mod_p(pair, p) and _smooth_intersection_mod_p(pair, p)
 
 
 def bad_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
-    """Divisor-based bad primes, joined with brute-force failures p <= p_max
-    when disc_P == 0.
+    """pair.bad_primes joined with the odd primes p <= p_max that
+    certified_good rejects.
 
     The result is a superset of the primes of bad reduction among p <= p_max;
-    primes <= p_max that are absent are certified good by
-    _good_reduction_mod_p.
+    primes <= p_max that are absent are certified good.
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
-    bad = set(pair.bad_primes)
-    p = 3
-    while p <= p_max:
-        if is_prime(p) and p not in bad and not _good_reduction_mod_p(pair, p):
-            bad.add(p)
-        p += 2
-    return tuple(sorted(bad))
+    failed = (p for p in range(3, p_max + 1, 2)
+              if is_prime(p) and not certified_good(pair, p))
+    return tuple(sorted({*pair.bad_primes, *failed}))
 
 
 def certified_good_primes(pair: QuadricPair, p_max: int) -> tuple[int, ...]:
-    """Odd primes p <= p_max that bad_primes certifies good."""
-    bad = set(bad_primes(pair, p_max))
-    return tuple(
-        p for p in range(3, p_max + 1) if is_prime(p) and p not in bad
-    )
+    """Odd primes p <= p_max that certified_good accepts."""
+    return tuple(p for p in range(3, p_max + 1) if certified_good(pair, p))
 
 
 def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int,

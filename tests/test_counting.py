@@ -281,6 +281,13 @@ def sphere_dirs_by_rounding(n):
     return dirs[np.sort(keep)]
 
 
+def shell_points(x0, rho, dirs):
+    """x0 and the shells x0 + f rho dirs, f = 1/4, 1/2, 3/4, 1."""
+    c = np.array(x0, dtype=float)
+    return np.vstack([c[None, :]] + [c[None, :] + f * rho * dirs
+                                     for f in (0.25, 0.5, 0.75, 1.0)])
+
+
 def weight_point_by_point(pair, scale=6.0):
     """default_for_pair one point at a time: a double loop over the
     segments, a Newton polish per candidate, and every shell point
@@ -339,7 +346,7 @@ def weight_point_by_point(pair, scale=6.0):
     target = scale * scale * best_score / 2.0
     rho = 0.5 * scale
     while rho > 1e-3 * scale:
-        pts = counting._shell_points(x0, rho, dirs)
+        pts = shell_points(x0, rho, dirs)
         grads = 2.0 * pts @ M1
         if (pair.Q1.eval_float(pts).min() > target
                 and np.sqrt((grads**2).sum(axis=1)).min() > 0):
@@ -430,7 +437,7 @@ def test_default_weight_sits_on_cone():
         x0 = np.array(W.x0)
         norm = float(np.linalg.norm(x0))
         assert abs(pair.Q2.eval_float(x0[None, :])[0]) <= 1e-6 * norm**2
-        pts = W.support_grid()
+        pts = shell_points(W.x0, W.rho, counting._sphere_dirs(pair.n))
         grads = 2.0 * pts @ np.array(pair.Q1.M, dtype=float)
         assert pair.Q1.eval_float(pts).min() > 0
         assert np.sqrt((grads**2).sum(axis=1)).min() > 0

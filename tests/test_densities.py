@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,15 +26,18 @@ from quadpair.densities import _sigma2_fraction  # depth probe used below
 from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
 from quadpair.lincong import jordan_gauss_sum
 from quadpair.modarith import is_prime
-from quadpair.padic import count_congruence_pair, count_congruence_pair_primitive
+from quadpair.padic import _gauss_count, _lift_count, count_congruence_pair
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     count_cone_points_mod_p,
+    load_pair,
     residue_blocks,
     residue_grid,
 )
+
+PAIRS_DIR = Path(__file__).resolve().parent.parent / "pairs"
 
 
 def test_two_squares_closed_form_small_sweep():
@@ -182,6 +186,23 @@ def test_tau_infinity_epsilon_ladder_converged():
     assert abs(ladder[-1] - ladder[-2]) <= 0.02 * abs(ladder[-1])
 
 
+def test_tau_infinity_refuses_support_on_the_vertex():
+    # guard 0 trips the first grid pass, so a ValueError shows the weight
+    # was refused before any integration, a ResourceGuardError that it
+    # passed the check
+    ship = shipped_pair()
+    x0 = np.array(WeightFunction.default_for_pair(ship).x0)
+    W = WeightFunction(tuple(0.05 * x0 / np.linalg.norm(x0)), rho=1.0)
+    with pytest.raises(ValueError, match="vertex"):
+        tau_infinity(ship.Q2, W, guard=0)
+    with pytest.raises(ValueError, match="non-singular"):
+        tau_infinity(QuadraticForm.diagonal([1, -1, 0, 2, 1]), W, guard=0)
+    for name in ("shipped_n5", "demo_n7", "toy_n3", "toy_n2"):
+        pair = load_pair(PAIRS_DIR / f"{name}.pair")
+        with pytest.raises(ResourceGuardError):
+            tau_infinity(pair.Q2, WeightFunction.default_for_pair(pair), guard=0)
+
+
 def test_experiment_result_csv_shape():
     rows = ((8.0, 1.5, 0.1, 0.2, 0.5),)
     res = ExperimentResult.__new__(ExperimentResult)
@@ -311,8 +332,7 @@ def _zero_counts_sweep(pair, p):
 def test_pencil_counts_match_sweeps(name):
     pair = ORACLE_PAIRS[name]()
     for p in _odd_primes(3, 13):
-        counts = (densities._gauss_count(pair, p, 1, 0, 1),
-                  densities._gauss_count(pair, p, 1, 1, 1))
+        counts = (_gauss_count(pair, p, 1, 0, 1), _gauss_count(pair, p, 1, 1, 1))
         assert counts == _zero_counts_sweep(pair, p), (name, p)
         if p**pair.n <= 10**7:  # the package's own sweep, where it is cheap
             assert counts[1] == count_cone_points_mod_p(pair, p), (name, p)
@@ -333,12 +353,14 @@ def test_hensel_local_data_matches_sweep(name):
         depth1 = densities._primitive_counts(pair, p, 1)
         hensel = densities._hensel_lift(pair.n, p, depth1)
         assert hensel == densities._primitive_counts(pair, p, 2), (name, p)
-        inner = densities._gauss_count(pair, p, 1, 0, 0)
-        assert hensel == [densities._gauss_count(pair, p, 2, e, 2) - inner
+        inner = _gauss_count(pair, p, 1, 0, 0)
+        assert hensel == [_gauss_count(pair, p, 2, e, 2) - inner
                           for e in range(3)], (name, p)
         if p**pair.n <= 10**6:
             for k, got in ((1, depth1), (2, hensel)):
-                assert got == [count_congruence_pair_primitive(pair, p, k, e, k)
+                # at k <= 2 every imprimitive x = p y counts: p^(n(k-1)) of them
+                inner = _lift_count(pair, p, k - 1, 0, 0)
+                assert got == [_lift_count(pair, p, k, e, k) - inner
                                for e in range(k + 1)], (name, p, k)
 
 
@@ -353,11 +375,10 @@ def test_good_primes_do_not_sweep(monkeypatch):
     monkeypatch.setattr(quadforms, "residue_zeros_mod_p", no_sweep)
     monkeypatch.setattr(quadforms, "_pencil_rank_ok_mod_p", no_sweep)
     monkeypatch.setattr(quadforms, "_smooth_intersection_mod_p", no_sweep)
-    monkeypatch.setattr(padic, "count_congruence_pair", no_sweep)
-    assert not hasattr(densities, "count_congruence_pair")
+    monkeypatch.setattr(padic, "_lift_count", no_sweep)
     eliminations = []
-    jordan = densities.jordan_gauss_sum
-    monkeypatch.setattr(densities, "jordan_gauss_sum",
+    jordan = padic.jordan_gauss_sum
+    monkeypatch.setattr(padic, "jordan_gauss_sum",
                         lambda *args: eliminations.append(args) or jordan(*args))
     for p in (11, 13, 101):
         assert certified_good(pair, p)
@@ -449,8 +470,8 @@ def test_singular_pair_skips_hensel():
 # --------------------------------------------------------------------------
 
 
-# (R, r1, r2) up to depth 3, as deep as count_congruence_pair, the
-# digit-lifting oracle, goes in a few seconds per pair; the depth-1 counts
+# (R, r1, r2) up to depth 3, as deep as _lift_count, the digit-lifting
+# oracle, goes in a few seconds per pair; the depth-1 counts
 # past that are checked against the sweep in test_pencil_counts_match_sweeps
 def _gauss_count_cases(pair, p):
     size = p**pair.n
@@ -465,20 +486,20 @@ def test_gauss_count_matches_count_congruence_pair(name):
     pair = {**ORACLE_PAIRS, **SINGULAR_PAIRS, "toy_n2": toy_pair_2}[name]()
     for p in _odd_primes(3, 13):
         for R, r1, r2 in _gauss_count_cases(pair, p):
-            assert (densities._gauss_count(pair, p, R, r1, r2)
-                    == count_congruence_pair(pair, p, R, r1, r2)), (name, p, R, r1, r2)
+            assert (count_congruence_pair(pair, p, R, r1, r2)
+                    == _lift_count(pair, p, R, r1, r2)), (name, p, R, r1, r2)
 
 
 def test_orbits_partition_the_pairs():
     for p in (3, 5):
         for r1 in range(4):
             for r2 in range(4):
-                orbits = list(densities._orbits(p, r1, r2))
+                orbits = list(padic._orbits(p, r1, r2))
                 sizes = [(p - 1) * p ** (c - 1) * max(len(a), len(b))
                          for a, b, c in orbits]
                 assert 1 + sum(sizes) == p ** (r1 + r2), (p, r1, r2)
                 reps = 1 + sum(max(len(a), len(b)) for a, b, _ in orbits)
-                assert densities._orbit_count(p, r1, r2) == reps
+                assert padic._orbit_count(p, r1, r2) == reps
                 # every (a, b) lies in the orbit of exactly one representative
                 if p ** (r1 + r2) <= 625:
                     seen = set()
@@ -515,7 +536,7 @@ def test_demo_n7_bad_primes_converge():
 
 def test_guard_estimate_covers_eliminations(monkeypatch):
     calls = []  # [estimate, eliminations run after it]
-    check, jordan = densities.check_guard, densities.jordan_gauss_sum
+    check, jordan = densities.check_guard, padic.jordan_gauss_sum
 
     def record_check(op, estimate, guard):
         calls.append([estimate, 0])
@@ -526,7 +547,7 @@ def test_guard_estimate_covers_eliminations(monkeypatch):
         return jordan(*args)
 
     monkeypatch.setattr(densities, "check_guard", record_check)
-    monkeypatch.setattr(densities, "jordan_gauss_sum", record_jordan)
+    monkeypatch.setattr(padic, "jordan_gauss_sum", record_jordan)
     for pair, primes in ((shipped_pair(), (3, 5, 7, 11)),
                          (demo_pair_7(), (3, 7, 13)),
                          (SINGULAR_PAIRS["good_pencil_rank"](), (3, 5))):
@@ -540,10 +561,9 @@ def test_guard_estimate_covers_eliminations(monkeypatch):
 
 def test_sigma_p_never_calls_count_congruence_pair(monkeypatch):
     def no_digit_lifting(*args, **kwargs):
-        raise AssertionError("sigma_p called count_congruence_pair")
+        raise AssertionError("sigma_p ran digit lifting")
 
-    monkeypatch.setattr(padic, "count_congruence_pair", no_digit_lifting)
-    assert not hasattr(densities, "count_congruence_pair")
+    monkeypatch.setattr(padic, "_lift_count", no_digit_lifting)
     for pair, primes in ((shipped_pair(), (3, 5, 7, 11)),
                          (demo_pair_7(), (3, 5)),
                          (SINGULAR_PAIRS["repeated_root"](), (3, 5))):
@@ -556,9 +576,9 @@ def test_sigma_p_truncated_reaches_demo_n7(monkeypatch):
     # n = 7 pair needs no digit lifting (which gives the same fraction in
     # about two minutes); it approaches the limit from below
     def no_digit_lifting(*args, **kwargs):
-        raise AssertionError("Ntilde called count_congruence_pair")
+        raise AssertionError("Ntilde ran digit lifting")
 
-    monkeypatch.setattr(padic, "count_congruence_pair", no_digit_lifting)
+    monkeypatch.setattr(padic, "_lift_count", no_digit_lifting)
     trunc = sigma_p_truncated(demo_pair_7(), 7, 3, guard=DEFAULT_GUARD)
     assert trunc == Fraction(39628800, 40353607)
     assert 0 < DEMO_N7_SIGMA[7] - trunc < Fraction(1, 1000)

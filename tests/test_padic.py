@@ -4,14 +4,16 @@ import random
 import numpy as np
 import pytest
 
+from quadpair.expsums import rho, rho_star
 from quadpair.guard import ResourceGuardError
 from quadpair.padic import (
+    _lift_count,
     count_congruence_pair,
     count_congruence_pair_primitive,
     count_divisibility,
     count_divisibility_primitive,
 )
-from quadpair import quadforms
+from quadpair import padic, quadforms
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -160,3 +162,39 @@ def test_guard_raises():
     pair = toy_pair_3()
     with pytest.raises(ResourceGuardError):
         count_congruence_pair(pair, 101, 4, 4, 4, guard=10**6)
+
+
+def test_lift_count_guard_raises_at_two():
+    # the first digit of x = 0 is degenerate and costs 2^5 children
+    with pytest.raises(ResourceGuardError) as err:
+        count_congruence_pair(shipped_pair(), 2, 3, 3, 3, guard=31)
+    assert err.value.operation == "count_congruence_pair"
+
+
+def test_only_powers_of_two_lift_digits(monkeypatch):
+    primes = []
+    lift = padic._lift_count
+
+    def record(pair, p, *args, **kwargs):
+        primes.append(p)
+        return lift(pair, p, *args, **kwargs)
+
+    monkeypatch.setattr(padic, "_lift_count", record)
+    pair = shipped_pair()
+    for d in (3, 9, 27, 5, 25, 7, 11, 13, 15):
+        rho(pair, d)
+        rho_star(pair, d)
+        count_divisibility(pair, d, 3 * d)
+        count_divisibility_primitive(pair, 3 * d, d)
+    assert primes == []
+    for d in (2, 4, 8, 12):
+        rho(pair, d)
+        rho_star(pair, d)
+        count_divisibility(pair, d, 2 * d)
+    assert primes and set(primes) == {2}
+
+
+@pytest.mark.parametrize("p,R", [(3, 6), (5, 4)])
+def test_deep_counts_match_digit_lifting(p, R):
+    pair = shipped_pair()
+    assert count_congruence_pair(pair, p, R, R, R) == _lift_count(pair, p, R, R, R)
