@@ -25,6 +25,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .counting import WeightFunction
 from .densities import (
     ExperimentResult,
@@ -338,14 +340,8 @@ def _suite_bounds(seed: int, guard: int) -> list[_Check]:
         mat = [[rng.randrange(-q, q) for _ in range(n)] for _ in range(k)]
         avec = [rng.randrange(q) for _ in range(k)]
         count = count_lincong(mat, avec, q)
-        grid = residue_grid(q, n)
-        hits = 0
-        for row in grid:
-            if all(
-                (sum(mat[i][j] * int(row[j]) for j in range(n)) - avec[i]) % q == 0
-                for i in range(k)
-            ):
-                hits += 1
+        lhs = (residue_grid(q, n) @ np.array(mat).T - np.array(avec)) % q
+        hits = int((lhs == 0).all(axis=1).sum())
         if count != hits or count > smith_bound(mat, PrimePower.of(q)):
             bad += 1
         trials += 1

@@ -108,7 +108,7 @@ def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
     a = M[-1][-1]
     col = [row[-1] for row in M[:-1]]
     if n > 1:
-        c = QuadraticForm.from_matrix([row[:-1] for row in M[:-1]]).eval_batch(X)
+        c = QuadraticForm.from_matrix(M).restrict(range(n - 1)).eval_batch(X)
         b = 2 * (X @ np.array(col, dtype=np.int64))
     else:
         b = c = np.zeros(len(X), dtype=np.int64)
@@ -168,10 +168,6 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
     return rows[order]
 
 
-def _block_form(M, idx, sign: int = 1) -> QuadraticForm:
-    return QuadraticForm.from_matrix([[sign * M[i][j] for j in idx] for i in idx])
-
-
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
     """Zeros in lexicographic order by the join of the two halves."""
     n = Q2.n
@@ -181,10 +177,10 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
         valR = np.zeros(1, dtype=np.int64)
     else:
         XR = np.vstack(list(grid_blocks(_axes(lo[h:], hi[h:]), lex=True)))
-        valR = _block_form(Q2.M, range(h, n)).eval_batch(XR)
+        valR = Q2.restrict(range(h, n)).eval_batch(XR)
         order = np.argsort(valR, kind="stable")
         XR, valR = XR[order], valR[order]
-    QL = _block_form(Q2.M, range(h))
+    QL = Q2.restrict(range(h))
     parts = []
     total = 0
     for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
@@ -267,10 +263,10 @@ def _half_keys(pair: QuadricPair, side, X: np.ndarray, d: int,
                sign: int) -> np.ndarray:
     """sign Q2(x) d + (sign Q1(x) mod d) for the rows x of X, both forms
     restricted to the coordinates in side."""
-    key = _block_form(pair.Q2.M, side, sign).eval_batch(X)
+    key = pair.Q2.restrict(side, sign).eval_batch(X)
     key *= d
     if d > 1:
-        r = _block_form(pair.Q1.M, side, sign).eval_batch(X)
+        r = pair.Q1.restrict(side, sign).eval_batch(X)
         r %= d
         key += r
     return key

@@ -13,10 +13,15 @@ T_{d,q}(m) whose multiplicative splitting is verified by the test suite.
 
 Evaluation strategy: enumeration sums are regrouped through residue-class
 histograms (exact bookkeeping, floating point only in the final root-of-
-unity combination), so a (dq)^n-point sum costs one vectorized sweep plus
-(dq)^2 phase terms.  Values carry the absolute tolerance of modarith's
-SumValue.  Two genuinely independent paths exist for S_{d,q} (unit sum vs
-Ramanujan reduction) and the suites require agreement.
+unity combination).  For S_{d,q} the coordinates split into the blocks no
+cross term joins (one of Q1 counts when nonzero mod d, one of Q2 when
+nonzero mod dq); each block's (dq)^|b| residues are counted under the key
+(Q1 mod d, Q2 mod dq, m.k mod dq), and the block histograms are convolved
+on Z/d x Z/dq x Z/dq.  A diagonal pair so costs n dq residues and n - 1
+folds instead of (dq)^n; a fully coupled pair is one block, one sweep.
+The (dq)^2 phase terms follow.  Values carry the absolute tolerance of
+modarith's SumValue.  Two genuinely independent paths exist for S_{d,q}
+(unit sum vs Ramanujan reduction) and the suites require agreement.
 
 For d = p^2 at realistic n, direct enumeration mod p^2 is impossible; the
 layered evaluators parametrize the solution set by digit lifting over the
@@ -54,6 +59,7 @@ from .quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
+    grid_blocks,
     residue_blocks,
     residue_zeros_mod_p,
 )
@@ -89,12 +95,132 @@ def _phases(q: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+#: most cells one gather of _fold holds
+_FOLD_CELLS = 1 << 21
+#: rows _block_rows gathers before the forms are evaluated
+_BATCH_ROWS = 1 << 20
+
+
+def _coordinate_blocks(pair: QuadricPair, d: int, dq: int) -> list[list[int]]:
+    """The coordinates in the connected blocks no cross term joins: a cross
+    term of Q1 counts when it is nonzero mod d, one of Q2 when it is
+    nonzero mod dq.  Blocks come in the order of their first coordinate."""
+    label = list(range(pair.n))
+    for form, mod in ((pair.Q1, d), (pair.Q2, dq)):
+        for i, j, c in form.terms():
+            if i != j and c % mod:
+                old, new = label[j], label[i]
+                label = [new if v == old else v for v in label]
+    blocks: dict[int, list[int]] = {}
+    for i, v in enumerate(label):
+        blocks.setdefault(v, []).append(i)
+    return list(blocks.values())
+
+
+def _S_dq_charge(blocks, d: int, dq: int, nm: int) -> int:
+    """The rows of every block's residue grid, plus, for each of the nm
+    vectors m, d dq^2 cells per fold times the largest support its smaller
+    side can have (the residues behind that side, at most d dq^2)."""
+    cells = d * dq * dq
+    folds = 0
+    seen = dq ** len(blocks[0])
+    for b in blocks[1:]:
+        size = dq ** len(b)
+        folds += cells * min(seen, size, cells)
+        seen *= size
+    return sum(dq ** len(b) for b in blocks) + nm * folds
+
+
+def _block_rows(blocks, dq: int, n: int):
+    """Every block's residues mod dq as rows of Z^n that vanish off the
+    block, with each row's block number, in batches of whole grid_blocks
+    blocks holding at least _BATCH_ROWS rows (but the last)."""
+    res, zero = np.arange(dq, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    labels, rows, size = [], [], 0
+    for b, idx in enumerate(blocks):
+        for X in grid_blocks([res if i in idx else zero for i in range(n)]):
+            labels.append(np.full(len(X), b))
+            rows.append(X)
+            size += len(X)
+            if size >= _BATCH_ROWS:
+                yield _stack(labels), _stack(rows)
+                labels, rows, size = [], [], 0
+    if rows:
+        yield _stack(labels), _stack(rows)
+
+
+def _stack(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _block_hists(pair: QuadricPair, blocks, d: int, dq: int,
+                 mvecs: np.ndarray) -> np.ndarray:
+    """hists[i, b]: the histogram of block b's residues mod dq, keyed by
+    (Q1 mod d, Q2 mod dq, m.k mod dq) for m the column i of mvecs and
+    flattened in that order.
+
+    A residue of block b is a vector vanishing off b, where the pair's
+    forms are the block's own.  When one block holds every coordinate,
+    only the residues with d | Q1 and d | Q2 count, so the key is
+    (0, Q2, m.k) and dq^2 cells hold it: the single-grid sweep of all
+    (dq)^n residues.
+    """
+    whole = len(blocks) == 1
+    cells = dq * dq if whole else d * dq * dq
+    hists = np.zeros((mvecs.shape[1], len(blocks) * cells), dtype=np.int64)
+    for label, X in _block_rows(blocks, dq, pair.n):
+        if whole and d > 1:
+            keep = pair.zero_mask_mod(X, d)
+            X, label = X[keep], label[keep]
+        key = pair.Q2.eval_batch_mod(X, dq)
+        if d > 1 and not whole:
+            key += pair.Q1.eval_batch_mod(X, d) * dq
+        key *= dq
+        key += label * cells
+        V = (X @ mvecs) % dq
+        for i in range(len(hists)):
+            hists[i] += np.bincount(key + V[:, i], minlength=len(blocks) * cells)
+    return hists.reshape(len(hists), len(blocks), cells)
+
+
+def _fold(x: np.ndarray, y: np.ndarray, d: int, dq: int,
+          kept: bool = False) -> np.ndarray:
+    """Cyclic convolution of two flat histograms on Z/d x Z/dq x Z/dq,
+    exact in int64: the denser one, shifted by each cell of the sparser
+    (a window of it tiled twice along every axis), times that cell's count.
+    With kept, only the cells (0, u, v) with d | u are formed, flattened
+    from shape (q, dq)."""
+    if np.count_nonzero(x) > np.count_nonzero(y):
+        x, y = y, x
+    keys = np.flatnonzero(x)
+    r, u, v = np.unravel_index(keys, (d, dq, dq))
+    tiled = np.tile(y.reshape(d, dq, dq), (2, 2, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(tiled, (d, dq, dq))
+    if kept:
+        windows = windows[..., :1, ::d, :]
+    size = windows[0, 0, 0].size
+    out = np.zeros(size, dtype=np.int64)
+    step = max(1, _FOLD_CELLS // size)
+    for lo in range(0, len(keys), step):
+        at = slice(lo, lo + step)
+        shifted = windows[d - r[at], dq - u[at], dq - v[at]]
+        out += x[keys[at]] @ shifted.reshape(len(shifted), size)
+    return out
+
+
 def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
               guard: int = DEFAULT_GUARD) -> list[SumValue]:
-    """S_{d,q}(m) for several m in one residue sweep.
+    """S_{d,q}(m) for several m from one set of block histograms.
 
     method 'direct' sums the unit average as written; 'ramanujan' collapses
-    the a-sum to c_q(Q2(k)/d) first.  The two share only the enumeration.
+    the a-sum to c_q(Q2(k)/d) first.  The two share only the histogram of
+    (Q2(k), m.k) mod dq over the k with d | Q1(k), d | Q2(k).  That
+    histogram is the fold of the coordinate blocks' histograms (see the
+    module docstring) at Q1 = 0 and Q2 = 0 mod d, the last fold forming
+    only those cells; a single block is one sweep of its (dq)^n residues
+    that keeps only those k.  The guard only raises, charged before any
+    work the rows of the block grids plus, per m, d dq^2 cells per fold
+    times the largest support the fold's smaller side can have.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")
@@ -102,9 +228,16 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
     for m in m_list:
         if len(m) != n:
             raise ValueError("m has wrong length")
+    if method not in ("direct", "ramanujan"):
+        raise ValueError(f"unknown method {method!r}")
+    if not len(m_list):
+        return []
     dq = d * q
+    blocks = _coordinate_blocks(pair, d, dq)
+    check_guard("S_dq", _S_dq_charge(blocks, d, dq, len(m_list)), guard)
+    if dq**n > 2**63 - 1:
+        raise ValueError("S_dq counts too large for int64 path")
     units = _units(q)
-    check_guard("S_dq", dq**n * len(units), guard)
 
     ph = _phases(dq)
     if method == "direct":
@@ -112,34 +245,31 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
         weight = np.zeros(dq, dtype=complex)
         for a in units:
             weight += ph[(a * np.arange(dq)) % dq]
-    elif method == "ramanujan":
+    else:
         weight = np.array([ramanujan(q, (u // d) % q) if u % d == 0 else 0
                            for u in range(dq)], dtype=float)
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     mvecs = np.array([[v % dq for v in m] for m in m_list], dtype=np.int64).T
-    nm = len(m_list)
-    hists = np.zeros((nm, dq * dq), dtype=np.int64)
-    survivors = 0
-    for block in residue_blocks(dq, n):
-        sub = block if d == 1 else block[pair.zero_mask_mod(block, d)]
-        if not len(sub):
+    hists = []
+    for parts in _block_hists(pair, blocks, d, dq, mvecs):
+        if len(parts) == 1:  # the sweep kept only d | Q1, d | Q2
+            hists.append(parts[0].reshape(dq, dq))
             continue
-        survivors += len(sub)
-        u = pair.Q2.eval_batch_mod(sub, dq)
-        V = (sub @ mvecs) % dq
-        base = u * dq
-        for i in range(nm):
-            hists[i] += np.bincount(base + V[:, i], minlength=dq * dq)
+        acc = parts[0]
+        for part in parts[1:-1]:
+            acc = _fold(acc, part, d, dq)
+        hist = np.zeros((dq, dq), dtype=np.int64)
+        hist[::d] = _fold(acc, parts[-1], d, dq, kept=True).reshape(q, dq)
+        hists.append(hist)
+    survivors = int(hists[0].sum())
 
     if method == "direct":
         tol = sum_tol(len(units) * max(survivors, 1))
     else:
         tol = sum_tol(max(survivors, 1), max(len(units), 1))
     out = []
-    for i in range(nm):
-        z = (weight * (hists[i].reshape(dq, dq) @ ph)).sum()
+    for hist in hists:
+        z = (weight * (hist @ ph)).sum()
         out.append(SumValue(z.real, z.imag, tol))
     return out
 
@@ -167,7 +297,7 @@ def S_dq(pair: QuadricPair, d: int, q: int, m, method: str = "auto",
 
     method 'auto' is 'factorized' iff d = 1 and Q2 is diagonal, else
     'direct'.  The guard only raises, charged n q phi(q) terms by the
-    factorized route and (dq)^n phi(q) by the sweeps of S_dq_many.
+    factorized route and the block grids and folds by S_dq_many.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")
@@ -301,7 +431,7 @@ def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
 
     method 'auto' is 'layered' (D_p2_layered) iff d = p^2, p prime, else
     'direct' (S_dq_many).  The guard only raises, charged p^n (by the
-    common-zero search mod p) or d^n.
+    common-zero search mod p) or as in S_dq_many.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -393,7 +523,8 @@ def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
     """M_{p^r, p^ell}(m) = S_{p^r, p^ell}(m).
 
     method 'auto' is 'layered' iff r = ell = 1, else 'direct' (S_dq).  The
-    guard only raises, charged p^n by the layered route's zero search.
+    guard only raises, charged p^n by the layered route's zero search and
+    as in S_dq_many by the direct route.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

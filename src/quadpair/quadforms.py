@@ -120,6 +120,11 @@ class QuadraticForm:
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.M[i][i] for i in range(self.n))
 
+    def restrict(self, idx, sign: int = 1) -> "QuadraticForm":
+        """sign Q on the coordinates idx, in that order (the others set to 0)."""
+        return QuadraticForm.from_matrix(
+            [[sign * self.M[i][j] for j in idx] for i in idx])
+
     def eval(self, x) -> int:
         if len(x) != self.n:
             raise ValueError(f"point has length {len(x)}, form has n={self.n}")

@@ -2,8 +2,10 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from quadpair import expsums
 from quadpair.expsums import (
     D_d,
     D_p2_layered,
@@ -19,12 +21,18 @@ from quadpair.expsums import (
     rho,
     rho_star,
 )
-from quadpair.guard import ResourceGuardError
+from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
 from quadpair.lincong import count_lincong, rank_mod_p
-from quadpair.modarith import chi4, e_q, sum_tol
+from quadpair.modarith import chi4, e_q, ramanujan, sum_tol
 from quadpair.padic import count_divisibility
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
-from quadpair.quadforms import QuadraticForm, QuadricPair, dual_form, residue_zeros_mod_p
+from quadpair.quadforms import (
+    QuadraticForm,
+    QuadricPair,
+    dual_form,
+    residue_blocks,
+    residue_zeros_mod_p,
+)
 
 
 def pair_n3_unit_det():
@@ -441,3 +449,170 @@ def test_guard_does_not_change_the_value():
             call(charge - 1)
     assert D_d(pair, 25, m).close_to(D_d(pair, 25, m, method="direct"))
     assert S_dq(pair, 1, 7, m).close_to(S_dq(pair, 1, 7, m, method="direct"))
+
+
+# --------------------------------------------------------------------------
+# S_dq_many's block join against the single-grid sweep
+# --------------------------------------------------------------------------
+
+
+def sdq_by_sweep(pair, d, q, m_list, method):
+    """(re, im, tol) of S_{d,q}(m) for each m by one sweep of all (dq)^n
+    residues: the histogram of (Q2, m.k) mod dq over the k with d | Q1(k),
+    d | Q2(k), then the same unit weights and phases as S_dq_many."""
+    n = pair.n
+    dq = d * q
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    ang = 2.0 * math.pi * np.arange(dq) / dq
+    ph = np.cos(ang) + 1j * np.sin(ang)
+    if method == "direct":
+        weight = np.zeros(dq, dtype=complex)
+        for a in units:
+            weight += ph[(a * np.arange(dq)) % dq]
+    else:
+        weight = np.array([ramanujan(q, (u // d) % q) if u % d == 0 else 0
+                           for u in range(dq)], dtype=float)
+    mvecs = np.array([[v % dq for v in m] for m in m_list], dtype=np.int64).T
+    nm = len(m_list)
+    hists = np.zeros((nm, dq * dq), dtype=np.int64)
+    survivors = 0
+    for block in residue_blocks(dq, n):
+        sub = block if d == 1 else block[pair.zero_mask_mod(block, d)]
+        if not len(sub):
+            continue
+        survivors += len(sub)
+        u = pair.Q2.eval_batch_mod(sub, dq)
+        V = (sub @ mvecs) % dq
+        base = u * dq
+        for i in range(nm):
+            hists[i] += np.bincount(base + V[:, i], minlength=dq * dq)
+    if method == "direct":
+        tol = sum_tol(len(units) * max(survivors, 1))
+    else:
+        tol = sum_tol(max(survivors, 1), max(len(units), 1))
+    out = []
+    for i in range(nm):
+        z = (weight * (hists[i].reshape(dq, dq) @ ph)).sum()
+        out.append((z.real, z.imag, tol))
+    return out
+
+
+def moved(pair, perm, signs):
+    """The pair in the coordinates y_i = signs[i] x_perm[i]."""
+    n = pair.n
+
+    def move(Q):
+        return QuadraticForm.from_matrix(
+            [[signs[i] * signs[j] * Q.M[perm[i]][perm[j]] for j in range(n)]
+             for i in range(n)])
+
+    return QuadricPair.build(move(pair.Q1), move(pair.Q2))
+
+
+def blocks_212():
+    """Blocks {x1, x2}, {x3}, {x4, x5} at every dq >= 3: each cross
+    coefficient is 2, so it vanishes only mod 2."""
+    return QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 1, 0, 0],
+                                   [0, 0, 0, 2, 1], [0, 0, 0, 1, 1]]),
+        QuadraticForm.from_matrix([[1, 1, 0, 0, 0], [1, -2, 0, 0, 0], [0, 0, 3, 0, 0],
+                                   [0, 0, 0, -1, 1], [0, 0, 0, 1, 2]]))
+
+
+def cross_terms_mod_6():
+    """Q1 couples x1, x2 and Q2 couples x3, x4, each by a cross coefficient
+    6, which vanishes mod 2, 3 and 6 but not over Z."""
+    return QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 3, 0, 0], [3, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        QuadraticForm.from_matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 3], [0, 0, 3, 3]]))
+
+
+def test_coordinate_blocks():
+    blocks = expsums._coordinate_blocks  # arguments pair, d, dq
+    assert blocks(shipped_pair(), 2, 18) == [[0], [1], [2], [3], [4]]
+    assert blocks(toy_pair_2(), 3, 3) == [[0, 1]]
+    assert blocks(LAYERED_AT_5["coupled_n4"][0](), 2, 6) == [[0, 1, 2, 3]]
+    pair = blocks_212()
+    assert blocks(pair, 1, 3) == [[0, 1], [2], [3, 4]]
+    assert blocks(pair, 1, 2) == [[0], [1], [2], [3], [4]]
+    perm = moved(pair, [3, 0, 2, 4, 1], [1, -1, -1, 1, 1])
+    assert blocks(perm, 3, 3) == [[0, 3], [1, 4], [2]]
+    pair = cross_terms_mod_6()
+    assert blocks(pair, 3, 6) == [[0], [1], [2], [3]]  # 6 = 0 mod 3 and mod 6
+    assert blocks(pair, 1, 6) == [[0], [1], [2], [3]]
+    assert blocks(pair, 2, 4) == [[0], [1], [2, 3]]  # Q2's 6 != 0 mod 4
+    assert blocks(pair, 5, 5) == [[0, 1], [2, 3]]
+
+
+SWEEP_CASES = {
+    "shipped": (shipped_pair, [(1, 3), (3, 1), (2, 3), (1, 7), (4, 1)]),
+    "shipped_moved_a": (lambda: moved(shipped_pair(), [2, 0, 4, 1, 3], [1, -1, 1, 1, -1]),
+                        [(1, 5), (3, 2), (2, 1)]),
+    "shipped_moved_b": (lambda: moved(shipped_pair(), [4, 3, 2, 1, 0], [-1, -1, 1, -1, 1]),
+                        [(1, 4), (2, 3)]),
+    "shipped_moved_c": (lambda: moved(shipped_pair(), [1, 4, 0, 3, 2], [1, 1, -1, -1, -1]),
+                        [(5, 1), (1, 6)]),
+    "toy_n2": (toy_pair_2, [(1, 5), (3, 1), (2, 3), (6, 1), (5, 5)]),
+    "toy_n3": (toy_pair_3, [(1, 3), (7, 1), (2, 3), (3, 4), (7, 3)]),
+    "demo_n7": (demo_pair_7, [(1, 3), (2, 1), (2, 2), (3, 1)]),
+    "coupled_n4": (LAYERED_AT_5["coupled_n4"][0], [(1, 5), (5, 1), (2, 3)]),
+    "blocks_212": (blocks_212, [(1, 3), (3, 1), (2, 3), (1, 2)]),
+    "blocks_212_moved": (lambda: moved(blocks_212(), [3, 0, 2, 4, 1], [1, -1, -1, 1, 1]),
+                         [(3, 1), (2, 3)]),
+    "cross_terms_mod_6": (cross_terms_mod_6, [(3, 2), (1, 6), (2, 2), (3, 1), (5, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_block_join_matches_sweep_bit_for_bit(name):
+    make, menu = SWEEP_CASES[name]
+    pair = make()
+    rng = random.Random(f"sweep:{name}")
+    for d, q in menu:
+        dq = d * q
+        ms = [[0] * pair.n] + [[rng.randrange(dq) for _ in range(pair.n)]
+                               for _ in range(3)]
+        for method in ("direct", "ramanujan"):
+            got = [(v.re, v.im, v.tol) for v in S_dq_many(pair, d, q, ms, method=method)]
+            assert got == sdq_by_sweep(pair, d, q, ms, method), (d, q, method)
+
+
+def test_S_dq_many_empty_m_list():
+    pair = toy_pair_3()
+    for method in ("direct", "ramanujan"):
+        assert S_dq_many(pair, 2, 3, [], method=method) == []
+    with pytest.raises(ValueError):
+        S_dq_many(pair, 0, 3, [])
+    with pytest.raises(ValueError):
+        S_dq_many(pair, 2, 3, [], method="factorized")
+
+
+def test_S_dq_guard_is_the_block_charge():
+    m = [1, 2, 3, 4, 5]
+    # shipped at dq = 97 is five blocks of 97 rows and four folds of 97^2
+    # cells by 97 shifts, where one sweep would read 97^5 rows
+    direct = S_dq(shipped_pair(), 1, 97, m, method="direct", guard=DEFAULT_GUARD)
+    pair = shipped_pair()
+    assert direct.close_to(Q_q_explicit(pair.Q2, 97, m, dual=pair.dual2))
+    cases = [
+        # five blocks of 7 rows; four folds of 49 cells by 7 shifts
+        (shipped_pair(), 1, 7, [m], 5 * 7 + 4 * 49 * 7),
+        # blocks of 36, 6 and 36 rows; per m, 72 cells by 6 then by 36 shifts
+        (blocks_212(), 2, 3, [m, [0] * 5], 78 + 2 * (72 * 6 + 72 * 36)),
+        # blocks of 3, 9 and 9 rows: the first fold has at most 3 shifts
+        (moved(blocks_212(), [2, 0, 1, 3, 4], [1] * 5), 1, 3, [m], 21 + 9 * 3 + 9 * 9),
+        # one block: the rows of the sweep
+        (LAYERED_AT_5["coupled_n4"][0](), 1, 5, [[1, 2, 3, 4]], 5**4),
+    ]
+    for pair, d, q, ms, charge in cases:
+        want = S_dq_many(pair, d, q, ms)
+        got = S_dq_many(pair, d, q, ms, guard=charge)
+        assert [(v.re, v.im, v.tol) for v in got] == [(v.re, v.im, v.tol) for v in want]
+        with pytest.raises(ResourceGuardError):
+            S_dq_many(pair, d, q, ms, guard=charge - 1)
+
+
+def test_S_dq_refuses_counts_past_int64():
+    # 10^20 residues: the guard admits the blocks, the counts cannot hold them
+    with pytest.raises(ValueError):
+        S_dq(shipped_pair(), 1, 10**4, [1] * 5, method="direct", guard=10**13)
