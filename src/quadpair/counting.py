@@ -108,7 +108,7 @@ def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
     a = M[-1][-1]
     col = [row[-1] for row in M[:-1]]
     if n > 1:
-        c = QuadraticForm.from_matrix(M).restrict(range(n - 1)).eval_batch(X)
+        c = QuadraticForm.from_matrix([row[:-1] for row in M[:-1]]).eval_batch(X)
         b = 2 * (X @ np.array(col, dtype=np.int64))
     else:
         b = c = np.zeros(len(X), dtype=np.int64)

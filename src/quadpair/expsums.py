@@ -18,10 +18,13 @@ cross term joins (one of Q1 counts when nonzero mod d, one of Q2 when
 nonzero mod dq); each block's (dq)^|b| residues are counted under the key
 (Q1 mod d, Q2 mod dq, m.k mod dq), and the block histograms are convolved
 on Z/d x Z/dq x Z/dq.  A diagonal pair so costs n dq residues and n - 1
-folds instead of (dq)^n; a fully coupled pair is one block, one sweep.
-The (dq)^2 phase terms follow.  Values carry the absolute tolerance of
-modarith's SumValue.  Two genuinely independent paths exist for S_{d,q}
-(unit sum vs Ramanujan reduction) and the suites require agreement.
+folds of about d (dq)^3 cells each instead of (dq)^n rows.  Where the
+folds are charged more than the (dq)^n rows (small n, or d large beside
+q), and for a fully coupled pair, all coordinates form one block: one
+sweep.  The (dq)^2 phase terms follow.  Values carry the absolute
+tolerance of modarith's SumValue.  Two genuinely independent paths exist
+for S_{d,q} (unit sum vs Ramanujan reduction) and the suites require
+agreement.
 
 For d = p^2 at realistic n, direct enumeration mod p^2 is impossible; the
 layered evaluators parametrize the solution set by digit lifting over the
@@ -59,7 +62,6 @@ from .quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
-    grid_blocks,
     residue_blocks,
     residue_zeros_mod_p,
 )
@@ -97,20 +99,20 @@ def _phases(q: int) -> np.ndarray:
 
 #: most cells one gather of _fold holds
 _FOLD_CELLS = 1 << 21
-#: rows _block_rows gathers before the forms are evaluated
-_BATCH_ROWS = 1 << 20
 
 
 def _coordinate_blocks(pair: QuadricPair, d: int, dq: int) -> list[list[int]]:
     """The coordinates in the connected blocks no cross term joins: a cross
     term of Q1 counts when it is nonzero mod d, one of Q2 when it is
     nonzero mod dq.  Blocks come in the order of their first coordinate."""
-    label = list(range(pair.n))
+    n = pair.n
+    label = list(range(n))
     for form, mod in ((pair.Q1, d), (pair.Q2, dq)):
-        for i, j, c in form.terms():
-            if i != j and c % mod:
-                old, new = label[j], label[i]
-                label = [new if v == old else v for v in label]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if 2 * form.M[i][j] % mod:
+                    old, new = label[j], label[i]
+                    label = [new if v == old else v for v in label]
     blocks: dict[int, list[int]] = {}
     for i, v in enumerate(label):
         blocks.setdefault(v, []).append(i)
@@ -120,7 +122,8 @@ def _coordinate_blocks(pair: QuadricPair, d: int, dq: int) -> list[list[int]]:
 def _S_dq_charge(blocks, d: int, dq: int, nm: int) -> int:
     """The rows of every block's residue grid, plus, for each of the nm
     vectors m, d dq^2 cells per fold times the largest support its smaller
-    side can have (the residues behind that side, at most d dq^2)."""
+    side can have (the residues behind that side, at most d dq^2).  One
+    block is charged the (dq)^n rows of its sweep."""
     cells = d * dq * dq
     folds = 0
     seen = dq ** len(blocks[0])
@@ -131,56 +134,41 @@ def _S_dq_charge(blocks, d: int, dq: int, nm: int) -> int:
     return sum(dq ** len(b) for b in blocks) + nm * folds
 
 
-def _block_rows(blocks, dq: int, n: int):
-    """Every block's residues mod dq as rows of Z^n that vanish off the
-    block, with each row's block number, in batches of whole grid_blocks
-    blocks holding at least _BATCH_ROWS rows (but the last)."""
-    res, zero = np.arange(dq, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    labels, rows, size = [], [], 0
-    for b, idx in enumerate(blocks):
-        for X in grid_blocks([res if i in idx else zero for i in range(n)]):
-            labels.append(np.full(len(X), b))
-            rows.append(X)
-            size += len(X)
-            if size >= _BATCH_ROWS:
-                yield _stack(labels), _stack(rows)
-                labels, rows, size = [], [], 0
-    if rows:
-        yield _stack(labels), _stack(rows)
-
-
-def _stack(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _sweep_hists(pair: QuadricPair, d: int, dq: int, mvecs: np.ndarray) -> np.ndarray:
+    """hists[i]: the histogram of (Q2(k), m.k) mod dq over the k mod dq
+    with d | Q1(k), d | Q2(k), for m the column i of mvecs, as a dq x dq
+    array: one sweep of all (dq)^n residues."""
+    hists = np.zeros((mvecs.shape[1], dq * dq), dtype=np.int64)
+    for X in residue_blocks(dq, pair.n):
+        if d > 1:
+            X = X[pair.zero_mask_mod(X, d)]
+        key = pair.Q2.eval_batch_mod(X, dq)
+        key *= dq
+        V = (X @ mvecs) % dq
+        for i in range(len(hists)):
+            hists[i] += np.bincount(key + V[:, i], minlength=dq * dq)
+    return hists.reshape(len(hists), dq, dq)
 
 
 def _block_hists(pair: QuadricPair, blocks, d: int, dq: int,
                  mvecs: np.ndarray) -> np.ndarray:
     """hists[i, b]: the histogram of block b's residues mod dq, keyed by
     (Q1 mod d, Q2 mod dq, m.k mod dq) for m the column i of mvecs and
-    flattened in that order.
-
-    A residue of block b is a vector vanishing off b, where the pair's
-    forms are the block's own.  When one block holds every coordinate,
-    only the residues with d | Q1 and d | Q2 count, so the key is
-    (0, Q2, m.k) and dq^2 cells hold it: the single-grid sweep of all
-    (dq)^n residues.
-    """
-    whole = len(blocks) == 1
-    cells = dq * dq if whole else d * dq * dq
-    hists = np.zeros((mvecs.shape[1], len(blocks) * cells), dtype=np.int64)
-    for label, X in _block_rows(blocks, dq, pair.n):
-        if whole and d > 1:
-            keep = pair.zero_mask_mod(X, d)
-            X, label = X[keep], label[keep]
-        key = pair.Q2.eval_batch_mod(X, dq)
-        if d > 1 and not whole:
-            key += pair.Q1.eval_batch_mod(X, d) * dq
-        key *= dq
-        key += label * cells
-        V = (X @ mvecs) % dq
-        for i in range(len(hists)):
-            hists[i] += np.bincount(key + V[:, i], minlength=len(blocks) * cells)
-    return hists.reshape(len(hists), len(blocks), cells)
+    flattened in that order; on block b the pair's forms are their
+    restrictions to its coordinates."""
+    cells = d * dq * dq
+    hists = np.zeros((mvecs.shape[1], len(blocks), cells), dtype=np.int64)
+    for b, idx in enumerate(blocks):
+        Q1, Q2 = pair.Q1.restrict(idx), pair.Q2.restrict(idx)
+        for X in residue_blocks(dq, len(idx)):
+            key = Q2.eval_batch_mod(X, dq)
+            if d > 1:
+                key += Q1.eval_batch_mod(X, d) * dq
+            key *= dq
+            V = (X @ mvecs[idx]) % dq
+            for i in range(len(hists)):
+                hists[i, b] += np.bincount(key + V[:, i], minlength=cells)
+    return hists
 
 
 def _fold(x: np.ndarray, y: np.ndarray, d: int, dq: int,
@@ -210,7 +198,7 @@ def _fold(x: np.ndarray, y: np.ndarray, d: int, dq: int,
 
 def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
               guard: int = DEFAULT_GUARD) -> list[SumValue]:
-    """S_{d,q}(m) for several m from one set of block histograms.
+    """S_{d,q}(m) for several m from one residue sweep or block join.
 
     method 'direct' sums the unit average as written; 'ramanujan' collapses
     the a-sum to c_q(Q2(k)/d) first.  The two share only the histogram of
@@ -218,9 +206,11 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
     histogram is the fold of the coordinate blocks' histograms (see the
     module docstring) at Q1 = 0 and Q2 = 0 mod d, the last fold forming
     only those cells; a single block is one sweep of its (dq)^n residues
-    that keeps only those k.  The guard only raises, charged before any
-    work the rows of the block grids plus, per m, d dq^2 cells per fold
-    times the largest support the fold's smaller side can have.
+    that keeps only those k.  The coordinate blocks are used when their
+    charge, the rows of the block grids plus, per m, d dq^2 cells per fold
+    times the largest support the fold's smaller side can have, is below
+    the sweep's (dq)^n rows; else the sweep.  The guard only raises,
+    charged the smaller of the two before any work.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")
@@ -234,7 +224,10 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
         return []
     dq = d * q
     blocks = _coordinate_blocks(pair, d, dq)
-    check_guard("S_dq", _S_dq_charge(blocks, d, dq, len(m_list)), guard)
+    charge = _S_dq_charge(blocks, d, dq, len(m_list))
+    if dq**n <= charge:
+        blocks, charge = [list(range(n))], dq**n
+    check_guard("S_dq", charge, guard)
     if dq**n > 2**63 - 1:
         raise ValueError("S_dq counts too large for int64 path")
     units = _units(q)
@@ -250,17 +243,15 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
                            for u in range(dq)], dtype=float)
 
     mvecs = np.array([[v % dq for v in m] for m in m_list], dtype=np.int64).T
-    hists = []
-    for parts in _block_hists(pair, blocks, d, dq, mvecs):
-        if len(parts) == 1:  # the sweep kept only d | Q1, d | Q2
-            hists.append(parts[0].reshape(dq, dq))
-            continue
-        acc = parts[0]
-        for part in parts[1:-1]:
-            acc = _fold(acc, part, d, dq)
-        hist = np.zeros((dq, dq), dtype=np.int64)
-        hist[::d] = _fold(acc, parts[-1], d, dq, kept=True).reshape(q, dq)
-        hists.append(hist)
+    if len(blocks) == 1:
+        hists = _sweep_hists(pair, d, dq, mvecs)
+    else:
+        hists = np.zeros((len(m_list), dq, dq), dtype=np.int64)
+        for hist, parts in zip(hists, _block_hists(pair, blocks, d, dq, mvecs)):
+            acc = parts[0]
+            for part in parts[1:-1]:
+                acc = _fold(acc, part, d, dq)
+            hist[::d] = _fold(acc, parts[-1], d, dq, kept=True).reshape(q, dq)
     survivors = int(hists[0].sum())
 
     if method == "direct":
@@ -297,7 +288,7 @@ def S_dq(pair: QuadricPair, d: int, q: int, m, method: str = "auto",
 
     method 'auto' is 'factorized' iff d = 1 and Q2 is diagonal, else
     'direct'.  The guard only raises, charged n q phi(q) terms by the
-    factorized route and the block grids and folds by S_dq_many.
+    factorized route and as in S_dq_many by the others.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")

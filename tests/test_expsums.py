@@ -563,8 +563,12 @@ SWEEP_CASES = {
 }
 
 
+@pytest.mark.parametrize("forced", [False, True], ids=["chosen", "blocks"])
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_block_join_matches_sweep_bit_for_bit(name):
+def test_block_join_matches_sweep_bit_for_bit(name, forced, monkeypatch):
+    if forced:  # the coordinate blocks, also where one sweep is charged less
+        monkeypatch.setattr(expsums, "_S_dq_charge",
+                            lambda blocks, *args: int(len(blocks) == 1))
     make, menu = SWEEP_CASES[name]
     pair = make()
     rng = random.Random(f"sweep:{name}")
@@ -577,6 +581,18 @@ def test_block_join_matches_sweep_bit_for_bit(name):
             assert got == sdq_by_sweep(pair, d, q, ms, method), (d, q, method)
 
 
+def test_sweep_where_the_folds_cost_more():
+    # toy_n3 at d = 169 = 13^2: three blocks would fold 169^3 cells twice
+    # by 169 shifts (charge 1.6e9); the one sweep reads 169^3 rows
+    pair = toy_pair_3()
+    m = [5, 77, 140]
+    got = D_d(pair, 169, m, method="direct", guard=DEFAULT_GUARD)
+    assert [(got.re, got.im, got.tol)] == sdq_by_sweep(pair, 169, 1, [m], "direct")
+    assert got.close_to(D_p2_layered(pair, 13, m))
+    with pytest.raises(ResourceGuardError):
+        D_d(pair, 169, m, method="direct", guard=169**3 - 1)
+
+
 def test_S_dq_many_empty_m_list():
     pair = toy_pair_3()
     for method in ("direct", "ramanujan"):
@@ -587,7 +603,7 @@ def test_S_dq_many_empty_m_list():
         S_dq_many(pair, 2, 3, [], method="factorized")
 
 
-def test_S_dq_guard_is_the_block_charge():
+def test_S_dq_guard_is_the_route_charge():
     m = [1, 2, 3, 4, 5]
     # shipped at dq = 97 is five blocks of 97 rows and four folds of 97^2
     # cells by 97 shifts, where one sweep would read 97^5 rows
@@ -603,6 +619,8 @@ def test_S_dq_guard_is_the_block_charge():
         (moved(blocks_212(), [2, 0, 1, 3, 4], [1] * 5), 1, 3, [m], 21 + 9 * 3 + 9 * 9),
         # one block: the rows of the sweep
         (LAYERED_AT_5["coupled_n4"][0](), 1, 5, [[1, 2, 3, 4]], 5**4),
+        # three blocks charged 15 + 2 * 25 * 5, more than the sweep's 125 rows
+        (toy_pair_3(), 1, 5, [[1, 2, 3]], 5**3),
     ]
     for pair, d, q, ms, charge in cases:
         want = S_dq_many(pair, d, q, ms)
