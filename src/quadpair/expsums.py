@@ -11,17 +11,22 @@ S_{1,q}(m) which has a closed form for q coprime to 2 det M2, the mixed
 sums M_{p^r,p^l}(m), and the 2-adic variants S^{±}_{1,2^l}(m) and
 T_{d,q}(m) whose multiplicative splitting is verified by the test suite.
 
-Evaluation strategy: enumeration sums are regrouped through residue-class
-histograms (exact bookkeeping, floating point only in the final root-of-
-unity combination).  For S_{d,q} the coordinates split into the blocks no
-cross term joins (one of Q1 counts when nonzero mod d, one of Q2 when
-nonzero mod dq); each block's (dq)^|b| residues are counted under the key
-(Q1 mod d, Q2 mod dq, m.k mod dq), and the block histograms are convolved
-on Z/d x Z/dq x Z/dq.  A diagonal pair so costs n dq residues and n - 1
-folds of about d (dq)^3 cells each instead of (dq)^n rows.  Where the
+Evaluation strategy: every complete sum (S_{d,q}, T_{d,q}, S^{±}) is one
+unit average over a grid of n coordinates, each running over base_i +
+step j, j mod dq, and is regrouped through grid histograms (exact
+bookkeeping, floating point only in the final root-of-unity
+combination).  S_{d,q} takes the residues (base 0, step 1) with phases
+m.k mod dq; T_{d,q} the coset k = a_vec mod 4 (step 4) with phases m.k
+mod 4dq, its unit weight read mod dq since e_{4dq}(4 a Q2) = e_dq(a Q2).
+The coordinates split into the blocks no cross term joins (one of Q1
+counts when nonzero mod d, one of Q2 when nonzero mod dq); each block's
+(dq)^|b| grid points are counted under the key (Q1 mod d, Q2 mod dq, m.k
+mod M), and the block histograms are convolved on Z/d x Z/dq x Z/M.  A
+diagonal pair so costs n dq points and n - 1 folds of about d dq M cells
+times the sparser side's support instead of (dq)^n rows.  Where the
 folds are charged more than the (dq)^n rows (small n, or d large beside
 q), and for a fully coupled pair, all coordinates form one block: one
-sweep.  The (dq)^2 phase terms follow.  Values carry the absolute
+sweep.  The dq M phase terms follow.  Values carry the absolute
 tolerance of modarith's SumValue.  Two genuinely independent paths exist
 for S_{d,q} (unit sum vs Ramanujan reduction) and the suites require
 agreement.
@@ -32,9 +37,9 @@ common zeros mod p and collapse each affine fiber's character sum in
 closed form (for D_{p^2}, through its dual sum over F_p^2).  These are
 cross-checked against direct enumeration at small n in the tests.
 
-With method='auto', S_dq, D_d and M_mixed pick their route from the input
-alone (see each docstring); the guard never picks a route, so never moves
-a value: it only raises ResourceGuardError over the route's charge.
+With method='auto', D_d and M_mixed pick their route from the input alone
+(see each docstring); the guard never picks a route, so never moves a
+value: it only raises ResourceGuardError over the route's charge.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ from .modarith import (
     gauss_chi,
     is_prime,
     jacobi,
-    one_d_quad_sum_direct,
     ramanujan,
     sum_tol,
 )
@@ -62,6 +66,7 @@ from .quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
+    grid_blocks,
     residue_blocks,
     residue_zeros_mod_p,
 )
@@ -119,12 +124,12 @@ def _coordinate_blocks(pair: QuadricPair, d: int, dq: int) -> list[list[int]]:
     return list(blocks.values())
 
 
-def _S_dq_charge(blocks, d: int, dq: int, nm: int) -> int:
-    """The rows of every block's residue grid, plus, for each of the nm
-    vectors m, d dq^2 cells per fold times the largest support its smaller
-    side can have (the residues behind that side, at most d dq^2).  One
-    block is charged the (dq)^n rows of its sweep."""
-    cells = d * dq * dq
+def _S_dq_charge(blocks, d: int, dq: int, M: int, nm: int) -> int:
+    """The rows of every block's grid, plus, for each of the nm vectors m,
+    d dq M cells per fold times the largest support its smaller side can
+    have (the points behind that side, at most d dq M).  One block is
+    charged the (dq)^n rows of its sweep."""
+    cells = d * dq * M
     folds = 0
     seen = dq ** len(blocks[0])
     for b in blocks[1:]:
@@ -134,56 +139,58 @@ def _S_dq_charge(blocks, d: int, dq: int, nm: int) -> int:
     return sum(dq ** len(b) for b in blocks) + nm * folds
 
 
-def _sweep_hists(pair: QuadricPair, d: int, dq: int, mvecs: np.ndarray) -> np.ndarray:
-    """hists[i]: the histogram of (Q2(k), m.k) mod dq over the k mod dq
-    with d | Q1(k), d | Q2(k), for m the column i of mvecs, as a dq x dq
-    array: one sweep of all (dq)^n residues."""
-    hists = np.zeros((mvecs.shape[1], dq * dq), dtype=np.int64)
-    for X in residue_blocks(dq, pair.n):
+def _sweep_hists(pair: QuadricPair, d: int, dq: int, axes, M: int,
+                 mvecs: np.ndarray) -> np.ndarray:
+    """hists[i]: the histogram of (Q2(k) mod dq, m.k mod M) over the k of
+    the grid over axes with d | Q1(k), d | Q2(k), for m the column i of
+    mvecs, as a dq x M array: one sweep of all (dq)^n points."""
+    hists = np.zeros((mvecs.shape[1], dq * M), dtype=np.int64)
+    for X in grid_blocks(axes):
         if d > 1:
             X = X[pair.zero_mask_mod(X, d)]
         key = pair.Q2.eval_batch_mod(X, dq)
-        key *= dq
-        V = (X @ mvecs) % dq
+        key *= M
+        V = (X @ mvecs) % M
         for i in range(len(hists)):
-            hists[i] += np.bincount(key + V[:, i], minlength=dq * dq)
-    return hists.reshape(len(hists), dq, dq)
+            hists[i] += np.bincount(key + V[:, i], minlength=dq * M)
+    return hists.reshape(len(hists), dq, M)
 
 
-def _block_hists(pair: QuadricPair, blocks, d: int, dq: int,
+def _block_hists(pair: QuadricPair, blocks, d: int, dq: int, axes, M: int,
                  mvecs: np.ndarray) -> np.ndarray:
-    """hists[i, b]: the histogram of block b's residues mod dq, keyed by
-    (Q1 mod d, Q2 mod dq, m.k mod dq) for m the column i of mvecs and
+    """hists[i, b]: the histogram of block b's grid points, keyed by
+    (Q1 mod d, Q2 mod dq, m.k mod M) for m the column i of mvecs and
     flattened in that order; on block b the pair's forms are their
     restrictions to its coordinates."""
-    cells = d * dq * dq
+    cells = d * dq * M
     hists = np.zeros((mvecs.shape[1], len(blocks), cells), dtype=np.int64)
     for b, idx in enumerate(blocks):
         Q1, Q2 = pair.Q1.restrict(idx), pair.Q2.restrict(idx)
-        for X in residue_blocks(dq, len(idx)):
+        for X in grid_blocks([axes[i] for i in idx]):
             key = Q2.eval_batch_mod(X, dq)
             if d > 1:
                 key += Q1.eval_batch_mod(X, d) * dq
-            key *= dq
-            V = (X @ mvecs[idx]) % dq
+            key *= M
+            V = (X @ mvecs[idx]) % M
             for i in range(len(hists)):
                 hists[i, b] += np.bincount(key + V[:, i], minlength=cells)
     return hists
 
 
-def _fold(x: np.ndarray, y: np.ndarray, d: int, dq: int,
+def _fold(x: np.ndarray, y: np.ndarray, shape: tuple[int, int, int],
           kept: bool = False) -> np.ndarray:
-    """Cyclic convolution of two flat histograms on Z/d x Z/dq x Z/dq,
-    exact in int64: the denser one, shifted by each cell of the sparser
-    (a window of it tiled twice along every axis), times that cell's count.
-    With kept, only the cells (0, u, v) with d | u are formed, flattened
-    from shape (q, dq)."""
+    """Cyclic convolution of two flat histograms on Z/d x Z/dq x Z/M for
+    shape (d, dq, M), exact in int64: the denser one, shifted by each cell
+    of the sparser (a window of it tiled twice along every axis), times
+    that cell's count.  With kept, only the cells (0, u, v) with d | u are
+    formed, flattened from shape (q, M)."""
     if np.count_nonzero(x) > np.count_nonzero(y):
         x, y = y, x
+    d, dq, M = shape
     keys = np.flatnonzero(x)
-    r, u, v = np.unravel_index(keys, (d, dq, dq))
-    tiled = np.tile(y.reshape(d, dq, dq), (2, 2, 2))
-    windows = np.lib.stride_tricks.sliding_window_view(tiled, (d, dq, dq))
+    r, u, v = np.unravel_index(keys, shape)
+    tiled = np.tile(y.reshape(shape), (2, 2, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(tiled, shape)
     if kept:
         windows = windows[..., :1, ::d, :]
     size = windows[0, 0, 0].size
@@ -191,67 +198,63 @@ def _fold(x: np.ndarray, y: np.ndarray, d: int, dq: int,
     step = max(1, _FOLD_CELLS // size)
     for lo in range(0, len(keys), step):
         at = slice(lo, lo + step)
-        shifted = windows[d - r[at], dq - u[at], dq - v[at]]
+        shifted = windows[d - r[at], dq - u[at], M - v[at]]
         out += x[keys[at]] @ shifted.reshape(len(shifted), size)
     return out
 
 
-def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
-              guard: int = DEFAULT_GUARD) -> list[SumValue]:
-    """S_{d,q}(m) for several m from one residue sweep or block join.
+def _unit_sums(name: str, pair: QuadricPair, d: int, q: int, m_list,
+               method: str, guard: int, base, step: int) -> list[SumValue]:
+    """sum*_{a mod q} sum_k e_dq(a Q2(k)) e_M(m.k) for each m, over the k
+    on the grid k_i = base_i + step j_i, j mod dq, with d | Q1(k) and
+    d | Q2(k); M = step dq.
 
-    method 'direct' sums the unit average as written; 'ramanujan' collapses
-    the a-sum to c_q(Q2(k)/d) first.  The two share only the histogram of
-    (Q2(k), m.k) mod dq over the k with d | Q1(k), d | Q2(k).  That
-    histogram is the fold of the coordinate blocks' histograms (see the
-    module docstring) at Q1 = 0 and Q2 = 0 mod d, the last fold forming
-    only those cells; a single block is one sweep of its (dq)^n residues
-    that keeps only those k.  The coordinate blocks are used when their
-    charge, the rows of the block grids plus, per m, d dq^2 cells per fold
-    times the largest support the fold's smaller side can have, is below
-    the sweep's (dq)^n rows; else the sweep.  The guard only raises,
-    charged the smaller of the two before any work.
+    The unit average enters through the histogram of (Q2(k) mod dq,
+    m.k mod M) alone: 'direct' weights Q2 = u by sum_a e_dq(a u),
+    'ramanujan' by c_q(u / d).  That histogram is the fold of the
+    coordinate blocks' histograms (see the module docstring) at Q1 = 0 and
+    Q2 = 0 mod d, the last fold forming only those cells; a single block
+    is one sweep of its (dq)^n points that keeps only those k.  The
+    coordinate blocks are used when their charge, the rows of the block
+    grids plus, per m, d dq M cells per fold times the largest support the
+    fold's smaller side can have, is below the sweep's (dq)^n rows; else
+    the sweep.  The guard only raises, charged the smaller of the two
+    before any work.
     """
-    if d < 1 or q < 1:
-        raise ValueError("d and q must be positive")
     n = pair.n
-    for m in m_list:
-        if len(m) != n:
-            raise ValueError("m has wrong length")
-    if method not in ("direct", "ramanujan"):
-        raise ValueError(f"unknown method {method!r}")
-    if not len(m_list):
-        return []
     dq = d * q
+    M = step * dq
     blocks = _coordinate_blocks(pair, d, dq)
-    charge = _S_dq_charge(blocks, d, dq, len(m_list))
+    charge = _S_dq_charge(blocks, d, dq, M, len(m_list))
     if dq**n <= charge:
         blocks, charge = [list(range(n))], dq**n
-    check_guard("S_dq", charge, guard)
+    check_guard(name, charge, guard)
     if dq**n > 2**63 - 1:
-        raise ValueError("S_dq counts too large for int64 path")
+        raise ValueError(f"{name} counts too large for int64 path")
     units = _units(q)
 
-    ph = _phases(dq)
+    ph = _phases(M)
     if method == "direct":
-        # A[u] = sum over units a of e_dq(a u)
+        # A[u] = sum over units a of e_dq(a u) = e_M(step a u)
         weight = np.zeros(dq, dtype=complex)
         for a in units:
-            weight += ph[(a * np.arange(dq)) % dq]
+            weight += ph[(step * a * np.arange(dq)) % M]
     else:
         weight = np.array([ramanujan(q, (u // d) % q) if u % d == 0 else 0
                            for u in range(dq)], dtype=float)
 
-    mvecs = np.array([[v % dq for v in m] for m in m_list], dtype=np.int64).T
+    axes = [np.arange(b, b + M, step, dtype=np.int64) for b in base]
+    mvecs = np.array([[v % M for v in m] for m in m_list], dtype=np.int64).T
     if len(blocks) == 1:
-        hists = _sweep_hists(pair, d, dq, mvecs)
+        hists = _sweep_hists(pair, d, dq, axes, M, mvecs)
     else:
-        hists = np.zeros((len(m_list), dq, dq), dtype=np.int64)
-        for hist, parts in zip(hists, _block_hists(pair, blocks, d, dq, mvecs)):
+        shape = (d, dq, M)
+        hists = np.zeros((len(m_list), dq, M), dtype=np.int64)
+        for hist, parts in zip(hists, _block_hists(pair, blocks, d, dq, axes, M, mvecs)):
             acc = parts[0]
             for part in parts[1:-1]:
-                acc = _fold(acc, part, d, dq)
-            hist[::d] = _fold(acc, parts[-1], d, dq, kept=True).reshape(q, dq)
+                acc = _fold(acc, part, shape)
+            hist[::d] = _fold(acc, parts[-1], shape, kept=True).reshape(q, M)
     survivors = int(hists[0].sum())
 
     if method == "direct":
@@ -265,41 +268,33 @@ def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
     return out
 
 
-def _S_1q_factorized(pair: QuadricPair, q: int, m, guard: int) -> SumValue:
-    """d = 1, diagonal Q2: the k-sum splits into n one-dimensional sums."""
-    if not pair.Q2.is_diagonal():
-        raise ValueError("factorized path requires diagonal Q2")
-    units = _units(q)
-    check_guard("S_dq factorized", pair.n * q * len(units), guard)
-    coeffs = pair.Q2.diagonal_entries()
-    total = SumValue.exact(0.0)
-    for a in units:
-        prod = SumValue.exact(1.0)
-        for ci, mi in zip(coeffs, m):
-            s = one_d_quad_sum_direct(q, a * ci, mi)
-            prod = prod * SumValue(s.real, s.imag, sum_tol(q))
-        total = total + prod
-    return total
+def S_dq_many(pair: QuadricPair, d: int, q: int, m_list, method: str = "direct",
+              guard: int = DEFAULT_GUARD) -> list[SumValue]:
+    """S_{d,q}(m) for several m from one residue sweep or block join.
 
-
-def S_dq(pair: QuadricPair, d: int, q: int, m, method: str = "auto",
-         guard: int = DEFAULT_GUARD) -> SumValue:
-    """S_{d,q}(m); see module docstring for the definition.
-
-    method 'auto' is 'factorized' iff d = 1 and Q2 is diagonal, else
-    'direct'.  The guard only raises, charged n q phi(q) terms by the
-    factorized route and as in S_dq_many by the others.
+    method 'direct' sums the unit average as written; 'ramanujan' collapses
+    the a-sum to c_q(Q2(k)/d) first.  The two share only the histogram of
+    (Q2(k), m.k) mod dq over the k mod dq with d | Q1(k), d | Q2(k), from
+    the block join or the one sweep of _unit_sums (grid step 1, M = dq);
+    the guard is charged that route's rows and fold cells.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be positive")
-    if len(m) != pair.n:
-        raise ValueError("m has wrong length")
-    if method == "auto":
-        method = "factorized" if d == 1 and pair.Q2.is_diagonal() else "direct"
-    if method == "factorized":
-        if d != 1:
-            raise ValueError("factorized path requires d = 1")
-        return _S_1q_factorized(pair, q, m, guard)
+    n = pair.n
+    for m in m_list:
+        if len(m) != n:
+            raise ValueError("m has wrong length")
+    if method not in ("direct", "ramanujan"):
+        raise ValueError(f"unknown method {method!r}")
+    if not len(m_list):
+        return []
+    return _unit_sums("S_dq", pair, d, q, m_list, method, guard, [0] * n, 1)
+
+
+def S_dq(pair: QuadricPair, d: int, q: int, m, method: str = "direct",
+         guard: int = DEFAULT_GUARD) -> SumValue:
+    """S_{d,q}(m); see module docstring for the definition.  S_dq_many at
+    one m: same routes, checks and guard charge."""
     return S_dq_many(pair, d, q, [m], method=method, guard=guard)[0]
 
 
@@ -380,35 +375,21 @@ def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,
     """T_{d,q}(m): units a mod q, k mod 4dq with k = a_vec mod 4 and
     d | Q1(k), d | Q2(k), summing e_{4dq}(4 a Q2(k) + m.k).
 
-    Splits as S_{d,q'}(m) * S^{chi4(d q')}_{1,2^ell}(m) for q = 2^ell q'
-    (verified in the suites, not assumed here).
+    Since e_{4dq}(4 a Q2(k)) = e_dq(a Q2(k)), this is _unit_sums' direct
+    unit average on the coset grid k = (a_vec mod 4) + 4 j, j mod dq, with
+    phases m.k mod 4dq: the same block join or sweep as S_dq_many, charged
+    its rows and fold cells of d dq (4 dq).  Splits as S_{d,q'}(m) *
+    S^{chi4(d q')}_{1,2^ell}(m) for q = 2^ell q' (verified in the suites,
+    not assumed here).
     """
-    n = pair.n
+    if d < 1 or q < 1:
+        raise ValueError("d and q must be positive")
     if d % 2 == 0:
         raise ValueError("d must be odd")
-    if len(a_vec) != n or len(m) != n:
+    if len(a_vec) != pair.n or len(m) != pair.n:
         raise ValueError("dimension mismatch")
-    dq = d * q
-    mod = 4 * dq
-    units = _units(q)
-    check_guard("T_dq", dq**n * len(units), guard)
-    base = np.array([v % 4 for v in a_vec], dtype=np.int64)
-    mred = np.array([v % mod for v in m], dtype=np.int64)
-    total = 0j
-    terms = 0
-    for block in residue_blocks(dq, n):
-        k = base[None, :] + 4 * block
-        sub = k if d == 1 else k[pair.zero_mask_mod(k, d)]
-        if not len(sub):
-            continue
-        q2 = pair.Q2.eval_batch_mod(sub, dq)
-        mk = (sub @ mred) % mod
-        for a in units:
-            v = (4 * a * q2 + mk) % mod
-            ang = 2.0 * math.pi * v / mod
-            total += np.cos(ang).sum() + 1j * np.sin(ang).sum()
-            terms += len(sub)
-    return SumValue(total.real, total.imag, sum_tol(max(terms, 1)))
+    base = [v % 4 for v in a_vec]
+    return _unit_sums("T_dq", pair, d, q, [m], "direct", guard, base, 4)[0]
 
 
 # --------------------------------------------------------------------------
@@ -464,6 +445,8 @@ def D_p2_layered(pair: QuadricPair, p: int, m,
     if not is_prime(p):
         raise ValueError("p must be prime")
     n = pair.n
+    if len(m) != n:
+        raise ValueError("m has wrong length")
     p2 = p * p
     Z1 = residue_zeros_mod_p(pair, p, guard=guard)
     mred = np.array([v % p2 for v in m], dtype=np.int64)
@@ -603,6 +586,8 @@ def full_quadratic_sum(Q: QuadraticForm, q: int, m,
                        guard: int = DEFAULT_GUARD) -> SumValue:
     """sum over all k mod q of e_q(Q(k) + m.k) (single form, no conditions)."""
     n = Q.n
+    if q < 1:
+        raise ValueError("q must be positive")
     if len(m) != n:
         raise ValueError("m has wrong length")
     check_guard("full_quadratic_sum", q**n, guard)

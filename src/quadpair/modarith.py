@@ -362,8 +362,8 @@ def gauss_chi(q: PrimePower | int, a: int) -> SumValue:
 def one_d_quad_sum_direct(q: int, alpha: int, m: int) -> complex:
     """Direct summation of sum over k mod q of e_q(alpha k^2 + m k).
 
-    Deliberately naive: this is the oracle side used by the factorized
-    evaluation path, independent of the completed-square closed form.
+    Deliberately naive: the gauss suite's oracle for quad_gauss_1d,
+    independent of the completed-square closed form.
     """
     total = 0j
     for k in range(q):

@@ -51,7 +51,7 @@ def toy_pair_3() -> QuadricPair:
 
 
 def demo_pair_7() -> QuadricPair:
-    """Diagonal n = 7 pair for exercising the factorized evaluators.
+    """Diagonal n = 7 pair for exercising the closed-form evaluators.
 
     det M2 = 2 * 11 * 13 * 17 * 19 * 23, so the closed-form evaluator is
     valid at every modulus built from the primes 3, 5, 7.

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import product
@@ -23,7 +24,7 @@ from quadpair.expsums import (
 )
 from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
 from quadpair.lincong import count_lincong, rank_mod_p
-from quadpair.modarith import chi4, e_q, ramanujan, sum_tol
+from quadpair.modarith import SumValue, chi4, e_q, ramanujan, sum_tol
 from quadpair.padic import count_divisibility
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
@@ -93,14 +94,14 @@ def test_Q_q_explicit_rejects_shared_factor():
         Q_q_explicit(pair.Q2, 3, [0, 0, 0], dual=pair.dual2)
 
 
-def test_factorized_path_n7():
+def test_direct_matches_closed_form_n7():
     rng = random.Random(4)
     pair = demo_pair_7()
     for q in (3, 5):
         m = [rng.randrange(q) for _ in range(7)]
-        fact = S_dq(pair, 1, q, m, method="factorized")
+        direct = S_dq(pair, 1, q, m, method="direct")
         closed = Q_q_explicit(pair.Q2, q, m, dual=pair.dual2)
-        assert fact.close_to(closed), (q, m)
+        assert direct.close_to(closed), (q, m)
 
 
 def test_two_power_sum_level_zero():
@@ -165,6 +166,19 @@ def test_T_dq_splits_off_two_power():
 def test_T_dq_rejects_even_d():
     with pytest.raises(ValueError):
         T_dq(toy_pair_3(), (2, 0, 1), 2, 1, [0, 0, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: T_dq(toy_pair_3(), (2, 0, 1), -1, 2, [1, 2, 3]),
+    lambda: T_dq(toy_pair_3(), (2, 0, 1), 1, -2, [1, 2, 3]),
+    lambda: T_dq(toy_pair_3(), (2, 0, 1), 1, 0, [1, 2, 3]),
+    lambda: T_dq(toy_pair_3(), (2, 0, 1), 0, 2, [1, 2, 3]),
+    lambda: full_quadratic_sum(QuadraticForm.diagonal([1, 3]), 0, [1, 2]),
+    lambda: full_quadratic_sum(QuadraticForm.diagonal([1, 3]), -3, [1, 2]),
+], ids=["T_d-1", "T_q-2", "T_q0", "T_d0", "full_q0", "full_q-3"])
+def test_bad_moduli_are_rejected(call):
+    with pytest.raises(ValueError, match="must be positive"):
+        call()
 
 
 def test_coprime_multiplicativity_samples():
@@ -422,21 +436,23 @@ def test_argument_checks_and_guard():
         S_dq_many(pair, 1, 2, [[0, 0]])  # m too short
     with pytest.raises(ResourceGuardError):
         S_dq(pair, 97, 89, [0, 0, 0], method="direct")
-    # toy_n3 has diagonal Q2, so d = 1 takes the factorized route
-    for method in ("auto", "factorized"):
-        with pytest.raises(ValueError):
-            S_dq(pair, 1, 7, [1, 2], method=method)
+    with pytest.raises(ValueError):
+        S_dq(pair, 1, 7, [1, 2])  # m too short
+    for method in ("auto", "factorized"):  # routes no longer offered
+        with pytest.raises(ValueError, match="unknown method"):
+            S_dq(pair, 1, 7, [1, 2, 3], method=method)
     with pytest.raises(ValueError):
         M_mixed(pair, 5, 1, 1, [1, 2], method="layered")
     with pytest.raises(ValueError):
         D_d(pair, 12, [0, 0, 0], method="layered")  # 12 is not a prime square
+    with pytest.raises(ValueError, match="wrong length"):
+        D_p2_layered(shipped_pair(), 11, [1, 2])
 
 
 def test_guard_does_not_change_the_value():
     pair = toy_pair_3()
     m = (1, 2, 3)
     routes = {  # each auto route and the charge its guard sees
-        "S_dq factorized": (lambda g: S_dq(pair, 1, 7, m, guard=g), 3 * 7 * 6),
         "D_d layered": (lambda g: D_d(pair, 25, m, guard=g), 5**3),
         "D_p2_layered": (lambda g: D_p2_layered(pair, 5, m, guard=g), 5**3),
         "M_mixed layered": (lambda g: M_mixed(pair, 5, 1, 1, m, guard=g), 5**3),
@@ -448,7 +464,6 @@ def test_guard_does_not_change_the_value():
         with pytest.raises(ResourceGuardError):
             call(charge - 1)
     assert D_d(pair, 25, m).close_to(D_d(pair, 25, m, method="direct"))
-    assert S_dq(pair, 1, 7, m).close_to(S_dq(pair, 1, 7, m, method="direct"))
 
 
 # --------------------------------------------------------------------------
@@ -634,3 +649,102 @@ def test_S_dq_refuses_counts_past_int64():
     # 10^20 residues: the guard admits the blocks, the counts cannot hold them
     with pytest.raises(ValueError):
         S_dq(shipped_pair(), 1, 10**4, [1] * 5, method="direct", guard=10**13)
+
+
+# --------------------------------------------------------------------------
+# T_dq and S_two_power against the sweep of all (dq)^n coset points
+# --------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def tdq_by_sweep(name, a_vec, d, q, m):
+    """T_{d,q}(m) on the pair TDQ_CASES[name] by sweeping every k mod 4dq
+    with k = a_vec mod 4, one cos/sin pass per unit a, with the number of
+    (a, k) terms summed."""
+    pair = TDQ_CASES[name][0]()
+    n = pair.n
+    dq = d * q
+    mod = 4 * dq
+    units = [a for a in range(q) if math.gcd(a, q) == 1] or [0]
+    base = np.array([v % 4 for v in a_vec], dtype=np.int64)
+    mred = np.array([v % mod for v in m], dtype=np.int64)
+    total = 0j
+    terms = 0
+    for block in residue_blocks(dq, n):
+        k = base[None, :] + 4 * block
+        sub = k if d == 1 else k[pair.zero_mask_mod(k, d)]
+        if not len(sub):
+            continue
+        q2 = pair.Q2.eval_batch_mod(sub, dq)
+        mk = (sub @ mred) % mod
+        for a in units:
+            v = (4 * a * q2 + mk) % mod
+            ang = 2.0 * math.pi * v / mod
+            total += np.cos(ang).sum() + 1j * np.sin(ang).sum()
+            terms += len(sub)
+    return SumValue(total.real, total.imag, sum_tol(max(terms, 1))), terms
+
+
+# pair, a_vec, (d, q) menu
+TDQ_CASES = {
+    # the (d, q) of the two_power_split suite and of S^{±} at ell = 0, 1, 2
+    "toy_n3": (toy_pair_3, (2, 0, 1),
+               [(1, 1), (1, 2), (1, 4), (1, 6), (3, 2), (3, 4), (3, 6), (1, 12)]),
+    "shipped": (shipped_pair, (1, 0, 0, 0, 0), [(1, 16), (3, 8)]),
+    "shipped_moved_a": (SWEEP_CASES["shipped_moved_a"][0], (0, 1, 0, 0, 0),
+                        [(1, 8), (3, 4)]),
+    "shipped_moved_b": (SWEEP_CASES["shipped_moved_b"][0], (0, 0, 0, -1, 0),
+                        [(1, 8), (5, 2)]),
+    "demo_n7": (demo_pair_7, (1, 0, 0, 0, 0, 0, 0), [(1, 2), (1, 4), (3, 2)]),
+    "coupled_n4": (LAYERED_AT_5["coupled_n4"][0], (0, 1, 0, 0),
+                   [(1, 8), (1, 16), (3, 4), (5, 2)]),
+}
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["chosen", "blocks"])
+@pytest.mark.parametrize("name", sorted(TDQ_CASES))
+def test_T_dq_matches_sweep(name, forced, monkeypatch):
+    if forced:  # the coordinate blocks, also where one sweep is charged less
+        monkeypatch.setattr(expsums, "_S_dq_charge",
+                            lambda blocks, *args: int(len(blocks) == 1))
+    make, a_vec, menu = TDQ_CASES[name]
+    pair = make()
+    n = pair.n
+    rng = random.Random(f"tdq:{name}")
+    for d, q in menu:
+        dq = d * q
+        ms = [(0,) * n] + [tuple(rng.randrange(-8 * dq, 8 * dq) for _ in range(n))
+                           for _ in range(2)]
+        for m in ms:
+            got = T_dq(pair, a_vec, d, q, m)
+            want, terms = tdq_by_sweep(name, a_vec, d, q, m)
+            assert got.close_to(want), (d, q, m, got, want)
+            assert terms == 0 or got.tol == want.tol, (d, q, m)
+            ell = q.bit_length() - 1
+            if d == 1 and q == 2**ell and pair.Q1.eval(a_vec) % 4 == 1:
+                for sign in (1, -1):
+                    got = S_two_power(pair, a_vec, ell, sign, m)
+                    flip = tuple(sign * v for v in a_vec)
+                    want, _ = tdq_by_sweep(name, flip, d, q, m)
+                    assert got.close_to(want), (ell, sign, m, got, want)
+                    assert got.tol == want.tol, (ell, sign, m)
+
+
+def test_T_dq_guard_is_the_route_charge():
+    cases = [
+        # five blocks of 16 rows; four folds of 16 * 64 cells by 16 shifts
+        (shipped_pair(), (1, 0, 0, 0, 0), 1, 16, 5 * 16 + 4 * 1024 * 16),
+        # seven blocks of 6 rows; six folds of 3 * 6 * 24 cells by 6 shifts
+        (demo_pair_7(), (1, 0, 0, 0, 0, 0, 0), 3, 2, 7 * 6 + 6 * 432 * 6),
+        # three blocks charged 12 + 2 * 64 * 4, more than the sweep's 4^3 rows
+        (toy_pair_3(), (2, 0, 1), 1, 4, 4**3),
+        # one block: the rows of the sweep
+        (LAYERED_AT_5["coupled_n4"][0](), (0, 1, 0, 0), 1, 8, 8**4),
+    ]
+    for pair, a_vec, d, q, charge in cases:
+        m = list(range(1, pair.n + 1))
+        want = T_dq(pair, a_vec, d, q, m)
+        got = T_dq(pair, a_vec, d, q, m, guard=charge)
+        assert (got.re, got.im, got.tol) == (want.re, want.im, want.tol)
+        with pytest.raises(ResourceGuardError, match="T_dq"):
+            T_dq(pair, a_vec, d, q, m, guard=charge - 1)
