@@ -9,7 +9,8 @@ Three subcommands share the pair-file parsing and resource-guard plumbing:
                    line per check;
 * ``experiment`` — the end-to-end table S(B)/B^{n-2} vs the truncated
                    constant, as CSV, with the density report written as JSON
-                   alongside.
+                   alongside; a stderr line names the factors of the
+                   constant that are not certified.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 resource guard.  All numeric output uses 12 significant digits; reports
@@ -467,6 +468,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     W = WeightFunction.default_for_pair(pair)
     result = experiment(pair, W, args.B, p_max=args.p_max, k_max=args.k_max,
                         guard=args.guard)
+    uncertified = result.report.uncertified()
+    if uncertified:
+        print("warning: c_trunc uses uncertified factors: "
+              + ", ".join(uncertified), file=sys.stderr)
     csv_text = result.to_csv()
     json_text = result.report.to_json() + "\n"
     if args.format == "json":

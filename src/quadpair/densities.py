@@ -53,8 +53,9 @@ from .padic import _gauss_count, _orbit_count, count_congruence_pair
 from .quadforms import (
     QuadricPair,
     _pencil_roots_distinct_mod_p,
+    ball_blocks,
+    ball_bound,
     certified_good,
-    grid_blocks,
     residue_blocks,
 )
 
@@ -332,6 +333,8 @@ class TauInfinity:
     slab_ladder: tuple[float, ...]
     epsilons: tuple[float, ...]
     axis_points: int            # transverse grid resolution used
+    grid_rows: int              # transverse rows integrated, over all passes
+    guard_charge: int           # guard charges of the passes, summed
 
     @property
     def spread(self) -> float:
@@ -341,15 +344,32 @@ class TauInfinity:
 
 def _bump_1d(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarray:
     """W along the distinguished coordinate: squared transverse distance s2
-    fixed, axis coordinate y1 varying."""
-    t = (s2 + (y1 - c1) ** 2) / rho**2
-    safe = np.minimum(t, 1.0 - 1e-15)
-    return np.where(t < 1.0 - 1e-15, np.exp(-1.0 / (1.0 - safe)), 0.0)
+    fixed, axis coordinate y1 varying.  With t clipped to 1 - 1e-15 the
+    exponent is below -9e14, so W underflows to exactly 0 outside the
+    support."""
+    t = np.subtract(y1, c1)
+    np.square(t, out=t)
+    np.add(s2, t, out=t)
+    np.divide(t, rho**2, out=t)
+    np.minimum(t, 1.0 - 1e-15, out=t)
+    np.subtract(1.0, t, out=t)
+    np.divide(-1.0, t, out=t)
+    return np.exp(t, out=t)
+
+
+def _tau_charge(G: int, k: int) -> int:
+    """The guard charge of a pass on k transverse coordinates: 8 for each
+    row ball_blocks can build, 2 for each shorter prefix it can build (once
+    to build it, once to bisect the axis for its next column)."""
+    return 8 * ball_bound(G, k) + 2 * sum(ball_bound(G, j) for j in range(k))
 
 
 def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
-    """One transverse resolution: slab values for every epsilon plus the
-    coarea estimate, integrating exactly in the distinguished coordinate."""
+    """One transverse resolution: slab values for every epsilon, the coarea
+    estimate and the number of transverse rows integrated.  The
+    distinguished coordinate is integrated exactly, the others by the
+    midpoint rule on the cells of the box of half-width rho about x0 whose
+    midpoints lie in the support ball; no other cell is built."""
     n = Q2.n
     x0 = np.array(W.x0, dtype=float)
     M2 = np.array(Q2.M, dtype=float)
@@ -360,21 +380,23 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
     c1 = x0[axis]
     rho = W.rho
 
-    # midpoint rule on the transverse box of half-width rho about x0[rest]
     h = 2.0 * rho / G
     cell = h ** len(rest)
     slab_tot = [0.0 for _ in eps_list]
     co_tot = 0.0
-    for yk in grid_blocks(-rho + h * (np.arange(G) + 0.5), len(rest)):
+    count = 0
+    for yk in ball_blocks(rho, G, len(rest)):
         yk += x0[rest]
-        # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
-        b = 2.0 * yk @ M2[axis, rest]
-        c = np.einsum("ij,jk,ik->i", yk, M2[np.ix_(rest, rest)], yk)
         s2 = ((yk - x0[rest]) ** 2).sum(axis=1)
         inside = s2 < rho**2
         if not inside.any():
             continue
-        b, c, s2 = b[inside], c[inside], s2[inside]
+        if not inside.all():
+            yk, s2 = yk[inside], s2[inside]
+        count += len(s2)
+        # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
+        b = 2.0 * yk @ M2[axis, rest]
+        c = np.einsum("ij,jk,ik->i", yk, M2[np.ix_(rest, rest)], yk)
         r1 = np.sqrt(rho**2 - s2)
         lo, hi = c1 - r1, c1 + r1
         a = a0
@@ -388,7 +410,7 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
             live = half > 0
             if not live.any():
                 return 0.0
-            mid = 0.5 * (left + right)[live]
+            mid = 0.5 * (left[live] + right[live])
             hw = half[live]
             t0 = s2[live]
             total = 0.0
@@ -398,27 +420,28 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
             return total
 
         if abs(a) > 1e-15:
+            nb, bb, a2, a4 = -b, b * b, 2 * a, 4 * a
             for i, eps in enumerate(eps_list):
                 # {y1: |q| <= eps} = [R1, R2] minus the open middle (m1, m2)
-                disc_out = b * b - 4 * a * (c - eps)
-                disc_in = b * b - 4 * a * (c + eps)
+                disc_out = bb - a4 * (c - eps)
+                disc_in = bb - a4 * (c + eps)
                 has_out = disc_out > 0
                 sq_out = np.sqrt(np.maximum(disc_out, 0.0))
-                R1 = np.where(has_out, (-b - sq_out) / (2 * a), 1.0)
-                R2 = np.where(has_out, (-b + sq_out) / (2 * a), 0.0)
+                R1 = np.where(has_out, (nb - sq_out) / a2, 1.0)
+                R2 = np.where(has_out, (nb + sq_out) / a2, 0.0)
                 has_in = disc_in > 0
                 sq_in = np.sqrt(np.maximum(disc_in, 0.0))
-                m1 = np.where(has_in, (-b - sq_in) / (2 * a), R2)
-                m2 = np.where(has_in, (-b + sq_in) / (2 * a), R2)
+                m1 = np.where(has_in, (nb - sq_in) / a2, R2)
+                m2 = np.where(has_in, (nb + sq_in) / a2, R2)
                 part = weight_integral(R1, np.minimum(R2, m1))
                 part += weight_integral(np.maximum(R1, m2), R2)
                 slab_tot[i] += part * cell / (2.0 * eps)
-            disc = b * b - 4 * a * c
+            disc = bb - a4 * c
             has = disc > 0
             sq = np.sqrt(np.maximum(disc, 0.0))
             for sgn in (-1.0, 1.0):
-                root = (-b + sgn * sq) / (2 * a)
-                deriv = np.abs(2 * a * root + b)
+                root = (nb + sgn * sq) / a2
+                deriv = np.abs(a2 * root + b)
                 ok = has & (root >= lo) & (root <= hi) & (deriv > 1e-12)
                 if ok.any():
                     wv = _bump_1d(s2[ok], root[ok], c1, rho)
@@ -440,7 +463,7 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
             ok = bz & (root >= lo) & (root <= hi)
             wv = np.where(ok, _bump_1d(s2, root, c1, rho), 0.0)
             co_tot += float((wv / np.abs(bsafe)).sum()) * cell
-    return slab_tot, co_tot
+    return slab_tot, co_tot, count
 
 
 def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> float:
@@ -458,9 +481,15 @@ def tau_infinity(Q2, W: WeightFunction,
     eps in {0.2, 0.1, 0.05, 0.025} * (rho |grad Q2(x0)|), dividing by
     2 eps and extrapolating linearly to eps = 0.  The coarea estimator
     integrates W / |grad-component| over the zero set directly.  Both
-    resolve the distinguished coordinate exactly (quadratic root solving)
-    on a transverse grid whose resolution doubles until the estimates
-    move by less than 1%.  A singular Q2, or a support ball holding the
+    resolve the distinguished coordinate exactly (quadratic root solving).
+    The other n - 1 coordinates are integrated by the midpoint rule on the
+    G^(n-1) cells tiling the cube about x0 of half-width rho, and only the
+    cells whose midpoints lie in the support ball are built and
+    integrated.  G starts at 12 and doubles until both estimates move by
+    less than 1%.  Before each pass the guard is charged _tau_charge, an
+    upper bound on the pass's work: 8 for each of the at most
+    ball_bound(G, n - 1) rows it can build, and 2 for each shorter prefix
+    it can build on the way.  A singular Q2, or a support ball holding the
     origin (the only critical point of a non-singular Q2), is refused.
     """
     if W.n != Q2.n:
@@ -478,9 +507,13 @@ def tau_infinity(Q2, W: WeightFunction,
 
     G = 12
     prev = None
+    rows = charged = 0
     while True:
-        check_guard("tau_infinity", (G ** (Q2.n - 1)) * 8, guard)
-        slabs, coarea = _tau_pass(Q2, W, eps_list, G)
+        charge = _tau_charge(G, Q2.n - 1)
+        check_guard("tau_infinity", charge, guard)
+        slabs, coarea, count = _tau_pass(Q2, W, eps_list, G)
+        rows += count
+        charged += charge
         slab = _extrapolate(np.array(eps_list), np.array(slabs))
         if prev is not None:
             ps, pc = prev
@@ -490,7 +523,7 @@ def tau_infinity(Q2, W: WeightFunction,
                 break
         prev = (slab, coarea)
         G *= 2
-    return TauInfinity(slab, coarea, tuple(slabs), eps_list, G)
+    return TauInfinity(slab, coarea, tuple(slabs), eps_list, G, rows, charged)
 
 
 def sigma_infinity(Q2, W: WeightFunction, guard: int = DEFAULT_GUARD) -> float:
@@ -512,6 +545,16 @@ class DensityReport:
     sigma_inf_spread: float
     c_truncated: float
     tail_diagnostic: float
+
+    def uncertified(self) -> list[str]:
+        """The factors of c_truncated that lack their certificate: sigma_2
+        unless its last two depths agree, and each sigma_p that did not
+        converge by k_max."""
+        out = [] if self.sigma2.stabilized else [
+            f"sigma_2 (k={self.sigma2.k_used}, not stabilized)"]
+        out += [f"sigma_{s.p} (k={s.k_used}, not converged)"
+                for s in self.primes if not s.converged]
+        return out
 
     def to_json(self) -> str:
         payload = {

@@ -264,6 +264,76 @@ def residue_blocks(q: int, k: int):
     return grid_blocks(np.arange(q, dtype=np.int64), k)
 
 
+#: relative slack on the squared radius in ball_blocks; it covers the
+#: rounding of a caller's own test on shifted rows by a wide margin
+_BALL_SLACK = 1e-6
+
+
+def _ball_extend(sq, cols, part, budget):
+    """Each prefix (its axis indices, one array per column in cols, and its
+    sum of squares in part) extended by every index i with
+    sq[i] <= budget - part; the prefix varies slowest, i fastest.
+
+    sq falls to the middle of the axis and rises after it, so those i are
+    one run about the middle, found by bisecting either half.
+    """
+    mid = len(sq) // 2
+    room = budget - part
+    lo = mid - np.searchsorted(sq[:mid][::-1], room, side="right")
+    hi = mid + np.searchsorted(sq[mid:], room, side="right")
+    counts = hi - lo
+    rep = np.repeat(np.arange(len(part)), counts)
+    new = np.arange(len(rep)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return [c[rep] for c in cols] + [new], part[rep] + sq[new]
+
+
+def ball_blocks(r: float, G: int, k: int):
+    """The midpoints of the G^k cells tiling [-r, r]^k that can lie in the
+    open ball |y| < r, in the blocks and row order of grid_blocks over the
+    G midpoints of [-r, r] (blocks left empty are skipped).
+
+    Rows are built column by column in the order grid_blocks varies them,
+    slowest first: the head columns, then each head's tail columns.  A
+    prefix is extended only by the values that keep its sum of squares
+    within r^2 (1 + _BALL_SLACK), so this yields a superset of the ball's
+    midpoints and the caller keeps its own exact test.  The prefixes of j
+    columns built number at most ball_bound(G, j).
+    """
+    h = 2.0 * r / G
+    axis = -r + h * (np.arange(G) + 0.5)
+    sq = axis * axis
+    budget = r * r * (1.0 + _BALL_SLACK)
+    lead = _head_columns([G] * k)
+    heads, head_sq = [], np.zeros(1)
+    for _ in range(lead):
+        heads, head_sq = _ball_extend(sq, heads, head_sq, budget)
+    for at, used in enumerate(head_sq):
+        tail, part = [], np.array([used])
+        for _ in range(k - lead):
+            tail, part = _ball_extend(sq, tail, part, budget)
+        if len(part):
+            block = np.empty((len(part), k), dtype=axis.dtype)
+            # columns were built slowest first: the last built is column 0
+            for j, col in enumerate(heads[::-1]):
+                block[:, j] = axis[col[at]]
+            for j, col in enumerate(tail[::-1]):
+                block[:, lead + j] = axis[col]
+            del tail, part  # not held while the caller works on the block
+            yield block
+
+
+def ball_bound(G: int, j: int) -> int:
+    """An upper bound on the j-column prefixes ball_blocks(r, G, .) builds.
+
+    The cells of side h = 2r/G about the kept midpoints are disjoint and lie
+    in the ball of radius r (1 + _BALL_SLACK) + h sqrt(j) / 2, so they
+    number at most its volume over h^j, and at most G^j.
+    """
+    unit_ball = math.pi ** (j / 2) / math.gamma(j / 2 + 1)
+    radius = G / 2 * (1.0 + _BALL_SLACK) + math.sqrt(j) / 2
+    return min(G**j, math.ceil(unit_ball * radius**j))
+
+
 # --------------------------------------------------------------------------
 # pencil determinant form and its discriminant
 # --------------------------------------------------------------------------

@@ -129,6 +129,19 @@ def test_experiment_writes_csv_and_density_json(tmp_path, capsys):
     assert "wrote" in err
 
 
+def test_experiment_flags_uncertified_factors(capsys):
+    # at k_max = 2 on toy_n3 sigma_2 has not stabilized and sigma_3, sigma_5
+    # have not converged; the table on stdout is the same with or without
+    argv = ("experiment", "--pair", TOY3, "--B", "4,6", "--p-max", "7",
+            "--k-max", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ("warning: c_trunc uses uncertified factors: "
+                   "sigma_2 (k=2, not stabilized), sigma_3 (k=2, not converged), "
+                   "sigma_5 (k=2, not converged)\n")
+    assert out.startswith(ExperimentResult.CSV_HEADER + "\n")
+
+
 def test_experiment_replot_round_trip(tmp_path, capsys):
     out_path = tmp_path / "toy3.csv"
     _, original, _ = run(capsys, "experiment", "--pair", TOY3, "--B", "4,6",

@@ -32,6 +32,7 @@ from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     count_cone_points_mod_p,
+    grid_blocks,
     load_pair,
     residue_blocks,
     residue_grid,
@@ -201,6 +202,241 @@ def test_tau_infinity_refuses_support_on_the_vertex():
         pair = load_pair(PAIRS_DIR / f"{name}.pair")
         with pytest.raises(ResourceGuardError):
             tau_infinity(pair.Q2, WeightFunction.default_for_pair(pair), guard=0)
+
+
+# --------------------------------------------------------------------------
+# tau_infinity's ball pass against the box grid it replaces
+# --------------------------------------------------------------------------
+
+
+def box_bump(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarray:
+    """W along the distinguished coordinate: squared transverse distance s2
+    fixed, axis coordinate y1 varying."""
+    t = (s2 + (y1 - c1) ** 2) / rho**2
+    safe = np.minimum(t, 1.0 - 1e-15)
+    return np.where(t < 1.0 - 1e-15, np.exp(-1.0 / (1.0 - safe)), 0.0)
+
+
+def box_pass(Q2, W, eps_list, G):
+    """densities._tau_pass on the whole transverse box: every midpoint is
+    built, b and c are taken on whole grid_blocks blocks, and the rows
+    outside the support ball are dropped after; the number of rows kept
+    is returned with the slab values and the coarea estimate."""
+    n = Q2.n
+    x0 = np.array(W.x0, dtype=float)
+    M2 = np.array(Q2.M, dtype=float)
+    grad0 = 2.0 * M2 @ x0
+    axis = int(np.argmax(np.abs(grad0)))
+    rest = [j for j in range(n) if j != axis]
+    a0 = float(M2[axis, axis])
+    c1 = x0[axis]
+    rho = W.rho
+
+    # midpoint rule on the transverse box of half-width rho about x0[rest]
+    h = 2.0 * rho / G
+    cell = h ** len(rest)
+    slab_tot = [0.0 for _ in eps_list]
+    co_tot = 0.0
+    count = 0
+    for yk in grid_blocks(-rho + h * (np.arange(G) + 0.5), len(rest)):
+        yk += x0[rest]
+        # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
+        b = 2.0 * yk @ M2[axis, rest]
+        c = np.einsum("ij,jk,ik->i", yk, M2[np.ix_(rest, rest)], yk)
+        s2 = ((yk - x0[rest]) ** 2).sum(axis=1)
+        inside = s2 < rho**2
+        if not inside.any():
+            continue
+        b, c, s2 = b[inside], c[inside], s2[inside]
+        count += len(s2)
+        r1 = np.sqrt(rho**2 - s2)
+        lo, hi = c1 - r1, c1 + r1
+        a = a0
+        if a < 0:
+            a, b, c = -a, -b, -c
+
+        def weight_integral(left, right):
+            left = np.maximum(left, lo)
+            right = np.minimum(right, hi)
+            half = 0.5 * (right - left)
+            live = half > 0
+            if not live.any():
+                return 0.0
+            mid = 0.5 * (left + right)[live]
+            hw = half[live]
+            t0 = s2[live]
+            total = 0.0
+            for node, wgt in zip(densities._GL_NODES, densities._GL_WEIGHTS):
+                vals = box_bump(t0, mid + hw * node, c1, rho)
+                total += float((wgt * hw * vals).sum())
+            return total
+
+        if abs(a) > 1e-15:
+            for i, eps in enumerate(eps_list):
+                # {y1: |q| <= eps} = [R1, R2] minus the open middle (m1, m2)
+                disc_out = b * b - 4 * a * (c - eps)
+                disc_in = b * b - 4 * a * (c + eps)
+                has_out = disc_out > 0
+                sq_out = np.sqrt(np.maximum(disc_out, 0.0))
+                R1 = np.where(has_out, (-b - sq_out) / (2 * a), 1.0)
+                R2 = np.where(has_out, (-b + sq_out) / (2 * a), 0.0)
+                has_in = disc_in > 0
+                sq_in = np.sqrt(np.maximum(disc_in, 0.0))
+                m1 = np.where(has_in, (-b - sq_in) / (2 * a), R2)
+                m2 = np.where(has_in, (-b + sq_in) / (2 * a), R2)
+                part = weight_integral(R1, np.minimum(R2, m1))
+                part += weight_integral(np.maximum(R1, m2), R2)
+                slab_tot[i] += part * cell / (2.0 * eps)
+            disc = b * b - 4 * a * c
+            has = disc > 0
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            for sgn in (-1.0, 1.0):
+                root = (-b + sgn * sq) / (2 * a)
+                deriv = np.abs(2 * a * root + b)
+                ok = has & (root >= lo) & (root <= hi) & (deriv > 1e-12)
+                if ok.any():
+                    wv = box_bump(s2[ok], root[ok], c1, rho)
+                    co_tot += float((wv / deriv[ok]).sum()) * cell
+        else:
+            bz = np.abs(b) > 1e-12
+            bsafe = np.where(bz, b, 1.0)
+            for i, eps in enumerate(eps_list):
+                left = (-eps - c) / bsafe
+                right = (eps - c) / bsafe
+                swap = left > right
+                l2 = np.where(swap, right, left)
+                r2_ = np.where(swap, left, right)
+                # b = 0 points contribute their whole segment iff |c| <= eps
+                l2 = np.where(bz, l2, np.where(np.abs(c) <= eps, lo, 1.0))
+                r2_ = np.where(bz, r2_, np.where(np.abs(c) <= eps, hi, 0.0))
+                slab_tot[i] += weight_integral(l2, r2_) * cell / (2.0 * eps)
+            root = np.where(bz, -c / bsafe, lo - 1.0)
+            ok = bz & (root >= lo) & (root <= hi)
+            wv = np.where(ok, box_bump(s2, root, c1, rho), 0.0)
+            co_tot += float((wv / np.abs(bsafe)).sum()) * cell
+    return slab_tot, co_tot, count
+
+
+def _coupled_pair_n4():
+    """An n = 4 pair whose Q2 couples the distinguished coordinate of its
+    default weight to the others, and the others among themselves."""
+    return QuadricPair.build(
+        QuadraticForm.from_matrix([[3, -2, -3, 0], [-2, -3, 3, 0],
+                                   [-3, 3, 0, 1], [0, 0, 1, 3]]),
+        QuadraticForm.from_matrix([[3, -3, 2, 0], [-3, -1, 2, 3],
+                                   [2, 2, -2, 1], [0, 3, 1, -3]]))
+
+
+# pair and the transverse resolutions compared on it
+TAU_CASES = {
+    "shipped": (shipped_pair, (12, 24)),
+    "toy_n3": (toy_pair_3, (12, 24)),
+    "toy_n2": (toy_pair_2, (12, 64)),
+    "demo_n7": (demo_pair_7, (8, 12)),
+    "coupled_n4": (_coupled_pair_n4, (12, 24)),
+}
+
+
+def _signed_move(Q2, W, seed):
+    """Q2 and W in the coordinates y_i = s_i x_perm(i); seed 0 is the
+    identity."""
+    n = Q2.n
+    perm, signs = list(range(n)), [1] * n
+    if seed:
+        rng = random.Random(seed)
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+    Q2 = QuadraticForm.from_matrix(
+        [[signs[i] * signs[j] * Q2.M[perm[i]][perm[j]] for j in range(n)]
+         for i in range(n)])
+    return Q2, WeightFunction(tuple(s * W.x0[i] for i, s in zip(perm, signs)), W.rho)
+
+
+def _tau_case(name, seed=0):
+    pair = TAU_CASES[name][0]()
+    Q2, W = _signed_move(pair.Q2, WeightFunction.default_for_pair(pair), seed)
+    grad0 = 2.0 * np.array(Q2.M, dtype=float) @ np.array(W.x0)
+    scale = W.rho * float(np.sqrt(grad0 @ grad0))
+    return Q2, W, tuple(f * scale for f in (0.2, 0.1, 0.05, 0.025))
+
+
+def _tau_axis(name):
+    """Q2's matrix and the coordinate _tau_pass integrates exactly."""
+    Q2, W, _ = _tau_case(name)
+    M2 = np.array(Q2.M, dtype=float)
+    axis = int(np.argmax(np.abs(2.0 * M2 @ np.array(W.x0))))
+    return M2, axis, [j for j in range(Q2.n) if j != axis]
+
+
+def test_tau_cases_cover_both_branches_and_coupling():
+    M2, axis, rest = _tau_axis("toy_n2")
+    assert M2[axis, axis] == 0  # the a = 0 branch of _tau_pass
+    M2, axis, rest = _tau_axis("coupled_n4")
+    block = M2[np.ix_(rest, rest)]
+    assert np.count_nonzero(block - np.diag(np.diag(block))) > 0
+    assert np.count_nonzero(M2[axis, rest]) == len(rest)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+@pytest.mark.parametrize("name", sorted(TAU_CASES))
+def test_ball_pass_matches_box_pass(name, seed):
+    Q2, W, eps_list = _tau_case(name, seed)
+    for G in TAU_CASES[name][1]:
+        slabs, coarea, rows = densities._tau_pass(Q2, W, eps_list, G)
+        box_slabs, box_coarea, box_rows = box_pass(Q2, W, eps_list, G)
+        assert slabs == box_slabs, (G, slabs, box_slabs)
+        assert coarea == box_coarea, (G, coarea, box_coarea)
+        assert rows == box_rows > 0
+
+
+@pytest.mark.parametrize("name", ["shipped", "toy_n3", "toy_n2", "demo_n7"])
+def test_tau_charge_bounds_the_rows_built(monkeypatch, name):
+    # every prefix the stages bisect and build, and the rows handed on
+    Q2, W, eps_list = _tau_case(name)
+    G, k = 12, Q2.n - 1
+    bisected = built = handed = 0
+    extend, blocks = quadforms._ball_extend, quadforms.ball_blocks
+
+    def counted_extend(sq, cols, part, budget):
+        nonlocal bisected, built
+        cols, longer = extend(sq, cols, part, budget)
+        bisected += len(part)
+        built += len(longer)
+        return cols, longer
+
+    def counted_blocks(*args):
+        nonlocal handed
+        for block in blocks(*args):
+            handed += len(block)
+            yield block
+
+    monkeypatch.setattr(quadforms, "_ball_extend", counted_extend)
+    monkeypatch.setattr(densities, "ball_blocks", counted_blocks)
+    rows = densities._tau_pass(Q2, W, eps_list, G)[2]
+    assert 0 < rows <= handed <= quadforms.ball_bound(G, k)
+    assert 8 * handed + (built - handed) + bisected <= densities._tau_charge(G, k)
+
+
+def test_tau_charge_admits_demo_n7():
+    # the passes at G = 12 and 24, charged without being run; a charge of
+    # 8 for every midpoint of the transverse box would refuse G = 24
+    k = demo_pair_7().n - 1
+    assert densities._tau_charge(12, k) <= densities._tau_charge(24, k) <= DEFAULT_GUARD
+    assert 24**k * 8 > DEFAULT_GUARD
+
+
+def test_tau_infinity_reports_rows_and_charge():
+    Q2, W, eps_list = _tau_case("shipped")
+    tau = tau_infinity(Q2, W)
+    grids = [12]
+    while grids[-1] < tau.axis_points:
+        grids.append(2 * grids[-1])
+    assert grids[-1] == tau.axis_points
+    assert tau.grid_rows == sum(box_pass(Q2, W, eps_list, G)[2] for G in grids)
+    assert tau.guard_charge == sum(densities._tau_charge(G, Q2.n - 1) for G in grids)
+    # the guard is checked pass by pass: the finest pass alone trips it
+    with pytest.raises(ResourceGuardError):
+        tau_infinity(Q2, W, guard=densities._tau_charge(grids[-1], Q2.n - 1) - 1)
 
 
 def test_experiment_result_csv_shape():

@@ -15,6 +15,7 @@ from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     bad_primes,
+    ball_blocks,
     certified_good_primes,
     count_cone_points_mod_p,
     dual_form,
@@ -145,6 +146,45 @@ def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
     same = list(grid_blocks([axes[2]] * 3))
     old = list(grid_blocks(axes[2], 3))
     assert all(np.array_equal(a, b) for a, b in zip(same, old)) and len(same) == len(old)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100, 10**6])
+def test_ball_blocks_are_grid_blocks_cut_to_the_ball(monkeypatch, budget):
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    for r, G, k in ((1.0, 12, 3), (0.7, 8, 4), (2.5, 6, 1), (1.3, 10, 2), (1.0, 4, 0)):
+        axis = -r + 2.0 * r / G * (np.arange(G) + 0.5)
+        lead = quadforms._head_columns([G] * k)
+        grid = {tuple(b[0, :lead]): b for b in grid_blocks(axis, k)}
+        heads = []
+        for block in ball_blocks(r, G, k):
+            head = tuple(block[0, :lead])
+            heads.append(head)
+            # a block is its grid block's rows, in order, that can lie in
+            # the ball: every one inside it, none past the slack
+            whole = grid[head]
+            pos = {tuple(row): i for i, row in enumerate(whole)}
+            at = [pos[tuple(row)] for row in block]
+            assert at == sorted(set(at))
+            assert np.all(block[:, :lead] == block[0, :lead])
+            norm = (block**2).sum(axis=1)
+            assert norm.max() <= r * r * (1 + 2 * quadforms._BALL_SLACK)
+            inside = set(np.flatnonzero((whole**2).sum(axis=1) < r * r))
+            assert inside <= set(at)
+            assert len(block) <= quadforms.ball_bound(G, k)
+        # blocks come in grid order, and only the empty ones are left out
+        order = list(grid)
+        assert heads == sorted(heads, key=order.index)
+        missing = [h for h in order if h not in heads]
+        assert all(((grid[h]**2).sum(axis=1) >= r * r).all() for h in missing)
+
+
+def test_ball_bound():
+    # at most the whole grid; the unit ball's volume for large G
+    assert [quadforms.ball_bound(12, j) for j in (0, 1)] == [1, 12]
+    assert quadforms.ball_bound(4, 6) == 4**6
+    for G, j in ((200, 3), (400, 2)):
+        vol = math.pi ** (j / 2) / math.gamma(j / 2 + 1) * (G / 2) ** j
+        assert vol < quadforms.ball_bound(G, j) < 1.05 * vol
 
 
 def test_chunking_changes_no_count(monkeypatch):
