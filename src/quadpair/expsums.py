@@ -34,7 +34,11 @@ agreement.
 For d = p^2 at realistic n, direct enumeration mod p^2 is impossible; the
 layered evaluators parametrize the solution set by digit lifting over the
 common zeros mod p and collapse each affine fiber's character sum in
-closed form (for D_{p^2}, through its dual sum over F_p^2).  These are
+closed form (for D_{p^2}, through its dual sum over F_p^2).  What does not
+depend on m (the zeros, the gradients and values there, a unit 2 x 2
+minor of the gradients and its inverse, the fiber sizes) is one zero
+layer per (pair, p), kept in a small memo in quadforms; each m then costs
+one solve per zero, not a fresh p^n sweep and p^2 scan.  These are
 cross-checked against direct enumeration at small n in the tests.
 
 With method='auto', D_d and M_mixed pick their route from the input alone
@@ -66,9 +70,9 @@ from .quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
+    _zero_layer,
     grid_blocks,
     residue_blocks,
-    residue_zeros_mod_p,
 )
 
 __all__ = [
@@ -438,9 +442,13 @@ def D_p2_layered(pair: QuadricPair, p: int, m,
     empty exactly when some lambda G = 0 has lambda.a != 0.  Otherwise
     lambda.a = -lambda.G t0 = m.t0 is the same c at every lambda G = -m,
     so the sum is the fiber size times e_p(c), or 0 when no lambda solves
-    lambda G = -m.  One scan of the p^2 pairs lambda, vectorised over the
-    zeros, finds K, emptiness and c for every x0 at once.  The guard is
-    charged p^n by residue_zeros_mod_p.
+    lambda G = -m.  K, emptiness, G and a depend on x0 alone: they come
+    from the memoised zero layer of (pair, p) (quadforms._zero_layer).
+    Per m, a zero where G has rank 2 has K = 1 and one candidate lambda,
+    solved by Cramer's rule on a unit 2 x 2 minor and checked on every
+    column; only the zeros of rank < 2 (x0 = 0, and the singular points of
+    a bad reduction) scan the p^2 pairs lambda.  The guard is charged p^n,
+    the layer's residue_zeros_mod_p sweep, on every call.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -448,37 +456,21 @@ def D_p2_layered(pair: QuadricPair, p: int, m,
     if len(m) != n:
         raise ValueError("m has wrong length")
     p2 = p * p
-    Z1 = residue_zeros_mod_p(pair, p, guard=guard)
+    layer = _zero_layer(pair, p, guard)
     mred = np.array([v % p2 for v in m], dtype=np.int64)
-    mneg = -mred % p
-    g1 = 2 * (Z1 @ np.array(pair.Q1.M, dtype=np.int64)) % p
-    g2 = 2 * (Z1 @ np.array(pair.Q2.M, dtype=np.int64)) % p
-    a1 = pair.Q1.eval_batch(Z1) // p % p
-    a2 = pair.Q2.eval_batch(Z1) // p % p
-    kernel = np.zeros(len(Z1), dtype=np.int64)
-    empty = np.zeros(len(Z1), dtype=bool)
-    live = np.zeros(len(Z1), dtype=bool)
-    c = np.zeros(len(Z1), dtype=np.int64)
-    for l1 in range(p):
-        for l2 in range(p):
-            lg = (l1 * g1 + l2 * g2) % p
-            la = (l1 * a1 + l2 * a2) % p
-            zero = (lg == 0).all(axis=1)
-            kernel += zero
-            empty |= zero & (la != 0)
-            hit = (lg == mneg).all(axis=1)
-            live |= hit
-            c[hit] = la[hit]
-    mx0 = (Z1 @ mred).tolist()
+    live, c = layer.solve(-mred % p)
+    mx0 = (layer.Z @ mred).tolist()
+    kernel, empty = layer.kernel.tolist(), layer.empty.tolist()
+    live, c = live.tolist(), c.tolist()
     total = 0j
     npts = 0  # common zeros mod p^2: the unit terms the sum collapses
-    for i in range(len(Z1)):
+    for i in range(len(mx0)):
         if empty[i]:
             continue
-        fiber = p ** (n - 2) * int(kernel[i])
+        fiber = p ** (n - 2) * kernel[i]
         npts += fiber
         if live[i]:
-            total += fiber * e_q(mx0[i] + p * int(c[i]), p2)
+            total += fiber * e_q(mx0[i] + p * c[i], p2)
     return SumValue(total.real, total.imag, sum_tol(max(npts, 1)))
 
 
@@ -496,9 +488,11 @@ def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
             method: str = "auto", guard: int = DEFAULT_GUARD) -> SumValue:
     """M_{p^r, p^ell}(m) = S_{p^r, p^ell}(m).
 
-    method 'auto' is 'layered' iff r = ell = 1, else 'direct' (S_dq).  The
-    guard only raises, charged p^n by the layered route's zero search and
-    as in S_dq_many by the direct route.
+    method 'auto' is 'layered' iff r = ell = 1, else 'direct' (S_dq); the
+    layered route reads the zeros and grad Q2, Q2 there from the memoised
+    zero layer of (pair, p).  The guard only raises, charged p^n by the
+    layered route's zero search on every call and as in S_dq_many by the
+    direct route.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -517,16 +511,16 @@ def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
         raise ValueError("m has wrong length")
     # k = x0 + p t with x0 a common zero mod p and t free; the t-sum kills
     # every (a, x0) with a grad Q2(x0) + m != 0 mod p
+    # (Q2(x0) = p a_2 mod p^2 and grad Q2(x0) mod p from the zero layer)
     p2 = p * p
-    Z1 = residue_zeros_mod_p(pair, p, guard)
-    G2 = 2 * (Z1 @ np.array(pair.Q2.M, dtype=np.int64))
-    q2vals = pair.Q2.eval_batch(Z1)
-    mx = Z1 @ np.array([v % p2 for v in m], dtype=np.int64)
+    layer = _zero_layer(pair, p, guard)
+    q2vals = p * layer.a[:, 1]
+    mx = layer.Z @ np.array([v % p2 for v in m], dtype=np.int64)
     mvec = np.array([v % p for v in m], dtype=np.int64)
     total = 0j
     hits = 0
     for a in range(1, p):
-        mask = ((a * G2 + mvec) % p == 0).all(axis=1)
+        mask = ((a * layer.g2 + mvec) % p == 0).all(axis=1)
         if not mask.any():
             continue
         v = (a * q2vals[mask] + mx[mask]) % p2

@@ -576,6 +576,141 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     return Z[np.lexsort(np.roll(Z, -lead, axis=1).T)]
 
 
+#: the most (lambda, zero, coordinate) cells one step of _dual_scan holds
+_SCAN_CELLS = 1 << 20
+
+
+def _dual_scan(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
+               target: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scan of the p^2 pairs lambda in F_p^2, lambda_1 outermost, for rows
+    G = (g1; g2) and a: per row, whether some lambda has lambda G = target
+    mod p, and lambda.a mod p at the last of them in scan order (0 when
+    there is none)."""
+    rows = len(g1)
+    hit = np.zeros(rows, dtype=bool)
+    last = np.zeros(rows, dtype=np.int64)
+    lams = np.arange(p * p, dtype=np.int64)
+    step = max(1, _SCAN_CELLS // max(rows * len(target), 1))
+    for lo in range(0, p * p, step):
+        l1, l2 = lams[lo:lo + step, None] // p, lams[lo:lo + step, None] % p
+        lg = (l1[..., None] * g1 + l2[..., None] * g2) % p
+        la = (l1 * a[:, 0] + l2 * a[:, 1]) % p
+        found = (lg == target).all(axis=2)
+        seen = found.any(axis=0)
+        at = len(found) - 1 - found[::-1].argmax(axis=0)
+        last[seen] = la[at, np.arange(rows)][seen]
+        hit |= seen
+    return hit, last
+
+
+@dataclass(frozen=True, eq=False)
+class ZeroLayer:
+    """The data of the common zeros x0 mod p that does not depend on a dual
+    vector m, one row per zero in residue_zeros_mod_p's order; every array
+    is read-only.
+
+    g1, g2 are the gradients of Q1, Q2 at x0 and a = (Q1(x0), Q2(x0)) / p,
+    all mod p; G = (g1; g2).  Where G has rank 2 (full), cols holds the
+    first columns (i, j), in the order (0, 1), (0, 2), ..., (1, 2), ...,
+    whose 2 x 2 minor of G is a unit mod p, and inv that minor's inverse.
+    kernel counts the lambda in F_p^2 with lambda G = 0 and empty marks the
+    zeros where one of them has lambda.a != 0: the zeros that lift to no
+    zero mod p^2.  Rank 2 gives kernel 1 and never empty.
+    """
+
+    p: int
+    Z: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    a: np.ndarray
+    full: np.ndarray
+    cols: np.ndarray
+    inv: np.ndarray
+    kernel: np.ndarray
+    empty: np.ndarray
+
+    def cramer(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, lam) for target in F_p^n: lam is the one lambda with
+        lambda G = target on the columns cols, by Cramer's rule, and hit
+        marks the full rows where lambda G = target on every column."""
+        lam = np.einsum("ij,ijk->ik", target[self.cols], self.inv) % self.p
+        hit = self.full & ((lam[:, :1] * self.g1 + lam[:, 1:] * self.g2 - target)
+                           % self.p == 0).all(axis=1)
+        return hit, lam
+
+    def solve(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, c) for target in F_p^n: hit marks the zeros where some
+        lambda in F_p^2 has lambda G = target, and c is lambda.a mod p (0
+        where there is none).  Full rows take cramer's lambda; the others
+        scan the p^2 lambda, c taken at the last hit."""
+        hit, lam = self.cramer(target)
+        c = np.where(hit, (lam * self.a).sum(axis=1) % self.p, 0)
+        low = np.flatnonzero(~self.full)
+        if len(low):
+            hit[low], c[low] = _dual_scan(self.g1[low], self.g2[low], self.a[low],
+                                          target, self.p)
+        return hit, c
+
+
+def _build_zero_layer(pair: QuadricPair, p: int, guard: int) -> ZeroLayer:
+    """The ZeroLayer of pair at p, built afresh: one residue_zeros_mod_p
+    sweep (charged p^n), then O(N n^2) work on its N zeros."""
+    n = pair.n
+    Z = residue_zeros_mod_p(pair, p, guard=guard)
+    g1 = 2 * (Z @ np.array(pair.Q1.M, dtype=np.int64)) % p
+    g2 = 2 * (Z @ np.array(pair.Q2.M, dtype=np.int64)) % p
+    a = np.column_stack([pair.Q1.eval_batch(Z) // p % p,
+                         pair.Q2.eval_batch(Z) // p % p])
+    det = np.zeros(len(Z), dtype=np.int64)
+    cols = np.zeros((len(Z), 2), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            minor = (g1[:, i] * g2[:, j] - g1[:, j] * g2[:, i]) % p
+            new = (det == 0) & (minor != 0)
+            det[new] = minor[new]
+            cols[new] = (i, j)
+    full = det != 0
+    rows = np.arange(len(Z))
+    i, j = cols.T
+    adj = np.array([[g2[rows, j], -g1[rows, j]], [-g2[rows, i], g1[rows, i]]])
+    inv = adj.transpose(2, 0, 1) * np.where(full, _inverse_mod_p(det, p), 0)[:, None, None] % p
+    # rank 0: every lambda has lambda G = 0; rank 1: those lambda are the
+    # multiples of (g2_k, -g1_k), k the first column where G is nonzero
+    nonzero = (g1 != 0) | (g2 != 0)
+    rank0 = ~nonzero.any(axis=1)
+    k = nonzero.argmax(axis=1)
+    kernel = np.where(full, 1, np.where(rank0, p * p, p))
+    off = np.where(rank0, a.any(axis=1), (g2[rows, k] * a[:, 0] - g1[rows, k] * a[:, 1]) % p != 0)
+    empty = ~full & off
+    layer = ZeroLayer(p, Z, g1, g2, a, full, cols, inv, kernel, empty)
+    for arr in (Z, g1, g2, a, full, cols, inv, kernel, empty):
+        arr.flags.writeable = False
+    return layer
+
+
+#: how many (pair, p) zero layers _zero_layer keeps, least recent out first
+_LAYER_SLOTS = 4
+_layers: dict = {}
+
+
+def _zero_layer(pair: QuadricPair, p: int,
+                guard: int = DEFAULT_GUARD) -> ZeroLayer:
+    """The ZeroLayer of pair at p from a memo of the last _LAYER_SLOTS.
+
+    The guard is charged p^n, as by residue_zeros_mod_p, before the memo
+    is read: a call the guard refuses raises even when its layer is kept.
+    """
+    check_guard("residue_zeros_mod_p", p**pair.n, guard)
+    key = (pair, p)
+    layer = _layers.pop(key, None)
+    if layer is None:
+        layer = _build_zero_layer(pair, p, guard)
+    _layers[key] = layer
+    while len(_layers) > _LAYER_SLOTS:
+        del _layers[next(iter(_layers))]
+    return layer
+
+
 def count_cone_points_mod_p(pair: QuadricPair, p: int,
                             guard: int = DEFAULT_GUARD) -> int:
     """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}; the guard as in
@@ -584,11 +719,12 @@ def count_cone_points_mod_p(pair: QuadricPair, p: int,
 
 
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:
-    """Every nonzero common zero of Q1, Q2 mod p has Jacobian rank 2."""
-    for x in residue_zeros_mod_p(pair, p, guard=DEFAULT_GUARD):
-        if x.any() and rank_mod_p([pair.Q1.gradient(x), pair.Q2.gradient(x)], p) < 2:
-            return False
-    return True
+    """Every nonzero common zero of Q1, Q2 mod p has Jacobian rank 2.
+
+    Built afresh under DEFAULT_GUARD, not through the memo, so that sweeps
+    over many primes evict no layer a sum is using."""
+    layer = _build_zero_layer(pair, p, DEFAULT_GUARD)
+    return not (layer.Z.any(axis=1) & ~layer.full).any()
 
 
 def _pencil_rank_ok_mod_p(pair: QuadricPair, p: int) -> bool:
@@ -656,7 +792,10 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int,
     3 x n Jacobian (grad Q1; grad Q2; m) of rank < 3 mod p.
 
     Computable stand-in for "p divides the dual-variety value at m".  The
-    guard is charged as in residue_zeros_mod_p.
+    Jacobian has rank < 3 iff G = (grad Q1; grad Q2) has rank < 2 or m
+    lies in the row span of G, i.e. some lambda G = m: one Cramer solve per
+    zero of rank 2 in the memoised zero layer (_zero_layer), whose guard
+    charge p^n is made on every call.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -665,14 +804,10 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int,
     if all(v % p == 0 for v in m):
         raise ValueError("m must be nonzero mod p")
     mvec = np.array([v % p for v in m], dtype=np.int64)
-    zeros = residue_zeros_mod_p(pair, p, guard=guard)
-    for x in zeros[(zeros @ mvec) % p == 0]:
-        if not x.any():
-            continue
-        jac = [pair.Q1.gradient(x), pair.Q2.gradient(x), [int(v) for v in mvec]]
-        if rank_mod_p(jac, p) < 3:
-            return True
-    return False
+    layer = _zero_layer(pair, p, guard)
+    hit, _ = layer.cramer(mvec)
+    on_plane = layer.Z.any(axis=1) & ((layer.Z @ mvec) % p == 0)
+    return bool((on_plane & (~layer.full | hit)).any())
 
 
 # --------------------------------------------------------------------------

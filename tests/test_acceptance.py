@@ -6,11 +6,13 @@ Randomized checks draw from seeded generators and are reproducible.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -456,8 +458,12 @@ def test_criterion_10_end_to_end():
 def test_criterion_11_determinism():
     cmd = [sys.executable, "-m", "quadpair.cli", "verify", "--suite", "all",
            "--seed", "5"]
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
+    # the subprocesses find the package the way the pytest process does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
+    second = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout)
     _report(11, "verify --suite all is byte-stable", ok,

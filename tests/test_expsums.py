@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadpair import expsums
+from quadpair import expsums, quadforms
 from quadpair.expsums import (
     D_d,
     D_p2_layered,
@@ -31,6 +31,7 @@ from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
+    is_Vm_singular_mod_p,
     residue_blocks,
     residue_zeros_mod_p,
 )
@@ -748,3 +749,138 @@ def test_T_dq_guard_is_the_route_charge():
         assert (got.re, got.im, got.tol) == (want.re, want.im, want.tol)
         with pytest.raises(ResourceGuardError, match="T_dq"):
             T_dq(pair, a_vec, d, q, m, guard=charge - 1)
+
+
+# --------------------------------------------------------------------------
+# the zero layer's per-zero solve against the scan of every lambda
+# --------------------------------------------------------------------------
+
+
+def d_p2_by_scan(pair, p, m):
+    """(re, im, tol) of D_{p^2}(m) by one scan of the p^2 pairs lambda,
+    vectorised over all common zeros mod p: K, emptiness, liveness and c
+    for every zero at once, then the same summation as D_p2_layered."""
+    n = pair.n
+    p2 = p * p
+    Z1 = residue_zeros_mod_p(pair, p)
+    mred = np.array([v % p2 for v in m], dtype=np.int64)
+    mneg = -mred % p
+    g1 = 2 * (Z1 @ np.array(pair.Q1.M, dtype=np.int64)) % p
+    g2 = 2 * (Z1 @ np.array(pair.Q2.M, dtype=np.int64)) % p
+    a1 = pair.Q1.eval_batch(Z1) // p % p
+    a2 = pair.Q2.eval_batch(Z1) // p % p
+    kernel = np.zeros(len(Z1), dtype=np.int64)
+    empty = np.zeros(len(Z1), dtype=bool)
+    live = np.zeros(len(Z1), dtype=bool)
+    c = np.zeros(len(Z1), dtype=np.int64)
+    for l1 in range(p):
+        for l2 in range(p):
+            lg = (l1 * g1 + l2 * g2) % p
+            la = (l1 * a1 + l2 * a2) % p
+            zero = (lg == 0).all(axis=1)
+            kernel += zero
+            empty |= zero & (la != 0)
+            hit = (lg == mneg).all(axis=1)
+            live |= hit
+            c[hit] = la[hit]
+    mx0 = (Z1 @ mred).tolist()
+    total = 0j
+    npts = 0
+    for i in range(len(Z1)):
+        if empty[i]:
+            continue
+        fiber = p ** (n - 2) * int(kernel[i])
+        npts += fiber
+        if live[i]:
+            total += fiber * e_q(mx0[i] + p * int(c[i]), p2)
+    return (total.real, total.imag, sum_tol(max(npts, 1)))
+
+
+def m_mixed_by_zeros(pair, p, m):
+    """(re, im, tol) of M_{p,p}(m) from the zeros mod p and the integer
+    values of grad Q2 and Q2 there, the layered route without its layer."""
+    n = pair.n
+    p2 = p * p
+    Z1 = residue_zeros_mod_p(pair, p)
+    G2 = 2 * (Z1 @ np.array(pair.Q2.M, dtype=np.int64))
+    q2vals = pair.Q2.eval_batch(Z1)
+    mx = Z1 @ np.array([v % p2 for v in m], dtype=np.int64)
+    mvec = np.array([v % p for v in m], dtype=np.int64)
+    total = 0j
+    hits = 0
+    for a in range(1, p):
+        mask = ((a * G2 + mvec) % p == 0).all(axis=1)
+        if not mask.any():
+            continue
+        v = (a * q2vals[mask] + mx[mask]) % p2
+        ang = 2.0 * math.pi * v / p2
+        total += p**n * (np.cos(ang).sum() + 1j * np.sin(ang).sum())
+        hits += int(mask.sum())
+    return (total.real, total.imag, sum_tol(max(hits, 1), float(p**n)))
+
+
+def vm_singular_by_rank(pair, m, p):
+    """is_Vm_singular_mod_p by the rank of (grad Q1; grad Q2; m) at each
+    nonzero common zero on the plane m.x = 0."""
+    mvec = np.array([v % p for v in m], dtype=np.int64)
+    zeros = residue_zeros_mod_p(pair, p)
+    for x in zeros[(zeros @ mvec) % p == 0]:
+        if not x.any():
+            continue
+        jac = [pair.Q1.gradient(x), pair.Q2.gradient(x), [int(v) for v in mvec]]
+        if rank_mod_p(jac, p) < 3:
+            return True
+    return False
+
+
+LAYER_CASES = {
+    "shipped": shipped_pair,
+    "toy_n3": toy_pair_3,
+    "toy_n2": toy_pair_2,
+    "demo_n7": demo_pair_7,
+    "coupled_n4": LAYERED_AT_5["coupled_n4"][0],
+}
+#: (pair, p) with nonzero common zeros of gradient rank < 2 mod p
+SINGULAR_MOD_P = {("shipped", 5), ("toy_n3", 5), ("demo_n7", 3), ("demo_n7", 5),
+                  ("demo_n7", 7)}
+
+
+@pytest.mark.parametrize("variant", [0, 1, 2], ids=["given", "moved_a", "moved_b"])
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_zero_layer_solve_matches_the_scan_bit_for_bit(name, variant):
+    # each case as given and in the coordinates of two signed permutations
+    pair = LAYER_CASES[name]()
+    n = pair.n
+    rng = random.Random(f"layer:{name}:{variant}")
+    perm, signs = list(range(n)), [1] * n
+    if variant:
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        pair = moved(pair, perm, signs)
+    for p in (2, 3, 5, 7):
+        if (name, p) in SINGULAR_MOD_P:
+            assert not quadforms._smooth_intersection_mod_p(pair, p), p
+        zero_mod_p = [p * rng.randrange(p) for _ in range(n)]
+        zero_mod_p[rng.randrange(n)] = p * rng.randrange(1, p)
+        ms = [[0] * n, zero_mod_p] + [[rng.randrange(p * p) for _ in range(n)]
+                                      for _ in range(3)]
+        for m in ([signs[i] * m[perm[i]] for i in range(n)] for m in ms):
+            got = D_p2_layered(pair, p, m)
+            assert (got.re, got.im, got.tol) == d_p2_by_scan(pair, p, m), (p, m)
+            got = M_mixed(pair, p, 1, 1, m, method="layered")
+            assert (got.re, got.im, got.tol) == m_mixed_by_zeros(pair, p, m), (p, m)
+            if any(v % p for v in m):
+                assert (is_Vm_singular_mod_p(pair, m, p)
+                        == vm_singular_by_rank(pair, m, p)), (p, m)
+
+
+def test_layered_guard_is_charged_with_the_layer_kept():
+    pair = shipped_pair()
+    p, m = 7, (1, 2, 3, 4, 5)
+    D_p2_layered(pair, p, m, guard=DEFAULT_GUARD)  # keeps the layer of (pair, 7)
+    for call in (lambda g: D_p2_layered(pair, p, m, guard=g),
+                 lambda g: M_mixed(pair, p, 1, 1, m, method="layered", guard=g),
+                 lambda g: is_Vm_singular_mod_p(pair, m, p, guard=g)):
+        call(p**5)
+        with pytest.raises(ResourceGuardError, match="residue_zeros_mod_p"):
+            call(p**5 - 1)

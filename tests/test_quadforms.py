@@ -323,6 +323,33 @@ def test_Vm_singular_predicate():
     assert not is_Vm_singular_mod_p(ship, (9, 10, 7, 3, 7), 11)
 
 
+def test_zero_layer_memo_is_bounded_and_read_only():
+    pair = shipped_pair()
+    primes = (3, 5, 7, 11, 13, 17, 19)
+    assert len(primes) > quadforms._LAYER_SLOTS
+    for p in primes:
+        is_Vm_singular_mod_p(pair, (1, 2, 3, 4, 5), p)
+        assert len(quadforms._layers) <= quadforms._LAYER_SLOTS
+    assert (pair, primes[-1]) in quadforms._layers
+    layer = quadforms._zero_layer(pair, 13)
+    assert quadforms._zero_layer(pair, 13) is layer
+    arrays = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 9
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the zeros stay public, a fresh array on every call
+    zeros = quadforms.residue_zeros_mod_p(pair, 13)
+    assert np.array_equal(zeros, layer.Z) and zeros.flags.writeable
+    assert not np.shares_memory(zeros, layer.Z)
+    assert not np.shares_memory(zeros, quadforms.residue_zeros_mod_p(pair, 13))
+    # the smoothness check builds its layer without touching the memo
+    kept = dict(quadforms._layers)
+    assert not quadforms._smooth_intersection_mod_p(pair, 5)
+    assert quadforms._layers == kept
+
+
 def test_mod_p_searches_take_the_callers_guard():
     # p^3 = 1.03e9 passes the default guard; the caller's larger one admits it
     pair = toy_pair_3()
