@@ -35,9 +35,9 @@ For d = p^2 at realistic n, direct enumeration mod p^2 is impossible; the
 layered evaluators parametrize the solution set by digit lifting over the
 common zeros mod p and collapse each affine fiber's character sum in
 closed form (for D_{p^2}, through its dual sum over F_p^2).  What does not
-depend on m (the zeros, the gradients and values there, a unit 2 x 2
-minor of the gradients and its inverse, the fiber sizes) is one zero
-layer per (pair, p), kept in a small memo in quadforms; each m then costs
+depend on m (the zeros, the gradients and values there, the data of a
+closed-form solve for lambda, the fiber sizes) is one zero layer per
+(pair, p), the last one kept in quadforms; each m then costs
 one solve per zero, not a fresh p^n sweep and p^2 scan.  These are
 cross-checked against direct enumeration at small n in the tests.
 
@@ -444,11 +444,11 @@ def D_p2_layered(pair: QuadricPair, p: int, m,
     so the sum is the fiber size times e_p(c), or 0 when no lambda solves
     lambda G = -m.  K, emptiness, G and a depend on x0 alone: they come
     from the memoised zero layer of (pair, p) (quadforms._zero_layer).
-    Per m, a zero where G has rank 2 has K = 1 and one candidate lambda,
-    solved by Cramer's rule on a unit 2 x 2 minor and checked on every
-    column; only the zeros of rank < 2 (x0 = 0, and the singular points of
-    a bad reduction) scan the p^2 pairs lambda.  The guard is charged p^n,
-    the layer's residue_zeros_mod_p sweep, on every call.
+    Per m, each zero has one candidate lambda up to the kernel, read off
+    the layer in closed form (Cramer's rule on a unit 2 x 2 minor at rank
+    2, one nonzero column at rank 1, lambda = 0 at rank 0) and checked on
+    every column.  The guard is charged p^n, the layer's
+    residue_zeros_mod_p sweep, on every call.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")

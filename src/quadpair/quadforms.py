@@ -576,33 +576,6 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     return Z[np.lexsort(np.roll(Z, -lead, axis=1).T)]
 
 
-#: the most (lambda, zero, coordinate) cells one step of _dual_scan holds
-_SCAN_CELLS = 1 << 20
-
-
-def _dual_scan(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
-               target: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scan of the p^2 pairs lambda in F_p^2, lambda_1 outermost, for rows
-    G = (g1; g2) and a: per row, whether some lambda has lambda G = target
-    mod p, and lambda.a mod p at the last of them in scan order (0 when
-    there is none)."""
-    rows = len(g1)
-    hit = np.zeros(rows, dtype=bool)
-    last = np.zeros(rows, dtype=np.int64)
-    lams = np.arange(p * p, dtype=np.int64)
-    step = max(1, _SCAN_CELLS // max(rows * len(target), 1))
-    for lo in range(0, p * p, step):
-        l1, l2 = lams[lo:lo + step, None] // p, lams[lo:lo + step, None] % p
-        lg = (l1[..., None] * g1 + l2[..., None] * g2) % p
-        la = (l1 * a[:, 0] + l2 * a[:, 1]) % p
-        found = (lg == target).all(axis=2)
-        seen = found.any(axis=0)
-        at = len(found) - 1 - found[::-1].argmax(axis=0)
-        last[seen] = la[at, np.arange(rows)][seen]
-        hit |= seen
-    return hit, last
-
-
 @dataclass(frozen=True, eq=False)
 class ZeroLayer:
     """The data of the common zeros x0 mod p that does not depend on a dual
@@ -610,9 +583,14 @@ class ZeroLayer:
     is read-only.
 
     g1, g2 are the gradients of Q1, Q2 at x0 and a = (Q1(x0), Q2(x0)) / p,
-    all mod p; G = (g1; g2).  Where G has rank 2 (full), cols holds the
-    first columns (i, j), in the order (0, 1), (0, 2), ..., (1, 2), ...,
-    whose 2 x 2 minor of G is a unit mod p, and inv that minor's inverse.
+    all mod p; G = (g1; g2) and full marks the zeros where G has rank 2.
+    cols and inv give, for target t in F_p^n, lambda = t[cols] inv: the
+    one lambda with lambda G = t whenever some lambda has it.  Where G has
+    rank 2, cols holds the first columns (i, j), in the order (0, 1),
+    (0, 2), ..., (1, 2), ..., whose 2 x 2 minor of G is a unit mod p and
+    inv that minor's inverse (Cramer's rule).  Where G has rank 1, cols is
+    (k, k) for k the first column where G is nonzero, and lambda =
+    (t_k / g1_k, 0), or (0, t_k / g2_k) when g1_k = 0; at rank 0, lambda = 0.
     kernel counts the lambda in F_p^2 with lambda G = 0 and empty marks the
     zeros where one of them has lambda.a != 0: the zeros that lift to no
     zero mod p^2.  Rank 2 gives kernel 1 and never empty.
@@ -629,26 +607,15 @@ class ZeroLayer:
     kernel: np.ndarray
     empty: np.ndarray
 
-    def cramer(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hit, lam) for target in F_p^n: lam is the one lambda with
-        lambda G = target on the columns cols, by Cramer's rule, and hit
-        marks the full rows where lambda G = target on every column."""
-        lam = np.einsum("ij,ijk->ik", target[self.cols], self.inv) % self.p
-        hit = self.full & ((lam[:, :1] * self.g1 + lam[:, 1:] * self.g2 - target)
-                           % self.p == 0).all(axis=1)
-        return hit, lam
-
     def solve(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(hit, c) for target in F_p^n: hit marks the zeros where some
-        lambda in F_p^2 has lambda G = target, and c is lambda.a mod p (0
-        where there is none).  Full rows take cramer's lambda; the others
-        scan the p^2 lambda, c taken at the last hit."""
-        hit, lam = self.cramer(target)
+        lambda in F_p^2 has lambda G = target, checked on every column, and
+        c is lambda.a mod p there (0 elsewhere).  Off the empty zeros every
+        kernel vector has lambda.a = 0, so c is the same at each solution."""
+        lam = np.einsum("ij,ijk->ik", target[self.cols], self.inv) % self.p
+        hit = ((lam[:, :1] * self.g1 + lam[:, 1:] * self.g2 - target)
+               % self.p == 0).all(axis=1)
         c = np.where(hit, (lam * self.a).sum(axis=1) % self.p, 0)
-        low = np.flatnonzero(~self.full)
-        if len(low):
-            hit[low], c[low] = _dual_scan(self.g1[low], self.g2[low], self.a[low],
-                                          target, self.p)
         return hit, c
 
 
@@ -675,12 +642,18 @@ def _build_zero_layer(pair: QuadricPair, p: int, guard: int) -> ZeroLayer:
     adj = np.array([[g2[rows, j], -g1[rows, j]], [-g2[rows, i], g1[rows, i]]])
     inv = adj.transpose(2, 0, 1) * np.where(full, _inverse_mod_p(det, p), 0)[:, None, None] % p
     # rank 0: every lambda has lambda G = 0; rank 1: those lambda are the
-    # multiples of (g2_k, -g1_k), k the first column where G is nonzero
+    # multiples of (g2_k, -g1_k), k the first column where G is nonzero,
+    # and column k alone fixes the solution's one coordinate
     nonzero = (g1 != 0) | (g2 != 0)
     rank0 = ~nonzero.any(axis=1)
     k = nonzero.argmax(axis=1)
+    g1k, g2k = g1[rows, k], g2[rows, k]
+    rank1 = np.flatnonzero(~full & ~rank0)
+    pivot = np.where(g1k != 0, g1k, g2k)[rank1]
+    cols[rank1] = k[rank1, None]
+    inv[rank1, 0, (g1k[rank1] == 0).astype(np.int64)] = _inverse_mod_p(pivot, p)
     kernel = np.where(full, 1, np.where(rank0, p * p, p))
-    off = np.where(rank0, a.any(axis=1), (g2[rows, k] * a[:, 0] - g1[rows, k] * a[:, 1]) % p != 0)
+    off = np.where(rank0, a.any(axis=1), (g2k * a[:, 0] - g1k * a[:, 1]) % p != 0)
     empty = ~full & off
     layer = ZeroLayer(p, Z, g1, g2, a, full, cols, inv, kernel, empty)
     for arr in (Z, g1, g2, a, full, cols, inv, kernel, empty):
@@ -688,26 +661,26 @@ def _build_zero_layer(pair: QuadricPair, p: int, guard: int) -> ZeroLayer:
     return layer
 
 
-#: how many (pair, p) zero layers _zero_layer keeps, least recent out first
-_LAYER_SLOTS = 4
-_layers: dict = {}
+#: the (pair, p) whose layer _zero_layer built last, and that layer
+_kept: tuple = (None, None)
 
 
 def _zero_layer(pair: QuadricPair, p: int,
                 guard: int = DEFAULT_GUARD) -> ZeroLayer:
-    """The ZeroLayer of pair at p from a memo of the last _LAYER_SLOTS.
+    """The ZeroLayer of pair at p, kept until a call asks for another.
 
     The guard is charged p^n, as by residue_zeros_mod_p, before the memo
     is read: a call the guard refuses raises even when its layer is kept.
+    The old layer is dropped before a new one is built, so no more than
+    one is held.
     """
+    global _kept
     check_guard("residue_zeros_mod_p", p**pair.n, guard)
-    key = (pair, p)
-    layer = _layers.pop(key, None)
-    if layer is None:
+    key, layer = _kept
+    if key != (pair, p):
+        _kept = (None, None)
         layer = _build_zero_layer(pair, p, guard)
-    _layers[key] = layer
-    while len(_layers) > _LAYER_SLOTS:
-        del _layers[next(iter(_layers))]
+        _kept = ((pair, p), layer)
     return layer
 
 
@@ -793,9 +766,9 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int,
 
     Computable stand-in for "p divides the dual-variety value at m".  The
     Jacobian has rank < 3 iff G = (grad Q1; grad Q2) has rank < 2 or m
-    lies in the row span of G, i.e. some lambda G = m: one Cramer solve per
-    zero of rank 2 in the memoised zero layer (_zero_layer), whose guard
-    charge p^n is made on every call.
+    lies in the row span of G, i.e. some lambda G = m: one solve per zero
+    of the memoised zero layer (_zero_layer), whose guard charge p^n is
+    made on every call.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -805,7 +778,7 @@ def is_Vm_singular_mod_p(pair: QuadricPair, m, p: int,
         raise ValueError("m must be nonzero mod p")
     mvec = np.array([v % p for v in m], dtype=np.int64)
     layer = _zero_layer(pair, p, guard)
-    hit, _ = layer.cramer(mvec)
+    hit, _ = layer.solve(mvec)
     on_plane = layer.Z.any(axis=1) & ((layer.Z @ mvec) % p == 0)
     return bool((on_plane & (~layer.full | hit)).any())
 

@@ -874,6 +874,34 @@ def test_zero_layer_solve_matches_the_scan_bit_for_bit(name, variant):
                         == vm_singular_by_rank(pair, m, p)), (p, m)
 
 
+@pytest.mark.parametrize("case", sorted(SINGULAR_MOD_P | {("coupled_n4", 3)}))
+def test_zero_layer_solve_is_the_scan_on_rank_deficient_zeros(case):
+    # targets in the row span of G at rank-1 zeros make those rows live
+    name, p = case
+    layer = quadforms._build_zero_layer(LAYER_CASES[name](), p, DEFAULT_GUARD)
+    n, rng = layer.Z.shape[1], random.Random(f"solve:{name}:{p}")
+    keep = ~layer.empty
+    low = np.flatnonzero(~layer.full & layer.Z.any(axis=1))
+    lifting = [r for r in low if keep[r]]
+    assert len(low) and bool(lifting) == (case in {("demo_n7", 3), ("coupled_n4", 3)})
+    targets = [np.zeros(n, dtype=np.int64),
+               np.array([rng.randrange(p) for _ in range(n)])]
+    for r in rng.sample(lifting, min(4, len(lifting))):
+        l1, l2 = rng.randrange(p), rng.randrange(p)
+        targets.append((l1 * layer.g1[r] + l2 * layer.g2[r]) % p)
+    for t in targets:
+        hit, c = layer.solve(t)
+        want_hit = np.zeros(len(hit), dtype=bool)
+        for l1, l2 in product(range(p), repeat=2):
+            found = ((l1 * layer.g1 + l2 * layer.g2 - t) % p == 0).all(axis=1) & keep
+            # off the empty zeros lambda.a is one value on each solution set
+            assert (c[found] == (l1 * layer.a[found, 0] + l2 * layer.a[found, 1]) % p).all()
+            want_hit |= found
+        assert (hit[keep] == want_hit[keep]).all() and (c[~hit] == 0).all()
+    if lifting:
+        assert layer.solve(targets[-1])[0][lifting].any()
+
+
 def test_layered_guard_is_charged_with_the_layer_kept():
     pair = shipped_pair()
     p, m = 7, (1, 2, 3, 4, 5)

@@ -325,12 +325,10 @@ def test_Vm_singular_predicate():
 
 def test_zero_layer_memo_is_bounded_and_read_only():
     pair = shipped_pair()
-    primes = (3, 5, 7, 11, 13, 17, 19)
-    assert len(primes) > quadforms._LAYER_SLOTS
-    for p in primes:
+    for p in (3, 5, 7, 11, 13):
         is_Vm_singular_mod_p(pair, (1, 2, 3, 4, 5), p)
-        assert len(quadforms._layers) <= quadforms._LAYER_SLOTS
-    assert (pair, primes[-1]) in quadforms._layers
+        # one layer is kept: the last (pair, p) asked for
+        assert quadforms._kept[0] == (pair, p)
     layer = quadforms._zero_layer(pair, 13)
     assert quadforms._zero_layer(pair, 13) is layer
     arrays = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
@@ -345,9 +343,8 @@ def test_zero_layer_memo_is_bounded_and_read_only():
     assert not np.shares_memory(zeros, layer.Z)
     assert not np.shares_memory(zeros, quadforms.residue_zeros_mod_p(pair, 13))
     # the smoothness check builds its layer without touching the memo
-    kept = dict(quadforms._layers)
     assert not quadforms._smooth_intersection_mod_p(pair, 5)
-    assert quadforms._layers == kept
+    assert quadforms._kept[1] is layer
 
 
 def test_mod_p_searches_take_the_callers_guard():
