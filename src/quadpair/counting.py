@@ -12,25 +12,20 @@ fixed order.  S(B) enumerates only the weight's support box
 (WeightFunction.support_box), the integer box around B times the support
 ball, not a cube about the origin.
 
-Zeros of Q2 in a box lo_i <= x_i <= hi_i are listed in lexicographic
-order.  When the form has no cross terms between the first ceil(n/2)
-coordinates and the rest (always true for diagonal forms) they come from
-a meet-in-the-middle join: both halves of the coordinates are listed in
-lexicographic order, the right half is stable-sorted by its partial value
-of Q2, and each left row is joined by binary search to the right rows
-completing it to a zero, which leaves the output already in order.
-Coupled forms are scanned over the first n - 1 coordinates with the last
-one solved for: Q2 = a x_n^2 + b(x') x_n + c(x'), whose integer roots
-come from an exact integer square root of b^2 - 4ac.  The scan runs one
-slab x_1 = const at a time, which keeps each solve small; the slabs merge
-by concatenation and one canonical sort.
-
-N_d(B) = #{x in the box : Q2(x) = 0, d | Q1(x)} lists no zero when
-neither Q1 nor Q2 couples the two halves: each half becomes a histogram
-of the key (Q2 on the half, Q1 on the half mod d), and N_d is the sum of
-the products of the counts of matching keys.  A coupled pair falls back
-to listing the zeros and filtering them by d | Q1.  S(B) reads r2 off one
-table up to the largest Q1 it meets.
+Zeros of Q2 in a box lo_i <= x_i <= hi_i come as one stream of
+lexicographic blocks.  Unless Q2 couples the first h = ceil(n/2)
+coordinates to the rest, the stream is a meet-in-the-middle join on the
+key Q2 d + (Q1 mod d) of each half-row, both forms restricted to the
+half (listing takes d = 1): the right half is one table, its rows
+stable-sorted by key with the start and length of each key's run, and a
+left row x_L meets the run of key -key(x_L).  Listing expands the matches
+of each left block, which keeps it in order; N_d sums the products of
+the counts of each left block's key histogram and the table's runs.  A
+coupled Q2 is scanned one slab x_1 = const at a time, each slab sorted,
+with the last coordinate solved for: Q2 = a x_n^2 + b(x') x_n + c(x'),
+whose integer roots come from an exact integer square root of
+b^2 - 4ac.  enumerate_zeros stacks the stream; S(B) and N_d of a pair
+that couples the halves read it block by block.
 
 The default weight (WeightFunction.default_for_pair) is found by array
 passes over a fixed grid of unit directions.  Its candidates are the grid
@@ -144,58 +139,97 @@ def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.hstack([X[rows[inside]], roots[inside, None]])
 
 
-def _scan_slab(M, head, lo, hi) -> np.ndarray:
-    """Zeros of the form M whose leading coordinates are `head`: the
-    middle coordinates run over their ranges, the last one is solved for."""
-    n = len(M)
-    found = []
-    for mid in grid_blocks(_axes(lo[len(head):n - 1], hi[len(head):n - 1])):
-        X = np.empty((len(mid), n - 1), dtype=np.int64)
-        X[:, :len(head)] = head
-        X[:, len(head):] = mid
-        hit = _solve_last(M, X, lo[-1], hi[-1])
-        if len(hit):
-            found.append(hit)
-    if not found:
-        return np.empty((0, n), dtype=np.int64)
-    return np.vstack(found)
+def _scan(Q2: QuadraticForm, lo, hi, guard: int):
+    """Zeros of Q2 in the box by the solved scan, one lexicographically
+    sorted block per slab x_1 = const: the middle coordinates run over
+    their ranges, the last one is solved for.  The guard is charged the
+    rows over the first n - 1 coordinates, then the zeros found so far."""
+    n = Q2.n
+    check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)), guard)
+    _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
+    total = 0
+    for head in ((x1,) for x1 in range(lo[0], hi[0] + 1)) if n > 1 else [()]:
+        found = [np.empty((0, n), dtype=np.int64)]
+        for mid in grid_blocks(_axes(lo[len(head):n - 1], hi[len(head):n - 1])):
+            X = np.empty((len(mid), n - 1), dtype=np.int64)
+            X[:, :len(head)] = head
+            X[:, len(head):] = mid
+            found.append(_solve_last(Q2.M, X, lo[-1], hi[-1]))
+        rows = np.vstack(found)
+        total += len(rows)
+        check_guard("enumerate_zeros", total, guard)
+        yield rows[np.lexsort(rows.T[::-1])]
 
 
-def _canonical(rows: np.ndarray) -> np.ndarray:
-    if len(rows) == 0:
-        return rows
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
+def _half_keys(Q2: QuadraticForm, Q1, side, X: np.ndarray, d: int, sign: int) -> np.ndarray:
+    """sign Q2(x) d + (sign Q1(x) mod d) for the rows x of X, both forms
+    restricted to the coordinates in side (Q1 is not read when d = 1)."""
+    key = Q2.restrict(side, sign).eval_batch(X)
+    if d > 1:
+        key *= d
+        r = Q1.restrict(side, sign).eval_batch(X)
+        r %= d
+        key += r
+    return key
 
 
-def _mitm(Q2: QuadraticForm, lo, hi, guard: int) -> np.ndarray:
-    """Zeros in lexicographic order by the join of the two halves."""
+@dataclass(frozen=True)
+class _RightHalf:
+    """The right half of the join: its rows stable-sorted by key, and the
+    distinct keys with the start and length of each key's run."""
+
+    rows: np.ndarray
+    keys: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+    def match(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(at, hit): keys[i] is self.keys[at[i]] where hit[i]."""
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return at, self.keys[at] == keys
+
+
+def _right_half(Q2: QuadraticForm, Q1, lo, hi, d: int) -> _RightHalf:
+    """The table of the right-half rows x_{h+1..n} of the box, keyed by
+    _half_keys with sign +1; at n = 1 the one empty row, of key 0."""
     n = Q2.n
     h = (n + 1) // 2
-    if n - h == 0:
-        XR = np.zeros((1, 0), dtype=np.int64)
-        valR = np.zeros(1, dtype=np.int64)
-    else:
-        XR = np.vstack(list(grid_blocks(_axes(lo[h:], hi[h:]), lex=True)))
-        valR = Q2.restrict(range(h, n)).eval_batch(XR)
-        order = np.argsort(valR, kind="stable")
-        XR, valR = XR[order], valR[order]
-    QL = Q2.restrict(range(h))
-    parts = []
+    rows = np.vstack(list(grid_blocks(_axes(lo[h:], hi[h:]), lex=True)))
+    keys = _half_keys(Q2, Q1, range(h, n), rows, d, 1) if h < n else np.zeros(1, np.int64)
+    order = np.argsort(keys, kind="stable")
+    rows, keys = rows[order], keys[order]
+    uniq, start, count = np.unique(keys, return_index=True, return_counts=True)
+    return _RightHalf(rows, uniq, start, count)
+
+
+def _join_charge(lo, hi) -> int:
+    """The rows of the two halves of the box, what a join reads."""
+    h = (len(lo) + 1) // 2
+    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    return math.prod(widths[:h]) + math.prod(widths[h:])
+
+
+def _mitm(Q2: QuadraticForm, lo, hi, guard: int):
+    """Zeros of Q2 in the box by the join, one lexicographic block per left
+    block: each left row meets the run of right rows of its key."""
+    h = (Q2.n + 1) // 2
+    check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
+    right = _right_half(Q2, None, lo, hi, 1)
     total = 0
     for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
-        target = -QL.eval_batch(XL)
-        first = np.searchsorted(valR, target, side="left")
-        counts = np.searchsorted(valR, target, side="right") - first
+        keys, inverse = np.unique(_half_keys(Q2, None, range(h), XL, 1, -1),
+                                  return_inverse=True)
+        at, hit = right.match(keys)
+        first = right.start[at][inverse]
+        counts = np.where(hit, right.count[at], 0)[inverse]
         found = int(counts.sum())
         total += found
         check_guard("enumerate_zeros", total, guard)
         # expand the join without a Python loop: left row i meets the
         # counts[i] right rows from first[i] on
         offsets = np.arange(found) - np.repeat(np.cumsum(counts) - counts, counts)
-        parts.append(np.hstack([np.repeat(XL, counts, axis=0),
-                                XR[np.repeat(first, counts) + offsets]]))
-    return np.vstack(parts)
+        yield np.hstack([np.repeat(XL, counts, axis=0),
+                         right.rows[np.repeat(first, counts) + offsets]])
 
 
 def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -209,44 +243,26 @@ def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _couples(M, h: int) -> bool:
-    """True when the form M has a cross term between the first h
-    coordinates and the rest."""
+    """True when M has a cross term between the first h coordinates and the rest."""
     return any(M[i][j] for i in range(h) for j in range(h, len(M)))
 
 
-def enumerate_zeros(Q2: QuadraticForm, B, *, method: str = "auto",
-                    guard: int = DEFAULT_GUARD) -> np.ndarray:
+def _zero_blocks(Q2: QuadraticForm, lo, hi, guard: int):
+    """The zero stream of Q2 in the box: the join, or the scan if coupled."""
+    route = _scan if _couples(Q2.M, (Q2.n + 1) // 2) else _mitm
+    return route(Q2, lo, hi, guard)
+
+
+def enumerate_zeros(Q2: QuadraticForm, B, *, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All x in Z^n with Q2(x) = 0 in the box B, as a lexicographically
-    sorted (N, n) int64 array.
+    sorted (N, n) int64 array: the zero stream of the module notes, stacked.
 
     B is a BoxSpec(lo, hi) or a half-width T >= 0 for the box |x| <= T.
-    method is 'mitm', 'scan' or 'auto' (mitm unless the leading ceil(n/2)
-    coordinates are coupled to the rest).
+    The guard is charged the two half-box sizes (join) or the rows over
+    the first n - 1 coordinates (scan), then the zeros found.
     """
-    n = Q2.n
-    lo, hi = _bounds(B, n)
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
-    h = (n + 1) // 2
-    coupled = _couples(Q2.M, h)
-    if method == "auto":
-        method = "scan" if coupled else "mitm"
-    if method == "mitm" and coupled:
-        raise ValueError("meet-in-the-middle needs uncoupled coordinate blocks")
-
-    if method == "mitm":
-        check_guard("enumerate_zeros",
-                    math.prod(widths[:h]) + math.prod(widths[h:]), guard)
-        zeros = _mitm(Q2, lo, hi, guard)
-    elif method == "scan":
-        check_guard("enumerate_zeros", math.prod(widths[:-1]), guard)
-        _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
-        heads = ((x1,) for x1 in range(lo[0], hi[0] + 1)) if n > 1 else [()]
-        parts = [_scan_slab(Q2.M, head, lo, hi) for head in heads]
-        check_guard("enumerate_zeros", sum(len(p) for p in parts), guard)
-        zeros = _canonical(np.vstack(parts))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return zeros
+    lo, hi = _bounds(B, Q2.n)
+    return np.vstack(list(_zero_blocks(Q2, lo, hi, guard)))
 
 
 def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
@@ -259,46 +275,18 @@ def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
             raise ValueError("N_d key too large for int64 path")
 
 
-def _half_keys(pair: QuadricPair, side, X: np.ndarray, d: int,
-               sign: int) -> np.ndarray:
-    """sign Q2(x) d + (sign Q1(x) mod d) for the rows x of X, both forms
-    restricted to the coordinates in side."""
-    key = pair.Q2.restrict(side, sign).eval_batch(X)
-    key *= d
-    if d > 1:
-        r = pair.Q1.restrict(side, sign).eval_batch(X)
-        r %= d
-        key += r
-    return key
-
-
 def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
-    """N_d by histograms of the two halves: a left row x_L and a right row
-    x_R make a counted zero iff Q2(x_R) = -Q2(x_L) and
-    Q1(x_R) = -Q1(x_L) mod d, that is iff the right key of x_R equals the
-    left key (signs flipped) of x_L."""
-    n = pair.n
-    h = (n + 1) // 2  # h < n: a pair has n >= 2
-    keys = [_half_keys(pair, range(h, n), X, d, 1)
-            for X in grid_blocks(_axes(lo[h:], hi[h:]), lex=True)]
-    keys_R, count_R = np.unique(np.concatenate(keys), return_counts=True)
+    """N_d from the right-half table and each left block's key histogram:
+    a left row meets every right row of its key."""
+    h = (pair.n + 1) // 2
+    right = _right_half(pair.Q2, pair.Q1, lo, hi, d)
     total = 0
     for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
-        keys_L, count_L = np.unique(_half_keys(pair, range(h), XL, d, -1),
-                                    return_counts=True)
-        at = np.minimum(np.searchsorted(keys_R, keys_L), len(keys_R) - 1)
-        hit = keys_R[at] == keys_L
-        total += int(np.dot(count_L[hit], count_R[at[hit]]))
+        keys, count = np.unique(_half_keys(pair.Q2, pair.Q1, range(h), XL, d, -1),
+                                return_counts=True)
+        at, hit = right.match(keys)
+        total += int(np.dot(count[hit], right.count[at[hit]]))
     return total
-
-
-def _N_d_enumerated(pair: QuadricPair, d: int, B, guard: int) -> int:
-    """N_d by listing the zeros of Q2 in the box and testing d | Q1."""
-    zeros = enumerate_zeros(pair.Q2, B, guard=guard)
-    if d == 1:
-        return len(zeros)
-    q1 = pair.Q1.eval_batch(zeros)
-    return int((q1 % d == 0).sum())
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
@@ -306,13 +294,11 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     half-width as in enumerate_zeros.
 
     When neither form couples the first ceil(n/2) coordinates to the rest,
-    no zero is listed: each half of the box is reduced to a histogram of
-    its key (Q2 on the half, Q1 on the half mod d), and N_d is the sum of
-    count_L(k) count_R(-k) over the matching keys.  A d beyond the
+    no zero is listed: N_d is the join of the module notes, charged the
+    two half-box sizes.  Otherwise d | Q1 is counted on each block of the
+    zero stream of Q2, guarded as in enumerate_zeros.  A d beyond the
     largest |Q1| on the box, R, counts as R + 1: either way d | Q1 iff
-    Q1 = 0.  The guard is charged the two half-box sizes, the rows the
-    histograms read.  A coupled pair has its zeros listed by
-    enumerate_zeros and filtered by d | Q1.
+    Q1 = 0.
 
     Monotone in d: N_e(B) <= N_d(B) whenever d | e.
     """
@@ -321,13 +307,13 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     n = pair.n
     lo, hi = _bounds(B, n)
     h = (n + 1) // 2
-    if _couples(pair.Q1.M, h) or _couples(pair.Q2.M, h):
-        return _N_d_enumerated(pair, d, BoxSpec(lo, hi), guard)
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
-    check_guard("N_d", math.prod(widths[:h]) + math.prod(widths[h:]), guard)
     # |Q1| <= R on the box, so every d > R counts the zeros with Q1 = 0
     R = sum(abs(c) for _, _, c in pair.Q1.terms()) * max(map(abs, lo + hi)) ** 2
     d = min(d, R + 1)
+    if _couples(pair.Q1.M, h) or _couples(pair.Q2.M, h):
+        return sum(len(Z) if d == 1 else int((pair.Q1.eval_batch(Z) % d == 0).sum())
+                   for Z in _zero_blocks(pair.Q2, lo, hi, guard))
+    check_guard("N_d", _join_charge(lo, hi), guard)
     _check_key_fits(pair.Q2, lo, hi, h, d)
     return _N_d_join(pair, d, lo, hi)
 
@@ -515,23 +501,27 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
            guard: int = DEFAULT_GUARD) -> float:
     """S(B) = sum over Q2(x) = 0, Q1(x) odd of r2(Q1(x)) W(x / B).
 
-    Only the weight's support box is enumerated.  Points with Q1(x) <= 0
-    contribute nothing (they are not sums of two squares).  r2 is read off
-    one table up to the largest Q1 met, whose size is charged to the
-    guard.  The reduction runs in canonical point order.
+    The zero stream of Q2 on the weight's support box (guarded as in
+    enumerate_zeros) keeps, block by block, only the points with Q1 odd
+    and positive (the others contribute nothing) and W > 0: the box's
+    full zero list is never held.  r2 is read off one table up to the
+    largest Q1 met, whose size is charged to the guard.  The reduction
+    runs in lexicographic point order.
     """
     if B <= 0:
         raise ValueError("B must be positive")
     if W.n != pair.n:
         raise ValueError("weight dimension mismatch")
     lo, hi = W.support_box(B)
-    zeros = enumerate_zeros(pair.Q2, BoxSpec(lo, hi), guard=guard)
-    q1 = pair.Q1.eval_batch(zeros)
-    keep = (q1 > 0) & (q1 % 2 == 1)
-    pts = zeros[keep]
-    w = W.eval_batch(pts / B)
-    live = w > 0
-    w, vals = w[live], q1[keep][live]
+    ws, vals = [], []
+    for zeros in _zero_blocks(pair.Q2, lo, hi, guard):
+        q1 = pair.Q1.eval_batch(zeros)
+        keep = (q1 > 0) & (q1 % 2 == 1)
+        w = W.eval_batch(zeros[keep] / B)
+        live = w > 0
+        ws.append(w[live])
+        vals.append(q1[keep][live])
+    w, vals = np.concatenate(ws), np.concatenate(vals)
     return float(np.dot(_r2_table(int(vals.max(initial=0)), guard)[vals], w))
 
 

@@ -41,9 +41,10 @@ closed-form solve for lambda, the fiber sizes) is one zero layer per
 one solve per zero, not a fresh p^n sweep and p^2 scan.  These are
 cross-checked against direct enumeration at small n in the tests.
 
-With method='auto', D_d and M_mixed pick their route from the input alone
-(see each docstring); the guard never picks a route, so never moves a
-value: it only raises ResourceGuardError over the route's charge.
+D_d and M_mixed take no route argument: the modulus alone picks the
+layered route or S_dq (see each docstring).  The guard never picks a
+route, so never moves a value: it only raises ResourceGuardError over
+the route's charge.
 """
 
 from __future__ import annotations
@@ -401,28 +402,20 @@ def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,
 # --------------------------------------------------------------------------
 
 
-def D_d(pair: QuadricPair, d: int, m, method: str = "auto",
-        guard: int = DEFAULT_GUARD) -> SumValue:
+def D_d(pair: QuadricPair, d: int, m, guard: int = DEFAULT_GUARD) -> SumValue:
     """D_d(m) = S_{d,1}(m) = sum over k mod d with d | Q_i(k) of e_d(m.k).
 
-    method 'auto' is 'layered' (D_p2_layered) iff d = p^2, p prime, else
-    'direct' (S_dq_many).  The guard only raises, charged p^n (by the
-    common-zero search mod p) or as in S_dq_many.
+    D_p2_layered iff d = p^2, p prime, else S_dq(pair, d, 1, m).  The
+    guard only raises, charged p^n (by the common-zero search mod p) or
+    as in S_dq_many.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    n = pair.n
-    if len(m) != n:
+    if len(m) != pair.n:
         raise ValueError("m has wrong length")
     f = factorize(d)
-    if method == "auto":
-        method = "layered" if list(f.values()) == [2] else "direct"
-    if method == "direct":
-        return S_dq_many(pair, d, 1, [m], method="direct", guard=guard)[0]
-    if method != "layered":
-        raise ValueError(f"unknown method {method!r}")
     if list(f.values()) != [2]:
-        raise ValueError("layered evaluation implemented for d = p^2 only")
+        return S_dq(pair, d, 1, m, guard=guard)
     (p, _), = f.items()
     return D_p2_layered(pair, p, m, guard=guard)
 
@@ -485,27 +478,22 @@ def rho_star(pair: QuadricPair, d: int, guard: int = DEFAULT_GUARD) -> int:
 
 
 def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
-            method: str = "auto", guard: int = DEFAULT_GUARD) -> SumValue:
+            guard: int = DEFAULT_GUARD) -> SumValue:
     """M_{p^r, p^ell}(m) = S_{p^r, p^ell}(m).
 
-    method 'auto' is 'layered' iff r = ell = 1, else 'direct' (S_dq); the
-    layered route reads the zeros and grad Q2, Q2 there from the memoised
-    zero layer of (pair, p).  The guard only raises, charged p^n by the
-    layered route's zero search on every call and as in S_dq_many by the
-    direct route.
+    Layered iff r = ell = 1, else S_dq(pair, p^r, p^ell, m).  The layered
+    route reads the zeros and grad Q2, Q2 there from the memoised zero
+    layer of (pair, p), and solves a grad Q2(x0) = -m for the one
+    candidate unit a of each zero.  The guard only raises, charged p^n by
+    the layered route's zero search on every call and as in S_dq_many by
+    S_dq.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if r < 1 or ell < 1:
         raise ValueError("need r, ell >= 1")
-    if method == "auto":
-        method = "layered" if r == ell == 1 else "direct"
-    if method == "direct":
-        return S_dq(pair, p**r, p**ell, m, method="direct", guard=guard)
-    if method != "layered":
-        raise ValueError(f"unknown method {method!r}")
     if not (r == ell == 1):
-        raise ValueError("layered evaluation implemented for r = ell = 1 only")
+        return S_dq(pair, p**r, p**ell, m, guard=guard)
     n = pair.n
     if len(m) != n:
         raise ValueError("m has wrong length")
@@ -517,10 +505,19 @@ def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
     q2vals = p * layer.a[:, 1]
     mx = layer.Z @ np.array([v % p2 for v in m], dtype=np.int64)
     mvec = np.array([v % p for v in m], dtype=np.int64)
+    # a g2 = -m read off the first nonzero column k of g2, then checked on
+    # all columns; a zero with g2 = 0 takes every unit iff m = 0 mod p
+    g2 = layer.g2
+    k = np.argmax(g2 != 0, axis=1)
+    pivot = g2[np.arange(len(g2)), k]
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    unit = -mvec[k] * inverse[pivot] % p
+    unit[((unit[:, None] * g2 + mvec) % p != 0).any(axis=1)] = 0
+    every = (pivot == 0) & (not mvec.any())
     total = 0j
     hits = 0
     for a in range(1, p):
-        mask = ((a * layer.g2 + mvec) % p == 0).all(axis=1)
+        mask = (unit == a) | every
         if not mask.any():
             continue
         v = (a * q2vals[mask] + mx[mask]) % p2

@@ -26,7 +26,6 @@ from quadpair.densities import (
     two_squares_count,
 )
 from quadpair.expsums import (
-    D_d,
     D_p2_layered,
     M_mixed,
     Q_q_explicit,
@@ -267,7 +266,7 @@ def test_criterion_05_vanishing():
             phase_ms.append(mv)
     for mv in phase_ms:
         val = D_p2_layered(coupled, 5, mv)
-        if not val.close_to(D_d(coupled, 25, mv, method="direct")):
+        if not val.close_to(S_dq(coupled, 25, 1, mv)):
             violations += 1
     ok = d_samples >= 50 and m_samples >= 30 and violations == 0
     _report(5, "prime-square and mixed-term vanishing",

@@ -77,11 +77,27 @@ def full_slab_scan(Q2, T):
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def S_of_B_cube(pair, W, B):
-    """S(B) enumerating the cube |x| <= B (max |x0_i| + rho) + 1 instead of
-    the weight's support box, with the same weight reduction."""
-    reach = max(abs(v) for v in W.x0) + W.rho
-    zeros = enumerate_zeros(pair.Q2, int(math.floor(B * reach + 1e-9)) + 1)
+def by_route(route, Q, box, guard=10**9):
+    """The zeros of Q in the box by one private route of counting (_mitm,
+    the join, or _scan, the solved scan), its blocks stacked."""
+    lo, hi = counting._bounds(box, Q.n)
+    return np.vstack(list(route(Q, lo, hi, guard)))
+
+
+def N_d_by_listing(pair, d, box):
+    """N_d by listing the zeros of Q2 in the box and testing d | Q1."""
+    zeros = enumerate_zeros(pair.Q2, box, guard=10**9)
+    return int((pair.Q1.eval_batch(zeros) % d == 0).sum())
+
+
+def S_of_B_listed(pair, W, B, box=None):
+    """S(B) from the full list of zeros of Q2 in a box, filtered and
+    weighted afterwards, r2 from modarith.r2 per value; the box is given,
+    or by default the cube |x| <= B (max |x0_i| + rho) + 1."""
+    if box is None:
+        reach = max(abs(v) for v in W.x0) + W.rho
+        box = int(math.floor(B * reach + 1e-9)) + 1
+    zeros = enumerate_zeros(pair.Q2, box)
     q1 = pair.Q1.eval_batch(zeros)
     keep = (q1 > 0) & (q1 % 2 == 1)
     pts, vals = zeros[keep], q1[keep]
@@ -105,25 +121,19 @@ def test_hyperbola_thirteen_points():
 
 @pytest.mark.parametrize("B", [1, 4, 8])
 def test_enumeration_matches_full_scan(B):
-    # the split evaluator needs uncoupled halves; coupled forms go through auto
+    # the join needs uncoupled halves; coupled forms take the scan
     for Q in (toy_pair_3().Q2, shipped_pair().Q2):
-        mitm = [tuple(p) for p in enumerate_zeros(Q, B, method="mitm")]
-        scan = [tuple(p) for p in enumerate_zeros(Q, B, method="scan")]
+        mitm = [tuple(p) for p in by_route(counting._mitm, Q, B)]
+        scan = [tuple(p) for p in by_route(counting._scan, Q, B)]
         assert mitm == scan == brute_zeros(Q, B), (Q.M, B)
+        assert [tuple(p) for p in enumerate_zeros(Q, B)] == mitm
     for Q in (
         toy_pair_2().Q2,
         QuadraticForm.from_matrix([[1, 1, 0], [1, -2, 1], [0, 1, 1]]),
     ):
-        got = [tuple(p) for p in enumerate_zeros(Q, B, method="auto")]
+        got = [tuple(p) for p in enumerate_zeros(Q, B)]
+        assert got == [tuple(p) for p in by_route(counting._scan, Q, B)]
         assert got == brute_zeros(Q, B), (Q.M, B)
-
-
-def test_mitm_rejects_coupled_blocks():
-    Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
-    with pytest.raises(ValueError):
-        enumerate_zeros(Q, 3, method="mitm")
-
-
 
 
 def test_guard_on_huge_box():
@@ -178,7 +188,7 @@ def test_N_d_join_matches_enumeration_on_shipped(monkeypatch):
         for k, box in enumerate(boxes):
             for d in ND_DIVISORS:
                 got = N_d(moved, d, box)
-                assert got == counting._N_d_enumerated(moved, d, box, 10**9), (move, box, d)
+                assert got == N_d_by_listing(moved, d, box), (move, box, d)
                 if k == 0:  # the cube is invariant under the moves
                     assert want.setdefault(d, got) == got
     # the join lists no zero
@@ -191,7 +201,7 @@ def test_N_d_join_matches_enumeration_on_pair_files(name):
     pair = load_pair(PAIRS_DIR / f"{name}.pair")
     box = 3 if pair.n == 7 else 9
     for d in ND_DIVISORS:
-        assert N_d(pair, d, box) == counting._N_d_enumerated(pair, d, box, 10**9), d
+        assert N_d(pair, d, box) == N_d_by_listing(pair, d, box), d
 
 
 def test_N_d_coupled_Q1_takes_the_enumeration_route(monkeypatch):
@@ -200,7 +210,7 @@ def test_N_d_coupled_Q1_takes_the_enumeration_route(monkeypatch):
         QuadraticForm.from_matrix([[1, 0, 1, 2], [0, 1, 0, 0], [1, 0, 1, 0],
                                    [2, 0, 0, 3]]),
         QuadraticForm.diagonal([1, 2, -3, -5]))
-    want = {d: counting._N_d_enumerated(pair, d, 8, 10**9) for d in ND_DIVISORS}
+    want = {d: N_d_by_listing(pair, d, 8) for d in ND_DIVISORS}
     assert want[1] > want[2] > 0
     monkeypatch.setattr(counting, "_N_d_join", None)
     assert {d: N_d(pair, d, 8) for d in ND_DIVISORS} == want
@@ -214,7 +224,7 @@ def test_N_d_key_int64_edge():
     b, d = 2**29 + 15, 31  # 31 | b
     assert (b * b + 1) * d <= 2**63 < (b * b + 1) * (d + 1)
     box = BoxSpec(lo=(b - 1, b - 1), hi=(b, b))
-    assert N_d(pair, d, box) == 1 == counting._N_d_enumerated(pair, d, box, 10**9)
+    assert N_d(pair, d, box) == 1 == N_d_by_listing(pair, d, box)
     assert N_d(pair, 2, box) == 2
     with pytest.raises(ValueError, match="int64"):
         N_d(pair, d + 1, box)
@@ -222,7 +232,7 @@ def test_N_d_key_int64_edge():
     c = math.isqrt(2**63 // d - 1)
     assert (c * c + 1) * d <= 2**63 < ((c + 1) ** 2 + 1) * d
     box = BoxSpec(lo=(c - 1, c - 1), hi=(c, c))
-    assert N_d(pair, d, box) == counting._N_d_enumerated(pair, d, box, 10**9)
+    assert N_d(pair, d, box) == N_d_by_listing(pair, d, box)
     with pytest.raises(ValueError, match="int64"):
         N_d(pair, d, BoxSpec(lo=(c, c), hi=(c + 1, c + 1)))
 
@@ -232,7 +242,7 @@ def test_N_d_large_d_counts_Q1_zero():
     # divides Q1 only at Q1 = 0, the origin
     ship = shipped_pair()
     for d in (8000, 8001, 2**50, 10**18):
-        assert N_d(ship, d, 40) == counting._N_d_enumerated(ship, d, 40, 10**9), d
+        assert N_d(ship, d, 40) == N_d_by_listing(ship, d, 40), d
     assert N_d(ship, 2**50, 40) == N_d(ship, 10**18, 40) == 1
 
 
@@ -530,10 +540,10 @@ def test_per_coordinate_boxes_against_brute_force(Q):
         hi = [a + rng.randint(0, width) for a in lo]
         spec = BoxSpec(lo=tuple(lo), hi=tuple(hi))
         want = brute_box_zeros(Q, lo, hi)
-        for method in ("mitm", "scan"):
-            got = enumerate_zeros(Q, spec, method=method)
+        for route in (counting._mitm, counting._scan):
+            got = by_route(route, Q, spec)
             assert got.dtype == np.int64 and got.shape[1] == n
-            assert [tuple(p) for p in got] == want, (method, lo, hi)
+            assert [tuple(p) for p in got] == want, (route.__name__, lo, hi)
 
 
 COUPLED = [
@@ -592,7 +602,7 @@ def test_solved_scan_int64_check():
     # one slab of one row, but b^2 - 4ac reaches 2^63 on its last axis
     Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
     with pytest.raises(ValueError, match="int64"):
-        enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)), method="scan")
+        enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)))
 
 
 def test_support_box_holds_the_support():
@@ -636,4 +646,48 @@ def test_S_of_B_matches_cube_route(name):
         moved = QuadricPair.build(move_form(pair.Q1, move), move_form(pair.Q2, move))
         Wm = move_weight(W, move)
         for B in (7.5, 8, 12, 16):
-            assert S_of_B(moved, Wm, B) == S_of_B_cube(moved, Wm, B), (move, B)
+            assert S_of_B(moved, Wm, B) == S_of_B_listed(moved, Wm, B), (move, B)
+
+
+LISTED_CASES = {
+    "shipped": (shipped_pair, (8, 12)),
+    "toy3": (toy_pair_3, (8, 12)),
+    "demo_n7": (lambda: load_pair(PAIRS_DIR / "demo_n7.pair"), (4, 6)),
+    # Q2 couples the halves, so the stream is the solved scan
+    "coupled_n4": (lambda: QuadricPair.build(QuadraticForm.diagonal([1, 1, 1, 1]),
+                                             QuadraticForm.from_matrix(COUPLED_N4)), (8, 12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_CASES))
+def test_S_of_B_matches_list_then_weight(name):
+    # the stream filters block by block; the oracle lists the whole support
+    # box first, and the two must agree to the last bit
+    make, Bs = LISTED_CASES[name]
+    pair = make()
+    W = WeightFunction.default_for_pair(pair)
+    rng = random.Random(f"listed:{name}")
+    for move in [(list(range(pair.n)), [1] * pair.n), signed_move(rng, pair.n)]:
+        moved = QuadricPair.build(move_form(pair.Q1, move), move_form(pair.Q2, move))
+        Wm = move_weight(W, move)
+        for B in Bs:
+            box = BoxSpec(*Wm.support_box(B))
+            got, want = S_of_B(moved, Wm, B), S_of_B_listed(moved, Wm, B, box)
+            assert repr(got) == repr(want), (move, B)
+
+
+def test_S_of_B_and_coupled_N_d_list_no_box(monkeypatch):
+    ship = shipped_pair()
+    coupled = QuadricPair.build(QuadraticForm.diagonal([1, 1, 1, 1]),
+                                QuadraticForm.from_matrix(COUPLED_N4))
+    weighted = [(pair, WeightFunction.default_for_pair(pair)) for pair in (ship, coupled)]
+
+    def values():
+        return ([S_of_B(pair, W, 8) for pair, W in weighted]
+                + [N_d(coupled, d, 6) for d in ND_DIVISORS])
+
+    want = values()
+    assert want[2:] == [N_d_by_listing(coupled, d, 6) for d in ND_DIVISORS]
+    monkeypatch.setattr(counting, "enumerate_zeros", None)
+    assert values() == want
+

@@ -248,8 +248,8 @@ def test_M_mixed_equals_S_dq():
             ms = [[0] * pair.n] + [[rng.randrange(p * p) for _ in range(pair.n)]
                                    for _ in range(3)]
             for m in ms:
-                fast = M_mixed(pair, p, 1, 1, m, method="layered")
-                slow = M_mixed(pair, p, 1, 1, m, method="direct")
+                fast = M_mixed(pair, p, 1, 1, m)
+                slow = S_dq(pair, p, p, m)
                 assert fast.close_to(slow), (pair.n, p, m, fast, slow)
                 nonzero += not slow.is_zero()
     assert nonzero
@@ -295,7 +295,7 @@ def test_layered_D_p2_matches_direct():
         for _ in range(3):
             m = [rng.randrange(p * p) for _ in range(3)]
             fast = D_p2_layered(pair, p, m)
-            slow = D_d(pair, p * p, m, method="direct")
+            slow = S_dq(pair, p * p, 1, m)
             assert fast.close_to(slow), (p, m)
 
 
@@ -329,7 +329,7 @@ def test_layered_D_p2_matches_direct_at_5(name):
     assert empty == want_empty
     for m in m_list:
         fast = D_p2_layered(pair, p, m)
-        slow = D_d(pair, p * p, m, method="direct")
+        slow = S_dq(pair, p * p, 1, m)
         assert fast.close_to(slow), (m, fast, slow)
 
 
@@ -442,10 +442,8 @@ def test_argument_checks_and_guard():
     for method in ("auto", "factorized"):  # routes no longer offered
         with pytest.raises(ValueError, match="unknown method"):
             S_dq(pair, 1, 7, [1, 2, 3], method=method)
-    with pytest.raises(ValueError):
-        M_mixed(pair, 5, 1, 1, [1, 2], method="layered")
-    with pytest.raises(ValueError):
-        D_d(pair, 12, [0, 0, 0], method="layered")  # 12 is not a prime square
+    with pytest.raises(ValueError, match="wrong length"):
+        M_mixed(pair, 5, 1, 1, [1, 2])
     with pytest.raises(ValueError, match="wrong length"):
         D_p2_layered(shipped_pair(), 11, [1, 2])
 
@@ -464,7 +462,7 @@ def test_guard_does_not_change_the_value():
         call(charge)
         with pytest.raises(ResourceGuardError):
             call(charge - 1)
-    assert D_d(pair, 25, m).close_to(D_d(pair, 25, m, method="direct"))
+    assert D_d(pair, 25, m).close_to(S_dq(pair, 25, 1, m))
 
 
 # --------------------------------------------------------------------------
@@ -602,11 +600,11 @@ def test_sweep_where_the_folds_cost_more():
     # by 169 shifts (charge 1.6e9); the one sweep reads 169^3 rows
     pair = toy_pair_3()
     m = [5, 77, 140]
-    got = D_d(pair, 169, m, method="direct", guard=DEFAULT_GUARD)
+    got = S_dq(pair, 169, 1, m, guard=DEFAULT_GUARD)
     assert [(got.re, got.im, got.tol)] == sdq_by_sweep(pair, 169, 1, [m], "direct")
     assert got.close_to(D_p2_layered(pair, 13, m))
     with pytest.raises(ResourceGuardError):
-        D_d(pair, 169, m, method="direct", guard=169**3 - 1)
+        S_dq(pair, 169, 1, m, guard=169**3 - 1)
 
 
 def test_S_dq_many_empty_m_list():
@@ -867,7 +865,7 @@ def test_zero_layer_solve_matches_the_scan_bit_for_bit(name, variant):
         for m in ([signs[i] * m[perm[i]] for i in range(n)] for m in ms):
             got = D_p2_layered(pair, p, m)
             assert (got.re, got.im, got.tol) == d_p2_by_scan(pair, p, m), (p, m)
-            got = M_mixed(pair, p, 1, 1, m, method="layered")
+            got = M_mixed(pair, p, 1, 1, m)
             assert (got.re, got.im, got.tol) == m_mixed_by_zeros(pair, p, m), (p, m)
             if any(v % p for v in m):
                 assert (is_Vm_singular_mod_p(pair, m, p)
@@ -907,7 +905,7 @@ def test_layered_guard_is_charged_with_the_layer_kept():
     p, m = 7, (1, 2, 3, 4, 5)
     D_p2_layered(pair, p, m, guard=DEFAULT_GUARD)  # keeps the layer of (pair, 7)
     for call in (lambda g: D_p2_layered(pair, p, m, guard=g),
-                 lambda g: M_mixed(pair, p, 1, 1, m, method="layered", guard=g),
+                 lambda g: M_mixed(pair, p, 1, 1, m, guard=g),
                  lambda g: is_Vm_singular_mod_p(pair, m, p, guard=g)):
         call(p**5)
         with pytest.raises(ResourceGuardError, match="residue_zeros_mod_p"):
