@@ -36,9 +36,6 @@ from .expsums import (
     S_dq_many,
     S_two_power,
     T_dq,
-    full_quadratic_sum,
-    partial_sum_Q,
-    partial_sum_Q_series,
     rho,
     rho_star,
 )
@@ -120,14 +117,11 @@ __all__ = [
     "enumerate_zeros",
     "eps",
     "experiment",
-    "full_quadratic_sum",
     "gauss_chi",
     "is_Vm_singular_mod_p",
     "jacobi",
     "load_pair",
     "parse_pair_text",
-    "partial_sum_Q",
-    "partial_sum_Q_series",
     "pencil_det_poly",
     "quad_gauss_1d",
     "r2",

@@ -11,7 +11,9 @@ S_{1,q}(m) which has a closed form for q coprime to 2 det M2, the mixed
 sums M_{p^r,p^l}(m), and the 2-adic variants S^{±}_{1,2^l}(m) and
 T_{d,q}(m) whose multiplicative splitting is verified by the test suite.
 
-Evaluation strategy: every complete sum (S_{d,q}, T_{d,q}, S^{±}) is one
+Evaluation strategy: one evaluator, _unit_sums, computes every complete
+sum (S_{d,q}, T_{d,q}, S^{±}); the closed form Q_q_explicit and the layered
+evaluators below are second routes checked against it.  Each sum is one
 unit average over a grid of n coordinates, each running over base_i +
 step j, j mod dq, and is regrouped through grid histograms (exact
 bookkeeping, floating point only in the final root-of-unity
@@ -56,6 +58,7 @@ import numpy as np
 from .guard import DEFAULT_GUARD, check_guard
 from .lincong import bareiss_det
 from .modarith import (
+    MAX_ROOT_MODULUS,
     SumValue,
     e_q,
     eps_power,
@@ -71,9 +74,9 @@ from .quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
+    _inverse_mod_p,
     _zero_layer,
     grid_blocks,
-    residue_blocks,
 )
 
 __all__ = [
@@ -85,9 +88,6 @@ __all__ = [
     "S_dq_many",
     "S_two_power",
     "T_dq",
-    "full_quadratic_sum",
-    "partial_sum_Q",
-    "partial_sum_Q_series",
     "rho",
     "rho_star",
 ]
@@ -441,7 +441,8 @@ def D_p2_layered(pair: QuadricPair, p: int, m,
     the layer in closed form (Cramer's rule on a unit 2 x 2 minor at rank
     2, one nonzero column at rank 1, lambda = 0 at rank 0) and checked on
     every column.  The guard is charged p^n, the layer's
-    residue_zeros_mod_p sweep, on every call.
+    residue_zeros_mod_p sweep, on every call.  A p^2 past e_q's
+    MAX_ROOT_MODULUS raises ValueError before the layer is built.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -449,6 +450,8 @@ def D_p2_layered(pair: QuadricPair, p: int, m,
     if len(m) != n:
         raise ValueError("m has wrong length")
     p2 = p * p
+    if p2 > MAX_ROOT_MODULUS:
+        raise ValueError(f"modulus {p2} exceeds the double-precision cap {MAX_ROOT_MODULUS}")
     layer = _zero_layer(pair, p, guard)
     mred = np.array([v % p2 for v in m], dtype=np.int64)
     live, c = layer.solve(-mred % p)
@@ -510,8 +513,7 @@ def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
     g2 = layer.g2
     k = np.argmax(g2 != 0, axis=1)
     pivot = g2[np.arange(len(g2)), k]
-    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    unit = -mvec[k] * inverse[pivot] % p
+    unit = -mvec[k] * _inverse_mod_p(pivot, p) % p
     unit[((unit[:, None] * g2 + mvec) % p != 0).any(axis=1)] = 0
     every = (pivot == 0) & (not mvec.any())
     total = 0j
@@ -525,67 +527,3 @@ def M_mixed(pair: QuadricPair, p: int, r: int, ell: int, m,
         total += p**n * (np.cos(ang).sum() + 1j * np.sin(ang).sum())
         hits += int(mask.sum())
     return SumValue(total.real, total.imag, sum_tol(max(hits, 1), float(p**n)))
-
-
-# --------------------------------------------------------------------------
-# averages of Q_q and the single-form full Gauss sum
-# --------------------------------------------------------------------------
-
-
-def _Q_series_modulus(Q2: QuadraticForm, m, dual: QuadraticForm | None = None) -> int:
-    det2 = bareiss_det([list(r) for r in Q2.M])
-    if dual is None:
-        dual = dual_form(Q2)
-    A = dual.eval(m)
-    return abs(2 * det2 * A) if A != 0 else abs(2 * det2)
-
-
-def partial_sum_Q(Q2: QuadraticForm, x: float, m, M: int,
-                  dual: QuadraticForm | None = None) -> SumValue:
-    """sum_{q <= x, gcd(q, M) = 1} Q_q(m), by the closed form.
-
-    M must be a multiple of N = |2 det M2 Q2*(m)| (or |2 det M2| when the
-    adjoint value vanishes) so that every surviving q admits the closed
-    form.
-    """
-    return partial_sum_Q_series(Q2, [x], m, M, dual=dual)[-1]
-
-
-def partial_sum_Q_series(Q2: QuadraticForm, x_values, m, M: int,
-                         dual: QuadraticForm | None = None) -> list[SumValue]:
-    """Cumulative partial sums at each x in increasing x_values (the q = 1
-    term included); see partial_sum_Q."""
-    if dual is None:
-        dual = dual_form(Q2)
-    N = _Q_series_modulus(Q2, m, dual)
-    if M % N != 0:
-        raise ValueError(f"modulus {M} must be a multiple of N = {N}")
-    xs = sorted(x_values)
-    out = []
-    total = SumValue.exact(1.0, tol=1e-15)
-    q = 2
-    for x in xs:
-        while q <= x:
-            if math.gcd(q, M) == 1:
-                total = total + Q_q_explicit(Q2, q, m, dual=dual)
-            q += 1
-        out.append(total)
-    return out
-
-
-def full_quadratic_sum(Q: QuadraticForm, q: int, m,
-                       guard: int = DEFAULT_GUARD) -> SumValue:
-    """sum over all k mod q of e_q(Q(k) + m.k) (single form, no conditions)."""
-    n = Q.n
-    if q < 1:
-        raise ValueError("q must be positive")
-    if len(m) != n:
-        raise ValueError("m has wrong length")
-    check_guard("full_quadratic_sum", q**n, guard)
-    mred = np.array([v % q for v in m], dtype=np.int64)
-    hist = np.zeros(q, dtype=np.int64)
-    for block in residue_blocks(q, n):
-        v = (Q.eval_batch_mod(block, q) + block @ mred) % q
-        hist += np.bincount(v, minlength=q)
-    z = (hist * _phases(q)).sum()
-    return SumValue(z.real, z.imag, sum_tol(q**n))

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,23 +17,22 @@ from quadpair.expsums import (
     S_dq_many,
     S_two_power,
     T_dq,
-    full_quadratic_sum,
-    partial_sum_Q,
-    partial_sum_Q_series,
     rho,
     rho_star,
 )
 from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
 from quadpair.lincong import count_lincong, rank_mod_p
 from quadpair.modarith import SumValue, chi4, e_q, ramanujan, sum_tol
-from quadpair.padic import count_divisibility
+from quadpair.padic import count_congruence_pair, count_divisibility
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
     is_Vm_singular_mod_p,
+    load_pair,
     residue_blocks,
+    residue_grid,
     residue_zeros_mod_p,
 )
 
@@ -174,9 +174,7 @@ def test_T_dq_rejects_even_d():
     lambda: T_dq(toy_pair_3(), (2, 0, 1), 1, -2, [1, 2, 3]),
     lambda: T_dq(toy_pair_3(), (2, 0, 1), 1, 0, [1, 2, 3]),
     lambda: T_dq(toy_pair_3(), (2, 0, 1), 0, 2, [1, 2, 3]),
-    lambda: full_quadratic_sum(QuadraticForm.diagonal([1, 3]), 0, [1, 2]),
-    lambda: full_quadratic_sum(QuadraticForm.diagonal([1, 3]), -3, [1, 2]),
-], ids=["T_d-1", "T_q-2", "T_q0", "T_d0", "full_q0", "full_q-3"])
+], ids=["T_d-1", "T_q-2", "T_q0", "T_d0"])
 def test_bad_moduli_are_rejected(call):
     with pytest.raises(ValueError, match="must be positive"):
         call()
@@ -229,6 +227,29 @@ def test_rho_layering_identity():
     lhs = rho(toy3, 27)
     rhs = rho_star(toy3, 27) + 3**3 * rho_star(toy3, 3) + 3**3
     assert lhs == rhs
+
+
+PAIRS_DIR = Path(__file__).resolve().parent.parent / "pairs"
+
+
+@pytest.mark.parametrize("name", ["toy_n2", "toy_n3", "shipped_n5", "demo_n7"])
+def test_S_dq_at_zero_is_the_p_adic_count(name):
+    # c_{p^j}(u) = p^j [p^j | u] - p^(j-1) [p^(j-1) | u] turns S_{p^e,p^j}(0)
+    # into p^j N(e, R) - p^(j-1) N(e, R - 1), R = e + j, with N(r1, r2) the
+    # count of x mod p^R with p^r1 | Q1(x), p^r2 | Q2(x)
+    pair = load_pair(PAIRS_DIR / f"{name}.pair")
+    cases = 0
+    for p in (2, 3, 5, 7):
+        for e in (0, 1, 2):
+            for j in (1, 2):
+                if p ** (2 * e + j) > 625:
+                    continue
+                R = e + j
+                counts = (p**j * count_congruence_pair(pair, p, R, e, R)
+                          - p ** (j - 1) * count_congruence_pair(pair, p, R, e, R - 1))
+                assert S_dq(pair, p**e, p**j, [0] * pair.n).close_to(counts), (p, e, j)
+                cases += 1
+    assert cases == 18
 
 
 def test_M_mixed_equals_S_dq():
@@ -354,7 +375,9 @@ def test_quadratic_sum_bound_all_instances():
         Q = QuadraticForm.from_matrix(entries)
         q = rng.choice([3, 4, 5, 8, 9, 25, 27, 49])
         m = [rng.randrange(q) for _ in range(n)]
-        val = abs(full_quadratic_sum(Q, q, m).value)
+        grid = residue_grid(q, n)
+        phases = (Q.eval_batch_mod(grid, q) + grid @ np.array(m)) % q
+        val = abs(np.exp(2j * np.pi * phases / q).sum())
         twoM = [[2 * x for x in row] for row in Q.M]
         bound = q ** (n / 2) * math.sqrt(count_lincong(twoM, [0] * n, q))
         assert val <= bound + 1e-6, (Q.M, q, m)
@@ -391,11 +414,22 @@ def test_rough_divisor_bound_and_average_slope():
         assert slope <= n / 2 + 0.4, (m, slope)
 
 
+def odd_q_partial_sums(Q, xs, m):
+    """|sum_{q <= x, q odd} Q_q(m)| for each x in xs, by the closed form,
+    which holds at every odd q for the forms below: there det M2 = 1 and
+    Q*(m) is 1 or 0."""
+    dual = dual_form(Q)
+    terms = [Q_q_explicit(Q, q, m, dual=dual).value for q in range(1, max(xs) + 1, 2)]
+    return [abs(sum(terms[: (x + 1) // 2])) for x in xs]
+
+
 def test_partial_sum_trivial_and_errors():
     Q3 = QuadraticForm.diagonal([1, 1, 1])
-    assert partial_sum_Q(Q3, 1.5, [1, 0, 0], 2).close_to(1.0)
-    with pytest.raises(ValueError):
-        partial_sum_Q(Q3, 10, [1, 0, 0], 3)  # dual value 1 -> N = 2 does not divide 3
+    assert Q_q_explicit(Q3, 1, [1, 0, 0]).close_to(1.0)  # the sum over q <= 1.5
+    with pytest.raises(ValueError, match="must be positive"):
+        Q_q_explicit(Q3, 0, [1, 0, 0])
+    with pytest.raises(ValueError, match="wrong length"):
+        Q_q_explicit(Q3, 3, [1, 0])
 
 
 def slope_of(xs, vals):
@@ -410,10 +444,9 @@ def slope_of(xs, vals):
 def test_partial_sum_growth_generic_dual():
     Q3 = QuadraticForm.diagonal([1, 1, 1])
     xs = [50, 100, 200]
-    series = partial_sum_Q_series(Q3, xs, [1, 0, 0], 2)
     peak, runmax = 0.0, []
-    for sv in series:
-        peak = max(peak, abs(sv.value))
+    for val in odd_q_partial_sums(Q3, xs, [1, 0, 0]):
+        peak = max(peak, val)
         runmax.append(peak)
     assert slope_of(xs, runmax) <= 3 / 2 + 1.3
 
@@ -423,10 +456,9 @@ def test_partial_sum_growth_dual_zero_square_det():
     m = [1, 0, 1, 0]
     assert dual_form(Q4).eval(m) == 0
     xs = [50, 100, 200]
-    series = partial_sum_Q_series(Q4, xs, m, 2)
     peak, runmax = 0.0, []
-    for sv in series:
-        peak = max(peak, abs(sv.value))
+    for val in odd_q_partial_sums(Q4, xs, m):
+        peak = max(peak, val)
         runmax.append(peak)
     assert abs(slope_of(xs, runmax) - (4 / 2 + 2)) <= 0.3
 
@@ -898,6 +930,17 @@ def test_zero_layer_solve_is_the_scan_on_rank_deficient_zeros(case):
         assert (hit[keep] == want_hit[keep]).all() and (c[~hit] == 0).all()
     if lifting:
         assert layer.solve(targets[-1])[0][lifting].any()
+
+
+def test_layered_D_p2_refuses_past_the_root_cap_before_the_layer():
+    # 1009^2 = 1018081 > MAX_ROOT_MODULUS; 997^2 = 994009 is below it
+    pair = toy_pair_2()
+    assert D_p2_layered(pair, 997, [0, 0]).as_integer() == 994009
+    for call in (lambda: D_p2_layered(pair, 1009, [0, 0]),
+                 lambda: D_d(pair, 1009**2, [0, 0])):
+        with pytest.raises(ValueError, match="double-precision cap"):
+            call()
+    assert quadforms._kept[0] == (pair, 997)  # no layer mod 1009 was built
 
 
 def test_layered_guard_is_charged_with_the_layer_kept():
