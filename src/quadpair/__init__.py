@@ -12,7 +12,6 @@ from .counting import BoxSpec, N_d, S_of_B, WeightFunction, enumerate_zeros, s_o
 from .densities import (
     DensityReport,
     ExperimentResult,
-    Ntilde,
     Sigma2,
     SigmaP,
     TauInfinity,
@@ -85,7 +84,6 @@ __all__ = [
     "ExperimentResult",
     "M_mixed",
     "N_d",
-    "Ntilde",
     "PrimePower",
     "Q_q_explicit",
     "QuadraticForm",

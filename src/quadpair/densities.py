@@ -28,9 +28,10 @@ The counts at every odd prime and depth are the Gauss-sum counts of
 prime (p odd, disc_P != 0, p prime to det2 * disc_P) the pencil has
 distinct roots mod p, which certifies a smooth intersection (Reid's
 criterion; `certified_good` needs no sweep), and Hensel lifting gives
-depth 2 from depth 1.  sigma_2 counts the classes x0 mod 2^j, j ~ k/2,
-and sizes the fiber over each by one linear congruence, so depth k costs
-2^(jn) rather than 2^(kn).
+depth 2 from depth 1.  sigma_2 reads the 2-adic digit-lifting count of
+`padic` with Q1 shifted by its target 1 mod 4: digits are enumerated only
+until the quadratic terms die, about half the depth, and each distinct
+linear congruence left is solved once.
 
 The dimension must be at least 3: at n = 2 the stratum ratio p^{2-n}
 reaches 1 and the defining limit itself diverges.
@@ -49,20 +50,18 @@ from .counting import WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det
 from .modarith import chi4, is_prime
-from .padic import _gauss_count, _orbit_count, count_congruence_pair
+from .padic import _gauss_count, _lift_count, _orbit_count, count_congruence_pair
 from .quadforms import (
     QuadricPair,
     _pencil_roots_distinct_mod_p,
     ball_blocks,
     ball_bound,
     certified_good,
-    residue_blocks,
 )
 
 __all__ = [
     "DensityReport",
     "ExperimentResult",
-    "Ntilde",
     "Sigma2",
     "SigmaP",
     "TauInfinity",
@@ -134,16 +133,6 @@ def two_squares_closed_form(A: int, p: int, k: int) -> int:
 # --------------------------------------------------------------------------
 # p-adic counts and sigma_p
 # --------------------------------------------------------------------------
-
-
-def Ntilde(pair: QuadricPair, p: int, k: int, e: int,
-           guard: int = DEFAULT_GUARD) -> int:
-    """Ntilde_k(e) = #{x mod p^k : p^e | Q1(x), p^k | Q2(x)}, p odd."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if k < 0 or not 0 <= e <= max(k, 0):
-        raise ValueError("need 0 <= e <= k")
-    return count_congruence_pair(pair, p, k, e, k, guard=guard)
 
 
 def _primitive_counts(pair: QuadricPair, p: int, k: int,
@@ -248,7 +237,8 @@ def sigma_p_truncated(pair: QuadricPair, p: int, k: int,
     if k < 1:
         raise ValueError("k must be at least 1")
     chi = chi4(p)
-    total = sum(chi**e * Ntilde(pair, p, k, e, guard=guard) for e in range(k + 1))
+    total = sum(chi**e * count_congruence_pair(pair, p, k, e, k, guard=guard)
+                for e in range(k + 1))
     return (1 - Fraction(chi, p)) * Fraction(total, p ** (k * (pair.n - 1)))
 
 
@@ -268,53 +258,30 @@ class Sigma2:
         return float(self.fraction)
 
 
-def _sigma2_lift_depth(k: int) -> int:
-    """The depth j of the classes x0 mod 2^j _sigma2_fraction enumerates."""
-    return min(k, max(2, (k + 1) // 2))
+def _sigma2_fraction(pair: QuadricPair, k: int,
+                     guard: int = DEFAULT_GUARD) -> Fraction:
+    """2^(1 - k(n-1)) #{x mod 2^k : Q1(x) = 1 mod 4, 2^k | Q2(x)}.
 
-
-def _sigma2_cost(n: int, k_max: int) -> int:
-    """Classes sigma_2(k_max) enumerates: depths k_max - 1 and k_max."""
-    return sum(2 ** (_sigma2_lift_depth(k) * n) for k in (k_max - 1, k_max))
-
-
-def _sigma2_fraction(pair: QuadricPair, k: int) -> Fraction:
-    """2^(1 - k(n-1)) #{x mod 2^k : Q1(x) = 1 mod 4, 2^k | Q2(x)}, with x
-    taken as its representative in [0, 2^k).
-
-    Writes x = x0 + 2^j t with x0 mod 2^j and j = min(k, max(2, ceil(k/2))).
-    Then Q1(x) = Q1(x0) mod 4, and since 2j >= k,
-    Q2(x) = Q2(x0) + 2^(j+1) (M2 x0).t mod 2^k.  So, with
-    m = max(k - j - 1, 0), each x0 with 2^(k-m) | Q2(x0) contributes the
-    t mod 2^(k-j) solving one linear congruence mod 2^m, which number
-    2^((k-j-m) n + m(n-1)) g when g = gcd(M2 x0, 2^m) divides its
-    right-hand side.  Only the 2^(jn) classes x0 are enumerated.
+    Q1 mod 4 depends only on x mod 2, so at k = 1 the count is taken mod 4
+    and divided by the 2^n lifts of each class.
     """
     n = pair.n
-    j = _sigma2_lift_depth(k)
-    m = max(k - j - 1, 0)
-    mod = 2**m
-    M2 = np.array(pair.Q2.M, dtype=np.int64)
-    count = 0
-    for x0 in residue_blocks(2**j, n):
-        q2 = pair.Q2.eval_batch(x0)
-        live = (pair.Q1.eval_batch_mod(x0 % 4, 4) == 1) & (q2 % 2 ** (k - m) == 0)
-        g = np.gcd.reduce((x0[live] @ M2) % mod, axis=1, initial=mod)
-        rhs = (-(q2[live] // 2 ** (k - m))) % mod
-        count += int(g[rhs % g == 0].sum())
-    count *= 2 ** ((k - j - m) * n + m * (n - 1))
+    R = max(k, 2)
+    count = _lift_count(pair, 2, R, 2, k, guard, t1=1) // 2 ** (n * (R - k))
     return Fraction(2 * count, 2 ** (k * (n - 1)))
 
 
 def sigma_2(pair: QuadricPair, k_max: int = 5,
             guard: int = DEFAULT_GUARD) -> Sigma2:
     """Truncated 2-adic density with a stabilization flag (last two
-    depths equal as exact rationals)."""
+    depths equal as exact rationals).  Each depth is charged the digits
+    its count enumerates, as count_congruence_pair charges them at p = 2."""
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
-    check_guard("sigma_2", _sigma2_cost(pair.n, k_max), guard)
-    prev = _sigma2_fraction(pair, k_max - 1)
-    last = _sigma2_fraction(pair, k_max)
+    try:
+        prev, last = (_sigma2_fraction(pair, k, guard) for k in (k_max - 1, k_max))
+    except ResourceGuardError as err:
+        raise ResourceGuardError("sigma_2", err.estimated_ops, guard) from err
     return Sigma2(k_max, last, prev == last)
 
 

@@ -1,8 +1,7 @@
 """Exact counts of x mod p^R with p^r1 | Q1(x) and p^r2 | Q2(x).
 
-This is the one place that decides how such a count is computed; sigma_p
-(through Ntilde), rho and rho* all read it from here.  The input picks the
-route.
+This is the one place that decides how such a count is computed; sigma_p,
+sigma_2, rho and rho* all read it from here.  The input picks the route.
 
 At odd p the count is one identity: p^-(r1+r2) times the sum of the Gauss
 sums G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2) over a mod p^r1 and
@@ -13,17 +12,22 @@ unit scaling, O(p^max(r1, r2)) of them: O(p^R n^3) work, with no sweep of
 residues.
 
 At p = 2 the digits are fixed one at a time (`_lift_count`, also the
-oracle the tests hold the identity to at odd p): writing x = x0 + p^j t
-with x0 known mod p^j,
+oracle the tests hold the identity to at odd p).  sigma_2 reads the same
+count with Q1 aimed at a residue, Q1(x) = 1 mod 4: the shift moves no
+gradient, so every step below holds for Q1 - t1 as for Q1.  Writing
+x = x0 + p^j t with x0 known mod p^j,
 
     Q(x0 + p^j t) = Q(x0) + p^j * (2 M x0) . t + p^(2j) Q(t),
 
 so once j is deep enough the condition on t is linear (exact, handled by
 count_lincong) or, when the active gradient rows are independent mod p,
 Hensel lifting gives a closed-form fiber count p^(n(R-j) - sum(s_i - j)).
-Only branches with degenerate gradients and still-active quadratic terms
-enumerate another digit, so the cost is roughly (number of degenerate
-branches) * p^n per level instead of p^(Rn).
+The linear systems of a level repeat across its branches, so each
+distinct system is solved once and counted with its multiplicity.  Only
+branches with degenerate gradients (at p = 2, every branch) and
+still-active quadratic terms enumerate another digit, so the cost is
+roughly (number of degenerate branches) * p^n per level instead of
+p^(Rn).
 
 Everything here is exact integer arithmetic.
 """
@@ -135,8 +139,9 @@ _CHUNK_ROWS = 500_000
 
 
 def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
-                guard: int = DEFAULT_GUARD) -> int:
-    """count_congruence_pair by digit lifting, at any prime p."""
+                guard: int = DEFAULT_GUARD, t1: int = 0) -> int:
+    """#{x mod p^R : Q1(x) = t1 mod p^r1, p^r2 | Q2(x)} by digit lifting,
+    at any prime p; count_congruence_pair at t1 = 0."""
     n = pair.n
     maxM = max(max(abs(v) for v in row) for form in (pair.Q1, pair.Q2) for row in form.M)
     if 4 * n * n * max(maxM, 1) * p ** (2 * R) >= 2**62:
@@ -153,7 +158,7 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
     stack = [(np.zeros((1, n), dtype=np.int64), 0)]
     while stack:
         XB, j = stack.pop()
-        a1 = pair.Q1.eval_batch(XB)
+        a1 = pair.Q1.eval_batch(XB) - t1
         a2 = pair.Q2.eval_batch(XB)
         pj = p**j
         survive = np.ones(len(XB), dtype=bool)
@@ -170,7 +175,9 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
 
         G1 = _exact_grad(M1, XB)
         G2 = _exact_grad(M2, XB)
-        if len(active) == 1:
+        if p == 2:  # the gradients 2 M x are never units
+            full_rank = np.zeros(len(XB), dtype=bool)
+        elif len(active) == 1:
             g_act = G1 if r1 > j else G2
             full_rank = (g_act % p != 0).any(axis=1)
         else:
@@ -191,17 +198,23 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
         if len(idx) == 0:
             continue
         if all(s <= 2 * j for s in active):
-            # quadratic term dead: exact linear congruence system per branch
+            # quadratic term dead: one linear congruence system mod p^U per
+            # branch, a row [gradient | rhs] per active condition, solved
+            # once for each distinct system (keyed by its digits base p^U)
             U = max(s - j for s in active)
-            for b in idx:
-                rows, rhs = [], []
-                for s, a, G in ((r1, a1, G1), (r2, a2, G2)):
-                    if s > j:
-                        scale = p ** (U - (s - j))
-                        rows.append([int(G[b, c]) * scale for c in range(n)])
-                        rhs.append(-(int(a[b]) // pj) * scale)
-                cnt = count_lincong(rows, rhs, p**U)
-                total += cnt * p ** (n * (R - j - U))
+            q = p**U
+            systems = np.hstack([
+                np.hstack((G[idx], -(a[idx] // pj)[:, None])) * p ** (U - (s - j)) % q
+                for s, a, G in ((r1, a1, G1), (r2, a2, G2)) if s > j])
+            cols = systems.shape[1]
+            radix = np.array([q**c for c in range(cols)],
+                             dtype=np.int64 if q**cols < 2**63 else object)
+            _, first, mult = np.unique(systems @ radix, return_index=True,
+                                       return_counts=True)
+            for eqs, m in zip(systems[first].reshape(len(first), -1, n + 1).tolist(),
+                              mult.tolist()):
+                cnt = count_lincong([e[:n] for e in eqs], [e[n] for e in eqs], q)
+                total += m * cnt * p ** (n * (R - j - U))
             continue
         # enumerate the next digit of the degenerate branches
         spent += len(idx) * p**n

@@ -11,7 +11,6 @@ from quadpair.counting import WeightFunction
 from quadpair import densities, padic, quadforms
 from quadpair.densities import (
     ExperimentResult,
-    Ntilde,
     certified_good,
     sigma_2,
     sigma_infinity,
@@ -79,7 +78,7 @@ def test_Ntilde_vs_brute():
         q1 = pair.Q1.eval_batch_mod(grid, p**k)
         for e in range(k + 1):
             want = int(((q1 % p**e == 0) & (q2 == 0)).sum())
-            assert Ntilde(pair, p, k, e) == want, (pair.n, e)
+            assert count_congruence_pair(pair, p, k, e, k) == want, (pair.n, e)
 
 
 def test_sigma_p_hensel_on_good_primes():
@@ -105,7 +104,8 @@ def test_sigma_p_truncated_toy_value():
     # raw truncation at p = 3, k = 2 on the n = 2 toy, against direct counts
     pair = toy_pair_2()
     p, k = 3, 2
-    total = sum((-1) ** e * Ntilde(pair, p, k, e) for e in range(k + 1))
+    total = sum((-1) ** e * count_congruence_pair(pair, p, k, e, k)
+                for e in range(k + 1))
     want = (1 - Fraction(-1, 3)) * Fraction(total, 3 ** (k * (pair.n - 1)))
     assert sigma_p_truncated(pair, p, k) == want
 
@@ -144,22 +144,26 @@ def test_sigma_2_shipped_depth_profile():
     assert s.fraction == Fraction(5, 16) and not s.stabilized
     s = sigma_2(ship, k_max=6, guard=DEFAULT_GUARD)
     assert s.k_used == 6 and s.fraction == Fraction(5, 16) and s.stabilized
-    # the guard charges the 2^15 classes x0 mod 8 at each of depths 5 and 6
-    with pytest.raises(ResourceGuardError):
-        sigma_2(ship, k_max=6, guard=2 * 2**15 - 1)
+    # each depth is charged the digits its count enumerates: 1312 at each
+    # of depths 5 and 6
+    with pytest.raises(ResourceGuardError) as err:
+        sigma_2(ship, k_max=6, guard=1311)
+    assert err.value.operation == "sigma_2"
+    assert sigma_2(ship, k_max=6, guard=1312) == s
 
 
 def test_singular_constant_raises_when_sigma_2_trips_the_guard():
-    # the guard admits tau_infinity and sigma_p but not sigma_2 at k_max = 9;
+    # the guard admits tau_infinity and sigma_p but not sigma_2 at k_max = 11,
+    # whose depth 11 is charged 5464 (depths 9 and 10 are charged 1368);
     # the constant is refused rather than taken at a shallower 2-adic depth
     pair = toy_pair_3()
     W = WeightFunction.default_for_pair(pair)
-    guard = 10**4
-    assert densities._sigma2_cost(pair.n, 8) <= guard < densities._sigma2_cost(pair.n, 9)
+    guard = 5000
+    assert sigma_2(pair, k_max=10, guard=guard).stabilized
     tau_infinity(pair.Q2, W, guard=guard)
-    assert sigma_p(pair, 3, k_max=9, guard=guard).converged
+    assert sigma_p(pair, 3, k_max=11, guard=guard).converged
     with pytest.raises(ResourceGuardError) as err:
-        singular_constant(pair, W, p_max=3, k_max=9, guard=guard)
+        singular_constant(pair, W, p_max=3, k_max=11, guard=guard)
     assert err.value.operation == "sigma_2"
 
 
@@ -501,7 +505,7 @@ def _odd_primes(lo, hi):
 
 
 def _sigma2_sweep(pair, k):
-    """_sigma2_fraction by the sweep over all 2^(kn) residues it replaced."""
+    """_sigma2_fraction by the sweep over all 2^(kn) residues."""
     n = pair.n
     q = 2**k
     count = 0
@@ -509,6 +513,34 @@ def _sigma2_sweep(pair, k):
         good1 = pair.Q1.eval_batch_mod(block % 4, 4) == 1
         good2 = pair.Q2.eval_batch_mod(block, q) == 0
         count += int((good1 & good2).sum())
+    return Fraction(2 * count, 2 ** (k * (n - 1)))
+
+
+def _sigma2_half_depth(pair, k):
+    """_sigma2_fraction by enumerating the classes x0 mod 2^j only, with
+    j = min(k, max(2, ceil(k/2))), and sizing the fiber over each by one
+    linear congruence.
+
+    Q1(x0 + 2^j t) = Q1(x0) mod 4, and since 2j >= k,
+    Q2(x0 + 2^j t) = Q2(x0) + 2^(j+1) (M2 x0).t mod 2^k.  So, with
+    m = max(k - j - 1, 0), each x0 with 2^(k-m) | Q2(x0) contributes the
+    t mod 2^(k-j) solving one linear congruence mod 2^m, which number
+    2^((k-j-m) n + m(n-1)) g when g = gcd(M2 x0, 2^m) divides its
+    right-hand side.
+    """
+    n = pair.n
+    j = min(k, max(2, (k + 1) // 2))
+    m = max(k - j - 1, 0)
+    mod = 2**m
+    M2 = np.array(pair.Q2.M, dtype=np.int64)
+    count = 0
+    for x0 in residue_blocks(2**j, n):
+        q2 = pair.Q2.eval_batch(x0)
+        live = (pair.Q1.eval_batch_mod(x0 % 4, 4) == 1) & (q2 % 2 ** (k - m) == 0)
+        g = np.gcd.reduce((x0[live] @ M2) % mod, axis=1, initial=mod)
+        rhs = (-(q2[live] // 2 ** (k - m))) % mod
+        count += int(g[rhs % g == 0].sum())
+    count *= 2 ** ((k - j - m) * n + m * (n - 1))
     return Fraction(2 * count, 2 ** (k * (n - 1)))
 
 
@@ -668,8 +700,31 @@ def test_singular_constant_to_p_max_1000():
 def test_sigma2_fraction_matches_sweep(name, k_max):
     pair = {"toy_n2": toy_pair_2, "toy_n3": toy_pair_3,
             "shipped": shipped_pair, "demo_n7": demo_pair_7}[name]()
-    for k in range(2, k_max + 1):
+    for k in range(1, k_max + 1):
         assert _sigma2_fraction(pair, k) == _sigma2_sweep(pair, k), (name, k)
+
+
+@pytest.mark.parametrize("name,k", [("shipped", 6), ("shipped", 7),
+                                    ("demo_n7", 4), ("demo_n7", 5)])
+def test_sigma2_fraction_matches_half_depth_enumeration(name, k):
+    # the second route where the full sweep is too slow
+    pair = {"shipped": shipped_pair, "demo_n7": demo_pair_7}[name]()
+    assert _sigma2_fraction(pair, k) == _sigma2_half_depth(pair, k)
+
+
+def test_sigma_2_solves_each_distinct_linear_system_once(monkeypatch):
+    # one count_lincong call per distinct system, not per class: at
+    # k_max = 5 on demo_n7, 24 calls where one per class would be 49,152
+    calls = []
+    solve = padic.count_lincong
+
+    def record(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(padic, "count_lincong", record)
+    assert sigma_2(demo_pair_7(), k_max=5).fraction == Fraction(3, 8)
+    assert 0 < len(calls) <= 48
 
 
 def test_singular_pair_skips_hensel():
@@ -699,6 +754,32 @@ def test_singular_pair_skips_hensel():
             pair.n, p, densities._primitive_counts(pair, p, 1)) != star2
     # Hensel lifting would have been wrong here
     assert differs
+
+
+@pytest.mark.parametrize("name", ["shipped", "toy_n3", "seeded_n4",
+                                  "seeded_n4_zero_diag"])
+def test_lift_count_targets_match_sweep(name):
+    # #{x mod p^R : Q1(x) = t1 mod p^r1, p^r2 | Q2(x)} for every t1, r1 and
+    # r2, so both the shifted Q1 and the per-system linear step are held to
+    # the definition, at p = 2 as well as at an odd prime
+    pair = ORACLE_PAIRS[name]()
+    cases = 0
+    for p in (2, 3):
+        for R in range(1, 4):
+            if p ** (R * pair.n) > 2**21:
+                continue
+            grid = residue_grid(p**R, pair.n)
+            q1 = pair.Q1.eval_batch_mod(grid, p**R)
+            q2 = pair.Q2.eval_batch_mod(grid, p**R)
+            for r2 in range(R + 1):
+                deep2 = q2 % p**r2 == 0
+                for r1 in range(R + 1):
+                    want = np.bincount(q1[deep2] % p**r1, minlength=p**r1)
+                    for t1 in range(p**r1):
+                        got = _lift_count(pair, p, R, r1, r2, t1=t1)
+                        assert got == want[t1], (name, p, R, r1, r2, t1)
+                        cases += 1
+    assert cases >= 100
 
 
 # --------------------------------------------------------------------------
@@ -808,11 +889,11 @@ def test_sigma_p_never_calls_count_congruence_pair(monkeypatch):
 
 
 def test_sigma_p_truncated_reaches_demo_n7(monkeypatch):
-    # Ntilde is one Gauss-sum count, so the raw truncation at depth 3 on the
-    # n = 7 pair needs no digit lifting (which gives the same fraction in
-    # about two minutes); it approaches the limit from below
+    # each count is one Gauss-sum count, so the raw truncation at depth 3 on
+    # the n = 7 pair needs no digit lifting (which gives the same fraction
+    # in about two minutes); it approaches the limit from below
     def no_digit_lifting(*args, **kwargs):
-        raise AssertionError("Ntilde ran digit lifting")
+        raise AssertionError("the truncation ran digit lifting")
 
     monkeypatch.setattr(padic, "_lift_count", no_digit_lifting)
     trunc = sigma_p_truncated(demo_pair_7(), 7, 3, guard=DEFAULT_GUARD)

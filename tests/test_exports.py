@@ -8,9 +8,9 @@ import quadpair
 MODULES = ["quadpair"] + sorted(
     f"quadpair.{m.name}" for m in pkgutil.iter_modules(quadpair.__path__))
 
-#: names deleted from expsums with nothing left calling them
+#: names deleted with nothing left calling them
 DELETED = {"full_quadratic_sum", "partial_sum_Q", "partial_sum_Q_series",
-           "_Q_series_modulus"}
+           "_Q_series_modulus", "Ntilde"}
 
 
 @pytest.mark.parametrize("name", MODULES)
