@@ -68,7 +68,9 @@ def main() -> None:
     print(f"coarea estimate: {tau.coarea:.6f}")
     print(f"relative spread: {tau.spread:.2%}")
     print(f"slab ladder (epsilon halving): "
-          + ", ".join(f"{v:.6f}" for v in tau.slab_ladder))
+          + ", ".join(f"{v:.6f}" for v in tau.slab_ladder)
+          + f"  at G = {tau.axis_points} ({tau.grid_rows} transverse rows"
+          " over all passes)")
 
     print("\n== assembled truncated constant ==")
     report = singular_constant(ship, W, p_max=19, k_max=3)

@@ -299,7 +299,7 @@ class TauInfinity:
     coarea: float               # independent surface-integral estimate
     slab_ladder: tuple[float, ...]
     epsilons: tuple[float, ...]
-    axis_points: int            # transverse grid resolution used
+    axis_points: int            # transverse resolution G of the last pass
     grid_rows: int              # transverse rows integrated, over all passes
     guard_charge: int           # guard charges of the passes, summed
 
@@ -329,6 +329,14 @@ def _tau_charge(G: int, k: int) -> int:
     row ball_blocks can build, 2 for each shorter prefix it can build (once
     to build it, once to bisect the axis for its next column)."""
     return 8 * ball_bound(G, k) + 2 * sum(ball_bound(G, j) for j in range(k))
+
+
+_TAU_STOP = 2e-4  # relative move of both estimates that ends the refinement
+
+
+def _next_grid(G: int) -> int:
+    """The transverse resolution after G: 12, 18, 27, 40, ..."""
+    return 3 * G // 2
 
 
 def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
@@ -452,8 +460,10 @@ def tau_infinity(Q2, W: WeightFunction,
     The other n - 1 coordinates are integrated by the midpoint rule on the
     G^(n-1) cells tiling the cube about x0 of half-width rho, and only the
     cells whose midpoints lie in the support ball are built and
-    integrated.  G starts at 12 and doubles until both estimates move by
-    less than 1%.  Before each pass the guard is charged _tau_charge, an
+    integrated.  G starts at 12 and steps to 3G/2 (_next_grid) until both
+    estimates move by less than 2e-4 relative to the previous pass; a pass
+    at 3G/2 builds about (3/2)^(n-1) times the rows of the pass at G, not
+    2^(n-1).  Before each pass the guard is charged _tau_charge, an
     upper bound on the pass's work: 8 for each of the at most
     ball_bound(G, n - 1) rows it can build, and 2 for each shorter prefix
     it can build on the way.  A singular Q2, or a support ball holding the
@@ -484,12 +494,12 @@ def tau_infinity(Q2, W: WeightFunction,
         slab = _extrapolate(np.array(eps_list), np.array(slabs))
         if prev is not None:
             ps, pc = prev
-            ds = abs(slab - ps) <= 0.01 * max(abs(slab), 1e-300)
-            dc = abs(coarea - pc) <= 0.01 * max(abs(coarea), 1e-300)
+            ds = abs(slab - ps) <= _TAU_STOP * max(abs(slab), 1e-300)
+            dc = abs(coarea - pc) <= _TAU_STOP * max(abs(coarea), 1e-300)
             if (ds and dc) or (slab == 0.0 and coarea == 0.0):
                 break
         prev = (slab, coarea)
-        G *= 2
+        G = _next_grid(G)
     return TauInfinity(slab, coarea, tuple(slabs), eps_list, G, rows, charged)
 
 

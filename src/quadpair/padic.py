@@ -172,6 +172,8 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
         if not active:
             total += int(survive.sum()) * p ** (n * (R - j))
             continue
+        if not survive.all():  # the gradients of dropped rows are not needed
+            XB, a1, a2 = XB[survive], a1[survive], a2[survive]
 
         G1 = _exact_grad(M1, XB)
         G2 = _exact_grad(M2, XB)
@@ -190,11 +192,10 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
 
         # Hensel closed form: independent active gradients lift uniquely,
         # so each active condition costs exactly p^(s_i - j) on t
-        hensel = survive & full_rank
         drop = sum(s - j for s in active)
-        total += int(hensel.sum()) * p ** (n * (R - j) - drop)
+        total += int(full_rank.sum()) * p ** (n * (R - j) - drop)
 
-        idx = np.nonzero(survive & ~full_rank)[0]
+        idx = np.nonzero(~full_rank)[0]
         if len(idx) == 0:
             continue
         if all(s <= 2 * j for s in active):

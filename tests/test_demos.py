@@ -20,6 +20,7 @@ def test_demo_runs(demo):
     if demo.name == "local_densities.py":
         assert "k=6: sigma_2 ~ 5/16 (stabilized=True)" in result.stdout
         assert "sigma_7 = 2752/2801 (depth 3, converged=True)" in result.stdout
+        assert "at G = 18 (38950 transverse rows" in result.stdout
     if demo.name == "expsums_two_ways.py":
         # is_Vm_singular_mod_p and D_p2_layered end to end
         assert "smooth section mod p: True" in result.stdout

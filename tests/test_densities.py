@@ -155,10 +155,13 @@ def test_sigma_2_shipped_depth_profile():
 def test_singular_constant_raises_when_sigma_2_trips_the_guard():
     # the guard admits tau_infinity and sigma_p but not sigma_2 at k_max = 11,
     # whose depth 11 is charged 5464 (depths 9 and 10 are charged 1368);
-    # the constant is refused rather than taken at a shallower 2-adic depth
+    # the constant is refused rather than taken at a shallower 2-adic depth.
+    # The guard is the charge of tau's finest pass, the largest it checks.
     pair = toy_pair_3()
     W = WeightFunction.default_for_pair(pair)
-    guard = 5000
+    G = tau_infinity(pair.Q2, W).axis_points
+    guard = densities._tau_charge(G, pair.n - 1)
+    assert guard < 5464
     assert sigma_2(pair, k_max=10, guard=guard).stabilized
     tau_infinity(pair.Q2, W, guard=guard)
     assert sigma_p(pair, 3, k_max=11, guard=guard).converged
@@ -395,38 +398,64 @@ def test_ball_pass_matches_box_pass(name, seed):
 
 @pytest.mark.parametrize("name", ["shipped", "toy_n3", "toy_n2", "demo_n7"])
 def test_tau_charge_bounds_the_rows_built(monkeypatch, name):
-    # every prefix the stages bisect and build, and the rows handed on
+    # every prefix the stages bisect and build, and the rows handed on, at
+    # the first two passes of tau_infinity
     Q2, W, eps_list = _tau_case(name)
-    G, k = 12, Q2.n - 1
-    bisected = built = handed = 0
+    k = Q2.n - 1
     extend, blocks = quadforms._ball_extend, quadforms.ball_blocks
 
     def counted_extend(sq, cols, part, budget):
-        nonlocal bisected, built
         cols, longer = extend(sq, cols, part, budget)
-        bisected += len(part)
-        built += len(longer)
+        seen["bisected"] += len(part)
+        seen["built"] += len(longer)
         return cols, longer
 
     def counted_blocks(*args):
-        nonlocal handed
         for block in blocks(*args):
-            handed += len(block)
+            seen["handed"] += len(block)
             yield block
 
     monkeypatch.setattr(quadforms, "_ball_extend", counted_extend)
     monkeypatch.setattr(densities, "ball_blocks", counted_blocks)
-    rows = densities._tau_pass(Q2, W, eps_list, G)[2]
-    assert 0 < rows <= handed <= quadforms.ball_bound(G, k)
-    assert 8 * handed + (built - handed) + bisected <= densities._tau_charge(G, k)
+    for G in (12, densities._next_grid(12)):
+        seen = dict.fromkeys(("bisected", "built", "handed"), 0)
+        rows = densities._tau_pass(Q2, W, eps_list, G)[2]
+        handed = seen["handed"]
+        assert 0 < rows <= handed <= quadforms.ball_bound(G, k)
+        assert (8 * handed + (seen["built"] - handed) + seen["bisected"]
+                <= densities._tau_charge(G, k))
 
 
 def test_tau_charge_admits_demo_n7():
-    # the passes at G = 12 and 24, charged without being run; a charge of
-    # 8 for every midpoint of the transverse box would refuse G = 24
+    # the passes at G = 12 and 18 that tau_infinity runs, and the next
+    # rung, charged without being run; a charge of 8 for every midpoint of
+    # the transverse box would refuse that rung
     k = demo_pair_7().n - 1
-    assert densities._tau_charge(12, k) <= densities._tau_charge(24, k) <= DEFAULT_GUARD
-    assert 24**k * 8 > DEFAULT_GUARD
+    G1 = densities._next_grid(12)
+    G2 = densities._next_grid(G1)
+    assert densities._tau_charge(12, k) <= densities._tau_charge(G1, k) <= DEFAULT_GUARD
+    assert densities._tau_charge(G2, k) <= DEFAULT_GUARD
+    assert G2**k * 8 > DEFAULT_GUARD
+
+
+def test_tau_infinity_demo_n7_stops_at_18():
+    pair = demo_pair_7()
+    tau = tau_infinity(pair.Q2, WeightFunction.default_for_pair(pair), guard=DEFAULT_GUARD)
+    assert tau.axis_points == 18
+    assert tau.guard_charge == densities._tau_charge(12, 6) + densities._tau_charge(18, 6)
+
+
+@pytest.mark.parametrize("name", ["shipped", "toy_n3", "toy_n2", "coupled_n4"])
+def test_tau_stop_rule_is_honest(name):
+    # one pass past the resolution tau_infinity stopped at moves neither
+    # estimate by the stop rule's 2e-4
+    Q2, W, eps_list = _tau_case(name)
+    tau = tau_infinity(Q2, W)
+    slabs, coarea, _ = densities._tau_pass(Q2, W, eps_list,
+                                           densities._next_grid(tau.axis_points))
+    slab = densities._extrapolate(np.array(eps_list), np.array(slabs))
+    assert abs(slab - tau.slab) < 2e-4 * abs(slab)
+    assert abs(coarea - tau.coarea) < 2e-4 * abs(coarea)
 
 
 def test_tau_infinity_reports_rows_and_charge():
@@ -434,7 +463,7 @@ def test_tau_infinity_reports_rows_and_charge():
     tau = tau_infinity(Q2, W)
     grids = [12]
     while grids[-1] < tau.axis_points:
-        grids.append(2 * grids[-1])
+        grids.append(densities._next_grid(grids[-1]))
     assert grids[-1] == tau.axis_points
     assert tau.grid_rows == sum(box_pass(Q2, W, eps_list, G)[2] for G in grids)
     assert tau.guard_charge == sum(densities._tau_charge(G, Q2.n - 1) for G in grids)
