@@ -16,11 +16,15 @@ Zeros of Q2 in a box lo_i <= x_i <= hi_i come as one stream of
 lexicographic blocks.  Unless Q2 couples the first h = ceil(n/2)
 coordinates to the rest, the stream is a meet-in-the-middle join on the
 key Q2 d + (Q1 mod d) of each half-row, both forms restricted to the
-half (listing takes d = 1): the right half is one table, its rows
-stable-sorted by key with the start and length of each key's run, and a
-left row x_L meets the run of key -key(x_L).  Listing expands the matches
-of each left block, which keeps it in order; N_d sums the products of
-the counts of each left block's key histogram and the table's runs.  A
+half (listing takes d = 1).  The keys are read off each half's
+coordinate axes (QuadraticForm.eval_grid), so no row is built to key it:
+the right half is one table, its lexicographic positions stable-sorted
+by key with the start and length of each key's run, and a left row x_L
+meets the run of key -key(x_L).  The left half comes in the blocks of
+grid_block_axes.  N_d dots the histogram of each left block's keys over
+the table's keys with the run lengths and builds no row at all; listing
+builds a left block's rows and the right rows only to expand the
+matches, block by block, which keeps the stream in order.  A
 coupled Q2 is scanned one slab x_1 = const at a time, each slab sorted,
 with the last coordinate solved for: Q2 = a x_n^2 + b(x') x_n + c(x'),
 whose integer roots come from an exact integer square root of
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .quadforms import QuadraticForm, QuadricPair, grid_blocks
+from .quadforms import QuadraticForm, QuadricPair, _tuples, grid_block_axes, grid_blocks
 
 __all__ = [
     "BoxSpec",
@@ -161,45 +165,75 @@ def _scan(Q2: QuadraticForm, lo, hi, guard: int):
         yield rows[np.lexsort(rows.T[::-1])]
 
 
-def _half_keys(Q2: QuadraticForm, Q1, side, X: np.ndarray, d: int, sign: int) -> np.ndarray:
-    """sign Q2(x) d + (sign Q1(x) mod d) for the rows x of X, both forms
-    restricted to the coordinates in side (Q1 is not read when d = 1)."""
-    key = Q2.restrict(side, sign).eval_batch(X)
+def _half_keys(Q2: QuadraticForm, Q1, side, axes, d: int, sign: int) -> np.ndarray:
+    """sign Q2(x) d + (sign Q1(x) mod d) over the lexicographic product of
+    the axes, both forms restricted to the coordinates in side (Q1 is not
+    read when d = 1)."""
+    key = Q2.restrict(side, sign).eval_grid(axes)
     if d > 1:
+        r = Q1.restrict(side, sign).eval_grid(axes)
+        # r mod d: numpy divides an integer array by a scalar far faster
+        # than it takes the remainder
+        r -= r // d * d
         key *= d
-        r = Q1.restrict(side, sign).eval_batch(X)
-        r %= d
         key += r
     return key
 
 
 @dataclass(frozen=True)
 class _RightHalf:
-    """The right half of the join: its rows stable-sorted by key, and the
-    distinct keys with the start and length of each key's run."""
+    """The right half of the join: the lexicographic positions of its rows
+    stable-sorted by key, and the distinct keys with the start and length
+    of each key's run in that order."""
 
-    rows: np.ndarray
+    order: np.ndarray
     keys: np.ndarray
     start: np.ndarray
     count: np.ndarray
 
-    def match(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(at, hit): keys[i] is self.keys[at[i]] where hit[i]."""
+    def _index(self, keys: np.ndarray) -> np.ndarray:
+        """1 + the index in self.keys of each of the keys, 0 where it is
+        not there; keys may be overwritten.
+
+        When the keys and self.keys span no more values than there are
+        keys and right rows, the index is read off a table over that span,
+        which then costs no more than those; otherwise, as for the sparse
+        keys of huge boxes, each key is searched for."""
+        lo = min(int(keys.min()), int(self.keys[0]))
+        span = max(int(keys.max()), int(self.keys[-1])) - lo + 1
+        if span <= len(keys) + len(self.order):
+            table = np.zeros(span, dtype=np.int64)
+            table[self.keys - lo] = np.arange(1, len(self.keys) + 1)
+            keys -= lo
+            return table[keys]
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return at, self.keys[at] == keys
+        return np.where(self.keys[at] == keys, at + 1, 0)
+
+    def pairs(self, keys: np.ndarray) -> int:
+        """The pairs of one of the keys and a right row of that key; keys
+        may be overwritten."""
+        hist = np.bincount(self._index(keys), minlength=len(self.keys) + 1)
+        return int(np.dot(hist[1:], self.count))
+
+    def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hit, count, start): the positions in keys of the keys some right
+        row has, and the length and start of each one's run; keys may be
+        overwritten."""
+        at = self._index(keys)
+        hit = np.flatnonzero(at)
+        at = at[hit] - 1
+        return hit, self.count[at], self.start[at]
 
 
-def _right_half(Q2: QuadraticForm, Q1, lo, hi, d: int) -> _RightHalf:
-    """The table of the right-half rows x_{h+1..n} of the box, keyed by
-    _half_keys with sign +1; at n = 1 the one empty row, of key 0."""
-    n = Q2.n
-    h = (n + 1) // 2
-    rows = np.vstack(list(grid_blocks(_axes(lo[h:], hi[h:]), lex=True)))
-    keys = _half_keys(Q2, Q1, range(h, n), rows, d, 1) if h < n else np.zeros(1, np.int64)
+def _right_half(Q2: QuadraticForm, Q1, axes, d: int) -> _RightHalf:
+    """The table of the right-half rows x_{h+1..n} over their axes, keyed
+    by _half_keys with sign +1; at n = 1 the one empty row, of key 0."""
+    n, h = Q2.n, Q2.n - len(axes)
+    keys = _half_keys(Q2, Q1, range(h, n), axes, d, 1) if h < n else np.zeros(1, np.int64)
     order = np.argsort(keys, kind="stable")
-    rows, keys = rows[order], keys[order]
-    uniq, start, count = np.unique(keys, return_index=True, return_counts=True)
-    return _RightHalf(rows, uniq, start, count)
+    keys = keys[order]
+    start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)))
 
 
 def _join_charge(lo, hi) -> int:
@@ -211,25 +245,24 @@ def _join_charge(lo, hi) -> int:
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int):
     """Zeros of Q2 in the box by the join, one lexicographic block per left
-    block: each left row meets the run of right rows of its key."""
+    block: each left row meets the run of right rows of its key.  Rows are
+    built only to expand the matches."""
     h = (Q2.n + 1) // 2
     check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
-    right = _right_half(Q2, None, lo, hi, 1)
+    axes = _axes(lo, hi)
+    right = _right_half(Q2, None, axes[h:], 1)
+    right_rows = _tuples(axes[h:], lex=True)[right.order]
     total = 0
-    for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
-        keys, inverse = np.unique(_half_keys(Q2, None, range(h), XL, 1, -1),
-                                  return_inverse=True)
-        at, hit = right.match(keys)
-        first = right.start[at][inverse]
-        counts = np.where(hit, right.count[at], 0)[inverse]
+    for block in grid_block_axes(axes[:h], lex=True):
+        hit, counts, first = right.runs(_half_keys(Q2, None, range(h), block, 1, -1))
         found = int(counts.sum())
         total += found
         check_guard("enumerate_zeros", total, guard)
-        # expand the join without a Python loop: left row i meets the
+        # expand the join without a Python loop: left row hit[i] meets the
         # counts[i] right rows from first[i] on
         offsets = np.arange(found) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield np.hstack([np.repeat(XL, counts, axis=0),
-                         right.rows[np.repeat(first, counts) + offsets]])
+        yield np.hstack([np.repeat(_tuples(block, lex=True)[hit], counts, axis=0),
+                         right_rows[np.repeat(first, counts) + offsets]])
 
 
 def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -277,15 +310,13 @@ def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
 
 def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
     """N_d from the right-half table and each left block's key histogram:
-    a left row meets every right row of its key."""
+    a left row meets every right row of its key.  No row is built."""
     h = (pair.n + 1) // 2
-    right = _right_half(pair.Q2, pair.Q1, lo, hi, d)
+    axes = _axes(lo, hi)
+    right = _right_half(pair.Q2, pair.Q1, axes[h:], d)
     total = 0
-    for XL in grid_blocks(_axes(lo[:h], hi[:h]), lex=True):
-        keys, count = np.unique(_half_keys(pair.Q2, pair.Q1, range(h), XL, d, -1),
-                                return_counts=True)
-        at, hit = right.match(keys)
-        total += int(np.dot(count[hit], right.count[at[hit]]))
+    for block in grid_block_axes(axes[:h], lex=True):
+        total += right.pairs(_half_keys(pair.Q2, pair.Q1, range(h), block, d, -1))
     return total
 
 

@@ -52,6 +52,20 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+def _check_int64(terms, arrays, what: str) -> list[np.ndarray]:
+    """The integer arrays widened to int64, after checking that no product
+    or partial sum of c x_i x_j over the terms (i, j, c) leaves int64: each
+    is at most sum |c| bound^2, bound = max |x_i| over the arrays."""
+    if any(a.dtype.kind not in "iu" for a in arrays):
+        raise ValueError("points must be integers")
+    arrays = [a.astype(np.int64, copy=False) for a in arrays]
+    bound = max((max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays),
+                default=0)
+    if sum(abs(c) for _, _, c in terms) * bound * bound > 2**63 - 1:
+        raise ValueError(f"{what} too large for int64 path")
+    return arrays
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Q(x) = x^T M x, M integer symmetric."""
@@ -155,17 +169,11 @@ class QuadraticForm:
 
     def _sum_terms(self, X, terms, what: str) -> np.ndarray:
         """sum of c x_i x_j over the terms (i, j, c), one entry per integer
-        row of X, after checking that no product or partial sum leaves
-        int64: each is at most sum |c| bound^2, bound = max |x_i|."""
+        row of X, after _check_int64."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"points of shape {X.shape}, form has n={self.n}")
-        if X.dtype.kind not in "iu":
-            raise ValueError("points must be integers")
-        X = X.astype(np.int64, copy=False)
-        bound = max(int(X.max(initial=0)), -int(X.min(initial=0)))
-        if sum(abs(c) for _, _, c in terms) * bound * bound > 2**63 - 1:
-            raise ValueError(f"{what} too large for int64 path")
+        (X,) = _check_int64(terms, [X], what)
         cols = X.T
         out = None
         for i, j, c in terms:
@@ -187,6 +195,33 @@ class QuadraticForm:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact Q(x) for every integer row of X (int64)."""
         return self._sum_terms(X, self.terms(), "points")
+
+    def eval_grid(self, axes) -> np.ndarray:
+        """Exact Q over the lexicographic product of the axes (one integer
+        1-D array per coordinate): eval_batch of that grid's rows, built
+        without the rows, one coordinate at a time by broadcasting,
+
+            Q(x_1..x_j) = Q(x_1..x_{j-1}) + x_j (2 sum_{i<j} M_ij x_i + M_jj x_j).
+
+        The int64 check is eval_batch's (_check_int64), bound = max |x_i|
+        over the axes.
+        """
+        if len(axes) != self.n:
+            raise ValueError(f"{len(axes)} axes, form has n={self.n}")
+        axes = [np.asarray(a) for a in axes]
+        if any(a.ndim != 1 for a in axes):
+            raise ValueError("axes must be 1-D arrays")
+        axes = _check_int64(self.terms(), axes, "points")
+        # cols[i] is axis i shaped to run along index axis i of the grid
+        cols = [a.reshape([1] * i + [-1] + [1] * (self.n - 1 - i)) for i, a in enumerate(axes)]
+        out = np.zeros([1] * self.n, dtype=np.int64)
+        for j in range(self.n):
+            slope = self.M[j][j] * cols[j]
+            for i in range(j):
+                if self.M[i][j]:
+                    slope = slope + 2 * self.M[i][j] * cols[i]
+            out = out + cols[j] * slope
+        return out.reshape(-1)
 
     def eval_float(self, x: np.ndarray) -> np.ndarray:
         """Q at real points; x shape (..., n)."""
@@ -233,6 +268,19 @@ def _head_columns(dims) -> int:
     return lead
 
 
+def grid_block_axes(axes, k: int | None = None, *, lex: bool = False):
+    """The axes of each grid_blocks block: its head columns as one-value
+    axes, then the tail axes, blocks in grid_blocks order.  A caller that
+    needs a function of the rows rather than the rows (QuadraticForm.eval_grid)
+    reads a block from these without building it."""
+    if k is not None:
+        axes = [axes] * k
+    lead = _head_columns([len(a) for a in axes])
+    tail = list(axes[lead:])
+    for head in _tuples(axes[:lead], lex):
+        yield [head[j:j + 1] for j in range(lead)] + tail
+
+
 def grid_blocks(axes, k: int | None = None, *, lex: bool = False):
     """Every tuple over the axes, in blocks of at most _BLOCK_ROWS rows.
 
@@ -245,18 +293,8 @@ def grid_blocks(axes, k: int | None = None, *, lex: bool = False):
     lengths, so the rows come in the same order for every caller.  Each
     block is a fresh array the caller may modify.
     """
-    if k is not None:
-        axes = [axes] * k
-    lead = _head_columns([len(a) for a in axes])
-    tail = _tuples(axes[lead:], lex)
-    if lead == 0:
-        yield tail
-        return
-    for head in _tuples(axes[:lead], lex):
-        block = np.empty((len(tail), len(axes)), dtype=np.result_type(*axes))
-        block[:, :lead] = head
-        block[:, lead:] = tail
-        yield block
+    for block in grid_block_axes(axes, k, lex=lex):
+        yield _tuples(block, lex)
 
 
 def residue_blocks(q: int, k: int):

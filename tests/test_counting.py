@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadpair import counting
+from quadpair import counting, quadforms
 from quadpair.counting import (
     BoxSpec,
     N_d,
@@ -248,14 +248,65 @@ def test_N_d_large_d_counts_Q1_zero():
 
 def test_N_d_guard_refuses_before_allocating(monkeypatch):
     # (2 * 10^4 + 1)^3 + (2 * 10^4 + 1)^2 rows: refused before any grid
-    monkeypatch.setattr(counting, "grid_blocks", None)
-    monkeypatch.setattr(counting, "_half_keys", None)
+    # or key is built
+    for name in ("grid_blocks", "grid_block_axes", "_tuples", "_half_keys"):
+        monkeypatch.setattr(counting, name, None)
     with pytest.raises(ResourceGuardError, match="N_d"):
         N_d(shipped_pair(), 3, 10**4)
     monkeypatch.undo()
     assert N_d(shipped_pair(), 3, 4, guard=9**3 + 9**2) == N_d(shipped_pair(), 3, 4)
     with pytest.raises(ResourceGuardError):
         N_d(shipped_pair(), 3, 4, guard=9**3 + 9**2 - 1)
+
+
+def test_N_d_builds_no_row(monkeypatch):
+    # the join reads each half's keys off its axes: with both row builders
+    # gone, N_d on shipped still gives the counts of bench/reference.json
+    monkeypatch.setattr(counting, "grid_blocks", None)
+    monkeypatch.setattr(counting, "_tuples", None)
+    ship = shipped_pair()
+    got = {d: N_d(ship, d, 40) for d in (1, 3, 5, 8)}
+    assert got == {1: 547849, 3: 191633, 5: 86385, 8: 99245}
+
+
+def test_right_half_index_table_and_search_agree():
+    # dense keys read the table over the key span; one far key sends the
+    # same keys down the search route
+    rng = np.random.default_rng(8)
+    right = rng.integers(-50, 50, size=40)
+    keys, start, count = np.unique(np.sort(right), return_index=True, return_counts=True)
+    half = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count)
+    where = {int(k): i + 1 for i, k in enumerate(keys)}
+    left = rng.integers(-60, 60, size=200)
+    want = [where.get(int(k), 0) for k in left]
+    assert half._index(left.copy()).tolist() == want
+    far = np.append(left, 10**15)
+    assert half._index(far).tolist() == want + [0]
+
+
+def test_split_left_half_changes_no_result(monkeypatch):
+    # a block budget small enough that the join's left half comes in many
+    # head blocks on every pair below
+    ship = shipped_pair()
+    cases = [(ship, 5), (load_pair(PAIRS_DIR / "toy_n3.pair"), 9),
+             (load_pair(PAIRS_DIR / "demo_n7.pair"), 3)]
+    W = WeightFunction.default_for_pair(ship)
+
+    def run():
+        return ([N_d(pair, d, box) for pair, box in cases for d in ND_DIVISORS],
+                [enumerate_zeros(pair.Q2, box) for pair, box in cases],
+                [repr(S_of_B(ship, W, B)) for B in (4, 6)])
+
+    before = run()
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 5)
+    for pair, box in cases:
+        h = (pair.n + 1) // 2
+        left = counting._axes(*counting._bounds(box, pair.n))[:h]
+        assert len(list(quadforms.grid_block_axes(left, lex=True))) > 1
+    after = run()
+    assert before[0] == after[0]
+    assert all(np.array_equal(a, b) for a, b in zip(before[1], after[1]))
+    assert before[2] == after[2]
 
 
 def test_r2_table_matches_r2():

@@ -101,6 +101,75 @@ def test_eval_batch_matches_eval_on_dense_forms():
             Q.eval_batch_mod(bad, 5)
 
 
+def random_axes(rng, n):
+    """n short integer axes: negative, offset or one-value ranges."""
+    axes = []
+    for _ in range(n):
+        a = int(rng.integers(-40, 41))
+        axes.append(np.arange(a, a + int(rng.choice([1, 1, 2, 3, 5])), dtype=np.int64))
+    return axes
+
+
+def test_eval_grid_matches_eval_batch_on_the_lex_grid():
+    rng = np.random.default_rng(22)
+    for n in range(1, 8):
+        for coupled in (False, True):
+            for _ in range(3):
+                A = rng.integers(-9, 10, size=(n, n))
+                M = A + A.T if coupled else np.diag(rng.integers(-9, 10, size=n))
+                Q = QuadraticForm.from_matrix(M.tolist())
+                axes = random_axes(rng, n)
+                rows = np.array(list(itertools.product(*axes)), dtype=np.int64)
+                got = Q.eval_grid(axes)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, Q.eval_batch(rows)), (M, axes)
+                assert np.array_equal(Q.eval_grid([a.astype(np.int32) for a in axes]), got)
+    Q = toy_pair_3().Q2
+    for bad in ([np.arange(3)] * 2, [np.arange(3.0)] * 3, [np.zeros((2, 2), np.int64)] * 3):
+        with pytest.raises(ValueError):
+            Q.eval_grid(bad)
+
+
+def test_eval_grid_int64_edge_is_eval_batch_edge():
+    # x1^2 - x2^2 on the box c-1 <= x_i <= c, the form and box shape of
+    # counting's N_d key edge: both kernels check 2 bound^2 < 2^63
+    Q = QuadraticForm.diagonal([1, -1])
+    c = math.isqrt((2**63 - 1) // 2)
+    assert 2 * c * c <= 2**63 - 1 < 2 * (c + 1) ** 2
+    for top in (math.isqrt(2**63 // 31 - 1), c):
+        axes = [np.arange(top - 1, top + 1, dtype=np.int64)] * 2
+        rows = np.array(list(itertools.product(*axes)), dtype=np.int64)
+        assert np.array_equal(Q.eval_grid(axes), Q.eval_batch(rows))
+        assert Q.eval_grid(axes).tolist() == [Q.eval(x) for x in rows.tolist()]
+    for axes in ([np.arange(c, c + 2, dtype=np.int64)] * 2,
+                 [np.arange(-c - 1, -c + 1, dtype=np.int64)] * 2):
+        rows = np.array(list(itertools.product(*axes)), dtype=np.int64)
+        with pytest.raises(ValueError, match="int64"):
+            Q.eval_batch(rows)
+        with pytest.raises(ValueError, match="int64"):
+            Q.eval_grid(axes)
+
+
+@pytest.mark.parametrize("budget", [1, 10, 30, 10**6])
+def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    axes = [np.arange(-2, 1, dtype=np.int64), np.arange(4, 6, dtype=np.int64),
+            np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
+    Q = QuadraticForm.from_matrix([[1, 2, 0, -1], [2, -3, 1, 0], [0, 1, 5, 2],
+                                   [-1, 0, 2, 4]])
+    lead = quadforms._head_columns([len(a) for a in axes])
+    for lex in (False, True):
+        blocks = list(grid_blocks(axes, lex=lex))
+        block_axes = list(quadforms.grid_block_axes(axes, lex=lex))
+        assert len(blocks) == len(block_axes)
+        for block, ax in zip(blocks, block_axes):
+            # the head columns as one-value axes, then the tail axes
+            assert [a.tolist() for a in ax] == (
+                [[v] for v in block[0, :lead].tolist()] + [a.tolist() for a in axes[lead:]])
+            if lex:
+                assert np.array_equal(Q.eval_grid(ax), Q.eval_batch(block))
+
+
 def test_grid_blocks_unchunked_is_the_full_grid():
     (block,) = residue_blocks(5, 3)
     assert np.array_equal(block, residue_grid(5, 3))
