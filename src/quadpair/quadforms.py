@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -36,7 +37,6 @@ __all__ = [
     "binary_disc",
     "certified_good",
     "certified_good_primes",
-    "count_cone_points_mod_p",
     "dual_form",
     "is_Vm_singular_mod_p",
     "load_pair",
@@ -557,19 +557,13 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _prefix_coeffs(M: np.ndarray, X: np.ndarray, p: int):
-    """(A, B) with x^T M x = A + B t + M[n-1][n-1] t^2 mod p at x = (x', t),
-    one entry per prefix x' in the rows of X."""
-    A = ((X @ M[:-1, :-1] % p) * X).sum(axis=1) % p
-    B = 2 * (X @ M[:-1, -1]) % p
-    return A, B
-
-
-def _zeros_among(pair: QuadricPair, X: np.ndarray, t: np.ndarray,
-                 p: int) -> np.ndarray:
-    """The rows (X[i], t[i]) that are common zeros of Q1 and Q2 mod p."""
-    Y = np.column_stack([X, t])
-    return Y[pair.zero_mask_mod(Y, p)]
+def _prefix_values(Q: QuadraticForm, slope: np.ndarray, axes, p: int):
+    """(A, B) mod p over the lexicographic product of the axes: A = Q(x')
+    by eval_grid and B = slope . x' by broadcasting, skipped when slope = 0."""
+    A = Q.eval_grid(axes) % p
+    if not slope.any():
+        return A, np.broadcast_to(np.int64(0), A.shape)
+    return A, reduce(np.add.outer, [s * a for s, a in zip(slope, axes)]).reshape(-1) % p
 
 
 def residue_zeros_mod_p(pair: QuadricPair, p: int,
@@ -577,16 +571,17 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     """All common zeros x mod p of Q1 and Q2, x = 0 included, as an (N, n)
     int64 array in the order the sweep residue_blocks(p, n) lists them.
 
-    Only the prefixes x' in F_p^(n-1) are swept.  At each,
-    Q_i(x', t) = A_i + B_i t + c_i t^2 with c_i = M_i[n-1][n-1], and
-    L t + C = c2 Q1 - c1 Q2 (Q1 itself when c1 = c2 = 0 mod p) has no t^2
-    term: L != 0 leaves the one candidate t = -C / L, kept when both forms
-    vanish there; L = 0 != C leaves none; L = C = 0 leaves all p values of
-    t to try.  The rows are then sorted into the sweep's order, so a caller
-    summing over them adds the same terms in the same order as before.
+    The prefixes x' in F_p^(n-1) are read per grid_block_axes block, their
+    values by eval_grid, never as rows: Q_i(x', t) = A_i + B_i t + c_i t^2
+    with c_i = M_i[n-1][n-1], and L t + C = c2 Q1 - c1 Q2 (Q1 itself when
+    c1 = c2 = 0 mod p) has no t^2 term.  L != 0 leaves the one candidate
+    t = -C / L; L = 0 != C leaves none; L = C = 0 leaves all p values of t,
+    tried in chunks of at most _BLOCK_ROWS.  Where L t + C = 0, Q1 = 0
+    forces Q2 = 0 when c1 != 0 and holds already when c1 = 0, so only Q1
+    (c1 != 0) or Q2 (c1 = 0) is checked.  Rows are built for the zeros alone,
+    then sorted into the sweep's order.
 
-    The guard is charged p^n: the work when every prefix has L = C = 0, as
-    when Q2 is a multiple of Q1 mod p.
+    The guard is charged p^n, the most the L = C = 0 prefixes can cost.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -595,19 +590,29 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     M1, M2 = pair.Q1.matrix_mod(p), pair.Q2.matrix_mod(p)
     c1, c2 = int(M1[-1, -1]), int(M2[-1, -1])
     w1, w2 = (1, 0) if c1 == c2 == 0 else (c2, p - c1)
+    # the form checked, then the combination L t + C
+    mats = (M1 if c1 else M2, (w1 * M1 + w2 * M2) % p)
+    prefix = [(QuadraticForm.from_matrix(M[:-1, :-1]), 2 * M[:-1, -1] % p) for M in mats]
+    T = np.arange(p, dtype=np.int64)
+    cT2 = mats[0][-1, -1] * (T * T % p) % p
+    inv = _inverse_mod_p(T, p)
+    step = max(1, _BLOCK_ROWS // p)  # free prefixes per p x step chunk
     found = []
-    for X in residue_blocks(p, n - 1):
-        A1, B1 = _prefix_coeffs(M1, X, p)
-        A2, B2 = _prefix_coeffs(M2, X, p)
-        L = (w1 * B1 + w2 * B2) % p
-        C = (w1 * A1 + w2 * A2) % p
-        solo = L != 0
-        t = -C[solo] * _inverse_mod_p(L[solo], p) % p
-        found.append(_zeros_among(pair, X[solo], t, p))
-        free = X[(L == 0) & (C == 0)]
-        if len(free):
-            for v in range(p):
-                found.append(_zeros_among(pair, free, np.full(len(free), v), p))
+    for axes in grid_block_axes(T, n - 1, lex=True):
+        (A, B), (C, L) = (_prefix_values(Q, s, axes, p) for Q, s in prefix)
+        solo = np.flatnonzero(L)
+        t = -C[solo] * inv[L[solo]] % p
+        keep = (A[solo] + B[solo] * t + cT2[t]) % p == 0
+        at, ts = [solo[keep]], [t[keep]]
+        free = np.flatnonzero((L == 0) & (C == 0))
+        for lo in range(0, len(free), step):
+            f = free[lo:lo + step]
+            v, i = np.nonzero((A[f] + B[f] * T[:, None] + cT2[:, None]) % p == 0)
+            at.append(f[i])
+            ts.append(v)
+        idx = np.unravel_index(np.concatenate(at), [len(a) for a in axes])
+        found.append(np.column_stack([a[i] for a, i in zip(axes, idx)]
+                                     + [np.concatenate(ts)]))
     Z = np.concatenate(found, axis=0)
     # residue_blocks lists column 0 fastest, the head columns outermost
     lead = _head_columns([p] * n)
@@ -658,8 +663,9 @@ class ZeroLayer:
 
 
 def _build_zero_layer(pair: QuadricPair, p: int, guard: int) -> ZeroLayer:
-    """The ZeroLayer of pair at p, built afresh: one residue_zeros_mod_p
-    sweep (charged p^n), then O(N n^2) work on its N zeros."""
+    """The ZeroLayer of pair at p, built afresh: residue_zeros_mod_p (the
+    p^(n-1) prefixes read per block by eval_grid, charged p^n), then
+    O(N n^2) work on its N zeros."""
     n = pair.n
     Z = residue_zeros_mod_p(pair, p, guard=guard)
     g1 = 2 * (Z @ np.array(pair.Q1.M, dtype=np.int64)) % p
@@ -720,13 +726,6 @@ def _zero_layer(pair: QuadricPair, p: int,
         layer = _build_zero_layer(pair, p, guard)
         _kept = ((pair, p), layer)
     return layer
-
-
-def count_cone_points_mod_p(pair: QuadricPair, p: int,
-                            guard: int = DEFAULT_GUARD) -> int:
-    """#{x mod p : Q1(x) = Q2(x) = 0 in F_p}; the guard as in
-    residue_zeros_mod_p."""
-    return len(residue_zeros_mod_p(pair, p, guard=guard))
 
 
 def _smooth_intersection_mod_p(pair: QuadricPair, p: int) -> bool:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,16 @@ def _zero_sweep_cases():
           for i, row in enumerate(M1)]
     yield QuadricPair.build(QuadraticForm.from_matrix(M1),
                             QuadraticForm.from_matrix(M2)), 5
+    # only Q2 has a t^2 term mod 7: Q2 is the form checked at each candidate
+    M1 = [[1, 1, 0, 2], [1, -2, 1, 0], [0, 1, 3, 1], [2, 0, 1, 7]]
+    M2 = [[2, 0, 1, 1], [0, 1, 0, -1], [1, 0, -1, 0], [1, -1, 0, 3]]
+    yield QuadricPair.build(QuadraticForm.from_matrix(M1),
+                            QuadraticForm.from_matrix(M2)), 7
+    # Q1's last column couples to the prefix mod 5, Q2's does not
+    M1 = [[1, 0, 1, 2], [0, 2, -1, 1], [1, -1, -1, 0], [2, 1, 0, 3]]
+    M2 = [[2, 1, 0, 5], [1, -1, 1, 0], [0, 1, 1, 10], [5, 0, 10, 1]]
+    yield QuadricPair.build(QuadraticForm.from_matrix(M1),
+                            QuadraticForm.from_matrix(M2)), 5
 
 
 def _full_sweep(pair, p, grid):
@@ -143,7 +154,7 @@ def test_residue_zeros_mod_p():
         got = residue_zeros_mod_p(pair, p)
         assert got.dtype == want.dtype and np.array_equal(got, want), (pair, p)
         cases += 1
-    assert cases == 38
+    assert cases == 40
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40])
@@ -156,6 +167,28 @@ def test_residue_zeros_mod_p_in_chunked_sweep_order(monkeypatch, budget):
         blocks = [_full_sweep(pair, p, b) for b in residue_blocks(p, pair.n)]
         assert len(blocks) > 1
         assert np.array_equal(residue_zeros_mod_p(pair, p), np.concatenate(blocks))
+
+
+def test_free_prefixes_stay_within_the_block_budget(monkeypatch):
+    # Q2 = 2 Q1 mod 31 leaves all p values of t at every prefix; they are
+    # tried in chunks, so past the output's copies the peak is a small
+    # multiple of the block budget (all p^n pairs at once would pass it)
+    p, budget = 31, 2**15
+    M1 = [[1, 1, 0, 2], [1, -2, 1, 0], [0, 1, 3, 1], [2, 0, 1, -1]]
+    M2 = [[2 * v + (p if i == j else 0) for j, v in enumerate(row)]
+          for i, row in enumerate(M1)]
+    pair = QuadricPair.build(QuadraticForm.from_matrix(M1),
+                             QuadraticForm.from_matrix(M2))
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    want = np.concatenate([_full_sweep(pair, p, b) for b in residue_blocks(p, pair.n)])
+    tracemalloc.start()
+    try:
+        got = residue_zeros_mod_p(pair, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 16 * 8 * budget + 4 * got.nbytes
 
 
 def test_guard_raises():

@@ -17,7 +17,6 @@ from quadpair.quadforms import (
     bad_primes,
     ball_blocks,
     certified_good_primes,
-    count_cone_points_mod_p,
     dual_form,
     grid_blocks,
     is_Vm_singular_mod_p,
@@ -25,6 +24,7 @@ from quadpair.quadforms import (
     pencil_det_poly,
     residue_blocks,
     residue_grid,
+    residue_zeros_mod_p,
     save_pair,
 )
 
@@ -262,15 +262,16 @@ def test_chunking_changes_no_count(monkeypatch):
     box = BoxSpec(lo=(-3, -5, 0, -4, -2), hi=(5, 2, 6, 3, 4))
 
     def run():
-        return ([count_cone_points_mod_p(pair, p) for p in (5, 7)],
-                enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6),
-                enumerate_zeros(shipped_pair().Q2, box))
+        # the zeros follow the sweep, whose order the chunking changes
+        zeros = [residue_zeros_mod_p(pair, p) for p in (5, 7)]
+        return [Z[np.lexsort(Z.T)] for Z in zeros] + [
+            enumerate_zeros(pair.Q2, 6), enumerate_zeros(coupled, 6),
+            enumerate_zeros(shipped_pair().Q2, box)]
 
     before = run()
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 7)
     after = run()
-    assert before[0] == after[0]
-    for a, b in zip(before[1:], after[1:]):
+    for a, b in zip(before, after):
         assert np.array_equal(a, b)
 
 
@@ -382,7 +383,7 @@ def test_cone_points_mod_p_vs_brute():
                 & (pair.Q2.eval_batch_mod(grid, p) == 0)
             ).sum()
         )
-        assert count_cone_points_mod_p(pair, p) == brute
+        assert len(residue_zeros_mod_p(pair, p)) == brute
 
 
 def test_Vm_singular_predicate():
@@ -421,7 +422,7 @@ def test_mod_p_searches_take_the_callers_guard():
     pair = toy_pair_3()
     p, m = 1009, (1, 2, 3)
     with pytest.raises(ResourceGuardError):
-        count_cone_points_mod_p(pair, p)
+        residue_zeros_mod_p(pair, p)
     with pytest.raises(ResourceGuardError):
         is_Vm_singular_mod_p(pair, m, p)
     # x^2 + y^2 + z^2 = x^2 + 3y^2 - 4z^2 = 0 forces x != 0 off the origin;
@@ -429,7 +430,7 @@ def test_mod_p_searches_take_the_callers_guard():
     inv7 = pow(7, -1, p)
     ys = [y for y in range(p) if (y * y + 5 * inv7) % p == 0]
     zs = [z for z in range(p) if (z * z + 2 * inv7) % p == 0]
-    assert count_cone_points_mod_p(pair, p, guard=10**10) == 1 + (p - 1) * len(ys) * len(zs)
+    assert len(residue_zeros_mod_p(pair, p, guard=10**10)) == 1 + (p - 1) * len(ys) * len(zs)
     on_plane = [(y, z) for y in ys for z in zs if (m[0] + m[1] * y + m[2] * z) % p == 0]
     assert not on_plane and ys and zs
     assert not is_Vm_singular_mod_p(pair, m, p, guard=10**10)
