@@ -3,8 +3,8 @@
 The counting layer enumerates integer zeros of Q2 in a box (meet-in-the-
 middle when the coordinates split into uncoupled halves, otherwise a scan
 that solves for the last coordinate), counts zeros of the pair to a
-modulus d (N_d), and forms the weighted sum S(B), over the box around the
-weight's support, whose growth the whole package is about.  The n=2 toy
+modulus d (N_d), and forms the weighted sum S(B), over the zeros in the
+weight's support ball, whose growth the whole package is about.  The n=2 toy
 pair keeps every number here small enough to check by hand.
 
 Run:  python3 demos/lattice_counts.py

@@ -8,9 +8,10 @@ The headline quantity is
 where r2 counts representations as a sum of two squares and W is a smooth
 bump supported on a ball on which Q1 is positive.  Everything here is an
 exact integer enumeration followed by a float weight accumulation in a
-fixed order.  S(B) enumerates only the weight's support box
-(WeightFunction.support_box), the integer box around B times the support
-ball, not a cube about the origin.
+fixed order.  S(B) joins only the zeros in the weight's support ball:
+each half-row and each match of the join whose sum of (x_i / B - x0_i)^2
+reaches rho^2 (up to a relative slack) is dropped, inside the integer box
+around B times the ball (WeightFunction.support_box).
 
 Zeros of Q2 in a box lo_i <= x_i <= hi_i come as one stream of
 lexicographic blocks.  Unless Q2 couples the first h = ceil(n/2)
@@ -20,16 +21,20 @@ half (listing takes d = 1).  The keys are read off each half's
 coordinate axes (QuadraticForm.eval_grid), so no row is built to key it:
 the right half is one table, its lexicographic positions stable-sorted
 by key with the start and length of each key's run, and a left row x_L
-meets the run of key -key(x_L).  The left half comes in the blocks of
-grid_block_axes.  N_d dots the histogram of each left block's keys over
-the table's keys with the run lengths and builds no row at all; listing
-builds a left block's rows and the right rows only to expand the
-matches, block by block, which keeps the stream in order.  A
-coupled Q2 is scanned one slab x_1 = const at a time, each slab sorted,
-with the last coordinate solved for: Q2 = a x_n^2 + b(x') x_n + c(x'),
-whose integer roots come from an exact integer square root of
-b^2 - 4ac.  enumerate_zeros stacks the stream; S(B) and N_d of a pair
-that couples the halves read it block by block.
+meets the run of key -key(x_L), looked up in a table over the span of
+the right keys when that is no longer than the keys (else searched
+for).  The left half comes in the blocks of grid_block_axes.  N_d dots
+the histogram of each left block's keys over that table's slots with
+the run lengths and builds no row (past the keys, no array as long as
+the block); listing builds rows only for the matches, from their
+indices into the left block's axes and the right rows, block by block,
+which keeps the stream in order.  A coupled Q2 is scanned over the grid_block_axes blocks of its
+first n - 1 coordinates, with the last coordinate solved for:
+Q2 = a x_n^2 + b(x') x_n + c(x'), c read off the block's axes
+(eval_grid) and b a broadcast sum, whose integer roots come from an exact
+integer square root of b^2 - 4ac; rows are built for the roots only, and
+each block is sorted.  enumerate_zeros stacks the stream; S(B) and N_d of
+a pair that couples the halves read it block by block.
 
 The default weight (WeightFunction.default_for_pair) is found by array
 passes over a fixed grid of unit directions.  Its candidates are the grid
@@ -50,13 +55,14 @@ direction, computed once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .quadforms import QuadraticForm, QuadricPair, _tuples, grid_block_axes, grid_blocks
+from .quadforms import _BALL_SLACK, QuadraticForm, QuadricPair, _tuples, grid_block_axes
 
 __all__ = [
     "BoxSpec",
@@ -100,17 +106,23 @@ def _check_solve_fits(M, bound: int) -> None:
         raise ValueError("points too large for int64 path")
 
 
-def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Every zero (x', x_n) of the form M with x' a row of X and
-    lo <= x_n <= hi, from Q = a x_n^2 + b(x') x_n + c(x')."""
+def _solve_last(M, axes, lo: int, hi: int) -> np.ndarray:
+    """Every zero (x', x_n) of the form M with x' in the lexicographic
+    product of the axes and lo <= x_n <= hi, from Q = a x_n^2 + b(x') x_n
+    + c(x'): c is read off the axes (eval_grid of the leading form), b is
+    a broadcast sum, and rows are built only for the integer roots."""
     n = len(M)
     a = M[-1][-1]
-    col = [row[-1] for row in M[:-1]]
+    dims = [len(ax) for ax in axes]
     if n > 1:
-        c = QuadraticForm.from_matrix([row[:-1] for row in M[:-1]]).eval_batch(X)
-        b = 2 * (X @ np.array(col, dtype=np.int64))
+        c = QuadraticForm.from_matrix([row[:-1] for row in M[:-1]]).eval_grid(axes)
+        b = np.zeros(len(c), dtype=np.int64)
+        grid = b.reshape(dims)
+        for j, ax in enumerate(axes):
+            if M[j][-1]:
+                grid += 2 * M[j][-1] * ax.reshape([1] * j + [-1] + [1] * (n - 2 - j))
     else:
-        b = c = np.zeros(len(X), dtype=np.int64)
+        b = c = np.zeros(1, dtype=np.int64)
     if a == 0:
         # b x_n + c = 0: one root where b != 0, the whole axis where b = c = 0
         idx = np.flatnonzero(b != 0)
@@ -140,26 +152,25 @@ def _solve_last(M, X: np.ndarray, lo: int, hi: int) -> np.ndarray:
             roots.append(num[ok] // (2 * a))
     rows, roots = np.concatenate(rows), np.concatenate(roots)
     inside = (roots >= lo) & (roots <= hi)
-    return np.hstack([X[rows[inside]], roots[inside, None]])
+    rows = rows[inside]
+    X = np.empty((len(rows), n), dtype=np.int64)
+    for j, at in enumerate(np.unravel_index(rows, dims) if n > 1 else ()):
+        X[:, j] = axes[j][at]
+    X[:, -1] = roots[inside]
+    return X
 
 
 def _scan(Q2: QuadraticForm, lo, hi, guard: int):
     """Zeros of Q2 in the box by the solved scan, one lexicographically
-    sorted block per slab x_1 = const: the middle coordinates run over
-    their ranges, the last one is solved for.  The guard is charged the
-    rows over the first n - 1 coordinates, then the zeros found so far."""
-    n = Q2.n
+    sorted block per grid_block_axes block of the first n - 1 coordinates,
+    read off that block's axes; the last coordinate is solved for.  The
+    guard is charged the rows over the first n - 1 coordinates, then the
+    zeros found so far."""
     check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)), guard)
     _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
     total = 0
-    for head in ((x1,) for x1 in range(lo[0], hi[0] + 1)) if n > 1 else [()]:
-        found = [np.empty((0, n), dtype=np.int64)]
-        for mid in grid_blocks(_axes(lo[len(head):n - 1], hi[len(head):n - 1])):
-            X = np.empty((len(mid), n - 1), dtype=np.int64)
-            X[:, :len(head)] = head
-            X[:, len(head):] = mid
-            found.append(_solve_last(Q2.M, X, lo[-1], hi[-1]))
-        rows = np.vstack(found)
+    for block in grid_block_axes(_axes(lo[:-1], hi[:-1]), lex=True):
+        rows = _solve_last(Q2.M, block, lo[-1], hi[-1])
         total += len(rows)
         check_guard("enumerate_zeros", total, guard)
         yield rows[np.lexsort(rows.T[::-1])]
@@ -172,11 +183,13 @@ def _half_keys(Q2: QuadraticForm, Q1, side, axes, d: int, sign: int) -> np.ndarr
     key = Q2.restrict(side, sign).eval_grid(axes)
     if d > 1:
         r = Q1.restrict(side, sign).eval_grid(axes)
-        # r mod d: numpy divides an integer array by a scalar far faster
-        # than it takes the remainder
-        r -= r // d * d
+        # key d + r - (r // d) d, in place: numpy divides an integer array
+        # by a scalar far faster than it takes the remainder
         key *= d
         key += r
+        r //= d
+        r *= d
+        key -= r
     return key
 
 
@@ -191,29 +204,53 @@ class _RightHalf:
     start: np.ndarray
     count: np.ndarray
 
-    def _index(self, keys: np.ndarray) -> np.ndarray:
-        """1 + the index in self.keys of each of the keys, 0 where it is
-        not there; keys may be overwritten.
+    def _slots(self, keys: np.ndarray):
+        """(lo, size): the keys moved in place to the slots 0..size-1 of a
+        table over the span of self.keys and one empty slot either side,
+        key lo + i to slot i, the keys outside clipped to the empty slots;
+        None, with the keys untouched, when that table would hold more
+        slots than there are keys and right rows (as for the sparse keys of
+        huge boxes) or its ends would leave int64."""
+        lo, hi = int(self.keys[0]) - 1, int(self.keys[-1]) + 1
+        if hi - lo - 1 > len(keys) + len(self.order) or lo < -2**63 or hi >= 2**63:
+            return None
+        np.clip(keys, lo, hi, out=keys)
+        keys -= lo
+        return lo, hi - lo + 1
 
-        When the keys and self.keys span no more values than there are
-        keys and right rows, the index is read off a table over that span,
-        which then costs no more than those; otherwise, as for the sparse
-        keys of huge boxes, each key is searched for."""
-        lo = min(int(keys.min()), int(self.keys[0]))
-        span = max(int(keys.max()), int(self.keys[-1])) - lo + 1
-        if span <= len(keys) + len(self.order):
-            table = np.zeros(span, dtype=np.int64)
-            table[self.keys - lo] = np.arange(1, len(self.keys) + 1)
-            keys -= lo
-            return table[keys]
+    def _search(self, keys: np.ndarray) -> np.ndarray:
+        """_index, one searchsorted per key."""
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[at] == keys, at + 1, 0)
 
+    def _index(self, keys: np.ndarray) -> np.ndarray:
+        """1 + the index in self.keys of each of the keys, 0 where it is
+        not there, read off a table over the _slots when they exist, else
+        searched for; keys may be overwritten."""
+        if not len(keys) or not len(self.keys):
+            return np.zeros(len(keys), dtype=np.int64)
+        slots = self._slots(keys)
+        if slots is None:
+            return self._search(keys)
+        lo, size = slots
+        table = np.zeros(size, dtype=np.int64)
+        table[self.keys - lo] = np.arange(1, len(self.keys) + 1)
+        return table[keys]
+
     def pairs(self, keys: np.ndarray) -> int:
-        """The pairs of one of the keys and a right row of that key; keys
+        """The pairs of one of the keys and a right row of that key, from
+        the histogram of the keys over the _slots when they exist (no
+        array as long as the keys is built), else of their indices; keys
         may be overwritten."""
-        hist = np.bincount(self._index(keys), minlength=len(self.keys) + 1)
-        return int(np.dot(hist[1:], self.count))
+        if not len(keys) or not len(self.keys):
+            return 0
+        slots = self._slots(keys)
+        if slots is None:
+            hist = np.bincount(self._search(keys), minlength=len(self.keys) + 1)[1:]
+        else:
+            lo, size = slots
+            hist = np.bincount(keys, minlength=size)[self.keys - lo]
+        return int(np.dot(hist, self.count))
 
     def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hit, count, start): the positions in keys of the keys some right
@@ -225,15 +262,32 @@ class _RightHalf:
         return hit, self.count[at], self.start[at]
 
 
-def _right_half(Q2: QuadraticForm, Q1, axes, d: int) -> _RightHalf:
+def _right_half(Q2: QuadraticForm, Q1, axes, d: int, rows=None) -> _RightHalf:
     """The table of the right-half rows x_{h+1..n} over their axes, keyed
-    by _half_keys with sign +1; at n = 1 the one empty row, of key 0."""
+    by _half_keys with sign +1; at n = 1 the one empty row, of key 0.
+    Given rows, the lexicographic positions of the rows to keep (in
+    increasing order), the table holds only those."""
     n, h = Q2.n, Q2.n - len(axes)
     keys = _half_keys(Q2, Q1, range(h, n), axes, d, 1) if h < n else np.zeros(1, np.int64)
-    order = np.argsort(keys, kind="stable")
+    if rows is None:
+        order = np.argsort(keys, kind="stable")
+    else:
+        order = rows[np.argsort(keys[rows], kind="stable")]
     keys = keys[order]
-    start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    start = np.flatnonzero(new)
     return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)))
+
+
+def _grid_sums(parts) -> np.ndarray:
+    """e_1 + e_2 + ... + e_k, summed left to right, over the lexicographic
+    product of the float axes parts = (e_1, ..., e_k); 0 for no axes."""
+    k = len(parts)
+    out = np.zeros([1] * k)
+    for j, e in enumerate(parts):
+        out = out + e.reshape([1] * j + [-1] + [1] * (k - 1 - j))
+    return out.reshape(-1)
 
 
 def _join_charge(lo, hi) -> int:
@@ -243,26 +297,58 @@ def _join_charge(lo, hi) -> int:
     return math.prod(widths[:h]) + math.prod(widths[h:])
 
 
-def _mitm(Q2: QuadraticForm, lo, hi, guard: int):
+def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     """Zeros of Q2 in the box by the join, one lexicographic block per left
     block: each left row meets the run of right rows of its key.  Rows are
-    built only to expand the matches."""
+    built only to expand the matches, from their indices.
+
+    ball = (parts, budget), parts[i] a float e_i(v) >= 0 for each value v
+    of axis i, keeps only the zeros with sum_i e_i(x_i) < budget (and may
+    keep some just above it): a half-row whose own sum reaches budget is
+    dropped before its key is looked up, and a match whose two half sums
+    do before its row is built.  The guard is charged the matches
+    expanded, at most the zeros of the box."""
     h = (Q2.n + 1) // 2
     check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
     axes = _axes(lo, hi)
-    right = _right_half(Q2, None, axes[h:], 1)
+    blocks = grid_block_axes(axes[:h], lex=True)
+    if ball is None:
+        right = _right_half(Q2, None, axes[h:], 1)
+        part_blocks = itertools.repeat(None)
+    else:
+        parts, budget = ball
+        right_sum = _grid_sums(parts[h:])
+        right = _right_half(Q2, None, axes[h:], 1, np.flatnonzero(right_sum < budget))
+        right_sum = right_sum[right.order]
+        # axes of the same lengths, so blocks of the same split
+        part_blocks = grid_block_axes(parts[:h], lex=True)
     right_rows = _tuples(axes[h:], lex=True)[right.order]
     total = 0
-    for block in grid_block_axes(axes[:h], lex=True):
-        hit, counts, first = right.runs(_half_keys(Q2, None, range(h), block, 1, -1))
+    for block, block_parts in zip(blocks, part_blocks):
+        keys = _half_keys(Q2, None, range(h), block, 1, -1)
+        if ball is None:
+            hit, counts, first = right.runs(keys)
+        else:
+            left_sum = _grid_sums(block_parts)
+            left = np.flatnonzero(left_sum < budget)
+            hit, counts, first = right.runs(keys[left])
+            hit = left[hit]
         found = int(counts.sum())
         total += found
         check_guard("enumerate_zeros", total, guard)
         # expand the join without a Python loop: left row hit[i] meets the
         # counts[i] right rows from first[i] on
-        offsets = np.arange(found) - np.repeat(np.cumsum(counts) - counts, counts)
-        yield np.hstack([np.repeat(_tuples(block, lex=True)[hit], counts, axis=0),
-                         right_rows[np.repeat(first, counts) + offsets]])
+        at_left = np.repeat(hit, counts)
+        at_right = np.repeat(first - np.cumsum(counts) + counts, counts)
+        at_right += np.arange(found)
+        if ball is not None:
+            near = np.repeat(left_sum[hit], counts) + right_sum[at_right] < budget
+            at_left, at_right = at_left[near], at_right[near]
+        rows = np.empty((len(at_left), Q2.n), dtype=np.int64)
+        for j, at in enumerate(np.unravel_index(at_left, [len(a) for a in block])):
+            rows[:, j] = block[j][at]
+        rows[:, h:] = right_rows[at_right]
+        yield rows
 
 
 def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -280,10 +366,12 @@ def _couples(M, h: int) -> bool:
     return any(M[i][j] for i in range(h) for j in range(h, len(M)))
 
 
-def _zero_blocks(Q2: QuadraticForm, lo, hi, guard: int):
-    """The zero stream of Q2 in the box: the join, or the scan if coupled."""
-    route = _scan if _couples(Q2.M, (Q2.n + 1) // 2) else _mitm
-    return route(Q2, lo, hi, guard)
+def _zero_blocks(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
+    """The zero stream of Q2 in the box: the join, cut to the ball if one
+    is given (see _mitm), or the full scan if Q2 couples the halves."""
+    if _couples(Q2.M, (Q2.n + 1) // 2):
+        return _scan(Q2, lo, hi, guard)
+    return _mitm(Q2, lo, hi, guard, ball)
 
 
 def enumerate_zeros(Q2: QuadraticForm, B, *, guard: int = DEFAULT_GUARD) -> np.ndarray:
@@ -533,19 +621,26 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
     """S(B) = sum over Q2(x) = 0, Q1(x) odd of r2(Q1(x)) W(x / B).
 
     The zero stream of Q2 on the weight's support box (guarded as in
-    enumerate_zeros) keeps, block by block, only the points with Q1 odd
-    and positive (the others contribute nothing) and W > 0: the box's
-    full zero list is never held.  r2 is read off one table up to the
-    largest Q1 met, whose size is charged to the guard.  The reduction
-    runs in lexicographic point order.
+    enumerate_zeros) is, for the join, cut to the support ball: with
+    e_i(v) = (v / B - x0_i)^2 per axis, the join drops every half-row and
+    every match whose sum of e_i reaches rho^2 (1 + _BALL_SLACK), where
+    W(x / B) = 0 (the slack covers the rounding of W's own sum).  A pair
+    whose Q2 couples the halves streams the whole box.  Block by block,
+    only the points with Q1 odd and positive (the others contribute
+    nothing) and W > 0 are kept: the box's zero list is never held.  r2
+    is read off one table up to the largest Q1 met, whose size is charged
+    to the guard.  The reduction runs in lexicographic point order, so the
+    cut changes no bit of the result.
     """
     if B <= 0:
         raise ValueError("B must be positive")
     if W.n != pair.n:
         raise ValueError("weight dimension mismatch")
     lo, hi = W.support_box(B)
+    parts = [(axis / B - c) ** 2 for axis, c in zip(_axes(lo, hi), W.x0)]
+    ball = (parts, W.rho**2 * (1.0 + _BALL_SLACK))
     ws, vals = [], []
-    for zeros in _zero_blocks(pair.Q2, lo, hi, guard):
+    for zeros in _zero_blocks(pair.Q2, lo, hi, guard, ball):
         q1 = pair.Q1.eval_batch(zeros)
         keep = (q1 > 0) & (q1 % 2 == 1)
         w = W.eval_batch(zeros[keep] / B)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -381,8 +380,8 @@ def pencil_det_poly(Q1: QuadraticForm, Q2: QuadraticForm) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n) of P(b1, b2) = det(b1 M1 + b2 M2),
     with c_k the coefficient of b1^(n-k) b2^k.
 
-    Interpolated exactly from n+1 integer determinants and re-verified at
-    two extra points.
+    Interpolated exactly, in integers, from the forward differences of n+1
+    integer determinants and re-verified at two extra points.
     """
     n = Q1.n
     if Q2.n != n:
@@ -392,40 +391,29 @@ def pencil_det_poly(Q1: QuadraticForm, Q2: QuadraticForm) -> tuple[int, ...]:
         m = [[t * Q1.M[i][j] + Q2.M[i][j] for j in range(n)] for i in range(n)]
         return bareiss_det(m)
 
-    # P(t, 1) = sum_k c_k t^(n-k): Lagrange interpolation at t = 0..n
-    ts = list(range(n + 1))
-    vals = [det_at(t) for t in ts]
-    coeffs_t = [Fraction(0)] * (n + 1)  # coefficient of t^j at index j
-    for i, ti in enumerate(ts):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, tj in enumerate(ts):
-            if j == i:
-                continue
-            num = _poly_mul(num, [Fraction(-tj), Fraction(1)])
-            denom *= ti - tj
-        scale = Fraction(vals[i]) / denom
-        for k in range(len(num)):
-            coeffs_t[k] += scale * num[k]
-    out = []
-    for k in range(n + 1):  # c_k multiplies t^(n-k)
-        c = coeffs_t[n - k]
-        if c.denominator != 1:
+    # P(t, 1) = sum_k c_k t^(n-k) = sum_k D_k t (t - 1) ... (t - k + 1),
+    # D_k = Delta^k P(0) / k! from the forward differences at t = 0..n;
+    # k! divides Delta^k P(0) since P has integer coefficients
+    diffs = [det_at(t) for t in range(n + 1)]
+    newton = []
+    for k in range(n + 1):
+        d, rem = divmod(diffs[0], math.factorial(k))
+        if rem:
             raise ArithmeticError("pencil interpolation produced a non-integer")
-        out.append(int(c))
+        newton.append(d)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    # Horner in the falling factorials: coeffs_t[j] multiplies t^j
+    coeffs_t = [newton[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs_t (t - k) + D_k
+        coeffs_t = [newton[k] - k * coeffs_t[0]] + [
+            a - k * b for a, b in zip(coeffs_t, coeffs_t[1:])] + [coeffs_t[-1]]
+    out = coeffs_t[::-1]  # c_k multiplies t^(n-k)
     for t in (n + 1, n + 2):
         check = sum(out[k] * t ** (n - k) for k in range(n + 1))
         if check != det_at(t):
             raise ArithmeticError("pencil interpolation failed verification")
     return tuple(out)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 def binary_disc(coeffs) -> int:

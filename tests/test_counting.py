@@ -249,7 +249,7 @@ def test_N_d_large_d_counts_Q1_zero():
 def test_N_d_guard_refuses_before_allocating(monkeypatch):
     # (2 * 10^4 + 1)^3 + (2 * 10^4 + 1)^2 rows: refused before any grid
     # or key is built
-    for name in ("grid_blocks", "grid_block_axes", "_tuples", "_half_keys"):
+    for name in ("grid_block_axes", "_tuples", "_half_keys"):
         monkeypatch.setattr(counting, name, None)
     with pytest.raises(ResourceGuardError, match="N_d"):
         N_d(shipped_pair(), 3, 10**4)
@@ -260,9 +260,8 @@ def test_N_d_guard_refuses_before_allocating(monkeypatch):
 
 
 def test_N_d_builds_no_row(monkeypatch):
-    # the join reads each half's keys off its axes: with both row builders
+    # the join reads each half's keys off its axes: with the row builder
     # gone, N_d on shipped still gives the counts of bench/reference.json
-    monkeypatch.setattr(counting, "grid_blocks", None)
     monkeypatch.setattr(counting, "_tuples", None)
     ship = shipped_pair()
     got = {d: N_d(ship, d, 40) for d in (1, 3, 5, 8)}
@@ -270,18 +269,30 @@ def test_N_d_builds_no_row(monkeypatch):
 
 
 def test_right_half_index_table_and_search_agree():
-    # dense keys read the table over the key span; one far key sends the
-    # same keys down the search route
+    # dense right keys are read off the table over their span, far left keys
+    # clipped to its empty ends; one far right key sends the same keys down
+    # the search route
     rng = np.random.default_rng(8)
     right = rng.integers(-50, 50, size=40)
-    keys, start, count = np.unique(np.sort(right), return_index=True, return_counts=True)
-    half = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count)
-    where = {int(k): i + 1 for i, k in enumerate(keys)}
-    left = rng.integers(-60, 60, size=200)
-    want = [where.get(int(k), 0) for k in left]
-    assert half._index(left.copy()).tolist() == want
-    far = np.append(left, 10**15)
-    assert half._index(far).tolist() == want + [0]
+    for far_right in (False, True):
+        if far_right:
+            right = np.append(right, 10**15)
+        keys, start, count = np.unique(np.sort(right), return_index=True, return_counts=True)
+        half = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count)
+        where = {int(k): i + 1 for i, k in enumerate(keys)}
+        left = rng.integers(-60, 60, size=200)
+        want = [where.get(int(k), 0) for k in left]
+        assert half._index(left.copy()).tolist() == want
+        far = np.append(left, [10**15, -10**15, 2**63 - 1, -2**63])
+        assert half._index(far.copy()).tolist() == want + [where.get(10**15, 0), 0, 0, 0]
+        # pairs: the histogram of the keys over the table slots, or of the
+        # searched indices, dotted with the run lengths
+        runs = dict(zip(keys.tolist(), count.tolist()))
+        want_pairs = sum(runs.get(int(k), 0) for k in far)
+        assert half.pairs(far.copy()) == want_pairs
+        edge = counting._RightHalf(np.arange(2), np.array([-2**63, 2**63 - 1]),
+                                   np.arange(2), np.ones(2, np.int64))
+        assert edge._index(far).tolist() == [0] * 200 + [0, 0, 2, 1]
 
 
 def test_split_left_half_changes_no_result(monkeypatch):
@@ -649,6 +660,36 @@ def test_solved_scan_roots_past_float_precision():
     assert [tuple(p) for p in got] == want
 
 
+@pytest.mark.parametrize("Q", [Q for Q in COUPLED if Q.n > 2], ids=lambda Q: str(Q.M))
+def test_solved_scan_in_small_blocks(monkeypatch, Q):
+    # blocks of a few rows fix head columns (a block spans at least the last
+    # solved-over axis, so n = 2 has one block); the stream is still every
+    # zero in lexicographic order, block after block
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 10)
+    for T in (2, 5):
+        lo, hi = counting._bounds(T, Q.n)
+        blocks = list(counting._scan(Q, lo, hi, 10**9))
+        assert len(blocks) == len(list(quadforms.grid_block_axes(
+            counting._axes(lo[:-1], hi[:-1])))) > 1
+        got = np.vstack(blocks)
+        assert np.array_equal(got, got[np.lexsort(got.T[::-1])])
+        assert [tuple(p) for p in got] == brute_zeros(Q, T)
+        assert np.array_equal(got, full_slab_scan(Q, T))
+        assert np.array_equal(enumerate_zeros(Q, T), got)
+
+
+def test_solved_scan_refuses_before_any_block(monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(counting, "_solve_last", no_block)
+    Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
+    with pytest.raises(ResourceGuardError):
+        enumerate_zeros(Q, 10**6, guard=10**5)
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)))
+
+
 def test_solved_scan_int64_check():
     # one slab of one row, but b^2 - 4ac reaches 2^63 on its last axis
     Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
@@ -701,22 +742,28 @@ def test_S_of_B_matches_cube_route(name):
 
 
 LISTED_CASES = {
-    "shipped": (shipped_pair, (8, 12)),
-    "toy3": (toy_pair_3, (8, 12)),
-    "demo_n7": (lambda: load_pair(PAIRS_DIR / "demo_n7.pair"), (4, 6)),
+    # shipped at B = 16, demo_n7 at B = 8 and toy2 at every B: the support
+    # ball holds a small share of the support box's zeros
+    "shipped": (shipped_pair, (8, 12, 16), None),
+    "toy3": (toy_pair_3, (8, 12), None),
+    "toy2": (toy_pair_2, (7.5, 8, 12, 16), WeightFunction((1.0, 0.0), 0.3)),
+    "demo_n7": (lambda: load_pair(PAIRS_DIR / "demo_n7.pair"), (4, 6, 8), None),
     # Q2 couples the halves, so the stream is the solved scan
     "coupled_n4": (lambda: QuadricPair.build(QuadraticForm.diagonal([1, 1, 1, 1]),
-                                             QuadraticForm.from_matrix(COUPLED_N4)), (8, 12)),
+                                             QuadraticForm.from_matrix(COUPLED_N4)), (8, 12),
+                   None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LISTED_CASES))
 def test_S_of_B_matches_list_then_weight(name):
-    # the stream filters block by block; the oracle lists the whole support
-    # box first, and the two must agree to the last bit
-    make, Bs = LISTED_CASES[name]
+    # the stream is cut to the support ball and filtered block by block; the
+    # oracle lists the whole support box first, and the two must agree to
+    # the last bit
+    make, Bs, W = LISTED_CASES[name]
     pair = make()
-    W = WeightFunction.default_for_pair(pair)
+    if W is None:
+        W = WeightFunction.default_for_pair(pair)
     rng = random.Random(f"listed:{name}")
     for move in [(list(range(pair.n)), [1] * pair.n), signed_move(rng, pair.n)]:
         moved = QuadricPair.build(move_form(pair.Q1, move), move_form(pair.Q2, move))
@@ -725,6 +772,52 @@ def test_S_of_B_matches_list_then_weight(name):
             box = BoxSpec(*Wm.support_box(B))
             got, want = S_of_B(moved, Wm, B), S_of_B_listed(moved, Wm, B, box)
             assert repr(got) == repr(want), (move, B)
+
+
+def weighed_rows(monkeypatch, pair, W, B):
+    """S_of_B(pair, W, B) and the rows it hands the weight, stacked."""
+    seen = []
+    eval_batch = WeightFunction.eval_batch
+
+    def record(self, X):
+        seen.append(np.array(X))
+        return eval_batch(self, X)
+
+    monkeypatch.setattr(WeightFunction, "eval_batch", record)
+    value = S_of_B(pair, W, B)
+    monkeypatch.setattr(WeightFunction, "eval_batch", eval_batch)
+    return value, np.vstack(seen) if seen else np.empty((0, pair.n))
+
+
+def test_S_of_B_weighs_only_the_support_ball(monkeypatch):
+    ship = shipped_pair()
+    W = WeightFunction.default_for_pair(ship)
+    B = 16
+    value, rows = weighed_rows(monkeypatch, ship, W, B)
+    assert value == S_of_B(ship, W, B)
+    # every row handed to the weight lies in the ball with its slack ...
+    t = ((rows - np.array(W.x0)) ** 2).sum(axis=1) / W.rho**2
+    assert (t < 1 + 2 * quadforms._BALL_SLACK).all()
+    # ... every zero of the box with W > 0 is among them ...
+    zeros = enumerate_zeros(ship.Q2, BoxSpec(*W.support_box(B)))
+    q1 = ship.Q1.eval_batch(zeros)
+    odd = zeros[(q1 > 0) & (q1 % 2 == 1)]
+    live = odd[W.eval_batch(odd / B) > 0]
+    assert set(map(tuple, live / B)) <= set(map(tuple, rows))
+    # ... and the box holds several times as many zeros of the filter
+    assert 3 * len(rows) < len(odd)
+
+
+def test_S_of_B_zero_when_no_half_row_survives(monkeypatch):
+    ship = shipped_pair()
+    # at B = 1 every left half-row sums to at least 3/4 > rho^2
+    W = WeightFunction((0.5,) * 5, 0.1)
+    assert weighed_rows(monkeypatch, ship, W, 1)[1].shape == (0, 5)
+    assert S_of_B(ship, W, 1) == 0.0
+    # the left half-row (0, 0, 0) survives, no right half-row does
+    W = WeightFunction((0.0, 0.0, 0.0, 0.5, 0.5), 0.3)
+    assert weighed_rows(monkeypatch, ship, W, 1)[1].shape == (0, 5)
+    assert S_of_B(ship, W, 1) == 0.0
 
 
 def test_S_of_B_and_coupled_N_d_list_no_box(monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,6 +291,54 @@ def test_pencil_roots_of_shipped_pair_distinct():
         sympy.Rational(1, 4),
         sympy.Rational(1, 5),
     }
+
+
+def pencil_by_lagrange(Q1, Q2):
+    """det(t M1 + M2) by Lagrange interpolation in fractions at t = 0..n,
+    as (c_0, ..., c_n) with c_k the coefficient of t^(n-k)."""
+    n = Q1.n
+    vals = [sympy.Matrix(Q1.M) * t + sympy.Matrix(Q2.M) for t in range(n + 1)]
+    vals = [int(M.det()) for M in vals]
+    coeffs_t = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        num, denom = [Fraction(1)], Fraction(1)
+        for j in range(n + 1):
+            if j != i:
+                # num *= (t - j)
+                num = [Fraction(0)] + num
+                for k in range(len(num) - 1):
+                    num[k] -= j * num[k + 1]
+                denom *= i - j
+        for k, c in enumerate(num):
+            coeffs_t[k] += Fraction(vals[i]) / denom * c
+    assert all(c.denominator == 1 for c in coeffs_t)
+    return tuple(int(c) for c in coeffs_t[::-1])
+
+
+def test_pencil_det_poly_matches_lagrange_interpolation():
+    rng = random.Random("pencil")
+    for trial in range(240):
+        n = trial % 7 + 1
+        forms = []
+        for _ in range(2):
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    M[i][j] = M[j][i] = rng.randint(-9, 9)
+            forms.append(QuadraticForm.from_matrix(M))
+        assert pencil_det_poly(*forms) == pencil_by_lagrange(*forms), forms
+
+
+def test_pencil_det_poly_refuses_a_non_integer_difference(monkeypatch):
+    # P(t) = t^2 has Delta^2 P(0) = 2; a determinant of 5 at t = 2 makes
+    # it 3, which 2! does not divide
+    Q1, Q2 = QuadraticForm.diagonal([1, 1]), QuadraticForm.diagonal([0, 0])
+    assert pencil_det_poly(Q1, Q2) == (1, 0, 0)
+    det = quadforms.bareiss_det
+    monkeypatch.setattr(quadforms, "bareiss_det",
+                        lambda m: 5 if m[0][0] == 2 else det(m))
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        pencil_det_poly(Q1, Q2)
 
 
 def test_dual_form_is_adjugate():
