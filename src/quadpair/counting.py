@@ -17,24 +17,29 @@ Zeros of Q2 in a box lo_i <= x_i <= hi_i come as one stream of
 lexicographic blocks.  Unless Q2 couples the first h = ceil(n/2)
 coordinates to the rest, the stream is a meet-in-the-middle join on the
 key Q2 d + (Q1 mod d) of each half-row, both forms restricted to the
-half (listing takes d = 1).  The keys are read off each half's
-coordinate axes (QuadraticForm.eval_grid), so no row is built to key it:
-the right half is one table, its lexicographic positions stable-sorted
-by key with the start and length of each key's run, and a left row x_L
-meets the run of key -key(x_L), looked up in a table over the span of
-the right keys when that is no longer than the keys (else searched
-for).  The left half comes in the blocks of grid_block_axes.  N_d dots
-the histogram of each left block's keys over that table's slots with
-the run lengths and builds no row (past the keys, no array as long as
-the block); listing builds rows only for the matches, from their
-indices into the left block's axes and the right rows, block by block,
-which keeps the stream in order.  A coupled Q2 is scanned over the grid_block_axes blocks of its
-first n - 1 coordinates, with the last coordinate solved for:
-Q2 = a x_n^2 + b(x') x_n + c(x'), c read off the block's axes
-(eval_grid) and b a broadcast sum, whose integer roots come from an exact
-integer square root of b^2 - 4ac; rows are built for the roots only, and
-each block is sorted.  enumerate_zeros stacks the stream; S(B) and N_d of
-a pair that couples the halves read it block by block.
+half once per join (listing takes d = 1).  The keys are read off each
+half's coordinate axes (QuadraticForm.eval_grid), so no row is built to
+key it: the right half is one table, its lexicographic positions
+stable-sorted by key with the start and length of each key's run, and a
+left row x_L meets the run of key -key(x_L).  That run is looked up in
+one table over the span of the right keys, built with the right half
+when the span is no longer than the left half's rows and the right rows
+together (else searched for), and every left block reads the same table.
+The left half comes in the blocks of grid_block_axes.  N_d reads blocks
+of at most _STREAM_ROWS rows and sums the run lengths of each key's
+index, building no row (past the keys and their indices, no array as long
+as the block); listing keeps the grid_blocks split and builds rows only
+for the matches, from their indices into the left block's axes and the
+right rows, block by block, which keeps the stream in order.  A coupled
+Q2 is scanned over the grid_block_axes blocks of at most _STREAM_ROWS rows
+of its first n - 1 coordinates, with the last coordinate solved for:
+Q2 = a x_n^2 + b(x') x_n + c(x'), c read off the block's axes (eval_grid
+of the leading form, built once) and b a broadcast sum, whose integer
+roots come from an exact integer square root of b^2 - 4ac; rows are built
+for the roots only, and each block is sorted.  So a block of N_d or of
+the scan stays that small at any box size, unless its last axis alone is
+longer.  enumerate_zeros stacks the stream; S(B) and N_d of a pair that
+couples the halves read it block by block.
 
 The default weight (WeightFunction.default_for_pair) is found by array
 passes over a fixed grid of unit directions.  Its candidates are the grid
@@ -93,6 +98,12 @@ class BoxSpec:
         return tuple(self.lo), tuple(self.hi)
 
 
+#: most rows of a block of N_d's left half and of the coupled scan's
+#: first n - 1 coordinates (256 KB per int64 column); the listing join
+#: keeps the grid_blocks split, whose blocks are far more costly per row
+_STREAM_ROWS = 1 << 15
+
+
 def _axes(lo, hi) -> list[np.ndarray]:
     return [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
 
@@ -106,16 +117,17 @@ def _check_solve_fits(M, bound: int) -> None:
         raise ValueError("points too large for int64 path")
 
 
-def _solve_last(M, axes, lo: int, hi: int) -> np.ndarray:
+def _solve_last(M, head, axes, lo: int, hi: int) -> np.ndarray:
     """Every zero (x', x_n) of the form M with x' in the lexicographic
     product of the axes and lo <= x_n <= hi, from Q = a x_n^2 + b(x') x_n
-    + c(x'): c is read off the axes (eval_grid of the leading form), b is
-    a broadcast sum, and rows are built only for the integer roots."""
+    + c(x'): c is read off the axes (eval_grid of head, the leading
+    (n - 1)-form of M, None at n = 1), b is a broadcast sum, and rows are
+    built only for the integer roots."""
     n = len(M)
     a = M[-1][-1]
     dims = [len(ax) for ax in axes]
     if n > 1:
-        c = QuadraticForm.from_matrix([row[:-1] for row in M[:-1]]).eval_grid(axes)
+        c = head.eval_grid(axes)
         b = np.zeros(len(c), dtype=np.int64)
         grid = b.reshape(dims)
         for j, ax in enumerate(axes):
@@ -162,61 +174,75 @@ def _solve_last(M, axes, lo: int, hi: int) -> np.ndarray:
 
 def _scan(Q2: QuadraticForm, lo, hi, guard: int):
     """Zeros of Q2 in the box by the solved scan, one lexicographically
-    sorted block per grid_block_axes block of the first n - 1 coordinates,
-    read off that block's axes; the last coordinate is solved for.  The
-    guard is charged the rows over the first n - 1 coordinates, then the
-    zeros found so far."""
+    sorted block per grid_block_axes block of the first n - 1 coordinates
+    (at most _STREAM_ROWS of them unless the last is longer), read off
+    that block's axes; the last coordinate is solved for, the leading
+    (n - 1)-form built once.  The guard is charged the rows over the first
+    n - 1 coordinates, then the zeros found so far."""
     check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)), guard)
     _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
+    head = Q2.restrict(range(Q2.n - 1)) if Q2.n > 1 else None
     total = 0
-    for block in grid_block_axes(_axes(lo[:-1], hi[:-1]), lex=True):
-        rows = _solve_last(Q2.M, block, lo[-1], hi[-1])
+    for block in grid_block_axes(_axes(lo[:-1], hi[:-1]), lex=True, rows=_STREAM_ROWS):
+        rows = _solve_last(Q2.M, head, block, lo[-1], hi[-1])
         total += len(rows)
         check_guard("enumerate_zeros", total, guard)
         yield rows[np.lexsort(rows.T[::-1])]
 
 
-def _half_keys(Q2: QuadraticForm, Q1, side, axes, d: int, sign: int) -> np.ndarray:
-    """sign Q2(x) d + (sign Q1(x) mod d) over the lexicographic product of
-    the axes, both forms restricted to the coordinates in side (Q1 is not
-    read when d = 1)."""
-    key = Q2.restrict(side, sign).eval_grid(axes)
-    if d > 1:
-        r = Q1.restrict(side, sign).eval_grid(axes)
-        # key d + r - (r // d) d, in place: numpy divides an integer array
-        # by a scalar far faster than it takes the remainder
-        key *= d
-        key += r
-        r //= d
-        r *= d
-        key -= r
-    return key
+def _half_keys(Q2: QuadraticForm, Q1, side, d: int, sign: int):
+    """The keys of one half of the join as a function of axes: sign Q2(x) d
+    + (sign Q1(x) mod d) over the lexicographic product of the axes, both
+    forms restricted to the coordinates in side once, here (Q1 is not read
+    when d = 1)."""
+    q2 = Q2.restrict(side, sign)
+    q1 = Q1.restrict(side, sign) if d > 1 else None
+
+    def keys(axes) -> np.ndarray:
+        key = q2.eval_grid(axes)
+        if q1 is not None:
+            r = q1.eval_grid(axes)
+            # key d + r - (r // d) d, in place: numpy divides an integer array
+            # by a scalar far faster than it takes the remainder
+            key *= d
+            key += r
+            r //= d
+            r *= d
+            key -= r
+        return key
+
+    return keys
 
 
-@dataclass(frozen=True)
+def _slot_table(keys: np.ndarray, most: int):
+    """(lo, table) for the sorted distinct keys: table[k - lo] = 1 + the
+    index of key k, 0 elsewhere, over their span and one empty slot either
+    side; None when the span holds more than most slots (as for the sparse
+    keys of huge boxes) or its ends would leave int64."""
+    lo, hi = int(keys[0]) - 1, int(keys[-1]) + 1
+    if hi - lo - 1 > most or lo < -2**63 or hi >= 2**63:
+        return None
+    table = np.zeros(hi - lo + 1, dtype=np.int64)
+    table[keys - lo] = np.arange(1, len(keys) + 1)
+    return lo, table
+
+
 class _RightHalf:
     """The right half of the join: the lexicographic positions of its rows
-    stable-sorted by key, and the distinct keys with the start and length
-    of each key's run in that order."""
+    stable-sorted by key (order), and the distinct keys with the start and
+    length of each key's run in that order.
 
-    order: np.ndarray
-    keys: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
+    The join's one lookup table (_slot_table) is built here, for every
+    left block to read, when the span of the keys is no longer than the
+    left half's rows and the right rows together; else every key is
+    searched for."""
 
-    def _slots(self, keys: np.ndarray):
-        """(lo, size): the keys moved in place to the slots 0..size-1 of a
-        table over the span of self.keys and one empty slot either side,
-        key lo + i to slot i, the keys outside clipped to the empty slots;
-        None, with the keys untouched, when that table would hold more
-        slots than there are keys and right rows (as for the sparse keys of
-        huge boxes) or its ends would leave int64."""
-        lo, hi = int(self.keys[0]) - 1, int(self.keys[-1]) + 1
-        if hi - lo - 1 > len(keys) + len(self.order) or lo < -2**63 or hi >= 2**63:
-            return None
-        np.clip(keys, lo, hi, out=keys)
-        keys -= lo
-        return lo, hi - lo + 1
+    def __init__(self, order: np.ndarray, keys: np.ndarray, start: np.ndarray,
+                 count: np.ndarray, left_rows: int):
+        self.order, self.keys, self.start, self.count = order, keys, start, count
+        # the run length by 1 + key index, 0 for a key no right row has
+        self._count = np.concatenate([np.zeros(1, np.int64), count])
+        self._table = _slot_table(keys, left_rows + len(order)) if len(keys) else None
 
     def _search(self, keys: np.ndarray) -> np.ndarray:
         """_index, one searchsorted per key."""
@@ -225,32 +251,22 @@ class _RightHalf:
 
     def _index(self, keys: np.ndarray) -> np.ndarray:
         """1 + the index in self.keys of each of the keys, 0 where it is
-        not there, read off a table over the _slots when they exist, else
-        searched for; keys may be overwritten."""
+        not there, read off the table (the keys outside its span clipped to
+        its empty ends) when there is one, else searched for; keys may be
+        overwritten."""
         if not len(keys) or not len(self.keys):
             return np.zeros(len(keys), dtype=np.int64)
-        slots = self._slots(keys)
-        if slots is None:
+        if self._table is None:
             return self._search(keys)
-        lo, size = slots
-        table = np.zeros(size, dtype=np.int64)
-        table[self.keys - lo] = np.arange(1, len(self.keys) + 1)
+        lo, table = self._table
+        np.clip(keys, lo, lo + len(table) - 1, out=keys)
+        keys -= lo
         return table[keys]
 
     def pairs(self, keys: np.ndarray) -> int:
-        """The pairs of one of the keys and a right row of that key, from
-        the histogram of the keys over the _slots when they exist (no
-        array as long as the keys is built), else of their indices; keys
-        may be overwritten."""
-        if not len(keys) or not len(self.keys):
-            return 0
-        slots = self._slots(keys)
-        if slots is None:
-            hist = np.bincount(self._search(keys), minlength=len(self.keys) + 1)[1:]
-        else:
-            lo, size = slots
-            hist = np.bincount(keys, minlength=size)[self.keys - lo]
-        return int(np.dot(hist, self.count))
+        """The pairs of one of the keys and a right row of that key: the
+        run length of each key's index, summed; keys may be overwritten."""
+        return int(self._count[self._index(keys)].sum())
 
     def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hit, count, start): the positions in keys of the keys some right
@@ -262,13 +278,14 @@ class _RightHalf:
         return hit, self.count[at], self.start[at]
 
 
-def _right_half(Q2: QuadraticForm, Q1, axes, d: int, rows=None) -> _RightHalf:
+def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None) -> _RightHalf:
     """The table of the right-half rows x_{h+1..n} over their axes, keyed
     by _half_keys with sign +1; at n = 1 the one empty row, of key 0.
     Given rows, the lexicographic positions of the rows to keep (in
-    increasing order), the table holds only those."""
+    increasing order), the table holds only those.  left_rows, the rows
+    the left half can bring, sizes the lookup table (see _RightHalf)."""
     n, h = Q2.n, Q2.n - len(axes)
-    keys = _half_keys(Q2, Q1, range(h, n), axes, d, 1) if h < n else np.zeros(1, np.int64)
+    keys = _half_keys(Q2, Q1, range(h, n), d, 1)(axes) if h < n else np.zeros(1, np.int64)
     if rows is None:
         order = np.argsort(keys, kind="stable")
     else:
@@ -277,7 +294,7 @@ def _right_half(Q2: QuadraticForm, Q1, axes, d: int, rows=None) -> _RightHalf:
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     start = np.flatnonzero(new)
-    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)))
+    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)), left_rows)
 
 
 def _grid_sums(parts) -> np.ndarray:
@@ -299,7 +316,8 @@ def _join_charge(lo, hi) -> int:
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     """Zeros of Q2 in the box by the join, one lexicographic block per left
-    block: each left row meets the run of right rows of its key.  Rows are
+    block of the grid_blocks split: each left row meets the run of right
+    rows of its key, read off the right half's one lookup table.  Rows are
     built only to expand the matches, from their indices.
 
     ball = (parts, budget), parts[i] a float e_i(v) >= 0 for each value v
@@ -312,20 +330,23 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
     axes = _axes(lo, hi)
     blocks = grid_block_axes(axes[:h], lex=True)
+    left_keys = _half_keys(Q2, None, range(h), 1, -1)
+    left_rows = math.prod(len(a) for a in axes[:h])
     if ball is None:
-        right = _right_half(Q2, None, axes[h:], 1)
+        right = _right_half(Q2, None, axes[h:], 1, left_rows)
         part_blocks = itertools.repeat(None)
     else:
         parts, budget = ball
         right_sum = _grid_sums(parts[h:])
-        right = _right_half(Q2, None, axes[h:], 1, np.flatnonzero(right_sum < budget))
+        right = _right_half(Q2, None, axes[h:], 1, left_rows,
+                            np.flatnonzero(right_sum < budget))
         right_sum = right_sum[right.order]
         # axes of the same lengths, so blocks of the same split
         part_blocks = grid_block_axes(parts[:h], lex=True)
     right_rows = _tuples(axes[h:], lex=True)[right.order]
     total = 0
     for block, block_parts in zip(blocks, part_blocks):
-        keys = _half_keys(Q2, None, range(h), block, 1, -1)
+        keys = left_keys(block)
         if ball is None:
             hit, counts, first = right.runs(keys)
         else:
@@ -397,15 +418,16 @@ def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
 
 
 def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
-    """N_d from the right-half table and each left block's key histogram:
-    a left row meets every right row of its key.  No row is built."""
+    """N_d from the right-half table and the keys of each left block of at
+    most _STREAM_ROWS rows (unless the last left axis is longer): a left
+    row meets every right row of its key.  No row is built, and the left
+    keys' forms and the lookup table are built once."""
     h = (pair.n + 1) // 2
     axes = _axes(lo, hi)
-    right = _right_half(pair.Q2, pair.Q1, axes[h:], d)
-    total = 0
-    for block in grid_block_axes(axes[:h], lex=True):
-        total += right.pairs(_half_keys(pair.Q2, pair.Q1, range(h), block, d, -1))
-    return total
+    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, math.prod(len(a) for a in axes[:h]))
+    left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1)
+    return sum(right.pairs(left_keys(block))
+               for block in grid_block_axes(axes[:h], lex=True, rows=_STREAM_ROWS))
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:

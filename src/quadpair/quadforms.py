@@ -259,25 +259,47 @@ def residue_grid(q: int, k: int) -> np.ndarray:
     return _tuples([np.arange(q, dtype=np.int64)] * k)
 
 
-def _head_columns(dims) -> int:
-    """Leading columns grid_blocks fixes per block, for axes of these lengths."""
+def _head_columns(dims, rows: int | None = None) -> int:
+    """Leading columns grid_blocks fixes per block, for axes of these
+    lengths, so that the tail holds at most rows (default _BLOCK_ROWS)
+    tuples or is the last axis alone."""
+    rows = _BLOCK_ROWS if rows is None else rows
     lead = 0
-    while math.prod(dims[lead:]) > _BLOCK_ROWS and len(dims) - lead > 1:
+    while math.prod(dims[lead:]) > rows and len(dims) - lead > 1:
         lead += 1
     return lead
 
 
-def grid_block_axes(axes, k: int | None = None, *, lex: bool = False):
+def grid_block_axes(axes, k: int | None = None, *, lex: bool = False,
+                    rows: int | None = None):
     """The axes of each grid_blocks block: its head columns as one-value
     axes, then the tail axes, blocks in grid_blocks order.  A caller that
     needs a function of the rows rather than the rows (QuadraticForm.eval_grid)
-    reads a block from these without building it."""
+    reads a block from these without building it.
+
+    With lex, rows is a budget in place of _BLOCK_ROWS: the head columns
+    but the last are fixed, the last runs a contiguous slice of its axis as
+    long as the budget allows over the whole tail, so a block holds at most
+    rows tuples unless the last axis alone is longer.  The blocks in turn
+    still list the product in lexicographic order."""
+    if rows is not None and not lex:
+        raise ValueError("a row budget needs lexicographic blocks")
     if k is not None:
         axes = [axes] * k
-    lead = _head_columns([len(a) for a in axes])
-    tail = list(axes[lead:])
+    dims = [len(a) for a in axes]
+    lead = _head_columns(dims, rows)
+    if rows is None or not lead:
+        tail = list(axes[lead:])
+        for head in _tuples(axes[:lead], lex):
+            yield [head[j:j + 1] for j in range(lead)] + tail
+        return
+    lead -= 1  # the last head column runs slices of its axis
+    tail = list(axes[lead + 1:])
+    step = max(1, rows // math.prod(dims[lead + 1:]))
     for head in _tuples(axes[:lead], lex):
-        yield [head[j:j + 1] for j in range(lead)] + tail
+        fixed = [head[j:j + 1] for j in range(lead)]
+        for at in range(0, dims[lead], step):
+            yield fixed + [axes[lead][at:at + step]] + tail
 
 
 def grid_blocks(axes, k: int | None = None, *, lex: bool = False):

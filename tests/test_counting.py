@@ -271,33 +271,33 @@ def test_N_d_builds_no_row(monkeypatch):
 def test_right_half_index_table_and_search_agree():
     # dense right keys are read off the table over their span, far left keys
     # clipped to its empty ends; one far right key sends the same keys down
-    # the search route
+    # the search route.  The table is sized by the 204 left rows of far
     rng = np.random.default_rng(8)
     right = rng.integers(-50, 50, size=40)
     for far_right in (False, True):
         if far_right:
             right = np.append(right, 10**15)
         keys, start, count = np.unique(np.sort(right), return_index=True, return_counts=True)
-        half = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count)
+        half = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count, 204)
+        assert (half._table is None) == far_right
         where = {int(k): i + 1 for i, k in enumerate(keys)}
         left = rng.integers(-60, 60, size=200)
         want = [where.get(int(k), 0) for k in left]
         assert half._index(left.copy()).tolist() == want
         far = np.append(left, [10**15, -10**15, 2**63 - 1, -2**63])
         assert half._index(far.copy()).tolist() == want + [where.get(10**15, 0), 0, 0, 0]
-        # pairs: the histogram of the keys over the table slots, or of the
-        # searched indices, dotted with the run lengths
+        # pairs: the run length of each key's looked-up or searched index
         runs = dict(zip(keys.tolist(), count.tolist()))
         want_pairs = sum(runs.get(int(k), 0) for k in far)
         assert half.pairs(far.copy()) == want_pairs
         edge = counting._RightHalf(np.arange(2), np.array([-2**63, 2**63 - 1]),
-                                   np.arange(2), np.ones(2, np.int64))
+                                   np.arange(2), np.ones(2, np.int64), 204)
         assert edge._index(far).tolist() == [0] * 200 + [0, 0, 2, 1]
 
 
 def test_split_left_half_changes_no_result(monkeypatch):
-    # a block budget small enough that the join's left half comes in many
-    # head blocks on every pair below
+    # block and stream budgets small enough that the join's left half
+    # comes in many head blocks, for listing and for N_d, on every pair below
     ship = shipped_pair()
     cases = [(ship, 5), (load_pair(PAIRS_DIR / "toy_n3.pair"), 9),
              (load_pair(PAIRS_DIR / "demo_n7.pair"), 3)]
@@ -310,14 +310,85 @@ def test_split_left_half_changes_no_result(monkeypatch):
 
     before = run()
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(counting, "_STREAM_ROWS", 5)
     for pair, box in cases:
         h = (pair.n + 1) // 2
         left = counting._axes(*counting._bounds(box, pair.n))[:h]
         assert len(list(quadforms.grid_block_axes(left, lex=True))) > 1
+        assert len(list(quadforms.grid_block_axes(left, lex=True, rows=5))) > 1
     after = run()
     assert before[0] == after[0]
     assert all(np.array_equal(a, b) for a, b in zip(before[1], after[1]))
     assert before[2] == after[2]
+
+
+def coupled_n4_pair():
+    return QuadricPair.build(QuadraticForm.diagonal([1, 1, 1, 1]),
+                             QuadraticForm.from_matrix(COUPLED_N4))
+
+
+def test_join_builds_one_slot_table(monkeypatch):
+    # the lookup table is built with the right half, once per join, however
+    # many left blocks read it
+    built = []
+
+    def counted(keys, most):
+        table = real(keys, most)
+        built.append(table is not None)
+        return table
+
+    real = counting._slot_table
+    monkeypatch.setattr(counting, "_slot_table", counted)
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(counting, "_STREAM_ROWS", 5)
+    ship = shipped_pair()
+    W = WeightFunction.default_for_pair(ship)
+    left = counting._axes(*counting._bounds(5, 5))[:3]
+    assert len(list(quadforms.grid_block_axes(left, lex=True, rows=5))) > 1
+    for call in (lambda: N_d(ship, 3, 5), lambda: N_d(ship, 1, 5),
+                 lambda: S_of_B(ship, W, 6), lambda: enumerate_zeros(ship.Q2, 5)):
+        built.clear()
+        call()
+        assert built == [True]
+
+
+def test_streams_read_at_most_the_budget(monkeypatch):
+    # N_d's left blocks and the coupled scan's blocks are read off at most
+    # _STREAM_ROWS rows at a time when the last axis fits in the budget
+    lengths = []
+    real = QuadraticForm.eval_grid
+
+    def recorded(self, axes):
+        out = real(self, axes)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(QuadraticForm, "eval_grid", recorded)
+    ship, coupled = shipped_pair(), coupled_n4_pair()
+    for budget, box, T in ((None, 40, 30), (300, 5, 5)):
+        if budget is not None:
+            monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+        for call in (lambda: N_d(ship, 3, box), lambda: enumerate_zeros(coupled.Q2, T),
+                     lambda: N_d(coupled, 3, T)):
+            lengths.clear()
+            call()
+            assert len(lengths) > 2 and max(lengths) <= counting._STREAM_ROWS
+
+
+def test_stream_budget_changes_no_result(monkeypatch):
+    ship, toy, coupled = shipped_pair(), toy_pair_3(), coupled_n4_pair()
+    W = WeightFunction.default_for_pair(coupled)
+    cases = [(ship, 5), (toy, 9), (coupled, 6)]
+
+    def run():
+        return ([N_d(pair, d, box) for pair, box in cases for d in ND_DIVISORS],
+                [enumerate_zeros(pair.Q2, box).tolist() for pair, box in cases],
+                [repr(S_of_B(coupled, W, B)) for B in (8, 12)])
+
+    want = run()
+    for budget in (1, 7):
+        monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+        assert run() == want, budget
 
 
 def test_r2_table_matches_r2():
@@ -662,15 +733,17 @@ def test_solved_scan_roots_past_float_precision():
 
 @pytest.mark.parametrize("Q", [Q for Q in COUPLED if Q.n > 2], ids=lambda Q: str(Q.M))
 def test_solved_scan_in_small_blocks(monkeypatch, Q):
-    # blocks of a few rows fix head columns (a block spans at least the last
-    # solved-over axis, so n = 2 has one block); the stream is still every
-    # zero in lexicographic order, block after block
+    # blocks of a few rows fix head columns and slice the next axis (a
+    # block spans at least the last solved-over axis, so n = 2 has one
+    # block); the stream is still every zero in lexicographic order, block
+    # after block
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 10)
+    monkeypatch.setattr(counting, "_STREAM_ROWS", 10)
     for T in (2, 5):
         lo, hi = counting._bounds(T, Q.n)
         blocks = list(counting._scan(Q, lo, hi, 10**9))
         assert len(blocks) == len(list(quadforms.grid_block_axes(
-            counting._axes(lo[:-1], hi[:-1])))) > 1
+            counting._axes(lo[:-1], hi[:-1]), lex=True, rows=10))) > 1
         got = np.vstack(blocks)
         assert np.array_equal(got, got[np.lexsort(got.T[::-1])])
         assert [tuple(p) for p in got] == brute_zeros(Q, T)

@@ -928,3 +928,10 @@ def test_sigma_p_truncated_reaches_demo_n7(monkeypatch):
     trunc = sigma_p_truncated(demo_pair_7(), 7, 3, guard=DEFAULT_GUARD)
     assert trunc == Fraction(39628800, 40353607)
     assert 0 < DEMO_N7_SIGMA[7] - trunc < Fraction(1, 1000)
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    # tau's 8-point rule is held as literals, numpy's own rule to the last bit
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert densities._GL_NODES.tobytes() == nodes.tobytes()
+    assert densities._GL_WEIGHTS.tobytes() == weights.tobytes()

@@ -151,7 +151,7 @@ def test_eval_grid_int64_edge_is_eval_batch_edge():
             Q.eval_grid(axes)
 
 
-@pytest.mark.parametrize("budget", [1, 10, 30, 10**6])
+@pytest.mark.parametrize("budget", [1, 3, 10, 30, 10**6])
 def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
     axes = [np.arange(-2, 1, dtype=np.int64), np.arange(4, 6, dtype=np.int64),
@@ -169,6 +169,20 @@ def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
                 [[v] for v in block[0, :lead].tolist()] + [a.tolist() for a in axes[lead:]])
             if lex:
                 assert np.array_equal(Q.eval_grid(ax), Q.eval_batch(block))
+    # with a row budget the last head column runs slices of its axis: the
+    # blocks stacked are the unsplit lexicographic grid, row for row, and
+    # each holds at most the budget unless the last axis alone is longer
+    # (the third axis below, and the last of the second set, pass 3)
+    for grid in (axes, [np.arange(-2, 1, dtype=np.int64), np.arange(-4, 8, dtype=np.int64)]):
+        sliced = list(quadforms.grid_block_axes(grid, lex=True, rows=budget))
+        blocks = [quadforms._tuples(ax, lex=True) for ax in sliced]
+        assert np.array_equal(np.vstack(blocks), quadforms._tuples(grid, lex=True))
+        assert max(map(len, blocks)) <= max(budget, len(grid[-1]))
+        assert all(np.array_equal(Q.restrict(range(len(grid))).eval_grid(ax),
+                                  Q.restrict(range(len(grid))).eval_batch(block))
+                   for ax, block in zip(sliced, blocks))
+    with pytest.raises(ValueError, match="lexicographic"):
+        next(quadforms.grid_block_axes(axes, rows=budget))
 
 
 def test_grid_blocks_unchunked_is_the_full_grid():
