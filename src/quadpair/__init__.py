@@ -18,7 +18,6 @@ from .densities import (
     certified_good,
     experiment,
     sigma_2,
-    sigma_infinity,
     sigma_p,
     sigma_p_truncated,
     singular_constant,
@@ -130,7 +129,6 @@ __all__ = [
     "save_pair",
     "shipped_pair",
     "sigma_2",
-    "sigma_infinity",
     "sigma_p",
     "sigma_p_truncated",
     "singular_constant",

@@ -68,7 +68,6 @@ __all__ = [
     "certified_good",
     "experiment",
     "sigma_2",
-    "sigma_infinity",
     "sigma_p",
     "sigma_p_truncated",
     "singular_constant",
@@ -316,12 +315,11 @@ class TauInfinity:
         return abs(self.slab - self.coarea) / mid if mid > 0 else 0.0
 
 
-def _bump_1d(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarray:
-    """W along the distinguished coordinate: squared transverse distance s2
-    fixed, axis coordinate y1 varying.  With t clipped to 1 - 1e-15 the
-    exponent is below -9e14, so W underflows to exactly 0 outside the
-    support."""
-    t = np.subtract(y1, c1)
+def _bump_1d(s2: np.ndarray, t: np.ndarray, rho: float) -> np.ndarray:
+    """W along the distinguished coordinate, computed in the storage of t:
+    squared transverse distance s2 fixed, offset t = y1 - c1 from the
+    centre varying.  With t clipped to 1 - 1e-15 the exponent is below
+    -9e14, so W underflows to exactly 0 outside the support."""
     np.square(t, out=t)
     np.add(s2, t, out=t)
     np.divide(t, rho**2, out=t)
@@ -351,7 +349,11 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
     estimate and the number of transverse rows integrated.  The
     distinguished coordinate is integrated exactly, the others by the
     midpoint rule on the cells of the box of half-width rho about x0 whose
-    midpoints lie in the support ball; no other cell is built."""
+    midpoints lie in the support ball; no other cell is built.  The cells
+    come in ball_blocks' blocks of at most quadforms._BALL_ROWS rows, and
+    one block and its temporaries (some forty floats a row, each
+    interval's 8 Gauss-Legendre nodes as one 8-row array) are alive at a
+    time, so the pass's memory does not grow with G."""
     n = Q2.n
     x0 = np.array(W.x0, dtype=float)
     M2 = np.array(Q2.M, dtype=float)
@@ -378,9 +380,11 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
         count += len(s2)
         # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
         b = 2.0 * yk @ M2[axis, rest]
-        c = np.einsum("ij,jk,ik->i", yk, M2[np.ix_(rest, rest)], yk)
-        r1 = np.sqrt(rho**2 - s2)
-        lo, hi = c1 - r1, c1 + r1
+        c = np.einsum("ij,ij->i", yk @ M2[np.ix_(rest, rest)], yk)
+        del yk  # b, c and s2 are all that is read of the rows below
+        hi = np.sqrt(rho**2 - s2)  # the half-length of the support's chord
+        lo = c1 - hi
+        hi += c1
         a = a0
         if a < 0:
             a, b, c = -a, -b, -c
@@ -394,27 +398,32 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
                 return 0.0
             mid = 0.5 * (left[live] + right[live])
             hw = half[live]
-            t0 = s2[live]
+            # one row per node; each row's sum is added on its own, in order
+            vals = hw * _GL_NODES[:, None]
+            vals += mid
+            vals -= c1
+            _bump_1d(s2[live], vals, rho)
+            vals *= _GL_WEIGHTS[:, None] * hw
             total = 0.0
-            for node, wgt in zip(_GL_NODES, _GL_WEIGHTS):
-                vals = _bump_1d(t0, mid + hw * node, c1, rho)
-                total += float((wgt * hw * vals).sum())
+            for row in vals.sum(axis=1).tolist():
+                total += row
             return total
 
         if abs(a) > 1e-15:
             nb, bb, a2, a4 = -b, b * b, 2 * a, 4 * a
             for i, eps in enumerate(eps_list):
                 # {y1: |q| <= eps} = [R1, R2] minus the open middle (m1, m2)
-                disc_out = bb - a4 * (c - eps)
-                disc_in = bb - a4 * (c + eps)
-                has_out = disc_out > 0
-                sq_out = np.sqrt(np.maximum(disc_out, 0.0))
-                R1 = np.where(has_out, (nb - sq_out) / a2, 1.0)
-                R2 = np.where(has_out, (nb + sq_out) / a2, 0.0)
-                has_in = disc_in > 0
-                sq_in = np.sqrt(np.maximum(disc_in, 0.0))
-                m1 = np.where(has_in, (nb - sq_in) / a2, R2)
-                m2 = np.where(has_in, (nb + sq_in) / a2, R2)
+                disc = bb - a4 * (c - eps)
+                has = disc > 0
+                sq = np.sqrt(np.maximum(disc, 0.0))
+                R1 = np.where(has, (nb - sq) / a2, 1.0)
+                R2 = np.where(has, (nb + sq) / a2, 0.0)
+                disc = bb - a4 * (c + eps)
+                has = disc > 0
+                sq = np.sqrt(np.maximum(disc, 0.0))
+                m1 = np.where(has, (nb - sq) / a2, R2)
+                m2 = np.where(has, (nb + sq) / a2, R2)
+                del disc, has, sq
                 part = weight_integral(R1, np.minimum(R2, m1))
                 part += weight_integral(np.maximum(R1, m2), R2)
                 slab_tot[i] += part * cell / (2.0 * eps)
@@ -426,7 +435,7 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
                 deriv = np.abs(a2 * root + b)
                 ok = has & (root >= lo) & (root <= hi) & (deriv > 1e-12)
                 if ok.any():
-                    wv = _bump_1d(s2[ok], root[ok], c1, rho)
+                    wv = _bump_1d(s2[ok], root[ok] - c1, rho)
                     co_tot += float((wv / deriv[ok]).sum()) * cell
         else:
             bz = np.abs(b) > 1e-12
@@ -443,7 +452,7 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
                 slab_tot[i] += weight_integral(l2, r2_) * cell / (2.0 * eps)
             root = np.where(bz, -c / bsafe, lo - 1.0)
             ok = bz & (root >= lo) & (root <= hi)
-            wv = np.where(ok, _bump_1d(s2, root, c1, rho), 0.0)
+            wv = np.where(ok, _bump_1d(s2, root - c1, rho), 0.0)
             co_tot += float((wv / np.abs(bsafe)).sum()) * cell
     return slab_tot, co_tot, count
 
@@ -473,8 +482,10 @@ def tau_infinity(Q2, W: WeightFunction,
     2^(n-1).  Before each pass the guard is charged _tau_charge, an
     upper bound on the pass's work: 8 for each of the at most
     ball_bound(G, n - 1) rows it can build, and 2 for each shorter prefix
-    it can build on the way.  A singular Q2, or a support ball holding the
-    origin (the only critical point of a non-singular Q2), is refused.
+    it can build on the way.  A pass holds one block of at most
+    quadforms._BALL_ROWS cells at a time (_tau_pass).  A singular Q2, or a
+    support ball holding the origin (the only critical point of a
+    non-singular Q2), is refused.
     """
     if W.n != Q2.n:
         raise ValueError("weight dimension mismatch")
@@ -508,11 +519,6 @@ def tau_infinity(Q2, W: WeightFunction,
         prev = (slab, coarea)
         G = _next_grid(G)
     return TauInfinity(slab, coarea, tuple(slabs), eps_list, G, rows, charged)
-
-
-def sigma_infinity(Q2, W: WeightFunction, guard: int = DEFAULT_GUARD) -> float:
-    """pi times the extrapolated slab estimate of tau_infinity."""
-    return math.pi * tau_infinity(Q2, W, guard=guard).slab
 
 
 # --------------------------------------------------------------------------

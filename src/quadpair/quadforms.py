@@ -346,51 +346,86 @@ def _ball_extend(sq, cols, part, budget):
     return [c[rep] for c in cols] + [new], part[rep] + sq[new]
 
 
+#: most rows a ball_blocks block holds
+_BALL_ROWS = 8192
+
+
+def _ball_lead(G: int, k: int) -> int:
+    """The head columns ball_blocks fixes on k columns: the fewest that
+    leave a tail of ball_bound(G, k - lead) <= _BALL_ROWS rows."""
+    lead = 0
+    while ball_bound(G, k - lead) > _BALL_ROWS:
+        lead += 1
+    return lead
+
+
 def ball_blocks(r: float, G: int, k: int):
     """The midpoints of the G^k cells tiling [-r, r]^k that can lie in the
-    open ball |y| < r, in the blocks and row order of grid_blocks over the
-    G midpoints of [-r, r] (blocks left empty are skipped).
+    open ball |y| < r, in lexicographic order over the G midpoints of
+    [-r, r], in blocks of at most _BALL_ROWS rows.
 
-    Rows are built column by column in the order grid_blocks varies them,
-    slowest first: the head columns, then each head's tail columns.  A
-    prefix is extended only by the values that keep its sum of squares
-    within r^2 (1 + _BALL_SLACK), so this yields a superset of the ball's
-    midpoints and the caller keeps its own exact test.  The prefixes of j
-    columns built number at most ball_bound(G, j).
+    The first _ball_lead(G, k) columns are the head.  A block holds every
+    tail of a run of consecutive heads, as grid_block_axes with lex and a
+    row budget runs a slice of its last head column, but the budget is
+    counted in ball rows and a run may go on into the next values of the
+    earlier head columns.  Each head's tail lies in the ball of radius
+    sqrt(r^2 (1 + _BALL_SLACK) - |head|^2), so its rows number at most the
+    ball_bound of that radius, and a run takes heads in order while the
+    sum of those bounds stays within _BALL_ROWS.
+
+    Rows are built column by column, column 0 first: the heads once, then
+    each block's tail columns when the block is handed on, so one block
+    exists at a time.  A prefix is extended only by the values that keep
+    its sum of squares within r^2 (1 + _BALL_SLACK), so this yields a
+    superset of the ball's midpoints and the caller keeps its own exact
+    test.  The prefixes of j columns built number at most ball_bound(G, j).
     """
     h = 2.0 * r / G
     axis = -r + h * (np.arange(G) + 0.5)
     sq = axis * axis
     budget = r * r * (1.0 + _BALL_SLACK)
-    lead = _head_columns([G] * k)
+    lead = _ball_lead(G, k)
     heads, head_sq = [], np.zeros(1)
     for _ in range(lead):
         heads, head_sq = _ball_extend(sq, heads, head_sq, budget)
-    for at, used in enumerate(head_sq):
-        tail, part = [], np.array([used])
+    # ball_bound's radius, in cells, shrunk to the room each head leaves
+    shrink = np.sqrt(np.maximum(budget - head_sq, 0.0) / budget)
+    tails = _cells_in_ball(G / 2 * (1.0 + _BALL_SLACK) * shrink, G, k - lead).tolist()
+    starts, rows = [], 0
+    for at, tail in enumerate(tails):
+        if not starts or rows + tail > _BALL_ROWS:
+            starts.append(at)
+            rows = 0
+        rows += tail
+    for lo, hi in zip(starts, starts[1:] + [len(tails)]):
+        cols, part = [col[lo:hi] for col in heads], head_sq[lo:hi]
         for _ in range(k - lead):
-            tail, part = _ball_extend(sq, tail, part, budget)
+            cols, part = _ball_extend(sq, cols, part, budget)
         if len(part):
             block = np.empty((len(part), k), dtype=axis.dtype)
-            # columns were built slowest first: the last built is column 0
-            for j, col in enumerate(heads[::-1]):
-                block[:, j] = axis[col[at]]
-            for j, col in enumerate(tail[::-1]):
-                block[:, lead + j] = axis[col]
-            del tail, part  # not held while the caller works on the block
-            yield block
+            for j, col in enumerate(cols):
+                block[:, j] = axis[col]
+            del cols, part
+            # handed on with no reference kept while the caller works on it
+            handed = [block]
+            del block
+            yield handed.pop()
+
+
+def _cells_in_ball(radius, G: int, j: int):
+    """An upper bound on the cells of the G^j grid of unit cells whose
+    midpoints lie within radius (a number or an array) of its centre: the
+    cells are disjoint and lie in the ball of radius radius + sqrt(j) / 2,
+    so they number at most its volume, and at most G^j."""
+    unit_ball = math.pi ** (j / 2) / math.gamma(j / 2 + 1)
+    return np.minimum(G**j, np.ceil(unit_ball * (radius + math.sqrt(j) / 2) ** j))
 
 
 def ball_bound(G: int, j: int) -> int:
-    """An upper bound on the j-column prefixes ball_blocks(r, G, .) builds.
-
-    The cells of side h = 2r/G about the kept midpoints are disjoint and lie
-    in the ball of radius r (1 + _BALL_SLACK) + h sqrt(j) / 2, so they
-    number at most its volume over h^j, and at most G^j.
-    """
-    unit_ball = math.pi ** (j / 2) / math.gamma(j / 2 + 1)
-    radius = G / 2 * (1.0 + _BALL_SLACK) + math.sqrt(j) / 2
-    return min(G**j, math.ceil(unit_ball * radius**j))
+    """An upper bound on the j-column prefixes ball_blocks(r, G, .) builds:
+    their midpoints lie within r (1 + _BALL_SLACK) of the centre, which is
+    G (1 + _BALL_SLACK) / 2 cells of side h = 2r/G (_cells_in_ball)."""
+    return int(_cells_in_ball(G / 2 * (1.0 + _BALL_SLACK), G, j))
 
 
 # --------------------------------------------------------------------------
@@ -588,8 +623,9 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     t = -C / L; L = 0 != C leaves none; L = C = 0 leaves all p values of t,
     tried in chunks of at most _BLOCK_ROWS.  Where L t + C = 0, Q1 = 0
     forces Q2 = 0 when c1 != 0 and holds already when c1 = 0, so only Q1
-    (c1 != 0) or Q2 (c1 = 0) is checked.  Rows are built for the zeros alone,
-    then sorted into the sweep's order.
+    (c1 != 0) or Q2 (c1 = 0) is checked.  Each zero is kept as one int64,
+    its index in the sweep (below p^n); the indices are sorted, and the
+    rows are read off them once.
 
     The guard is charged p^n, the most the L = C = 0 prefixes can cost.
     """
@@ -607,7 +643,11 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     cT2 = mats[0][-1, -1] * (T * T % p) % p
     inv = _inverse_mod_p(T, p)
     step = max(1, _BLOCK_ROWS // p)  # free prefixes per p x step chunk
-    found = []
+    # residue_blocks lists column 0 fastest, the head columns outermost:
+    # a zero's index in that sweep is the sum of x_c p^((c - lead) mod n)
+    lead = _head_columns([p] * n)
+    weight = [p ** ((c - lead) % n) for c in range(n)]
+    keys = []
     for axes in grid_block_axes(T, n - 1, lex=True):
         (A, B), (C, L) = (_prefix_values(Q, s, axes, p) for Q, s in prefix)
         solo = np.flatnonzero(L)
@@ -621,12 +661,16 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
             at.append(f[i])
             ts.append(v)
         idx = np.unravel_index(np.concatenate(at), [len(a) for a in axes])
-        found.append(np.column_stack([a[i] for a, i in zip(axes, idx)]
-                                     + [np.concatenate(ts)]))
-    Z = np.concatenate(found, axis=0)
-    # residue_blocks lists column 0 fastest, the head columns outermost
-    lead = _head_columns([p] * n)
-    return Z[np.lexsort(np.roll(Z, -lead, axis=1).T)]
+        key = np.concatenate(ts) * weight[-1]
+        for a, i, w in zip(axes, idx, weight):
+            key += a[i] * w
+        keys.append(key)
+    keys = np.concatenate(keys)
+    keys.sort()
+    Z = np.empty((len(keys), n), dtype=np.int64)
+    for c, w in enumerate(weight):
+        Z[:, c] = keys // w % p
+    return Z
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from quadpair.densities import (
     ExperimentResult,
     certified_good,
     sigma_2,
-    sigma_infinity,
     sigma_p,
     sigma_p_truncated,
     singular_constant,
@@ -30,7 +30,6 @@ from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
-    grid_blocks,
     load_pair,
     residue_blocks,
     residue_grid,
@@ -181,13 +180,13 @@ def test_tau_infinity_toy_oracle():
     oracle = float((vals * wts).sum() * 0.3)
     assert tau.coarea == pytest.approx(oracle, rel=1e-2)
     assert tau.spread <= 0.05
-    assert sigma_infinity(toy.Q2, W) == pytest.approx(math.pi * tau.slab)
 
 
 def test_tau_infinity_epsilon_ladder_converged():
     ship = shipped_pair()
     W = WeightFunction.default_for_pair(ship)
     tau = tau_infinity(ship.Q2, W)
+    assert singular_constant(ship, W, p_max=3, k_max=2).sigma_inf == math.pi * tau.slab
     ladder = tau.slab_ladder
     assert len(ladder) >= 2
     # halving the slab width at the finest rung moves the estimate < 2%
@@ -225,10 +224,12 @@ def box_bump(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarra
 
 
 def box_pass(Q2, W, eps_list, G):
-    """densities._tau_pass on the whole transverse box: every midpoint is
-    built, b and c are taken on whole grid_blocks blocks, and the rows
-    outside the support ball are dropped after; the number of rows kept
-    is returned with the slab values and the coarea estimate."""
+    """densities._tau_pass on the transverse box, over the blocks of
+    ball_blocks: for each block every box midpoint is built whose head
+    lies between the block's first and last heads, with every tail, b and
+    c are taken on all of them, and the rows outside the support ball are
+    dropped after; the number of rows kept is returned with the slab
+    values and the coarea estimate."""
     n = Q2.n
     x0 = np.array(W.x0, dtype=float)
     M2 = np.array(Q2.M, dtype=float)
@@ -245,11 +246,20 @@ def box_pass(Q2, W, eps_list, G):
     slab_tot = [0.0 for _ in eps_list]
     co_tot = 0.0
     count = 0
-    for yk in grid_blocks(-rho + h * (np.arange(G) + 0.5), len(rest)):
+    k = len(rest)
+    pts = -rho + h * (np.arange(G) + 0.5)
+    lead = quadforms._ball_lead(G, k)
+    heads = quadforms._tuples([pts] * lead, lex=True)
+    rank = {tuple(head): i for i, head in enumerate(heads.tolist())}
+    tails = quadforms._tuples([pts] * (k - lead), lex=True)
+    for ball in quadforms.ball_blocks(rho, G, k):
+        first, last = (rank[tuple(row)] for row in ball[[0, -1], :lead].tolist())
+        run = heads[first:last + 1]
+        yk = np.hstack([np.repeat(run, len(tails), axis=0), np.tile(tails, (len(run), 1))])
         yk += x0[rest]
         # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
         b = 2.0 * yk @ M2[axis, rest]
-        c = np.einsum("ij,jk,ik->i", yk, M2[np.ix_(rest, rest)], yk)
+        c = np.einsum("ij,ij->i", yk @ M2[np.ix_(rest, rest)], yk)
         s2 = ((yk - x0[rest]) ** 2).sum(axis=1)
         inside = s2 < rho**2
         if not inside.any():
@@ -424,6 +434,21 @@ def test_tau_charge_bounds_the_rows_built(monkeypatch, name):
         assert 0 < rows <= handed <= quadforms.ball_bound(G, k)
         assert (8 * handed + (seen["built"] - handed) + seen["bisected"]
                 <= densities._tau_charge(G, k))
+
+
+def test_tau_pass_memory_is_one_block():
+    # shipped at G = 18 integrates 33,392 rows; a block of at most
+    # _BALL_ROWS of them, and its temporaries, are alive at a time
+    Q2, W, eps_list = _tau_case("shipped")
+    densities._tau_pass(Q2, W, eps_list, 12)
+    tracemalloc.start()
+    try:
+        rows = densities._tau_pass(Q2, W, eps_list, 18)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows > 2 * quadforms._BALL_ROWS
+    assert peak < 3_000_000
 
 
 def test_tau_charge_admits_demo_n7():

@@ -169,16 +169,39 @@ def test_residue_zeros_mod_p_in_chunked_sweep_order(monkeypatch, budget):
         assert np.array_equal(residue_zeros_mod_p(pair, p), np.concatenate(blocks))
 
 
+def _free_line_pair(p):
+    """An n = 4 pair with Q2 = 2 Q1 mod p, which leaves all p values of the
+    last coordinate free at every prefix."""
+    M1 = [[1, 1, 0, 2], [1, -2, 1, 0], [0, 1, 3, 1], [2, 0, 1, -1]]
+    M2 = [[2 * v + (p if i == j else 0) for j, v in enumerate(row)]
+          for i, row in enumerate(M1)]
+    return QuadricPair.build(QuadraticForm.from_matrix(M1),
+                             QuadraticForm.from_matrix(M2))
+
+
+@pytest.mark.parametrize("budget", [None, 40, 2**15])
+def test_residue_zeros_mod_p_sorts_as_the_lexsort(monkeypatch, budget):
+    # the zeros in any order, sorted by the sweep's columns, slowest last:
+    # the head columns, then the tail, each column 0 fastest
+    if budget is not None:
+        monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    rng = np.random.default_rng(5)
+    for pair, p in ((toy_pair_3(), 5), (shipped_pair(), 7), (toy_pair_3(), 31),
+                    (_random_coupled_pair(random.Random(7), 4), 7),
+                    (_free_line_pair(31), 31)):
+        Z = residue_zeros_mod_p(pair, p)
+        lead = quadforms._head_columns([p] * pair.n)
+        shuffled = Z[rng.permutation(len(Z))]
+        want = shuffled[np.lexsort(np.roll(shuffled, -lead, axis=1).T)]
+        assert Z.dtype == np.int64 and np.array_equal(Z, want), (pair, p)
+
+
 def test_free_prefixes_stay_within_the_block_budget(monkeypatch):
     # Q2 = 2 Q1 mod 31 leaves all p values of t at every prefix; they are
     # tried in chunks, so past the output's copies the peak is a small
     # multiple of the block budget (all p^n pairs at once would pass it)
     p, budget = 31, 2**15
-    M1 = [[1, 1, 0, 2], [1, -2, 1, 0], [0, 1, 3, 1], [2, 0, 1, -1]]
-    M2 = [[2 * v + (p if i == j else 0) for j, v in enumerate(row)]
-          for i, row in enumerate(M1)]
-    pair = QuadricPair.build(QuadraticForm.from_matrix(M1),
-                             QuadraticForm.from_matrix(M2))
+    pair = _free_line_pair(p)
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
     want = np.concatenate([_full_sweep(pair, p, b) for b in residue_blocks(p, pair.n)])
     tracemalloc.start()

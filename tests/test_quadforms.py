@@ -232,34 +232,62 @@ def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
     assert all(np.array_equal(a, b) for a, b in zip(same, old)) and len(same) == len(old)
 
 
+def _grid_blocks_of(axis, k, lead, blocks):
+    """For each ball_blocks block, the grid rows it is cut from, in
+    lexicographic order: every grid head from its first row's head to its
+    last row's, each with every tail."""
+    heads = quadforms._tuples([axis] * lead, lex=True)
+    rank = {tuple(h): i for i, h in enumerate(heads.tolist())}
+    tails = quadforms._tuples([axis] * (k - lead), lex=True)
+    for block in blocks:
+        first, last = (rank[tuple(row)] for row in block[[0, -1], :lead].tolist())
+        run = heads[first:last + 1]
+        yield np.hstack([np.repeat(run, len(tails), axis=0), np.tile(tails, (len(run), 1))])
+
+
+BALL_CASES = ((1.0, 12, 3), (0.7, 8, 4), (2.5, 6, 1), (1.3, 10, 2), (1.0, 4, 0),
+              (2.5, 30, 1), (1.0, 9, 5))
+
+
 @pytest.mark.parametrize("budget", [1, 10, 100, 10**6])
 def test_ball_blocks_are_grid_blocks_cut_to_the_ball(monkeypatch, budget):
-    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
-    for r, G, k in ((1.0, 12, 3), (0.7, 8, 4), (2.5, 6, 1), (1.3, 10, 2), (1.0, 4, 0)):
+    monkeypatch.setattr(quadforms, "_BALL_ROWS", budget)
+    for r, G, k in BALL_CASES:
         axis = -r + 2.0 * r / G * (np.arange(G) + 0.5)
-        lead = quadforms._head_columns([G] * k)
-        grid = {tuple(b[0, :lead]): b for b in grid_blocks(axis, k)}
-        heads = []
-        for block in ball_blocks(r, G, k):
-            head = tuple(block[0, :lead])
-            heads.append(head)
+        lead = quadforms._ball_lead(G, k)
+        grid = quadforms._tuples([axis] * k, lex=True)
+        blocks = list(ball_blocks(r, G, k))
+        for block, whole in zip(blocks, _grid_blocks_of(axis, k, lead, blocks)):
             # a block is its grid block's rows, in order, that can lie in
             # the ball: every one inside it, none past the slack
-            whole = grid[head]
             pos = {tuple(row): i for i, row in enumerate(whole)}
             at = [pos[tuple(row)] for row in block]
             assert at == sorted(set(at))
-            assert np.all(block[:, :lead] == block[0, :lead])
             norm = (block**2).sum(axis=1)
             assert norm.max() <= r * r * (1 + 2 * quadforms._BALL_SLACK)
             inside = set(np.flatnonzero((whole**2).sum(axis=1) < r * r))
             assert inside <= set(at)
-            assert len(block) <= quadforms.ball_bound(G, k)
-        # blocks come in grid order, and only the empty ones are left out
-        order = list(grid)
-        assert heads == sorted(heads, key=order.index)
-        missing = [h for h in order if h not in heads]
-        assert all(((grid[h]**2).sum(axis=1) >= r * r).all() for h in missing)
+            assert len(block) <= min(budget, quadforms.ball_bound(G, k))
+        # the blocks in turn are the grid in lexicographic order, and only
+        # rows outside the ball are left out
+        rows = np.concatenate(blocks)
+        pos = {tuple(row): i for i, row in enumerate(grid)}
+        at = [pos[tuple(row)] for row in rows]
+        assert at == sorted(set(at))
+        assert set(np.flatnonzero((grid**2).sum(axis=1) < r * r)) <= set(at)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 40, 300])
+def test_ball_blocks_hold_at_most_the_budget(monkeypatch, budget):
+    # k = 1 and 2, and axes of 12 and 30 points, longer than the small
+    # budgets; the rows in turn do not depend on the budget
+    unsplit = {case: np.concatenate(list(ball_blocks(*case))) for case in BALL_CASES}
+    monkeypatch.setattr(quadforms, "_BALL_ROWS", budget)
+    for case in BALL_CASES:
+        blocks = list(ball_blocks(*case))
+        assert all(0 < len(block) <= budget for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), unsplit[case])
+        assert len(blocks) >= len(unsplit[case]) / budget
 
 
 def test_ball_bound():
