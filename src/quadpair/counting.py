@@ -7,8 +7,9 @@ The headline quantity is
 
 where r2 counts representations as a sum of two squares and W is a smooth
 bump supported on a ball on which Q1 is positive.  Everything here is an
-exact integer enumeration followed by a float weight accumulation in a
-fixed order.  S(B) joins only the zeros in the weight's support ball:
+exact integer enumeration followed by one exactly rounded sum of the
+float terms, so neither the split of the stream nor its order moves a
+bit.  S(B) joins only the zeros in the weight's support ball:
 each half-row and each match of the join whose sum of (x_i / B - x0_i)^2
 reaches rho^2 (up to a relative slack) is dropped, inside the integer box
 around B times the ball (WeightFunction.support_box).
@@ -25,21 +26,25 @@ left row x_L meets the run of key -key(x_L).  That run is looked up in
 one table over the span of the right keys, built with the right half
 when the span is no longer than the left half's rows and the right rows
 together (else searched for), and every left block reads the same table.
-The left half comes in the blocks of grid_block_axes.  N_d reads blocks
-of at most _STREAM_ROWS rows and sums the run lengths of each key's
-index, building no row (past the keys and their indices, no array as long
-as the block); listing keeps the grid_blocks split and builds rows only
-for the matches, from their indices into the left block's axes and the
-right rows, block by block, which keeps the stream in order.  A coupled
-Q2 is scanned over the grid_block_axes blocks of at most _STREAM_ROWS rows
-of its first n - 1 coordinates, with the last coordinate solved for:
-Q2 = a x_n^2 + b(x') x_n + c(x'), c read off the block's axes (eval_grid
-of the leading form, built once) and b a broadcast sum, whose integer
-roots come from an exact integer square root of b^2 - 4ac; rows are built
-for the roots only, and each block is sorted.  So a block of N_d or of
-the scan stays that small at any box size, unless its last axis alone is
-longer.  enumerate_zeros stacks the stream; S(B) and N_d of a pair that
-couples the halves read it block by block.
+The left half comes in blocks of at most _STREAM_ROWS rows, those of
+grid_block_axes, or for S(B) those of _ball_blocks (cut to the ball
+first, then split to fill the budget); a form's int64 check runs once
+per stream, on the whole axes, and each block runs the eval_grid kernel
+alone.  N_d sums the run lengths of each key, read off a table of counts,
+building no row (past the keys and their slots, no array as long as the
+block); listing builds rows only for the matches, from their indices
+into the left block's axes and the right rows, block by block, which
+keeps the stream in order.  A coupled Q2 is scanned over the
+grid_block_axes blocks of at most _STREAM_ROWS rows of its first n - 1
+coordinates, with the last coordinate solved for: Q2 = a x_n^2 +
+b(x') x_n + c(x'), b = 2 m.x', and the discriminant b^2 - 4ac, itself a
+quadratic form in x' (_grid_form, built once), is read off the block's
+axes; b is taken only where that is a square, the integer roots come
+from an exact integer square root, rows are built for the roots only,
+and each block is sorted.  So a block of the join or of the scan stays
+that small at any box size, unless its last axis alone is longer.
+enumerate_zeros stacks the stream; S(B) and N_d of a pair that couples
+the halves read it block by block.
 
 The default weight (WeightFunction.default_for_pair) is found by array
 passes over a fixed grid of unit directions.  Its candidates are the grid
@@ -60,14 +65,21 @@ direction, computed once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .guard import DEFAULT_GUARD, check_guard
-from .quadforms import _BALL_SLACK, QuadraticForm, QuadricPair, _tuples, grid_block_axes
+from .quadforms import (
+    _BALL_SLACK,
+    QuadraticForm,
+    QuadricPair,
+    _check_int64,
+    _term_sums,
+    _tuples,
+    grid_block_axes,
+)
 
 __all__ = [
     "BoxSpec",
@@ -98,10 +110,15 @@ class BoxSpec:
         return tuple(self.lo), tuple(self.hi)
 
 
-#: most rows of a block of N_d's left half and of the coupled scan's
-#: first n - 1 coordinates (256 KB per int64 column); the listing join
-#: keeps the grid_blocks split, whose blocks are far more costly per row
-_STREAM_ROWS = 1 << 15
+#: most rows of a left block of the join (N_d, listing, S(B)) and of a
+#: block of the coupled scan's first n - 1 coordinates: 128 KB per int64
+#: column, within glibc's default 128 KiB mmap threshold.  A larger array
+#: is a fresh mapping whose pages fault in on first touch unless earlier
+#: large frees have raised that threshold: in a fresh process, the lattice
+#: benchmark's S ladder, N_d x 4 and scan took 946, 4,211 and 1,547 minor
+#: page faults with blocks of 2^15 rows, and 252, 0 and 39 with 2^14, the
+#: budget the only change (2-core VM).
+_STREAM_ROWS = 1 << 14
 
 
 def _axes(lo, hi) -> list[np.ndarray]:
@@ -117,26 +134,39 @@ def _check_solve_fits(M, bound: int) -> None:
         raise ValueError("points too large for int64 path")
 
 
-def _solve_last(M, head, axes, lo: int, hi: int) -> np.ndarray:
+def _grid_form(M) -> QuadraticForm:
+    """The (n - 1)-form _solve_last reads off the axes of x' for the form M
+    = a x_n^2 + b(x') x_n + c(x'), b = 2 m.x' with m_i = M_in: c itself
+    when a = 0, else the discriminant b^2 - 4ac = x'^T 4 (m m^T - a M') x',
+    M' the leading block of M."""
+    a, m = M[-1][-1], [row[-1] for row in M[:-1]]
+    if a == 0:
+        return QuadraticForm.from_matrix([row[:-1] for row in M[:-1]])
+    return QuadraticForm.from_matrix([[4 * (mi * mj - a * v) for mj, v in zip(m, row)]
+                                      for mi, row in zip(m, M)])
+
+
+def _solve_last(M, form, axes, lo: int, hi: int) -> np.ndarray:
     """Every zero (x', x_n) of the form M with x' in the lexicographic
     product of the axes and lo <= x_n <= hi, from Q = a x_n^2 + b(x') x_n
-    + c(x'): c is read off the axes (eval_grid of head, the leading
-    (n - 1)-form of M, None at n = 1), b is a broadcast sum, and rows are
-    built only for the integer roots."""
+    + c(x'), b = 2 m.x'.  form is _grid_form(M) (None at n = 1), read off
+    the axes by the eval_grid kernel, the caller having checked it on axes
+    these are slices of.  When a != 0 that is the discriminant, and b is
+    evaluated only at the x' where the discriminant is a square; when
+    a = 0 it is c, and b a broadcast sum.  Rows are built only for the
+    integer roots."""
     n = len(M)
     a = M[-1][-1]
     dims = [len(ax) for ax in axes]
-    if n > 1:
-        c = head.eval_grid(axes)
+    values = form._grid(axes) if n > 1 else np.zeros(1, dtype=np.int64)
+    if a == 0:
+        # b x_n + c = 0: one root where b != 0, the whole axis where b = c = 0
+        c = values
         b = np.zeros(len(c), dtype=np.int64)
         grid = b.reshape(dims)
         for j, ax in enumerate(axes):
             if M[j][-1]:
                 grid += 2 * M[j][-1] * ax.reshape([1] * j + [-1] + [1] * (n - 2 - j))
-    else:
-        b = c = np.zeros(1, dtype=np.int64)
-    if a == 0:
-        # b x_n + c = 0: one root where b != 0, the whole axis where b = c = 0
         idx = np.flatnonzero(b != 0)
         idx = idx[c[idx] % b[idx] == 0]
         rows, roots = [idx], [-c[idx] // b[idx]]
@@ -144,21 +174,26 @@ def _solve_last(M, head, axes, lo: int, hi: int) -> np.ndarray:
         rows.append(np.repeat(flat, hi - lo + 1))
         roots.append(np.tile(np.arange(lo, hi + 1, dtype=np.int64), len(flat)))
     else:
-        disc = b * b - 4 * a * c
-        idx = np.flatnonzero(disc >= 0)
-        d = disc[idx]
+        idx = np.flatnonzero(values >= 0)
+        d = values[idx]
+        del values
         # integer square root: a float estimate, corrected by one either
         # way (IEEE sqrt already gives the root of a perfect square exactly)
-        s = np.floor(np.sqrt(d.astype(float))).astype(np.int64)
+        s = d.astype(float)
+        s = np.floor(np.sqrt(s, out=s), out=s).astype(np.int64)
         s -= s * s > d
         s += (s + 1) * (s + 1) <= d
         keep = s * s == d
         idx, s = idx[keep], s[keep]
+        b = np.zeros(len(idx), dtype=np.int64)
+        for j, at in enumerate(np.unravel_index(idx, dims) if n > 1 else ()):
+            if M[j][-1]:
+                b += 2 * M[j][-1] * axes[j][at]
         rows, roots = [], []
         for sign in (-1, 1):
             if sign == 1:  # a double root is listed once
-                idx, s = idx[s > 0], s[s > 0]
-            num = -b[idx] + sign * s
+                idx, s, b = idx[s > 0], s[s > 0], b[s > 0]
+            num = sign * s - b
             ok = num % (2 * a) == 0
             rows.append(idx[ok])
             roots.append(num[ok] // (2 * a))
@@ -176,32 +211,40 @@ def _scan(Q2: QuadraticForm, lo, hi, guard: int):
     """Zeros of Q2 in the box by the solved scan, one lexicographically
     sorted block per grid_block_axes block of the first n - 1 coordinates
     (at most _STREAM_ROWS of them unless the last is longer), read off
-    that block's axes; the last coordinate is solved for, the leading
-    (n - 1)-form built once.  The guard is charged the rows over the first
-    n - 1 coordinates, then the zeros found so far."""
+    that block's axes; the last coordinate is solved for, _grid_form built
+    and checked for int64 on the whole axes once.  The guard is charged
+    the rows over the first n - 1 coordinates, then the zeros found so
+    far."""
     check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)), guard)
     _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
-    head = Q2.restrict(range(Q2.n - 1)) if Q2.n > 1 else None
+    axes = _axes(lo[:-1], hi[:-1])
+    form = _grid_form(Q2.M) if Q2.n > 1 else None
+    if form is not None:
+        _check_int64(form.terms(), axes, "points")
     total = 0
-    for block in grid_block_axes(_axes(lo[:-1], hi[:-1]), lex=True, rows=_STREAM_ROWS):
-        rows = _solve_last(Q2.M, head, block, lo[-1], hi[-1])
+    for block in grid_block_axes(axes, lex=True, rows=_STREAM_ROWS):
+        rows = _solve_last(Q2.M, form, block, lo[-1], hi[-1])
         total += len(rows)
         check_guard("enumerate_zeros", total, guard)
         yield rows[np.lexsort(rows.T[::-1])]
 
 
-def _half_keys(Q2: QuadraticForm, Q1, side, d: int, sign: int):
-    """The keys of one half of the join as a function of axes: sign Q2(x) d
-    + (sign Q1(x) mod d) over the lexicographic product of the axes, both
-    forms restricted to the coordinates in side once, here (Q1 is not read
-    when d = 1)."""
-    q2 = Q2.restrict(side, sign)
-    q1 = Q1.restrict(side, sign) if d > 1 else None
+def _half_keys(Q2: QuadraticForm, Q1, side, d: int, sign: int, axes):
+    """The keys of one half of the join as a function of a block's axes:
+    sign Q2(x) d + (sign Q1(x) mod d) over their lexicographic product.
+    Both forms are restricted to the coordinates in side, and checked for
+    int64 on axes, the half's whole axes (every block's axes are slices of
+    them), once, here, so each block runs the eval_grid kernel alone (Q1 is
+    not read when d = 1)."""
+    forms = [F.restrict(side, sign) for F in ((Q2, Q1) if d > 1 else (Q2,))]
+    for q in forms:
+        _check_int64(q.terms(), axes, "points")
+    q2, q1 = forms[0], forms[1] if d > 1 else None
 
     def keys(axes) -> np.ndarray:
-        key = q2.eval_grid(axes)
+        key = q2._grid(axes)
         if q1 is not None:
-            r = q1.eval_grid(axes)
+            r = q1._grid(axes)
             # key d + r - (r // d) d, in place: numpy divides an integer array
             # by a scalar far faster than it takes the remainder
             key *= d
@@ -214,16 +257,19 @@ def _half_keys(Q2: QuadraticForm, Q1, side, d: int, sign: int):
     return keys
 
 
-def _slot_table(keys: np.ndarray, most: int):
-    """(lo, table) for the sorted distinct keys: table[k - lo] = 1 + the
-    index of key k, 0 elsewhere, over their span and one empty slot either
-    side; None when the span holds more than most slots (as for the sparse
-    keys of huge boxes) or its ends would leave int64."""
+def _slot_table(keys: np.ndarray, values: np.ndarray, most: int):
+    """(lo, table) for the sorted distinct keys and one positive value per
+    key: table[k - lo] = the value of key k, 0 elsewhere, over their span
+    and one empty slot either side, in the narrowest unsigned type that
+    holds the values (the span is often far longer than the keys: N_d's
+    keys Q2 d + r spread over d times the span of Q2); None when the span
+    holds more than most slots (as for the sparse keys of huge boxes) or
+    its ends would leave int64."""
     lo, hi = int(keys[0]) - 1, int(keys[-1]) + 1
     if hi - lo - 1 > most or lo < -2**63 or hi >= 2**63:
         return None
-    table = np.zeros(hi - lo + 1, dtype=np.int64)
-    table[keys - lo] = np.arange(1, len(keys) + 1)
+    table = np.zeros(hi - lo + 1, dtype=np.min_scalar_type(int(values.max())))
+    table[keys - lo] = values
     return lo, table
 
 
@@ -235,38 +281,52 @@ class _RightHalf:
     The join's one lookup table (_slot_table) is built here, for every
     left block to read, when the span of the keys is no longer than the
     left half's rows and the right rows together; else every key is
-    searched for."""
+    searched for.  The table holds 1 + each key's index, or, given counts
+    (N_d, which reads pairs alone), each key's run length."""
 
     def __init__(self, order: np.ndarray, keys: np.ndarray, start: np.ndarray,
-                 count: np.ndarray, left_rows: int):
+                 count: np.ndarray, left_rows: int, counts: bool = False):
         self.order, self.keys, self.start, self.count = order, keys, start, count
         # the run length by 1 + key index, 0 for a key no right row has
         self._count = np.concatenate([np.zeros(1, np.int64), count])
-        self._table = _slot_table(keys, left_rows + len(order)) if len(keys) else None
+        self._counts = counts
+        values = count if counts else np.arange(1, len(keys) + 1)
+        self._table = _slot_table(keys, values, left_rows + len(order)) if len(keys) else None
 
     def _search(self, keys: np.ndarray) -> np.ndarray:
         """_index, one searchsorted per key."""
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[at] == keys, at + 1, 0)
 
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The table's slot of each of the keys (the keys outside its span
+        clipped to its empty ends); keys may be overwritten."""
+        lo, table = self._table
+        np.clip(keys, lo, lo + len(table) - 1, out=keys)
+        keys -= lo
+        return np.take(table, keys)
+
     def _index(self, keys: np.ndarray) -> np.ndarray:
         """1 + the index in self.keys of each of the keys, 0 where it is
-        not there, read off the table (the keys outside its span clipped to
-        its empty ends) when there is one, else searched for; keys may be
-        overwritten."""
+        not there, read off the table when there is one (not a table of
+        counts), else searched for; keys may be overwritten."""
         if not len(keys) or not len(self.keys):
             return np.zeros(len(keys), dtype=np.int64)
         if self._table is None:
             return self._search(keys)
-        lo, table = self._table
-        np.clip(keys, lo, lo + len(table) - 1, out=keys)
-        keys -= lo
-        return table[keys]
+        if self._counts:
+            raise ValueError("a table of counts holds no index")
+        return self._lookup(keys)
 
     def pairs(self, keys: np.ndarray) -> int:
         """The pairs of one of the keys and a right row of that key: the
-        run length of each key's index, summed; keys may be overwritten."""
-        return int(self._count[self._index(keys)].sum())
+        run length of each key, summed; keys may be overwritten."""
+        if not len(keys) or not len(self.keys):
+            return 0
+        if self._table is None:
+            return int(np.take(self._count, self._search(keys)).sum())
+        found = self._lookup(keys)
+        return int((found if self._counts else np.take(self._count, found)).sum())
 
     def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hit, count, start): the positions in keys of the keys some right
@@ -275,17 +335,20 @@ class _RightHalf:
         at = self._index(keys)
         hit = np.flatnonzero(at)
         at = at[hit] - 1
-        return hit, self.count[at], self.start[at]
+        return hit, np.take(self.count, at), np.take(self.start, at)
 
 
-def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None) -> _RightHalf:
+def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None,
+                counts: bool = False) -> _RightHalf:
     """The table of the right-half rows x_{h+1..n} over their axes, keyed
     by _half_keys with sign +1; at n = 1 the one empty row, of key 0.
     Given rows, the lexicographic positions of the rows to keep (in
     increasing order), the table holds only those.  left_rows, the rows
-    the left half can bring, sizes the lookup table (see _RightHalf)."""
+    the left half can bring, sizes the lookup table, and counts picks what
+    it holds (see _RightHalf)."""
     n, h = Q2.n, Q2.n - len(axes)
-    keys = _half_keys(Q2, Q1, range(h, n), d, 1)(axes) if h < n else np.zeros(1, np.int64)
+    keys = (_half_keys(Q2, Q1, range(h, n), d, 1, axes)(axes) if h < n
+            else np.zeros(1, np.int64))
     if rows is None:
         order = np.argsort(keys, kind="stable")
     else:
@@ -294,7 +357,8 @@ def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None) 
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     start = np.flatnonzero(new)
-    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)), left_rows)
+    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)), left_rows,
+                      counts)
 
 
 def _grid_sums(parts) -> np.ndarray:
@@ -307,6 +371,67 @@ def _grid_sums(parts) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _ball_cut(axes, parts, budget: float):
+    """(axes, parts) cut to the ball: each axis to the run of values v
+    whose e(v), plus the least e of every other axis, is below budget (a
+    run, as e is convex along an axis), so no row whose sum of e is below
+    budget is cut; None when an axis is left empty."""
+    least = [p.min() for p in parts]
+    total = sum(least)
+    cut_axes, cut_parts = [], []
+    for axis, part, low in zip(axes, parts, least):
+        keep = np.flatnonzero(part < budget - (total - low))
+        if not len(keep):
+            return None
+        run = slice(keep[0], keep[-1] + 1)
+        cut_axes.append(axis[run])
+        cut_parts.append(part[run])
+    return cut_axes, cut_parts
+
+
+def _ball_blocks(axes, parts, budget: float):
+    """The product of the axes cut to the ball, as lexicographic blocks of
+    (axes, parts) of at most _STREAM_ROWS rows unless the last axis alone
+    is longer: the product is cut (_ball_cut), and if it then holds more
+    rows, split along its first axis j of more than one value, each piece
+    cut and split in turn.  When the axes after j hold more than
+    _STREAM_ROWS rows the pieces are single values; else they are runs of
+    values, each as long as the rows that its values leave the axes after
+    j (as the cut would leave them) allow."""
+    cut = _ball_cut(axes, parts, budget)
+    if cut is None:
+        return
+    axes, parts = cut
+    dims = [len(a) for a in axes]
+    j = next((i for i, m in enumerate(dims) if m > 1), len(dims) - 1)
+    if math.prod(dims) <= _STREAM_ROWS or j == len(dims) - 1:
+        yield axes, parts
+        return
+    if math.prod(dims[j + 1:]) > _STREAM_ROWS:
+        tail = np.full(dims[j], _STREAM_ROWS)
+    else:
+        # tail[v]: the rows the axes after j keep when axis j takes its v-th
+        # value, each axis i counting its values below the cut's bound
+        least = [p.min() for p in parts]
+        tail = np.ones(dims[j], dtype=np.int64)
+        for i in range(j + 1, len(dims)):
+            bound = budget - (sum(least) - least[i] - least[j]) - parts[j]
+            tail *= np.searchsorted(np.sort(parts[i]), bound)
+    at = 0
+    while at < dims[j]:
+        end, most = at + 1, tail[at]
+        while end < dims[j] and (end + 1 - at) * max(most, tail[end]) <= _STREAM_ROWS:
+            most = max(most, tail[end])
+            end += 1
+        if end - at == dims[j]:
+            # the whole axis would be this block again: the estimate and
+            # the cut round their bounds apart, and the block is too long
+            end -= 1
+        yield from _ball_blocks(axes[:j] + [axes[j][at:end]] + axes[j + 1:],
+                                parts[:j] + [parts[j][at:end]] + parts[j + 1:], budget)
+        at = end
+
+
 def _join_charge(lo, hi) -> int:
     """The rows of the two halves of the box, what a join reads."""
     h = (len(lo) + 1) // 2
@@ -316,36 +441,37 @@ def _join_charge(lo, hi) -> int:
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     """Zeros of Q2 in the box by the join, one lexicographic block per left
-    block of the grid_blocks split: each left row meets the run of right
-    rows of its key, read off the right half's one lookup table.  Rows are
-    built only to expand the matches, from their indices.
+    block of at most _STREAM_ROWS rows (unless the last left axis is
+    longer): each left row meets the run of right rows of its key, read off
+    the right half's one lookup table.  Rows are built only to expand the
+    matches, from their indices.
 
     ball = (parts, budget), parts[i] a float e_i(v) >= 0 for each value v
     of axis i, keeps only the zeros with sum_i e_i(x_i) < budget (and may
-    keep some just above it): a half-row whose own sum reaches budget is
-    dropped before its key is looked up, and a match whose two half sums
-    do before its row is built.  The guard is charged the matches
-    expanded, at most the zeros of the box."""
+    keep some just above it): the left blocks are those of _ball_blocks,
+    a half-row whose own sum reaches budget is dropped before its key is
+    looked up, and a match whose two half sums do before its row is built.
+    The guard is charged the matches expanded, at most the zeros of the
+    box."""
     h = (Q2.n + 1) // 2
     check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
     axes = _axes(lo, hi)
-    blocks = grid_block_axes(axes[:h], lex=True)
-    left_keys = _half_keys(Q2, None, range(h), 1, -1)
+    left_keys = _half_keys(Q2, None, range(h), 1, -1, axes[:h])
     left_rows = math.prod(len(a) for a in axes[:h])
     if ball is None:
         right = _right_half(Q2, None, axes[h:], 1, left_rows)
-        part_blocks = itertools.repeat(None)
+        blocks = ((block, None) for block in
+                  grid_block_axes(axes[:h], lex=True, rows=_STREAM_ROWS))
     else:
         parts, budget = ball
         right_sum = _grid_sums(parts[h:])
         right = _right_half(Q2, None, axes[h:], 1, left_rows,
                             np.flatnonzero(right_sum < budget))
         right_sum = right_sum[right.order]
-        # axes of the same lengths, so blocks of the same split
-        part_blocks = grid_block_axes(parts[:h], lex=True)
+        blocks = _ball_blocks(axes[:h], parts[:h], budget)
     right_rows = _tuples(axes[h:], lex=True)[right.order]
     total = 0
-    for block, block_parts in zip(blocks, part_blocks):
+    for block, block_parts in blocks:
         keys = left_keys(block)
         if ball is None:
             hit, counts, first = right.runs(keys)
@@ -424,8 +550,9 @@ def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
     keys' forms and the lookup table are built once."""
     h = (pair.n + 1) // 2
     axes = _axes(lo, hi)
-    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, math.prod(len(a) for a in axes[:h]))
-    left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1)
+    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, math.prod(len(a) for a in axes[:h]),
+                        counts=True)
+    left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, axes[:h])
     return sum(right.pairs(left_keys(block))
                for block in grid_block_axes(axes[:h], lex=True, rows=_STREAM_ROWS))
 
@@ -624,18 +751,72 @@ class WeightFunction:
 
 
 def _r2_table(top: int, guard: int) -> np.ndarray:
-    """r2(M) for 0 <= M <= top as floats: one bincount of u^2 + v^2 over
-    the quarter disc u, v >= 0, each pair weighted by its (+-u, +-v) fold
-    (entry 0 is 1, the origin).  The guard is charged the
-    (isqrt(top) + 1)^2 pairs of the square holding the disc."""
+    """r2(M) for 0 <= M <= top as floats: u^2 + v^2 over the quarter disc
+    u, v >= 0, each pair weighted by its (+-u, +-v) fold (entry 0 is 1, the
+    origin), scattered into the table (np.add.at) a run of rows u at a
+    time, each run at most _STREAM_ROWS pairs of the square holding the
+    disc unless one row is longer.  The guard is charged the
+    (isqrt(top) + 1)^2 pairs of that square before the table is made."""
     s = math.isqrt(top)
     check_guard("S_of_B r2 table", (s + 1) ** 2, guard)
-    u = np.arange(s + 1, dtype=np.int64)
-    fold = np.where(u == 0, 1.0, 2.0)
-    norms = (u[:, None] ** 2 + u[None, :] ** 2).ravel()
-    weights = (fold[:, None] * fold[None, :]).ravel()
-    inside = norms <= top
-    return np.bincount(norms[inside], weights=weights[inside], minlength=top + 1)
+    table = np.zeros(top + 1)
+    v = np.arange(s + 1, dtype=np.int64)
+    squares, fold = v * v, np.where(v == 0, 1.0, 2.0)
+    step = max(1, _STREAM_ROWS // (s + 1))
+    for u in range(0, s + 1, step):
+        norms = squares[u:u + step, None] + squares
+        inside = norms <= top
+        np.add.at(table, norms[inside], (fold[u:u + step, None] * fold)[inside])
+    return table
+
+
+class _ExactSum:
+    """The exactly rounded sum of float64 terms added block by block, so
+    its bits depend on neither the split nor the order: math.fsum's value.
+
+    A finite term is m 2^q with m an integer, |m| < 2^53.  The high and
+    low 26-bit halves of m are summed per q: bincount's float sums of such
+    halves are exact for fewer than 2^26 terms, so add takes the terms in
+    runs of at most that many, and the int64 totals hold fewer than 2^36
+    terms per q.  value() rounds the integer total once."""
+
+    _BIAS = 1126  # q + _BIAS over 0 .. 2097, from 2^-1074 to the largest float
+    _RUN = 1 << 26
+
+    def __init__(self) -> None:
+        self._hi = np.zeros(2098, dtype=np.int64)
+        self._lo = np.zeros(2098, dtype=np.int64)
+
+    def add(self, terms: np.ndarray) -> None:
+        for at in range(0, len(terms), self._RUN):
+            f, e = np.frexp(terms[at:at + self._RUN])
+            m = np.ldexp(f, 53).astype(np.int64)
+            q = e + (self._BIAS - 53)
+            self._hi += np.bincount(q, m >> 26, len(self._hi)).astype(np.int64)
+            self._lo += np.bincount(q, m & ((1 << 26) - 1), len(self._lo)).astype(np.int64)
+
+    def value(self) -> float:
+        used = np.flatnonzero(self._hi | self._lo).tolist()
+        if not used:
+            return 0.0
+        low = used[0]
+        total = sum(((int(self._hi[i]) << 26) + int(self._lo[i])) << (i - low) for i in used)
+        q = low - self._BIAS
+        # int true division rounds correctly, as math.fsum does
+        return float(total << q) if q >= 0 else total / (1 << -q)
+
+
+def _box_max(Q: QuadraticForm, lo, hi) -> int:
+    """An upper bound on Q over the box lo <= x <= hi, at least 0: the sum
+    over the terms c x_i x_j of Q of each term's own maximum, at a corner
+    of the box (or, for c x_i^2 with c < 0, at the x_i nearest 0)."""
+    top = 0
+    for i, j, c in Q.terms():
+        if i == j and c < 0:
+            top += c * (0 if lo[i] <= 0 <= hi[i] else min(lo[i] ** 2, hi[i] ** 2))
+        else:
+            top += max(c * a * b for a in (lo[i], hi[i]) for b in (lo[j], hi[j]))
+    return max(top, 0)
 
 
 def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
@@ -647,30 +828,35 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
     e_i(v) = (v / B - x0_i)^2 per axis, the join drops every half-row and
     every match whose sum of e_i reaches rho^2 (1 + _BALL_SLACK), where
     W(x / B) = 0 (the slack covers the rounding of W's own sum).  A pair
-    whose Q2 couples the halves streams the whole box.  Block by block,
-    only the points with Q1 odd and positive (the others contribute
-    nothing) and W > 0 are kept: the box's zero list is never held.  r2
-    is read off one table up to the largest Q1 met, whose size is charged
-    to the guard.  The reduction runs in lexicographic point order, so the
-    cut changes no bit of the result.
+    whose Q2 couples the halves streams the whole box.  r2 is read off one
+    table, made before the stream up to _box_max of Q1 on the support box,
+    which bounds every Q1 the stream meets; the guard is charged the
+    (isqrt(top) + 1)^2 pairs of its square, top that bound.  Block by
+    block, the terms r2(Q1(x)) W(x / B) of the points with Q1 odd and
+    positive (the others contribute nothing) go straight into one exactly
+    rounded sum (_ExactSum, the value math.fsum gives), and neither the
+    zeros nor the terms are held.  So the result is the correctly rounded
+    sum of the terms: the block split, the order of the terms and the cut
+    change no bit of it.
     """
     if B <= 0:
         raise ValueError("B must be positive")
     if W.n != pair.n:
         raise ValueError("weight dimension mismatch")
     lo, hi = W.support_box(B)
+    r2 = _r2_table(_box_max(pair.Q1, lo, hi), guard)
+    # every zero lies in the box, so one check of Q1 on it serves them all
+    q1_terms = pair.Q1.terms()
+    _check_int64(q1_terms, [np.array(lo + hi)], "points")
     parts = [(axis / B - c) ** 2 for axis, c in zip(_axes(lo, hi), W.x0)]
     ball = (parts, W.rho**2 * (1.0 + _BALL_SLACK))
-    ws, vals = [], []
+
+    total = _ExactSum()
     for zeros in _zero_blocks(pair.Q2, lo, hi, guard, ball):
-        q1 = pair.Q1.eval_batch(zeros)
+        q1 = _term_sums(zeros, q1_terms)
         keep = (q1 > 0) & (q1 % 2 == 1)
-        w = W.eval_batch(zeros[keep] / B)
-        live = w > 0
-        ws.append(w[live])
-        vals.append(q1[keep][live])
-    w, vals = np.concatenate(ws), np.concatenate(vals)
-    return float(np.dot(_r2_table(int(vals.max(initial=0)), guard)[vals], w))
+        total.add(r2[q1[keep]] * W.eval_batch(zeros[keep] / B))
+    return total.value()
 
 
 def s_of_b_rows(pair: QuadricPair, W: WeightFunction, B_values, *,

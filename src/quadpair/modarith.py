@@ -38,7 +38,6 @@ __all__ = [
     "one_d_quad_sum_direct",
     "quad_gauss_1d",
     "r2",
-    "r2_chi_divisor_sum",
     "ramanujan",
     "sum_tol",
 ]
@@ -419,17 +418,3 @@ def r2(M: int) -> int:
         count += fold
     return count
 
-
-def r2_chi_divisor_sum(M: int) -> int:
-    """4 * sum over d | M of chi4(d) — the classical identity's right side."""
-    if M <= 0:
-        return 0
-    total = 0
-    d = 1
-    while d * d <= M:
-        if M % d == 0:
-            total += chi4(d)
-            if d != M // d:
-                total += chi4(M // d)
-        d += 1
-    return 4 * total

@@ -65,6 +65,23 @@ def _check_int64(terms, arrays, what: str) -> list[np.ndarray]:
     return arrays
 
 
+def _term_sums(X: np.ndarray, terms) -> np.ndarray:
+    """sum of c x_i x_j over the terms (i, j, c) for each row of the int64
+    array X, unchecked: the kernel of QuadraticForm._sum_terms, for a
+    stream that checks its box once (_check_int64), not each block."""
+    cols = X.T
+    out = None
+    for i, j, c in terms:
+        term = cols[i] * cols[j]
+        if c != 1:
+            term *= c
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros(len(X), dtype=np.int64) if out is None else out
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Q(x) = x^T M x, M integer symmetric."""
@@ -173,17 +190,7 @@ class QuadraticForm:
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(f"points of shape {X.shape}, form has n={self.n}")
         (X,) = _check_int64(terms, [X], what)
-        cols = X.T
-        out = None
-        for i, j, c in terms:
-            term = cols[i] * cols[j]
-            if c != 1:
-                term *= c
-            if out is None:
-                out = term
-            else:
-                out += term
-        return np.zeros(len(X), dtype=np.int64) if out is None else out
+        return _term_sums(X, terms)
 
     def eval_batch_mod(self, X: np.ndarray, q: int) -> np.ndarray:
         """Q(x) mod q for every integer row of X, from the coefficients
@@ -210,7 +217,13 @@ class QuadraticForm:
         axes = [np.asarray(a) for a in axes]
         if any(a.ndim != 1 for a in axes):
             raise ValueError("axes must be 1-D arrays")
-        axes = _check_int64(self.terms(), axes, "points")
+        return self._grid(_check_int64(self.terms(), axes, "points"))
+
+    def _grid(self, axes) -> np.ndarray:
+        """eval_grid's kernel, without its checks, on int64 axes.  A stream
+        that reads a grid block by block checks the whole grid's axes once
+        and hands each block's axes, slices of those, here: the one check
+        bounds every block."""
         # cols[i] is axis i shaped to run along index axis i of the grid
         cols = [a.reshape([1] * i + [-1] + [1] * (self.n - 1 - i)) for i, a in enumerate(axes)]
         out = np.zeros([1] * self.n, dtype=np.int64)

@@ -1,11 +1,16 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from arith_oracles import r2_chi_divisor_sum
 
 from quadpair import counting, quadforms
 from quadpair.counting import (
@@ -17,7 +22,7 @@ from quadpair.counting import (
     s_of_b_rows,
 )
 from quadpair.guard import ResourceGuardError
-from quadpair.modarith import r2, r2_chi_divisor_sum
+from quadpair.modarith import r2
 from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -92,8 +97,9 @@ def N_d_by_listing(pair, d, box):
 
 def S_of_B_listed(pair, W, B, box=None):
     """S(B) from the full list of zeros of Q2 in a box, filtered and
-    weighted afterwards, r2 from modarith.r2 per value; the box is given,
-    or by default the cube |x| <= B (max |x0_i| + rho) + 1."""
+    weighted afterwards, r2 from modarith.r2 per value, the terms summed
+    exactly rounded (math.fsum); the box is given, or by default the cube
+    |x| <= B (max |x0_i| + rho) + 1."""
     if box is None:
         reach = max(abs(v) for v in W.x0) + W.rho
         box = int(math.floor(B * reach + 1e-9)) + 1
@@ -107,7 +113,7 @@ def S_of_B_listed(pair, W, B, box=None):
         return 0.0
     uniq, inverse = np.unique(vals[live], return_inverse=True)
     r2_table = np.array([r2(int(v)) for v in uniq], dtype=float)
-    return float(np.dot(r2_table[inverse], w[live]))
+    return math.fsum((r2_table[inverse] * w[live]).tolist())
 
 
 def test_hyperbola_thirteen_points():
@@ -286,10 +292,18 @@ def test_right_half_index_table_and_search_agree():
         assert half._index(left.copy()).tolist() == want
         far = np.append(left, [10**15, -10**15, 2**63 - 1, -2**63])
         assert half._index(far.copy()).tolist() == want + [where.get(10**15, 0), 0, 0, 0]
-        # pairs: the run length of each key's looked-up or searched index
+        # pairs: the run length of each key's looked-up or searched index,
+        # or, from a table of counts (N_d's), of each key's slot
         runs = dict(zip(keys.tolist(), count.tolist()))
         want_pairs = sum(runs.get(int(k), 0) for k in far)
         assert half.pairs(far.copy()) == want_pairs
+        counted = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count,
+                                      204, counts=True)
+        assert (counted._table is None) == far_right
+        assert counted.pairs(far.copy()) == want_pairs
+        if not far_right:
+            with pytest.raises(ValueError):
+                counted._index(left.copy())
         edge = counting._RightHalf(np.arange(2), np.array([-2**63, 2**63 - 1]),
                                    np.arange(2), np.ones(2, np.int64), 204)
         assert edge._index(far).tolist() == [0] * 200 + [0, 0, 2, 1]
@@ -332,8 +346,8 @@ def test_join_builds_one_slot_table(monkeypatch):
     # many left blocks read it
     built = []
 
-    def counted(keys, most):
-        table = real(keys, most)
+    def counted(*args):
+        table = real(*args)
         built.append(table is not None)
         return table
 
@@ -353,23 +367,26 @@ def test_join_builds_one_slot_table(monkeypatch):
 
 
 def test_streams_read_at_most_the_budget(monkeypatch):
-    # N_d's left blocks and the coupled scan's blocks are read off at most
-    # _STREAM_ROWS rows at a time when the last axis fits in the budget
+    # every block of the join's left half (N_d, listing, S(B)) and of the
+    # coupled scan goes through the eval_grid kernel, at most _STREAM_ROWS
+    # rows at a time when the last axis fits in the budget
     lengths = []
-    real = QuadraticForm.eval_grid
+    real = QuadraticForm._grid
 
     def recorded(self, axes):
         out = real(self, axes)
         lengths.append(len(out))
         return out
 
-    monkeypatch.setattr(QuadraticForm, "eval_grid", recorded)
+    monkeypatch.setattr(QuadraticForm, "_grid", recorded)
     ship, coupled = shipped_pair(), coupled_n4_pair()
-    for budget, box, T in ((None, 40, 30), (300, 5, 5)):
+    W = WeightFunction.default_for_pair(ship)
+    for budget, box, T, B in ((None, 40, 30, 16), (300, 5, 5, 3)):
         if budget is not None:
             monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
         for call in (lambda: N_d(ship, 3, box), lambda: enumerate_zeros(coupled.Q2, T),
-                     lambda: N_d(coupled, 3, T)):
+                     lambda: N_d(coupled, 3, T), lambda: S_of_B(ship, W, B),
+                     lambda: enumerate_zeros(ship.Q2, box)):
             lengths.clear()
             call()
             assert len(lengths) > 2 and max(lengths) <= counting._STREAM_ROWS
@@ -380,10 +397,13 @@ def test_stream_budget_changes_no_result(monkeypatch):
     W = WeightFunction.default_for_pair(coupled)
     cases = [(ship, 5), (toy, 9), (coupled, 6)]
 
+    W_ship = WeightFunction.default_for_pair(ship)
+
     def run():
         return ([N_d(pair, d, box) for pair, box in cases for d in ND_DIVISORS],
                 [enumerate_zeros(pair.Q2, box).tolist() for pair, box in cases],
-                [repr(S_of_B(coupled, W, B)) for B in (8, 12)])
+                [repr(S_of_B(coupled, W, B)) for B in (8, 12)],
+                [repr(S_of_B(ship, W_ship, B)) for B in (4, 8)])
 
     want = run()
     for budget in (1, 7):
@@ -400,6 +420,133 @@ def test_r2_table_matches_r2():
     assert counting._r2_table(3000, 55**2)[2997] == r2(2997)
     with pytest.raises(ResourceGuardError):
         counting._r2_table(3000, 55**2 - 1)
+
+
+def test_r2_table_changes_with_no_run_of_rows(monkeypatch):
+    want = counting._r2_table(3000, 10**9)
+    for budget in (1, 7, 200):
+        monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+        assert np.array_equal(counting._r2_table(3000, 10**9), want), budget
+
+
+def test_box_max_bounds_the_form_on_the_box():
+    # at least the form's largest value on the box, and that value when
+    # every term takes its own maximum at one point
+    rng = random.Random("box_max")
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        M = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                M[i][j] = M[j][i] = rng.randint(-3, 3)
+        Q = QuadraticForm.from_matrix(M)
+        lo = [rng.randint(-4, 2) for _ in range(n)]
+        hi = [a + rng.randint(0, 4) for a in lo]
+        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        assert counting._box_max(Q, lo, hi) >= max(0, max(Q.eval(x) for x in box))
+    assert counting._box_max(QuadraticForm.diagonal([1, 2, 0]), (-3, 1, -5), (2, 4, 5)) == 41
+    assert counting._box_max(QuadraticForm.diagonal([1, -1]), (-2, 1), (3, 4)) == 8
+    assert counting._box_max(QuadraticForm.diagonal([-1, -1]), (-2, 1), (3, 4)) == 0
+
+
+def test_exact_sum_is_fsum():
+    # any split, any order: the correctly rounded sum, math.fsum's
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n = int(rng.integers(1, 3000))
+        x = rng.random(n) * np.exp(-1 / (1 - rng.random(n))) * rng.integers(1, 300, n)
+        if trial % 4 == 1:
+            x[: n // 2] = rng.random(n // 2) * 1e-310  # subnormal
+        elif trial % 4 == 2:
+            x *= rng.choice([-1.0, 1.0], n) * 1e300
+        elif trial % 4 == 3:
+            x[::3] = 0.0
+        total = counting._ExactSum()
+        for part in np.array_split(rng.permutation(x), int(rng.integers(1, 6))):
+            total.add(part)
+        assert total.value() == math.fsum(x.tolist()), trial
+    assert counting._ExactSum().value() == 0.0
+
+
+def test_S_of_B_is_the_exact_sum_of_its_terms(monkeypatch):
+    # the terms S_of_B adds, block by block, summed by math.fsum in a seeded
+    # shuffle: the same bits
+    ship = shipped_pair()
+    W = WeightFunction.default_for_pair(ship)
+    seen = []
+    add = counting._ExactSum.add
+
+    def record(self, terms):
+        seen.append(np.array(terms))
+        return add(self, terms)
+
+    monkeypatch.setattr(counting._ExactSum, "add", record)
+    for B in (12, 16, 40):
+        seen.clear()
+        value = S_of_B(ship, W, B)
+        terms = np.concatenate(seen)
+        np.random.default_rng(B).shuffle(terms)
+        assert len(seen) > 1 and value == math.fsum(terms.tolist()), B
+
+
+def test_S_of_B_does_not_depend_on_blas_threads():
+    # a BLAS dot product sums in an order that moves with its thread count;
+    # the exactly rounded sum does not
+    script = ("from quadpair.counting import S_of_B, WeightFunction\n"
+              "from quadpair.pairs import shipped_pair\n"
+              "p = shipped_pair()\n"
+              "print(repr(S_of_B(p, WeightFunction.default_for_pair(p), 40)))\n")
+    src = str(Path(counting.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    got = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        got.add(run.stdout.strip())
+    ship = shipped_pair()
+    assert got == {repr(S_of_B(ship, WeightFunction.default_for_pair(ship), 40))}
+
+
+def test_S_of_B_memory_is_a_few_blocks():
+    # left blocks of at most _STREAM_ROWS rows and terms summed as they
+    # come; the r2 table is the one array that grows with B (with the left
+    # half read as one block and every term held, the peaks were 5.5, 17.8,
+    # 4.7 and 23.6 MB)
+    ship = shipped_pair()
+    W = WeightFunction.default_for_pair(ship)
+    S_of_B(ship, W, 8)
+    for B, most in ((16, 3e6), (24, 3e6), (40, 4.7e6), (80, 23.6e6)):
+        tracemalloc.start()
+        try:
+            S_of_B(ship, W, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < most, (B, peak)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40, 1000])
+def test_ball_blocks_hold_the_ball_rows(monkeypatch, budget):
+    # in turn, the blocks' rows with a sum below the bound are the
+    # product's, in lexicographic order; each block holds at most the
+    # budget unless its last axis alone is longer, and carries its parts
+    monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+    rng = np.random.default_rng(budget)
+    for k in (1, 2, 3, 4):
+        axes = [np.arange(-int(rng.integers(3, 9)), int(rng.integers(3, 9))) for _ in range(k)]
+        x0 = rng.uniform(-2, 2, k)
+        parts = [(a / 2.0 - c) ** 2 for a, c in zip(axes, x0)]
+        bound = float(rng.uniform(0.5, 3.0))
+        grid = quadforms._tuples(axes, lex=True)
+        got = [np.empty((0, k), dtype=np.int64)]
+        for block, block_parts in counting._ball_blocks(axes, parts, bound):
+            rows = quadforms._tuples(block, lex=True)
+            assert len(rows) <= max(budget, len(block[-1]))
+            assert all(np.array_equal(p, (a / 2.0 - c) ** 2)
+                       for a, p, c in zip(block, block_parts, x0))
+            got.append(rows[counting._grid_sums(block_parts) < bound])
+        assert np.array_equal(np.vstack(got), grid[counting._grid_sums(parts) < bound]), k
 
 
 def test_weight_function_profile():

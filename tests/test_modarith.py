@@ -2,6 +2,7 @@ import math
 
 import pytest
 import sympy
+from arith_oracles import r2_chi_divisor_sum
 
 from quadpair.modarith import (
     MAX_ROOT_MODULUS,
@@ -20,7 +21,6 @@ from quadpair.modarith import (
     one_d_quad_sum_direct,
     quad_gauss_1d,
     r2,
-    r2_chi_divisor_sum,
     ramanujan,
     sum_tol,
 )
