@@ -26,15 +26,15 @@ left row x_L meets the run of key -key(x_L).  That run is looked up in
 one table over the span of the right keys, built with the right half
 when the span is no longer than the left half's rows and the right rows
 together (else searched for), and every left block reads the same table.
-The left half comes in blocks of at most _STREAM_ROWS rows, those of
-grid_block_axes, or for S(B) those of _ball_blocks (cut to the ball
-first, then split to fill the budget); a form's int64 check runs once
-per stream, on the whole axes, and each block runs the eval_grid kernel
-alone.  N_d sums the run lengths of each key, read off a table of counts,
-building no row (past the keys and their slots, no array as long as the
-block); listing builds rows only for the matches, from their indices
-into the left block's axes and the right rows, block by block, which
-keeps the stream in order.  A coupled Q2 is scanned over the
+The left half comes in blocks of at most _STREAM_ROWS rows: those of
+grid_block_axes, or for S(B) those of _ball_blocks (the left half cut to
+the ball, split into equal runs along its first axis, each run cut and
+split in turn); a form's int64 check runs once per stream, on the whole
+axes, and each block runs the eval_grid kernel alone.  N_d sums the run lengths of each key's index, building no row
+(past the keys and their indices, no array as long as the block);
+listing builds rows only for the matches, from their indices into the
+left block's axes and the right rows, block by block, which keeps the
+stream in order.  A coupled Q2 is scanned over the
 grid_block_axes blocks of at most _STREAM_ROWS rows of its first n - 1
 coordinates, with the last coordinate solved for: Q2 = a x_n^2 +
 b(x') x_n + c(x'), b = 2 m.x', and the discriminant b^2 - 4ac, itself a
@@ -111,13 +111,14 @@ class BoxSpec:
 
 
 #: most rows of a left block of the join (N_d, listing, S(B)) and of a
-#: block of the coupled scan's first n - 1 coordinates: 128 KB per int64
-#: column, within glibc's default 128 KiB mmap threshold.  A larger array
+#: block of the coupled scan's first n - 1 coordinates: 128 KiB per int64
+#: column, glibc's default mmap threshold, which the first such array
+#: freed raises past it, so later blocks reuse heap pages.  A larger array
 #: is a fresh mapping whose pages fault in on first touch unless earlier
-#: large frees have raised that threshold: in a fresh process, the lattice
-#: benchmark's S ladder, N_d x 4 and scan took 946, 4,211 and 1,547 minor
-#: page faults with blocks of 2^15 rows, and 252, 0 and 39 with 2^14, the
-#: budget the only change (2-core VM).
+#: large frees have raised the threshold that far: in a fresh process,
+#: the lattice benchmark's S ladder, N_d x 4 and scan took 869, 5,736 and
+#: 1,307 minor page faults with blocks of 2^15 rows, and 34, 57 and 15
+#: with 2^14, the budget the only change (2-core VM).
 _STREAM_ROWS = 1 << 14
 
 
@@ -213,9 +214,8 @@ def _scan(Q2: QuadraticForm, lo, hi, guard: int):
     (at most _STREAM_ROWS of them unless the last is longer), read off
     that block's axes; the last coordinate is solved for, _grid_form built
     and checked for int64 on the whole axes once.  The guard is charged
-    the rows over the first n - 1 coordinates, then the zeros found so
-    far."""
-    check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)), guard)
+    the zeros found so far (_zero_blocks charges the rows over the first
+    n - 1 coordinates)."""
     _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
     axes = _axes(lo[:-1], hi[:-1])
     form = _grid_form(Q2.M) if Q2.n > 1 else None
@@ -257,19 +257,22 @@ def _half_keys(Q2: QuadraticForm, Q1, side, d: int, sign: int, axes):
     return keys
 
 
-def _slot_table(keys: np.ndarray, values: np.ndarray, most: int):
-    """(lo, table) for the sorted distinct keys and one positive value per
-    key: table[k - lo] = the value of key k, 0 elsewhere, over their span
-    and one empty slot either side, in the narrowest unsigned type that
-    holds the values (the span is often far longer than the keys: N_d's
-    keys Q2 d + r spread over d times the span of Q2); None when the span
-    holds more than most slots (as for the sparse keys of huge boxes) or
-    its ends would leave int64."""
+def _slot_table(keys: np.ndarray, most: int):
+    """(lo, table) for the sorted distinct keys: table[k - lo] = 1 + the
+    index of key k, 0 elsewhere, over their span and one empty slot either
+    side; None when the span holds more than most slots (as for the sparse
+    keys of huge boxes) or its ends would leave int64.  The slots take the
+    narrowest unsigned type that holds the indices, as the span is often
+    far longer than the keys (N_d's keys Q2 d + r spread over d times the
+    span of Q2: 115,200 slots for 1,445 keys at d = 8 on the lattice
+    benchmark's box), and a table past glibc's mmap threshold is a fresh
+    mapping: with int64 slots the benchmark's S ladder and N_d x 4 took
+    326 and 433 minor page faults in a fresh process, against 57 and 0."""
     lo, hi = int(keys[0]) - 1, int(keys[-1]) + 1
     if hi - lo - 1 > most or lo < -2**63 or hi >= 2**63:
         return None
-    table = np.zeros(hi - lo + 1, dtype=np.min_scalar_type(int(values.max())))
-    table[keys - lo] = values
+    table = np.zeros(hi - lo + 1, dtype=np.min_scalar_type(len(keys)))
+    table[keys - lo] = np.arange(1, len(keys) + 1)
     return lo, table
 
 
@@ -281,52 +284,38 @@ class _RightHalf:
     The join's one lookup table (_slot_table) is built here, for every
     left block to read, when the span of the keys is no longer than the
     left half's rows and the right rows together; else every key is
-    searched for.  The table holds 1 + each key's index, or, given counts
-    (N_d, which reads pairs alone), each key's run length."""
+    searched for."""
 
     def __init__(self, order: np.ndarray, keys: np.ndarray, start: np.ndarray,
-                 count: np.ndarray, left_rows: int, counts: bool = False):
+                 count: np.ndarray, left_rows: int):
         self.order, self.keys, self.start, self.count = order, keys, start, count
         # the run length by 1 + key index, 0 for a key no right row has
         self._count = np.concatenate([np.zeros(1, np.int64), count])
-        self._counts = counts
-        values = count if counts else np.arange(1, len(keys) + 1)
-        self._table = _slot_table(keys, values, left_rows + len(order)) if len(keys) else None
+        self._table = _slot_table(keys, left_rows + len(order)) if len(keys) else None
 
     def _search(self, keys: np.ndarray) -> np.ndarray:
         """_index, one searchsorted per key."""
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[at] == keys, at + 1, 0)
 
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The table's slot of each of the keys (the keys outside its span
-        clipped to its empty ends); keys may be overwritten."""
-        lo, table = self._table
-        np.clip(keys, lo, lo + len(table) - 1, out=keys)
-        keys -= lo
-        return np.take(table, keys)
-
     def _index(self, keys: np.ndarray) -> np.ndarray:
         """1 + the index in self.keys of each of the keys, 0 where it is
-        not there, read off the table when there is one (not a table of
-        counts), else searched for; keys may be overwritten."""
+        not there, read off the table (the keys outside its span clipped to
+        its empty ends) when there is one, else searched for; keys may be
+        overwritten."""
         if not len(keys) or not len(self.keys):
             return np.zeros(len(keys), dtype=np.int64)
         if self._table is None:
             return self._search(keys)
-        if self._counts:
-            raise ValueError("a table of counts holds no index")
-        return self._lookup(keys)
+        lo, table = self._table
+        np.clip(keys, lo, lo + len(table) - 1, out=keys)
+        keys -= lo
+        return table[keys]
 
     def pairs(self, keys: np.ndarray) -> int:
         """The pairs of one of the keys and a right row of that key: the
-        run length of each key, summed; keys may be overwritten."""
-        if not len(keys) or not len(self.keys):
-            return 0
-        if self._table is None:
-            return int(np.take(self._count, self._search(keys)).sum())
-        found = self._lookup(keys)
-        return int((found if self._counts else np.take(self._count, found)).sum())
+        run length of each key's index, summed; keys may be overwritten."""
+        return int(self._count[self._index(keys)].sum())
 
     def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hit, count, start): the positions in keys of the keys some right
@@ -335,17 +324,15 @@ class _RightHalf:
         at = self._index(keys)
         hit = np.flatnonzero(at)
         at = at[hit] - 1
-        return hit, np.take(self.count, at), np.take(self.start, at)
+        return hit, self.count[at], self.start[at]
 
 
-def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None,
-                counts: bool = False) -> _RightHalf:
+def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None) -> _RightHalf:
     """The table of the right-half rows x_{h+1..n} over their axes, keyed
     by _half_keys with sign +1; at n = 1 the one empty row, of key 0.
     Given rows, the lexicographic positions of the rows to keep (in
     increasing order), the table holds only those.  left_rows, the rows
-    the left half can bring, sizes the lookup table, and counts picks what
-    it holds (see _RightHalf)."""
+    the left half can bring, sizes the lookup table (see _RightHalf)."""
     n, h = Q2.n, Q2.n - len(axes)
     keys = (_half_keys(Q2, Q1, range(h, n), d, 1, axes)(axes) if h < n
             else np.zeros(1, np.int64))
@@ -357,8 +344,7 @@ def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None,
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     start = np.flatnonzero(new)
-    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)), left_rows,
-                      counts)
+    return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)), left_rows)
 
 
 def _grid_sums(parts) -> np.ndarray:
@@ -374,30 +360,31 @@ def _grid_sums(parts) -> np.ndarray:
 def _ball_cut(axes, parts, budget: float):
     """(axes, parts) cut to the ball: each axis to the run of values v
     whose e(v), plus the least e of every other axis, is below budget (a
-    run, as e is convex along an axis), so no row whose sum of e is below
-    budget is cut; None when an axis is left empty."""
-    least = [p.min() for p in parts]
-    total = sum(least)
+    run, as e is convex along an axis, and never empty, as it holds the
+    least), so no row whose sum of e is below budget is cut; None when no
+    row's sum is."""
+    least = [float(p.min()) for p in parts]
+    room = budget - sum(least)
+    if room <= 0:
+        return None
     cut_axes, cut_parts = [], []
     for axis, part, low in zip(axes, parts, least):
-        keep = np.flatnonzero(part < budget - (total - low))
-        if not len(keep):
-            return None
-        run = slice(keep[0], keep[-1] + 1)
-        cut_axes.append(axis[run])
-        cut_parts.append(part[run])
+        if len(part) > 1:
+            keep = np.flatnonzero(part < low + room)
+            run = slice(keep[0], keep[-1] + 1)
+            axis, part = axis[run], part[run]
+        cut_axes.append(axis)
+        cut_parts.append(part)
     return cut_axes, cut_parts
 
 
 def _ball_blocks(axes, parts, budget: float):
-    """The product of the axes cut to the ball, as lexicographic blocks of
+    """The lexicographic product of the axes cut to the ball, as blocks of
     (axes, parts) of at most _STREAM_ROWS rows unless the last axis alone
     is longer: the product is cut (_ball_cut), and if it then holds more
-    rows, split along its first axis j of more than one value, each piece
-    cut and split in turn.  When the axes after j hold more than
-    _STREAM_ROWS rows the pieces are single values; else they are runs of
-    values, each as long as the rows that its values leave the axes after
-    j (as the cut would leave them) allow."""
+    rows, its first axis of more than one value is split into as many
+    equal runs as the budget goes into those rows, each run cut and split
+    in turn."""
     cut = _ball_cut(axes, parts, budget)
     if cut is None:
         return
@@ -407,29 +394,11 @@ def _ball_blocks(axes, parts, budget: float):
     if math.prod(dims) <= _STREAM_ROWS or j == len(dims) - 1:
         yield axes, parts
         return
-    if math.prod(dims[j + 1:]) > _STREAM_ROWS:
-        tail = np.full(dims[j], _STREAM_ROWS)
-    else:
-        # tail[v]: the rows the axes after j keep when axis j takes its v-th
-        # value, each axis i counting its values below the cut's bound
-        least = [p.min() for p in parts]
-        tail = np.ones(dims[j], dtype=np.int64)
-        for i in range(j + 1, len(dims)):
-            bound = budget - (sum(least) - least[i] - least[j]) - parts[j]
-            tail *= np.searchsorted(np.sort(parts[i]), bound)
-    at = 0
-    while at < dims[j]:
-        end, most = at + 1, tail[at]
-        while end < dims[j] and (end + 1 - at) * max(most, tail[end]) <= _STREAM_ROWS:
-            most = max(most, tail[end])
-            end += 1
-        if end - at == dims[j]:
-            # the whole axis would be this block again: the estimate and
-            # the cut round their bounds apart, and the block is too long
-            end -= 1
-        yield from _ball_blocks(axes[:j] + [axes[j][at:end]] + axes[j + 1:],
-                                parts[:j] + [parts[j][at:end]] + parts[j + 1:], budget)
-        at = end
+    step = -(-dims[j] // -(-math.prod(dims) // _STREAM_ROWS))
+    for at in range(0, dims[j], step):
+        run = slice(at, at + step)
+        yield from _ball_blocks(axes[:j] + [axes[j][run]] + axes[j + 1:],
+                                parts[:j] + [parts[j][run]] + parts[j + 1:], budget)
 
 
 def _join_charge(lo, hi) -> int:
@@ -448,13 +417,12 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
 
     ball = (parts, budget), parts[i] a float e_i(v) >= 0 for each value v
     of axis i, keeps only the zeros with sum_i e_i(x_i) < budget (and may
-    keep some just above it): the left blocks are those of _ball_blocks,
-    a half-row whose own sum reaches budget is dropped before its key is
-    looked up, and a match whose two half sums do before its row is built.
-    The guard is charged the matches expanded, at most the zeros of the
-    box."""
+    keep some just above it): a half-row whose own sum reaches budget is
+    dropped before its key is looked up, and a match whose two half sums
+    do before its row is built.  The guard is charged the matches
+    expanded, at most the zeros of the box (_zero_blocks charges the
+    halves)."""
     h = (Q2.n + 1) // 2
-    check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
     axes = _axes(lo, hi)
     left_keys = _half_keys(Q2, None, range(h), 1, -1, axes[:h])
     left_rows = math.prod(len(a) for a in axes[:h])
@@ -515,9 +483,16 @@ def _couples(M, h: int) -> bool:
 
 def _zero_blocks(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     """The zero stream of Q2 in the box: the join, cut to the ball if one
-    is given (see _mitm), or the full scan if Q2 couples the halves."""
+    is given (see _mitm), or the full scan if Q2 couples the halves.  The
+    guard is charged the rows the stream reads (the two halves for the
+    join, the first n - 1 coordinates for the scan) here, when the stream
+    is made, so a refused box costs nothing: a generator's own checks run
+    only when its first block is asked for."""
     if _couples(Q2.M, (Q2.n + 1) // 2):
+        check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)),
+                    guard)
         return _scan(Q2, lo, hi, guard)
+    check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
     return _mitm(Q2, lo, hi, guard, ball)
 
 
@@ -550,8 +525,7 @@ def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
     keys' forms and the lookup table are built once."""
     h = (pair.n + 1) // 2
     axes = _axes(lo, hi)
-    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, math.prod(len(a) for a in axes[:h]),
-                        counts=True)
+    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, math.prod(len(a) for a in axes[:h]))
     left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, axes[:h])
     return sum(right.pairs(left_keys(block))
                for block in grid_block_axes(axes[:h], lex=True, rows=_STREAM_ROWS))
@@ -806,17 +780,20 @@ class _ExactSum:
         return float(total << q) if q >= 0 else total / (1 << -q)
 
 
-def _box_max(Q: QuadraticForm, lo, hi) -> int:
-    """An upper bound on Q over the box lo <= x <= hi, at least 0: the sum
-    over the terms c x_i x_j of Q of each term's own maximum, at a corner
-    of the box (or, for c x_i^2 with c < 0, at the x_i nearest 0)."""
-    top = 0
-    for i, j, c in Q.terms():
-        if i == j and c < 0:
-            top += c * (0 if lo[i] <= 0 <= hi[i] else min(lo[i] ** 2, hi[i] ** 2))
-        else:
-            top += max(c * a * b for a in (lo[i], hi[i]) for b in (lo[j], hi[j]))
-    return max(top, 0)
+def _ball_max(Q: QuadraticForm, center, radius: float) -> int:
+    """An integer upper bound on Q over the ball |x - center| <= radius, at
+    least 0: Q(center + y) = Q(center) + 2 y.M center + Q(y) is at most
+    Q(center) + 2 radius |M center| + radius^2 max(lambda_max(M), 0), the
+    value itself when M is a multiple of the identity.  The floats are
+    raised by 1e-9 of the scale |M| (|center| + radius)^2, far above
+    their rounding."""
+    M = np.array(Q.M, dtype=float)
+    c = np.array(center, dtype=float)
+    Mc = M @ c
+    top = (float(c @ Mc) + 2 * radius * float(np.linalg.norm(Mc))
+           + radius**2 * max(float(np.linalg.eigvalsh(M)[-1]), 0.0))
+    top += 1e-9 * float(np.abs(M).sum()) * (float(np.linalg.norm(c)) + radius) ** 2
+    return max(0, math.floor(top) + 1)
 
 
 def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
@@ -829,33 +806,37 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
     every match whose sum of e_i reaches rho^2 (1 + _BALL_SLACK), where
     W(x / B) = 0 (the slack covers the rounding of W's own sum).  A pair
     whose Q2 couples the halves streams the whole box.  r2 is read off one
-    table, made before the stream up to _box_max of Q1 on the support box,
-    which bounds every Q1 the stream meets; the guard is charged the
-    (isqrt(top) + 1)^2 pairs of its square, top that bound.  Block by
-    block, the terms r2(Q1(x)) W(x / B) of the points with Q1 odd and
-    positive (the others contribute nothing) go straight into one exactly
-    rounded sum (_ExactSum, the value math.fsum gives), and neither the
-    zeros nor the terms are held.  So the result is the correctly rounded
-    sum of the terms: the block split, the order of the terms and the cut
-    change no bit of it.
+    table up to top = _ball_max of Q1 on the ball |x - B x0| <= B rho,
+    where W(x / B) > 0; it is made once, after the stream's own guard
+    charge and before its first block, and the guard is charged the
+    (isqrt(top) + 1)^2 pairs of its square.  Block by block, the terms
+    r2(Q1(x)) W(x / B) of the points with Q1 odd and positive and W > 0
+    (the others contribute nothing) go straight into one exactly rounded
+    sum (_ExactSum, the value math.fsum gives), and neither the zeros nor
+    the terms are held.  So the result is the correctly rounded sum of the
+    terms: the block split, the order of the terms and the cut change no
+    bit of it.
     """
     if B <= 0:
         raise ValueError("B must be positive")
     if W.n != pair.n:
         raise ValueError("weight dimension mismatch")
     lo, hi = W.support_box(B)
-    r2 = _r2_table(_box_max(pair.Q1, lo, hi), guard)
+    parts = [(axis / B - c) ** 2 for axis, c in zip(_axes(lo, hi), W.x0)]
+    ball = (parts, W.rho**2 * (1.0 + _BALL_SLACK))
+    blocks = _zero_blocks(pair.Q2, lo, hi, guard, ball)
     # every zero lies in the box, so one check of Q1 on it serves them all
     q1_terms = pair.Q1.terms()
     _check_int64(q1_terms, [np.array(lo + hi)], "points")
-    parts = [(axis / B - c) ** 2 for axis, c in zip(_axes(lo, hi), W.x0)]
-    ball = (parts, W.rho**2 * (1.0 + _BALL_SLACK))
+    r2 = _r2_table(_ball_max(pair.Q1, [B * c for c in W.x0], B * W.rho), guard)
 
     total = _ExactSum()
-    for zeros in _zero_blocks(pair.Q2, lo, hi, guard, ball):
+    for zeros in blocks:
         q1 = _term_sums(zeros, q1_terms)
         keep = (q1 > 0) & (q1 % 2 == 1)
-        total.add(r2[q1[keep]] * W.eval_batch(zeros[keep] / B))
+        w = W.eval_batch(zeros[keep] / B)
+        live = w > 0
+        total.add(r2[q1[keep][live]] * w[live])
     return total.value()
 
 

@@ -292,18 +292,10 @@ def test_right_half_index_table_and_search_agree():
         assert half._index(left.copy()).tolist() == want
         far = np.append(left, [10**15, -10**15, 2**63 - 1, -2**63])
         assert half._index(far.copy()).tolist() == want + [where.get(10**15, 0), 0, 0, 0]
-        # pairs: the run length of each key's looked-up or searched index,
-        # or, from a table of counts (N_d's), of each key's slot
+        # pairs: the run length of each key's looked-up or searched index
         runs = dict(zip(keys.tolist(), count.tolist()))
         want_pairs = sum(runs.get(int(k), 0) for k in far)
         assert half.pairs(far.copy()) == want_pairs
-        counted = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count,
-                                      204, counts=True)
-        assert (counted._table is None) == far_right
-        assert counted.pairs(far.copy()) == want_pairs
-        if not far_right:
-            with pytest.raises(ValueError):
-                counted._index(left.copy())
         edge = counting._RightHalf(np.arange(2), np.array([-2**63, 2**63 - 1]),
                                    np.arange(2), np.ones(2, np.int64), 204)
         assert edge._index(far).tolist() == [0] * 200 + [0, 0, 2, 1]
@@ -346,8 +338,8 @@ def test_join_builds_one_slot_table(monkeypatch):
     # many left blocks read it
     built = []
 
-    def counted(*args):
-        table = real(*args)
+    def counted(keys, most):
+        table = real(keys, most)
         built.append(table is not None)
         return table
 
@@ -429,10 +421,11 @@ def test_r2_table_changes_with_no_run_of_rows(monkeypatch):
         assert np.array_equal(counting._r2_table(3000, 10**9), want), budget
 
 
-def test_box_max_bounds_the_form_on_the_box():
-    # at least the form's largest value on the box, and that value when
-    # every term takes its own maximum at one point
-    rng = random.Random("box_max")
+def test_ball_max_bounds_the_form_on_the_ball():
+    # at least the form's largest value at an integer point of the ball,
+    # and within a few units of its value on the real ball for the
+    # identity, where the bound is that value
+    rng = random.Random("ball_max")
     for _ in range(80):
         n = rng.randint(1, 3)
         M = [[0] * n for _ in range(n)]
@@ -440,13 +433,33 @@ def test_box_max_bounds_the_form_on_the_box():
             for j in range(i, n):
                 M[i][j] = M[j][i] = rng.randint(-3, 3)
         Q = QuadraticForm.from_matrix(M)
-        lo = [rng.randint(-4, 2) for _ in range(n)]
-        hi = [a + rng.randint(0, 4) for a in lo]
-        box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        assert counting._box_max(Q, lo, hi) >= max(0, max(Q.eval(x) for x in box))
-    assert counting._box_max(QuadraticForm.diagonal([1, 2, 0]), (-3, 1, -5), (2, 4, 5)) == 41
-    assert counting._box_max(QuadraticForm.diagonal([1, -1]), (-2, 1), (3, 4)) == 8
-    assert counting._box_max(QuadraticForm.diagonal([-1, -1]), (-2, 1), (3, 4)) == 0
+        center = [rng.uniform(-4, 4) for _ in range(n)]
+        radius = rng.uniform(0.5, 4)
+        box = itertools.product(*(range(math.floor(c - radius), math.ceil(c + radius) + 1)
+                                  for c in center))
+        inside = [x for x in box if sum((v - c) ** 2 for v, c in zip(x, center)) <= radius**2]
+        top = counting._ball_max(Q, center, radius)
+        assert top >= max([0] + [Q.eval(x) for x in inside])
+    assert counting._ball_max(QuadraticForm.diagonal([1, 1]), (3.0, 4.0), 2.0) == 50
+    assert counting._ball_max(QuadraticForm.diagonal([-1, -1]), (3.0, 4.0), 2.0) == 0
+    ship = shipped_pair()
+    W = WeightFunction.default_for_pair(ship)
+    want = (math.hypot(*W.x0) + W.rho) ** 2 * 16**2
+    assert want < counting._ball_max(ship.Q1, [16 * c for c in W.x0], 16 * W.rho) < want + 2
+
+
+def test_S_of_B_refuses_before_its_r2_table(monkeypatch):
+    # a box the join refuses costs no table
+    def no_table(*args):
+        raise AssertionError("the r2 table was built")
+
+    monkeypatch.setattr(counting, "_r2_table", no_table)
+    ship = shipped_pair()
+    with pytest.raises(ResourceGuardError, match="enumerate_zeros"):
+        S_of_B(ship, WeightFunction.default_for_pair(ship), 1000)
+    coupled = coupled_n4_pair()
+    with pytest.raises(ResourceGuardError, match="enumerate_zeros"):
+        S_of_B(coupled, WeightFunction.default_for_pair(coupled), 1000, guard=10**6)
 
 
 def test_exact_sum_is_fsum():
