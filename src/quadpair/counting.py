@@ -116,9 +116,9 @@ class BoxSpec:
 #: freed raises past it, so later blocks reuse heap pages.  A larger array
 #: is a fresh mapping whose pages fault in on first touch unless earlier
 #: large frees have raised the threshold that far: in a fresh process,
-#: the lattice benchmark's S ladder, N_d x 4 and scan took 869, 5,736 and
-#: 1,307 minor page faults with blocks of 2^15 rows, and 34, 57 and 15
-#: with 2^14, the budget the only change (2-core VM).
+#: the lattice benchmark's S ladder, N_d x 4 and scan took 748, 5,636 and
+#: 1,343 minor page faults with blocks of 2^15 rows, and 126, 0 and 8 with
+#: 2^14, the budget the only change (2-core VM).
 _STREAM_ROWS = 1 << 14
 
 
