@@ -19,7 +19,6 @@ from .densities import (
     experiment,
     sigma_2,
     sigma_p,
-    sigma_p_truncated,
     singular_constant,
     tau_infinity,
     two_squares_closed_form,
@@ -54,7 +53,6 @@ from .modarith import (
 )
 from .padic import (
     count_congruence_pair,
-    count_congruence_pair_primitive,
     count_divisibility,
     count_divisibility_primitive,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "check_guard",
     "chi4",
     "count_congruence_pair",
-    "count_congruence_pair_primitive",
     "count_divisibility",
     "count_divisibility_primitive",
     "count_lincong",
@@ -130,7 +127,6 @@ __all__ = [
     "shipped_pair",
     "sigma_2",
     "sigma_p",
-    "sigma_p_truncated",
     "singular_constant",
     "smith_bound",
     "sum_tol",

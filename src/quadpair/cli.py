@@ -31,6 +31,7 @@ import numpy as np
 from .counting import WeightFunction
 from .densities import (
     ExperimentResult,
+    _finite_or_none,
     certified_good,
     experiment,
     sigma_2,
@@ -477,10 +478,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "report": json.loads(result.report.to_json()),
-            "rows": [list(r) for r in result.rows],
+            "rows": [[_finite_or_none(v) for v in r] for r in result.rows],
             "csv_header": ExperimentResult.CSV_HEADER,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         sys.stdout.write(csv_text)
     if args.out:

@@ -19,19 +19,19 @@ closed form under the generic depth-k lifting behaviour (each further step
 of Q1-divisibility costing a factor p, each gcd stratum a factor p^{2-n}).
 For a prime where the intersection is smooth this evaluation is exact
 already at k = 1, and equality between consecutive depths is the
-convergence certificate.  The raw truncation exactly as displayed above is
-kept alongside for diagnostics (`sigma_p_truncated`); it approaches the
-same limit but never equals it at finite k.
+convergence certificate.
 
-The counts at every odd prime and depth are the Gauss-sum counts of
-`padic`, O(p^k n^3) work at depth k with no sweep of residues.  At a good
-prime (p odd, disc_P != 0, p prime to det2 * disc_P) the pencil has
-distinct roots mod p, which certifies a smooth intersection (Reid's
-criterion; `certified_good` needs no sweep), and Hensel lifting gives
-depth 2 from depth 1.  sigma_2 reads the 2-adic digit-lifting count of
-`padic` with Q1 shifted by its target 1 mod 4: digits are enumerated only
-until the quadratic terms die, about half the depth, and each distinct
-linear congruence left is solved once.
+The counts at every odd prime and depth are read off one Gauss-sum table
+of `padic` per sigma_p call: depth k builds only the new level k of
+primitive pencil members, p^k + p^(k-1) of them at n^3 work each, and
+every target of every depth is a masked sum over the levels built, with
+no sweep of residues.  At a good prime (p odd, disc_P != 0, p prime to
+det2 * disc_P) the pencil has distinct roots mod p, which certifies a
+smooth intersection (Reid's criterion; `certified_good` needs no sweep),
+and Hensel lifting gives depth 2 from depth 1.  sigma_2 reads the 2-adic
+digit-lifting count of `padic` with Q1 shifted by its target 1 mod 4:
+digits are enumerated only until the quadratic terms die, about half the
+depth, and each distinct linear congruence left is solved once.
 
 The dimension must be at least 3: at n = 2 the stratum ratio p^{2-n}
 reaches 1 and the defining limit itself diverges.
@@ -50,7 +50,7 @@ from .counting import WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det
 from .modarith import chi4, is_prime
-from .padic import _gauss_count, _lift_count, _orbit_count, count_congruence_pair
+from .padic import _GaussTable, _lift_count
 from .quadforms import (
     QuadricPair,
     _pencil_roots_distinct_mod_p,
@@ -69,7 +69,6 @@ __all__ = [
     "experiment",
     "sigma_2",
     "sigma_p",
-    "sigma_p_truncated",
     "singular_constant",
     "tau_infinity",
     "two_squares_closed_form",
@@ -134,21 +133,17 @@ def two_squares_closed_form(A: int, p: int, k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _primitive_counts(pair: QuadricPair, p: int, k: int,
-                      guard: int = DEFAULT_GUARD) -> list[int]:
-    """[Ntilde*_k(0), ..., Ntilde*_k(k)] (primitive x only).
+def _primitive_counts(table: _GaussTable, k: int) -> list[int]:
+    """[Ntilde*_k(0), ..., Ntilde*_k(k)] (primitive x only), read off the
+    Gauss-sum table of the prime.
 
     Imprimitive x = p y biject onto y mod p^(k-1) with both divisibility
     targets lowered by 2.
     """
-    n = pair.n
     full = [(k, e, k) for e in range(k + 1)]
     inner = [(k - 1, max(e - 2, 0), max(k - 2, 0)) for e in range(k + 1)]
-    targets = set(full + inner)
-    check_guard("sigma_p", n**3 * sum(_orbit_count(p, r1, r2)
-                                      for _, r1, r2 in targets), guard)
-    counts = {t: _gauss_count(pair, p, *t) for t in targets}
-    return [counts[f] - counts[i] for f, i in zip(full, inner)]
+    counts = table.counts(full + inner)
+    return [f - i for f, i in zip(counts[: k + 1], counts[k + 1 :])]
 
 
 def _hensel_lift(n: int, p: int, star1: list[int]) -> list[int]:
@@ -201,13 +196,15 @@ def sigma_p(pair: QuadricPair, p: int, k_max: int = 2,
             guard: int = DEFAULT_GUARD) -> SigmaP:
     """sigma_p by the stabilized evaluator, deepening until two
     consecutive depths agree exactly (the convergence certificate) or
-    k_max is reached."""
+    k_max is reached.  Every depth reads one Gauss-sum table, which builds
+    each level once."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if pair.n < 3:
         raise ValueError("densities require n >= 3")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    table = _GaussTable(pair, p, guard, "sigma_p")
     prev: Fraction | None = None
     k_done = 0
     for k in range(1, k_max + 1):
@@ -215,7 +212,7 @@ def sigma_p(pair: QuadricPair, p: int, k_max: int = 2,
             star = _hensel_lift(pair.n, p, star)
         else:
             try:
-                star = _primitive_counts(pair, p, k, guard=guard)
+                star = _primitive_counts(table, k)
             except ResourceGuardError:
                 if prev is None:
                     raise
@@ -225,20 +222,6 @@ def sigma_p(pair: QuadricPair, p: int, k_max: int = 2,
             return SigmaP(p, k, val, True)
         prev, k_done = val, k
     return SigmaP(p, k_done, prev, False)
-
-
-def sigma_p_truncated(pair: QuadricPair, p: int, k: int,
-                      guard: int = DEFAULT_GUARD) -> Fraction:
-    """The raw truncation (1 - chi(p)/p) p^{-k(n-1)} sum_e chi^e Ntilde_k(e),
-    exactly as the defining limit is written, with no rearrangement."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    chi = chi4(p)
-    total = sum(chi**e * count_congruence_pair(pair, p, k, e, k, guard=guard)
-                for e in range(k + 1))
-    return (1 - Fraction(chi, p)) * Fraction(total, p ** (k * (pair.n - 1)))
 
 
 # --------------------------------------------------------------------------
@@ -526,6 +509,12 @@ def tau_infinity(Q2, W: WeightFunction,
 # --------------------------------------------------------------------------
 
 
+def _finite_or_none(x: float) -> float | None:
+    """x, or None (JSON null) where x is infinite or NaN, which JSON cannot
+    hold: the tail has no fit below p_max = 3, the ratio no value at c = 0."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class DensityReport:
     p_max: int
@@ -569,9 +558,9 @@ class DensityReport:
             "sigma_inf": self.sigma_inf,
             "sigma_inf_spread": self.sigma_inf_spread,
             "c_truncated": self.c_truncated,
-            "tail_diagnostic": self.tail_diagnostic,
+            "tail_diagnostic": _finite_or_none(self.tail_diagnostic),
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _odd_primes_upto(x: int) -> list[int]:

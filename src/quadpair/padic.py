@@ -5,11 +5,17 @@ sigma_2, rho and rho* all read it from here.  The input picks the route.
 
 At odd p the count is one identity: p^-(r1+r2) times the sum of the Gauss
 sums G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2) over a mod p^r1 and
-b mod p^r2.  Each G is read off a Jordan decomposition mod p^R
-(`lincong.jordan_gauss_sum`), or off the pencil polynomial where
-det(b1 M1 + b2 M2) is a unit mod p, and (a, b) runs over the orbits of
-unit scaling, O(p^max(r1, r2)) of them: O(p^R n^3) work, with no sweep of
-residues.
+b mod p^r2.  The content p^v of each member folds out,
+G_{p^R}(p^v N) = p^(nv) G_{p^(R-v)}(N), so up to unit scaling only the
+primitive members (1, b) and (a, 1), p | a, enter, p^c + p^(c-1) of them
+at each level c = R - v.  One table per pair and prime (_GaussTable)
+evaluates each member once, and only once a count reads it: G off the
+pencil polynomial where det(a M1 + b M2) is a unit mod p, vectorised,
+and off a Jordan decomposition mod p^c (`lincong.jordan_gauss_sum`)
+elsewhere, kept as totals by the valuations of (a, b).  Each count is a
+sum over the levels c <= max(r1, r2), masked by those valuations: at
+most O(p^max(r1, r2) n^3) work, shared by every later count of the
+table, with no sweep of residues.
 
 At p = 2 the digits are fixed one at a time (`_lift_count`, also the
 oracle the tests hold the identity to at odd p).  sigma_2 reads the same
@@ -43,92 +49,163 @@ from .quadforms import QuadricPair, residue_grid
 
 __all__ = [
     "count_congruence_pair",
-    "count_congruence_pair_primitive",
     "count_divisibility",
     "count_divisibility_primitive",
 ]
+
+
+def _check_target(p: int, R: int, r1: int, r2: int) -> None:
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    if R < 0 or not (0 <= r1 <= R) or not (0 <= r2 <= R):
+        raise ValueError("need 0 <= r1, r2 <= R")
+
+
+def _counts(pair: QuadricPair, p: int, targets: list[tuple[int, int, int]],
+            guard: int) -> list[int]:
+    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)} at each (R, r1, r2) of
+    targets: one Gauss-sum table at odd p, digit lifting at p = 2."""
+    if p == 2:
+        return [_lift_count(pair, p, R, r1, r2, guard) for R, r1, r2 in targets]
+    return _GaussTable(pair, p, guard).counts(targets)
 
 
 def count_congruence_pair(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
                           guard: int = DEFAULT_GUARD) -> int:
     """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, exactly: the Gauss-sum
     identity at odd p, digit lifting at p = 2."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if R < 0 or not (0 <= r1 <= R) or not (0 <= r2 <= R):
-        raise ValueError("need 0 <= r1, r2 <= R")
-    if R == 0:
-        return 1
-    if p == 2:
-        return _lift_count(pair, p, R, r1, r2, guard)
-    check_guard("count_congruence_pair", pair.n**3 * _orbit_count(p, r1, r2), guard)
-    return _gauss_count(pair, p, R, r1, r2)
+    _check_target(p, R, r1, r2)
+    return _counts(pair, p, [(R, r1, r2)], guard)[0]
 
 
-def _orbits(p: int, r1: int, r2: int):
-    """The orbits of the units lambda acting on (a, b) in Z/p^r1 x Z/p^r2,
-    all but that of (0, 0), as (a, b, c): arrays of representatives whose
-    orbits have (p - 1) p^(c - 1) elements each.
-
-    c = max(r1 - v(a), r2 - v(b)), ties going to a.  Scaling makes the
-    entry that attains c a power of p, and leaves the other free up to
-    the bound on its valuation that c sets.
-    """
-    for va in range(r1):
-        c = r1 - va
-        yield np.array([p**va]), np.arange(0, p**r2, p ** max(r2 - c, 0)), c
-    for vb in range(r2):
-        c = r2 - vb
-        yield np.arange(0, p**r1, p ** max(r1 - c + 1, 0)), np.array([p**vb]), c
+def _thresholds(c: int, r1: int, r2: int) -> tuple[int, int]:
+    """The least v(x) of the members (1, x) and of the members (x, 1),
+    p | x, of level c that the count with targets r1, r2 reads; c + 1 where
+    it reads none.  (a, b) enters iff v(a) >= c - r1 and v(b) >= c - r2."""
+    return (max(c - r2, 0) if c <= r1 else c + 1,
+            max(c - r1, 1) if c <= r2 else c + 1)
 
 
-def _orbit_count(p: int, r1: int, r2: int) -> int:
-    """The representatives _gauss_count visits: (0, 0) and _orbits'."""
-    return (1 + sum(p ** min(r1 - va, r2) for va in range(r1))
-            + sum(p ** min(r2 - vb - 1, r1) for vb in range(r2)))
+def _shell(p: int, c: int, lo: int, hi: int) -> np.ndarray:
+    """The x mod p^c with lo <= v(x) < hi, v(0) taken as c."""
+    x = np.arange(0, p**c, p**lo, dtype=np.int64)
+    return x[x % p**hi != 0] if hi <= c else x
 
 
-def _gauss_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int) -> int:
-    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)}, p odd, r1 and r2 <= R, as
+def _shell_size(p: int, c: int, lo: int, hi: int) -> int:
+    """len(_shell(p, c, lo, hi)), for lo <= c, without building it."""
+    return p ** (c - lo) - (p ** (c - hi) if hi <= c else 0)
 
-        p^-(r1+r2) sum_{a mod p^r1, b mod p^r2}
-            G_{p^R}(a p^(R-r1) M1 + b p^(R-r2) M2)
 
-    with G_{p^R}(M) = sum_{x mod p^R} e(x^T M x / p^R).  G(lambda M) for a
-    unit lambda is (lambda/p)^t G(M), so each orbit of (a, b) under unit
-    scaling adds its size times jordan_gauss_sum at its representative.
-    Where the pencil polynomial puts det(A M1 + B M2) among the units mod
-    p, every Jordan block is a unit: G is p^(nR/2) for even R, p^(nR/2)
-    ((-1)^(n/2) det / p) for odd R and even n, and sums to 0 over the
-    orbit for odd R and n.  Only the other representatives are eliminated.
+def _valuations(x: np.ndarray, p: int, c: int) -> np.ndarray:
+    """v_p of each entry of x mod p^c, taken as c at 0."""
+    v = np.zeros(len(x), dtype=np.int64)
+    for t in range(1, c + 1):
+        v += x % p**t == 0
+    return v
+
+
+def _gauss_sums(pair: QuadricPair, p: int, c: int, half: int,
+                x: np.ndarray) -> list[int]:
+    """The totals of jordan_gauss_sum(a M1 + b M2, p, c) by v(x), v = 0..c,
+    over the members (a, b) = (1, x) (half 0) or (x, 1) (half 1).
+
+    Where the pencil polynomial puts det(a M1 + b M2) among the units mod p,
+    every Jordan block is a unit: G is p^(nc/2) for even c, p^(nc/2)
+    ((-1)^(n/2) det / p) for odd c and even n, and sums to 0 over the orbit
+    for odd c and n.  Only the other members are eliminated.
     """
     n = pair.n
+    one = np.ones(len(x), dtype=np.int64)
+    a, b = (one, x) if half == 0 else (x, one)
+    v = _valuations(x, p, c)
+    det, bk = 0, 1
+    for coeff in pair.pencil_poly:  # det = P(a, b) mod p, by Horner
+        det = (det * (a % p) + coeff % p * bk) % p
+        bk = bk * (b % p) % p
+    unit = det != 0
+    if c % 2 == 0:
+        sign = one
+    elif n % 2 == 0:
+        legendre = np.full(p, -1, dtype=np.int64)
+        legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+        sign = legendre[(-1) ** (n // 2) * det % p]
+    else:
+        sign = np.zeros_like(one)
+    units = np.zeros(c + 1, dtype=np.int64)
+    np.add.at(units, v[unit], sign[unit])
+    sums = [u * p ** (n * c // 2) for u in units.tolist()]
     rows = list(zip(pair.Q1.M, pair.Q2.M))
-    legendre = np.full(p, -1, dtype=np.int64)
-    legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
-    legendre[0] = 0
-    total = p ** (n * R)  # (a, b) = (0, 0)
-    for a, b, c in _orbits(p, r1, r2):
-        A, B = np.broadcast_arrays(a * p ** (R - r1), b * p ** (R - r2))
-        det, Bk = 0, 1
-        for coeff in pair.pencil_poly:  # det = P(A, B) mod p, by Horner
-            det = (det * (A % p) + coeff % p * Bk) % p
-            Bk = Bk * (B % p) % p
-        unit = det != 0
-        if R % 2 == 0:
-            s = p ** (n * R // 2) * int(unit.sum())
-        elif n % 2 == 0:
-            s = p ** (n * R // 2) * int(legendre[(-1) ** (n // 2) * det[unit] % p].sum())
-        else:
-            s = 0
-        for x, y in zip(A[~unit].tolist(), B[~unit].tolist()):
-            s += jordan_gauss_sum([[x * u + y * v for u, v in zip(*row)]
-                                   for row in rows], p, R)
-        total += (p - 1) * p ** (c - 1) * s
-    count, rem = divmod(total, p ** (r1 + r2))
-    if rem:
-        raise ArithmeticError("Gauss-sum count is not an integer")
-    return count
+    for k, y, z in zip(v[~unit].tolist(), a[~unit].tolist(), b[~unit].tolist()):
+        sums[k] += jordan_gauss_sum([[y * u + z * w for u, w in zip(*row)]
+                                     for row in rows], p, c)
+    return sums
+
+
+class _GaussTable:
+    """#{x mod p^R : p^r1 | Q1(x), p^r2 | Q2(x)} at an odd prime p, for any
+    (R, r1, r2), read off one table of Gauss sums of pencil members.
+
+    The count is p^-(r1+r2) sum G_{p^R}(A M1 + B M2) over the (A, B) mod p^R
+    with p^(R-r1) | A and p^(R-r2) | B, where G_{p^R}(M) = sum_{x mod p^R}
+    e(x^T M x / p^R).  (A, B) = (0, 0) gives p^(nR).  Any other (A, B) is
+    p^v (a, b) with (a, b) primitive mod p^c, c = R - v, and
+
+        G_{p^R}(p^v N) = p^(nv) G_{p^c}(N),   N = a M1 + b M2.
+
+    G(lambda N) for a unit lambda is (lambda/p)^t G(N), so the orbit of
+    (a, b) under unit scaling, (p - 1) p^(c - 1) pairs, adds that many
+    times jordan_gauss_sum(N, p, c).  Up to scaling the primitive (a, b) of
+    level c are the members (1, x) and (x, 1), p | x, and (A, B) meets the
+    divisibility conditions iff v(a) >= c - r1 and v(b) >= c - r2, so
+    levels past max(r1, r2) never enter.  Each half of a level keeps its
+    totals by v(x), built downwards from v(x) = c as counts reach lower
+    valuations: no member is evaluated twice, and none that no count reads.
+    """
+
+    def __init__(self, pair: QuadricPair, p: int, guard: int = DEFAULT_GUARD,
+                 operation: str = "count_congruence_pair"):
+        self.pair, self.p, self.guard, self.operation = pair, p, guard, operation
+        self._low: dict[int, list[int]] = {}  # level -> least v(x) built, per half
+        self._sums: dict[int, list[list[int]]] = {}  # level -> totals by v(x), per half
+
+    def _extend(self, targets) -> None:
+        """Evaluate the members the targets read that are not yet in the
+        table, after charging the guard n^3 for each."""
+        p = self.p
+        shells = []
+        for c in range(1, max(max(r1, r2) for _, r1, r2 in targets) + 1):
+            low = self._low.setdefault(c, [c + 1, c + 1])
+            self._sums.setdefault(c, [[0] * (c + 1), [0] * (c + 1)])
+            for half in (0, 1):
+                lo = min(_thresholds(c, r1, r2)[half] for _, r1, r2 in targets)
+                if lo < low[half]:
+                    shells.append((c, half, lo, low[half]))
+        if not shells:
+            return
+        check_guard(self.operation, self.pair.n**3 * sum(
+            _shell_size(p, c, lo, hi) for c, _, lo, hi in shells), self.guard)
+        for c, half, lo, hi in shells:
+            sums = _gauss_sums(self.pair, p, c, half, _shell(p, c, lo, hi))
+            self._sums[c][half] = [s + t for s, t in zip(self._sums[c][half], sums)]
+            self._low[c][half] = lo
+
+    def counts(self, targets: list[tuple[int, int, int]]) -> list[int]:
+        """The count at each (R, r1, r2) of targets, 0 <= r1, r2 <= R."""
+        p, n = self.p, self.pair.n
+        self._extend(targets)
+        out = []
+        for R, r1, r2 in targets:
+            total = p ** (n * R)
+            for c in range(1, max(r1, r2) + 1):
+                s = sum(sum(self._sums[c][half][lo:])
+                        for half, lo in enumerate(_thresholds(c, r1, r2)))
+                total += (p - 1) * p ** (c - 1 + n * (R - c)) * s
+            count, rem = divmod(total, p ** (r1 + r2))
+            if rem:
+                raise ArithmeticError("Gauss-sum count is not an integer")
+            out.append(count)
+        return out
 
 
 def _exact_grad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -229,20 +306,19 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
     return total
 
 
-def count_congruence_pair_primitive(pair: QuadricPair, p: int, R: int,
-                                    r1: int, r2: int,
-                                    guard: int = DEFAULT_GUARD) -> int:
+def _count_congruence_pair_primitive(pair: QuadricPair, p: int, R: int,
+                                     r1: int, r2: int,
+                                     guard: int = DEFAULT_GUARD) -> int:
     """As count_congruence_pair but restricted to x not == 0 mod p.
 
     Imprimitive x = p y biject onto y mod p^(R-1) with the divisibility
-    targets lowered by 2.
+    targets lowered by 2; both counts read one Gauss-sum table at odd p.
     """
-    full = count_congruence_pair(pair, p, R, r1, r2, guard=guard)
+    _check_target(p, R, r1, r2)
     if R == 0:
-        return full  # mod 1 there is nothing to be imprimitive against
-    inner = count_congruence_pair(
-        pair, p, R - 1, max(r1 - 2, 0), max(r2 - 2, 0), guard=guard
-    )
+        return 1  # mod 1 there is nothing to be imprimitive against
+    full, inner = _counts(pair, p, [(R, r1, r2), (R - 1, max(r1 - 2, 0), max(r2 - 2, 0))],
+                          guard)
     return full - inner
 
 
@@ -276,4 +352,4 @@ def count_divisibility_primitive(pair: QuadricPair, d1: int, d2: int,
                                  guard: int = DEFAULT_GUARD) -> int:
     """As count_divisibility but restricted to x not == 0 mod p at every
     p | d1 d2, prime by prime."""
-    return _crt_product(count_congruence_pair_primitive, pair, d1, d2, guard)
+    return _crt_product(_count_congruence_pair_primitive, pair, d1, d2, guard)

@@ -175,3 +175,23 @@ def test_report_matches_golden_bytes(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_experiment_json_is_strict_below_p_max_3(tmp_path, capsys):
+    # no odd prime to fit the tail on: it is written as null, not Infinity
+    out_path = tmp_path / "shipped.csv"
+    shipped = str(PAIRS / "shipped_n5.pair")
+    code, out, _ = run(capsys, "experiment", "--pair", shipped, "--B", "8",
+                       "--p-max", "2", "--format", "json", "--out", str(out_path))
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["report"]["tail_diagnostic"] is None
+    assert payload["report"]["primes"] == []
+    sidecar = out_path.with_suffix(".density.json").read_text(encoding="utf-8")
+    assert _strict_json(sidecar) == payload["report"]

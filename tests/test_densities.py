@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arith_oracles import sigma_p_truncated
 from quadpair.counting import WeightFunction
 from quadpair import densities, padic, quadforms
 from quadpair.densities import (
@@ -15,7 +16,6 @@ from quadpair.densities import (
     certified_good,
     sigma_2,
     sigma_p,
-    sigma_p_truncated,
     singular_constant,
     tau_infinity,
     two_squares_closed_form,
@@ -25,7 +25,7 @@ from quadpair.densities import _sigma2_fraction  # depth probe used below
 from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
 from quadpair.lincong import jordan_gauss_sum
 from quadpair.modarith import is_prime
-from quadpair.padic import _gauss_count, _lift_count, count_congruence_pair
+from quadpair.padic import _GaussTable, _lift_count, count_congruence_pair
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
@@ -654,7 +654,8 @@ def _zero_counts_sweep(pair, p):
 def test_pencil_counts_match_sweeps(name):
     pair = ORACLE_PAIRS[name]()
     for p in _odd_primes(3, 13):
-        counts = (_gauss_count(pair, p, 1, 0, 1), _gauss_count(pair, p, 1, 1, 1))
+        counts = (count_congruence_pair(pair, p, 1, 0, 1),
+                  count_congruence_pair(pair, p, 1, 1, 1))
         assert counts == _zero_counts_sweep(pair, p), (name, p)
         if p**pair.n <= 10**7:  # the package's own sweep, where it is cheap
             assert counts[1] == len(residue_zeros_mod_p(pair, p)), (name, p)
@@ -672,11 +673,11 @@ def test_hensel_local_data_matches_sweep(name):
         # depth 2 lifted by Hensel from depth 1 against the Gauss-sum count
         # at depth 2, and both depths against digit lifting where that is
         # quick
-        depth1 = densities._primitive_counts(pair, p, 1)
+        depth1 = densities._primitive_counts(_GaussTable(pair, p), 1)
         hensel = densities._hensel_lift(pair.n, p, depth1)
-        assert hensel == densities._primitive_counts(pair, p, 2), (name, p)
-        inner = _gauss_count(pair, p, 1, 0, 0)
-        assert hensel == [_gauss_count(pair, p, 2, e, 2) - inner
+        assert hensel == densities._primitive_counts(_GaussTable(pair, p), 2), (name, p)
+        inner = count_congruence_pair(pair, p, 1, 0, 0)
+        assert hensel == [count_congruence_pair(pair, p, 2, e, 2) - inner
                           for e in range(3)], (name, p)
         if p**pair.n <= 10**6:
             for k, got in ((1, depth1), (2, hensel)):
@@ -800,12 +801,12 @@ def test_singular_pair_skips_hensel():
         v2 = pair.Q2.eval_batch_mod(grid, q)
         deep2 = v2 == 0
         star2 = [int((deep2 & (v1 % p**e == 0)).sum()) for e in range(3)]
-        assert densities._primitive_counts(pair, p, 2) == star2, p
+        assert densities._primitive_counts(_GaussTable(pair, p), 2) == star2, p
         got = sigma_p(pair, p)
         want = densities._stabilized_sigma(pair, p, star2)
         assert got.k_used == 2 and got.fraction == want, p
         differs |= densities._hensel_lift(
-            pair.n, p, densities._primitive_counts(pair, p, 1)) != star2
+            pair.n, p, densities._primitive_counts(_GaussTable(pair, p), 1)) != star2
     # Hensel lifting would have been wrong here
     assert differs
 
@@ -861,28 +862,74 @@ def test_gauss_count_matches_count_congruence_pair(name):
                     == _lift_count(pair, p, R, r1, r2)), (name, p, R, r1, r2)
 
 
+def _val(y, p, c):
+    """v_p(y mod p^c), c at 0."""
+    v = 0
+    while v < c and y % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+def _reads(p, c, r1, r2):
+    """The primitive members (a, b) of level c, (1, x) then (x, 1) with
+    p | x, each with whether the count with targets r1, r2 reads it: those
+    with v(a) >= c - r1 and v(b) >= c - r2."""
+    members = [(1, x) for x in range(p**c)] + [(x, 1) for x in range(0, p**c, p)]
+    return [((a, b), _val(a, p, c) >= c - r1 and _val(b, p, c) >= c - r2)
+            for a, b in members]
+
+
 def test_orbits_partition_the_pairs():
+    # the primitive members of level c, scaled by p^(R - c), are one
+    # representative of each unit orbit of (Z/p^R)^2 minus (0, 0), of
+    # (p - 1) p^(c - 1) pairs each; a count (R, r1, r2) reads the orbits of
+    # its (a p^(R - r1), b p^(R - r2)), (a, b) in Z/p^r1 x Z/p^r2, and
+    # _thresholds names exactly those members
     for p in (3, 5):
-        for r1 in range(4):
-            for r2 in range(4):
-                orbits = list(padic._orbits(p, r1, r2))
-                sizes = [(p - 1) * p ** (c - 1) * max(len(a), len(b))
-                         for a, b, c in orbits]
-                assert 1 + sum(sizes) == p ** (r1 + r2), (p, r1, r2)
-                reps = 1 + sum(max(len(a), len(b)) for a, b, _ in orbits)
-                assert padic._orbit_count(p, r1, r2) == reps
-                # every (a, b) lies in the orbit of exactly one representative
-                if p ** (r1 + r2) <= 625:
-                    seen = set()
-                    for a, b, c in orbits:
-                        for x, y in zip(*np.broadcast_arrays(a, b)):
-                            orbit = {(lam * int(x) % p**r1, lam * int(y) % p**r2)
-                                     for lam in range(1, p ** max(r1, r2))
-                                     if lam % p}
-                            assert len(orbit) == (p - 1) * p ** (c - 1)
-                            assert not orbit & seen
-                            seen |= orbit
-                    assert len(seen) + 1 == p ** (r1 + r2)
+        for R in range(1, 4):
+            vals = {c: [_val(y, p, c) for y in range(p**c)] for c in range(1, R + 1)}
+            for c, v in vals.items():
+                assert padic._valuations(np.arange(p**c), p, c).tolist() == v
+                for lo in range(c + 1):
+                    for hi in range(lo + 1, c + 2):
+                        # the members a shell adds, and the guard's charge for them
+                        x = padic._shell(p, c, lo, hi).tolist()
+                        assert x == [y for y in range(p**c) if lo <= v[y] < hi]
+                        assert padic._shell_size(p, c, lo, hi) == len(x)
+            for r1 in range(R + 1):
+                for r2 in range(R + 1):
+                    sizes = []
+                    for c in range(1, R + 1):
+                        reads = _reads(p, c, r1, r2)
+                        sizes.append((p - 1) * p ** (c - 1) * sum(r for _, r in reads))
+                        v = vals[c]
+                        lo = padic._thresholds(c, r1, r2)
+                        named = ({(1, x) for x in range(p**c) if v[x] >= lo[0]}
+                                 | {(x, 1) for x in range(0, p**c, p) if v[x] >= lo[1]})
+                        assert named == {ab for ab, r in reads if r}, (p, c, r1, r2)
+                    assert 1 + sum(sizes) == p ** (r1 + r2), (p, R, r1, r2)
+            if p ** (2 * R) > 625:
+                continue
+            # every (A, B) lies in the orbit of exactly one scaled member,
+            # and the orbits read are exactly the pairs of each target
+            q = p**R
+            seen = {}
+            for c in range(1, R + 1):
+                for (x, y), _ in _reads(p, c, 0, 0):
+                    orbit = {(lam * x * p ** (R - c) % q, lam * y * p ** (R - c) % q)
+                             for lam in range(1, q) if lam % p}
+                    assert len(orbit) == (p - 1) * p ** (c - 1)
+                    assert not orbit & seen.keys()
+                    seen.update(dict.fromkeys(orbit, (c, x, y)))
+            assert len(seen) + 1 == q * q
+            for r1 in range(R + 1):
+                for r2 in range(R + 1):
+                    want = {(A, B) for A in range(0, q, p ** (R - r1))
+                            for B in range(0, q, p ** (R - r2))} - {(0, 0)}
+                    read = {(c, ab) for c in range(1, R + 1)
+                            for ab, r in _reads(p, c, r1, r2) if r}
+                    got = {AB for AB, (c, x, y) in seen.items() if (c, (x, y)) in read}
+                    assert got == want, (p, R, r1, r2)
 
 
 DEMO_N7_SIGMA = {
@@ -907,7 +954,7 @@ def test_demo_n7_bad_primes_converge():
 
 def test_guard_estimate_covers_eliminations(monkeypatch):
     calls = []  # [estimate, eliminations run after it]
-    check, jordan = densities.check_guard, padic.jordan_gauss_sum
+    check, jordan = padic.check_guard, padic.jordan_gauss_sum
 
     def record_check(op, estimate, guard):
         calls.append([estimate, 0])
@@ -917,7 +964,7 @@ def test_guard_estimate_covers_eliminations(monkeypatch):
         calls[-1][1] += 1
         return jordan(*args)
 
-    monkeypatch.setattr(densities, "check_guard", record_check)
+    monkeypatch.setattr(padic, "check_guard", record_check)
     monkeypatch.setattr(padic, "jordan_gauss_sum", record_jordan)
     for pair, primes in ((shipped_pair(), (3, 5, 7, 11)),
                          (demo_pair_7(), (3, 7, 13)),
@@ -928,6 +975,54 @@ def test_guard_estimate_covers_eliminations(monkeypatch):
             assert calls and sum(c[1] for c in calls) > 0, p
             for estimate, eliminations in calls:
                 assert estimate >= pair.n**3 * eliminations, (p, calls)
+
+
+def test_sigma_p_eliminates_each_member_once(monkeypatch):
+    # one Gauss-sum table per call: every depth and target reads the level
+    # sums, so no (member, p, level) is Jordan-decomposed twice
+    calls = []
+    jordan = padic.jordan_gauss_sum
+
+    def record(matrix, p, r):
+        calls.append((tuple(map(tuple, matrix)), p, r))
+        return jordan(matrix, p, r)
+
+    monkeypatch.setattr(padic, "jordan_gauss_sum", record)
+    for pair, p in ((shipped_pair(), 3), (shipped_pair(), 5), (demo_pair_7(), 7)):
+        del calls[:]
+        sigma_p(pair, p, k_max=5)
+        assert calls and len(set(calls)) == len(calls), (pair.n, p)
+
+
+@pytest.mark.parametrize("name", ["shipped", "toy_n3"])
+def test_count_charge_covers_members(monkeypatch, name):
+    # a count evaluates each member it reads once, closed form or Jordan,
+    # none that it does not read, and is charged n^3 for each beforehand
+    pair = ORACLE_PAIRS[name]()
+    charged, members = [], []
+    check, shell = padic.check_guard, padic._shell
+
+    def record_check(op, estimate, guard):
+        charged.append(estimate)
+        return check(op, estimate, guard)
+
+    def record_shell(*args):
+        x = shell(*args)
+        members.append(len(x))
+        return x
+
+    monkeypatch.setattr(padic, "check_guard", record_check)
+    monkeypatch.setattr(padic, "_shell", record_shell)
+    for p in (3, 5):
+        for R in range(1, 4):
+            for r1 in range(R + 1):
+                for r2 in range(R + 1):
+                    del charged[:], members[:]
+                    count_congruence_pair(pair, p, R, r1, r2)
+                    reads = sum(r for c in range(1, max(r1, r2) + 1)
+                                for _, r in _reads(p, c, r1, r2))
+                    assert sum(members) == reads, (p, R, r1, r2)
+                    assert reads <= sum(charged) // pair.n**3, (p, R, r1, r2)
 
 
 def test_sigma_p_never_calls_count_congruence_pair(monkeypatch):

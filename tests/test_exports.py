@@ -11,7 +11,8 @@ MODULES = ["quadpair"] + sorted(
 #: names deleted with nothing left calling them
 DELETED = {"full_quadratic_sum", "partial_sum_Q", "partial_sum_Q_series",
            "_Q_series_modulus", "Ntilde", "count_cone_points_mod_p",
-           "sigma_infinity", "r2_chi_divisor_sum"}
+           "sigma_infinity", "r2_chi_divisor_sum", "sigma_p_truncated",
+           "count_congruence_pair_primitive"}
 
 
 @pytest.mark.parametrize("name", MODULES)

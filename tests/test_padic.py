@@ -10,7 +10,6 @@ from quadpair.guard import ResourceGuardError
 from quadpair.padic import (
     _lift_count,
     count_congruence_pair,
-    count_congruence_pair_primitive,
     count_divisibility,
     count_divisibility_primitive,
 )
@@ -56,7 +55,7 @@ def test_primitive_counts_layer():
     pair = toy_pair_3()
     p, R = 3, 2
     whole = count_congruence_pair(pair, p, R, R, R)
-    prim = count_congruence_pair_primitive(pair, p, R, R, R)
+    prim = padic._count_congruence_pair_primitive(pair, p, R, R, R)
     # non-primitive solutions are p * (anything mod p^{R-1}) satisfying the
     # divided congruences; for R = 2 and quadratics that is every x mod p
     q = p**R
