@@ -25,7 +25,6 @@ from .densities import (
     two_squares_count,
 )
 from .expsums import (
-    D_d,
     D_p2_layered,
     M_mixed,
     Q_q_explicit,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxSpec",
     "DEFAULT_GUARD",
-    "D_d",
     "D_p2_layered",
     "DensityReport",
     "ExperimentResult",

@@ -27,14 +27,16 @@ one table over the span of the right keys, built with the right half
 when the span is no longer than the left half's rows and the right rows
 together (else searched for), and every left block reads the same table.
 The left half comes in blocks of at most _STREAM_ROWS rows: those of
-grid_block_axes, or for S(B) those of _ball_blocks (the left half cut to
+grid_block_axes, or for S(B) those of quadforms._ball_cut_blocks, the
+one ball iterator, which tau_infinity reads too (the left half cut to
 the ball, split into equal runs along its first axis, each run cut and
 split in turn); a form's int64 check runs once per stream, on the whole
-axes, and each block runs the eval_grid kernel alone.  N_d sums the run lengths of each key's index, building no row
-(past the keys and their indices, no array as long as the block);
-listing builds rows only for the matches, from their indices into the
-left block's axes and the right rows, block by block, which keeps the
-stream in order.  A coupled Q2 is scanned over the
+axes, and each block runs the eval_grid kernel alone.  N_d sums the run
+lengths of each key's index, building no row (past the keys and their
+indices, no array as long as the block); listing builds rows only for
+the matches, from their positions in the product of the left block's
+axes and the right axes (quadforms._rows_at), block by block, which
+keeps the stream in order.  A coupled Q2 is scanned over the
 grid_block_axes blocks of at most _STREAM_ROWS rows of its first n - 1
 coordinates, with the last coordinate solved for: Q2 = a x_n^2 +
 b(x') x_n + c(x'), b = 2 m.x', and the discriminant b^2 - 4ac, itself a
@@ -75,9 +77,11 @@ from .quadforms import (
     _BALL_SLACK,
     QuadraticForm,
     QuadricPair,
+    _ball_cut_blocks,
     _check_int64,
+    _grid_sums,
+    _rows_at,
     _term_sums,
-    _tuples,
     grid_block_axes,
 )
 
@@ -200,12 +204,7 @@ def _solve_last(M, form, axes, lo: int, hi: int) -> np.ndarray:
             roots.append(num[ok] // (2 * a))
     rows, roots = np.concatenate(rows), np.concatenate(roots)
     inside = (roots >= lo) & (roots <= hi)
-    rows = rows[inside]
-    X = np.empty((len(rows), n), dtype=np.int64)
-    for j, at in enumerate(np.unravel_index(rows, dims) if n > 1 else ()):
-        X[:, j] = axes[j][at]
-    X[:, -1] = roots[inside]
-    return X
+    return np.column_stack([_rows_at(axes, rows[inside]), roots[inside]])
 
 
 def _scan(Q2: QuadraticForm, lo, hi, guard: int):
@@ -347,60 +346,6 @@ def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None) 
     return _RightHalf(order, keys[start], start, np.diff(start, append=len(keys)), left_rows)
 
 
-def _grid_sums(parts) -> np.ndarray:
-    """e_1 + e_2 + ... + e_k, summed left to right, over the lexicographic
-    product of the float axes parts = (e_1, ..., e_k); 0 for no axes."""
-    k = len(parts)
-    out = np.zeros([1] * k)
-    for j, e in enumerate(parts):
-        out = out + e.reshape([1] * j + [-1] + [1] * (k - 1 - j))
-    return out.reshape(-1)
-
-
-def _ball_cut(axes, parts, budget: float):
-    """(axes, parts) cut to the ball: each axis to the run of values v
-    whose e(v), plus the least e of every other axis, is below budget (a
-    run, as e is convex along an axis, and never empty, as it holds the
-    least), so no row whose sum of e is below budget is cut; None when no
-    row's sum is."""
-    least = [float(p.min()) for p in parts]
-    room = budget - sum(least)
-    if room <= 0:
-        return None
-    cut_axes, cut_parts = [], []
-    for axis, part, low in zip(axes, parts, least):
-        if len(part) > 1:
-            keep = np.flatnonzero(part < low + room)
-            run = slice(keep[0], keep[-1] + 1)
-            axis, part = axis[run], part[run]
-        cut_axes.append(axis)
-        cut_parts.append(part)
-    return cut_axes, cut_parts
-
-
-def _ball_blocks(axes, parts, budget: float):
-    """The lexicographic product of the axes cut to the ball, as blocks of
-    (axes, parts) of at most _STREAM_ROWS rows unless the last axis alone
-    is longer: the product is cut (_ball_cut), and if it then holds more
-    rows, its first axis of more than one value is split into as many
-    equal runs as the budget goes into those rows, each run cut and split
-    in turn."""
-    cut = _ball_cut(axes, parts, budget)
-    if cut is None:
-        return
-    axes, parts = cut
-    dims = [len(a) for a in axes]
-    j = next((i for i, m in enumerate(dims) if m > 1), len(dims) - 1)
-    if math.prod(dims) <= _STREAM_ROWS or j == len(dims) - 1:
-        yield axes, parts
-        return
-    step = -(-dims[j] // -(-math.prod(dims) // _STREAM_ROWS))
-    for at in range(0, dims[j], step):
-        run = slice(at, at + step)
-        yield from _ball_blocks(axes[:j] + [axes[j][run]] + axes[j + 1:],
-                                parts[:j] + [parts[j][run]] + parts[j + 1:], budget)
-
-
 def _join_charge(lo, hi) -> int:
     """The rows of the two halves of the box, what a join reads."""
     h = (len(lo) + 1) // 2
@@ -436,8 +381,10 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
         right = _right_half(Q2, None, axes[h:], 1, left_rows,
                             np.flatnonzero(right_sum < budget))
         right_sum = right_sum[right.order]
-        blocks = _ball_blocks(axes[:h], parts[:h], budget)
-    right_rows = _tuples(axes[h:], lex=True)[right.order]
+        blocks = _ball_cut_blocks(axes[:h], parts[:h], budget, _STREAM_ROWS)
+    # a match's row is the one at left * right_size + right of the product
+    # of a left block's axes and the right axes
+    right_size = math.prod(len(a) for a in axes[h:])
     total = 0
     for block, block_parts in blocks:
         keys = left_keys(block)
@@ -459,11 +406,7 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
         if ball is not None:
             near = np.repeat(left_sum[hit], counts) + right_sum[at_right] < budget
             at_left, at_right = at_left[near], at_right[near]
-        rows = np.empty((len(at_left), Q2.n), dtype=np.int64)
-        for j, at in enumerate(np.unravel_index(at_left, [len(a) for a in block])):
-            rows[:, j] = block[j][at]
-        rows[:, h:] = right_rows[at_right]
-        yield rows
+        yield _rows_at(block + axes[h:], at_left * right_size + right.order[at_right])
 
 
 def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -46,16 +46,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import WeightFunction, s_of_b_rows
+from .counting import _STREAM_ROWS, WeightFunction, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det
 from .modarith import chi4, is_prime
 from .padic import _GaussTable, _lift_count
 from .quadforms import (
+    _BALL_SLACK,
     QuadricPair,
+    _ball_cut_blocks,
+    _grid_sums,
     _pencil_roots_distinct_mod_p,
-    ball_blocks,
-    ball_bound,
+    _rows_at,
     certified_good,
 )
 
@@ -312,11 +314,28 @@ def _bump_1d(s2: np.ndarray, t: np.ndarray, rho: float) -> np.ndarray:
     return np.exp(t, out=t)
 
 
+def _tau_blocks(G: int, k: int):
+    """(blocks, budget) of a pass at resolution G on k transverse
+    coordinates, in cell units: the axes are the cell indices 0..G-1 and
+    the parts the exact squares (i + 1/2 - G/2)^2, so the midpoints in the
+    support ball are the cells whose sum of parts is below (G/2)^2, and
+    the budget (G/2)^2 (1 + _BALL_SLACK) keeps every one of them.  The
+    blocks are _ball_cut_blocks', of at most counting._STREAM_ROWS rows
+    unless the last axis alone is longer."""
+    cells = np.arange(G, dtype=np.int64)
+    budget = (G / 2) ** 2 * (1.0 + _BALL_SLACK)
+    parts = (cells + 0.5 - G / 2) ** 2
+    return _ball_cut_blocks([cells] * k, [parts] * k, budget, _STREAM_ROWS), budget
+
+
 def _tau_charge(G: int, k: int) -> int:
-    """The guard charge of a pass on k transverse coordinates: 8 for each
-    row ball_blocks can build, 2 for each shorter prefix it can build (once
-    to build it, once to bisect the axis for its next column)."""
-    return 8 * ball_bound(G, k) + 2 * sum(ball_bound(G, j) for j in range(k))
+    """The guard charge of a pass on k transverse coordinates: 9 for each
+    row of its blocks (_tau_blocks), 1 for the row's sum of parts and 8 for
+    its Gauss-Legendre nodes should it lie in the ball.  The rows are
+    counted off the blocks' axes, none built: an upper bound on the pass's
+    work from an exact count, not a volume estimate."""
+    blocks, _ = _tau_blocks(G, k)
+    return 9 * sum(math.prod(len(a) for a in axes) for axes, _ in blocks)
 
 
 _TAU_STOP = 2e-4  # relative move of both estimates that ends the refinement
@@ -332,11 +351,13 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
     estimate and the number of transverse rows integrated.  The
     distinguished coordinate is integrated exactly, the others by the
     midpoint rule on the cells of the box of half-width rho about x0 whose
-    midpoints lie in the support ball; no other cell is built.  The cells
-    come in ball_blocks' blocks of at most quadforms._BALL_ROWS rows, and
-    one block and its temporaries (some forty floats a row, each
-    interval's 8 Gauss-Legendre nodes as one 8-row array) are alive at a
-    time, so the pass's memory does not grow with G."""
+    midpoints lie in the support ball.  The cells come in the blocks of
+    _tau_blocks, each masked to its cells with a sum of parts below the
+    budget before any row is built; only those rows are built (_rows_at)
+    and put to the exact test |y - x0|^2 < rho^2.  One block and its
+    temporaries (some forty floats a row, each interval's 8 Gauss-Legendre
+    nodes as one 8-row array) are alive at a time, so the pass's memory
+    does not grow with G."""
     n = Q2.n
     x0 = np.array(W.x0, dtype=float)
     M2 = np.array(Q2.M, dtype=float)
@@ -349,10 +370,13 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
 
     h = 2.0 * rho / G
     cell = h ** len(rest)
+    mid = -rho + h * (np.arange(G) + 0.5)  # the cell midpoints, about 0
     slab_tot = [0.0 for _ in eps_list]
     co_tot = 0.0
     count = 0
-    for yk in ball_blocks(rho, G, len(rest)):
+    blocks, budget = _tau_blocks(G, len(rest))
+    for axes, parts in blocks:
+        yk = _rows_at([mid[a] for a in axes], np.flatnonzero(_grid_sums(parts) < budget))
         yk += x0[rest]
         s2 = ((yk - x0[rest]) ** 2).sum(axis=1)
         inside = s2 < rho**2
@@ -463,12 +487,11 @@ def tau_infinity(Q2, W: WeightFunction,
     estimates move by less than 2e-4 relative to the previous pass; a pass
     at 3G/2 builds about (3/2)^(n-1) times the rows of the pass at G, not
     2^(n-1).  Before each pass the guard is charged _tau_charge, an
-    upper bound on the pass's work: 8 for each of the at most
-    ball_bound(G, n - 1) rows it can build, and 2 for each shorter prefix
-    it can build on the way.  A pass holds one block of at most
-    quadforms._BALL_ROWS cells at a time (_tau_pass).  A singular Q2, or a
-    support ball holding the origin (the only critical point of a
-    non-singular Q2), is refused.
+    upper bound on the pass's work: 9 for each row of the blocks of the
+    ball iterator it reads (1 for the row's sum, 8 for its Gauss-Legendre
+    nodes).  A pass holds one block of at most counting._STREAM_ROWS cells
+    at a time (_tau_pass).  A singular Q2, or a support ball holding the
+    origin (the only critical point of a non-singular Q2), is refused.
     """
     if W.n != Q2.n:
         raise ValueError("weight dimension mismatch")

@@ -43,8 +43,8 @@ closed-form solve for lambda, the fiber sizes) is one zero layer per
 one solve per zero, not a fresh p^n sweep and p^2 scan.  These are
 cross-checked against direct enumeration at small n in the tests.
 
-D_d and M_mixed take no route argument: the modulus alone picks the
-layered route or S_dq (see each docstring).  The guard never picks a
+M_mixed takes no route argument: the modulus alone picks the layered
+route or S_dq (see its docstring).  The guard never picks a
 route, so never moves a value: it only raises ResourceGuardError over
 the route's charge.
 """
@@ -80,7 +80,6 @@ from .quadforms import (
 )
 
 __all__ = [
-    "D_d",
     "D_p2_layered",
     "M_mixed",
     "Q_q_explicit",
@@ -398,26 +397,8 @@ def T_dq(pair: QuadricPair, a_vec, d: int, q: int, m,
 
 
 # --------------------------------------------------------------------------
-# D_d(m), rho, and the layered large-p evaluators
+# rho and the layered large-p evaluators
 # --------------------------------------------------------------------------
-
-
-def D_d(pair: QuadricPair, d: int, m, guard: int = DEFAULT_GUARD) -> SumValue:
-    """D_d(m) = S_{d,1}(m) = sum over k mod d with d | Q_i(k) of e_d(m.k).
-
-    D_p2_layered iff d = p^2, p prime, else S_dq(pair, d, 1, m).  The
-    guard only raises, charged p^n (by the common-zero search mod p) or
-    as in S_dq_many.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if len(m) != pair.n:
-        raise ValueError("m has wrong length")
-    f = factorize(d)
-    if list(f.values()) != [2]:
-        return S_dq(pair, d, 1, m, guard=guard)
-    (p, _), = f.items()
-    return D_p2_layered(pair, p, m, guard=guard)
 
 
 def D_p2_layered(pair: QuadricPair, p: int, m,

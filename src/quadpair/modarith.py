@@ -34,7 +34,6 @@ __all__ = [
     "gauss_chi",
     "is_prime",
     "jacobi",
-    "mobius",
     "one_d_quad_sum_direct",
     "quad_gauss_1d",
     "r2",
@@ -143,7 +142,7 @@ def _brent_rho(n: int) -> int:
             return g
 
 
-def mobius(n: int) -> int:
+def _mobius(n: int) -> int:
     if n == 1:
         return 1
     mu = 1
@@ -337,7 +336,7 @@ def ramanujan(q: int, a: int) -> int:
     if q == 1:
         return 1
     g = math.gcd(q, a)
-    return sum(d * mobius(q // d) for d in divisors(g))
+    return sum(d * _mobius(q // d) for d in divisors(g))
 
 
 def gauss_chi(q: PrimePower | int, a: int) -> SumValue:

@@ -336,109 +336,75 @@ def residue_blocks(q: int, k: int):
     return grid_blocks(np.arange(q, dtype=np.int64), k)
 
 
-#: relative slack on the squared radius in ball_blocks; it covers the
-#: rounding of a caller's own test on shifted rows by a wide margin
+#: relative slack on a ball's squared radius; it covers the rounding of a
+#: caller's own test on shifted rows by a wide margin
 _BALL_SLACK = 1e-6
 
 
-def _ball_extend(sq, cols, part, budget):
-    """Each prefix (its axis indices, one array per column in cols, and its
-    sum of squares in part) extended by every index i with
-    sq[i] <= budget - part; the prefix varies slowest, i fastest.
-
-    sq falls to the middle of the axis and rises after it, so those i are
-    one run about the middle, found by bisecting either half.
-    """
-    mid = len(sq) // 2
-    room = budget - part
-    lo = mid - np.searchsorted(sq[:mid][::-1], room, side="right")
-    hi = mid + np.searchsorted(sq[mid:], room, side="right")
-    counts = hi - lo
-    rep = np.repeat(np.arange(len(part)), counts)
-    new = np.arange(len(rep)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return [c[rep] for c in cols] + [new], part[rep] + sq[new]
+def _rows_at(axes, index) -> np.ndarray:
+    """The rows at the positions index of the lexicographic product of the
+    axes, one column per axis."""
+    rows = np.empty((len(index), len(axes)), dtype=np.result_type(np.int64, *axes))
+    for j, at in enumerate(np.unravel_index(index, [len(a) for a in axes]) if axes else ()):
+        rows[:, j] = axes[j][at]
+    return rows
 
 
-#: most rows a ball_blocks block holds
-_BALL_ROWS = 8192
+def _grid_sums(parts) -> np.ndarray:
+    """e_1 + e_2 + ... + e_k, summed left to right, over the lexicographic
+    product of the float axes parts = (e_1, ..., e_k); 0 for no axes."""
+    k = len(parts)
+    out = np.zeros([1] * k)
+    for j, e in enumerate(parts):
+        out = out + e.reshape([1] * j + [-1] + [1] * (k - 1 - j))
+    return out.reshape(-1)
 
 
-def _ball_lead(G: int, k: int) -> int:
-    """The head columns ball_blocks fixes on k columns: the fewest that
-    leave a tail of ball_bound(G, k - lead) <= _BALL_ROWS rows."""
-    lead = 0
-    while ball_bound(G, k - lead) > _BALL_ROWS:
-        lead += 1
-    return lead
+def _ball_cut(axes, parts, budget: float):
+    """(axes, parts) cut to the ball: each axis to the run of values v
+    whose e(v), plus the least e of every other axis, is below budget (a
+    run, as e is convex along an axis, and never empty, as it holds the
+    least), so no row whose sum of e is below budget is cut; None when no
+    row's sum is."""
+    least = [float(p.min()) for p in parts]
+    room = budget - sum(least)
+    if room <= 0:
+        return None
+    cut_axes, cut_parts = [], []
+    for axis, part, low in zip(axes, parts, least):
+        if len(part) > 1:
+            keep = np.flatnonzero(part < low + room)
+            run = slice(keep[0], keep[-1] + 1)
+            axis, part = axis[run], part[run]
+        cut_axes.append(axis)
+        cut_parts.append(part)
+    return cut_axes, cut_parts
 
 
-def ball_blocks(r: float, G: int, k: int):
-    """The midpoints of the G^k cells tiling [-r, r]^k that can lie in the
-    open ball |y| < r, in lexicographic order over the G midpoints of
-    [-r, r], in blocks of at most _BALL_ROWS rows.
-
-    The first _ball_lead(G, k) columns are the head.  A block holds every
-    tail of a run of consecutive heads, as grid_block_axes with lex and a
-    row budget runs a slice of its last head column, but the budget is
-    counted in ball rows and a run may go on into the next values of the
-    earlier head columns.  Each head's tail lies in the ball of radius
-    sqrt(r^2 (1 + _BALL_SLACK) - |head|^2), so its rows number at most the
-    ball_bound of that radius, and a run takes heads in order while the
-    sum of those bounds stays within _BALL_ROWS.
-
-    Rows are built column by column, column 0 first: the heads once, then
-    each block's tail columns when the block is handed on, so one block
-    exists at a time.  A prefix is extended only by the values that keep
-    its sum of squares within r^2 (1 + _BALL_SLACK), so this yields a
-    superset of the ball's midpoints and the caller keeps its own exact
-    test.  The prefixes of j columns built number at most ball_bound(G, j).
-    """
-    h = 2.0 * r / G
-    axis = -r + h * (np.arange(G) + 0.5)
-    sq = axis * axis
-    budget = r * r * (1.0 + _BALL_SLACK)
-    lead = _ball_lead(G, k)
-    heads, head_sq = [], np.zeros(1)
-    for _ in range(lead):
-        heads, head_sq = _ball_extend(sq, heads, head_sq, budget)
-    # ball_bound's radius, in cells, shrunk to the room each head leaves
-    shrink = np.sqrt(np.maximum(budget - head_sq, 0.0) / budget)
-    tails = _cells_in_ball(G / 2 * (1.0 + _BALL_SLACK) * shrink, G, k - lead).tolist()
-    starts, rows = [], 0
-    for at, tail in enumerate(tails):
-        if not starts or rows + tail > _BALL_ROWS:
-            starts.append(at)
-            rows = 0
-        rows += tail
-    for lo, hi in zip(starts, starts[1:] + [len(tails)]):
-        cols, part = [col[lo:hi] for col in heads], head_sq[lo:hi]
-        for _ in range(k - lead):
-            cols, part = _ball_extend(sq, cols, part, budget)
-        if len(part):
-            block = np.empty((len(part), k), dtype=axis.dtype)
-            for j, col in enumerate(cols):
-                block[:, j] = axis[col]
-            del cols, part
-            # handed on with no reference kept while the caller works on it
-            handed = [block]
-            del block
-            yield handed.pop()
-
-
-def _cells_in_ball(radius, G: int, j: int):
-    """An upper bound on the cells of the G^j grid of unit cells whose
-    midpoints lie within radius (a number or an array) of its centre: the
-    cells are disjoint and lie in the ball of radius radius + sqrt(j) / 2,
-    so they number at most its volume, and at most G^j."""
-    unit_ball = math.pi ** (j / 2) / math.gamma(j / 2 + 1)
-    return np.minimum(G**j, np.ceil(unit_ball * (radius + math.sqrt(j) / 2) ** j))
-
-
-def ball_bound(G: int, j: int) -> int:
-    """An upper bound on the j-column prefixes ball_blocks(r, G, .) builds:
-    their midpoints lie within r (1 + _BALL_SLACK) of the centre, which is
-    G (1 + _BALL_SLACK) / 2 cells of side h = 2r/G (_cells_in_ball)."""
-    return int(_cells_in_ball(G / 2 * (1.0 + _BALL_SLACK), G, j))
+def _ball_cut_blocks(axes, parts, budget: float, rows: int):
+    """The lexicographic product of the axes cut to the ball sum_i
+    parts[i] < budget, parts[i] a convex float e_i(v) for each value v of
+    axis i, as blocks of (axes, parts) of at most rows rows unless the
+    last axis alone is longer: the product is cut (_ball_cut), and if it
+    then holds more rows, its first axis of more than one value is split
+    into as many equal runs as the budget goes into those rows, each run
+    cut and split in turn.  No row is built; every block holds a row of
+    the ball, and the blocks in turn hold every row of the ball in
+    lexicographic order, for the caller to mask (_grid_sums)."""
+    cut = _ball_cut(axes, parts, budget)
+    if cut is None:
+        return
+    axes, parts = cut
+    dims = [len(a) for a in axes]
+    j = next((i for i, m in enumerate(dims) if m > 1), len(dims) - 1)
+    if math.prod(dims) <= rows or j == len(dims) - 1:
+        yield axes, parts
+        return
+    step = -(-dims[j] // -(-math.prod(dims) // rows))
+    for at in range(0, dims[j], step):
+        run = slice(at, at + step)
+        yield from _ball_cut_blocks(axes[:j] + [axes[j][run]] + axes[j + 1:],
+                                    parts[:j] + [parts[j][run]] + parts[j + 1:], budget, rows)
 
 
 # --------------------------------------------------------------------------

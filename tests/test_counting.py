@@ -255,7 +255,7 @@ def test_N_d_large_d_counts_Q1_zero():
 def test_N_d_guard_refuses_before_allocating(monkeypatch):
     # (2 * 10^4 + 1)^3 + (2 * 10^4 + 1)^2 rows: refused before any grid
     # or key is built
-    for name in ("grid_block_axes", "_tuples", "_half_keys"):
+    for name in ("grid_block_axes", "_rows_at", "_half_keys"):
         monkeypatch.setattr(counting, name, None)
     with pytest.raises(ResourceGuardError, match="N_d"):
         N_d(shipped_pair(), 3, 10**4)
@@ -268,7 +268,7 @@ def test_N_d_guard_refuses_before_allocating(monkeypatch):
 def test_N_d_builds_no_row(monkeypatch):
     # the join reads each half's keys off its axes: with the row builder
     # gone, N_d on shipped still gives the counts of bench/reference.json
-    monkeypatch.setattr(counting, "_tuples", None)
+    monkeypatch.setattr(counting, "_rows_at", None)
     ship = shipped_pair()
     got = {d: N_d(ship, d, 40) for d in (1, 3, 5, 8)}
     assert got == {1: 547849, 3: 191633, 5: 86385, 8: 99245}
@@ -537,29 +537,6 @@ def test_S_of_B_memory_is_a_few_blocks():
         finally:
             tracemalloc.stop()
         assert peak < most, (B, peak)
-
-
-@pytest.mark.parametrize("budget", [1, 5, 40, 1000])
-def test_ball_blocks_hold_the_ball_rows(monkeypatch, budget):
-    # in turn, the blocks' rows with a sum below the bound are the
-    # product's, in lexicographic order; each block holds at most the
-    # budget unless its last axis alone is longer, and carries its parts
-    monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
-    rng = np.random.default_rng(budget)
-    for k in (1, 2, 3, 4):
-        axes = [np.arange(-int(rng.integers(3, 9)), int(rng.integers(3, 9))) for _ in range(k)]
-        x0 = rng.uniform(-2, 2, k)
-        parts = [(a / 2.0 - c) ** 2 for a, c in zip(axes, x0)]
-        bound = float(rng.uniform(0.5, 3.0))
-        grid = quadforms._tuples(axes, lex=True)
-        got = [np.empty((0, k), dtype=np.int64)]
-        for block, block_parts in counting._ball_blocks(axes, parts, bound):
-            rows = quadforms._tuples(block, lex=True)
-            assert len(rows) <= max(budget, len(block[-1]))
-            assert all(np.array_equal(p, (a / 2.0 - c) ** 2)
-                       for a, p, c in zip(block, block_parts, x0))
-            got.append(rows[counting._grid_sums(block_parts) < bound])
-        assert np.array_equal(np.vstack(got), grid[counting._grid_sums(parts) < bound]), k
 
 
 def test_weight_function_profile():

@@ -10,7 +10,7 @@ import pytest
 
 from arith_oracles import sigma_p_truncated
 from quadpair.counting import WeightFunction
-from quadpair import densities, padic, quadforms
+from quadpair import counting, densities, padic, quadforms
 from quadpair.densities import (
     ExperimentResult,
     certified_good,
@@ -152,20 +152,20 @@ def test_sigma_2_shipped_depth_profile():
 
 
 def test_singular_constant_raises_when_sigma_2_trips_the_guard():
-    # the guard admits tau_infinity and sigma_p but not sigma_2 at k_max = 11,
-    # whose depth 11 is charged 5464 (depths 9 and 10 are charged 1368);
+    # the guard admits tau_infinity and sigma_p but not sigma_2 at k_max = 13,
+    # whose depth 13 is charged 21848 (depths 11 and 12 are charged 5464);
     # the constant is refused rather than taken at a shallower 2-adic depth.
     # The guard is the charge of tau's finest pass, the largest it checks.
     pair = toy_pair_3()
     W = WeightFunction.default_for_pair(pair)
     G = tau_infinity(pair.Q2, W).axis_points
     guard = densities._tau_charge(G, pair.n - 1)
-    assert guard < 5464
-    assert sigma_2(pair, k_max=10, guard=guard).stabilized
+    assert guard < 21848
+    assert sigma_2(pair, k_max=12, guard=guard).stabilized
     tau_infinity(pair.Q2, W, guard=guard)
-    assert sigma_p(pair, 3, k_max=11, guard=guard).converged
+    assert sigma_p(pair, 3, k_max=13, guard=guard).converged
     with pytest.raises(ResourceGuardError) as err:
-        singular_constant(pair, W, p_max=3, k_max=11, guard=guard)
+        singular_constant(pair, W, p_max=3, k_max=13, guard=guard)
     assert err.value.operation == "sigma_2"
 
 
@@ -224,12 +224,11 @@ def box_bump(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarra
 
 
 def box_pass(Q2, W, eps_list, G):
-    """densities._tau_pass on the transverse box, over the blocks of
-    ball_blocks: for each block every box midpoint is built whose head
-    lies between the block's first and last heads, with every tail, b and
-    c are taken on all of them, and the rows outside the support ball are
-    dropped after; the number of rows kept is returned with the slab
-    values and the coarea estimate."""
+    """densities._tau_pass on the transverse box, over the blocks of the
+    ball iterator (densities._tau_blocks): for each block every midpoint
+    of its product of cells is built, b and c are taken on all of them,
+    and the rows outside the support ball are dropped after; the number of
+    rows kept is returned with the slab values and the coarea estimate."""
     n = Q2.n
     x0 = np.array(W.x0, dtype=float)
     M2 = np.array(Q2.M, dtype=float)
@@ -248,14 +247,8 @@ def box_pass(Q2, W, eps_list, G):
     count = 0
     k = len(rest)
     pts = -rho + h * (np.arange(G) + 0.5)
-    lead = quadforms._ball_lead(G, k)
-    heads = quadforms._tuples([pts] * lead, lex=True)
-    rank = {tuple(head): i for i, head in enumerate(heads.tolist())}
-    tails = quadforms._tuples([pts] * (k - lead), lex=True)
-    for ball in quadforms.ball_blocks(rho, G, k):
-        first, last = (rank[tuple(row)] for row in ball[[0, -1], :lead].tolist())
-        run = heads[first:last + 1]
-        yk = np.hstack([np.repeat(run, len(tails), axis=0), np.tile(tails, (len(run), 1))])
+    for cells, _ in densities._tau_blocks(G, k)[0]:
+        yk = quadforms._tuples([pts[a] for a in cells], lex=True)
         yk += x0[rest]
         # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
         b = 2.0 * yk @ M2[axis, rest]
@@ -408,37 +401,33 @@ def test_ball_pass_matches_box_pass(name, seed):
 
 @pytest.mark.parametrize("name", ["shipped", "toy_n3", "toy_n2", "demo_n7"])
 def test_tau_charge_bounds_the_rows_built(monkeypatch, name):
-    # every prefix the stages bisect and build, and the rows handed on, at
-    # the first two passes of tau_infinity
+    # the rows of the blocks the ball iterator hands on, each summed once,
+    # and the rows in the ball, each integrated at 8 nodes, at the first
+    # two passes of tau_infinity
     Q2, W, eps_list = _tau_case(name)
     k = Q2.n - 1
-    extend, blocks = quadforms._ball_extend, quadforms.ball_blocks
-
-    def counted_extend(sq, cols, part, budget):
-        cols, longer = extend(sq, cols, part, budget)
-        seen["bisected"] += len(part)
-        seen["built"] += len(longer)
-        return cols, longer
+    blocks = quadforms._ball_cut_blocks
 
     def counted_blocks(*args):
-        for block in blocks(*args):
-            seen["handed"] += len(block)
-            yield block
+        for axes, parts in blocks(*args):
+            seen["handed"] += math.prod(len(a) for a in axes)
+            yield axes, parts
 
-    monkeypatch.setattr(quadforms, "_ball_extend", counted_extend)
-    monkeypatch.setattr(densities, "ball_blocks", counted_blocks)
     for G in (12, densities._next_grid(12)):
-        seen = dict.fromkeys(("bisected", "built", "handed"), 0)
+        charge = densities._tau_charge(G, k)
+        monkeypatch.setattr(densities, "_ball_cut_blocks", counted_blocks)
+        seen = {"handed": 0}
         rows = densities._tau_pass(Q2, W, eps_list, G)[2]
+        monkeypatch.undo()
         handed = seen["handed"]
-        assert 0 < rows <= handed <= quadforms.ball_bound(G, k)
-        assert (8 * handed + (seen["built"] - handed) + seen["bisected"]
-                <= densities._tau_charge(G, k))
+        assert 0 < rows <= handed <= G**k
+        assert handed + 8 * rows <= charge
 
 
 def test_tau_pass_memory_is_one_block():
-    # shipped at G = 18 integrates 33,392 rows; a block of at most
-    # _BALL_ROWS of them, and its temporaries, are alive at a time
+    # shipped at G = 18 integrates 32,470 rows of the 69,936 in its blocks;
+    # a block of at most _STREAM_ROWS of them, and its temporaries, are
+    # alive at a time
     Q2, W, eps_list = _tau_case("shipped")
     densities._tau_pass(Q2, W, eps_list, 12)
     tracemalloc.start()
@@ -447,7 +436,8 @@ def test_tau_pass_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows > 2 * quadforms._BALL_ROWS
+    assert densities._tau_charge(18, Q2.n - 1) // 9 > 2 * counting._STREAM_ROWS
+    assert rows > counting._STREAM_ROWS
     assert peak < 3_000_000
 
 

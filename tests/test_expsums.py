@@ -9,7 +9,6 @@ import pytest
 
 from quadpair import expsums, quadforms
 from quadpair.expsums import (
-    D_d,
     D_p2_layered,
     M_mixed,
     Q_q_explicit,
@@ -22,7 +21,7 @@ from quadpair.expsums import (
 )
 from quadpair.guard import DEFAULT_GUARD, ResourceGuardError
 from quadpair.lincong import count_lincong, rank_mod_p
-from quadpair.modarith import SumValue, chi4, e_q, ramanujan, sum_tol
+from quadpair.modarith import SumValue, chi4, e_q, factorize, ramanujan, sum_tol
 from quadpair.padic import count_congruence_pair, count_divisibility
 from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
@@ -35,6 +34,17 @@ from quadpair.quadforms import (
     residue_grid,
     residue_zeros_mod_p,
 )
+
+
+def D_d(pair, d, m, guard=DEFAULT_GUARD):
+    """D_d(m) = S_{d,1}(m) = sum over k mod d with d | Q_i(k) of e_d(m.k),
+    the dispatcher these tests check: D_p2_layered iff d = p^2, p prime,
+    else S_dq(pair, d, 1, m)."""
+    f = factorize(d)
+    if list(f.values()) != [2]:
+        return S_dq(pair, d, 1, m, guard=guard)
+    (p, _), = f.items()
+    return D_p2_layered(pair, p, m, guard=guard)
 
 
 def pair_n3_unit_det():

@@ -8,6 +8,7 @@ from quadpair.modarith import (
     MAX_ROOT_MODULUS,
     PrimePower,
     SumValue,
+    _mobius,
     chi4,
     divisors,
     e_q,
@@ -17,7 +18,6 @@ from quadpair.modarith import (
     gauss_chi,
     is_prime,
     jacobi,
-    mobius,
     one_d_quad_sum_direct,
     quad_gauss_1d,
     r2,
@@ -85,7 +85,7 @@ def test_divisors_sorted_complete():
 def test_mobius_small():
     # A008683
     expected = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-    assert [mobius(n) for n in range(1, 13)] == expected
+    assert [_mobius(n) for n in range(1, 13)] == expected
 
 
 def test_prime_power_of():

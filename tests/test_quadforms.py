@@ -16,7 +16,6 @@ from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     bad_primes,
-    ball_blocks,
     certified_good_primes,
     dual_form,
     grid_blocks,
@@ -232,71 +231,82 @@ def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
     assert all(np.array_equal(a, b) for a, b in zip(same, old)) and len(same) == len(old)
 
 
-def _grid_blocks_of(axis, k, lead, blocks):
-    """For each ball_blocks block, the grid rows it is cut from, in
-    lexicographic order: every grid head from its first row's head to its
-    last row's, each with every tail."""
-    heads = quadforms._tuples([axis] * lead, lex=True)
-    rank = {tuple(h): i for i, h in enumerate(heads.tolist())}
-    tails = quadforms._tuples([axis] * (k - lead), lex=True)
-    for block in blocks:
-        first, last = (rank[tuple(row)] for row in block[[0, -1], :lead].tolist())
-        run = heads[first:last + 1]
-        yield np.hstack([np.repeat(run, len(tails), axis=0), np.tile(tails, (len(run), 1))])
+#: tau_infinity's cases of the ball iterator, in cell units (G, k): the
+#: cell indices 0..G-1 on each of k axes, parts (i + 1/2 - G/2)^2
+TAU_CELLS = ((12, 1), (27, 2), (18, 4), (12, 6))
 
 
-BALL_CASES = ((1.0, 12, 3), (0.7, 8, 4), (2.5, 6, 1), (1.3, 10, 2), (1.0, 4, 0),
-              (2.5, 30, 1), (1.0, 9, 5))
+def _ball_cases(seed, tau_cells=TAU_CELLS):
+    """(axes, parts, bound) for the ball iterator: S(B)'s, k = 1..4 integer
+    axes with parts (v / 2 - c_i)^2 about a random centre, then
+    tau_infinity's (G, k) in tau_cells, with its budget
+    (G/2)^2 (1 + _BALL_SLACK)."""
+    rng = np.random.default_rng(seed)
+    for k in (1, 2, 3, 4):
+        axes = [np.arange(-int(rng.integers(3, 9)), int(rng.integers(3, 9))) for _ in range(k)]
+        x0 = rng.uniform(-2, 2, k)
+        yield axes, [(a / 2.0 - c) ** 2 for a, c in zip(axes, x0)], float(rng.uniform(0.5, 3.0))
+    for G, k in tau_cells:
+        cells = np.arange(G, dtype=np.int64)
+        yield ([cells] * k, [(cells + 0.5 - G / 2) ** 2] * k,
+               (G / 2) ** 2 * (1 + quadforms._BALL_SLACK))
+
+
+def _ball_positions(axes, parts, bound, budget):
+    """(block, positions) for each block of the ball iterator: the
+    lexicographic positions in the product of the axes of the rows it
+    holds with a sum below bound."""
+    dims = [len(a) for a in axes]
+    for block, block_parts in quadforms._ball_cut_blocks(axes, parts, bound, budget):
+        at = np.flatnonzero(quadforms._grid_sums(block_parts) < bound)
+        rows = quadforms._rows_at(block, at)
+        yield block, np.ravel_multi_index(
+            [np.searchsorted(a, r) for a, r in zip(axes, rows.T)], dims)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40, 1000])
+def test_ball_blocks_hold_the_ball_rows(budget):
+    # in turn, the blocks' rows with a sum below the bound are the
+    # product's, each once, in lexicographic order; each block holds at
+    # most the budget unless its last axis alone is longer
+    for axes, parts, bound in _ball_cases(budget):
+        got = []
+        for block, at in _ball_positions(axes, parts, bound, budget):
+            assert math.prod(len(a) for a in block) <= max(budget, len(block[-1]))
+            got.append(at)
+        assert np.array_equal(np.concatenate(got),
+                              np.flatnonzero(quadforms._grid_sums(parts) < bound))
 
 
 @pytest.mark.parametrize("budget", [1, 10, 100, 10**6])
-def test_ball_blocks_are_grid_blocks_cut_to_the_ball(monkeypatch, budget):
-    monkeypatch.setattr(quadforms, "_BALL_ROWS", budget)
-    for r, G, k in BALL_CASES:
-        axis = -r + 2.0 * r / G * (np.arange(G) + 0.5)
-        lead = quadforms._ball_lead(G, k)
-        grid = quadforms._tuples([axis] * k, lex=True)
-        blocks = list(ball_blocks(r, G, k))
-        for block, whole in zip(blocks, _grid_blocks_of(axis, k, lead, blocks)):
-            # a block is its grid block's rows, in order, that can lie in
-            # the ball: every one inside it, none past the slack
-            pos = {tuple(row): i for i, row in enumerate(whole)}
-            at = [pos[tuple(row)] for row in block]
-            assert at == sorted(set(at))
-            norm = (block**2).sum(axis=1)
-            assert norm.max() <= r * r * (1 + 2 * quadforms._BALL_SLACK)
-            inside = set(np.flatnonzero((whole**2).sum(axis=1) < r * r))
-            assert inside <= set(at)
-            assert len(block) <= min(budget, quadforms.ball_bound(G, k))
-        # the blocks in turn are the grid in lexicographic order, and only
-        # rows outside the ball are left out
-        rows = np.concatenate(blocks)
-        pos = {tuple(row): i for i, row in enumerate(grid)}
-        at = [pos[tuple(row)] for row in rows]
-        assert at == sorted(set(at))
-        assert set(np.flatnonzero((grid**2).sum(axis=1) < r * r)) <= set(at)
+def test_ball_blocks_are_grid_blocks_cut_to_the_ball(budget):
+    # a block is a box of the grid, its axes and its parts one run of the
+    # grid's each, cut to the ball: it holds a row of the ball, and each
+    # axis of more than one value ends at values that reach into the ball
+    # with the least part of every other axis
+    for axes, parts, bound in _ball_cases(budget, TAU_CELLS[:3]):
+        for block, block_parts in quadforms._ball_cut_blocks(axes, parts, bound, budget):
+            for a, p, whole, whole_p in zip(block, block_parts, axes, parts):
+                at = int(np.searchsorted(whole, a[0]))
+                assert np.array_equal(a, whole[at:at + len(a)])
+                assert np.array_equal(p, whole_p[at:at + len(a)])
+            assert quadforms._grid_sums(block_parts).min() < bound
+            least = [float(p.min()) for p in block_parts]
+            for j, p in enumerate(block_parts):
+                room = bound - sum(least) + least[j]
+                assert len(p) == 1 or max(p[0], p[-1]) < room
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7, 40, 300])
-def test_ball_blocks_hold_at_most_the_budget(monkeypatch, budget):
-    # k = 1 and 2, and axes of 12 and 30 points, longer than the small
-    # budgets; the rows in turn do not depend on the budget
-    unsplit = {case: np.concatenate(list(ball_blocks(*case))) for case in BALL_CASES}
-    monkeypatch.setattr(quadforms, "_BALL_ROWS", budget)
-    for case in BALL_CASES:
-        blocks = list(ball_blocks(*case))
-        assert all(0 < len(block) <= budget for block in blocks)
-        assert np.array_equal(np.concatenate(blocks), unsplit[case])
-        assert len(blocks) >= len(unsplit[case]) / budget
-
-
-def test_ball_bound():
-    # at most the whole grid; the unit ball's volume for large G
-    assert [quadforms.ball_bound(12, j) for j in (0, 1)] == [1, 12]
-    assert quadforms.ball_bound(4, 6) == 4**6
-    for G, j in ((200, 3), (400, 2)):
-        vol = math.pi ** (j / 2) / math.gamma(j / 2 + 1) * (G / 2) ** j
-        assert vol < quadforms.ball_bound(G, j) < 1.05 * vol
+def test_ball_blocks_hold_at_most_the_budget(budget):
+    # the rows in turn do not depend on the budget, and the blocks split
+    # them as often as the budget asks unless a last axis is longer
+    for axes, parts, bound in _ball_cases(budget, TAU_CELLS[:3]):
+        blocks = list(_ball_positions(axes, parts, bound, budget))
+        (_, unsplit), = _ball_positions(axes, parts, bound, 2**62)
+        assert np.array_equal(np.concatenate([at for _, at in blocks]), unsplit)
+        most = max(budget, max(len(block[-1]) for block, _ in blocks))
+        assert len(blocks) >= len(unsplit) / most
 
 
 def test_chunking_changes_no_count(monkeypatch):
