@@ -1,11 +1,13 @@
 """Counting lattice points on a quadric, bare and weighted.
 
-The counting layer enumerates integer zeros of Q2 in a box (meet-in-the-
-middle when the coordinates split into uncoupled halves, otherwise a scan
-that solves for the last coordinate), counts zeros of the pair to a
-modulus d (N_d), and forms the weighted sum S(B), over the zeros in the
-weight's support ball, whose growth the whole package is about.  The n=2 toy
-pair keeps every number here small enough to check by hand.
+The counting layer enumerates integer zeros of Q2 in a box
+(meet-in-the-middle when the coordinates split into uncoupled halves,
+otherwise a scan that solves for the last coordinate) and counts zeros
+of the pair to a modulus d (N_d).  On a symmetric box such as |x| <= 3
+both read only the half x_1 >= 0: a form is even, so -x is a zero with
+x.  The layer also forms the weighted sum S(B), over the zeros in the
+weight's support ball, whose growth the whole package is about.  The
+n=2 toy pair keeps every number here small enough to check by hand.
 
 Run:  python3 demos/lattice_counts.py
 """

@@ -46,7 +46,14 @@ from an exact integer square root, rows are built for the roots only,
 and each block is sorted.  So a block of the join or of the scan stays
 that small at any box size, unless its last axis alone is longer.
 enumerate_zeros stacks the stream; S(B) and N_d of a pair that couples
-the halves read it block by block.
+the halves read it block by block.  Every form is even, so on a
+symmetric box (lo_i = -hi_i for every i) the zeros come in pairs
+{x, -x}, the origin its own pair, and N_d and enumerate_zeros read only
+the half x_1 >= 0: N_d's join counts a left row with x_1 > 0 twice (x_L
+and -x_L have one key), the coupled N_d counts the zeros with x_1 > 0
+of the half's stream twice, and enumerate_zeros puts the stream's
+x_1 > 0 rows, negated in reverse order, before it in one array.  Any
+other box is read whole; S(B) always is, as W is not even.
 
 The default weight (WeightFunction.default_for_pair) is found by array
 passes over a fixed grid of unit directions.  Its candidates are the grid
@@ -314,7 +321,9 @@ class _RightHalf:
     def pairs(self, keys: np.ndarray) -> int:
         """The pairs of one of the keys and a right row of that key: the
         run length of each key's index, summed; keys may be overwritten."""
-        return int(self._count[self._index(keys)].sum())
+        # np.take: indexing by the table's narrow unsigned slots goes down
+        # numpy's slow path for non-intp indices
+        return int(np.take(self._count, self._index(keys)).sum())
 
     def runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(hit, count, start): the positions in keys of the keys some right
@@ -323,7 +332,7 @@ class _RightHalf:
         at = self._index(keys)
         hit = np.flatnonzero(at)
         at = at[hit] - 1
-        return hit, self.count[at], self.start[at]
+        return hit, np.take(self.count, at), np.take(self.start, at)
 
 
 def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None) -> _RightHalf:
@@ -439,16 +448,49 @@ def _zero_blocks(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     return _mitm(Q2, lo, hi, guard, ball)
 
 
+def _symmetric(lo, hi) -> bool:
+    """True when lo_i = -hi_i for every i: a form is even, so its zeros in
+    such a box come in pairs {x, -x} and are read off the half x_1 >= 0."""
+    return all(a == -b for a, b in zip(lo, hi))
+
+
+def _zeros_at_0(Z: np.ndarray) -> int:
+    """How many rows of a sorted block of the half x_1 >= 0 have x_1 = 0
+    (they come first)."""
+    return int(np.searchsorted(Z[:, 0], 0, side="right"))
+
+
+def _unfold(blocks: list[np.ndarray]) -> np.ndarray:
+    """The zeros of a symmetric box from the sorted blocks of its half
+    x_1 >= 0, in one array: the x_1 > 0 rows (a view of each block past its
+    x_1 = 0 rows) negated in reverse order, which lists the x_1 < 0 zeros
+    lexicographically, then the half itself."""
+    neg = [Z[_zeros_at_0(Z):] for Z in blocks]
+    half = sum(map(len, neg))
+    out = np.empty((half + sum(map(len, blocks)), blocks[0].shape[1]), dtype=np.int64)
+    end = half
+    for Z in neg:
+        np.negative(Z[::-1], out=out[end - len(Z):end])
+        end -= len(Z)
+    np.concatenate(blocks, out=out[half:])
+    return out
+
+
 def enumerate_zeros(Q2: QuadraticForm, B, *, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All x in Z^n with Q2(x) = 0 in the box B, as a lexicographically
     sorted (N, n) int64 array: the zero stream of the module notes, stacked.
 
     B is a BoxSpec(lo, hi) or a half-width T >= 0 for the box |x| <= T.
-    The guard is charged the two half-box sizes (join) or the rows over
-    the first n - 1 coordinates (scan), then the zeros found.
+    On a symmetric box (lo_i = -hi_i for every i) only the half x_1 >= 0
+    is streamed, and its rows with x_1 > 0, negated, give the rest
+    (_unfold); any other box is streamed whole.  The guard is charged, on
+    the box streamed, the two half-box sizes (join) or the rows over the
+    first n - 1 coordinates (scan), then the zeros found there.
     """
     lo, hi = _bounds(B, Q2.n)
-    return np.vstack(list(_zero_blocks(Q2, lo, hi, guard)))
+    if not _symmetric(lo, hi):
+        return np.vstack(list(_zero_blocks(Q2, lo, hi, guard)))
+    return _unfold(list(_zero_blocks(Q2, (0,) + lo[1:], hi, guard)))
 
 
 def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
@@ -464,14 +506,22 @@ def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
 def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
     """N_d from the right-half table and the keys of each left block of at
     most _STREAM_ROWS rows (unless the last left axis is longer): a left
-    row meets every right row of its key.  No row is built, and the left
-    keys' forms and the lookup table are built once."""
+    row meets every right row of its key.  On a symmetric box x_L and -x_L
+    have one key, so the left half is read only where x_1 >= 0, the blocks
+    of x_1 > 0 counted twice.  No row is built, and the left keys' forms
+    and the lookup table are built once."""
     h = (pair.n + 1) // 2
     axes = _axes(lo, hi)
-    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, math.prod(len(a) for a in axes[:h]))
-    left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, axes[:h])
-    return sum(right.pairs(left_keys(block))
-               for block in grid_block_axes(axes[:h], lex=True, rows=_STREAM_ROWS))
+    left = axes[:h]
+    parts = [(left, 1)]
+    if _symmetric(lo, hi):
+        first = axes[0][hi[0]:]  # 0 .. hi_1
+        parts = [([first[:1]] + left[1:], 1), ([first[1:]] + left[1:], 2)]
+    read = sum(math.prod(len(a) for a in part) for part, _ in parts)
+    right = _right_half(pair.Q2, pair.Q1, axes[h:], d, read)
+    left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, left)
+    return sum(times * right.pairs(left_keys(block)) for part, times in parts
+               for block in grid_block_axes(part, lex=True, rows=_STREAM_ROWS))
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
@@ -480,10 +530,14 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
 
     When neither form couples the first ceil(n/2) coordinates to the rest,
     no zero is listed: N_d is the join of the module notes, charged the
-    two half-box sizes.  Otherwise d | Q1 is counted on each block of the
-    zero stream of Q2, guarded as in enumerate_zeros.  A d beyond the
-    largest |Q1| on the box, R, counts as R + 1: either way d | Q1 iff
-    Q1 = 0.
+    two half-box sizes of the whole box.  Otherwise d | Q1 is counted on
+    each block of the zero stream of Q2, guarded as in enumerate_zeros.
+    On a symmetric box (lo_i = -hi_i for every i) both read only the half
+    x_1 >= 0 and count its x_1 > 0 part twice, as x and -x are zeros
+    together and d | Q1(x) iff d | Q1(-x); so the join's charge is about
+    twice the rows it reads, and the stream is charged on the half box.
+    A d beyond the largest |Q1| on the box, R, counts as R + 1: either
+    way d | Q1 iff Q1 = 0.
 
     Monotone in d: N_e(B) <= N_d(B) whenever d | e.
     """
@@ -496,8 +550,13 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     R = sum(abs(c) for _, _, c in pair.Q1.terms()) * max(map(abs, lo + hi)) ** 2
     d = min(d, R + 1)
     if _couples(pair.Q1.M, h) or _couples(pair.Q2.M, h):
-        return sum(len(Z) if d == 1 else int((pair.Q1.eval_batch(Z) % d == 0).sum())
-                   for Z in _zero_blocks(pair.Q2, lo, hi, guard))
+        # on a symmetric box the half x_1 >= 0, its x_1 > 0 rows counted twice
+        fold = _symmetric(lo, hi)
+        total = 0
+        for Z in _zero_blocks(pair.Q2, (0,) + lo[1:] if fold else lo, hi, guard):
+            hit = np.ones(len(Z), bool) if d == 1 else pair.Q1.eval_batch(Z) % d == 0
+            total += int(hit.sum()) + (int(hit[_zeros_at_0(Z):].sum()) if fold else 0)
+        return total
     check_guard("N_d", _join_charge(lo, hi), guard)
     _check_key_fits(pair.Q2, lo, hi, h, d)
     return _N_d_join(pair, d, lo, hi)

@@ -907,6 +907,145 @@ def test_solved_scan_int64_check():
         enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)))
 
 
+# --------------------------------------------------------------------------
+# symmetric boxes: the half x_1 >= 0 and the fold x -> -x
+# --------------------------------------------------------------------------
+
+FOLD_FORMS = {
+    "shipped": shipped_pair().Q2,
+    "toy_n3": load_pair(PAIRS_DIR / "toy_n3.pair").Q2,
+    "toy_n2": load_pair(PAIRS_DIR / "toy_n2.pair").Q2,
+    **{f"coupled{k}": Q for k, Q in enumerate(COUPLED)},
+    "coupled_n4": QuadraticForm.from_matrix(COUPLED_N4),
+    "n1_zero": QuadraticForm.diagonal([0]),
+    "n1": QuadraticForm.diagonal([3]),
+}
+
+
+def asymmetric_boxes(n, T):
+    """Two boxes near |x| <= T, T >= 1, with lo_i != -hi_i for one i: the
+    last coordinate's lower end raised, the first's upper end raised."""
+    return [BoxSpec(lo=(-T,) * (n - 1) + (1 - T,), hi=(T,) * n),
+            BoxSpec(lo=(-T,) * n, hi=(T + 1,) + (T,) * (n - 1))]
+
+
+def full_walk(Q, box):
+    """The zeros of Q in the box by its own route's stream of the whole
+    box, no fold."""
+    route = counting._scan if counting._couples(Q.M, (Q.n + 1) // 2) else counting._mitm
+    return by_route(route, Q, box)
+
+
+def N_d_unfolded(pair, d, box):
+    zeros = full_walk(pair.Q2, box)
+    return int((pair.Q1.eval_batch(zeros) % d == 0).sum())
+
+
+def spy_zero_blocks(monkeypatch):
+    """The list of the boxes (lo, hi) counting._zero_blocks is asked to
+    stream, filled call by call."""
+    boxes = []
+    real = counting._zero_blocks
+
+    def spy(Q2, lo, hi, guard, ball=None):
+        boxes.append((tuple(lo), tuple(hi)))
+        return real(Q2, lo, hi, guard, ball)
+
+    monkeypatch.setattr(counting, "_zero_blocks", spy)
+    return boxes
+
+
+@pytest.mark.parametrize("name", FOLD_FORMS)
+def test_enumerate_zeros_fold_matches_the_full_walk(name):
+    Q = FOLD_FORMS[name]
+    for T in (0, 1, 4, 8):
+        got = enumerate_zeros(Q, T)
+        assert got.dtype == np.int64 and got.shape[1] == Q.n
+        assert np.array_equal(got, full_walk(Q, T)), T
+        # -x is listed with every x: the sorted list, negated, reverses
+        assert np.array_equal(got, -got[::-1]), T
+
+
+@pytest.mark.parametrize("name", FOLD_FORMS)
+def test_enumerate_zeros_streams_an_asymmetric_box_whole(monkeypatch, name):
+    Q = FOLD_FORMS[name]
+    streamed = spy_zero_blocks(monkeypatch)
+    for T in (1, 4, 8):
+        for box in asymmetric_boxes(Q.n, T):
+            streamed.clear()
+            assert np.array_equal(enumerate_zeros(Q, box), full_walk(Q, box)), box
+            assert streamed == [(box.lo, box.hi)]
+
+
+@pytest.mark.parametrize("route", ["join", "coupled"])
+def test_N_d_fold_matches_the_full_walk(route):
+    pair = shipped_pair() if route == "join" else coupled_n4_pair()
+    h = (pair.n + 1) // 2
+    assert (counting._couples(pair.Q1.M, h) or counting._couples(pair.Q2.M, h)) == (
+        route == "coupled")
+    for T in (0, 1, 4, 8):
+        for box in [T] + (asymmetric_boxes(pair.n, T) if T else []):
+            for d in (1, 2, 3, 8):
+                want = N_d_unfolded(pair, d, box)
+                assert N_d(pair, d, box) == want == N_d_by_listing(pair, d, box), (box, d)
+
+
+def test_fold_reads_half_the_box(monkeypatch):
+    # N_d's join reads the left half only where x_1 >= 0: (T + 1)(2T + 1)^2
+    # of its (2T + 1)^3 rows on shipped
+    read = []
+    real = counting.grid_block_axes
+
+    def spy(axes, *args, **kwargs):
+        for block in real(axes, *args, **kwargs):
+            read.append(math.prod(len(a) for a in block))
+            yield block
+
+    monkeypatch.setattr(counting, "grid_block_axes", spy)
+    ship = shipped_pair()
+    for T in (4, 12):
+        want = N_d_unfolded(ship, 3, T)
+        read.clear()
+        assert N_d(ship, 3, T) == want
+        assert 0 < sum(read) <= (T + 1) * (2 * T + 1) ** 2
+    # the listing (join and scan) and the coupled N_d stream the box with
+    # lo_1 = 0 alone
+    streamed = spy_zero_blocks(monkeypatch)
+    coupled = coupled_n4_pair()
+    for call, n in ((lambda: enumerate_zeros(ship.Q2, 6), 5),
+                    (lambda: enumerate_zeros(coupled.Q2, 6), 4),
+                    (lambda: N_d(coupled, 3, 6), 4)):
+        streamed.clear()
+        call()
+        assert streamed == [((0,) + (-6,) * (n - 1), (6,) * n)]
+
+
+def test_enumerate_zeros_guard_charges_the_half_box():
+    # shipped at T = 4: the half x_1 >= 0 has 5 * 9^2 + 9^2 = 486 rows in
+    # its join's halves and 405 of the box's 745 zeros
+    Q2 = shipped_pair().Q2
+    want = enumerate_zeros(Q2, 4)
+    assert len(want) == 745
+    assert np.array_equal(enumerate_zeros(Q2, 4, guard=486), want)
+    with pytest.raises(ResourceGuardError):
+        enumerate_zeros(Q2, 4, guard=485)
+
+
+def test_enumerate_zeros_assembles_the_fold_in_one_array():
+    # the half stream's blocks and the output are all that is held: the
+    # peak was 2.0 times the output with the whole box streamed, and 2.5
+    # with the x_1 > 0 rows copied out by a mask and the halves stacked
+    Q2 = shipped_pair().Q2
+    enumerate_zeros(Q2, 8)
+    tracemalloc.start()
+    try:
+        got = enumerate_zeros(Q2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * got.nbytes, peak / got.nbytes
+
+
 def test_support_box_holds_the_support():
     W = WeightFunction((1.5, -0.25, 0.0), 0.75)
     for B in (1.0, 7.5, 16.0, 40.0):
