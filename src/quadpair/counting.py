@@ -27,17 +27,19 @@ one table over the span of the right keys, built with the right half
 when the span is no longer than the left half's rows and the right rows
 together (else searched for), and every left block reads the same table.
 The left half comes in blocks of at most _STREAM_ROWS rows: those of
-grid_block_axes, or for S(B) those of quadforms._ball_cut_blocks, the
-one ball iterator, which tau_infinity reads too (the left half cut to
-the ball, split into equal runs along its first axis, each run cut and
-split in turn); a form's int64 check runs once per stream, on the whole
-axes, and each block runs the eval_grid kernel alone.  N_d sums the run
+grid_block_axes(axes, _STREAM_ROWS), the one split of a lexicographic
+product under a row budget, or for S(B) those of
+quadforms._ball_cut_blocks, the one ball iterator, which tau_infinity
+reads too (the left half cut to the ball, split into equal runs along
+its first axis, each run cut and split in turn); a form's int64 check
+runs once per stream, on the whole axes, and each block runs the
+eval_grid kernel alone.  N_d sums the run
 lengths of each key's index, building no row (past the keys and their
 indices, no array as long as the block); listing builds rows only for
 the matches, from their positions in the product of the left block's
 axes and the right axes (quadforms._rows_at), block by block, which
 keeps the stream in order.  A coupled Q2 is scanned over the
-grid_block_axes blocks of at most _STREAM_ROWS rows of its first n - 1
+grid_block_axes(axes, _STREAM_ROWS) blocks of its first n - 1
 coordinates, with the last coordinate solved for: Q2 = a x_n^2 +
 b(x') x_n + c(x'), b = 2 m.x', and the discriminant b^2 - 4ac, itself a
 quadratic form in x' (_grid_form, built once), is read off the block's
@@ -228,7 +230,7 @@ def _scan(Q2: QuadraticForm, lo, hi, guard: int):
     if form is not None:
         _check_int64(form.terms(), axes, "points")
     total = 0
-    for block in grid_block_axes(axes, lex=True, rows=_STREAM_ROWS):
+    for block in grid_block_axes(axes, _STREAM_ROWS):
         rows = _solve_last(Q2.M, form, block, lo[-1], hi[-1])
         total += len(rows)
         check_guard("enumerate_zeros", total, guard)
@@ -383,7 +385,7 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     if ball is None:
         right = _right_half(Q2, None, axes[h:], 1, left_rows)
         blocks = ((block, None) for block in
-                  grid_block_axes(axes[:h], lex=True, rows=_STREAM_ROWS))
+                  grid_block_axes(axes[:h], _STREAM_ROWS))
     else:
         parts, budget = ball
         right_sum = _grid_sums(parts[h:])
@@ -521,7 +523,7 @@ def _N_d_join(pair: QuadricPair, d: int, lo, hi) -> int:
     right = _right_half(pair.Q2, pair.Q1, axes[h:], d, read)
     left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, left)
     return sum(times * right.pairs(left_keys(block)) for part, times in parts
-               for block in grid_block_axes(part, lex=True, rows=_STREAM_ROWS))
+               for block in grid_block_axes(part, _STREAM_ROWS))
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
@@ -626,6 +628,17 @@ def _polish(Q2: QuadraticForm, M2: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _bump(t: np.ndarray) -> np.ndarray:
+    """exp(-1 / (1 - t)) in the storage of the float array t, the bump
+    profile of WeightFunction.  t is clipped to 1 - 1e-15 first: there the
+    exponent is below -9e14, so the bump underflows to exactly 0 outside
+    its support."""
+    np.minimum(t, 1.0 - 1e-15, out=t)
+    np.subtract(1.0, t, out=t)
+    np.divide(-1.0, t, out=t)
+    return np.exp(t, out=t)
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """Smooth bump W(x) = exp(-1 / (1 - t)) with t = |x - x0|^2 / rho^2,
@@ -647,10 +660,7 @@ class WeightFunction:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         c = np.array(self.x0, dtype=float)
         t = ((np.asarray(X, dtype=float) - c) ** 2).sum(axis=-1) / self.rho**2
-        out = np.zeros(t.shape, dtype=float)
-        inside = t < 1.0 - 1e-15
-        out[inside] = np.exp(-1.0 / (1.0 - t[inside]))
-        return out
+        return _bump(np.asarray(t))
 
     def __call__(self, x) -> float:
         return float(self.eval_batch(np.asarray(x, dtype=float)[None, :])[0])

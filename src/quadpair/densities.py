@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import _STREAM_ROWS, WeightFunction, s_of_b_rows
+from .counting import _STREAM_ROWS, WeightFunction, _bump, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det
 from .modarith import chi4, is_prime
@@ -303,15 +303,11 @@ class TauInfinity:
 def _bump_1d(s2: np.ndarray, t: np.ndarray, rho: float) -> np.ndarray:
     """W along the distinguished coordinate, computed in the storage of t:
     squared transverse distance s2 fixed, offset t = y1 - c1 from the
-    centre varying.  With t clipped to 1 - 1e-15 the exponent is below
-    -9e14, so W underflows to exactly 0 outside the support."""
+    centre varying, so W = counting._bump((s2 + t^2) / rho^2)."""
     np.square(t, out=t)
     np.add(s2, t, out=t)
     np.divide(t, rho**2, out=t)
-    np.minimum(t, 1.0 - 1e-15, out=t)
-    np.subtract(1.0, t, out=t)
-    np.divide(-1.0, t, out=t)
-    return np.exp(t, out=t)
+    return _bump(t)
 
 
 def _tau_blocks(G: int, k: int):

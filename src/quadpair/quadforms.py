@@ -142,11 +142,6 @@ class QuadraticForm:
                     M[i][j] = M[j][i] = c // 2
         return cls.from_matrix(M)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.M[i][j] == 0 for i in range(self.n) for j in range(self.n) if i != j
-        )
-
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self.M[i][i] for i in range(self.n))
 
@@ -245,95 +240,63 @@ class QuadraticForm:
 # grids
 # --------------------------------------------------------------------------
 
-#: most rows a grid_blocks block holds; a block spans at least one whole
-#: axis, so an axis longer than this gives longer blocks
+#: most rows a block of grid_blocks or of residue_zeros_mod_p's prefixes
+#: holds; a block spans at least the whole last axis, so a longer last
+#: axis gives longer blocks
 _BLOCK_ROWS = 2_000_000
 
 
-def _tuples(axes, lex: bool = False) -> np.ndarray:
-    """Every tuple with column j drawn from axes[j], one per row, column 0
-    varying fastest; with lex, column 0 varies slowest (lexicographic
-    order when every axis is increasing)."""
+def _tuples(axes) -> np.ndarray:
+    """Every tuple with column j drawn from axes[j], one per row, in the
+    lexicographic order of the product: column 0 varies slowest."""
     k = len(axes)
     dims = [len(a) for a in axes]
-    dtype = np.result_type(*axes) if k else np.int64
-    order = list(range(k)) if lex else list(range(k - 1, -1, -1))
-    # column j runs along index axis order.index(j) of the C-ordered array
-    out = np.empty([dims[j] for j in order] + [k], dtype=dtype)
-    for pos, j in enumerate(order):
+    out = np.empty(dims + [k], dtype=np.result_type(*axes) if k else np.int64)
+    for j in range(k):
         shape = [1] * k
-        shape[pos] = dims[j]
+        shape[j] = dims[j]
         out[..., j] = np.asarray(axes[j]).reshape(shape)
     return out.reshape(math.prod(dims), k)
 
 
 def residue_grid(q: int, k: int) -> np.ndarray:
-    """All vectors of (Z/q)^k as an array of shape (q^k, k)."""
+    """All vectors of (Z/q)^k in lexicographic order, shape (q^k, k)."""
     return _tuples([np.arange(q, dtype=np.int64)] * k)
 
 
-def _head_columns(dims, rows: int | None = None) -> int:
-    """Leading columns grid_blocks fixes per block, for axes of these
-    lengths, so that the tail holds at most rows (default _BLOCK_ROWS)
-    tuples or is the last axis alone."""
-    rows = _BLOCK_ROWS if rows is None else rows
+def grid_block_axes(axes, rows: int):
+    """The lexicographic product of the axes as the axes of blocks of at
+    most rows tuples each, unless the last axis alone is longer.  The tail
+    is the longest run of trailing axes whose product fits the budget (the
+    last axis at least); the axis just before it runs contiguous slices of
+    as many values as the budget allows over the tail, and the columns
+    before that are fixed per block as one-value axes, so the blocks in
+    turn list the product in lexicographic order.  A caller that needs a
+    function of the rows rather than the rows (QuadraticForm.eval_grid)
+    reads a block from these without building it."""
+    dims = [len(a) for a in axes]
     lead = 0
     while math.prod(dims[lead:]) > rows and len(dims) - lead > 1:
         lead += 1
-    return lead
-
-
-def grid_block_axes(axes, k: int | None = None, *, lex: bool = False,
-                    rows: int | None = None):
-    """The axes of each grid_blocks block: its head columns as one-value
-    axes, then the tail axes, blocks in grid_blocks order.  A caller that
-    needs a function of the rows rather than the rows (QuadraticForm.eval_grid)
-    reads a block from these without building it.
-
-    With lex, rows is a budget in place of _BLOCK_ROWS: the head columns
-    but the last are fixed, the last runs a contiguous slice of its axis as
-    long as the budget allows over the whole tail, so a block holds at most
-    rows tuples unless the last axis alone is longer.  The blocks in turn
-    still list the product in lexicographic order."""
-    if rows is not None and not lex:
-        raise ValueError("a row budget needs lexicographic blocks")
-    if k is not None:
-        axes = [axes] * k
-    dims = [len(a) for a in axes]
-    lead = _head_columns(dims, rows)
-    if rows is None or not lead:
-        tail = list(axes[lead:])
-        for head in _tuples(axes[:lead], lex):
-            yield [head[j:j + 1] for j in range(lead)] + tail
+    if not lead:
+        yield list(axes)
         return
-    lead -= 1  # the last head column runs slices of its axis
+    lead -= 1  # the axis that runs slices
     tail = list(axes[lead + 1:])
     step = max(1, rows // math.prod(dims[lead + 1:]))
-    for head in _tuples(axes[:lead], lex):
+    for head in _tuples(axes[:lead]):
         fixed = [head[j:j + 1] for j in range(lead)]
         for at in range(0, dims[lead], step):
             yield fixed + [axes[lead][at:at + step]] + tail
 
 
-def grid_blocks(axes, k: int | None = None, *, lex: bool = False):
-    """Every tuple over the axes, in blocks of at most _BLOCK_ROWS rows.
-
-    axes holds one 1-D array per column; grid_blocks(axis, k) is the k-fold
-    power of one axis.  Each block fixes its leading "head" columns and
-    runs the trailing "tail" columns over all their tuples; heads and
-    tails are both ordered as in residue_grid (column 0 fastest), or, with
-    lex, lexicographically, so that the blocks in turn list the whole
-    product in lexicographic order.  The split depends only on the axis
-    lengths, so the rows come in the same order for every caller.  Each
-    block is a fresh array the caller may modify.
-    """
-    for block in grid_block_axes(axes, k, lex=lex):
-        yield _tuples(block, lex)
-
-
-def residue_blocks(q: int, k: int):
-    """(Z/q)^k as grid_blocks over the residues 0..q-1."""
-    return grid_blocks(np.arange(q, dtype=np.int64), k)
+def grid_blocks(axes):
+    """Every tuple over the axes (one 1-D array per column), in
+    lexicographic order, as the rows of the grid_block_axes blocks under
+    the budget _BLOCK_ROWS.  Each block is a fresh array the caller may
+    modify."""
+    for block in grid_block_axes(axes, _BLOCK_ROWS):
+        yield _tuples(block)
 
 
 #: relative slack on a ball's squared radius; it covers the rounding of a
@@ -593,18 +556,20 @@ def _prefix_values(Q: QuadraticForm, slope: np.ndarray, axes, p: int):
 def residue_zeros_mod_p(pair: QuadricPair, p: int,
                         guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All common zeros x mod p of Q1 and Q2, x = 0 included, as an (N, n)
-    int64 array in the order the sweep residue_blocks(p, n) lists them.
+    int64 array in the order of residue_grid(p, n), whatever the block
+    budget.
 
-    The prefixes x' in F_p^(n-1) are read per grid_block_axes block, their
-    values by eval_grid, never as rows: Q_i(x', t) = A_i + B_i t + c_i t^2
-    with c_i = M_i[n-1][n-1], and L t + C = c2 Q1 - c1 Q2 (Q1 itself when
-    c1 = c2 = 0 mod p) has no t^2 term.  L != 0 leaves the one candidate
-    t = -C / L; L = 0 != C leaves none; L = C = 0 leaves all p values of t,
-    tried in chunks of at most _BLOCK_ROWS.  Where L t + C = 0, Q1 = 0
-    forces Q2 = 0 when c1 != 0 and holds already when c1 = 0, so only Q1
-    (c1 != 0) or Q2 (c1 = 0) is checked.  Each zero is kept as one int64,
-    its index in the sweep (below p^n); the indices are sorted, and the
-    rows are read off them once.
+    The prefixes x' in F_p^(n-1) are read per grid_block_axes block under
+    the budget _BLOCK_ROWS, their values by eval_grid, never as rows:
+    Q_i(x', t) = A_i + B_i t + c_i t^2 with c_i = M_i[n-1][n-1], and
+    L t + C = c2 Q1 - c1 Q2 (Q1 itself when c1 = c2 = 0 mod p) has no t^2
+    term.  L != 0 leaves the one candidate t = -C / L; L = 0 != C leaves
+    none; L = C = 0 leaves all p values of t, tried in chunks of at most
+    _BLOCK_ROWS.  Where L t + C = 0, Q1 = 0 forces Q2 = 0 when c1 != 0 and
+    holds already when c1 = 0, so only Q1 (c1 != 0) or Q2 (c1 = 0) is
+    checked.  Each zero is kept as one int64,
+    its index sum x_c p^(n-1-c) in residue_grid(p, n) (below p^n); the
+    indices are sorted, and the rows are read off them once.
 
     The guard is charged p^n, the most the L = C = 0 prefixes can cost.
     """
@@ -622,12 +587,9 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     cT2 = mats[0][-1, -1] * (T * T % p) % p
     inv = _inverse_mod_p(T, p)
     step = max(1, _BLOCK_ROWS // p)  # free prefixes per p x step chunk
-    # residue_blocks lists column 0 fastest, the head columns outermost:
-    # a zero's index in that sweep is the sum of x_c p^((c - lead) mod n)
-    lead = _head_columns([p] * n)
-    weight = [p ** ((c - lead) % n) for c in range(n)]
+    weight = [p ** (n - 1 - c) for c in range(n)]
     keys = []
-    for axes in grid_block_axes(T, n - 1, lex=True):
+    for axes in grid_block_axes([T] * (n - 1), _BLOCK_ROWS):
         (A, B), (C, L) = (_prefix_values(Q, s, axes, p) for Q, s in prefix)
         solo = np.flatnonzero(L)
         t = -C[solo] * inv[L[solo]] % p

@@ -75,7 +75,7 @@ def full_slab_scan(Q2, T):
     axis = np.arange(-T, T + 1, dtype=np.int64)
     found = []
     for x1 in axis:
-        for rest in grid_blocks(axis, n - 1):
+        for rest in grid_blocks([axis] * (n - 1)):
             block = np.insert(rest, 0, x1, axis=1)
             found.append(block[Q2.eval_batch(block) == 0])
     rows = np.vstack(found)
@@ -320,8 +320,7 @@ def test_split_left_half_changes_no_result(monkeypatch):
     for pair, box in cases:
         h = (pair.n + 1) // 2
         left = counting._axes(*counting._bounds(box, pair.n))[:h]
-        assert len(list(quadforms.grid_block_axes(left, lex=True))) > 1
-        assert len(list(quadforms.grid_block_axes(left, lex=True, rows=5))) > 1
+        assert len(list(quadforms.grid_block_axes(left, 5))) > 1
     after = run()
     assert before[0] == after[0]
     assert all(np.array_equal(a, b) for a, b in zip(before[1], after[1]))
@@ -350,7 +349,7 @@ def test_join_builds_one_slot_table(monkeypatch):
     ship = shipped_pair()
     W = WeightFunction.default_for_pair(ship)
     left = counting._axes(*counting._bounds(5, 5))[:3]
-    assert len(list(quadforms.grid_block_axes(left, lex=True, rows=5))) > 1
+    assert len(list(quadforms.grid_block_axes(left, 5))) > 1
     for call in (lambda: N_d(ship, 3, 5), lambda: N_d(ship, 1, 5),
                  lambda: S_of_B(ship, W, 6), lambda: enumerate_zeros(ship.Q2, 5)):
         built.clear()
@@ -880,7 +879,7 @@ def test_solved_scan_in_small_blocks(monkeypatch, Q):
         lo, hi = counting._bounds(T, Q.n)
         blocks = list(counting._scan(Q, lo, hi, 10**9))
         assert len(blocks) == len(list(quadforms.grid_block_axes(
-            counting._axes(lo[:-1], hi[:-1]), lex=True, rows=10))) > 1
+            counting._axes(lo[:-1], hi[:-1]), 10))) > 1
         got = np.vstack(blocks)
         assert np.array_equal(got, got[np.lexsort(got.T[::-1])])
         assert [tuple(p) for p in got] == brute_zeros(Q, T)

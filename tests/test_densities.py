@@ -30,8 +30,8 @@ from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
+    grid_blocks,
     load_pair,
-    residue_blocks,
     residue_grid,
     residue_zeros_mod_p,
 )
@@ -248,7 +248,7 @@ def box_pass(Q2, W, eps_list, G):
     k = len(rest)
     pts = -rho + h * (np.arange(G) + 0.5)
     for cells, _ in densities._tau_blocks(G, k)[0]:
-        yk = quadforms._tuples([pts[a] for a in cells], lex=True)
+        yk = quadforms._tuples([pts[a] for a in cells])
         yk += x0[rest]
         # Q2(y1, y') = a y1^2 + b(y') y1 + c(y') in the distinguished coord
         b = 2.0 * yk @ M2[axis, rest]
@@ -531,7 +531,8 @@ def _seeded_pair_n4(seed, zero_diagonal):
             pair = QuadricPair.build(Q1, Q2)
         except ValueError:  # singular Q2
             continue
-        if pair.disc_P != 0 and not Q1.is_diagonal() and not Q2.is_diagonal():
+        off_diagonal = [np.array(Q.M)[~np.eye(4, dtype=bool)].any() for Q in (Q1, Q2)]
+        if pair.disc_P != 0 and all(off_diagonal):
             return pair
 
 
@@ -553,7 +554,7 @@ def _sigma2_sweep(pair, k):
     n = pair.n
     q = 2**k
     count = 0
-    for block in residue_blocks(q, n):
+    for block in grid_blocks([np.arange(q, dtype=np.int64)] * n):
         good1 = pair.Q1.eval_batch_mod(block % 4, 4) == 1
         good2 = pair.Q2.eval_batch_mod(block, q) == 0
         count += int((good1 & good2).sum())
@@ -578,7 +579,7 @@ def _sigma2_half_depth(pair, k):
     mod = 2**m
     M2 = np.array(pair.Q2.M, dtype=np.int64)
     count = 0
-    for x0 in residue_blocks(2**j, n):
+    for x0 in grid_blocks([np.arange(2**j, dtype=np.int64)] * n):
         q2 = pair.Q2.eval_batch(x0)
         live = (pair.Q1.eval_batch_mod(x0 % 4, 4) == 1) & (q2 % 2 ** (k - m) == 0)
         g = np.gcd.reduce((x0[live] @ M2) % mod, axis=1, initial=mod)
@@ -633,7 +634,7 @@ def _zero_counts_sweep(pair, p):
     """(#{Q2 = 0}, #{Q1 = Q2 = 0}) over F_p^n, Q1 evaluated only where
     Q2 vanishes."""
     n2 = n12 = 0
-    for block in residue_blocks(p, pair.n):
+    for block in grid_blocks([np.arange(p, dtype=np.int64)] * pair.n):
         zeros2 = block[pair.Q2.eval_batch_mod(block, p) == 0]
         n2 += len(zeros2)
         n12 += int((pair.Q1.eval_batch_mod(zeros2, p) == 0).sum())

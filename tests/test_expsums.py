@@ -28,9 +28,9 @@ from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
+    grid_blocks,
     is_Vm_singular_mod_p,
     load_pair,
-    residue_blocks,
     residue_grid,
     residue_zeros_mod_p,
 )
@@ -532,7 +532,7 @@ def sdq_by_sweep(pair, d, q, m_list, method):
     nm = len(m_list)
     hists = np.zeros((nm, dq * dq), dtype=np.int64)
     survivors = 0
-    for block in residue_blocks(dq, n):
+    for block in grid_blocks([np.arange(dq, dtype=np.int64)] * n):
         sub = block if d == 1 else block[pair.zero_mask_mod(block, d)]
         if not len(sub):
             continue
@@ -711,7 +711,7 @@ def tdq_by_sweep(name, a_vec, d, q, m):
     mred = np.array([v % mod for v in m], dtype=np.int64)
     total = 0j
     terms = 0
-    for block in residue_blocks(dq, n):
+    for block in grid_blocks([np.arange(dq, dtype=np.int64)] * n):
         k = base[None, :] + 4 * block
         sub = k if d == 1 else k[pair.zero_mask_mod(k, d)]
         if not len(sub):

@@ -18,7 +18,7 @@ from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
-    residue_blocks,
+    grid_blocks,
     residue_grid,
     residue_zeros_mod_p,
 )
@@ -156,16 +156,34 @@ def test_residue_zeros_mod_p():
     assert cases == 40
 
 
+def _sweep_blocks(p, n):
+    return grid_blocks([np.arange(p, dtype=np.int64)] * n)
+
+
 @pytest.mark.parametrize("budget", [1, 7, 40])
 def test_residue_zeros_mod_p_in_chunked_sweep_order(monkeypatch, budget):
-    # a chunked sweep lists its head columns outermost; the zeros follow it
+    # a chunked sweep lists the residues in lexicographic order, block
+    # after block; the zeros follow it
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
     rng = random.Random(budget)
     for pair, p in ((toy_pair_3(), 5), (_random_coupled_pair(rng, 4), 3),
                     (_random_coupled_pair(rng, 3), 7)):
-        blocks = [_full_sweep(pair, p, b) for b in residue_blocks(p, pair.n)]
+        blocks = [_full_sweep(pair, p, b) for b in _sweep_blocks(p, pair.n)]
         assert len(blocks) > 1
         assert np.array_equal(residue_zeros_mod_p(pair, p), np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, None])
+def test_residue_zeros_mod_p_order_ignores_the_block_budget(monkeypatch, budget):
+    # whatever the budget, the zeros are the residue_grid mask, row for row
+    if budget is not None:
+        monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    rng = random.Random(11)
+    for pair, p in ((toy_pair_3(), 5), (_random_coupled_pair(rng, 4), 5),
+                    (_random_coupled_pair(rng, 3), 7), (shipped_pair(), 7)):
+        want = _full_sweep(pair, p, residue_grid(p, pair.n))
+        got = residue_zeros_mod_p(pair, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (pair, p)
 
 
 def _free_line_pair(p):
@@ -180,8 +198,7 @@ def _free_line_pair(p):
 
 @pytest.mark.parametrize("budget", [None, 40, 2**15])
 def test_residue_zeros_mod_p_sorts_as_the_lexsort(monkeypatch, budget):
-    # the zeros in any order, sorted by the sweep's columns, slowest last:
-    # the head columns, then the tail, each column 0 fastest
+    # the zeros in any order, sorted lexicographically: column 0 slowest
     if budget is not None:
         monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
     rng = np.random.default_rng(5)
@@ -189,9 +206,8 @@ def test_residue_zeros_mod_p_sorts_as_the_lexsort(monkeypatch, budget):
                     (_random_coupled_pair(random.Random(7), 4), 7),
                     (_free_line_pair(31), 31)):
         Z = residue_zeros_mod_p(pair, p)
-        lead = quadforms._head_columns([p] * pair.n)
         shuffled = Z[rng.permutation(len(Z))]
-        want = shuffled[np.lexsort(np.roll(shuffled, -lead, axis=1).T)]
+        want = shuffled[np.lexsort(shuffled.T[::-1])]
         assert Z.dtype == np.int64 and np.array_equal(Z, want), (pair, p)
 
 
@@ -202,7 +218,7 @@ def test_free_prefixes_stay_within_the_block_budget(monkeypatch):
     p, budget = 31, 2**15
     pair = _free_line_pair(p)
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
-    want = np.concatenate([_full_sweep(pair, p, b) for b in residue_blocks(p, pair.n)])
+    want = np.concatenate([_full_sweep(pair, p, b) for b in _sweep_blocks(p, pair.n)])
     tracemalloc.start()
     try:
         got = residue_zeros_mod_p(pair, p)

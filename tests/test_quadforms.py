@@ -22,7 +22,6 @@ from quadpair.quadforms import (
     is_Vm_singular_mod_p,
     parse_pair_text,
     pencil_det_poly,
-    residue_blocks,
     residue_grid,
     residue_zeros_mod_p,
     save_pair,
@@ -157,37 +156,67 @@ def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
             np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
     Q = QuadraticForm.from_matrix([[1, 2, 0, -1], [2, -3, 1, 0], [0, 1, 5, 2],
                                    [-1, 0, 2, 4]])
-    lead = quadforms._head_columns([len(a) for a in axes])
-    for lex in (False, True):
-        blocks = list(grid_blocks(axes, lex=lex))
-        block_axes = list(quadforms.grid_block_axes(axes, lex=lex))
-        assert len(blocks) == len(block_axes)
-        for block, ax in zip(blocks, block_axes):
-            # the head columns as one-value axes, then the tail axes
-            assert [a.tolist() for a in ax] == (
-                [[v] for v in block[0, :lead].tolist()] + [a.tolist() for a in axes[lead:]])
-            if lex:
-                assert np.array_equal(Q.eval_grid(ax), Q.eval_batch(block))
-    # with a row budget the last head column runs slices of its axis: the
-    # blocks stacked are the unsplit lexicographic grid, row for row, and
-    # each holds at most the budget unless the last axis alone is longer
-    # (the third axis below, and the last of the second set, pass 3)
+    blocks = list(grid_blocks(axes))
+    block_axes = list(quadforms.grid_block_axes(axes, budget))
+    assert len(blocks) == len(block_axes)
+    for block, ax in zip(blocks, block_axes):
+        assert np.array_equal(block, quadforms._tuples(ax))
+        assert np.array_equal(Q.eval_grid(ax), Q.eval_batch(block))
+    # each block fixes its leading columns as one-value axes, runs one
+    # contiguous slice of the next axis and the whole tail axes after it:
+    # the blocks stacked are the unsplit lexicographic grid, row for row,
+    # and each holds at most the budget unless the last axis alone is
+    # longer (the third axis below, and the last of the second set, pass 3)
     for grid in (axes, [np.arange(-2, 1, dtype=np.int64), np.arange(-4, 8, dtype=np.int64)]):
-        sliced = list(quadforms.grid_block_axes(grid, lex=True, rows=budget))
-        blocks = [quadforms._tuples(ax, lex=True) for ax in sliced]
-        assert np.array_equal(np.vstack(blocks), quadforms._tuples(grid, lex=True))
+        sliced = list(quadforms.grid_block_axes(grid, budget))
+        for ax in sliced:
+            run = next((j for j, a in enumerate(ax) if len(a) > 1), len(ax) - 1)
+            assert all(len(a) == 1 for a in ax[:run])
+            assert [a.tolist() for a in ax[run + 1:]] == [a.tolist() for a in grid[run + 1:]]
+            at = int(np.flatnonzero(grid[run] == ax[run][0])[0])
+            assert ax[run].tolist() == grid[run][at:at + len(ax[run])].tolist()
+        blocks = [quadforms._tuples(ax) for ax in sliced]
+        assert np.array_equal(np.vstack(blocks), quadforms._tuples(grid))
         assert max(map(len, blocks)) <= max(budget, len(grid[-1]))
         assert all(np.array_equal(Q.restrict(range(len(grid))).eval_grid(ax),
                                   Q.restrict(range(len(grid))).eval_batch(block))
                    for ax, block in zip(sliced, blocks))
-    with pytest.raises(ValueError, match="lexicographic"):
-        next(quadforms.grid_block_axes(axes, rows=budget))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_block_axes_split_random_grids(seed):
+    # for k = 0..5 axes of random lengths and several budgets, the blocks
+    # stacked are the whole lexicographic grid, none holds more than the
+    # budget unless the last axis alone is longer, and each block's values
+    # of a form are its rows'
+    rng = np.random.default_rng(seed)
+    for k in range(6):
+        axes = [np.sort(rng.choice(np.arange(-9, 10), size=rng.integers(1, 7), replace=False))
+                for _ in range(k)]
+        M = rng.integers(-3, 4, size=(k, k))
+        Q = QuadraticForm.from_matrix(M + M.T) if k else None
+        for rows in (1, 2, 5, 17, 64, 1000):
+            sliced = list(quadforms.grid_block_axes(axes, rows))
+            blocks = [quadforms._tuples(ax) for ax in sliced]
+            assert np.array_equal(np.vstack(blocks), quadforms._tuples(axes))
+            assert max(map(len, blocks)) <= max(rows, len(axes[-1]) if k else 1)
+            if Q is not None:
+                assert all(np.array_equal(Q.eval_grid(ax), Q.eval_batch(block))
+                           for ax, block in zip(sliced, blocks))
+
+
+@pytest.mark.parametrize("q, k", [(1, 3), (2, 4), (3, 3), (5, 2), (7, 1), (4, 0)])
+def test_residue_grid_is_lexicographic(q, k):
+    want = list(itertools.product(range(q), repeat=k))
+    got = residue_grid(q, k)
+    assert got.shape == (q**k, k) and got.dtype == np.int64
+    assert [tuple(r) for r in got.tolist()] == want
 
 
 def test_grid_blocks_unchunked_is_the_full_grid():
-    (block,) = residue_blocks(5, 3)
+    (block,) = grid_blocks([np.arange(5, dtype=np.int64)] * 3)
     assert np.array_equal(block, residue_grid(5, 3))
-    (empty,) = residue_blocks(5, 0)
+    (empty,) = grid_blocks([])
     assert empty.shape == (1, 0)
 
 
@@ -198,17 +227,18 @@ def test_grid_blocks_chunked_order(monkeypatch, budget):
                     (np.arange(-2, 3, dtype=np.int64), 3),
                     (np.linspace(-1.0, 1.0, 4), 3)):
         side = len(axis)
-        blocks = list(grid_blocks(axis, k))
+        blocks = list(grid_blocks([axis] * k))
         assert len(blocks) > 1
         assert all(len(b) <= max(budget, side) for b in blocks)
-        # one block per head; heads (leading columns) outermost, tails
-        # inside, column 0 of each varying fastest: the full grid with its
-        # columns rotated by the number of head columns
-        lead = round(math.log(len(blocks), side))
-        assert len(blocks) == side**lead
+        # the tail is the most trailing columns whose grid fits the budget
+        # (one at least), the column before it runs slices of as many values
+        # as fit over the tail, and the columns before that are fixed: the
+        # blocks in turn are the full grid in lexicographic order
+        tail = max([j for j in range(1, k) if side**j <= budget], default=1)
+        step = max(1, budget // side**tail)
+        assert len(blocks) == side ** (k - tail - 1) * -(-side // step)
         rows = np.concatenate(blocks)
-        full = axis[residue_grid(side, k)]
-        assert np.array_equal(rows, np.roll(full, lead, axis=1))
+        assert np.array_equal(rows, axis[residue_grid(side, k)])
         assert rows.dtype == axis.dtype
 
 
@@ -218,17 +248,11 @@ def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
     axes = [np.arange(-2, 1, dtype=np.int64), np.arange(4, 6, dtype=np.int64),
             np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
     product = list(itertools.product(*axes))
-    lex = np.concatenate(list(grid_blocks(axes, lex=True)))
-    assert [tuple(r) for r in lex] == product
-    # without lex the unchunked block runs column 0 fastest
     rows = np.concatenate(list(grid_blocks(axes)))
-    assert sorted(map(tuple, rows)) == product
-    if budget >= len(product):
-        assert [tuple(r) for r in rows] == sorted(product, key=lambda r: r[::-1])
-    # one axis repeated k times is the old call
-    same = list(grid_blocks([axes[2]] * 3))
-    old = list(grid_blocks(axes[2], 3))
-    assert all(np.array_equal(a, b) for a, b in zip(same, old)) and len(same) == len(old)
+    assert [tuple(r) for r in rows] == product
+    # one axis repeated k times is its power, in lexicographic order
+    same = np.concatenate(list(grid_blocks([axes[2]] * 3)))
+    assert np.array_equal(same, axes[2][residue_grid(4, 3)])
 
 
 #: tau_infinity's cases of the ball iterator, in cell units (G, k): the
