@@ -5,9 +5,12 @@ The counting layer enumerates integer zeros of Q2 in a box
 otherwise a scan that solves for the last coordinate) and counts zeros
 of the pair to a modulus d (N_d).  On a symmetric box such as |x| <= 3
 both read only the half x_1 >= 0: a form is even, so -x is a zero with
-x.  The layer also forms the weighted sum S(B), over the zeros in the
-weight's support ball, whose growth the whole package is about.  The
-n=2 toy pair keeps every number here small enough to check by hand.
+x.  N_d also reads x_i >= 0 on every coordinate neither form couples (a
+sign change there fixes the pair), weighing each point by the points it
+stands for; x*y couples its two.  The layer also forms the weighted sum
+S(B), over the zeros in the weight's support ball, whose growth the
+whole package is about.  The n=2 toy pair keeps every number here small
+enough to check by hand.
 
 Run:  python3 demos/lattice_counts.py
 """

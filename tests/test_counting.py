@@ -210,12 +210,17 @@ def test_N_d_join_matches_enumeration_on_pair_files(name):
         assert N_d(pair, d, box) == N_d_by_listing(pair, d, box), d
 
 
-def test_N_d_coupled_Q1_takes_the_enumeration_route(monkeypatch):
-    # Q2 diagonal, so enumerate_zeros joins; Q1 couples x1 to x3 and x4
-    pair = QuadricPair.build(
+def q1_coupled_pair():
+    """Q2 diagonal, so its zeros are joined; Q1 couples x1 to x3 and x4 (across
+    the halves) and leaves x2 free."""
+    return QuadricPair.build(
         QuadraticForm.from_matrix([[1, 0, 1, 2], [0, 1, 0, 0], [1, 0, 1, 0],
                                    [2, 0, 0, 3]]),
         QuadraticForm.diagonal([1, 2, -3, -5]))
+
+
+def test_N_d_coupled_Q1_takes_the_enumeration_route(monkeypatch):
+    pair = q1_coupled_pair()
     want = {d: N_d_by_listing(pair, d, 8) for d in ND_DIVISORS}
     assert want[1] > want[2] > 0
     monkeypatch.setattr(counting, "_N_d_join", None)
@@ -976,47 +981,129 @@ def test_enumerate_zeros_streams_an_asymmetric_box_whole(monkeypatch, name):
             assert streamed == [(box.lo, box.hi)]
 
 
-@pytest.mark.parametrize("route", ["join", "coupled"])
+FOLD_PAIRS = {
+    # every coordinate free
+    "join": shipped_pair,
+    # Q2 couples every coordinate: the scan, no free coordinate
+    "coupled": coupled_n4_pair,
+    # free x3 and x4, one in each half, beside Q1's x1-x2 and Q2's x5-x6
+    "join_mixed": lambda: QuadricPair.build(
+        QuadraticForm.from_matrix([[2, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                                   [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 3]]),
+        QuadraticForm.from_matrix([[1, 0, 0, 0, 0, 0], [0, -2, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0],
+                                   [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 2, -3]])),
+    # no free coordinate, two classes x1-x2 and x3-x4, one per half
+    "join_no_free": lambda: QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        QuadraticForm.from_matrix([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, -1], [0, 0, -1, -2]])),
+    # Q1 couples the halves: the listing stream, x2 free
+    "stream_mixed": q1_coupled_pair,
+    # x1-x3 and x2-x3: one class, linked only through x3
+    "stream_chain": lambda: QuadricPair.build(
+        QuadraticForm.from_matrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]]),
+        QuadraticForm.diagonal([1, 2, -3])),
+}
+
+
+def partly_symmetric_boxes(n, T):
+    """Boxes near |x| <= T, T >= 1, each with lo_i != -hi_i for one i:
+    asymmetric_boxes, and one box per coordinate with its lower end raised."""
+    return asymmetric_boxes(n, T) + [
+        BoxSpec(lo=tuple(1 - T if j == i else -T for j in range(n)), hi=(T,) * n)
+        for i in range(n)]
+
+
+def test_sign_folds_are_the_first_of_each_symmetric_class():
+    folds = counting._sign_folds
+    ship, coupled = shipped_pair(), coupled_n4_pair()
+    assert folds(ship, (-3,) * 5, (3,) * 5) == [True] * 5
+    assert folds(ship, (-3,) * 4 + (-2,), (3,) * 5) == [True] * 4 + [False]
+    assert folds(coupled, (-3,) * 4, (3,) * 4) == [True, False, False, False]
+    assert folds(coupled, (-3,) * 4, (3, 3, 4, 3)) == [False] * 4
+    assert folds(q1_coupled_pair(), (-3,) * 4, (3,) * 4) == [True, True, False, False]
+    assert folds(q1_coupled_pair(), (-3, -3, -3, 0), (3,) * 4) == [False, True, False, False]
+    two = FOLD_PAIRS["join_no_free"]()
+    assert folds(two, (-3,) * 4, (3,) * 4) == [True, False, True, False]
+    assert folds(two, (-3,) * 4, (3, 3, 3, 4)) == [True, False, False, False]
+    assert folds(FOLD_PAIRS["join_mixed"](), (-3,) * 6, (3,) * 6) == [
+        True, False, True, True, True, False]
+    assert folds(FOLD_PAIRS["stream_chain"](), (-3,) * 3, (3,) * 3) == [True, False, False]
+
+
+@pytest.mark.parametrize("route", sorted(FOLD_PAIRS))
 def test_N_d_fold_matches_the_full_walk(route):
-    pair = shipped_pair() if route == "join" else coupled_n4_pair()
+    pair = FOLD_PAIRS[route]()
     h = (pair.n + 1) // 2
     assert (counting._couples(pair.Q1.M, h) or counting._couples(pair.Q2.M, h)) == (
-        route == "coupled")
+        not route.startswith("join"))
     for T in (0, 1, 4, 8):
-        for box in [T] + (asymmetric_boxes(pair.n, T) if T else []):
-            for d in (1, 2, 3, 8):
+        for box in [T] + (partly_symmetric_boxes(pair.n, T) if T else []):
+            for d in (1, 2, 3, 5, 8):
                 want = N_d_unfolded(pair, d, box)
                 assert N_d(pair, d, box) == want == N_d_by_listing(pair, d, box), (box, d)
 
 
 def test_fold_reads_half_the_box(monkeypatch):
-    # N_d's join reads the left half only where x_1 >= 0: (T + 1)(2T + 1)^2
-    # of its (2T + 1)^3 rows on shipped
-    read = []
+    # N_d's join reads both halves only where every coordinate is >= 0, as
+    # shipped's forms couple none: at most (T + 1)^3 left rows and
+    # (T + 1)^2 right rows keyed
+    read, keyed = [], []
     real = counting.grid_block_axes
+    real_right = counting._right_half
 
     def spy(axes, *args, **kwargs):
         for block in real(axes, *args, **kwargs):
             read.append(math.prod(len(a) for a in block))
             yield block
 
+    def spy_right(Q2, Q1, axes, *args, **kwargs):
+        keyed.append(math.prod(len(a) for a in axes))
+        return real_right(Q2, Q1, axes, *args, **kwargs)
+
     monkeypatch.setattr(counting, "grid_block_axes", spy)
+    monkeypatch.setattr(counting, "_right_half", spy_right)
     ship = shipped_pair()
     for T in (4, 12):
         want = N_d_unfolded(ship, 3, T)
         read.clear()
+        keyed.clear()
         assert N_d(ship, 3, T) == want
-        assert 0 < sum(read) <= (T + 1) * (2 * T + 1) ** 2
-    # the listing (join and scan) and the coupled N_d stream the box with
-    # lo_1 = 0 alone
+        assert 0 < sum(read) <= (T + 1) ** 3
+        assert keyed == [(T + 1) ** 2]
+    # the listing (join and scan) streams the box with lo_1 = 0 alone; the
+    # stream route of N_d has lo_i = 0 on every folded coordinate: x1 alone
+    # for the coupled n = 4 form, x1 (first of x1, x3, x4) and the free x2
+    # for the pair whose Q1 couples the halves
     streamed = spy_zero_blocks(monkeypatch)
     coupled = coupled_n4_pair()
-    for call, n in ((lambda: enumerate_zeros(ship.Q2, 6), 5),
-                    (lambda: enumerate_zeros(coupled.Q2, 6), 4),
-                    (lambda: N_d(coupled, 3, 6), 4)):
+    for call, want in ((lambda: enumerate_zeros(ship.Q2, 6), (0,) + (-6,) * 4),
+                       (lambda: enumerate_zeros(coupled.Q2, 6), (0,) + (-6,) * 3),
+                       (lambda: N_d(coupled, 3, 6), (0,) + (-6,) * 3),
+                       (lambda: N_d(q1_coupled_pair(), 3, 6), (0, 0, -6, -6))):
         streamed.clear()
         call()
-        assert streamed == [((0,) + (-6,) * (n - 1), (6,) * n)]
+        assert streamed == [(want, (6,) * len(want))]
+
+
+def test_N_d_folded_join_builds_the_table_for_the_whole_box(monkeypatch):
+    # the lookup table is sized by the left rows the folded half stands for
+    # (81^3 on shipped's box 40), not the 41^3 read, so d = 5 and d = 8, whose
+    # key spans hold 72,000 and 115,200 slots, read one table, no search
+    built = []
+
+    def counted(keys, most):
+        table = real(keys, most)
+        built.append(table is not None)
+        return table
+
+    real = counting._slot_table
+    monkeypatch.setattr(counting, "_slot_table", counted)
+    monkeypatch.setattr(counting._RightHalf, "_search", None)
+    ship = shipped_pair()
+    for d, want in ((5, 86385), (8, 99245)):
+        built.clear()
+        assert N_d(ship, d, 40) == want
+        assert built == [True]
 
 
 def test_enumerate_zeros_guard_charges_the_half_box():
