@@ -26,20 +26,19 @@ left row x_L meets the run of key -key(x_L).  That run is looked up in
 one table over the span of the right keys, built with the right half
 when the span is no longer than the left half's rows and the right rows
 together (else searched for), and every left block reads the same table.
-The left half comes in blocks of at most _STREAM_ROWS rows: those of
-grid_block_axes(axes, _STREAM_ROWS), the one split of a lexicographic
-product under a row budget, or for S(B) those of
-quadforms._ball_cut_blocks, the one ball iterator, which tau_infinity
-reads too (the left half cut to the ball, split into equal runs along
-its first axis, each run cut and split in turn); a form's int64 check
-runs once per stream, on the whole axes, and each block runs the
-eval_grid kernel alone.  N_d sums the run
-lengths of each key's index, building no row (past the keys and their
-indices, no array as long as the block); listing builds rows only for
-the matches, from their positions in the product of the left block's
-axes and the right axes (quadforms._rows_at), block by block, which
-keeps the stream in order.  A coupled Q2 is scanned over the
-grid_block_axes(axes, _STREAM_ROWS) blocks of its first n - 1
+The left half comes in the blocks of quadforms.grid_block_axes(axes,
+_STREAM_ROWS), the one block iterator, which every grid of the package
+reads (tau_infinity's cells, the r2 table's square, the prefixes mod p):
+at most _STREAM_ROWS rows each, the product split into equal runs along
+its first axis of more than one value, each run split in turn; for S(B)
+the product and each run are first cut to the ball.  A form's int64
+check runs once per stream, on the whole axes, and each block runs the
+eval_grid kernel alone.  N_d sums the run lengths of each key's index,
+building no row (past the keys and their indices, no array as long as
+the block); listing builds rows only for the matches, from their
+positions in the product of the left block's axes and the right axes
+(quadforms._rows_at), block by block, which keeps the stream in order.
+A coupled Q2 is scanned over the same blocks of its first n - 1
 coordinates, with the last coordinate solved for: Q2 = a x_n^2 +
 b(x') x_n + c(x'), b = 2 m.x', and the discriminant b^2 - 4ac, itself a
 quadratic form in x' (_grid_form, built once), is read off the block's
@@ -93,7 +92,6 @@ from .quadforms import (
     _BALL_SLACK,
     QuadraticForm,
     QuadricPair,
-    _ball_cut_blocks,
     _check_int64,
     _grid_sums,
     _rows_at,
@@ -237,7 +235,7 @@ def _scan(Q2: QuadraticForm, lo, hi, guard: int):
     if form is not None:
         _check_int64(form.terms(), axes, "points")
     total = 0
-    for block in grid_block_axes(axes, _STREAM_ROWS):
+    for block, _ in grid_block_axes(axes, _STREAM_ROWS):
         rows = _solve_last(Q2.M, form, block, lo[-1], hi[-1])
         total += len(rows)
         check_guard("enumerate_zeros", total, guard)
@@ -408,20 +406,18 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     left_rows = math.prod(len(a) for a in axes[:h])
     if ball is None:
         right = _right_half(Q2, None, axes[h:], 1, left_rows)
-        blocks = ((block, None) for block in
-                  grid_block_axes(axes[:h], _STREAM_ROWS))
+        left_parts = budget = None
     else:
         parts, budget = ball
-        right_sum = _grid_sums(parts[h:])
+        left_parts, right_sum = parts[:h], _grid_sums(parts[h:])
         right = _right_half(Q2, None, axes[h:], 1, left_rows,
                             np.flatnonzero(right_sum < budget))
         right_sum = right_sum[right.order]
-        blocks = _ball_cut_blocks(axes[:h], parts[:h], budget, _STREAM_ROWS)
     # a match's row is the one at left * right_size + right of the product
     # of a left block's axes and the right axes
     right_size = math.prod(len(a) for a in axes[h:])
     total = 0
-    for block, block_parts in blocks:
+    for block, block_parts in grid_block_axes(axes[:h], _STREAM_ROWS, left_parts, budget):
         keys = left_keys(block)
         if ball is None:
             hit, counts, first = right.runs(keys)
@@ -574,7 +570,7 @@ def _N_d_join(pair: QuadricPair, d: int, lo, hi, folded) -> int:
                         math.prod(int(f.sum()) for f in factors[:h]), weight=weight.reshape(-1))
     left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, axes[:h])
     return sum(right.pairs(left_keys(block), _fold_factors(block, folded[:h]))
-               for block in grid_block_axes(axes[:h], _STREAM_ROWS))
+               for block, _ in grid_block_axes(axes[:h], _STREAM_ROWS))
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
@@ -587,10 +583,10 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     number of its folded coordinates that are nonzero.  When neither form
     couples the first ceil(n/2) coordinates to the rest, no zero is
     listed: N_d is the join of the module notes, charged the two half-box
-    sizes of the whole box (an upper bound: on shipped's box |x| <= 40
-    the charge is 538,002 for the 70,602 rows read).  Otherwise d | Q1
-    is counted on each block of the zero stream of Q2 on the folded box,
-    guarded as in enumerate_zeros.  A d beyond the largest |Q1| on the
+    sizes of the folded box, the rows it reads (70,602 on shipped's box
+    |x| <= 40, 126,002,502 on |x| <= 500).  Otherwise d | Q1 is counted
+    on each block of the zero stream of Q2 on the folded box, guarded as
+    in enumerate_zeros.  A d beyond the largest |Q1| on the
     box, R, counts as R + 1: either way d | Q1 iff Q1 = 0.
 
     Monotone in d: N_e(B) <= N_d(B) whenever d | e.
@@ -612,7 +608,7 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
                 Z = Z[pair.Q1.eval_batch(Z) % d == 0]
             total += int(np.left_shift(1, (Z[:, folded] != 0).sum(axis=1)).sum())
         return total
-    check_guard("N_d", _join_charge(lo, hi), guard)
+    check_guard("N_d", _join_charge(start, hi), guard)
     _check_key_fits(pair.Q2, lo, hi, h, d)
     return _N_d_join(pair, d, start, hi, folded)
 
@@ -792,20 +788,20 @@ class WeightFunction:
 def _r2_table(top: int, guard: int) -> np.ndarray:
     """r2(M) for 0 <= M <= top as floats: u^2 + v^2 over the quarter disc
     u, v >= 0, each pair weighted by its (+-u, +-v) fold (entry 0 is 1, the
-    origin), scattered into the table (np.add.at) a run of rows u at a
-    time, each run at most _STREAM_ROWS pairs of the square holding the
-    disc unless one row is longer.  The guard is charged the
-    (isqrt(top) + 1)^2 pairs of that square before the table is made."""
+    origin), scattered into the table (np.add.at) block by block: the
+    blocks of grid_block_axes over the square holding the disc, with the
+    ball u^2 + v^2 < top + 1, at most _STREAM_ROWS pairs each unless one
+    row is longer.  The guard is charged the (isqrt(top) + 1)^2 pairs of
+    that square before the table is made."""
     s = math.isqrt(top)
     check_guard("S_of_B r2 table", (s + 1) ** 2, guard)
     table = np.zeros(top + 1)
-    v = np.arange(s + 1, dtype=np.int64)
-    squares, fold = v * v, np.where(v == 0, 1.0, 2.0)
-    step = max(1, _STREAM_ROWS // (s + 1))
-    for u in range(0, s + 1, step):
-        norms = squares[u:u + step, None] + squares
+    t = np.arange(s + 1, dtype=np.int64)
+    squares, fold = t * t, np.where(t == 0, 1.0, 2.0)
+    for (u, v), (u2, v2) in grid_block_axes([t, t], _STREAM_ROWS, [squares] * 2, top + 1):
+        norms = u2[:, None] + v2
         inside = norms <= top
-        np.add.at(table, norms[inside], (fold[u:u + step, None] * fold)[inside])
+        np.add.at(table, norms[inside], (fold[u, None] * fold[v])[inside])
     return table
 
 

@@ -50,15 +50,15 @@ from .counting import _STREAM_ROWS, WeightFunction, _bump, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det
 from .modarith import chi4, is_prime
-from .padic import _GaussTable, _lift_count
+from .padic import _GaussTable, _lift_count, _primitive_counts
 from .quadforms import (
     _BALL_SLACK,
     QuadricPair,
-    _ball_cut_blocks,
     _grid_sums,
     _pencil_roots_distinct_mod_p,
     _rows_at,
     certified_good,
+    grid_block_axes,
 )
 
 __all__ = [
@@ -135,19 +135,6 @@ def two_squares_closed_form(A: int, p: int, k: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _primitive_counts(table: _GaussTable, k: int) -> list[int]:
-    """[Ntilde*_k(0), ..., Ntilde*_k(k)] (primitive x only), read off the
-    Gauss-sum table of the prime.
-
-    Imprimitive x = p y biject onto y mod p^(k-1) with both divisibility
-    targets lowered by 2.
-    """
-    full = [(k, e, k) for e in range(k + 1)]
-    inner = [(k - 1, max(e - 2, 0), max(k - 2, 0)) for e in range(k + 1)]
-    counts = table.counts(full + inner)
-    return [f - i for f, i in zip(counts[: k + 1], counts[k + 1 :])]
-
-
 def _hensel_lift(n: int, p: int, star1: list[int]) -> list[int]:
     """The depth-2 primitive counts from the depth-1 ones [s0, s1], where
     the pencil has distinct roots mod p.
@@ -214,7 +201,7 @@ def sigma_p(pair: QuadricPair, p: int, k_max: int = 2,
             star = _hensel_lift(pair.n, p, star)
         else:
             try:
-                star = _primitive_counts(table, k)
+                star = _primitive_counts(table.counts, [(k, e, k) for e in range(k + 1)])
             except ResourceGuardError:
                 if prev is None:
                     raise
@@ -316,22 +303,14 @@ def _tau_blocks(G: int, k: int):
     the parts the exact squares (i + 1/2 - G/2)^2, so the midpoints in the
     support ball are the cells whose sum of parts is below (G/2)^2, and
     the budget (G/2)^2 (1 + _BALL_SLACK) keeps every one of them.  The
-    blocks are _ball_cut_blocks', of at most counting._STREAM_ROWS rows
-    unless the last axis alone is longer."""
+    blocks are grid_block_axes' with that ball, of at most
+    counting._STREAM_ROWS rows unless the last axis alone is longer,
+    listed once: tau_infinity charges the guard off the list and hands it
+    to _tau_pass."""
     cells = np.arange(G, dtype=np.int64)
     budget = (G / 2) ** 2 * (1.0 + _BALL_SLACK)
     parts = (cells + 0.5 - G / 2) ** 2
-    return _ball_cut_blocks([cells] * k, [parts] * k, budget, _STREAM_ROWS), budget
-
-
-def _tau_charge(G: int, k: int) -> int:
-    """The guard charge of a pass on k transverse coordinates: 9 for each
-    row of its blocks (_tau_blocks), 1 for the row's sum of parts and 8 for
-    its Gauss-Legendre nodes should it lie in the ball.  The rows are
-    counted off the blocks' axes, none built: an upper bound on the pass's
-    work from an exact count, not a volume estimate."""
-    blocks, _ = _tau_blocks(G, k)
-    return 9 * sum(math.prod(len(a) for a in axes) for axes, _ in blocks)
+    return list(grid_block_axes([cells] * k, _STREAM_ROWS, [parts] * k, budget)), budget
 
 
 _TAU_STOP = 2e-4  # relative move of both estimates that ends the refinement
@@ -342,18 +321,19 @@ def _next_grid(G: int) -> int:
     return 3 * G // 2
 
 
-def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
+def _tau_pass(Q2, W: WeightFunction, eps_list, G: int, blocks, budget: float):
     """One transverse resolution: slab values for every epsilon, the coarea
     estimate and the number of transverse rows integrated.  The
     distinguished coordinate is integrated exactly, the others by the
     midpoint rule on the cells of the box of half-width rho about x0 whose
     midpoints lie in the support ball.  The cells come in the blocks of
-    _tau_blocks, each masked to its cells with a sum of parts below the
-    budget before any row is built; only those rows are built (_rows_at)
-    and put to the exact test |y - x0|^2 < rho^2.  One block and its
-    temporaries (some forty floats a row, each interval's 8 Gauss-Legendre
-    nodes as one 8-row array) are alive at a time, so the pass's memory
-    does not grow with G."""
+    _tau_blocks(G, n - 1), with its budget, each masked to its cells with
+    a sum of parts below the budget before any row is built; only those
+    rows are built (_rows_at) and put to the exact test |y - x0|^2 < rho^2.
+    The rows of one block and their temporaries (some forty floats a row,
+    each interval's 8 Gauss-Legendre nodes as one 8-row array) are alive
+    at a time, so the pass's memory grows with G only by the list of
+    blocks' axes."""
     n = Q2.n
     x0 = np.array(W.x0, dtype=float)
     M2 = np.array(Q2.M, dtype=float)
@@ -370,7 +350,6 @@ def _tau_pass(Q2, W: WeightFunction, eps_list, G: int):
     slab_tot = [0.0 for _ in eps_list]
     co_tot = 0.0
     count = 0
-    blocks, budget = _tau_blocks(G, len(rest))
     for axes, parts in blocks:
         yk = _rows_at([mid[a] for a in axes], np.flatnonzero(_grid_sums(parts) < budget))
         yk += x0[rest]
@@ -482,12 +461,14 @@ def tau_infinity(Q2, W: WeightFunction,
     integrated.  G starts at 12 and steps to 3G/2 (_next_grid) until both
     estimates move by less than 2e-4 relative to the previous pass; a pass
     at 3G/2 builds about (3/2)^(n-1) times the rows of the pass at G, not
-    2^(n-1).  Before each pass the guard is charged _tau_charge, an
-    upper bound on the pass's work: 9 for each row of the blocks of the
-    ball iterator it reads (1 for the row's sum, 8 for its Gauss-Legendre
-    nodes).  A pass holds one block of at most counting._STREAM_ROWS cells
-    at a time (_tau_pass).  A singular Q2, or a support ball holding the
-    origin (the only critical point of a non-singular Q2), is refused.
+    2^(n-1).  A pass's blocks are listed once (_tau_blocks); before the
+    pass reads them the guard is charged an upper bound on its work off
+    that list, 9 for each row of the blocks (1 for the row's sum of parts,
+    8 for its Gauss-Legendre nodes should it lie in the ball): an exact
+    count, not a volume estimate.  A pass builds the rows of one block of
+    at most counting._STREAM_ROWS cells at a time (_tau_pass).  A
+    singular Q2, or a support ball holding the origin (the only critical
+    point of a non-singular Q2), is refused.
     """
     if W.n != Q2.n:
         raise ValueError("weight dimension mismatch")
@@ -506,9 +487,10 @@ def tau_infinity(Q2, W: WeightFunction,
     prev = None
     rows = charged = 0
     while True:
-        charge = _tau_charge(G, Q2.n - 1)
+        blocks, budget = _tau_blocks(G, Q2.n - 1)
+        charge = 9 * sum(math.prod(len(a) for a in axes) for axes, _ in blocks)
         check_guard("tau_infinity", charge, guard)
-        slabs, coarea, count = _tau_pass(Q2, W, eps_list, G)
+        slabs, coarea, count = _tau_pass(Q2, W, eps_list, G, blocks, budget)
         rows += count
         charged += charge
         slab = _extrapolate(np.array(eps_list), np.array(slabs))

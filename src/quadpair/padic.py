@@ -45,7 +45,7 @@ import numpy as np
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import count_lincong, jordan_gauss_sum
 from .modarith import factorize, is_prime
-from .quadforms import QuadricPair, residue_grid
+from .quadforms import QuadricPair, _unit_minor, residue_grid
 
 __all__ = [
     "count_congruence_pair",
@@ -260,12 +260,7 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
             g_act = G1 if r1 > j else G2
             full_rank = (g_act % p != 0).any(axis=1)
         else:
-            g1p = G1 % p
-            g2p = G2 % p
-            full_rank = np.zeros(len(XB), dtype=bool)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    full_rank |= (g1p[:, u] * g2p[:, v] - g1p[:, v] * g2p[:, u]) % p != 0
+            full_rank = _unit_minor(G1 % p, G2 % p, p)[0] != 0
 
         # Hensel closed form: independent active gradients lift uniquely,
         # so each active condition costs exactly p^(s_i - j) on t
@@ -306,20 +301,25 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
     return total
 
 
+def _primitive_counts(count, targets) -> list[int]:
+    """The counts at the targets (R, r1, r2), R >= 1, of the primitive x
+    alone (x not == 0 mod p), from count, which maps a list of targets to
+    their counts, called once: all x minus the imprimitive x = p y, which
+    biject onto y mod p^(R-1) with both divisibility targets lowered by 2."""
+    inner = [(R - 1, max(r1 - 2, 0), max(r2 - 2, 0)) for R, r1, r2 in targets]
+    counts = count(list(targets) + inner)
+    return [f - i for f, i in zip(counts, counts[len(targets):])]
+
+
 def _count_congruence_pair_primitive(pair: QuadricPair, p: int, R: int,
                                      r1: int, r2: int,
                                      guard: int = DEFAULT_GUARD) -> int:
-    """As count_congruence_pair but restricted to x not == 0 mod p.
-
-    Imprimitive x = p y biject onto y mod p^(R-1) with the divisibility
-    targets lowered by 2; both counts read one Gauss-sum table at odd p.
-    """
+    """As count_congruence_pair but restricted to x not == 0 mod p
+    (_primitive_counts); both counts read one Gauss-sum table at odd p."""
     _check_target(p, R, r1, r2)
     if R == 0:
         return 1  # mod 1 there is nothing to be imprimitive against
-    full, inner = _counts(pair, p, [(R, r1, r2), (R - 1, max(r1 - 2, 0), max(r2 - 2, 0))],
-                          guard)
-    return full - inner
+    return _primitive_counts(lambda targets: _counts(pair, p, targets, guard), [(R, r1, r2)])[0]
 
 
 def _crt_product(count_prime_power, pair: QuadricPair, d1: int, d2: int,

@@ -240,9 +240,9 @@ class QuadraticForm:
 # grids
 # --------------------------------------------------------------------------
 
-#: most rows a block of grid_blocks or of residue_zeros_mod_p's prefixes
-#: holds; a block spans at least the whole last axis, so a longer last
-#: axis gives longer blocks
+#: most rows a block of grid_blocks or of residue_zeros_mod_p holds; a
+#: block spans at least the whole last axis, so a longer last axis gives
+#: longer blocks
 _BLOCK_ROWS = 2_000_000
 
 
@@ -262,41 +262,6 @@ def _tuples(axes) -> np.ndarray:
 def residue_grid(q: int, k: int) -> np.ndarray:
     """All vectors of (Z/q)^k in lexicographic order, shape (q^k, k)."""
     return _tuples([np.arange(q, dtype=np.int64)] * k)
-
-
-def grid_block_axes(axes, rows: int):
-    """The lexicographic product of the axes as the axes of blocks of at
-    most rows tuples each, unless the last axis alone is longer.  The tail
-    is the longest run of trailing axes whose product fits the budget (the
-    last axis at least); the axis just before it runs contiguous slices of
-    as many values as the budget allows over the tail, and the columns
-    before that are fixed per block as one-value axes, so the blocks in
-    turn list the product in lexicographic order.  A caller that needs a
-    function of the rows rather than the rows (QuadraticForm.eval_grid)
-    reads a block from these without building it."""
-    dims = [len(a) for a in axes]
-    lead = 0
-    while math.prod(dims[lead:]) > rows and len(dims) - lead > 1:
-        lead += 1
-    if not lead:
-        yield list(axes)
-        return
-    lead -= 1  # the axis that runs slices
-    tail = list(axes[lead + 1:])
-    step = max(1, rows // math.prod(dims[lead + 1:]))
-    for head in _tuples(axes[:lead]):
-        fixed = [head[j:j + 1] for j in range(lead)]
-        for at in range(0, dims[lead], step):
-            yield fixed + [axes[lead][at:at + step]] + tail
-
-
-def grid_blocks(axes):
-    """Every tuple over the axes (one 1-D array per column), in
-    lexicographic order, as the rows of the grid_block_axes blocks under
-    the budget _BLOCK_ROWS.  Each block is a fresh array the caller may
-    modify."""
-    for block in grid_block_axes(axes, _BLOCK_ROWS):
-        yield _tuples(block)
 
 
 #: relative slack on a ball's squared radius; it covers the rounding of a
@@ -344,20 +309,30 @@ def _ball_cut(axes, parts, budget: float):
     return cut_axes, cut_parts
 
 
-def _ball_cut_blocks(axes, parts, budget: float, rows: int):
-    """The lexicographic product of the axes cut to the ball sum_i
-    parts[i] < budget, parts[i] a convex float e_i(v) for each value v of
-    axis i, as blocks of (axes, parts) of at most rows rows unless the
-    last axis alone is longer: the product is cut (_ball_cut), and if it
-    then holds more rows, its first axis of more than one value is split
-    into as many equal runs as the budget goes into those rows, each run
-    cut and split in turn.  No row is built; every block holds a row of
-    the ball, and the blocks in turn hold every row of the ball in
-    lexicographic order, for the caller to mask (_grid_sums)."""
-    cut = _ball_cut(axes, parts, budget)
-    if cut is None:
-        return
-    axes, parts = cut
+def grid_block_axes(axes, rows: int, parts=None, budget: float | None = None):
+    """The lexicographic product of the axes as blocks (axes, parts) of at
+    most rows rows each, unless the last axis alone is longer; no row is
+    built.  A product of more than rows rows splits its first axis of
+    more than one value into ceil(its rows / rows) equal runs, each run
+    split in turn.  So a block is one-value axes, one contiguous run of
+    the next axis and the whole axes after it, the blocks in turn hold
+    every row of the product in lexicographic order, and a block's parts
+    are None.
+
+    Given parts, parts[i] a convex float e_i(v) for each value v of axis
+    i, only the ball sum_i e_i < budget is read: the product and each run
+    are cut to it (_ball_cut) before they are split, so the axes after a
+    block's run are runs too, every block holds a row of the ball, the
+    blocks in turn hold every row of the ball, and each carries the runs
+    of the parts that go with its axes, for the caller to mask
+    (_grid_sums).  A caller that needs a function of the rows rather than
+    the rows (QuadraticForm.eval_grid) reads a block off its axes."""
+    axes = list(axes)
+    if parts is not None:
+        cut = _ball_cut(axes, parts, budget)
+        if cut is None:
+            return
+        axes, parts = cut
     dims = [len(a) for a in axes]
     j = next((i for i, m in enumerate(dims) if m > 1), len(dims) - 1)
     if math.prod(dims) <= rows or j == len(dims) - 1:
@@ -366,8 +341,18 @@ def _ball_cut_blocks(axes, parts, budget: float, rows: int):
     step = -(-dims[j] // -(-math.prod(dims) // rows))
     for at in range(0, dims[j], step):
         run = slice(at, at + step)
-        yield from _ball_cut_blocks(axes[:j] + [axes[j][run]] + axes[j + 1:],
-                                    parts[:j] + [parts[j][run]] + parts[j + 1:], budget, rows)
+        yield from grid_block_axes(
+            axes[:j] + [axes[j][run]] + axes[j + 1:], rows,
+            None if parts is None else parts[:j] + [parts[j][run]] + parts[j + 1:], budget)
+
+
+def grid_blocks(axes):
+    """Every tuple over the axes (one 1-D array per column), in
+    lexicographic order, as the rows of the grid_block_axes blocks under
+    the budget _BLOCK_ROWS.  Each block is a fresh array the caller may
+    modify."""
+    for block, _ in grid_block_axes(axes, _BLOCK_ROWS):
+        yield _tuples(block)
 
 
 # --------------------------------------------------------------------------
@@ -544,6 +529,24 @@ def _inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _unit_minor(g1: np.ndarray, g2: np.ndarray, p: int):
+    """(det, cols) for each row of the (N, n) arrays g1, g2 of residues
+    mod p: the first 2 x 2 minor of (g1; g2), in the column order (0, 1),
+    (0, 2), ..., (1, 2), ..., that is a unit mod p, and its columns
+    (i, j); det 0 and cols (0, 0) where none is, where the rank is below
+    2.  The one search of the package for the pivot of a gradient pair."""
+    n = g1.shape[1]
+    det = np.zeros(len(g1), dtype=np.int64)
+    cols = np.zeros((len(g1), 2), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            minor = (g1[:, i] * g2[:, j] - g1[:, j] * g2[:, i]) % p
+            new = (det == 0) & (minor != 0)
+            det[new] = minor[new]
+            cols[new] = (i, j)
+    return det, cols
+
+
 def _prefix_values(Q: QuadraticForm, slope: np.ndarray, axes, p: int):
     """(A, B) mod p over the lexicographic product of the axes: A = Q(x')
     by eval_grid and B = slope . x' by broadcasting, skipped when slope = 0."""
@@ -564,10 +567,10 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     Q_i(x', t) = A_i + B_i t + c_i t^2 with c_i = M_i[n-1][n-1], and
     L t + C = c2 Q1 - c1 Q2 (Q1 itself when c1 = c2 = 0 mod p) has no t^2
     term.  L != 0 leaves the one candidate t = -C / L; L = 0 != C leaves
-    none; L = C = 0 leaves all p values of t, tried in chunks of at most
-    _BLOCK_ROWS.  Where L t + C = 0, Q1 = 0 forces Q2 = 0 when c1 != 0 and
-    holds already when c1 = 0, so only Q1 (c1 != 0) or Q2 (c1 = 0) is
-    checked.  Each zero is kept as one int64,
+    none; L = C = 0 leaves all p values of t, tried on the grid_block_axes
+    blocks of those prefixes times F_p.  Where L t + C = 0, Q1 = 0 forces
+    Q2 = 0 when c1 != 0 and holds already when c1 = 0, so only Q1
+    (c1 != 0) or Q2 (c1 = 0) is checked.  Each zero is kept as one int64,
     its index sum x_c p^(n-1-c) in residue_grid(p, n) (below p^n); the
     indices are sorted, and the rows are read off them once.
 
@@ -586,21 +589,19 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     T = np.arange(p, dtype=np.int64)
     cT2 = mats[0][-1, -1] * (T * T % p) % p
     inv = _inverse_mod_p(T, p)
-    step = max(1, _BLOCK_ROWS // p)  # free prefixes per p x step chunk
     weight = [p ** (n - 1 - c) for c in range(n)]
     keys = []
-    for axes in grid_block_axes([T] * (n - 1), _BLOCK_ROWS):
+    for axes, _ in grid_block_axes([T] * (n - 1), _BLOCK_ROWS):
         (A, B), (C, L) = (_prefix_values(Q, s, axes, p) for Q, s in prefix)
         solo = np.flatnonzero(L)
         t = -C[solo] * inv[L[solo]] % p
         keep = (A[solo] + B[solo] * t + cT2[t]) % p == 0
         at, ts = [solo[keep]], [t[keep]]
         free = np.flatnonzero((L == 0) & (C == 0))
-        for lo in range(0, len(free), step):
-            f = free[lo:lo + step]
-            v, i = np.nonzero((A[f] + B[f] * T[:, None] + cT2[:, None]) % p == 0)
+        for (f, u), _ in grid_block_axes([free, T], _BLOCK_ROWS):
+            i, j = np.nonzero((A[f, None] + B[f, None] * u + cT2[u]) % p == 0)
             at.append(f[i])
-            ts.append(v)
+            ts.append(u[j])
         idx = np.unravel_index(np.concatenate(at), [len(a) for a in axes])
         key = np.concatenate(ts) * weight[-1]
         for a, i, w in zip(axes, idx, weight):
@@ -661,20 +662,12 @@ def _build_zero_layer(pair: QuadricPair, p: int, guard: int) -> ZeroLayer:
     """The ZeroLayer of pair at p, built afresh: residue_zeros_mod_p (the
     p^(n-1) prefixes read per block by eval_grid, charged p^n), then
     O(N n^2) work on its N zeros."""
-    n = pair.n
     Z = residue_zeros_mod_p(pair, p, guard=guard)
     g1 = 2 * (Z @ np.array(pair.Q1.M, dtype=np.int64)) % p
     g2 = 2 * (Z @ np.array(pair.Q2.M, dtype=np.int64)) % p
     a = np.column_stack([pair.Q1.eval_batch(Z) // p % p,
                          pair.Q2.eval_batch(Z) // p % p])
-    det = np.zeros(len(Z), dtype=np.int64)
-    cols = np.zeros((len(Z), 2), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = (g1[:, i] * g2[:, j] - g1[:, j] * g2[:, i]) % p
-            new = (det == 0) & (minor != 0)
-            det[new] = minor[new]
-            cols[new] = (i, j)
+    det, cols = _unit_minor(g1, g2, p)
     full = det != 0
     rows = np.arange(len(Z))
     i, j = cols.T

@@ -258,16 +258,26 @@ def test_N_d_large_d_counts_Q1_zero():
 
 
 def test_N_d_guard_refuses_before_allocating(monkeypatch):
-    # (2 * 10^4 + 1)^3 + (2 * 10^4 + 1)^2 rows: refused before any grid
-    # or key is built
+    # the folded box's (10^4 + 1)^3 + (10^4 + 1)^2 rows: refused before
+    # any grid or key is built
     for name in ("grid_block_axes", "_rows_at", "_half_keys"):
         monkeypatch.setattr(counting, name, None)
     with pytest.raises(ResourceGuardError, match="N_d"):
         N_d(shipped_pair(), 3, 10**4)
     monkeypatch.undo()
-    assert N_d(shipped_pair(), 3, 4, guard=9**3 + 9**2) == N_d(shipped_pair(), 3, 4)
+    assert N_d(shipped_pair(), 3, 4, guard=5**3 + 5**2) == N_d(shipped_pair(), 3, 4)
     with pytest.raises(ResourceGuardError):
-        N_d(shipped_pair(), 3, 4, guard=9**3 + 9**2 - 1)
+        N_d(shipped_pair(), 3, 4, guard=5**3 + 5**2 - 1)
+
+
+def test_N_d_charges_the_rows_it_reads():
+    # shipped's box |x| <= 40 folds to 0 <= x_i <= 40: the join reads
+    # 41^3 left and 41^2 right rows, and is charged exactly those
+    ship = shipped_pair()
+    assert N_d(ship, 3, 40, guard=41**3 + 41**2) == 191633
+    with pytest.raises(ResourceGuardError) as err:
+        N_d(ship, 3, 40, guard=70601)
+    assert err.value.estimated_ops == 70602
 
 
 def test_N_d_builds_no_row(monkeypatch):
@@ -1052,9 +1062,9 @@ def test_fold_reads_half_the_box(monkeypatch):
     real_right = counting._right_half
 
     def spy(axes, *args, **kwargs):
-        for block in real(axes, *args, **kwargs):
+        for block, parts in real(axes, *args, **kwargs):
             read.append(math.prod(len(a) for a in block))
-            yield block
+            yield block, parts
 
     def spy_right(Q2, Q1, axes, *args, **kwargs):
         keyed.append(math.prod(len(a) for a in axes))

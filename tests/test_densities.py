@@ -159,7 +159,7 @@ def test_singular_constant_raises_when_sigma_2_trips_the_guard():
     pair = toy_pair_3()
     W = WeightFunction.default_for_pair(pair)
     G = tau_infinity(pair.Q2, W).axis_points
-    guard = densities._tau_charge(G, pair.n - 1)
+    guard = tau_charge(G, pair.n - 1)
     assert guard < 21848
     assert sigma_2(pair, k_max=12, guard=guard).stabilized
     tau_infinity(pair.Q2, W, guard=guard)
@@ -225,7 +225,7 @@ def box_bump(s2: np.ndarray, y1: np.ndarray, c1: float, rho: float) -> np.ndarra
 
 def box_pass(Q2, W, eps_list, G):
     """densities._tau_pass on the transverse box, over the blocks of the
-    ball iterator (densities._tau_blocks): for each block every midpoint
+    block iterator (densities._tau_blocks): for each block every midpoint
     of its product of cells is built, b and c are taken on all of them,
     and the rows outside the support ball are dropped after; the number of
     rows kept is returned with the slab values and the coarea estimate."""
@@ -370,6 +370,23 @@ def _tau_case(name, seed=0):
     return Q2, W, tuple(f * scale for f in (0.2, 0.1, 0.05, 0.025))
 
 
+def primitive_star(pair, p, k):
+    """[Ntilde*_k(0), ..., Ntilde*_k(k)] as sigma_p reads them, off one
+    Gauss-sum table of the prime (padic._primitive_counts)."""
+    return padic._primitive_counts(_GaussTable(pair, p).counts, [(k, e, k) for e in range(k + 1)])
+
+
+def tau_charge(G, k):
+    """tau_infinity's guard charge of its pass at G on k transverse
+    coordinates: 9 for each row of the blocks that _tau_blocks lists."""
+    return 9 * sum(math.prod(len(a) for a in axes) for axes, _ in densities._tau_blocks(G, k)[0])
+
+
+def tau_pass(Q2, W, eps_list, G):
+    """densities._tau_pass at G over the blocks that _tau_blocks lists."""
+    return densities._tau_pass(Q2, W, eps_list, G, *densities._tau_blocks(G, Q2.n - 1))
+
+
 def _tau_axis(name):
     """Q2's matrix and the coordinate _tau_pass integrates exactly."""
     Q2, W, _ = _tau_case(name)
@@ -392,7 +409,7 @@ def test_tau_cases_cover_both_branches_and_coupling():
 def test_ball_pass_matches_box_pass(name, seed):
     Q2, W, eps_list = _tau_case(name, seed)
     for G in TAU_CASES[name][1]:
-        slabs, coarea, rows = densities._tau_pass(Q2, W, eps_list, G)
+        slabs, coarea, rows = tau_pass(Q2, W, eps_list, G)
         box_slabs, box_coarea, box_rows = box_pass(Q2, W, eps_list, G)
         assert slabs == box_slabs, (G, slabs, box_slabs)
         assert coarea == box_coarea, (G, coarea, box_coarea)
@@ -400,26 +417,17 @@ def test_ball_pass_matches_box_pass(name, seed):
 
 
 @pytest.mark.parametrize("name", ["shipped", "toy_n3", "toy_n2", "demo_n7"])
-def test_tau_charge_bounds_the_rows_built(monkeypatch, name):
-    # the rows of the blocks the ball iterator hands on, each summed once,
+def test_tau_charge_bounds_the_rows_built(name):
+    # the rows of the blocks _tau_blocks lists, each summed once,
     # and the rows in the ball, each integrated at 8 nodes, at the first
     # two passes of tau_infinity
     Q2, W, eps_list = _tau_case(name)
     k = Q2.n - 1
-    blocks = quadforms._ball_cut_blocks
-
-    def counted_blocks(*args):
-        for axes, parts in blocks(*args):
-            seen["handed"] += math.prod(len(a) for a in axes)
-            yield axes, parts
-
     for G in (12, densities._next_grid(12)):
-        charge = densities._tau_charge(G, k)
-        monkeypatch.setattr(densities, "_ball_cut_blocks", counted_blocks)
-        seen = {"handed": 0}
-        rows = densities._tau_pass(Q2, W, eps_list, G)[2]
-        monkeypatch.undo()
-        handed = seen["handed"]
+        blocks, budget = densities._tau_blocks(G, k)
+        charge = tau_charge(G, k)
+        rows = densities._tau_pass(Q2, W, eps_list, G, blocks, budget)[2]
+        handed = sum(math.prod(len(a) for a in axes) for axes, _ in blocks)
         assert 0 < rows <= handed <= G**k
         assert handed + 8 * rows <= charge
 
@@ -429,14 +437,14 @@ def test_tau_pass_memory_is_one_block():
     # a block of at most _STREAM_ROWS of them, and its temporaries, are
     # alive at a time
     Q2, W, eps_list = _tau_case("shipped")
-    densities._tau_pass(Q2, W, eps_list, 12)
+    tau_pass(Q2, W, eps_list, 12)
     tracemalloc.start()
     try:
-        rows = densities._tau_pass(Q2, W, eps_list, 18)[2]
+        rows = tau_pass(Q2, W, eps_list, 18)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert densities._tau_charge(18, Q2.n - 1) // 9 > 2 * counting._STREAM_ROWS
+    assert tau_charge(18, Q2.n - 1) // 9 > 2 * counting._STREAM_ROWS
     assert rows > counting._STREAM_ROWS
     assert peak < 3_000_000
 
@@ -448,8 +456,8 @@ def test_tau_charge_admits_demo_n7():
     k = demo_pair_7().n - 1
     G1 = densities._next_grid(12)
     G2 = densities._next_grid(G1)
-    assert densities._tau_charge(12, k) <= densities._tau_charge(G1, k) <= DEFAULT_GUARD
-    assert densities._tau_charge(G2, k) <= DEFAULT_GUARD
+    assert tau_charge(12, k) <= tau_charge(G1, k) <= DEFAULT_GUARD
+    assert tau_charge(G2, k) <= DEFAULT_GUARD
     assert G2**k * 8 > DEFAULT_GUARD
 
 
@@ -457,7 +465,7 @@ def test_tau_infinity_demo_n7_stops_at_18():
     pair = demo_pair_7()
     tau = tau_infinity(pair.Q2, WeightFunction.default_for_pair(pair), guard=DEFAULT_GUARD)
     assert tau.axis_points == 18
-    assert tau.guard_charge == densities._tau_charge(12, 6) + densities._tau_charge(18, 6)
+    assert tau.guard_charge == tau_charge(12, 6) + tau_charge(18, 6)
 
 
 @pytest.mark.parametrize("name", ["shipped", "toy_n3", "toy_n2", "coupled_n4"])
@@ -466,8 +474,7 @@ def test_tau_stop_rule_is_honest(name):
     # estimate by the stop rule's 2e-4
     Q2, W, eps_list = _tau_case(name)
     tau = tau_infinity(Q2, W)
-    slabs, coarea, _ = densities._tau_pass(Q2, W, eps_list,
-                                           densities._next_grid(tau.axis_points))
+    slabs, coarea, _ = tau_pass(Q2, W, eps_list, densities._next_grid(tau.axis_points))
     slab = densities._extrapolate(np.array(eps_list), np.array(slabs))
     assert abs(slab - tau.slab) < 2e-4 * abs(slab)
     assert abs(coarea - tau.coarea) < 2e-4 * abs(coarea)
@@ -481,10 +488,39 @@ def test_tau_infinity_reports_rows_and_charge():
         grids.append(densities._next_grid(grids[-1]))
     assert grids[-1] == tau.axis_points
     assert tau.grid_rows == sum(box_pass(Q2, W, eps_list, G)[2] for G in grids)
-    assert tau.guard_charge == sum(densities._tau_charge(G, Q2.n - 1) for G in grids)
+    assert tau.guard_charge == sum(tau_charge(G, Q2.n - 1) for G in grids)
     # the guard is checked pass by pass: the finest pass alone trips it
     with pytest.raises(ResourceGuardError):
-        tau_infinity(Q2, W, guard=densities._tau_charge(grids[-1], Q2.n - 1) - 1)
+        tau_infinity(Q2, W, guard=tau_charge(grids[-1], Q2.n - 1) - 1)
+
+
+#: (axis_points, guard_charge) of tau_infinity on the TAU_CASES: 9 for
+#: each row of the blocks of each pass, up to the one it stops at
+TAU_CHARGES = {"shipped": (18, 816048), "toy_n3": (27, 10773), "toy_n2": (40, 873),
+               "demo_n7": (18, 69507360), "coupled_n4": (27, 245187)}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_CASES))
+def test_tau_infinity_walks_each_pass_once(monkeypatch, name):
+    # tau_infinity lists a pass's blocks in one walk of the block iterator,
+    # charges the guard off that list and integrates the same list
+    Q2, W, _ = _tau_case(name)
+    walks = []
+    real = densities.grid_block_axes
+
+    def spy(axes, *args):
+        walks.append(len(axes[0]))
+        return real(axes, *args)
+
+    monkeypatch.setattr(densities, "grid_block_axes", spy)
+    tau = tau_infinity(Q2, W)
+    grids = [12]
+    while grids[-1] < tau.axis_points:
+        grids.append(densities._next_grid(grids[-1]))
+    assert walks == grids
+    assert (tau.axis_points, tau.guard_charge) == TAU_CHARGES[name]
+    monkeypatch.undo()
+    assert tau.guard_charge == sum(tau_charge(G, Q2.n - 1) for G in grids)
 
 
 def test_experiment_result_csv_shape():
@@ -664,9 +700,9 @@ def test_hensel_local_data_matches_sweep(name):
         # depth 2 lifted by Hensel from depth 1 against the Gauss-sum count
         # at depth 2, and both depths against digit lifting where that is
         # quick
-        depth1 = densities._primitive_counts(_GaussTable(pair, p), 1)
+        depth1 = primitive_star(pair, p, 1)
         hensel = densities._hensel_lift(pair.n, p, depth1)
-        assert hensel == densities._primitive_counts(_GaussTable(pair, p), 2), (name, p)
+        assert hensel == primitive_star(pair, p, 2), (name, p)
         inner = count_congruence_pair(pair, p, 1, 0, 0)
         assert hensel == [count_congruence_pair(pair, p, 2, e, 2) - inner
                           for e in range(3)], (name, p)
@@ -792,12 +828,12 @@ def test_singular_pair_skips_hensel():
         v2 = pair.Q2.eval_batch_mod(grid, q)
         deep2 = v2 == 0
         star2 = [int((deep2 & (v1 % p**e == 0)).sum()) for e in range(3)]
-        assert densities._primitive_counts(_GaussTable(pair, p), 2) == star2, p
+        assert primitive_star(pair, p, 2) == star2, p
         got = sigma_p(pair, p)
         want = densities._stabilized_sigma(pair, p, star2)
         assert got.k_used == 2 and got.fraction == want, p
         differs |= densities._hensel_lift(
-            pair.n, p, densities._primitive_counts(_GaussTable(pair, p), 1)) != star2
+            pair.n, p, primitive_star(pair, p, 1)) != star2
     # Hensel lifting would have been wrong here
     assert differs
 

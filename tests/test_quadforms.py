@@ -149,15 +149,39 @@ def test_eval_grid_int64_edge_is_eval_batch_edge():
             Q.eval_grid(axes)
 
 
+def _block_axes(axes, rows, mode):
+    """The axes of each block of grid_block_axes(axes, rows) in one of its
+    two modes: with no ball, each block's parts None, or with a ball
+    holding the whole grid (parts (v - 1/2)^2, budget above their largest
+    sum), whose blocks each carry the runs of the parts that go with
+    their axes."""
+    if mode == "plain":
+        blocks = list(quadforms.grid_block_axes(axes, rows))
+        assert all(parts is None for _, parts in blocks)
+    else:
+        parts = [(a - 0.5) ** 2 for a in axes]
+        budget = sum(float(p.max()) for p in parts) + 1.0
+        blocks = list(quadforms.grid_block_axes(axes, rows, parts, budget))
+        assert all(np.array_equal(p, (a - 0.5) ** 2)
+                   for block, block_parts in blocks for a, p in zip(block, block_parts))
+    return [block for block, _ in blocks]
+
+
 @pytest.mark.parametrize("budget", [1, 3, 10, 30, 10**6])
 def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+    for mode in ("plain", "ball"):
+        _check_grid_block_axes(budget, mode)
+
+
+def _check_grid_block_axes(budget, mode):
+    """test_grid_block_axes_are_the_grid_blocks in one mode (_block_axes)."""
     axes = [np.arange(-2, 1, dtype=np.int64), np.arange(4, 6, dtype=np.int64),
             np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
     Q = QuadraticForm.from_matrix([[1, 2, 0, -1], [2, -3, 1, 0], [0, 1, 5, 2],
                                    [-1, 0, 2, 4]])
     blocks = list(grid_blocks(axes))
-    block_axes = list(quadforms.grid_block_axes(axes, budget))
+    block_axes = _block_axes(axes, budget, mode)
     assert len(blocks) == len(block_axes)
     for block, ax in zip(blocks, block_axes):
         assert np.array_equal(block, quadforms._tuples(ax))
@@ -168,7 +192,7 @@ def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
     # and each holds at most the budget unless the last axis alone is
     # longer (the third axis below, and the last of the second set, pass 3)
     for grid in (axes, [np.arange(-2, 1, dtype=np.int64), np.arange(-4, 8, dtype=np.int64)]):
-        sliced = list(quadforms.grid_block_axes(grid, budget))
+        sliced = _block_axes(grid, budget, mode)
         for ax in sliced:
             run = next((j for j, a in enumerate(ax) if len(a) > 1), len(ax) - 1)
             assert all(len(a) == 1 for a in ax[:run])
@@ -195,8 +219,8 @@ def test_grid_block_axes_split_random_grids(seed):
                 for _ in range(k)]
         M = rng.integers(-3, 4, size=(k, k))
         Q = QuadraticForm.from_matrix(M + M.T) if k else None
-        for rows in (1, 2, 5, 17, 64, 1000):
-            sliced = list(quadforms.grid_block_axes(axes, rows))
+        for rows, mode in itertools.product((1, 2, 5, 17, 64, 1000), ("plain", "ball")):
+            sliced = _block_axes(axes, rows, mode)
             blocks = [quadforms._tuples(ax) for ax in sliced]
             assert np.array_equal(np.vstack(blocks), quadforms._tuples(axes))
             assert max(map(len, blocks)) <= max(rows, len(axes[-1]) if k else 1)
@@ -255,14 +279,15 @@ def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
     assert np.array_equal(same, axes[2][residue_grid(4, 3)])
 
 
-#: tau_infinity's cases of the ball iterator, in cell units (G, k): the
-#: cell indices 0..G-1 on each of k axes, parts (i + 1/2 - G/2)^2
+#: tau_infinity's cases of grid_block_axes with a ball, in cell units
+#: (G, k): the cell indices 0..G-1 on each of k axes, parts
+#: (i + 1/2 - G/2)^2
 TAU_CELLS = ((12, 1), (27, 2), (18, 4), (12, 6))
 
 
 def _ball_cases(seed, tau_cells=TAU_CELLS):
-    """(axes, parts, bound) for the ball iterator: S(B)'s, k = 1..4 integer
-    axes with parts (v / 2 - c_i)^2 about a random centre, then
+    """(axes, parts, bound) for grid_block_axes with a ball: S(B)'s, k =
+    1..4 integer axes with parts (v / 2 - c_i)^2 about a random centre, then
     tau_infinity's (G, k) in tau_cells, with its budget
     (G/2)^2 (1 + _BALL_SLACK)."""
     rng = np.random.default_rng(seed)
@@ -276,12 +301,17 @@ def _ball_cases(seed, tau_cells=TAU_CELLS):
                (G / 2) ** 2 * (1 + quadforms._BALL_SLACK))
 
 
-def _ball_positions(axes, parts, bound, budget):
-    """(block, positions) for each block of the ball iterator: the
+def _ball_positions(axes, parts, bound, budget, mode="ball"):
+    """(block, positions) for each block of grid_block_axes: the
     lexicographic positions in the product of the axes of the rows it
-    holds with a sum below bound."""
+    holds with a sum below bound.  With mode "ball" the blocks are those
+    of the ball; with mode "plain" those of the whole product, each block
+    masked by the parts of its own values."""
     dims = [len(a) for a in axes]
-    for block, block_parts in quadforms._ball_cut_blocks(axes, parts, bound, budget):
+    ball = (parts, bound) if mode == "ball" else ()
+    for block, block_parts in quadforms.grid_block_axes(axes, budget, *ball):
+        if block_parts is None:
+            block_parts = [p[np.searchsorted(a, b)] for a, p, b in zip(axes, parts, block)]
         at = np.flatnonzero(quadforms._grid_sums(block_parts) < bound)
         rows = quadforms._rows_at(block, at)
         yield block, np.ravel_multi_index(
@@ -292,14 +322,16 @@ def _ball_positions(axes, parts, bound, budget):
 def test_ball_blocks_hold_the_ball_rows(budget):
     # in turn, the blocks' rows with a sum below the bound are the
     # product's, each once, in lexicographic order; each block holds at
-    # most the budget unless its last axis alone is longer
-    for axes, parts, bound in _ball_cases(budget):
-        got = []
-        for block, at in _ball_positions(axes, parts, bound, budget):
-            assert math.prod(len(a) for a in block) <= max(budget, len(block[-1]))
-            got.append(at)
-        assert np.array_equal(np.concatenate(got),
-                              np.flatnonzero(quadforms._grid_sums(parts) < bound))
+    # most the budget unless its last axis alone is longer; in both modes,
+    # the plain blocks on the grids of up to 18^4 rows
+    for mode, cells in (("ball", TAU_CELLS), ("plain", TAU_CELLS[:3])):
+        for axes, parts, bound in _ball_cases(budget, cells):
+            got = []
+            for block, at in _ball_positions(axes, parts, bound, budget, mode):
+                assert math.prod(len(a) for a in block) <= max(budget, len(block[-1]))
+                got.append(at)
+            assert np.array_equal(np.concatenate(got),
+                                  np.flatnonzero(quadforms._grid_sums(parts) < bound))
 
 
 @pytest.mark.parametrize("budget", [1, 10, 100, 10**6])
@@ -309,7 +341,7 @@ def test_ball_blocks_are_grid_blocks_cut_to_the_ball(budget):
     # axis of more than one value ends at values that reach into the ball
     # with the least part of every other axis
     for axes, parts, bound in _ball_cases(budget, TAU_CELLS[:3]):
-        for block, block_parts in quadforms._ball_cut_blocks(axes, parts, bound, budget):
+        for block, block_parts in quadforms.grid_block_axes(axes, budget, parts, bound):
             for a, p, whole, whole_p in zip(block, block_parts, axes, parts):
                 at = int(np.searchsorted(whole, a[0]))
                 assert np.array_equal(a, whole[at:at + len(a)])
@@ -325,9 +357,10 @@ def test_ball_blocks_are_grid_blocks_cut_to_the_ball(budget):
 def test_ball_blocks_hold_at_most_the_budget(budget):
     # the rows in turn do not depend on the budget, and the blocks split
     # them as often as the budget asks unless a last axis is longer
-    for axes, parts, bound in _ball_cases(budget, TAU_CELLS[:3]):
-        blocks = list(_ball_positions(axes, parts, bound, budget))
-        (_, unsplit), = _ball_positions(axes, parts, bound, 2**62)
+    for mode, (axes, parts, bound) in itertools.product(
+            ("plain", "ball"), _ball_cases(budget, TAU_CELLS[:3])):
+        blocks = list(_ball_positions(axes, parts, bound, budget, mode))
+        (_, unsplit), = _ball_positions(axes, parts, bound, 2**62, mode)
         assert np.array_equal(np.concatenate([at for _, at in blocks]), unsplit)
         most = max(budget, max(len(block[-1]) for block, _ in blocks))
         assert len(blocks) >= len(unsplit) / most
