@@ -1,13 +1,17 @@
 """Counting lattice points on a quadric, bare and weighted.
 
-The counting layer enumerates integer zeros of Q2 in a box
-(meet-in-the-middle when the coordinates split into uncoupled halves,
-otherwise a scan that solves for the last coordinate) and counts zeros
-of the pair to a modulus d (N_d).  On a symmetric box such as |x| <= 3
-both read only the half x_1 >= 0: a form is even, so -x is a zero with
-x.  N_d also reads x_i >= 0 on every coordinate neither form couples (a
-sign change there fixes the pair), weighing each point by the points it
-stands for; x*y couples its two.  The layer also forms the weighted sum
+The counting layer enumerates integer zeros of Q2 in a box by one
+meet-in-the-middle join of two halves of integer variables, the split
+of Q2, and counts zeros of the pair to a modulus d (N_d).  The toy
+pair's Q2 = 2*x*y couples its two coordinates and has no nonzero
+diagonal entry, so its split takes the change x -> x + y first and then
+completes the square: 2 Q2 = (x + y)^2 - (x - y)^2, the left half x + y
+meeting the right half x - y in one of two classes (both even or both
+odd).  On a symmetric box such as |x| <= 3 both read only the half
+x_1 >= 0: a form is even, so -x is a zero with x.  N_d also reads
+x_i >= 0 on every coordinate neither form couples (a sign change there
+fixes the pair), weighing each point by the points it stands for; x*y
+couples its two.  The layer also forms the weighted sum
 S(B), over the zeros in the weight's support ball, whose growth the
 whole package is about.  The n=2 toy pair keeps every number here small
 enough to check by hand.

@@ -14,53 +14,35 @@ each half-row and each match of the join whose sum of (x_i / B - x0_i)^2
 reaches rho^2 (up to a relative slack) is dropped, inside the integer box
 around B times the ball (WeightFunction.support_box).
 
-Zeros of Q2 in a box lo_i <= x_i <= hi_i come as one stream of
-lexicographic blocks.  Unless Q2 couples the first h = ceil(n/2)
-coordinates to the rest, the stream is a meet-in-the-middle join on the
-key Q2 d + (Q1 mod d) of each half-row, both forms restricted to the
-half once per join (listing takes d = 1).  The keys are read off each
-half's coordinate axes (QuadraticForm.eval_grid), so no row is built to
-key it: the right half is one table, its lexicographic positions
-stable-sorted by key with the start and length of each key's run, and a
-left row x_L meets the run of key -key(x_L).  That run is looked up in
-one table over the span of the right keys, built with the right half
-when the span is no longer than the left half's rows and the right rows
-together (else searched for), and every left block reads the same table.
-The left half comes in the blocks of quadforms.grid_block_axes(axes,
-_STREAM_ROWS), the one block iterator, which every grid of the package
-reads (tau_infinity's cells, the r2 table's square, the prefixes mod p):
-at most _STREAM_ROWS rows each, the product split into equal runs along
-its first axis of more than one value, each run split in turn; for S(B)
-the product and each run are first cut to the ball.  A form's int64
-check runs once per stream, on the whole axes, and each block runs the
-eval_grid kernel alone.  N_d sums the run lengths of each key's index,
-building no row (past the keys and their indices, no array as long as
-the block); listing builds rows only for the matches, from their
-positions in the product of the left block's axes and the right axes
-(quadforms._rows_at), block by block, which keeps the stream in order.
-A coupled Q2 is scanned over the same blocks of its first n - 1
-coordinates, with the last coordinate solved for: Q2 = a x_n^2 +
-b(x') x_n + c(x'), b = 2 m.x', and the discriminant b^2 - 4ac, itself a
-quadratic form in x' (_grid_form, built once), is read off the block's
-axes; b is taken only where that is a square, the integer roots come
-from an exact integer square root, rows are built for the roots only,
-and each block is sorted.  So a block of the join or of the scan stays
-that small at any box size, unless its last axis alone is longer.
-enumerate_zeros stacks the stream; S(B) and N_d of a pair that couples
-the halves read it block by block.  Every form is even, so on a
-symmetric box (lo_i = -hi_i for every i) the zeros come in pairs
-{x, -x}, the origin its own pair, and enumerate_zeros reads only the
-half x_1 >= 0, putting the stream's x_1 > 0 rows, negated in reverse
-order, before it in one array.  N_d reads less: negating a class of the
-coordinates the two forms link (a coordinate neither form couples is a
-class of its own) fixes both forms, and the box too when the class's
-intervals are symmetric.  So N_d reads the first coordinate of every
-such class on 0 .. hi_i alone, and a point read stands for 2^k points,
-k the number of those coordinates of it that are nonzero: the join
-weighs both halves' rows by per-axis factors (1 at 0, 2 elsewhere),
-and the stream weighs each zero.  On shipped's box |x| <= 40 that is
-41^5 of its 81^5 points.  Any other box is read whole; S(B) always is,
-as W is not even.
+Zeros of Q2 in a box lo_i <= x_i <= hi_i come as one stream of blocks,
+a meet-in-the-middle join of the halves of Q2's split (quadforms.Split):
+(y, z) = P x, y the first h = ceil(n/2), with delta Q2(x) = left(y) +
+right(z).  When some h coordinates (the given ones first) are coupled to
+none of the rest, the split is direct: y and z are those coordinates of
+x, and the join reads exactly the box.  Else y = A x_L + C x_R completes
+the square on a block A of det delta != 0, z = x_R, and y meets z only in
+one class of y - C z modulo A Z^h.  A half-row's key is (form value)
+(number of classes) + class, or on N_d's direct split Q2 d + (Q1 mod d),
+read off the half's axes (QuadraticForm.eval_grid).  A left row meets the
+run of minus its key in the right half's table (_RightHalf).  The left
+half comes in the blocks of quadforms.grid_block_axes(axes,
+_STREAM_ROWS), the one block iterator, first cut to the ball for S(B) on
+a direct split.  N_d sums run lengths, building no row; listing builds
+rows only for the matches and maps them to x, keeping those in the box
+(and the ball).  On a split that is not direct y runs over the range of
+the box's image, every class included, which the guard is charged, and
+enumerate_zeros sorts the stream (it is lexicographic when the split is
+direct in the given order: shipped, demo_n7, toy_n3).  Every form is
+even, so on a symmetric box (lo_i = -hi_i for every i) the zeros come in
+pairs {x, -x}, and enumerate_zeros reads only the half x_1 >= 0, putting
+its x_1 > 0 rows, negated in reverse order, before it in one array.  N_d
+reads less: negating a class of the coordinates the two forms link (a
+coordinate neither form couples is a class of its own) fixes both forms,
+and the box too when the class's intervals are symmetric.  So N_d reads
+the first coordinate of every such class on 0 .. hi_i alone, and a point
+read stands for 2^k points, k the number of those coordinates of it that
+are nonzero.  Any other box is read whole; S(B) always is, as W is not
+even.
 
 The default weight (WeightFunction.default_for_pair) is found by array
 passes over a fixed grid of unit directions.  Its candidates are the grid
@@ -92,8 +74,10 @@ from .quadforms import (
     _BALL_SLACK,
     QuadraticForm,
     QuadricPair,
+    Split,
     _check_int64,
     _grid_sums,
+    _linear_grid,
     _rows_at,
     _term_sums,
     grid_block_axes,
@@ -128,15 +112,11 @@ class BoxSpec:
         return tuple(self.lo), tuple(self.hi)
 
 
-#: most rows of a left block of the join (N_d, listing, S(B)) and of a
-#: block of the coupled scan's first n - 1 coordinates: 128 KiB per int64
-#: column, glibc's default mmap threshold, which the first such array
-#: freed raises past it, so later blocks reuse heap pages.  A larger array
-#: is a fresh mapping whose pages fault in on first touch unless earlier
-#: large frees have raised the threshold that far: in a fresh process,
-#: the lattice benchmark's S ladder, N_d x 4 and scan took 748, 5,636 and
-#: 1,343 minor page faults with blocks of 2^15 rows, and 126, 0 and 8 with
-#: 2^14, the budget the only change (2-core VM).
+#: most rows of a left block of the join (N_d, listing, S(B)): 128 KiB
+#: per int64 column, glibc's default mmap threshold, so later blocks reuse
+#: heap pages where larger ones fault in fresh mappings: the lattice
+#: benchmark's S ladder and N_d x 4 took 748 and 5,636 minor page faults in
+#: a fresh process with 2^15 rows, 126 and 0 with 2^14 (2-core VM).
 _STREAM_ROWS = 1 << 14
 
 
@@ -144,127 +124,36 @@ def _axes(lo, hi) -> list[np.ndarray]:
     return [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
 
 
-def _check_solve_fits(M, bound: int) -> None:
-    """Raise unless b^2 - 4ac of _solve_last fits int64 for |x| <= bound."""
-    n = len(M)
-    b_max = 2 * sum(abs(row[-1]) for row in M[:-1]) * bound
-    c_max = (n - 1) ** 2 * max(abs(v) for row in M for v in row) * bound**2
-    if b_max * b_max + 4 * abs(M[-1][-1]) * c_max >= 2**62:
-        raise ValueError("points too large for int64 path")
-
-
-def _grid_form(M) -> QuadraticForm:
-    """The (n - 1)-form _solve_last reads off the axes of x' for the form M
-    = a x_n^2 + b(x') x_n + c(x'), b = 2 m.x' with m_i = M_in: c itself
-    when a = 0, else the discriminant b^2 - 4ac = x'^T 4 (m m^T - a M') x',
-    M' the leading block of M."""
-    a, m = M[-1][-1], [row[-1] for row in M[:-1]]
-    if a == 0:
-        return QuadraticForm.from_matrix([row[:-1] for row in M[:-1]])
-    return QuadraticForm.from_matrix([[4 * (mi * mj - a * v) for mj, v in zip(m, row)]
-                                      for mi, row in zip(m, M)])
-
-
-def _solve_last(M, form, axes, lo: int, hi: int) -> np.ndarray:
-    """Every zero (x', x_n) of the form M with x' in the lexicographic
-    product of the axes and lo <= x_n <= hi, from Q = a x_n^2 + b(x') x_n
-    + c(x'), b = 2 m.x'.  form is _grid_form(M) (None at n = 1), read off
-    the axes by the eval_grid kernel, the caller having checked it on axes
-    these are slices of.  When a != 0 that is the discriminant, and b is
-    evaluated only at the x' where the discriminant is a square; when
-    a = 0 it is c, and b a broadcast sum.  Rows are built only for the
-    integer roots."""
-    n = len(M)
-    a = M[-1][-1]
-    dims = [len(ax) for ax in axes]
-    values = form._grid(axes) if n > 1 else np.zeros(1, dtype=np.int64)
-    if a == 0:
-        # b x_n + c = 0: one root where b != 0, the whole axis where b = c = 0
-        c = values
-        b = np.zeros(len(c), dtype=np.int64)
-        grid = b.reshape(dims)
-        for j, ax in enumerate(axes):
-            if M[j][-1]:
-                grid += 2 * M[j][-1] * ax.reshape([1] * j + [-1] + [1] * (n - 2 - j))
-        idx = np.flatnonzero(b != 0)
-        idx = idx[c[idx] % b[idx] == 0]
-        rows, roots = [idx], [-c[idx] // b[idx]]
-        flat = np.flatnonzero((b == 0) & (c == 0))
-        rows.append(np.repeat(flat, hi - lo + 1))
-        roots.append(np.tile(np.arange(lo, hi + 1, dtype=np.int64), len(flat)))
-    else:
-        idx = np.flatnonzero(values >= 0)
-        d = values[idx]
-        del values
-        # integer square root: a float estimate, corrected by one either
-        # way (IEEE sqrt already gives the root of a perfect square exactly)
-        s = d.astype(float)
-        s = np.floor(np.sqrt(s, out=s), out=s).astype(np.int64)
-        s -= s * s > d
-        s += (s + 1) * (s + 1) <= d
-        keep = s * s == d
-        idx, s = idx[keep], s[keep]
-        b = np.zeros(len(idx), dtype=np.int64)
-        for j, at in enumerate(np.unravel_index(idx, dims) if n > 1 else ()):
-            if M[j][-1]:
-                b += 2 * M[j][-1] * axes[j][at]
-        rows, roots = [], []
-        for sign in (-1, 1):
-            if sign == 1:  # a double root is listed once
-                idx, s, b = idx[s > 0], s[s > 0], b[s > 0]
-            num = sign * s - b
-            ok = num % (2 * a) == 0
-            rows.append(idx[ok])
-            roots.append(num[ok] // (2 * a))
-    rows, roots = np.concatenate(rows), np.concatenate(roots)
-    inside = (roots >= lo) & (roots <= hi)
-    return np.column_stack([_rows_at(axes, rows[inside]), roots[inside]])
-
-
-def _scan(Q2: QuadraticForm, lo, hi, guard: int):
-    """Zeros of Q2 in the box by the solved scan, one lexicographically
-    sorted block per grid_block_axes block of the first n - 1 coordinates
-    (at most _STREAM_ROWS of them unless the last is longer), read off
-    that block's axes; the last coordinate is solved for, _grid_form built
-    and checked for int64 on the whole axes once.  The guard is charged
-    the zeros found so far (_zero_blocks charges the rows over the first
-    n - 1 coordinates)."""
-    _check_solve_fits(Q2.M, max(map(abs, lo + hi)))
-    axes = _axes(lo[:-1], hi[:-1])
-    form = _grid_form(Q2.M) if Q2.n > 1 else None
-    if form is not None:
-        _check_int64(form.terms(), axes, "points")
-    total = 0
-    for block, _ in grid_block_axes(axes, _STREAM_ROWS):
-        rows = _solve_last(Q2.M, form, block, lo[-1], hi[-1])
-        total += len(rows)
-        check_guard("enumerate_zeros", total, guard)
-        yield rows[np.lexsort(rows.T[::-1])]
-
-
-def _half_keys(Q2: QuadraticForm, Q1, side, d: int, sign: int, axes):
+def _half_keys(form: QuadraticForm | None, axes, k: int = 1, residues=()):
     """The keys of one half of the join as a function of a block's axes:
-    sign Q2(x) d + (sign Q1(x) mod d) over their lexicographic product.
-    Both forms are restricted to the coordinates in side, and checked for
-    int64 on axes, the half's whole axes (every block's axes are slices of
-    them), once, here, so each block runs the eval_grid kernel alone (Q1 is
-    not read when d = 1)."""
-    forms = [F.restrict(side, sign) for F in ((Q2, Q1) if d > 1 else (Q2,))]
-    for q in forms:
-        _check_int64(q.terms(), axes, "points")
-    q2, q1 = forms[0], forms[1] if d > 1 else None
+    form(u) k + sum_j (f_j(u) mod m_j) m_1 ... m_(j-1) over their
+    lexicographic product, for residues [(f_j, m_j)], f_j a form or the
+    coefficients of a linear form, the sum below k; the one key 0 when form
+    is None (the empty right half at n = 1).  Each term is checked for
+    int64 (_check_int64) on axes, the half's whole axes, once, here."""
+    if form is None:
+        return lambda axes: np.zeros(1, np.int64)
+    _check_int64(form.terms(), axes, "points", k)
+    for f, _ in residues:  # a linear form bounded as a quadratic one
+        _check_int64(f.terms() if isinstance(f, QuadraticForm) else [(0, 0, c) for c in f],
+                     axes, "points")
 
     def keys(axes) -> np.ndarray:
-        key = q2._grid(axes)
-        if q1 is not None:
-            r = q1._grid(axes)
-            # key d + r - (r // d) d, in place: numpy divides an integer array
-            # by a scalar far faster than it takes the remainder
-            key *= d
+        key = form._grid(axes)
+        if residues:
+            key *= k
+        radix = 1
+        for f, m in residues:
+            r = f._grid(axes) if isinstance(f, QuadraticForm) else _linear_grid(f, axes)
+            # radix (r mod m), in place: numpy divides an integer array by
+            # a scalar far faster than it takes the remainder
+            q = r // m
+            q *= m
+            r -= q
+            if radix > 1:
+                r *= radix
             key += r
-            r //= d
-            r *= d
-            key -= r
+            radix *= m
         return key
 
     return keys
@@ -290,23 +179,31 @@ def _slot_table(keys: np.ndarray, most: int):
 
 
 class _RightHalf:
-    """The right half of the join: the lexicographic positions of its rows
-    stable-sorted by key (order), and the distinct keys with the start and
-    length of each key's run in that order.
+    """The right half of the join from one key per row of the product of
+    its axes: the positions of its rows stable-sorted by key (order), and
+    the distinct keys with the start and length of each key's run.  Given
+    rows, the positions to keep (increasing), it holds only those; given
+    weight, one integer per row, each run counts the weights of its rows.
+    The join's one lookup table (_slot_table) is built here when the span
+    of the keys is no longer than left_rows, the rows the left half stands
+    for, and the right rows together; else every key is searched for."""
 
-    The join's one lookup table (_slot_table) is built here, for every
-    left block to read, when the span of the keys is no longer than the
-    left half's rows and the right rows together; else every key is
-    searched for."""
-
-    def __init__(self, order: np.ndarray, keys: np.ndarray, start: np.ndarray,
-                 count: np.ndarray, left_rows: int, weight: np.ndarray | None = None):
-        self.order, self.keys, self.start, self.count = order, keys, start, count
+    def __init__(self, keys: np.ndarray, left_rows: int, rows=None, weight=None):
+        if rows is None:
+            self.order = np.argsort(keys, kind="stable")
+        else:
+            self.order = rows[np.argsort(keys[rows], kind="stable")]
+        keys = keys[self.order]
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        self.start = np.flatnonzero(new)
+        self.keys, self.count = keys[self.start], np.diff(self.start, append=len(keys))
         # what pairs counts by 1 + key index, 0 for a key no right row has:
-        # the run length, or the given weight of each key's run
-        self._count = np.concatenate([np.zeros(1, np.int64),
-                                      count if weight is None else weight])
-        self._table = _slot_table(keys, left_rows + len(order)) if len(keys) else None
+        # the run length, or the weight of each key's run
+        self._count = np.concatenate([np.zeros(1, np.int64), self.count if weight is None
+                                      else np.add.reduceat(weight[self.order], self.start)])
+        self._table = (_slot_table(self.keys, left_rows + len(self.order))
+                       if len(self.keys) else None)
 
     def _search(self, keys: np.ndarray) -> np.ndarray:
         """_index, one searchsorted per key."""
@@ -353,73 +250,57 @@ class _RightHalf:
         return hit, np.take(self.count, at), np.take(self.start, at)
 
 
-def _right_half(Q2: QuadraticForm, Q1, axes, d: int, left_rows: int, rows=None,
-                weight=None) -> _RightHalf:
-    """The table of the right-half rows x_{h+1..n} over their axes, keyed
-    by _half_keys with sign +1; at n = 1 the one empty row, of key 0.
-    Given rows, the lexicographic positions of the rows to keep (in
-    increasing order), the table holds only those.  Given weight, one
-    integer per row of the product of the axes, each key's run counts
-    the weights of its rows, not their number.  left_rows, the rows the
-    left half stands for, sizes the lookup table (see _RightHalf)."""
-    n, h = Q2.n, Q2.n - len(axes)
-    keys = (_half_keys(Q2, Q1, range(h, n), d, 1, axes)(axes) if h < n
-            else np.zeros(1, np.int64))
-    if rows is None:
-        order = np.argsort(keys, kind="stable")
-    else:
-        order = rows[np.argsort(keys[rows], kind="stable")]
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    start = np.flatnonzero(new)
-    count = np.diff(start, append=len(keys))
-    if weight is not None:
-        weight = np.add.reduceat(weight[order], start)
-    return _RightHalf(order, keys[start], start, count, left_rows, weight)
+def _split_axes(split: Split, lo, hi) -> list[np.ndarray]:
+    """The axes of y and z over the box: when direct, the box's own."""
+    return _axes(*zip(*split.ranges(lo, hi)))
 
 
-def _join_charge(lo, hi) -> int:
-    """The rows of the two halves of the box, what a join reads."""
+def _join_charge(split: Split, lo, hi) -> int:
+    """The rows of the split's two halves over the box, what a join reads
+    (y over its whole range, every class included)."""
     h = (len(lo) + 1) // 2
-    widths = [b - a + 1 for a, b in zip(lo, hi)]
+    widths = [b - a + 1 for a, b in split.ranges(lo, hi)]
     return math.prod(widths[:h]) + math.prod(widths[h:])
 
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
-    """Zeros of Q2 in the box by the join, one lexicographic block per left
+    """Zeros of Q2 in the box by the join of its split, one block per left
     block of at most _STREAM_ROWS rows (unless the last left axis is
-    longer): each left row meets the run of right rows of its key, read off
-    the right half's one lookup table.  Rows are built only to expand the
-    matches, from their indices.
+    longer): each left row meets the run of right rows of its key.  Rows
+    are built only for the matches and mapped to x (Split.to_x), kept when
+    in the box.  The guard is charged the matches expanded.
 
     ball = (parts, budget), parts[i] a float e_i(v) >= 0 for each value v
-    of axis i, keeps only the zeros with sum_i e_i(x_i) < budget (and may
-    keep some just above it): a half-row whose own sum reaches budget is
-    dropped before its key is looked up, and a match whose two half sums
-    do before its row is built.  The guard is charged the matches
-    expanded, at most the zeros of the box (_zero_blocks charges the
-    halves)."""
+    of coordinate i in the box, keeps only the zeros with sum_i e_i(x_i) <
+    budget (and may keep some just above it).  On a direct split a
+    half-row whose own sum reaches budget is dropped before its key is
+    looked up, and a match whose two half sums do before its row is built."""
+    split = Q2.split
     h = (Q2.n + 1) // 2
-    axes = _axes(lo, hi)
-    left_keys = _half_keys(Q2, None, range(h), 1, -1, axes[:h])
+    axes = _split_axes(split, lo, hi)
+    k = math.prod(m for _, m in split.left_class)
+    if not split.direct:
+        _check_int64([(0, 0, c) for row in split.W for c in row], axes, "points")
+    left_keys = _half_keys(split.left.restrict(range(h), -1), axes[:h], k, split.left_class)
+    right_keys = _half_keys(split.right, axes[h:], k, split.right_class)(axes[h:])
     left_rows = math.prod(len(a) for a in axes[:h])
-    if ball is None:
-        right = _right_half(Q2, None, axes[h:], 1, left_rows)
+    cut = ball is not None and split.direct
+    if not cut:
+        right = _RightHalf(right_keys, left_rows)
         left_parts = budget = None
     else:
         parts, budget = ball
+        parts = [parts[i] for i in split.order]
         left_parts, right_sum = parts[:h], _grid_sums(parts[h:])
-        right = _right_half(Q2, None, axes[h:], 1, left_rows,
-                            np.flatnonzero(right_sum < budget))
+        right = _RightHalf(right_keys, left_rows, np.flatnonzero(right_sum < budget))
         right_sum = right_sum[right.order]
-    # a match's row is the one at left * right_size + right of the product
-    # of a left block's axes and the right axes
+    # a match's row (y, z) is the one at left * right_size + right of the
+    # product of a left block's axes and the right axes
     right_size = math.prod(len(a) for a in axes[h:])
     total = 0
     for block, block_parts in grid_block_axes(axes[:h], _STREAM_ROWS, left_parts, budget):
         keys = left_keys(block)
-        if ball is None:
+        if not cut:
             hit, counts, first = right.runs(keys)
         else:
             left_sum = _grid_sums(block_parts)
@@ -434,10 +315,16 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
         at_left = np.repeat(hit, counts)
         at_right = np.repeat(first - np.cumsum(counts) + counts, counts)
         at_right += np.arange(found)
-        if ball is not None:
+        if cut:
             near = np.repeat(left_sum[hit], counts) + right_sum[at_right] < budget
             at_left, at_right = at_left[near], at_right[near]
-        yield _rows_at(block + axes[h:], at_left * right_size + right.order[at_right])
+        X = split.to_x(_rows_at(block + axes[h:], at_left * right_size + right.order[at_right]))
+        if not split.direct:
+            X = X[((X >= lo) & (X <= hi)).all(axis=1)]
+            if ball is not None:
+                parts, budget = ball
+                X = X[sum(part[at] for part, at in zip(parts, (X - lo).T)) < budget]
+        yield X
 
 
 def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -450,44 +337,20 @@ def _bounds(B, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return B.bounds(n)
 
 
-def _couples(M, h: int) -> bool:
-    """True when M has a cross term between the first h coordinates and the rest."""
-    return any(M[i][j] for i in range(h) for j in range(h, len(M)))
-
-
 def _zero_blocks(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
-    """The zero stream of Q2 in the box: the join, cut to the ball if one
-    is given (see _mitm), or the full scan if Q2 couples the halves.  The
-    guard is charged the rows the stream reads (the two halves for the
-    join, the first n - 1 coordinates for the scan) here, when the stream
-    is made, so a refused box costs nothing: a generator's own checks run
-    only when its first block is asked for."""
-    if _couples(Q2.M, (Q2.n + 1) // 2):
-        check_guard("enumerate_zeros", math.prod(b - a + 1 for a, b in zip(lo[:-1], hi)),
-                    guard)
-        return _scan(Q2, lo, hi, guard)
-    check_guard("enumerate_zeros", _join_charge(lo, hi), guard)
+    """The zero stream of Q2 in the box (_mitm), charged _join_charge here,
+    when it is made, so a refused box costs nothing: a generator's own
+    checks run only when its first block is asked for."""
+    check_guard("enumerate_zeros", _join_charge(Q2.split, lo, hi), guard)
     return _mitm(Q2, lo, hi, guard, ball)
-
-
-def _symmetric(lo, hi) -> bool:
-    """True when lo_i = -hi_i for every i: a form is even, so its zeros in
-    such a box come in pairs {x, -x} and are read off the half x_1 >= 0."""
-    return all(a == -b for a, b in zip(lo, hi))
-
-
-def _zeros_at_0(Z: np.ndarray) -> int:
-    """How many rows of a sorted block of the half x_1 >= 0 have x_1 = 0
-    (they come first)."""
-    return int(np.searchsorted(Z[:, 0], 0, side="right"))
 
 
 def _unfold(blocks: list[np.ndarray]) -> np.ndarray:
     """The zeros of a symmetric box from the sorted blocks of its half
     x_1 >= 0, in one array: the x_1 > 0 rows (a view of each block past its
-    x_1 = 0 rows) negated in reverse order, which lists the x_1 < 0 zeros
-    lexicographically, then the half itself."""
-    neg = [Z[_zeros_at_0(Z):] for Z in blocks]
+    x_1 = 0 rows, which come first) negated in reverse order, which lists
+    the x_1 < 0 zeros lexicographically, then the half itself."""
+    neg = [Z[np.searchsorted(Z[:, 0], 0, side="right"):] for Z in blocks]
     half = sum(map(len, neg))
     out = np.empty((half + sum(map(len, blocks)), blocks[0].shape[1]), dtype=np.int64)
     end = half
@@ -500,29 +363,23 @@ def _unfold(blocks: list[np.ndarray]) -> np.ndarray:
 
 def enumerate_zeros(Q2: QuadraticForm, B, *, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """All x in Z^n with Q2(x) = 0 in the box B, as a lexicographically
-    sorted (N, n) int64 array: the zero stream of the module notes, stacked.
+    sorted (N, n) int64 array: the zero stream of the module notes, stacked
+    and, unless Q2's split is direct in the given order, sorted.
 
     B is a BoxSpec(lo, hi) or a half-width T >= 0 for the box |x| <= T.
     On a symmetric box (lo_i = -hi_i for every i) only the half x_1 >= 0
     is streamed, and its rows with x_1 > 0, negated, give the rest
-    (_unfold); any other box is streamed whole.  The guard is charged, on
-    the box streamed, the two half-box sizes (join) or the rows over the
-    first n - 1 coordinates (scan), then the zeros found there.
+    (_unfold).  The guard is charged, on the box streamed, the rows of the
+    split's two halves, then the matches found there.  A form no split
+    serves (quadforms.Split) raises ValueError.
     """
     lo, hi = _bounds(B, Q2.n)
-    if not _symmetric(lo, hi):
-        return np.vstack(list(_zero_blocks(Q2, lo, hi, guard)))
-    return _unfold(list(_zero_blocks(Q2, (0,) + lo[1:], hi, guard)))
-
-
-def _check_key_fits(Q2: QuadraticForm, lo, hi, h: int, d: int) -> None:
-    """Raise unless every key Q2_half d + (Q1_half mod d) of _half_keys
-    fits int64 on the box, for both halves."""
-    for side in (range(h), range(h, Q2.n)):
-        bound = max(max(abs(lo[i]), abs(hi[i])) for i in side)
-        top = sum(abs(c) for i, _, c in Q2.terms() if i in side) * bound**2
-        if (top + 1) * d > 2**63:
-            raise ValueError("N_d key too large for int64 path")
+    half = all(a == -b for a, b in zip(lo, hi))
+    blocks = list(_zero_blocks(Q2, (0,) + lo[1:] if half else lo, hi, guard))
+    if not Q2.split.in_order:
+        Z = np.vstack(blocks)
+        blocks = [Z[np.lexsort(Z.T[::-1])]]
+    return _unfold(blocks) if half else np.vstack(blocks)
 
 
 def _sign_folds(pair: QuadricPair, lo, hi) -> list[bool]:
@@ -553,22 +410,26 @@ def _fold_factors(axes, folded) -> list[np.ndarray]:
 
 
 def _N_d_join(pair: QuadricPair, d: int, lo, hi, folded) -> int:
-    """N_d from the right-half table and the keys of each left block of at
-    most _STREAM_ROWS rows (unless the last left axis is longer): a left
-    row meets every right row of its key.  The box is the folded one (lo_i
-    = 0 on the folded coordinates, see _sign_folds), each of its rows
-    standing for the product of its _fold_factors: the right table's runs
-    count the weights of their rows, and a left block's terms are
-    contracted with its axes' factors.  No row is built, and the left
-    keys' forms and the lookup table are built once, the table sized by
-    the left rows the folded half stands for."""
+    """N_d by the join of Q2's direct split with no row built: a left row
+    of a block meets every right row of its key.  The box is the folded
+    one (lo_i = 0 on the folded coordinates, see _sign_folds), each of its
+    rows standing for the product of its _fold_factors: the right table's
+    runs count the weights of their rows, and a left block's terms are
+    contracted with its axes' factors; the lookup table is sized by the
+    left rows the folded half stands for."""
+    split = pair.Q2.split
     h = (pair.n + 1) // 2
-    axes = _axes(lo, hi)
+    L, R = split.order[:h], split.order[h:]
+    axes = _split_axes(split, lo, hi)
+    folded = [folded[i] for i in split.order]
     factors = _fold_factors(axes, folded)
     weight = functools.reduce(np.multiply.outer, factors[h:], np.ones((), np.int64))
-    right = _right_half(pair.Q2, pair.Q1, axes[h:], d,
-                        math.prod(int(f.sum()) for f in factors[:h]), weight=weight.reshape(-1))
-    left_keys = _half_keys(pair.Q2, pair.Q1, range(h), d, -1, axes[:h])
+    right_keys = _half_keys(split.right, axes[h:], d,
+                            [(pair.Q1.restrict(R), d)] if R and d > 1 else [])
+    right = _RightHalf(right_keys(axes[h:]), math.prod(int(f.sum()) for f in factors[:h]),
+                        weight=weight.reshape(-1))
+    left_keys = _half_keys(split.left.restrict(range(h), -1), axes[:h], d,
+                           [(pair.Q1.restrict(L, -1), d)] if d > 1 else [])
     return sum(right.pairs(left_keys(block), _fold_factors(block, folded[:h]))
                for block, _ in grid_block_axes(axes[:h], _STREAM_ROWS))
 
@@ -580,14 +441,14 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     The sign changes that fix both forms and the box (_sign_folds) fix
     the count, so only the part of the box with x_i >= 0 on the folded
     coordinates is read, and a point there stands for 2^k points, k the
-    number of its folded coordinates that are nonzero.  When neither form
-    couples the first ceil(n/2) coordinates to the rest, no zero is
-    listed: N_d is the join of the module notes, charged the two half-box
-    sizes of the folded box, the rows it reads (70,602 on shipped's box
-    |x| <= 40, 126,002,502 on |x| <= 500).  Otherwise d | Q1 is counted
-    on each block of the zero stream of Q2 on the folded box, guarded as
-    in enumerate_zeros.  A d beyond the largest |Q1| on the
-    box, R, counts as R + 1: either way d | Q1 iff Q1 = 0.
+    number of its folded coordinates that are nonzero.  When Q2's split
+    is direct and Q1 couples neither of its halves to the other, no zero
+    is listed: N_d is the join of the module notes, charged the two
+    half-box sizes of the folded box, the rows it reads (70,602 on
+    shipped's box |x| <= 40).  Otherwise d | Q1 is counted on each block of
+    the zero stream of Q2 on the folded box, guarded as in enumerate_zeros.
+    A d beyond the largest |Q1| on the box, R, counts as R + 1: either way
+    d | Q1 iff Q1 = 0.
 
     Monotone in d: N_e(B) <= N_d(B) whenever d | e.
     """
@@ -601,15 +462,16 @@ def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
     d = min(d, R + 1)
     folded = _sign_folds(pair, lo, hi)
     start = tuple(0 if fold else a for a, fold in zip(lo, folded))
-    if _couples(pair.Q1.M, h) or _couples(pair.Q2.M, h):
+    split = pair.Q2.split
+    if not split.direct or any(pair.Q1.M[i][j] for i in split.order[:h]
+                               for j in split.order[h:]):
         total = 0
         for Z in _zero_blocks(pair.Q2, start, hi, guard):
             if d > 1:
                 Z = Z[pair.Q1.eval_batch(Z) % d == 0]
             total += int(np.left_shift(1, (Z[:, folded] != 0).sum(axis=1)).sum())
         return total
-    check_guard("N_d", _join_charge(start, hi), guard)
-    _check_key_fits(pair.Q2, lo, hi, h, d)
+    check_guard("N_d", _join_charge(split, start, hi), guard)
     return _N_d_join(pair, d, start, hi, folded)
 
 
@@ -862,21 +724,19 @@ def S_of_B(pair: QuadricPair, W: WeightFunction, B: float, *,
     """S(B) = sum over Q2(x) = 0, Q1(x) odd of r2(Q1(x)) W(x / B).
 
     The zero stream of Q2 on the weight's support box (guarded as in
-    enumerate_zeros) is, for the join, cut to the support ball: with
-    e_i(v) = (v / B - x0_i)^2 per axis, the join drops every half-row and
-    every match whose sum of e_i reaches rho^2 (1 + _BALL_SLACK), where
-    W(x / B) = 0 (the slack covers the rounding of W's own sum).  A pair
-    whose Q2 couples the halves streams the whole box.  r2 is read off one
+    enumerate_zeros) is cut to the support ball: with e_i(v) = (v / B -
+    x0_i)^2 per coordinate, the join drops every zero, and on a direct
+    split every half-row first, whose sum of e_i reaches rho^2 (1 +
+    _BALL_SLACK), where W(x / B) = 0 (the slack covers the rounding of W's
+    own sum).  r2 is read off one
     table up to top = _ball_max of Q1 on the ball |x - B x0| <= B rho,
     where W(x / B) > 0; it is made once, after the stream's own guard
     charge and before its first block, and the guard is charged the
     (isqrt(top) + 1)^2 pairs of its square.  Block by block, the terms
     r2(Q1(x)) W(x / B) of the points with Q1 odd and positive and W > 0
-    (the others contribute nothing) go straight into one exactly rounded
-    sum (_ExactSum, the value math.fsum gives), and neither the zeros nor
-    the terms are held.  So the result is the correctly rounded sum of the
-    terms: the block split, the order of the terms and the cut change no
-    bit of it.
+    go straight into one exactly rounded sum (_ExactSum, math.fsum's
+    value), and neither the zeros nor the terms are held: the block split,
+    the order of the terms and the cut change no bit of the result.
     """
     if B <= 0:
         raise ValueError("B must be positive")

@@ -19,9 +19,10 @@ only ever tested at primes it certifies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -51,16 +52,17 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def _check_int64(terms, arrays, what: str) -> list[np.ndarray]:
+def _check_int64(terms, arrays, what: str, k: int = 1) -> list[np.ndarray]:
     """The integer arrays widened to int64, after checking that no product
-    or partial sum of c x_i x_j over the terms (i, j, c) leaves int64: each
-    is at most sum |c| bound^2, bound = max |x_i| over the arrays."""
+    or partial sum of c x_i x_j over the terms (i, j, c), times k plus
+    less than k, leaves int64: each is at most (sum |c| bound^2 + 1) k - 1,
+    bound = max |x_i| over the arrays."""
     if any(a.dtype.kind not in "iu" for a in arrays):
         raise ValueError("points must be integers")
     arrays = [a.astype(np.int64, copy=False) for a in arrays]
     bound = max((max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays),
                 default=0)
-    if sum(abs(c) for _, _, c in terms) * bound * bound > 2**63 - 1:
+    if (sum(abs(c) for _, _, c in terms) * bound * bound + 1) * k > 2**63:
         raise ValueError(f"{what} too large for int64 path")
     return arrays
 
@@ -235,6 +237,11 @@ class QuadraticForm:
         M = np.array(self.M, dtype=float)
         return np.einsum("...i,ij,...j->...", x, M, x)
 
+    @cached_property
+    def split(self) -> "Split":
+        """The form's Split for counting's join, built on first use."""
+        return _split(self)
+
 
 # --------------------------------------------------------------------------
 # grids
@@ -276,6 +283,12 @@ def _rows_at(axes, index) -> np.ndarray:
     for j, at in enumerate(np.unravel_index(index, [len(a) for a in axes]) if axes else ()):
         rows[:, j] = axes[j][at]
     return rows
+
+
+def _linear_grid(coeffs, axes) -> np.ndarray:
+    """sum_j c_j x_j over the lexicographic product of the int64 axes."""
+    return reduce(np.add.outer, [c * a for c, a in zip(coeffs, axes)],
+                  np.zeros((), np.int64)).reshape(-1)
 
 
 def _grid_sums(parts) -> np.ndarray:
@@ -459,6 +472,132 @@ def dual_form(Q: QuadraticForm) -> QuadraticForm:
 
 
 # --------------------------------------------------------------------------
+# the split of a form into two halves
+# --------------------------------------------------------------------------
+
+
+def _matmul(X, Y) -> list:
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+def _diagonalize(A) -> tuple[list, list]:
+    """(D, s) for a nonsingular integer matrix A: D unimodular with D A V =
+    diag(s) for some unimodular V (row and column steps on the pivot of
+    least |value|).  So y is in A Z^h exactly when every (D y)_i = 0 mod
+    s_i, and the residues of D y index the |det A| classes of Z^h / A Z^h."""
+    h = len(A)
+    S, D = [list(row) for row in A], [[int(i == j) for j in range(h)] for i in range(h)]
+    t = 0
+    while t < h:
+        i, j = min(((i, j) for i in range(t, h) for j in range(t, h) if S[i][j]),
+                   key=lambda at: abs(S[at[0]][at[1]]))
+        S[t], S[i], D[t], D[i] = S[i], S[t], D[i], D[t]
+        for row in S:
+            row[t], row[j] = row[j], row[t]
+        for i in range(t + 1, h):
+            q = S[i][t] // S[t][t]
+            S[i] = [a - q * b for a, b in zip(S[i], S[t])]
+            D[i] = [a - q * b for a, b in zip(D[i], D[t])]
+        q = [v // S[t][t] for v in S[t]]
+        for row in S:
+            row[t + 1:] = [v - c * row[t] for v, c in zip(row[t + 1:], q[t + 1:])]
+        t += not any(S[i][t] or S[t][i] for i in range(t + 1, h))
+    return D, [S[t][t] for t in range(h)]
+
+
+@dataclass(frozen=True)
+class Split:
+    """Q on Z^n as two forms on the halves of (y, z) = P x, y the first h =
+    ceil(n/2): delta Q(x) = left(y) + right(z) and x = W (y, z) / delta,
+    integral exactly when y and z have one class, the residues of row . y
+    for (row, modulus) in left_class, or of row . z in right_class (|delta|
+    classes).  When direct, (y, z) is x in order, delta = 1 and there is
+    one class (right is None at n = 1)."""
+
+    order: tuple[int, ...]
+    P: tuple[tuple[int, ...], ...]
+    W: tuple[tuple[int, ...], ...]
+    delta: int
+    left: QuadraticForm
+    right: QuadraticForm | None
+    direct: bool = False
+    left_class: tuple[tuple[tuple[int, ...], int], ...] = ()
+    right_class: tuple[tuple[tuple[int, ...], int], ...] = ()
+
+    @property
+    def in_order(self) -> bool:
+        """True when (y, z) is x, so the join lists x in lexicographic order."""
+        return self.direct and self.order == tuple(range(len(self.order)))
+
+    def ranges(self, lo, hi) -> list[tuple[int, int]]:
+        """The least and largest value of each of y, z over the box lo..hi."""
+        return [(sum(min(c * a, c * b) for c, a, b in zip(row, lo, hi)),
+                 sum(max(c * a, c * b) for c, a, b in zip(row, lo, hi))) for row in self.P]
+
+    def to_x(self, rows: np.ndarray) -> np.ndarray:
+        """The points x = W (y, z) / delta of the int64 rows (y, z) of one class."""
+        if self.direct:
+            return rows if self.in_order else rows[:, np.argsort(self.order)]
+        return rows @ np.array(self.W, dtype=np.int64).T // self.delta
+
+
+def _split(Q: QuadraticForm) -> Split:
+    """Q's Split (Lagrange; Cassels, Rational Quadratic Forms, ch. 2): the
+    first h coordinates L (itertools.combinations, the given ones first)
+    that Q couples to none of the rest R are direct.  Else, for the L of
+    least |delta| = |det A| > 0, A, C, D the blocks of M on L x L, L x R
+    and R x R, y = A x_L + C x_R and z = x_R give
+
+        delta Q(x) = y^T adj(A) y + z^T (delta D - C^T adj(A) C) z,
+
+    and x_L = adj(A) (y - C z) / delta is integral exactly when y - C z is
+    in A Z^h (_diagonalize).  A form with no nonsingular h x h principal
+    block is split after the first change x_i -> x_i + x_j that gives it
+    one (2 x_1 x_2 becomes 2 x_1 x_2 + 2 x_2^2); one of rank below h has none."""
+    n, h = Q.n, (Q.n + 1) // 2
+    eye = [[int(a == b) for b in range(n)] for a in range(n)]
+    # x = U x' for U the identity, then each change x_i = x'_i + x'_j
+    shears = ([[int(a == b or (a, b) == ij) for b in range(n)] for a in range(n)]
+              for ij in itertools.permutations(range(n), 2))
+    for U in itertools.chain([eye], shears):
+        M = Q.M if U is eye else _matmul(_matmul(list(zip(*U)), Q.M), U)
+        best = None
+        for L in itertools.combinations(range(n), h):
+            R = [j for j in range(n) if j not in L]
+            C = [[M[i][j] for j in R] for i in L]
+            if U is eye and not any(map(any, C)):
+                P = tuple(tuple(eye[i]) for i in (*L, *R))
+                return Split((*L, *R), P, tuple(zip(*P)), 1, Q.restrict(L),
+                             Q.restrict(R) if R else None, direct=True)
+            A = [[M[i][j] for j in L] for i in L]
+            delta = bareiss_det(A)
+            if delta and (best is None or abs(delta) < abs(best[0])):
+                best = delta, L, R, A, C
+        if best is not None:
+            break
+    else:
+        raise ValueError(f"no split of the form {Q.M}: every {h} x {h} principal block is "
+                         "singular, also after any one change x_i -> x_i + x_j")
+    delta, L, R, A, C = best
+    adj = _adjugate(A)
+    adjC = _matmul(adj, C)
+    E = [[delta * M[a][b] - sum(c[ka] * v[kb] for c, v in zip(C, adjC))
+          for kb, b in enumerate(R)] for ka, a in enumerate(R)]
+    # y = (rows L of M) x' and z = x'_R for x' = U^-1 x = (2 - U) x; W =
+    # delta P^-1 is adj(P) up to the sign of det P = +-delta
+    P = _matmul([M[i] for i in L] + [eye[j] for j in R],
+                [[2 * a - u for a, u in zip(e, row)] for e, row in zip(eye, U)])
+    sign = delta // bareiss_det(P)
+    D, s = _diagonalize(A)
+    big = [i for i, v in enumerate(s) if abs(v) > 1]
+    return Split((*L, *R), tuple(map(tuple, P)),
+                 tuple(tuple(sign * v for v in row) for row in _adjugate(P)), delta,
+                 QuadraticForm.from_matrix(adj), QuadraticForm.from_matrix(E), False,
+                 tuple((tuple(D[i]), abs(s[i])) for i in big),
+                 tuple((tuple(_matmul([D[i]], C)[0]), abs(s[i])) for i in big))
+
+
+# --------------------------------------------------------------------------
 # the pair
 # --------------------------------------------------------------------------
 
@@ -553,7 +692,7 @@ def _prefix_values(Q: QuadraticForm, slope: np.ndarray, axes, p: int):
     A = Q.eval_grid(axes) % p
     if not slope.any():
         return A, np.broadcast_to(np.int64(0), A.shape)
-    return A, reduce(np.add.outer, [s * a for s, a in zip(slope, axes)]).reshape(-1) % p
+    return A, _linear_grid(slope, axes) % p
 
 
 def residue_zeros_mod_p(pair: QuadricPair, p: int,

@@ -82,11 +82,15 @@ def full_slab_scan(Q2, T):
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def by_route(route, Q, box, guard=10**9):
-    """The zeros of Q in the box by one private route of counting (_mitm,
-    the join, or _scan, the solved scan), its blocks stacked."""
+def stream(Q, box, guard=10**9):
+    """The zeros of Q in the whole box by the join of its split
+    (counting._mitm, no fold), its blocks stacked in stream order."""
     lo, hi = counting._bounds(box, Q.n)
-    return np.vstack(list(route(Q, lo, hi, guard)))
+    return np.vstack(list(counting._mitm(Q, lo, hi, guard)))
+
+
+def lexsorted(Z):
+    return Z[np.lexsort(Z.T[::-1])]
 
 
 def N_d_by_listing(pair, d, box):
@@ -127,18 +131,21 @@ def test_hyperbola_thirteen_points():
 
 @pytest.mark.parametrize("B", [1, 4, 8])
 def test_enumeration_matches_full_scan(B):
-    # the join needs uncoupled halves; coupled forms take the scan
+    # uncoupled halves: the join's stream lists the zeros in order as is
     for Q in (toy_pair_3().Q2, shipped_pair().Q2):
-        mitm = [tuple(p) for p in by_route(counting._mitm, Q, B)]
-        scan = [tuple(p) for p in by_route(counting._scan, Q, B)]
-        assert mitm == scan == brute_zeros(Q, B), (Q.M, B)
+        assert Q.split.in_order
+        mitm = [tuple(p) for p in stream(Q, B)]
+        assert mitm == brute_zeros(Q, B), (Q.M, B)
         assert [tuple(p) for p in enumerate_zeros(Q, B)] == mitm
+    # coupled halves: the split's stream, sorted (2 x y takes a change of
+    # coordinates first)
     for Q in (
         toy_pair_2().Q2,
         QuadraticForm.from_matrix([[1, 1, 0], [1, -2, 1], [0, 1, 1]]),
     ):
+        assert not Q.split.direct
         got = [tuple(p) for p in enumerate_zeros(Q, B)]
-        assert got == [tuple(p) for p in by_route(counting._scan, Q, B)]
+        assert got == [tuple(p) for p in lexsorted(stream(Q, B))]
         assert got == brute_zeros(Q, B), (Q.M, B)
 
 
@@ -298,8 +305,8 @@ def test_right_half_index_table_and_search_agree():
     for far_right in (False, True):
         if far_right:
             right = np.append(right, 10**15)
-        keys, start, count = np.unique(np.sort(right), return_index=True, return_counts=True)
-        half = counting._RightHalf(np.argsort(right, kind="stable"), keys, start, count, 204)
+        keys, count = np.unique(right, return_counts=True)
+        half = counting._RightHalf(right, 204)
         assert (half._table is None) == far_right
         where = {int(k): i + 1 for i, k in enumerate(keys)}
         left = rng.integers(-60, 60, size=200)
@@ -311,8 +318,7 @@ def test_right_half_index_table_and_search_agree():
         runs = dict(zip(keys.tolist(), count.tolist()))
         want_pairs = sum(runs.get(int(k), 0) for k in far)
         assert half.pairs(far.copy()) == want_pairs
-        edge = counting._RightHalf(np.arange(2), np.array([-2**63, 2**63 - 1]),
-                                   np.arange(2), np.ones(2, np.int64), 204)
+        edge = counting._RightHalf(np.array([-2**63, 2**63 - 1]), 204)
         assert edge._index(far).tolist() == [0] * 200 + [0, 0, 2, 1]
 
 
@@ -824,23 +830,29 @@ def test_per_coordinate_boxes_against_brute_force(Q):
         hi = [a + rng.randint(0, width) for a in lo]
         spec = BoxSpec(lo=tuple(lo), hi=tuple(hi))
         want = brute_box_zeros(Q, lo, hi)
-        for route in (counting._mitm, counting._scan):
-            got = by_route(route, Q, spec)
-            assert got.dtype == np.int64 and got.shape[1] == n
-            assert [tuple(p) for p in got] == want, (route.__name__, lo, hi)
+        got = stream(Q, spec)
+        assert got.dtype == np.int64 and got.shape[1] == n
+        assert [tuple(p) for p in got] == want, (lo, hi)
 
 
 COUPLED = [
-    # a > 0, a < 0: the last coordinate solves a quadratic
+    # no order of the coordinates keeps the halves apart, so each is split
+    # on a sublattice: delta = 1 in the given order
     QuadraticForm.from_matrix([[1, 1], [1, -2]]),
     QuadraticForm.from_matrix([[1, 1, 1], [1, 2, 1], [1, 1, 3]]),
     QuadraticForm.from_matrix([[1, 1, 1], [1, 2, 1], [1, 1, -1]]),
+    # delta = -2 in the order (2, 3, 1): two classes
     QuadraticForm.from_matrix([[-3, 2, 1], [2, 1, 0], [1, 0, -2]]),
-    # a = 0: linear in the last coordinate; b = c = 0 where x1 = 0
+    # no principal block of size h is nonsingular: the change x1 -> x1 + x2
+    # first, then delta = 2
     QuadraticForm.from_matrix([[0, 1], [1, 0]]),
+    # delta = -1 in another order
     QuadraticForm.from_matrix([[1, 1, 1], [1, -1, 0], [1, 0, 0]]),
     QuadraticForm.from_matrix([[2, 0, 3], [0, -1, 1], [3, 1, 0]]),
     QuadraticForm.from_matrix([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0]]),
+    # delta = 4 with classes Z/2 x Z/2, and delta = -6 with Z/2 x Z/3
+    QuadraticForm.from_matrix([[2, 2, 2], [2, 4, 0], [2, 0, 0]]),
+    QuadraticForm.from_matrix([[3, 0, 1], [0, -2, -1], [1, -1, 4]]),
 ]
 
 
@@ -854,8 +866,10 @@ def test_solved_scan_against_brute_force(Q):
         lo = [rng.randint(-width, 1) for _ in range(n)]
         boxes.append((lo, [a + rng.randint(0, width) for a in lo]))
     for lo, hi in boxes:
-        got = [tuple(p) for p in enumerate_zeros(Q, BoxSpec(lo=tuple(lo), hi=tuple(hi)))]
+        box = BoxSpec(lo=tuple(lo), hi=tuple(hi))
+        got = [tuple(p) for p in enumerate_zeros(Q, box)]
         assert got == brute_box_zeros(Q, lo, hi), (lo, hi)
+        assert got == [tuple(p) for p in lexsorted(stream(Q, box))]
 
 
 COUPLED_N4 = [[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, -1, 1], [1, 1, 1, -2]]
@@ -872,53 +886,133 @@ def test_solved_scan_against_full_slab_scan(seed):
 
 
 def test_solved_scan_roots_past_float_precision():
-    # Q = 2 x1 x2 + x2^2 has the zeros x2 = 0 and x2 = -2 x1, and
-    # b^2 - 4ac = 4 x1^2 passes 2^53, where sqrt of the float rounds
+    # Q = 2 x1 x2 + x2^2 = y^2 - z^2, y = x1 + x2 and z = x1, has the zeros
+    # x2 = -2 x1 and x2 = 0; the keys y^2 and z^2 pass 2^53, where a float
+    # would round
     Q = QuadraticForm.from_matrix([[0, 1], [1, 1]])
     x1 = 2**27 - 61
-    got = enumerate_zeros(Q, BoxSpec(lo=(x1, -2**28), hi=(x1 + 50, 2**28)))
-    want = sorted([(t, -2 * t) for t in range(x1, x1 + 51)]
-                  + [(t, 0) for t in range(x1, x1 + 51)])
-    assert [tuple(p) for p in got] == want
+    for lo, hi, root in ((-2**28, -2**28 + 300, -2), (-150, 150, 0)):
+        got = enumerate_zeros(Q, BoxSpec(lo=(x1, lo), hi=(x1 + 50, hi)))
+        assert [tuple(p) for p in got] == [(t, root * t) for t in range(x1, x1 + 51)]
+    # the box over both roots costs the join the 2^29 + 51 values of y and
+    # the 51 of z
+    with pytest.raises(ResourceGuardError) as err:
+        enumerate_zeros(Q, BoxSpec(lo=(x1, -2**28), hi=(x1 + 50, 2**28)), guard=2**29)
+    assert err.value.estimated_ops == 2**29 + 102
 
 
 @pytest.mark.parametrize("Q", [Q for Q in COUPLED if Q.n > 2], ids=lambda Q: str(Q.M))
 def test_solved_scan_in_small_blocks(monkeypatch, Q):
-    # blocks of a few rows fix head columns and slice the next axis (a
-    # block spans at least the last solved-over axis, so n = 2 has one
-    # block); the stream is still every zero in lexicographic order, block
-    # after block
+    # blocks of a few rows of y fix head columns and slice the next axis (a
+    # block spans at least the last axis of y, so n = 2 has one block); the
+    # stream still holds every zero once, and enumerate_zeros sorts it
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 10)
     monkeypatch.setattr(counting, "_STREAM_ROWS", 10)
+    h = (Q.n + 1) // 2
     for T in (2, 5):
         lo, hi = counting._bounds(T, Q.n)
-        blocks = list(counting._scan(Q, lo, hi, 10**9))
+        blocks = list(counting._mitm(Q, lo, hi, 10**9))
         assert len(blocks) == len(list(quadforms.grid_block_axes(
-            counting._axes(lo[:-1], hi[:-1]), 10))) > 1
-        got = np.vstack(blocks)
-        assert np.array_equal(got, got[np.lexsort(got.T[::-1])])
+            counting._split_axes(Q.split, lo, hi)[:h], 10))) > 1
+        got = lexsorted(np.vstack(blocks))
         assert [tuple(p) for p in got] == brute_zeros(Q, T)
         assert np.array_equal(got, full_slab_scan(Q, T))
         assert np.array_equal(enumerate_zeros(Q, T), got)
 
 
 def test_solved_scan_refuses_before_any_block(monkeypatch):
+    # the split join's guard charge and int64 check come before its first
+    # left block and its first row
     def no_block(*args):
         raise AssertionError("a block was built")
 
-    monkeypatch.setattr(counting, "_solve_last", no_block)
+    for name in ("grid_block_axes", "_rows_at"):
+        monkeypatch.setattr(counting, name, no_block)
     Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
     with pytest.raises(ResourceGuardError):
         enumerate_zeros(Q, 10**6, guard=10**5)
     with pytest.raises(ValueError, match="int64"):
-        enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)))
+        enumerate_zeros(Q, BoxSpec(lo=(0, 2**31), hi=(0, 2**31)))
 
 
 def test_solved_scan_int64_check():
-    # one slab of one row, but b^2 - 4ac reaches 2^63 on its last axis
+    # Q = y^2 - 3 z^2 with y = x1 + x2 and z = x2: one row of each half, but
+    # the right key -3 z^2 leaves int64 past the largest c with 3 c^2 + 1
+    # <= 2^63
     Q = QuadraticForm.from_matrix([[1, 1], [1, -2]])
+    c = math.isqrt((2**63 - 1) // 3)
+    assert 3 * c * c + 1 <= 2**63 < 3 * (c + 1) ** 2 + 1
+    assert enumerate_zeros(Q, BoxSpec(lo=(0, c), hi=(0, c))).shape == (0, 2)
     with pytest.raises(ValueError, match="int64"):
+        enumerate_zeros(Q, BoxSpec(lo=(0, c + 1), hi=(0, c + 1)))
+    # the box |x2| <= 2^31 is refused by the guard first
+    with pytest.raises(ResourceGuardError):
         enumerate_zeros(Q, BoxSpec(lo=(0, -2**31), hi=(0, 2**31)))
+
+
+@pytest.mark.parametrize("Q", [QuadraticForm.from_matrix(COUPLED_N4), toy_pair_2().Q2],
+                         ids=["coupled_n4", "toy_n2"])
+def test_split_join_charge_bounds_the_rows_it_holds(monkeypatch, Q):
+    # the charge made before the first block, the range of y over every
+    # class plus the right rows, is at least what the left blocks of
+    # grid_block_axes and the right table hold
+    held = []
+    real, real_right = counting.grid_block_axes, counting._RightHalf
+
+    def spy(axes, *args, **kwargs):
+        for block, parts in real(axes, *args, **kwargs):
+            held.append(math.prod(len(a) for a in block))
+            yield block, parts
+
+    def spy_right(keys, *args, **kwargs):
+        held.append(len(keys))
+        return real_right(keys, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "grid_block_axes", spy)
+    monkeypatch.setattr(counting, "_RightHalf", spy_right)
+    assert not Q.split.direct
+    for T in (1, 3, 8):
+        for box in [T] + asymmetric_boxes(Q.n, T):
+            with pytest.raises(ResourceGuardError) as err:
+                enumerate_zeros(Q, box, guard=0)
+            held.clear()
+            enumerate_zeros(Q, box)
+            assert err.value.estimated_ops >= sum(held) > 0, box
+
+
+def moved_demo_n7():
+    """demo_n7 with x1 -> x1 + x7 and x3 -> x3 + x5 in both forms: Q2
+    couples x1 to x7 and x3 to x5, across the given halves, but not
+    across the halves (x1, x2, x4, x7) and (x3, x5, x6)."""
+    pair = load_pair(PAIRS_DIR / "demo_n7.pair")
+    U = np.eye(7, dtype=np.int64)
+    U[0, 6] = U[2, 4] = 1
+    return QuadricPair.build(*(QuadraticForm.from_matrix(U.T @ np.array(F.M) @ U)
+                               for F in (pair.Q1, pair.Q2)))
+
+
+def test_moved_demo_n7_keeps_the_solved_scan_values():
+    # S(6) and S(8) as the solved scan gave them, which read every prefix of
+    # six coordinates; the split is direct in another order, so S(B) gets
+    # its ball cut and S(16) runs under the default guard
+    pair = moved_demo_n7()
+    split = pair.Q2.split
+    assert split.direct and split.order == (0, 1, 3, 6, 2, 4, 5)
+    W = WeightFunction.default_for_pair(pair)
+    assert repr(S_of_B(pair, W, 6)) == "200.46254746764097"
+    assert repr(S_of_B(pair, W, 8)) == "1078.1829646954066"
+    assert S_of_B(pair, W, 16) > 0
+
+
+def test_enumerate_zeros_refuses_a_form_no_split_serves():
+    # (x1 + x2 + x3)^2 couples every coordinate to the rest and has rank
+    # 1 < h = 2, after any change of coordinates too; QuadricPair.build
+    # refuses it as a Q2
+    Q = QuadraticForm.from_matrix([[1, 1, 1]] * 3)
+    with pytest.raises(ValueError, match=r"no split of the form \(\(1, 1, 1\)"):
+        enumerate_zeros(Q, 3)
+    with pytest.raises(ValueError, match="non-singular"):
+        QuadricPair.build(QuadraticForm.diagonal([1, 1, 1]), Q)
 
 
 # --------------------------------------------------------------------------
@@ -944,10 +1038,9 @@ def asymmetric_boxes(n, T):
 
 
 def full_walk(Q, box):
-    """The zeros of Q in the box by its own route's stream of the whole
-    box, no fold."""
-    route = counting._scan if counting._couples(Q.M, (Q.n + 1) // 2) else counting._mitm
-    return by_route(route, Q, box)
+    """The zeros of Q in the box by the join's stream of the whole box, no
+    fold, sorted."""
+    return lexsorted(stream(Q, box))
 
 
 def N_d_unfolded(pair, d, box):
@@ -994,7 +1087,7 @@ def test_enumerate_zeros_streams_an_asymmetric_box_whole(monkeypatch, name):
 FOLD_PAIRS = {
     # every coordinate free
     "join": shipped_pair,
-    # Q2 couples every coordinate: the scan, no free coordinate
+    # Q2 couples every coordinate: the split join, no free coordinate
     "coupled": coupled_n4_pair,
     # free x3 and x4, one in each half, beside Q1's x1-x2 and Q2's x5-x6
     "join_mixed": lambda: QuadricPair.build(
@@ -1044,8 +1137,10 @@ def test_sign_folds_are_the_first_of_each_symmetric_class():
 def test_N_d_fold_matches_the_full_walk(route):
     pair = FOLD_PAIRS[route]()
     h = (pair.n + 1) // 2
-    assert (counting._couples(pair.Q1.M, h) or counting._couples(pair.Q2.M, h)) == (
-        not route.startswith("join"))
+    split = pair.Q2.split
+    joined = split.direct and not any(pair.Q1.M[i][j] for i in split.order[:h]
+                                      for j in split.order[h:])
+    assert joined == route.startswith("join")
     for T in (0, 1, 4, 8):
         for box in [T] + (partly_symmetric_boxes(pair.n, T) if T else []):
             for d in (1, 2, 3, 5, 8):
@@ -1059,19 +1154,19 @@ def test_fold_reads_half_the_box(monkeypatch):
     # (T + 1)^2 right rows keyed
     read, keyed = [], []
     real = counting.grid_block_axes
-    real_right = counting._right_half
+    real_right = counting._RightHalf
 
     def spy(axes, *args, **kwargs):
         for block, parts in real(axes, *args, **kwargs):
             read.append(math.prod(len(a) for a in block))
             yield block, parts
 
-    def spy_right(Q2, Q1, axes, *args, **kwargs):
-        keyed.append(math.prod(len(a) for a in axes))
-        return real_right(Q2, Q1, axes, *args, **kwargs)
+    def spy_right(keys, *args, **kwargs):
+        keyed.append(len(keys))
+        return real_right(keys, *args, **kwargs)
 
     monkeypatch.setattr(counting, "grid_block_axes", spy)
-    monkeypatch.setattr(counting, "_right_half", spy_right)
+    monkeypatch.setattr(counting, "_RightHalf", spy_right)
     ship = shipped_pair()
     for T in (4, 12):
         want = N_d_unfolded(ship, 3, T)
@@ -1080,7 +1175,7 @@ def test_fold_reads_half_the_box(monkeypatch):
         assert N_d(ship, 3, T) == want
         assert 0 < sum(read) <= (T + 1) ** 3
         assert keyed == [(T + 1) ** 2]
-    # the listing (join and scan) streams the box with lo_1 = 0 alone; the
+    # the listing (either split) streams the box with lo_1 = 0 alone; the
     # stream route of N_d has lo_i = 0 on every folded coordinate: x1 alone
     # for the coupled n = 4 form, x1 (first of x1, x3, x4) and the free x2
     # for the pair whose Q1 couples the halves
@@ -1193,7 +1288,7 @@ LISTED_CASES = {
     "toy3": (toy_pair_3, (8, 12), None),
     "toy2": (toy_pair_2, (7.5, 8, 12, 16), WeightFunction((1.0, 0.0), 0.3)),
     "demo_n7": (lambda: load_pair(PAIRS_DIR / "demo_n7.pair"), (4, 6, 8), None),
-    # Q2 couples the halves, so the stream is the solved scan
+    # Q2 couples the halves in every order, so the stream is the split join
     "coupled_n4": (lambda: QuadricPair.build(QuadraticForm.diagonal([1, 1, 1, 1]),
                                              QuadraticForm.from_matrix(COUPLED_N4)), (8, 12),
                    None),
