@@ -30,7 +30,8 @@ _STREAM_ROWS), the one block iterator, first cut to the ball for S(B) on
 a direct split.  N_d sums run lengths, building no row; listing builds
 rows only for the matches and maps them to x, keeping those in the box
 (and the ball).  On a split that is not direct y runs over the range of
-the box's image, every class included, which the guard is charged, and
+the box's image (at n = 2 only where y^2 can meet a right key:
+Split.runs), every class included, which the guard is charged, and
 enumerate_zeros sorts the stream (it is lexicographic when the split is
 direct in the given order: shipped, demo_n7, toy_n3).  Every form is
 even, so on a symmetric box (lo_i = -hi_i for every i) the zeros come in
@@ -127,16 +128,14 @@ def _axes(lo, hi) -> list[np.ndarray]:
 def _half_keys(form: QuadraticForm | None, axes, k: int = 1, residues=()):
     """The keys of one half of the join as a function of a block's axes:
     form(u) k + sum_j (f_j(u) mod m_j) m_1 ... m_(j-1) over their
-    lexicographic product, for residues [(f_j, m_j)], f_j a form or the
-    coefficients of a linear form, the sum below k; the one key 0 when form
-    is None (the empty right half at n = 1).  Each term is checked for
-    int64 (_check_int64) on axes, the half's whole axes, once, here."""
+    lexicographic product, for residues [(f_j, m_j)], f_j giving its
+    values over a block's axes as a fresh int64 array, the sum below k; the
+    one key 0 when form is None (the empty right half at n = 1).  form k is
+    checked for int64 (_check_int64) on axes, the half's whole axes, once,
+    here; each f_j by the caller."""
     if form is None:
         return lambda axes: np.zeros(1, np.int64)
     _check_int64(form.terms(), axes, "points", k)
-    for f, _ in residues:  # a linear form bounded as a quadratic one
-        _check_int64(f.terms() if isinstance(f, QuadraticForm) else [(0, 0, c) for c in f],
-                     axes, "points")
 
     def keys(axes) -> np.ndarray:
         key = form._grid(axes)
@@ -144,7 +143,7 @@ def _half_keys(form: QuadraticForm | None, axes, k: int = 1, residues=()):
             key *= k
         radix = 1
         for f, m in residues:
-            r = f._grid(axes) if isinstance(f, QuadraticForm) else _linear_grid(f, axes)
+            r = f(axes)
             # radix (r mod m), in place: numpy divides an integer array by
             # a scalar far faster than it takes the remainder
             q = r // m
@@ -251,16 +250,28 @@ class _RightHalf:
 
 
 def _split_axes(split: Split, lo, hi) -> list[np.ndarray]:
-    """The axes of y and z over the box: when direct, the box's own."""
-    return _axes(*zip(*split.ranges(lo, hi)))
+    """The axes of y and z over the box, one per run list of Split.runs:
+    when direct, the box's own."""
+    return [np.concatenate([np.arange(a, b + 1, dtype=np.int64) for a, b in runs]
+                           or [np.zeros(0, np.int64)]) for runs in split.runs(lo, hi)]
 
 
 def _join_charge(split: Split, lo, hi) -> int:
     """The rows of the split's two halves over the box, what a join reads
-    (y over its whole range, every class included)."""
+    (y over its runs, every class included)."""
     h = (len(lo) + 1) // 2
-    widths = [b - a + 1 for a, b in split.ranges(lo, hi)]
+    widths = [sum(b - a + 1 for a, b in runs) for runs in split.runs(lo, hi)]
     return math.prod(widths[:h]) + math.prod(widths[h:])
+
+
+def _linear_residues(classes, axes) -> list:
+    """_half_keys's residues [(row . u, m)] for the rows [(row, m)] of
+    linear forms on the axes, after checking that sum |c| bound + m < 2^63
+    (bound = max |u|), so no partial sum of row . u leaves int64."""
+    bound = max((max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in axes), default=0)
+    if any(sum(map(abs, row)) * bound + m >= 2**63 for row, m in classes):
+        raise ValueError("points too large for int64 path")
+    return [(functools.partial(_linear_grid, row), m) for row, m in classes]
 
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
@@ -279,10 +290,12 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     h = (Q2.n + 1) // 2
     axes = _split_axes(split, lo, hi)
     k = math.prod(m for _, m in split.left_class)
-    if not split.direct:
-        _check_int64([(0, 0, c) for row in split.W for c in row], axes, "points")
-    left_keys = _half_keys(split.left.restrict(range(h), -1), axes[:h], k, split.left_class)
-    right_keys = _half_keys(split.right, axes[h:], k, split.right_class)(axes[h:])
+    if not split.direct:  # Split.to_x's product W (y, z), checked as rows mod 1
+        _linear_residues([(row, 1) for row in split.W], axes)
+    left_keys = _half_keys(split.left.restrict(range(h), -1), axes[:h], k,
+                           _linear_residues(split.left_class, axes[:h]))
+    right_keys = _half_keys(split.right, axes[h:], k,
+                            _linear_residues(split.right_class, axes[h:]))(axes[h:])
     left_rows = math.prod(len(a) for a in axes[:h])
     cut = ball is not None and split.direct
     if not cut:
@@ -409,6 +422,16 @@ def _fold_factors(axes, folded) -> list[np.ndarray]:
             for axis, fold in zip(axes, folded)]
 
 
+def _q1_residues(Q1: QuadraticForm, idx, sign: int, d: int, axes) -> list:
+    """_half_keys's residues [(sign Q1 on the coordinates idx, d)] for N_d,
+    checked for int64 on their axes; none when d = 1 or idx is empty."""
+    if d == 1 or not idx:
+        return []
+    Q = Q1.restrict(idx, sign)
+    _check_int64(Q.terms(), axes, "points")
+    return [(Q._grid, d)]
+
+
 def _N_d_join(pair: QuadricPair, d: int, lo, hi, folded) -> int:
     """N_d by the join of Q2's direct split with no row built: a left row
     of a block meets every right row of its key.  The box is the folded
@@ -424,12 +447,11 @@ def _N_d_join(pair: QuadricPair, d: int, lo, hi, folded) -> int:
     folded = [folded[i] for i in split.order]
     factors = _fold_factors(axes, folded)
     weight = functools.reduce(np.multiply.outer, factors[h:], np.ones((), np.int64))
-    right_keys = _half_keys(split.right, axes[h:], d,
-                            [(pair.Q1.restrict(R), d)] if R and d > 1 else [])
+    right_keys = _half_keys(split.right, axes[h:], d, _q1_residues(pair.Q1, R, 1, d, axes[h:]))
     right = _RightHalf(right_keys(axes[h:]), math.prod(int(f.sum()) for f in factors[:h]),
                         weight=weight.reshape(-1))
     left_keys = _half_keys(split.left.restrict(range(h), -1), axes[:h], d,
-                           [(pair.Q1.restrict(L, -1), d)] if d > 1 else [])
+                           _q1_residues(pair.Q1, L, -1, d, axes[:h]))
     return sum(right.pairs(left_keys(block), _fold_factors(block, folded[:h]))
                for block, _ in grid_block_axes(axes[:h], _STREAM_ROWS))
 

@@ -529,10 +529,26 @@ class Split:
         """True when (y, z) is x, so the join lists x in lexicographic order."""
         return self.direct and self.order == tuple(range(len(self.order)))
 
-    def ranges(self, lo, hi) -> list[tuple[int, int]]:
-        """The least and largest value of each of y, z over the box lo..hi."""
-        return [(sum(min(c * a, c * b) for c, a, b in zip(row, lo, hi)),
-                 sum(max(c * a, c * b) for c, a, b in zip(row, lo, hi))) for row in self.P]
+    def runs(self, lo, hi) -> list[tuple[tuple[int, int], ...]]:
+        """Per coordinate of (y, z), the increasing runs a..b of the values
+        a join over the box lo..hi reads: its range over the box, except y
+        on a split of n = 2 that is not direct, where delta Q = y^2 + e z^2:
+        only the |y| with y^2 = -e z^2 for some z in z's range.  Then y =
+        x_1 + x_2 and z = x_1 of 2 x_1 x_2 + x_2^2 on x_1 in t + [0, 50],
+        |x_2| <= 2^28 (t > 0) read the 102 |y| in t + [0, 50] of the
+        2^29 + 51 in y's range."""
+        ranges = [(sum(min(c * a, c * b) for c, a, b in zip(row, lo, hi)),
+                   sum(max(c * a, c * b) for c, a, b in zip(row, lo, hi))) for row in self.P]
+        if self.direct or len(lo) > 2:
+            return [(r,) for r in ranges]
+        (c, d), e = ranges[1], self.right.M[0][0]
+        low, high = sorted(-e * v for v in (0 if c <= 0 <= d else min(c * c, d * d),
+                                            max(c * c, d * d)))
+        a = math.isqrt(low - 1) + 1 if low > 0 else 0
+        b = math.isqrt(high) if high >= 0 else -1
+        (u, v), parts = ranges[0], [(-b, -a), (a, b)] if a > 0 else [(-b, b)]
+        return [tuple((max(u, p), min(v, q)) for p, q in parts if max(u, p) <= min(v, q)),
+                (ranges[1],)]
 
     def to_x(self, rows: np.ndarray) -> np.ndarray:
         """The points x = W (y, z) / delta of the int64 rows (y, z) of one class."""

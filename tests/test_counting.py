@@ -887,18 +887,20 @@ def test_solved_scan_against_full_slab_scan(seed):
 
 def test_solved_scan_roots_past_float_precision():
     # Q = 2 x1 x2 + x2^2 = y^2 - z^2, y = x1 + x2 and z = x1, has the zeros
-    # x2 = -2 x1 and x2 = 0; the keys y^2 and z^2 pass 2^53, where a float
+    # x2 = 0 and x2 = -2 x1; the keys y^2 and z^2 pass 2^53, where a float
     # would round
     Q = QuadraticForm.from_matrix([[0, 1], [1, 1]])
     x1 = 2**27 - 61
-    for lo, hi, root in ((-2**28, -2**28 + 300, -2), (-150, 150, 0)):
-        got = enumerate_zeros(Q, BoxSpec(lo=(x1, lo), hi=(x1 + 50, hi)))
-        assert [tuple(p) for p in got] == [(t, root * t) for t in range(x1, x1 + 51)]
-    # the box over both roots costs the join the 2^29 + 51 values of y and
-    # the 51 of z
+    box = BoxSpec(lo=(x1, -2**28), hi=(x1 + 50, 2**28))
+    got = enumerate_zeros(Q, box)
+    want = sorted([(t, -2 * t) for t in range(x1, x1 + 51)]
+                  + [(t, 0) for t in range(x1, x1 + 51)])
+    assert [tuple(p) for p in got] == want
+    # y^2 = z^2 cuts y's range of 2^29 + 51 values to |y| in x1 + [0, 50]:
+    # the join is charged those 102 values and the 51 of z
     with pytest.raises(ResourceGuardError) as err:
-        enumerate_zeros(Q, BoxSpec(lo=(x1, -2**28), hi=(x1 + 50, 2**28)), guard=2**29)
-    assert err.value.estimated_ops == 2**29 + 102
+        enumerate_zeros(Q, box, guard=152)
+    assert err.value.estimated_ops == 153
 
 
 @pytest.mark.parametrize("Q", [Q for Q in COUPLED if Q.n > 2], ids=lambda Q: str(Q.M))
