@@ -25,8 +25,8 @@ one class of y - C z modulo A Z^h.  A half-row's key is (form value)
 (number of classes) + class, or on N_d's direct split Q2 d + (Q1 mod d),
 read off the half's axes (QuadraticForm.eval_grid).  A left row meets the
 run of minus its key in the right half's table (_RightHalf).  The left
-half comes in the blocks of quadforms.grid_block_axes(axes,
-_STREAM_ROWS), the one block iterator, first cut to the ball for S(B) on
+half comes in the blocks of quadforms.grid_block_axes, the one block
+iterator, of _BLOCK_ROWS rows at most, first cut to the ball for S(B) on
 a direct split.  N_d sums run lengths, building no row; listing builds
 rows only for the matches and maps them to x, keeping those in the box
 (and the ball).  On a split that is not direct y runs over the range of
@@ -111,14 +111,6 @@ class BoxSpec:
         if len(self.lo) != n:
             raise ValueError(f"box has {len(self.lo)} coordinates, form has n={n}")
         return tuple(self.lo), tuple(self.hi)
-
-
-#: most rows of a left block of the join (N_d, listing, S(B)): 128 KiB
-#: per int64 column, glibc's default mmap threshold, so later blocks reuse
-#: heap pages where larger ones fault in fresh mappings: the lattice
-#: benchmark's S ladder and N_d x 4 took 748 and 5,636 minor page faults in
-#: a fresh process with 2^15 rows, 126 and 0 with 2^14 (2-core VM).
-_STREAM_ROWS = 1 << 14
 
 
 def _axes(lo, hi) -> list[np.ndarray]:
@@ -276,10 +268,10 @@ def _linear_residues(classes, axes) -> list:
 
 def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     """Zeros of Q2 in the box by the join of its split, one block per left
-    block of at most _STREAM_ROWS rows (unless the last left axis is
-    longer): each left row meets the run of right rows of its key.  Rows
-    are built only for the matches and mapped to x (Split.to_x), kept when
-    in the box.  The guard is charged the matches expanded.
+    block of grid_block_axes: each left row meets the run of right rows of
+    its key.  Rows are built only for the matches and mapped to x
+    (Split.to_x), kept when in the box.  The guard is charged the matches
+    expanded.
 
     ball = (parts, budget), parts[i] a float e_i(v) >= 0 for each value v
     of coordinate i in the box, keeps only the zeros with sum_i e_i(x_i) <
@@ -311,7 +303,7 @@ def _mitm(Q2: QuadraticForm, lo, hi, guard: int, ball=None):
     # product of a left block's axes and the right axes
     right_size = math.prod(len(a) for a in axes[h:])
     total = 0
-    for block, block_parts in grid_block_axes(axes[:h], _STREAM_ROWS, left_parts, budget):
+    for block, block_parts in grid_block_axes(axes[:h], left_parts, budget):
         keys = left_keys(block)
         if not cut:
             hit, counts, first = right.runs(keys)
@@ -453,7 +445,7 @@ def _N_d_join(pair: QuadricPair, d: int, lo, hi, folded) -> int:
     left_keys = _half_keys(split.left.restrict(range(h), -1), axes[:h], d,
                            _q1_residues(pair.Q1, L, -1, d, axes[:h]))
     return sum(right.pairs(left_keys(block), _fold_factors(block, folded[:h]))
-               for block, _ in grid_block_axes(axes[:h], _STREAM_ROWS))
+               for block, _ in grid_block_axes(axes[:h]))
 
 
 def N_d(pair: QuadricPair, d: int, B, *, guard: int = DEFAULT_GUARD) -> int:
@@ -674,15 +666,14 @@ def _r2_table(top: int, guard: int) -> np.ndarray:
     u, v >= 0, each pair weighted by its (+-u, +-v) fold (entry 0 is 1, the
     origin), scattered into the table (np.add.at) block by block: the
     blocks of grid_block_axes over the square holding the disc, with the
-    ball u^2 + v^2 < top + 1, at most _STREAM_ROWS pairs each unless one
-    row is longer.  The guard is charged the (isqrt(top) + 1)^2 pairs of
-    that square before the table is made."""
+    ball u^2 + v^2 < top + 1.  The guard is charged the (isqrt(top) + 1)^2
+    pairs of that square before the table is made."""
     s = math.isqrt(top)
     check_guard("S_of_B r2 table", (s + 1) ** 2, guard)
     table = np.zeros(top + 1)
     t = np.arange(s + 1, dtype=np.int64)
     squares, fold = t * t, np.where(t == 0, 1.0, 2.0)
-    for (u, v), (u2, v2) in grid_block_axes([t, t], _STREAM_ROWS, [squares] * 2, top + 1):
+    for (u, v), (u2, v2) in grid_block_axes([t, t], [squares] * 2, top + 1):
         norms = u2[:, None] + v2
         inside = norms <= top
         np.add.at(table, norms[inside], (fold[u, None] * fold[v])[inside])

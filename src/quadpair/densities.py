@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import _STREAM_ROWS, WeightFunction, _bump, s_of_b_rows
+from .counting import WeightFunction, _bump, s_of_b_rows
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import bareiss_det
 from .modarith import chi4, is_prime
@@ -303,14 +303,12 @@ def _tau_blocks(G: int, k: int):
     the parts the exact squares (i + 1/2 - G/2)^2, so the midpoints in the
     support ball are the cells whose sum of parts is below (G/2)^2, and
     the budget (G/2)^2 (1 + _BALL_SLACK) keeps every one of them.  The
-    blocks are grid_block_axes' with that ball, of at most
-    counting._STREAM_ROWS rows unless the last axis alone is longer,
-    listed once: tau_infinity charges the guard off the list and hands it
-    to _tau_pass."""
+    blocks are grid_block_axes' with that ball, listed once: tau_infinity
+    charges the guard off the list and hands it to _tau_pass."""
     cells = np.arange(G, dtype=np.int64)
     budget = (G / 2) ** 2 * (1.0 + _BALL_SLACK)
     parts = (cells + 0.5 - G / 2) ** 2
-    return list(grid_block_axes([cells] * k, _STREAM_ROWS, [parts] * k, budget)), budget
+    return list(grid_block_axes([cells] * k, [parts] * k, budget)), budget
 
 
 _TAU_STOP = 2e-4  # relative move of both estimates that ends the refinement
@@ -466,7 +464,7 @@ def tau_infinity(Q2, W: WeightFunction,
     that list, 9 for each row of the blocks (1 for the row's sum of parts,
     8 for its Gauss-Legendre nodes should it lie in the ball): an exact
     count, not a volume estimate.  A pass builds the rows of one block of
-    at most counting._STREAM_ROWS cells at a time (_tau_pass).  A
+    at most quadforms._BLOCK_ROWS cells at a time (_tau_pass).  A
     singular Q2, or a support ball holding the origin (the only critical
     point of a non-singular Q2), is refused.
     """

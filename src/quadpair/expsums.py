@@ -21,14 +21,15 @@ combination).  S_{d,q} takes the residues (base 0, step 1) with phases
 m.k mod dq; T_{d,q} the coset k = a_vec mod 4 (step 4) with phases m.k
 mod 4dq, its unit weight read mod dq since e_{4dq}(4 a Q2) = e_dq(a Q2).
 The coordinates split into the blocks no cross term joins (one of Q1
-counts when nonzero mod d, one of Q2 when nonzero mod dq); each block's
-(dq)^|b| grid points are counted under the key (Q1 mod d, Q2 mod dq, m.k
-mod M), and the block histograms are convolved on Z/d x Z/dq x Z/M.  A
-diagonal pair so costs n dq points and n - 1 folds of about d dq M cells
-times the sparser side's support instead of (dq)^n rows.  Where the
-folds are charged more than the (dq)^n rows (small n, or d large beside
-q), and for a fully coupled pair, all coordinates form one block: one
-sweep.  The dq M phase terms follow.  Values carry the absolute
+counts when nonzero mod d, one of Q2 when nonzero mod dq); the key (Q1
+mod d, Q2 mod dq, m.k mod M) of each block's (dq)^|b| grid points is
+read off the axes of the grid_block_axes blocks of its grid, with no row
+built, and counted, and the block histograms are convolved on Z/d x Z/dq
+x Z/M.  A diagonal pair so costs n dq points and n - 1 folds of about
+d dq M cells times the sparser side's support instead of (dq)^n rows.
+Where the folds are charged more than the (dq)^n rows (small n, or d
+large beside q), and for a fully coupled pair, all coordinates form one
+block: one sweep.  The dq M phase terms follow.  Values carry the absolute
 tolerance of modarith's SumValue.  Two genuinely independent paths exist
 for S_{d,q} (unit sum vs Ramanujan reduction) and the suites require
 agreement.
@@ -51,6 +52,7 @@ the route's charge.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -73,10 +75,12 @@ from .padic import count_divisibility, count_divisibility_primitive
 from .quadforms import (
     QuadraticForm,
     QuadricPair,
-    dual_form,
+    _check_int64,
     _inverse_mod_p,
+    _linear_grid,
     _zero_layer,
-    grid_blocks,
+    dual_form,
+    grid_block_axes,
 )
 
 __all__ = [
@@ -143,41 +147,52 @@ def _S_dq_charge(blocks, d: int, dq: int, M: int, nm: int) -> int:
     return sum(dq ** len(b) for b in blocks) + nm * folds
 
 
-def _sweep_hists(pair: QuadricPair, d: int, dq: int, axes, M: int,
+@functools.lru_cache(maxsize=64)
+def _reduced(Q: QuadraticForm, mod: int) -> QuadraticForm:
+    """Q with its matrix reduced mod mod, kept for the next sum at that
+    modulus: building the form costs a small sum as much as its sweep."""
+    return QuadraticForm(tuple(tuple(v % mod for v in row) for row in Q.M))
+
+
+def _residue_blocks(R1: QuadraticForm, R2: QuadraticForm, d: int, dq: int, axes):
+    """(block, q1, q2) for each block of grid_block_axes(axes), read off
+    its axes with no row built: q1 = R1 mod d (None at d = 1) and q2 = R2
+    mod dq, for R1, R2 the pair's forms (or their restrictions) with
+    matrices reduced mod d and mod dq (_reduced), checked for int64 by the
+    caller.  m.k is read off a block's axes as _linear_grid(m, block)."""
+    for block, _ in grid_block_axes(axes):
+        yield block, (R1._grid(block) % d if d > 1 else None), R2._grid(block) % dq
+
+
+def _sweep_hists(R1: QuadraticForm, R2: QuadraticForm, d: int, dq: int, axes, M: int,
                  mvecs: np.ndarray) -> np.ndarray:
     """hists[i]: the histogram of (Q2(k) mod dq, m.k mod M) over the k of
     the grid over axes with d | Q1(k), d | Q2(k), for m the column i of
     mvecs, as a dq x M array: one sweep of all (dq)^n points."""
     hists = np.zeros((mvecs.shape[1], dq * M), dtype=np.int64)
-    for X in grid_blocks(axes):
-        if d > 1:
-            X = X[pair.zero_mask_mod(X, d)]
-        key = pair.Q2.eval_batch_mod(X, dq)
-        key *= M
-        V = (X @ mvecs) % M
-        for i in range(len(hists)):
-            hists[i] += np.bincount(key + V[:, i], minlength=dq * M)
+    for block, q1, q2 in _residue_blocks(R1, R2, d, dq, axes):
+        keep = slice(None) if d == 1 else (q1 == 0) & (q2 % d == 0)
+        key = q2[keep] * M
+        for hist, m in zip(hists, mvecs.T):
+            hist += np.bincount(key + _linear_grid(m, block)[keep] % M, minlength=dq * M)
     return hists.reshape(len(hists), dq, M)
 
 
-def _block_hists(pair: QuadricPair, blocks, d: int, dq: int, axes, M: int,
-                 mvecs: np.ndarray) -> np.ndarray:
+def _block_hists(R1: QuadraticForm, R2: QuadraticForm, blocks, d: int, dq: int, axes,
+                 M: int, mvecs: np.ndarray) -> np.ndarray:
     """hists[i, b]: the histogram of block b's grid points, keyed by
     (Q1 mod d, Q2 mod dq, m.k mod M) for m the column i of mvecs and
-    flattened in that order; on block b the pair's forms are their
-    restrictions to its coordinates."""
+    flattened in that order; on block b the forms are their restrictions
+    to its coordinates."""
     cells = d * dq * M
     hists = np.zeros((mvecs.shape[1], len(blocks), cells), dtype=np.int64)
     for b, idx in enumerate(blocks):
-        Q1, Q2 = pair.Q1.restrict(idx), pair.Q2.restrict(idx)
-        for X in grid_blocks([axes[i] for i in idx]):
-            key = Q2.eval_batch_mod(X, dq)
-            if d > 1:
-                key += Q1.eval_batch_mod(X, d) * dq
+        for block, q1, q2 in _residue_blocks(R1.restrict(idx), R2.restrict(idx), d, dq,
+                                             [axes[i] for i in idx]):
+            key = q2 if d == 1 else q1 * dq + q2
             key *= M
-            V = (X @ mvecs[idx]) % M
-            for i in range(len(hists)):
-                hists[i, b] += np.bincount(key + V[:, i], minlength=cells)
+            for hist, m in zip(hists[:, b], mvecs[idx].T):
+                hist += np.bincount(key + _linear_grid(m, block) % M, minlength=cells)
     return hists
 
 
@@ -249,12 +264,16 @@ def _unit_sums(name: str, pair: QuadricPair, d: int, q: int, m_list,
 
     axes = [np.arange(b, b + M, step, dtype=np.int64) for b in base]
     mvecs = np.array([[v % M for v in m] for m in m_list], dtype=np.int64).T
+    # Q1 mod d and Q2 mod dq, both checked for int64 once, at the grid's
+    # largest coordinate
+    R1, R2 = _reduced(pair.Q1, d), _reduced(pair.Q2, dq)
+    _check_int64(R1.terms() + R2.terms(), [np.array([max(base) + M - step])], "modulus")
     if len(blocks) == 1:
-        hists = _sweep_hists(pair, d, dq, axes, M, mvecs)
+        hists = _sweep_hists(R1, R2, d, dq, axes, M, mvecs)
     else:
         shape = (d, dq, M)
         hists = np.zeros((len(m_list), dq, M), dtype=np.int64)
-        for hist, parts in zip(hists, _block_hists(pair, blocks, d, dq, axes, M, mvecs)):
+        for hist, parts in zip(hists, _block_hists(R1, R2, blocks, d, dq, axes, M, mvecs)):
             acc = parts[0]
             for part in parts[1:-1]:
                 acc = _fold(acc, part, shape)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quadforms
 from .guard import DEFAULT_GUARD, ResourceGuardError, check_guard
 from .lincong import count_lincong, jordan_gauss_sum
 from .modarith import factorize, is_prime
@@ -212,9 +213,6 @@ def _exact_grad(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return 2 * (X @ M)
 
 
-_CHUNK_ROWS = 500_000
-
-
 def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
                 guard: int = DEFAULT_GUARD, t1: int = 0) -> int:
     """#{x mod p^R : Q1(x) = t1 mod p^r1, p^r2 | Q2(x)} by digit lifting,
@@ -231,7 +229,8 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
     total = 0
 
     # explicit stack of (base-point chunk, level); children are expanded in
-    # bounded chunks so memory stays proportional to _CHUNK_ROWS * depth
+    # chunks of at most quadforms._BLOCK_ROWS rows (or one parent's p^n),
+    # so memory stays proportional to that times the depth
     stack = [(np.zeros((1, n), dtype=np.int64), 0)]
     while stack:
         XB, j = stack.pop()
@@ -293,7 +292,7 @@ def _lift_count(pair: QuadricPair, p: int, R: int, r1: int, r2: int,
         spent += len(idx) * p**n
         if spent > guard:
             raise ResourceGuardError("count_congruence_pair", spent, guard)
-        per = max(1, _CHUNK_ROWS // p**n)
+        per = max(1, quadforms._BLOCK_ROWS // p**n)
         for lo in range(0, len(idx), per):
             part = XB[idx[lo : lo + per]]
             kids = (part[:, None, :] + pj * child_grid[None, :, :]).reshape(-1, n)

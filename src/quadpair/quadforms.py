@@ -247,10 +247,14 @@ class QuadraticForm:
 # grids
 # --------------------------------------------------------------------------
 
-#: most rows a block of grid_blocks or of residue_zeros_mod_p holds; a
-#: block spans at least the whole last axis, so a longer last axis gives
-#: longer blocks
-_BLOCK_ROWS = 2_000_000
+#: most rows a block of grid_block_axes holds, the package's one row
+#: budget (a block spans at least the whole last axis, so a longer last
+#: axis gives longer blocks): 128 KiB per int64 column, glibc's default
+#: mmap threshold, so later blocks reuse heap pages where larger ones fault
+#: in fresh mappings: the lattice benchmark's S ladder and N_d x 4 took 748
+#: and 5,636 minor page faults in a fresh process with 2^15 rows, 126 and
+#: 0 with 2^14 (2-core VM)
+_BLOCK_ROWS = 1 << 14
 
 
 def _tuples(axes) -> np.ndarray:
@@ -322,15 +326,15 @@ def _ball_cut(axes, parts, budget: float):
     return cut_axes, cut_parts
 
 
-def grid_block_axes(axes, rows: int, parts=None, budget: float | None = None):
+def grid_block_axes(axes, parts=None, budget: float | None = None):
     """The lexicographic product of the axes as blocks (axes, parts) of at
-    most rows rows each, unless the last axis alone is longer; no row is
-    built.  A product of more than rows rows splits its first axis of
-    more than one value into ceil(its rows / rows) equal runs, each run
-    split in turn.  So a block is one-value axes, one contiguous run of
-    the next axis and the whole axes after it, the blocks in turn hold
-    every row of the product in lexicographic order, and a block's parts
-    are None.
+    most _BLOCK_ROWS rows each, unless the last axis alone is longer; no
+    row is built.  A product of more than _BLOCK_ROWS rows splits its
+    first axis of more than one value into ceil(its rows / _BLOCK_ROWS)
+    equal runs, each run split in turn.  So a block is one-value axes, one
+    contiguous run of the next axis and the whole axes after it, the
+    blocks in turn hold every row of the product in lexicographic order,
+    and a block's parts are None.
 
     Given parts, parts[i] a convex float e_i(v) for each value v of axis
     i, only the ball sum_i e_i < budget is read: the product and each run
@@ -338,8 +342,9 @@ def grid_block_axes(axes, rows: int, parts=None, budget: float | None = None):
     block's run are runs too, every block holds a row of the ball, the
     blocks in turn hold every row of the ball, and each carries the runs
     of the parts that go with its axes, for the caller to mask
-    (_grid_sums).  A caller that needs a function of the rows rather than
-    the rows (QuadraticForm.eval_grid) reads a block off its axes."""
+    (_grid_sums).  A caller reads a function of a block's rows off its
+    axes (QuadraticForm.eval_grid, _linear_grid), or the rows themselves
+    as _tuples of them."""
     axes = list(axes)
     if parts is not None:
         cut = _ball_cut(axes, parts, budget)
@@ -348,24 +353,15 @@ def grid_block_axes(axes, rows: int, parts=None, budget: float | None = None):
         axes, parts = cut
     dims = [len(a) for a in axes]
     j = next((i for i, m in enumerate(dims) if m > 1), len(dims) - 1)
-    if math.prod(dims) <= rows or j == len(dims) - 1:
+    if math.prod(dims) <= _BLOCK_ROWS or j == len(dims) - 1:
         yield axes, parts
         return
-    step = -(-dims[j] // -(-math.prod(dims) // rows))
+    step = -(-dims[j] // -(-math.prod(dims) // _BLOCK_ROWS))
     for at in range(0, dims[j], step):
         run = slice(at, at + step)
         yield from grid_block_axes(
-            axes[:j] + [axes[j][run]] + axes[j + 1:], rows,
+            axes[:j] + [axes[j][run]] + axes[j + 1:],
             None if parts is None else parts[:j] + [parts[j][run]] + parts[j + 1:], budget)
-
-
-def grid_blocks(axes):
-    """Every tuple over the axes (one 1-D array per column), in
-    lexicographic order, as the rows of the grid_block_axes blocks under
-    the budget _BLOCK_ROWS.  Each block is a fresh array the caller may
-    modify."""
-    for block, _ in grid_block_axes(axes, _BLOCK_ROWS):
-        yield _tuples(block)
 
 
 # --------------------------------------------------------------------------
@@ -660,12 +656,6 @@ class QuadricPair:
         """Q2*(m) for an integer vector m."""
         return self.dual2.eval(m)
 
-    def zero_mask_mod(self, X: np.ndarray, d: int) -> np.ndarray:
-        """Mask of the rows x of X with d | Q1(x) and d | Q2(x)."""
-        mask = self.Q1.eval_batch_mod(X, d) == 0
-        mask &= self.Q2.eval_batch_mod(X, d) == 0
-        return mask
-
 
 # --------------------------------------------------------------------------
 # mod-p geometry
@@ -717,8 +707,8 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     int64 array in the order of residue_grid(p, n), whatever the block
     budget.
 
-    The prefixes x' in F_p^(n-1) are read per grid_block_axes block under
-    the budget _BLOCK_ROWS, their values by eval_grid, never as rows:
+    The prefixes x' in F_p^(n-1) are read per grid_block_axes block, their
+    values by eval_grid, never as rows:
     Q_i(x', t) = A_i + B_i t + c_i t^2 with c_i = M_i[n-1][n-1], and
     L t + C = c2 Q1 - c1 Q2 (Q1 itself when c1 = c2 = 0 mod p) has no t^2
     term.  L != 0 leaves the one candidate t = -C / L; L = 0 != C leaves
@@ -746,14 +736,14 @@ def residue_zeros_mod_p(pair: QuadricPair, p: int,
     inv = _inverse_mod_p(T, p)
     weight = [p ** (n - 1 - c) for c in range(n)]
     keys = []
-    for axes, _ in grid_block_axes([T] * (n - 1), _BLOCK_ROWS):
+    for axes, _ in grid_block_axes([T] * (n - 1)):
         (A, B), (C, L) = (_prefix_values(Q, s, axes, p) for Q, s in prefix)
         solo = np.flatnonzero(L)
         t = -C[solo] * inv[L[solo]] % p
         keep = (A[solo] + B[solo] * t + cT2[t]) % p == 0
         at, ts = [solo[keep]], [t[keep]]
         free = np.flatnonzero((L == 0) & (C == 0))
-        for (f, u), _ in grid_block_axes([free, T], _BLOCK_ROWS):
+        for (f, u), _ in grid_block_axes([free, T]):
             i, j = np.nonzero((A[f, None] + B[f, None] * u + cT2[u]) % p == 0)
             at.append(f[i])
             ts.append(u[j])

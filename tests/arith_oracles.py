@@ -6,6 +6,7 @@ from fractions import Fraction
 from quadpair.guard import DEFAULT_GUARD
 from quadpair.modarith import chi4
 from quadpair.padic import count_congruence_pair
+from quadpair.quadforms import _tuples, grid_block_axes
 
 
 def r2_chi_divisor_sum(M: int) -> int:
@@ -22,6 +23,13 @@ def r2_chi_divisor_sum(M: int) -> int:
                 total += chi4(M // d)
         d += 1
     return 4 * total
+
+
+def grid_rows(axes):
+    """The rows of each block of grid_block_axes(axes), built: block by
+    block, the lexicographic product of the axes."""
+    for block, _ in grid_block_axes(axes):
+        yield _tuples(block)
 
 
 def sigma_p_truncated(pair, p: int, k: int, guard: int = DEFAULT_GUARD) -> Fraction:

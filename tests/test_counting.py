@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from arith_oracles import r2_chi_divisor_sum
+from arith_oracles import grid_rows, r2_chi_divisor_sum
 
 from quadpair import counting, quadforms
 from quadpair.counting import (
@@ -27,7 +27,6 @@ from quadpair.pairs import shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
-    grid_blocks,
     load_pair,
     residue_grid,
 )
@@ -75,7 +74,7 @@ def full_slab_scan(Q2, T):
     axis = np.arange(-T, T + 1, dtype=np.int64)
     found = []
     for x1 in axis:
-        for rest in grid_blocks([axis] * (n - 1)):
+        for rest in grid_rows([axis] * (n - 1)):
             block = np.insert(rest, 0, x1, axis=1)
             found.append(block[Q2.eval_batch(block) == 0])
     rows = np.vstack(found)
@@ -337,11 +336,10 @@ def test_split_left_half_changes_no_result(monkeypatch):
 
     before = run()
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 5)
-    monkeypatch.setattr(counting, "_STREAM_ROWS", 5)
     for pair, box in cases:
         h = (pair.n + 1) // 2
         left = counting._axes(*counting._bounds(box, pair.n))[:h]
-        assert len(list(quadforms.grid_block_axes(left, 5))) > 1
+        assert len(list(quadforms.grid_block_axes(left))) > 1
     after = run()
     assert before[0] == after[0]
     assert all(np.array_equal(a, b) for a, b in zip(before[1], after[1]))
@@ -366,11 +364,10 @@ def test_join_builds_one_slot_table(monkeypatch):
     real = counting._slot_table
     monkeypatch.setattr(counting, "_slot_table", counted)
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 5)
-    monkeypatch.setattr(counting, "_STREAM_ROWS", 5)
     ship = shipped_pair()
     W = WeightFunction.default_for_pair(ship)
     left = counting._axes(*counting._bounds(5, 5))[:3]
-    assert len(list(quadforms.grid_block_axes(left, 5))) > 1
+    assert len(list(quadforms.grid_block_axes(left))) > 1
     for call in (lambda: N_d(ship, 3, 5), lambda: N_d(ship, 1, 5),
                  lambda: S_of_B(ship, W, 6), lambda: enumerate_zeros(ship.Q2, 5)):
         built.clear()
@@ -380,7 +377,7 @@ def test_join_builds_one_slot_table(monkeypatch):
 
 def test_streams_read_at_most_the_budget(monkeypatch):
     # every block of the join's left half (N_d, listing, S(B)) and of the
-    # coupled scan goes through the eval_grid kernel, at most _STREAM_ROWS
+    # coupled scan goes through the eval_grid kernel, at most _BLOCK_ROWS
     # rows at a time when the last axis fits in the budget
     lengths = []
     real = QuadraticForm._grid
@@ -395,13 +392,13 @@ def test_streams_read_at_most_the_budget(monkeypatch):
     W = WeightFunction.default_for_pair(ship)
     for budget, box, T, B in ((None, 40, 30, 16), (300, 5, 5, 3)):
         if budget is not None:
-            monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+            monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
         for call in (lambda: N_d(ship, 3, box), lambda: enumerate_zeros(coupled.Q2, T),
                      lambda: N_d(coupled, 3, T), lambda: S_of_B(ship, W, B),
                      lambda: enumerate_zeros(ship.Q2, box)):
             lengths.clear()
             call()
-            assert len(lengths) > 2 and max(lengths) <= counting._STREAM_ROWS
+            assert len(lengths) > 2 and max(lengths) <= quadforms._BLOCK_ROWS
 
 
 def test_stream_budget_changes_no_result(monkeypatch):
@@ -419,7 +416,7 @@ def test_stream_budget_changes_no_result(monkeypatch):
 
     want = run()
     for budget in (1, 7):
-        monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+        monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
         assert run() == want, budget
 
 
@@ -437,7 +434,7 @@ def test_r2_table_matches_r2():
 def test_r2_table_changes_with_no_run_of_rows(monkeypatch):
     want = counting._r2_table(3000, 10**9)
     for budget in (1, 7, 200):
-        monkeypatch.setattr(counting, "_STREAM_ROWS", budget)
+        monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
         assert np.array_equal(counting._r2_table(3000, 10**9), want), budget
 
 
@@ -542,7 +539,7 @@ def test_S_of_B_does_not_depend_on_blas_threads():
 
 
 def test_S_of_B_memory_is_a_few_blocks():
-    # left blocks of at most _STREAM_ROWS rows and terms summed as they
+    # left blocks of at most _BLOCK_ROWS rows and terms summed as they
     # come; the r2 table is the one array that grows with B (with the left
     # half read as one block and every term held, the peaks were 5.5, 17.8,
     # 4.7 and 23.6 MB)
@@ -909,13 +906,12 @@ def test_solved_scan_in_small_blocks(monkeypatch, Q):
     # block spans at least the last axis of y, so n = 2 has one block); the
     # stream still holds every zero once, and enumerate_zeros sorts it
     monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 10)
-    monkeypatch.setattr(counting, "_STREAM_ROWS", 10)
     h = (Q.n + 1) // 2
     for T in (2, 5):
         lo, hi = counting._bounds(T, Q.n)
         blocks = list(counting._mitm(Q, lo, hi, 10**9))
         assert len(blocks) == len(list(quadforms.grid_block_axes(
-            counting._split_axes(Q.split, lo, hi)[:h], 10))) > 1
+            counting._split_axes(Q.split, lo, hi)[:h]))) > 1
         got = lexsorted(np.vstack(blocks))
         assert [tuple(p) for p in got] == brute_zeros(Q, T)
         assert np.array_equal(got, full_slab_scan(Q, T))

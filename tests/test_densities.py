@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arith_oracles import sigma_p_truncated
+from arith_oracles import grid_rows, sigma_p_truncated
 from quadpair.counting import WeightFunction
-from quadpair import counting, densities, padic, quadforms
+from quadpair import densities, padic, quadforms
 from quadpair.densities import (
     ExperimentResult,
     certified_good,
@@ -30,7 +30,6 @@ from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
-    grid_blocks,
     load_pair,
     residue_grid,
     residue_zeros_mod_p,
@@ -434,7 +433,7 @@ def test_tau_charge_bounds_the_rows_built(name):
 
 def test_tau_pass_memory_is_one_block():
     # shipped at G = 18 integrates 32,470 rows of the 69,936 in its blocks;
-    # a block of at most _STREAM_ROWS of them, and its temporaries, are
+    # a block of at most _BLOCK_ROWS of them, and its temporaries, are
     # alive at a time
     Q2, W, eps_list = _tau_case("shipped")
     tau_pass(Q2, W, eps_list, 12)
@@ -444,8 +443,8 @@ def test_tau_pass_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tau_charge(18, Q2.n - 1) // 9 > 2 * counting._STREAM_ROWS
-    assert rows > counting._STREAM_ROWS
+    assert tau_charge(18, Q2.n - 1) // 9 > 2 * quadforms._BLOCK_ROWS
+    assert rows > quadforms._BLOCK_ROWS
     assert peak < 3_000_000
 
 
@@ -590,7 +589,7 @@ def _sigma2_sweep(pair, k):
     n = pair.n
     q = 2**k
     count = 0
-    for block in grid_blocks([np.arange(q, dtype=np.int64)] * n):
+    for block in grid_rows([np.arange(q, dtype=np.int64)] * n):
         good1 = pair.Q1.eval_batch_mod(block % 4, 4) == 1
         good2 = pair.Q2.eval_batch_mod(block, q) == 0
         count += int((good1 & good2).sum())
@@ -615,7 +614,7 @@ def _sigma2_half_depth(pair, k):
     mod = 2**m
     M2 = np.array(pair.Q2.M, dtype=np.int64)
     count = 0
-    for x0 in grid_blocks([np.arange(2**j, dtype=np.int64)] * n):
+    for x0 in grid_rows([np.arange(2**j, dtype=np.int64)] * n):
         q2 = pair.Q2.eval_batch(x0)
         live = (pair.Q1.eval_batch_mod(x0 % 4, 4) == 1) & (q2 % 2 ** (k - m) == 0)
         g = np.gcd.reduce((x0[live] @ M2) % mod, axis=1, initial=mod)
@@ -670,7 +669,7 @@ def _zero_counts_sweep(pair, p):
     """(#{Q2 = 0}, #{Q1 = Q2 = 0}) over F_p^n, Q1 evaluated only where
     Q2 vanishes."""
     n2 = n12 = 0
-    for block in grid_blocks([np.arange(p, dtype=np.int64)] * pair.n):
+    for block in grid_rows([np.arange(p, dtype=np.int64)] * pair.n):
         zeros2 = block[pair.Q2.eval_batch_mod(block, p) == 0]
         n2 += len(zeros2)
         n12 += int((pair.Q1.eval_batch_mod(zeros2, p) == 0).sum())

@@ -17,7 +17,8 @@ DELETED = {"full_quadratic_sum", "partial_sum_Q", "partial_sum_Q_series",
            "_Q_series_modulus", "Ntilde", "count_cone_points_mod_p",
            "sigma_infinity", "r2_chi_divisor_sum", "sigma_p_truncated",
            "count_congruence_pair_primitive", "D_d", "mobius",
-           "residue_blocks", "_head_columns"}
+           "residue_blocks", "_head_columns", "grid_blocks", "_STREAM_ROWS",
+           "_CHUNK_ROWS"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -1,12 +1,14 @@
 import functools
 import math
 import random
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arith_oracles import grid_rows
 from quadpair import expsums, quadforms
 from quadpair.expsums import (
     D_p2_layered,
@@ -28,7 +30,6 @@ from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
     dual_form,
-    grid_blocks,
     is_Vm_singular_mod_p,
     load_pair,
     residue_grid,
@@ -512,6 +513,11 @@ def test_guard_does_not_change_the_value():
 # --------------------------------------------------------------------------
 
 
+def zero_mask(pair, X, d):
+    """Mask of the rows x of X with d | Q1(x) and d | Q2(x)."""
+    return (pair.Q1.eval_batch_mod(X, d) == 0) & (pair.Q2.eval_batch_mod(X, d) == 0)
+
+
 def sdq_by_sweep(pair, d, q, m_list, method):
     """(re, im, tol) of S_{d,q}(m) for each m by one sweep of all (dq)^n
     residues: the histogram of (Q2, m.k) mod dq over the k with d | Q1(k),
@@ -532,8 +538,8 @@ def sdq_by_sweep(pair, d, q, m_list, method):
     nm = len(m_list)
     hists = np.zeros((nm, dq * dq), dtype=np.int64)
     survivors = 0
-    for block in grid_blocks([np.arange(dq, dtype=np.int64)] * n):
-        sub = block if d == 1 else block[pair.zero_mask_mod(block, d)]
+    for block in grid_rows([np.arange(dq, dtype=np.int64)] * n):
+        sub = block if d == 1 else block[zero_mask(pair, block, d)]
         if not len(sub):
             continue
         survivors += len(sub)
@@ -649,6 +655,51 @@ def test_sweep_where_the_folds_cost_more():
         S_dq(pair, 169, 1, m, guard=169**3 - 1)
 
 
+def coupled_n5():
+    """An n = 5 pair whose every cross coefficient is 2 in Q2: one block
+    at every d and q, so S_dq_many sweeps all (dq)^5 residues."""
+    return QuadricPair.build(
+        QuadraticForm.from_matrix([[2, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0],
+                                   [0, 0, 1, 2, 1], [1, 0, 0, 1, 3]]),
+        QuadraticForm.from_matrix([[1, 1, 1, 1, 1], [1, 2, 1, 1, 1], [1, 1, -1, 1, 1],
+                                   [1, 1, 1, -2, 1], [1, 1, 1, 1, 3]]))
+
+
+def test_sweep_builds_no_rows():
+    # the 15^5 residues are read off the axes of blocks of at most
+    # _BLOCK_ROWS rows; sweeping them as rows peaked at 69.5 MB
+    pair = coupled_n5()
+    ms = [[1, 2, 3, 4, 5], [0, 7, 14, 3, 9], [11, 0, 6, 1, 2]]
+    assert expsums._coordinate_blocks(pair, 1, 15) == [[0, 1, 2, 3, 4]]
+    want = S_dq_many(pair, 1, 15, ms)
+    tracemalloc.start()
+    try:
+        got = S_dq_many(pair, 1, 15, ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("d, q", [(1, 3), (3, 1), (2, 2), (1, 4), (3, 2)])
+def test_sweep_matches_the_residue_grid(d, q):
+    # each term e_dq(a Q2(k) + m.k) summed over the units a and every k of
+    # residue_grid(dq, 5) with d | Q1(k), d | Q2(k)
+    pair = coupled_n5()
+    dq = d * q
+    ms = [[0] * 5, [1, 2, 3, 4, 5], [dq - 1, 0, 1, 2, 0]]
+    k = residue_grid(dq, 5)
+    k = k[zero_mask(pair, k, d)]
+    q2 = pair.Q2.eval_batch(k)
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    for m, got in zip(ms, S_dq_many(pair, d, q, ms)):
+        v = (np.array(units)[:, None] * q2 + k @ np.array(m)) % dq
+        ang = 2.0 * math.pi * v / dq
+        want = SumValue(np.cos(ang).sum(), np.sin(ang).sum(), sum_tol(v.size))
+        assert got.close_to(want), (d, q, m)
+
+
 def test_S_dq_many_empty_m_list():
     pair = toy_pair_3()
     for method in ("direct", "ramanujan"):
@@ -711,9 +762,9 @@ def tdq_by_sweep(name, a_vec, d, q, m):
     mred = np.array([v % mod for v in m], dtype=np.int64)
     total = 0j
     terms = 0
-    for block in grid_blocks([np.arange(dq, dtype=np.int64)] * n):
+    for block in grid_rows([np.arange(dq, dtype=np.int64)] * n):
         k = base[None, :] + 4 * block
-        sub = k if d == 1 else k[pair.zero_mask_mod(k, d)]
+        sub = k if d == 1 else k[zero_mask(pair, k, d)]
         if not len(sub):
             continue
         q2 = pair.Q2.eval_batch_mod(sub, dq)

@@ -1,10 +1,13 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from arith_oracles import grid_rows
+from quadpair.densities import sigma_2
 from quadpair.expsums import rho, rho_star
 from quadpair.guard import ResourceGuardError
 from quadpair.padic import (
@@ -18,7 +21,6 @@ from quadpair.pairs import demo_pair_7, shipped_pair, toy_pair_2, toy_pair_3
 from quadpair.quadforms import (
     QuadraticForm,
     QuadricPair,
-    grid_blocks,
     residue_grid,
     residue_zeros_mod_p,
 )
@@ -157,7 +159,7 @@ def test_residue_zeros_mod_p():
 
 
 def _sweep_blocks(p, n):
-    return grid_blocks([np.arange(p, dtype=np.int64)] * n)
+    return grid_rows([np.arange(p, dtype=np.int64)] * n)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40])
@@ -263,6 +265,24 @@ def test_only_powers_of_two_lift_digits(monkeypatch):
         rho_star(pair, d)
         count_divisibility(pair, d, 2 * d)
     assert primes and set(primes) == {2}
+
+
+def test_lift_count_chunks_change_no_count(monkeypatch):
+    # at the budget 7 each chunk of children holds one parent's p^n
+    cases = [(2, R, r1, r2, t1) for R in range(1, 6) for r1 in range(R + 1)
+             for r2 in range(R + 1) for t1 in (0, 1)]
+    cases += [(3, R, r1, r2, 0) for R in range(1, 4) for r1 in range(R + 1)
+              for r2 in range(R + 1)]
+    pairs = (shipped_pair(), toy_pair_3())
+
+    def run():
+        return [_lift_count(pair, p, R, r1, r2, t1=t1)
+                for pair in pairs for p, R, r1, r2, t1 in cases]
+
+    want = run()
+    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", 7)
+    assert run() == want
+    assert sigma_2(shipped_pair(), k_max=5).fraction == Fraction(5, 16)
 
 
 @pytest.mark.parametrize("p,R", [(3, 6), (5, 4)])

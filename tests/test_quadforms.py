@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from arith_oracles import grid_rows
 from quadpair import quadforms
 from quadpair.counting import BoxSpec, enumerate_zeros
 from quadpair.guard import ResourceGuardError
@@ -18,7 +19,6 @@ from quadpair.quadforms import (
     bad_primes,
     certified_good_primes,
     dual_form,
-    grid_blocks,
     is_Vm_singular_mod_p,
     parse_pair_text,
     pencil_det_poly,
@@ -149,27 +149,34 @@ def test_eval_grid_int64_edge_is_eval_batch_edge():
             Q.eval_grid(axes)
 
 
+def _blocks(rows, axes, *ball):
+    """The blocks of grid_block_axes(axes, *ball) under the row budget
+    rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadforms, "_BLOCK_ROWS", rows)
+        return list(quadforms.grid_block_axes(axes, *ball))
+
+
 def _block_axes(axes, rows, mode):
-    """The axes of each block of grid_block_axes(axes, rows) in one of its
-    two modes: with no ball, each block's parts None, or with a ball
-    holding the whole grid (parts (v - 1/2)^2, budget above their largest
-    sum), whose blocks each carry the runs of the parts that go with
-    their axes."""
+    """The axes of each block of grid_block_axes(axes) under the row
+    budget rows in one of its two modes: with no ball, each block's parts
+    None, or with a ball holding the whole grid (parts (v - 1/2)^2, budget
+    above their largest sum), whose blocks each carry the runs of the
+    parts that go with their axes."""
     if mode == "plain":
-        blocks = list(quadforms.grid_block_axes(axes, rows))
+        blocks = _blocks(rows, axes)
         assert all(parts is None for _, parts in blocks)
     else:
         parts = [(a - 0.5) ** 2 for a in axes]
         budget = sum(float(p.max()) for p in parts) + 1.0
-        blocks = list(quadforms.grid_block_axes(axes, rows, parts, budget))
+        blocks = _blocks(rows, axes, parts, budget)
         assert all(np.array_equal(p, (a - 0.5) ** 2)
                    for block, block_parts in blocks for a, p in zip(block, block_parts))
     return [block for block, _ in blocks]
 
 
 @pytest.mark.parametrize("budget", [1, 3, 10, 30, 10**6])
-def test_grid_block_axes_are_the_grid_blocks(monkeypatch, budget):
-    monkeypatch.setattr(quadforms, "_BLOCK_ROWS", budget)
+def test_grid_block_axes_are_the_grid_blocks(budget):
     for mode in ("plain", "ball"):
         _check_grid_block_axes(budget, mode)
 
@@ -180,12 +187,11 @@ def _check_grid_block_axes(budget, mode):
             np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
     Q = QuadraticForm.from_matrix([[1, 2, 0, -1], [2, -3, 1, 0], [0, 1, 5, 2],
                                    [-1, 0, 2, 4]])
-    blocks = list(grid_blocks(axes))
     block_axes = _block_axes(axes, budget, mode)
-    assert len(blocks) == len(block_axes)
-    for block, ax in zip(blocks, block_axes):
-        assert np.array_equal(block, quadforms._tuples(ax))
-        assert np.array_equal(Q.eval_grid(ax), Q.eval_batch(block))
+    rows = np.vstack([quadforms._tuples(ax) for ax in block_axes])
+    assert [tuple(r) for r in rows.tolist()] == list(itertools.product(*axes))
+    for ax in block_axes:
+        assert np.array_equal(Q.eval_grid(ax), Q.eval_batch(quadforms._tuples(ax)))
     # each block fixes its leading columns as one-value axes, runs one
     # contiguous slice of the next axis and the whole tail axes after it:
     # the blocks stacked are the unsplit lexicographic grid, row for row,
@@ -238,9 +244,10 @@ def test_residue_grid_is_lexicographic(q, k):
 
 
 def test_grid_blocks_unchunked_is_the_full_grid():
-    (block,) = grid_blocks([np.arange(5, dtype=np.int64)] * 3)
+    # the rows of a grid within the budget come as one block
+    (block,) = grid_rows([np.arange(5, dtype=np.int64)] * 3)
     assert np.array_equal(block, residue_grid(5, 3))
-    (empty,) = grid_blocks([])
+    (empty,) = grid_rows([])
     assert empty.shape == (1, 0)
 
 
@@ -251,7 +258,7 @@ def test_grid_blocks_chunked_order(monkeypatch, budget):
                     (np.arange(-2, 3, dtype=np.int64), 3),
                     (np.linspace(-1.0, 1.0, 4), 3)):
         side = len(axis)
-        blocks = list(grid_blocks([axis] * k))
+        blocks = list(grid_rows([axis] * k))
         assert len(blocks) > 1
         assert all(len(b) <= max(budget, side) for b in blocks)
         # the tail is the most trailing columns whose grid fits the budget
@@ -272,10 +279,10 @@ def test_grid_blocks_per_coordinate_axes(monkeypatch, budget):
     axes = [np.arange(-2, 1, dtype=np.int64), np.arange(4, 6, dtype=np.int64),
             np.arange(-1, 3, dtype=np.int64), np.array([7], dtype=np.int64)]
     product = list(itertools.product(*axes))
-    rows = np.concatenate(list(grid_blocks(axes)))
+    rows = np.concatenate(list(grid_rows(axes)))
     assert [tuple(r) for r in rows] == product
     # one axis repeated k times is its power, in lexicographic order
-    same = np.concatenate(list(grid_blocks([axes[2]] * 3)))
+    same = np.concatenate(list(grid_rows([axes[2]] * 3)))
     assert np.array_equal(same, axes[2][residue_grid(4, 3)])
 
 
@@ -309,7 +316,7 @@ def _ball_positions(axes, parts, bound, budget, mode="ball"):
     masked by the parts of its own values."""
     dims = [len(a) for a in axes]
     ball = (parts, bound) if mode == "ball" else ()
-    for block, block_parts in quadforms.grid_block_axes(axes, budget, *ball):
+    for block, block_parts in _blocks(budget, axes, *ball):
         if block_parts is None:
             block_parts = [p[np.searchsorted(a, b)] for a, p, b in zip(axes, parts, block)]
         at = np.flatnonzero(quadforms._grid_sums(block_parts) < bound)
@@ -341,7 +348,7 @@ def test_ball_blocks_are_grid_blocks_cut_to_the_ball(budget):
     # axis of more than one value ends at values that reach into the ball
     # with the least part of every other axis
     for axes, parts, bound in _ball_cases(budget, TAU_CELLS[:3]):
-        for block, block_parts in quadforms.grid_block_axes(axes, budget, parts, bound):
+        for block, block_parts in _blocks(budget, axes, parts, bound):
             for a, p, whole, whole_p in zip(block, block_parts, axes, parts):
                 at = int(np.searchsorted(whole, a[0]))
                 assert np.array_equal(a, whole[at:at + len(a)])
